@@ -4,11 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/url"
 	"strconv"
 
 	"memagg"
-	"memagg/internal/agg"
 	"memagg/internal/cluster"
 	"memagg/internal/obs"
 )
@@ -165,9 +163,13 @@ func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		httpError(w, http.StatusBadRequest, "missing q parameter")
+	// Parse before gathering: a malformed query must not cost a
+	// cluster-wide transfer, nor turn into a 503 when a peer is down.
+	params := r.URL.Query()
+	name := params.Get("q")
+	q, err := parseQuery(params)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	m, err := srv.rt.Gather()
@@ -186,120 +188,18 @@ func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	o := runClusterQuery(m, q, r.URL.Query())
-	if o.status != 0 {
-		httpError(w, o.status, o.errMsg)
+	rows, err := m.Run(q)
+	if err != nil {
+		httpError(w, queryStatus(err), err.Error())
 		return
 	}
 	w.Header().Set("ETag", etag)
 	writeJSON(w, clusterQueryResponse{
-		Query:     q,
+		Query:     name,
 		Watermark: m.Watermark,
 		Rows:      m.Watermark.Total(),
-		Result:    o.result,
+		Result:    memagg.ResultRows(rows),
 	})
-}
-
-// countsOut/valuesOut/statsOut convert the merged kernels' agg rows to
-// the facade's response types, so router and single-node responses are
-// shape-identical (nil stays nil, matching empty-result encoding).
-func countsOut(a []agg.GroupCount) []memagg.GroupCount {
-	if a == nil {
-		return nil
-	}
-	out := make([]memagg.GroupCount, len(a))
-	for i, g := range a {
-		out[i] = memagg.GroupCount{Key: g.Key, Count: g.Count}
-	}
-	return out
-}
-
-func valuesOut(a []agg.GroupFloat) []memagg.GroupValue {
-	if a == nil {
-		return nil
-	}
-	out := make([]memagg.GroupValue, len(a))
-	for i, g := range a {
-		out[i] = memagg.GroupValue{Key: g.Key, Value: g.Val}
-	}
-	return out
-}
-
-func statsOut(a []agg.GroupUint) []memagg.GroupStat {
-	if a == nil {
-		return nil
-	}
-	out := make([]memagg.GroupStat, len(a))
-	for i, g := range a {
-		out[i] = memagg.GroupStat{Key: g.Key, Value: g.Val}
-	}
-	return out
-}
-
-// runClusterQuery executes one named query over a merged gather — the
-// same vocabulary runQuery speaks, answered from cluster.Merged's exact
-// kernels.
-func runClusterQuery(m *cluster.Merged, q string, params url.Values) outcome {
-	var (
-		result any
-		err    error
-	)
-	switch q {
-	case "q1", "count_by_key":
-		result = countsOut(m.CountByKey())
-	case "q2", "avg_by_key":
-		result = valuesOut(m.AvgByKey())
-	case "q3", "median_by_key":
-		var rows []agg.GroupFloat
-		rows, err = m.MedianByKey()
-		result = valuesOut(rows)
-	case "q4", "count":
-		result = m.Count()
-	case "q5", "avg":
-		result = m.Avg()
-	case "q6", "median":
-		result, err = m.Median()
-	case "q7", "range":
-		lo, lerr := queryUint(params, "lo")
-		hi, herr := queryUint(params, "hi")
-		if lerr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: lerr.Error()}
-		}
-		if herr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: herr.Error()}
-		}
-		var rows []agg.GroupCount
-		rows, err = m.CountRange(lo, hi)
-		result = countsOut(rows)
-	case "sum":
-		result = statsOut(m.Reduce(agg.OpSum))
-	case "min":
-		result = statsOut(m.Reduce(agg.OpMin))
-	case "max":
-		result = statsOut(m.Reduce(agg.OpMax))
-	case "quantile":
-		p, perr := strconv.ParseFloat(params.Get("p"), 64)
-		if perr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: "quantile needs p=0..1"}
-		}
-		var rows []agg.GroupFloat
-		rows, err = m.QuantileByKey(p)
-		result = valuesOut(rows)
-	case "mode":
-		var rows []agg.GroupFloat
-		rows, err = m.ModeByKey()
-		result = valuesOut(rows)
-	default:
-		return outcome{status: http.StatusBadRequest, errMsg: "unknown query " + strconv.Quote(q)}
-	}
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, memagg.ErrUnsupportedQuery) {
-			status = http.StatusUnprocessableEntity
-		}
-		return outcome{status: status, errMsg: err.Error()}
-	}
-	return outcome{result: result}
 }
 
 func (srv *routerServer) handleClusterStats(w http.ResponseWriter, r *http.Request) {

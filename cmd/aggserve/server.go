@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"memagg"
+	"memagg/internal/agg"
 	"memagg/internal/obs"
 )
 
@@ -258,12 +259,11 @@ type queryResponse struct {
 	Result    any    `json:"result"`
 }
 
-// outcome is one finished query: result on success, status+message on
-// failure (status 0 means success).
+// outcome is one finished snapshot query, handed back from the goroutine
+// that ran it.
 type outcome struct {
 	result any
-	status int
-	errMsg string
+	err    error
 }
 
 func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -271,9 +271,11 @@ func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	q := r.URL.Query().Get("q")
-	if q == "" {
-		httpError(w, http.StatusBadRequest, "missing q parameter")
+	params := r.URL.Query()
+	name := params.Get("q")
+	q, err := parseQuery(params)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	sn := srv.stream.Snapshot()
@@ -288,7 +290,10 @@ func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	done := make(chan outcome, 1)
-	go func() { done <- runQuery(sn, q, r.URL.Query()) }()
+	go func() {
+		result, err := sn.Run(q)
+		done <- outcome{result, err}
+	}()
 	select {
 	case <-r.Context().Done():
 		// The client went away or the server is draining: stop waiting.
@@ -296,12 +301,12 @@ func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// snapshots are read-only, so there is nothing to undo.
 		httpError(w, statusClientClosedRequest, "request canceled: "+r.Context().Err().Error())
 	case o := <-done:
-		if o.status != 0 {
-			httpError(w, o.status, o.errMsg)
+		if o.err != nil {
+			httpError(w, queryStatus(o.err), o.err.Error())
 			return
 		}
 		w.Header().Set("ETag", etag)
-		writeJSON(w, queryResponse{Query: q, Watermark: sn.Watermark(), Result: o.result})
+		writeJSON(w, queryResponse{Query: name, Watermark: sn.Watermark(), Result: o.result})
 	}
 }
 
@@ -326,60 +331,44 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
-// runQuery executes one named query over a pinned snapshot.
-func runQuery(sn *memagg.StreamSnapshot, q string, params url.Values) outcome {
-	var (
-		result any
-		err    error
-	)
-	switch q {
-	case "q1", "count_by_key":
-		result = sn.CountByKey()
-	case "q2", "avg_by_key":
-		result = sn.AvgByKey()
-	case "q3", "median_by_key":
-		result, err = sn.MedianByKey()
-	case "q4", "count":
-		result = sn.Count()
-	case "q5", "avg":
-		result = sn.Avg()
-	case "q6", "median":
-		result, err = sn.Median()
-	case "q7", "range":
-		lo, lerr := queryUint(params, "lo")
-		hi, herr := queryUint(params, "hi")
-		if lerr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: lerr.Error()}
-		}
-		if herr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: herr.Error()}
-		}
-		result, err = sn.CountRange(lo, hi)
-	case "sum":
-		result = sn.SumByKey()
-	case "min":
-		result = sn.MinByKey()
-	case "max":
-		result = sn.MaxByKey()
-	case "quantile":
-		p, perr := strconv.ParseFloat(params.Get("p"), 64)
-		if perr != nil {
-			return outcome{status: http.StatusBadRequest, errMsg: "quantile needs p=0..1"}
-		}
-		result, err = sn.QuantileByKey(p)
-	case "mode":
-		result, err = sn.ModeByKey()
-	default:
-		return outcome{status: http.StatusBadRequest, errMsg: "unknown query " + strconv.Quote(q)}
+// parseQuery resolves the /v1/query parameters into a validated agg.Query:
+// the one parse-then-validate step node and router share, run before any
+// snapshot or gather work. agg.ParseQuery owns the vocabulary; this only
+// knows which URL parameters each query family reads. Every error is the
+// client's (400).
+func parseQuery(params url.Values) (agg.Query, error) {
+	name := params.Get("q")
+	if name == "" {
+		return agg.Query{}, errors.New("missing q parameter")
 	}
+	q, err := agg.ParseQuery(name, 0, 0, 0)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, memagg.ErrUnsupportedQuery) {
-			status = http.StatusUnprocessableEntity
-		}
-		return outcome{status: status, errMsg: err.Error()}
+		return q, err
 	}
-	return outcome{result: result}
+	switch q.ID {
+	case agg.QRange:
+		if q.Lo, err = queryUint(params, "lo"); err != nil {
+			return q, err
+		}
+		if q.Hi, err = queryUint(params, "hi"); err != nil {
+			return q, err
+		}
+	case agg.QQuantile:
+		if q.P, err = strconv.ParseFloat(params.Get("p"), 64); err != nil {
+			return q, errors.New("quantile needs p=0..1")
+		}
+	}
+	return q, q.Validate()
+}
+
+// queryStatus maps a failed Run — a snapshot's or a cluster gather's — to
+// its HTTP status: 422 for a holistic query the state cannot answer, 500
+// for anything else.
+func queryStatus(err error) int {
+	if errors.Is(err, memagg.ErrUnsupportedQuery) {
+		return http.StatusUnprocessableEntity
+	}
+	return http.StatusInternalServerError
 }
 
 func queryUint(params url.Values, name string) (uint64, error) {

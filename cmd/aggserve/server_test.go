@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -564,5 +566,66 @@ func TestRouterServerRoundTrip(t *testing.T) {
 		if p.Breaker != "closed" {
 			t.Fatalf("peer %s breaker %q, want closed", p.Peer, p.Breaker)
 		}
+	}
+}
+
+// TestQuantileNaNRejected: p=NaN parses as a float but is no quantile. It
+// used to reach the kernel, index out of range inside the query goroutine
+// and take the process down; the one agg.Query.Validate gate now answers
+// 400 on the query path and ErrBadView at view registration, and the
+// server keeps serving.
+func TestQuantileNaNRejected(t *testing.T) {
+	srv, s := newTestServer(t)
+	if w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`); w.Code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", w.Code, w.Body)
+	}
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
+		t.Fatalf("flush = %d: %s", w.Code, w.Body)
+	}
+	for _, p := range []string{"NaN", "nan", "+Inf", "1.5", "-0.1"} {
+		if w := do(t, srv, http.MethodGet, "/v1/query?q=quantile&p="+p, ""); w.Code != http.StatusBadRequest {
+			t.Errorf("quantile p=%s = %d want 400 (%s)", p, w.Code, w.Body)
+		}
+	}
+	if w := do(t, srv, http.MethodGet, "/v1/healthz", ""); w.Code != http.StatusOK {
+		t.Fatalf("healthz after p=NaN = %d want 200", w.Code)
+	}
+	if w := do(t, srv, http.MethodGet, "/v1/query?q=quantile&p=0.5", ""); w.Code != http.StatusOK {
+		t.Fatalf("quantile p=0.5 = %d: %s", w.Code, w.Body)
+	}
+	err := s.RegisterView(memagg.ViewSpec{Name: "nan", Query: "quantile", P: math.NaN(), PaneRows: 4, Panes: 2})
+	if !errors.Is(err, memagg.ErrBadView) {
+		t.Fatalf("RegisterView(quantile, p=NaN) = %v want ErrBadView", err)
+	}
+}
+
+// TestRouterValidatesBeforeGather: the router parses and validates the
+// query before scattering, so a malformed request is the client's 400
+// even with every peer dead — and costs no /partials transfer — while a
+// well-formed one reports the outage.
+func TestRouterValidatesBeforeGather(t *testing.T) {
+	peers := make([]string, 2)
+	for i := range peers {
+		ts := httptest.NewServer(http.NotFoundHandler())
+		peers[i] = ts.URL
+		ts.Close() // killed before the first request
+	}
+	rt, err := cluster.NewRouter(cluster.Config{Peers: peers, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	srv := newRouterServer(rt)
+	for _, target := range []string{"/v1/query?q=nope", "/v1/query?q=q7", "/v1/query?q=q7&lo=1", "/v1/query?q=quantile&p=NaN", "/v1/query"} {
+		if w := doRouter(t, srv, http.MethodGet, target, ""); w.Code != http.StatusBadRequest {
+			t.Errorf("GET %s = %d want 400 (%s)", target, w.Code, w.Body)
+		}
+	}
+	for _, st := range rt.Stats() {
+		if st.Requests != 0 {
+			t.Errorf("peer %s saw %d requests for malformed queries, want 0", st.Peer, st.Requests)
+		}
+	}
+	if w := doRouter(t, srv, http.MethodGet, "/v1/query?q=q1", ""); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("q1 with every peer down = %d want 503 (%s)", w.Code, w.Body)
 	}
 }

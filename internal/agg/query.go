@@ -1,21 +1,19 @@
-package cview
+package agg
 
-import (
-	"fmt"
+import "fmt"
 
-	"memagg/internal/agg"
-)
-
-// QueryID names a standing query — the same set the stream's snapshots
-// serve (Q1–Q7 plus the generalized reduce, quantile, and mode).
+// QueryID names one query of the serving vocabulary: the paper's Q1–Q7
+// plus the generalized reduce, quantile, and mode. The numeric values are
+// an on-disk format (continuous-view DEFS files store them) and must not
+// change.
 type QueryID int
 
 const (
 	QCountByKey  QueryID = iota + 1 // Q1: (key, COUNT(*)) per key
 	QAvgByKey                       // Q2: (key, AVG(val)) per key
 	QMedianByKey                    // Q3: (key, MEDIAN(val)) per key; holistic
-	QCount                          // Q4: COUNT(*) over the window
-	QAvg                            // Q5: AVG(val) over the window
+	QCount                          // Q4: COUNT(*) over every row
+	QAvg                            // Q5: AVG(val) over every row
 	QMedian                         // Q6: MEDIAN over the key column
 	QRange                          // Q7: Q1 restricted to Lo <= key <= Hi, ascending
 	QReduce                         // (key, Op(val)) per key for a distributive Op
@@ -23,21 +21,24 @@ const (
 	QMode                           // (key, most frequent val) per key; holistic
 )
 
-// Query is one standing query: the id plus its parameters (Op for
-// QReduce, P for QQuantile, Lo/Hi for QRange; the rest ignore them).
+// Query is one query over a bag of per-key partials: the id plus its
+// parameters (Op for QReduce, P for QQuantile, Lo/Hi for QRange; the rest
+// ignore them). It is the one spelling every serving path shares — HTTP
+// /v1/query on nodes and routers, view registration, Run — and, being
+// comparable, the stream result cache's key.
 type Query struct {
 	ID QueryID
-	Op agg.ReduceOp
+	Op ReduceOp
 	P  float64
 	Lo uint64
 	Hi uint64
 }
 
-// ParseQuery resolves the HTTP/CLI query names (the /v1/query spellings)
-// into a Query: q1..q7 and their aliases, sum/min/max, quantile (with p),
-// mode.
-func ParseQuery(q string, p float64, lo, hi uint64) (Query, error) {
-	switch q {
+// ParseQuery resolves a query name (the /v1/query spellings: q1..q7 and
+// their aliases, sum/min/max, quantile, mode) plus its parameters into a
+// validated Query.
+func ParseQuery(name string, p float64, lo, hi uint64) (Query, error) {
+	switch name {
 	case "q1", "count_by_key":
 		return Query{ID: QCountByKey}, nil
 	case "q2", "avg_by_key":
@@ -53,43 +54,58 @@ func ParseQuery(q string, p float64, lo, hi uint64) (Query, error) {
 	case "q7", "range":
 		return Query{ID: QRange, Lo: lo, Hi: hi}, nil
 	case "sum":
-		return Query{ID: QReduce, Op: agg.OpSum}, nil
+		return Query{ID: QReduce, Op: OpSum}, nil
 	case "min":
-		return Query{ID: QReduce, Op: agg.OpMin}, nil
+		return Query{ID: QReduce, Op: OpMin}, nil
 	case "max":
-		return Query{ID: QReduce, Op: agg.OpMax}, nil
+		return Query{ID: QReduce, Op: OpMax}, nil
 	case "quantile":
-		qq := Query{ID: QQuantile, P: p}
-		return qq, qq.validate()
+		q := Query{ID: QQuantile, P: p}
+		return q, q.Validate()
 	case "mode":
 		return Query{ID: QMode}, nil
 	default:
-		return Query{}, fmt.Errorf("%w: unknown query %q", ErrBadSpec, q)
+		return Query{}, fmt.Errorf("unknown query %q", name)
 	}
 }
 
-func (q Query) validate() error {
+// Validate is the single gate on query parameters: every path that
+// accepts a query from outside (node, router, view registration) and Run
+// itself go through it. The quantile check is written so NaN fails it.
+func (q Query) Validate() error {
 	switch q.ID {
 	case QCountByKey, QAvgByKey, QMedianByKey, QCount, QAvg, QMedian, QRange, QMode:
 		return nil
 	case QReduce:
 		switch q.Op {
-		case agg.OpCount, agg.OpSum, agg.OpMin, agg.OpMax:
+		case OpCount, OpSum, OpMin, OpMax:
 			return nil
 		}
-		return fmt.Errorf("%w: unknown reduce op %d", ErrBadSpec, int(q.Op))
+		return fmt.Errorf("unknown reduce op %d", int(q.Op))
 	case QQuantile:
-		if q.P < 0 || q.P > 1 {
-			return fmt.Errorf("%w: quantile p must be in [0, 1], got %v", ErrBadSpec, q.P)
+		if !(q.P >= 0 && q.P <= 1) {
+			return fmt.Errorf("quantile p must be in [0, 1], got %v", q.P)
 		}
 		return nil
 	default:
-		return fmt.Errorf("%w: unknown query id %d", ErrBadSpec, int(q.ID))
+		return fmt.Errorf("unknown query id %d", int(q.ID))
 	}
 }
 
-// NeedsValues reports whether the query consumes value multisets (so the
-// view's panes must buffer them, which requires a holistic stream).
+// Check is Validate plus the holistic gate: a query that consumes value
+// multisets over state that does not retain them is ErrUnsupported.
+func (q Query) Check(holistic bool) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	if q.NeedsValues() && !holistic {
+		return ErrUnsupported
+	}
+	return nil
+}
+
+// NeedsValues reports whether the query consumes value multisets, which
+// only holistic streams (and views on them) retain.
 func (q Query) NeedsValues() bool {
 	switch q.ID {
 	case QMedianByKey, QQuantile, QMode:
@@ -118,11 +134,11 @@ func (q Query) String() string {
 		return fmt.Sprintf("q7[%d,%d]", q.Lo, q.Hi)
 	case QReduce:
 		switch q.Op {
-		case agg.OpSum:
+		case OpSum:
 			return "sum"
-		case agg.OpMin:
+		case OpMin:
 			return "min"
-		case agg.OpMax:
+		case OpMax:
 			return "max"
 		default:
 			return "count"

@@ -44,6 +44,12 @@ func buildStream(t *testing.T, holistic bool, rows int) (*stream.Stream, map[uin
 	return s, want
 }
 
+// mgroup is one decoded group: the eager fold plus its value multiset.
+type mgroup struct {
+	p    agg.Partial
+	vals []uint64
+}
+
 func decodeAll(t *testing.T, buf []byte) (setHeader, map[uint64]*mgroup) {
 	t.Helper()
 	groups := make(map[uint64]*mgroup)

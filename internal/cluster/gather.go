@@ -1,203 +1,95 @@
 package cluster
 
 import (
-	"sort"
+	"runtime"
 
 	"memagg/internal/agg"
+	"memagg/internal/morsel"
+	"memagg/internal/radix"
 )
 
-// mgroup is one group's cluster-wide merged state: the eager distributive
-// fold plus the concatenated value multiset (holistic mode only). Routing
-// keeps groups node-disjoint, so folding a gather is normally pure
-// insertion; Merge keeps it exact even if a group ever has state on two
-// nodes.
-type mgroup struct {
-	p    agg.Partial
-	vals []uint64
-}
+// gatherBits is the radix fan-out a gather is partitioned by: every peer's
+// records decode straight into 2^gatherBits key-disjoint tables, so the
+// cross-peer merge and the query scans run partition-parallel like a
+// snapshot's.
+const gatherBits = 4
 
 // Merged is one consistent cluster-wide aggregate state: every group's
 // merged partial, tagged with the composed watermark vector it reflects.
-// Its query kernels answer the paper's Q1–Q7 (plus quantile and mode)
-// with results exactly equal to a single stream that ingested every row —
-// the distributive/algebraic cases by Partial.Merge, the holistic cases
+// Run answers the paper's Q1–Q7 (plus reduce, quantile and mode) through
+// agg.Run — the kernels a single stream's snapshots use — so results are
+// exactly equal to a single stream that ingested every row: the
+// distributive/algebraic cases by Partial.Merge, the holistic cases
 // because median/quantile/mode are multiset functions, indifferent to the
 // order the per-node value lists concatenate in.
-//
-// Vector results are returned sorted ascending by key: gather order is
-// peer order and map iteration, so sorting is what makes the output
-// deterministic (the tree-engine convention; single-node hash results are
-// unordered and must be sorted for comparison anyway).
 type Merged struct {
 	// Watermark is the composed cluster watermark this state reflects:
 	// element i is peer i's snapshot watermark.
 	Watermark Watermark
 
 	// Holistic reports whether value multisets were retained on every
-	// peer — the gate for MedianByKey/QuantileByKey/ModeByKey.
+	// peer — the gate for the median/quantile/mode queries.
 	Holistic bool
 
-	groups map[uint64]*mgroup
-	keys   []uint64 // sorted, built lazily
+	// parts are key-disjoint: partition q holds the keys whose
+	// radix.PartitionIndex is q.
+	parts []agg.Table
 }
 
-func newMerged(peers int) *Merged {
-	return &Merged{
-		Watermark: make(Watermark, peers),
-		groups:    make(map[uint64]*mgroup),
+// addGroup folds one decoded group record into its partition of parts.
+func addGroup(parts []agg.Table, key uint64, p *agg.Partial, vals []uint64) {
+	tb := &parts[radix.PartitionIndex(key, gatherBits)]
+	if tb.T == nil {
+		*tb = agg.NewTable(0)
+	}
+	np := tb.T.Upsert(key)
+	np.Merge(p)
+	for _, v := range vals {
+		np.Buffer(tb.Ar, v)
 	}
 }
 
-// fold merges one peer's decoded set into the cluster state.
-func (m *Merged) fold(set *peerSet) {
-	for k, g := range set.groups {
-		dst := m.groups[k]
-		if dst == nil {
-			m.groups[k] = g
-			continue
+// merge folds the decoded peer sets into one cluster state, partition by
+// partition in parallel. Routing keeps groups node-disjoint, so the fold
+// is normally pure insertion; agg.MergeTable keeps it exact even if a
+// group ever has state on two nodes.
+func merge(sets []*peerSet) *Merged {
+	m := &Merged{Watermark: make(Watermark, len(sets)), Holistic: true, parts: sets[0].parts}
+	for i, set := range sets {
+		m.Watermark[i] = set.hdr.Watermark
+		m.Holistic = m.Holistic && set.hdr.Holistic
+	}
+	morsel.Parts(len(m.parts), runtime.GOMAXPROCS(0), func(_, q int) {
+		for _, set := range sets[1:] {
+			switch src := set.parts[q]; {
+			case src.T == nil:
+			case m.parts[q].T == nil:
+				m.parts[q] = src
+			default:
+				agg.MergeTable(m.parts[q], src, m.Holistic)
+			}
 		}
-		dst.p.Merge(&g.p)
-		dst.vals = append(dst.vals, g.vals...)
-	}
-	m.keys = nil
-}
-
-// sortedKeys returns every group key ascending, built once.
-func (m *Merged) sortedKeys() []uint64 {
-	if m.keys == nil {
-		m.keys = make([]uint64, 0, len(m.groups))
-		for k := range m.groups {
-			m.keys = append(m.keys, k)
-		}
-		sort.Slice(m.keys, func(i, j int) bool { return m.keys[i] < m.keys[j] })
-	}
-	return m.keys
+	})
+	return m
 }
 
 // Groups returns the number of distinct keys across the cluster.
-func (m *Merged) Groups() int { return len(m.groups) }
+func (m *Merged) Groups() int { return agg.Groups(m.parts) }
 
-// CountByKey executes Q1: one (key, COUNT(*)) row per distinct key,
-// ascending by key.
-func (m *Merged) CountByKey() []agg.GroupCount {
-	keys := m.sortedKeys()
-	out := make([]agg.GroupCount, len(keys))
-	for i, k := range keys {
-		out[i] = agg.GroupCount{Key: k, Count: m.groups[k].p.Count()}
+// Run executes q over the cluster state; result types are agg.Run's.
+// Vector results come back sorted ascending by key: gather order is peer
+// order and hash order, so sorting is what makes the output deterministic
+// (the tree-engine convention; single-node hash results are unordered and
+// must be sorted for comparison anyway). Holistic queries answer
+// agg.ErrUnsupported unless every peer retains value multisets.
+func (m *Merged) Run(q agg.Query) (any, error) {
+	v, err := agg.Run(m.parts, q, agg.RunEnv{
+		Rows:     m.Watermark.Total(),
+		Holistic: m.Holistic,
+		Workers:  runtime.GOMAXPROCS(0),
+	})
+	if q.ID != agg.QRange { // q7 is already ascending
+		agg.SortRows(v)
 	}
-	return out
-}
-
-// AvgByKey executes Q2: one (key, AVG(val)) row per distinct key,
-// ascending by key.
-func (m *Merged) AvgByKey() []agg.GroupFloat {
-	keys := m.sortedKeys()
-	out := make([]agg.GroupFloat, len(keys))
-	for i, k := range keys {
-		out[i] = agg.GroupFloat{Key: k, Val: m.groups[k].p.Avg()}
-	}
-	return out
-}
-
-// Reduce executes the generalized distributive vector query for op,
-// ascending by key.
-func (m *Merged) Reduce(op agg.ReduceOp) []agg.GroupUint {
-	keys := m.sortedKeys()
-	out := make([]agg.GroupUint, len(keys))
-	for i, k := range keys {
-		out[i] = agg.GroupUint{Key: k, Val: m.groups[k].p.Reduce(op)}
-	}
-	return out
-}
-
-// HolisticByKey executes the generalized holistic vector query: one
-// (key, fn(values)) row per distinct key, ascending. agg.ErrUnsupported
-// when the cluster does not retain value multisets. fn may reorder each
-// group's (router-owned) value slice in place.
-func (m *Merged) HolisticByKey(fn agg.HolisticFunc) ([]agg.GroupFloat, error) {
-	if !m.Holistic {
-		return nil, agg.ErrUnsupported
-	}
-	keys := m.sortedKeys()
-	out := make([]agg.GroupFloat, len(keys))
-	for i, k := range keys {
-		out[i] = agg.GroupFloat{Key: k, Val: fn(m.groups[k].vals)}
-	}
-	return out, nil
-}
-
-// MedianByKey executes Q3 (holistic): per-key median.
-func (m *Merged) MedianByKey() ([]agg.GroupFloat, error) {
-	return m.HolisticByKey(agg.MedianFunc)
-}
-
-// QuantileByKey executes the nearest-rank q-quantile per distinct key.
-func (m *Merged) QuantileByKey(q float64) ([]agg.GroupFloat, error) {
-	return m.HolisticByKey(agg.QuantileFunc(q))
-}
-
-// ModeByKey executes the most-frequent-value query per distinct key.
-func (m *Merged) ModeByKey() ([]agg.GroupFloat, error) {
-	return m.HolisticByKey(agg.ModeFunc)
-}
-
-// Count executes Q4: COUNT(*) over the cluster — the watermark total.
-func (m *Merged) Count() uint64 { return m.Watermark.Total() }
-
-// Avg executes Q5: AVG over the value column, as one division of the
-// exact cluster-wide sum by the exact count — bit-identical to the
-// single-node kernel, which computes the same two integers.
-func (m *Merged) Avg() float64 {
-	var sum, count uint64
-	for _, g := range m.groups {
-		sum += g.p.Sum()
-		count += g.p.Count()
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(sum) / float64(count)
-}
-
-// Median executes Q6: MEDIAN over the key column, exact via the sorted
-// (key, count) walk — the same nearest-rank(s) arithmetic as the
-// single-node kernel.
-func (m *Merged) Median() (float64, error) {
-	keys := m.sortedKeys()
-	var n uint64
-	for _, g := range m.groups {
-		n += g.p.Count()
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	rank := func(r uint64) uint64 {
-		var cum uint64
-		for _, k := range keys {
-			cum += m.groups[k].p.Count()
-			if r < cum {
-				return k
-			}
-		}
-		return keys[len(keys)-1]
-	}
-	med := float64(rank(n / 2))
-	if n%2 == 0 {
-		med = (float64(rank(n/2-1)) + med) / 2
-	}
-	return med, nil
-}
-
-// CountRange executes Q7: Q1 restricted to lo <= key <= hi, ascending by
-// key. The error is always nil; the signature matches the engines'.
-func (m *Merged) CountRange(lo, hi uint64) ([]agg.GroupCount, error) {
-	keys := m.sortedKeys()
-	var out []agg.GroupCount
-	for _, k := range keys {
-		if k < lo || k > hi {
-			continue
-		}
-		out = append(out, agg.GroupCount{Key: k, Count: m.groups[k].p.Count()})
-	}
-	return out, nil
+	return v, err
 }

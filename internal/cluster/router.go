@@ -393,23 +393,13 @@ func (rt *Router) Gather() (*Merged, error) {
 		rt.m.queryErrs.Inc()
 		return nil, &pae
 	}
-	merged := newMerged(n)
-	for i, set := range sets {
-		merged.Watermark[i] = set.hdr.Watermark
-		if i == 0 {
-			merged.Holistic = set.hdr.Holistic
-		} else {
-			merged.Holistic = merged.Holistic && set.hdr.Holistic
-		}
-		merged.fold(set)
-	}
-	return merged, nil
+	return merge(sets), nil
 }
 
 // peerSet is one peer's decoded partial set.
 type peerSet struct {
-	hdr    setHeader
-	groups map[uint64]*mgroup
+	hdr   setHeader
+	parts []agg.Table // by radix.PartitionIndex at gatherBits
 }
 
 // fetchPartials GETs and decodes one peer's /partials stream. Decode
@@ -423,15 +413,9 @@ func (rt *Router) fetchPartials(p *peer) (*peerSet, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	set := &peerSet{groups: make(map[uint64]*mgroup)}
+	set := &peerSet{parts: make([]agg.Table, 1<<gatherBits)}
 	hdr, err := DecodePartialSet(resp.Body, func(key uint64, pr *agg.Partial, vals []uint64) error {
-		g := set.groups[key]
-		if g == nil {
-			g = &mgroup{}
-			set.groups[key] = g
-		}
-		g.p.Merge(pr)
-		g.vals = append(g.vals, vals...)
+		addGroup(set.parts, key, pr, vals)
 		return nil
 	})
 	if err != nil {

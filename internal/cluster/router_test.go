@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -58,22 +57,19 @@ func testRows(rows, card int) (keys, vals []uint64) {
 	return keys, vals
 }
 
-func sortQ1(a []agg.GroupCount) []agg.GroupCount {
-	out := append([]agg.GroupCount(nil), a...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-func sortQF(a []agg.GroupFloat) []agg.GroupFloat {
-	out := append([]agg.GroupFloat(nil), a...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-func sortQU(a []agg.GroupUint) []agg.GroupUint {
-	out := append([]agg.GroupUint(nil), a...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+// sortRows returns a key-sorted copy of a vector result (single-node hash
+// results are unordered; a gather's are ascending); scalars pass through.
+func sortRows(v any) any {
+	switch rows := v.(type) {
+	case []agg.GroupCount:
+		v = append([]agg.GroupCount(nil), rows...)
+	case []agg.GroupFloat:
+		v = append([]agg.GroupFloat(nil), rows...)
+	case []agg.GroupUint:
+		v = append([]agg.GroupUint(nil), rows...)
+	}
+	agg.SortRows(v)
+	return v
 }
 
 // TestClusterEquivalence is the exactness gate: three worker nodes fed
@@ -152,80 +148,36 @@ func TestClusterEquivalence(t *testing.T) {
 		t.Fatalf("malformed cluster ETag %q", etag)
 	}
 
-	// Q1 count by key.
-	if got, want := m.CountByKey(), sortQ1(sn.CountByKey()); !reflect.DeepEqual(got, want) {
-		t.Error("Q1 CountByKey diverged")
+	// Every query family through the one dispatcher on both sides: the
+	// cluster's result must equal the single node's (key-sorted — the
+	// gather's documented order), bit for bit, Q5/Q6 floats included.
+	queries := []agg.Query{
+		{ID: agg.QCountByKey},
+		{ID: agg.QAvgByKey},
+		{ID: agg.QReduce, Op: agg.OpCount},
+		{ID: agg.QReduce, Op: agg.OpSum},
+		{ID: agg.QReduce, Op: agg.OpMin},
+		{ID: agg.QReduce, Op: agg.OpMax},
+		{ID: agg.QMedianByKey},
+		{ID: agg.QQuantile, P: 0.9},
+		{ID: agg.QMode},
+		{ID: agg.QCount},
+		{ID: agg.QAvg},
+		{ID: agg.QMedian},
+		{ID: agg.QRange, Lo: card / 4, Hi: 3 * card / 4},
 	}
-	// Q2 avg by key.
-	if got, want := m.AvgByKey(), sortQF(sn.AvgByKey()); !reflect.DeepEqual(got, want) {
-		t.Error("Q2 AvgByKey diverged")
-	}
-	// Generalized distributive reduces.
-	for _, op := range []agg.ReduceOp{agg.OpCount, agg.OpSum, agg.OpMin, agg.OpMax} {
-		if got, want := m.Reduce(op), sortQU(sn.Reduce(op)); !reflect.DeepEqual(got, want) {
-			t.Errorf("Reduce(%v) diverged", op)
+	for _, q := range queries {
+		got, err := m.Run(q)
+		if err != nil {
+			t.Fatalf("cluster %v: %v", q, err)
 		}
-	}
-	// Q3 median by key (holistic).
-	gotMed, err := m.MedianByKey()
-	if err != nil {
-		t.Fatalf("cluster MedianByKey: %v", err)
-	}
-	wantMed, err := sn.MedianByKey()
-	if err != nil {
-		t.Fatalf("local MedianByKey: %v", err)
-	}
-	if !reflect.DeepEqual(gotMed, sortQF(wantMed)) {
-		t.Error("Q3 MedianByKey diverged")
-	}
-	// Quantile and mode (holistic).
-	gotQ, err := m.QuantileByKey(0.9)
-	if err != nil {
-		t.Fatalf("cluster QuantileByKey: %v", err)
-	}
-	wantQ, err := sn.QuantileByKey(0.9)
-	if err != nil {
-		t.Fatalf("local QuantileByKey: %v", err)
-	}
-	if !reflect.DeepEqual(gotQ, sortQF(wantQ)) {
-		t.Error("QuantileByKey(0.9) diverged")
-	}
-	gotMode, err := m.ModeByKey()
-	if err != nil {
-		t.Fatalf("cluster ModeByKey: %v", err)
-	}
-	wantMode, err := sn.ModeByKey()
-	if err != nil {
-		t.Fatalf("local ModeByKey: %v", err)
-	}
-	if !reflect.DeepEqual(gotMode, sortQF(wantMode)) {
-		t.Error("ModeByKey diverged")
-	}
-	// Q4 scalar count.
-	if got, want := m.Count(), sn.Count(); got != want {
-		t.Errorf("Q4 Count %d, want %d", got, want)
-	}
-	// Q5 scalar avg — bit-identical float.
-	if got, want := m.Avg(), sn.Avg(); got != want {
-		t.Errorf("Q5 Avg %v, want %v", got, want)
-	}
-	// Q6 scalar key median.
-	gotM, _ := m.Median()
-	wantM, err := sn.Median()
-	if err != nil {
-		t.Fatalf("local Median: %v", err)
-	}
-	if gotM != wantM {
-		t.Errorf("Q6 Median %v, want %v", gotM, wantM)
-	}
-	// Q7 count range.
-	gotR, _ := m.CountRange(card/4, 3*card/4)
-	wantR, err := sn.CountRange(card/4, 3*card/4)
-	if err != nil {
-		t.Fatalf("local CountRange: %v", err)
-	}
-	if !reflect.DeepEqual(gotR, wantR) {
-		t.Error("Q7 CountRange diverged")
+		want, err := sn.Run(q)
+		if err != nil {
+			t.Fatalf("local %v: %v", q, err)
+		}
+		if !reflect.DeepEqual(got, sortRows(want)) {
+			t.Errorf("%v diverged", q)
+		}
 	}
 	if m.Groups() == 0 {
 		t.Error("cluster has no groups")

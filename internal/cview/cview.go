@@ -12,8 +12,9 @@
 // contains its end watermark — deltas are the stream's atomic unit of
 // visibility, so windows advance delta by delta, never splitting one.
 //
-// Reads merge the live panes with the exact Partial.Merge and run the
-// registered query over the merged table, so a view's result is identical
+// Reads merge the live panes with agg.MergeTable and run the registered
+// query over the merged table through agg.Run — the same table merge and
+// the same kernels snapshots use — so a view's result is identical
 // to the batch query over the rows its window covers (the window-vs-batch
 // equivalence gate in internal/stream asserts reflect.DeepEqual,
 // holistics included). Results are cached per view keyed by a version
@@ -41,8 +42,6 @@ import (
 	"sync/atomic"
 
 	"memagg/internal/agg"
-	"memagg/internal/arena"
-	"memagg/internal/hashtbl"
 	"memagg/internal/obs"
 )
 
@@ -68,7 +67,7 @@ type Spec struct {
 	Name string
 
 	// Query is the standing query evaluated over the window.
-	Query Query
+	Query agg.Query
 
 	// PaneRows is the pane width in watermark rows: pane p covers the
 	// rows whose publication watermark lies in (p*PaneRows, (p+1)*PaneRows].
@@ -98,8 +97,8 @@ func (sp Spec) validate(holistic bool) error {
 	if sp.Panes < 1 || sp.Panes > maxPanes {
 		return fmt.Errorf("%w: Panes must be in [1, %d]", ErrBadSpec, maxPanes)
 	}
-	if err := sp.Query.validate(); err != nil {
-		return err
+	if err := sp.Query.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	if sp.Query.NeedsValues() && !holistic {
 		return fmt.Errorf("%s view %q: %w", sp.Query, sp.Name, agg.ErrUnsupported)
@@ -124,7 +123,7 @@ func (sp Spec) retentionFloor(pIdx uint64) uint64 {
 // supplies it per seal (closing over the delta), so cview never sees
 // stream internals; withValues asks for the value multisets too (only
 // ever true for views whose query needs them, on holistic streams).
-type Fold func(t *hashtbl.LinearProbe[agg.Partial], ar *arena.Arena, withValues bool)
+type Fold func(dst agg.Table, withValues bool)
 
 // Metrics is the instrument set a Registry records into; any field (or
 // the whole struct) may be nil.
@@ -386,9 +385,8 @@ type View struct {
 // keeps the seal-publication path O(1) per view, and a pane evicted
 // before it is ever read never pays for its folds at all.
 type pane struct {
-	idx     uint64
-	t       *hashtbl.LinearProbe[agg.Partial]
-	ar      *arena.Arena
+	idx uint64
+	agg.Table
 	rows    uint64
 	lastWM  uint64
 	pending []Fold
@@ -411,7 +409,7 @@ func (p *pane) settle(m *Metrics, withValues bool) {
 	}
 	mk := obs.Start()
 	for _, f := range p.pending {
-		f(p.t, p.ar, withValues)
+		f(p.Table, withValues)
 	}
 	if m != nil {
 		if m.Updates != nil {
@@ -507,7 +505,7 @@ func (v *View) open(r *Registry, pIdx uint64) *pane {
 			r.m.PanesEvicted.Add(uint64(drop))
 		}
 	}
-	p := &pane{idx: pIdx, t: hashtbl.NewLinearProbe[agg.Partial](paneTableCap), ar: arena.New()}
+	p := &pane{idx: pIdx, Table: agg.NewTable(paneTableCap)}
 	v.panes = append(v.panes, p)
 	if r.m != nil && r.m.PanesOpened != nil {
 		r.m.PanesOpened.Inc()

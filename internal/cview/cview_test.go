@@ -7,19 +7,17 @@ import (
 	"testing"
 
 	"memagg/internal/agg"
-	"memagg/internal/arena"
-	"memagg/internal/hashtbl"
 	"memagg/internal/wal"
 )
 
 // foldRows builds the Fold a seal of the given rows would supply.
 func foldRows(keys, vals []uint64) Fold {
-	return func(t *hashtbl.LinearProbe[agg.Partial], ar *arena.Arena, withValues bool) {
+	return func(dst agg.Table, withValues bool) {
 		for i, k := range keys {
-			p := t.Upsert(k)
+			p := dst.T.Upsert(k)
 			p.Observe(vals[i])
 			if withValues {
-				p.Buffer(ar, vals[i])
+				p.Buffer(dst.Ar, vals[i])
 			}
 		}
 	}
@@ -55,44 +53,9 @@ func sortValue(v any) any {
 	return v
 }
 
-func TestParseQuery(t *testing.T) {
-	cases := []struct {
-		in   string
-		want QueryID
-	}{
-		{"q1", QCountByKey}, {"count_by_key", QCountByKey},
-		{"q2", QAvgByKey}, {"avg_by_key", QAvgByKey},
-		{"q3", QMedianByKey}, {"median_by_key", QMedianByKey},
-		{"q4", QCount}, {"count", QCount},
-		{"q5", QAvg}, {"avg", QAvg},
-		{"q6", QMedian}, {"median", QMedian},
-		{"q7", QRange}, {"range", QRange},
-		{"sum", QReduce}, {"min", QReduce}, {"max", QReduce},
-		{"quantile", QQuantile}, {"mode", QMode},
-	}
-	for _, c := range cases {
-		q, err := ParseQuery(c.in, 0.5, 1, 2)
-		if err != nil {
-			t.Fatalf("ParseQuery(%q): %v", c.in, err)
-		}
-		if q.ID != c.want {
-			t.Fatalf("ParseQuery(%q) = %v, want id %v", c.in, q.ID, c.want)
-		}
-	}
-	if _, err := ParseQuery("nope", 0, 0, 0); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("unknown query: got %v, want ErrBadSpec", err)
-	}
-	if _, err := ParseQuery("quantile", 1.5, 0, 0); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("quantile p=1.5: got %v, want ErrBadSpec", err)
-	}
-	if q, _ := ParseQuery("q7", 0, 10, 20); q.Lo != 10 || q.Hi != 20 {
-		t.Fatalf("q7 bounds not carried: %+v", q)
-	}
-}
-
 func TestSpecValidation(t *testing.T) {
 	r := NewRegistry(false, nil)
-	ok := Spec{Name: "v", Query: Query{ID: QCountByKey}, PaneRows: 10, Panes: 2}
+	ok := Spec{Name: "v", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 10, Panes: 2}
 	bad := []Spec{
 		func() Spec { s := ok; s.Name = ""; return s }(),
 		func() Spec { s := ok; s.Name = "a/b"; return s }(),
@@ -100,7 +63,7 @@ func TestSpecValidation(t *testing.T) {
 		func() Spec { s := ok; s.PaneRows = 0; return s }(),
 		func() Spec { s := ok; s.Panes = 0; return s }(),
 		func() Spec { s := ok; s.Panes = maxPanes + 1; return s }(),
-		func() Spec { s := ok; s.Query = Query{ID: QueryID(99)}; return s }(),
+		func() Spec { s := ok; s.Query = agg.Query{ID: agg.QueryID(99)}; return s }(),
 	}
 	for i, sp := range bad {
 		if err := r.Register(sp, 0); !errors.Is(err, ErrBadSpec) {
@@ -109,7 +72,7 @@ func TestSpecValidation(t *testing.T) {
 	}
 	// Holistic query on a distributive registry.
 	hs := ok
-	hs.Query = Query{ID: QQuantile, P: 0.9}
+	hs.Query = agg.Query{ID: agg.QQuantile, P: 0.9}
 	if err := r.Register(hs, 0); !errors.Is(err, agg.ErrUnsupported) {
 		t.Fatalf("holistic on distributive: got %v, want ErrUnsupported", err)
 	}
@@ -157,7 +120,7 @@ func TestRetentionFloor(t *testing.T) {
 
 func TestPaneLifecycleSliding(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "s", Query: Query{ID: QCount}, PaneRows: 100, Panes: 2, Sliding: true}
+	sp := Spec{Name: "s", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +156,7 @@ func TestPaneLifecycleSliding(t *testing.T) {
 
 func TestPaneLifecycleTumbling(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "t", Query: Query{ID: QCount}, PaneRows: 100, Panes: 2}
+	sp := Spec{Name: "t", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +189,7 @@ func TestPaneLifecycleTumbling(t *testing.T) {
 // are the atomic visibility unit, windows advance delta by delta.
 func TestSealSpansPanes(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "x", Query: Query{ID: QCount}, PaneRows: 100, Panes: 4, Sliding: true}
+	sp := Spec{Name: "x", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 4, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +210,7 @@ func TestSealSpansPanes(t *testing.T) {
 
 func TestRegistrationBarrier(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "late", Query: Query{ID: QCount}, PaneRows: 100, Panes: 8, Sliding: true}
+	sp := Spec{Name: "late", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 8, Sliding: true}
 	// Registered at watermark 200: the first two seals are history.
 	if err := r.Register(sp, 200); err != nil {
 		t.Fatal(err)
@@ -270,7 +233,7 @@ func TestRegistrationBarrier(t *testing.T) {
 
 func TestGapTruncation(t *testing.T) {
 	r := NewRegistry(false, nil)
-	sp := Spec{Name: "g", Query: Query{ID: QCount}, PaneRows: 100, Panes: 2, Sliding: true}
+	sp := Spec{Name: "g", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +264,7 @@ func TestGapTruncation(t *testing.T) {
 func TestResultCacheVersioning(t *testing.T) {
 	m := &Metrics{}
 	r := NewRegistry(false, m)
-	sp := Spec{Name: "c", Query: Query{ID: QCountByKey}, PaneRows: 1000, Panes: 1}
+	sp := Spec{Name: "c", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 1000, Panes: 1}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -331,9 +294,9 @@ func TestResultCacheVersioning(t *testing.T) {
 func TestPersistRoundTrip(t *testing.T) {
 	r := NewRegistry(true, nil)
 	specs := []Spec{
-		{Name: "counts", Query: Query{ID: QCountByKey}, PaneRows: 100, Panes: 3, Sliding: true},
-		{Name: "p90", Query: Query{ID: QQuantile, P: 0.9}, PaneRows: 100, Panes: 2},
-		{Name: "sums", Query: Query{ID: QReduce, Op: agg.OpSum}, PaneRows: 250, Panes: 2, Sliding: true},
+		{Name: "counts", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 100, Panes: 3, Sliding: true},
+		{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 100, Panes: 2},
+		{Name: "sums", Query: agg.Query{ID: agg.QReduce, Op: agg.OpSum}, PaneRows: 250, Panes: 2, Sliding: true},
 	}
 	for _, sp := range specs {
 		if err := r.Register(sp, 0); err != nil {

@@ -10,8 +10,6 @@ import (
 	"path/filepath"
 
 	"memagg/internal/agg"
-	"memagg/internal/arena"
-	"memagg/internal/hashtbl"
 	"memagg/internal/wal"
 )
 
@@ -58,8 +56,8 @@ type savedDef struct {
 func (d savedDef) spec() Spec {
 	return Spec{
 		Name: d.Name,
-		Query: Query{
-			ID: QueryID(d.QueryID),
+		Query: agg.Query{
+			ID: agg.QueryID(d.QueryID),
 			Op: agg.ReduceOp(d.Op),
 			P:  d.P,
 			Lo: d.Lo,
@@ -185,7 +183,7 @@ func (v *View) appendPanes(m *Metrics, dst []byte) []byte {
 }
 
 func (pn *pane) append(dst []byte, withValues bool) []byte {
-	total := pn.t.Len()
+	total := pn.Len()
 	chunks := (total + panesChunkGroups - 1) / panesChunkGroups
 	hdr := make([]byte, 0, 32)
 	hdr = binary.LittleEndian.AppendUint64(hdr, pn.idx)
@@ -209,7 +207,7 @@ func (pn *pane) append(dst []byte, withValues bool) []byte {
 		payload, n = payload[:0], 0
 		return dst
 	}
-	pn.t.Iterate(func(k uint64, p *agg.Partial) bool {
+	pn.T.Iterate(func(k uint64, p *agg.Partial) bool {
 		payload = binary.LittleEndian.AppendUint64(payload, k)
 		payload = binary.LittleEndian.AppendUint64(payload, p.Count())
 		payload = binary.LittleEndian.AppendUint64(payload, p.Sum())
@@ -218,7 +216,7 @@ func (pn *pane) append(dst []byte, withValues bool) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, mn)
 		payload = binary.LittleEndian.AppendUint64(payload, mx)
 		if withValues {
-			vals = p.AppendValues(pn.ar, vals[:0])
+			vals = p.AppendValues(pn.Ar, vals[:0])
 			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(vals)))
 			for _, v := range vals {
 				payload = binary.LittleEndian.AppendUint64(payload, v)
@@ -429,13 +427,12 @@ func (r *Registry) Restore(sv Saved) error {
 		if cap < paneTableCap {
 			cap = paneTableCap
 		}
-		pn.t = hashtbl.NewLinearProbe[agg.Partial](cap)
-		pn.ar = arena.New()
+		pn.Table = agg.NewTable(cap)
 		for _, sg := range spn.Groups {
-			p := pn.t.Upsert(sg.Key)
+			p := pn.T.Upsert(sg.Key)
 			*p = agg.RestorePartial(sg.Count, sg.Sum, sg.Min, sg.Max)
 			for _, val := range sg.Vals {
-				p.Buffer(pn.ar, val)
+				p.Buffer(pn.Ar, val)
 			}
 		}
 		v.panes = append(v.panes, pn)

@@ -1,18 +1,13 @@
 package cview
 
-import (
-	"memagg/internal/agg"
-	"memagg/internal/arena"
-	"memagg/internal/hashtbl"
-	"memagg/internal/xsort"
-)
+import "memagg/internal/agg"
 
 // Result is one evaluation of a view's standing query over its current
 // window. Results are immutable and shared by every read of an unchanged
 // view (the version cache); treat vector Values as read-only.
 type Result struct {
 	Name  string
-	Query Query
+	Query agg.Query
 
 	// WindowStart is the window's exclusive lower watermark bound and
 	// WindowEnd its inclusive upper one: the result covers exactly the
@@ -37,10 +32,12 @@ type Result struct {
 }
 
 // compute evaluates the view's query over its live panes: merge the panes
-// into one combined table (exact Partial.Merge — the same fold the
-// stream's merger and snapshots use), then run the kernel. Callers hold
-// v.mu; the panes are only ever mutated under it, so the merged table is
-// consistent by construction.
+// into one window table (agg.MergeTable — the same fold the stream's
+// merger uses), then run the query through agg.Run, the kernels snapshots
+// use, which is what makes the window-vs-batch equivalence gate a
+// reflect.DeepEqual. The window is a single table, so the scan stays on
+// the calling goroutine. Callers hold v.mu; the panes are only ever
+// mutated under it, so the window is consistent by construction.
 func (v *View) compute(m *Metrics) *Result {
 	v.settleAll(m)
 	res := &Result{
@@ -55,193 +52,22 @@ func (v *View) compute(m *Metrics) *Result {
 	bound := 0
 	for _, p := range v.panes {
 		res.Rows += p.rows
-		bound += p.t.Len()
+		bound += p.Len()
 	}
-	merged := mergedWindow{withValues: v.withValues}
+	var window agg.Table // zero while no pane is live
 	if len(v.panes) == 1 {
 		// Single live pane: query it directly, no merge copy.
-		merged.t, merged.ar = v.panes[0].t, v.panes[0].ar
+		window = v.panes[0].Table
 	} else if len(v.panes) > 1 {
-		cap := bound
-		if cap < paneTableCap {
-			cap = paneTableCap
-		}
-		merged.t = hashtbl.NewLinearProbe[agg.Partial](cap)
-		if v.withValues {
-			merged.ar = arena.New()
-		}
+		window = agg.NewTable(max(bound, paneTableCap))
 		for _, p := range v.panes {
-			merged.fold(p)
+			agg.MergeTable(window, p.Table, v.withValues)
 		}
 	}
-	res.Groups = 0
-	if merged.t != nil {
-		res.Groups = merged.t.Len()
-	}
-	res.Value = merged.run(v.spec.Query, res.Rows)
+	res.Groups = window.Len()
+	// Register admitted the query (valid, and holistic only on a registry
+	// that buffers values), so Run cannot refuse it.
+	res.Value, _ = agg.Run([]agg.Table{window}, v.spec.Query,
+		agg.RunEnv{Rows: res.Rows, Holistic: v.withValues})
 	return res
-}
-
-// mergedWindow is the combined table of a window's live panes plus the
-// arena its merged value lists live in (nil unless the query needs them).
-type mergedWindow struct {
-	t          *hashtbl.LinearProbe[agg.Partial]
-	ar         *arena.Arena
-	withValues bool
-}
-
-// fold merges one pane into the combined table, in the blocked-hash form
-// the stream's mergeTable uses: groups stage in blocks of
-// hashtbl.HashBatch, each block Mix-hashes at once, then probes with
-// UpsertH.
-func (m *mergedWindow) fold(p *pane) {
-	var (
-		h  [hashtbl.HashBatch]uint64
-		ks [hashtbl.HashBatch]uint64
-		ps [hashtbl.HashBatch]*agg.Partial
-	)
-	n := 0
-	one := func(k, hk uint64, src *agg.Partial) {
-		np := m.t.UpsertH(k, hk)
-		np.Merge(src)
-		if m.withValues {
-			np.MergeValues(m.ar, src, p.ar)
-		}
-	}
-	p.t.Iterate(func(k uint64, src *agg.Partial) bool {
-		ks[n], ps[n] = k, src
-		n++
-		if n == hashtbl.HashBatch {
-			hashtbl.MixBatch(&h, ks[:])
-			for j, bk := range ks {
-				one(bk, h[j], ps[j])
-			}
-			n = 0
-		}
-		return true
-	})
-	for j := 0; j < n; j++ {
-		one(ks[j], hashtbl.Mix(ks[j]), ps[j])
-	}
-}
-
-// run executes the query kernel over the merged window. The kernels
-// mirror the stream's snapshot kernels row for row — same result types,
-// same empty-result conventions, same float arithmetic — which is what
-// makes the window-vs-batch equivalence gate a reflect.DeepEqual.
-func (m *mergedWindow) run(q Query, rows uint64) any {
-	switch q.ID {
-	case QCountByKey:
-		out := make([]agg.GroupCount, 0, m.len())
-		m.each(func(k uint64, p *agg.Partial) {
-			out = append(out, agg.GroupCount{Key: k, Count: p.Count()})
-		})
-		return out
-	case QAvgByKey:
-		out := make([]agg.GroupFloat, 0, m.len())
-		m.each(func(k uint64, p *agg.Partial) {
-			out = append(out, agg.GroupFloat{Key: k, Val: p.Avg()})
-		})
-		return out
-	case QReduce:
-		out := make([]agg.GroupUint, 0, m.len())
-		m.each(func(k uint64, p *agg.Partial) {
-			out = append(out, agg.GroupUint{Key: k, Val: p.Reduce(q.Op)})
-		})
-		return out
-	case QMedianByKey:
-		return m.holistic(agg.MedianFunc)
-	case QQuantile:
-		return m.holistic(agg.QuantileFunc(q.P))
-	case QMode:
-		return m.holistic(agg.ModeFunc)
-	case QCount:
-		return rows
-	case QAvg:
-		var sum, count uint64
-		m.each(func(_ uint64, p *agg.Partial) {
-			sum += p.Sum()
-			count += p.Count()
-		})
-		if count == 0 {
-			return float64(0)
-		}
-		return float64(sum) / float64(count)
-	case QMedian:
-		groups := make([]xsort.KV, 0, m.len())
-		var n uint64
-		m.each(func(k uint64, p *agg.Partial) {
-			c := p.Count()
-			groups = append(groups, xsort.KV{K: k, V: c})
-			n += c
-		})
-		if n == 0 {
-			return float64(0)
-		}
-		xsort.IntrosortKV(groups)
-		med := float64(keyAtRank(groups, n/2))
-		if n%2 == 0 {
-			med = (float64(keyAtRank(groups, n/2-1)) + med) / 2
-		}
-		return med
-	case QRange:
-		var kv []xsort.KV
-		m.each(func(k uint64, p *agg.Partial) {
-			if q.Lo <= k && k <= q.Hi {
-				kv = append(kv, xsort.KV{K: k, V: p.Count()})
-			}
-		})
-		xsort.IntrosortKV(kv)
-		out := make([]agg.GroupCount, len(kv))
-		for i, r := range kv {
-			out[i] = agg.GroupCount{Key: r.K, Count: r.V}
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
-func (m *mergedWindow) len() int {
-	if m.t == nil {
-		return 0
-	}
-	return m.t.Len()
-}
-
-func (m *mergedWindow) each(fn func(k uint64, p *agg.Partial)) {
-	if m.t == nil {
-		return
-	}
-	m.t.Iterate(func(k uint64, p *agg.Partial) bool {
-		fn(k, p)
-		return true
-	})
-}
-
-// holistic runs fn over every group's merged value multiset. The scratch
-// buffer is reused across groups because the holistic functions may
-// reorder their argument (Median and Quantile select in place).
-func (m *mergedWindow) holistic(fn agg.HolisticFunc) []agg.GroupFloat {
-	out := make([]agg.GroupFloat, 0, m.len())
-	var buf []uint64
-	m.each(func(k uint64, p *agg.Partial) {
-		buf = p.AppendValues(m.ar, buf[:0])
-		out = append(out, agg.GroupFloat{Key: k, Val: fn(buf)})
-	})
-	return out
-}
-
-// keyAtRank returns the key at 0-based rank r of the expansion of the
-// key-sorted (key, count) runs — the same walk the snapshot Q6 kernel
-// performs.
-func keyAtRank(groups []xsort.KV, r uint64) uint64 {
-	var cum uint64
-	for _, g := range groups {
-		cum += g.V
-		if r < cum {
-			return g.K
-		}
-	}
-	return groups[len(groups)-1].K
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"memagg/internal/agg"
 	"memagg/internal/cluster"
 	"memagg/internal/dataset"
 	"memagg/internal/stream"
@@ -122,7 +123,8 @@ func ExtCluster(cfg Config) error {
 						err = gerr
 						return
 					}
-					m.CountByKey()
+					_, gerr = m.Run(agg.Query{ID: agg.QCountByKey})
+					err = gerr
 				})
 				if err != nil {
 					teardown()
@@ -132,7 +134,7 @@ func ExtCluster(cfg Config) error {
 					gather = el
 				}
 			}
-			rowsOK := m.Count() == uint64(len(keys)) && len(m.Watermark) == nodes
+			rowsOK := m.Watermark.Total() == uint64(len(keys)) && len(m.Watermark) == nodes
 			teardown()
 			fmt.Fprintf(tw, "%d\t%d\t%s\t%s\t%s\t%v\n",
 				nodes, card, ms(elapsed), mrows(len(keys), elapsed), ms(gather), rowsOK)

@@ -46,7 +46,7 @@ func ExtCView(cfg Config) error {
 		s := stream.New(stream.Config{Shards: 1, QueueDepth: 8, SealRows: 1 << 30, MergeBits: 4})
 		if err := s.RegisterView(cview.Spec{
 			Name:     "w",
-			Query:    cview.Query{ID: cview.QCountByKey},
+			Query:    agg.Query{ID: agg.QCountByKey},
 			PaneRows: paneRows,
 			Panes:    panes,
 			Sliding:  true,

@@ -53,17 +53,13 @@ func layeredQueryStream(cfg stream.Config, keys, vals []uint64, deltas, sealRows
 // ExtQuery measures the snapshot query path (PR 7) along its three axes:
 // query workers, group count, and how many sealed deltas the view pins.
 //
-// The first table sweeps workers × cardinality × sealed-delta count and
+// The table sweeps workers × cardinality × sealed-delta count and
 // reports, per cell, the cold first query (partition-wise delta fold +
 // scan), the warm query (fold memoized on the view — pure scan), and a
-// result-cache hit. The second table locates the serial-fallback
-// crossover: over a fully merged view it times the same warm Q1 with the
-// kernels forced serial versus forced parallel across group counts; the
-// smallest count where parallel stops losing is the value
-// Config.QuerySerialCutoff should default to on this host. On a
-// single-CPU host every worker count time-shares one core, so parallel
-// rows measure dispatch overhead, not speedup, and the crossover
-// degenerates to "serial everywhere".
+// result-cache hit. On a single-CPU host every worker count time-shares
+// one core, so parallel rows measure dispatch overhead, not speedup. The
+// serial-fallback crossover behind agg.SerialQueryCutoff is measured by
+// BenchmarkSnapshotQuery's cutoff cases (internal/stream).
 func ExtQuery(cfg Config) error {
 	warm()
 	low, high := cfg.lowHighCards()
@@ -115,67 +111,5 @@ func ExtQuery(cfg Config) error {
 			}
 		}
 	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-
-	fmt.Fprintln(cfg.Out, "\nserial-fallback crossover (fully merged view, warm, Q1; min of 5):")
-	tw = newTable(cfg.Out, "groups", "serial_us", "par8_us", "par/serial")
-	var cards []int
-	var ratios []float64
-	for _, card := range []int{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16} {
-		if card > cfg.N {
-			break
-		}
-		keys := keysFor(cfg, dataset.RseqShf, card)
-		vals := dataset.Values(len(keys), cfg.Seed)
-		timeMode := func(cutoff int) (time.Duration, error) {
-			s, err := layeredQueryStream(stream.Config{MergeBits: 6, QueryWorkers: 8,
-				QueryCacheEntries: -1, QuerySerialCutoff: cutoff}, keys, vals, 0, sealRows)
-			if err != nil {
-				return 0, err
-			}
-			defer s.Close()
-			s.Snapshot().CountByKey()
-			best := time.Duration(1 << 62)
-			for r := 0; r < 5; r++ {
-				if el := timeIt(func() { s.Snapshot().CountByKey() }); el < best {
-					best = el
-				}
-			}
-			return best, nil
-		}
-		serial, err := timeMode(1 << 30)
-		if err != nil {
-			return err
-		}
-		par, err := timeMode(-1)
-		if err != nil {
-			return err
-		}
-		ratio := float64(par) / float64(serial)
-		cards = append(cards, card)
-		ratios = append(ratios, ratio)
-		fmt.Fprintf(tw, "%d\t%.1f\t%.1f\t%.2f\n",
-			card, float64(serial.Nanoseconds())/1e3, float64(par.Nanoseconds())/1e3, ratio)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	// The cutoff is the smallest group count from which parallel stays at
-	// or under serial for every larger count too — a single noisy win at a
-	// tiny size (tens of microseconds) must not move it.
-	crossover := 0
-	for i := len(cards) - 1; i >= 0; i-- {
-		if ratios[i] > 1.02 {
-			break
-		}
-		crossover = cards[i]
-	}
-	if crossover > 0 {
-		fmt.Fprintf(cfg.Out, "measured cutoff: parallel sustains parity with serial from ~%d groups\n", crossover)
-	} else {
-		fmt.Fprintln(cfg.Out, "measured cutoff: parallel never sustained parity in this sweep (expected on a single-CPU host)")
-	}
-	return nil
+	return tw.Flush()
 }

@@ -214,14 +214,16 @@ func Start() Mark {
 	return Mark{t: time.Now()}
 }
 
-// Tick records the time since the mark into h (when the chain is live)
-// and returns a Mark for the next phase.
+// Tick records the time since the mark into h (when the chain is live and
+// h is non-nil) and returns a Mark for the next phase.
 func (m Mark) Tick(h *Histogram) Mark {
 	if m.t.IsZero() {
 		return Mark{}
 	}
 	now := time.Now()
-	h.observe(now.Sub(m.t))
+	if h != nil {
+		h.observe(now.Sub(m.t))
+	}
 	return Mark{t: now}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"memagg/internal/agg"
 	"memagg/internal/dataset"
 )
 
@@ -100,7 +101,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 //
 //	go test ./internal/stream/ -bench SnapshotQuery -benchtime 20x
 func BenchmarkSnapshotQuery(b *testing.B) {
-	defer func(c int) { serialQueryCutoff = c }(serialQueryCutoff)
+	defer func(c int) { agg.SerialQueryCutoff = c }(agg.SerialQueryCutoff)
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 1_000_000, Cardinality: 1 << 16, Seed: 73}
 	keys := spec.Keys()
 	vals := dataset.Values(len(keys), spec.Seed)
@@ -124,7 +125,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		cfg := base
 		cfg.QueryWorkers = bc.workers
 		cfg.QueryCacheEntries = bc.cache
-		serialQueryCutoff = bc.cutoff
+		agg.SerialQueryCutoff = bc.cutoff
 		b.Run("fold=cold/"+bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -150,7 +151,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			}
 		})
 	}
-	serialQueryCutoff = 0
+	agg.SerialQueryCutoff = 0
 	cfg := base
 	cfg.QueryWorkers = 8
 	b.Run("cached/par=8", func(b *testing.B) {

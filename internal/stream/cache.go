@@ -6,34 +6,6 @@ import (
 	"memagg/internal/agg"
 )
 
-// qid names one cacheable snapshot query. Together with the parameter
-// fields of qkey it identifies a materialized result on a view.
-type qid uint8
-
-const (
-	qidQ1       qid = iota // CountByKey
-	qidQ2                  // AvgByKey
-	qidQ3                  // MedianByKey
-	qidReduce              // Reduce(op)
-	qidQuantile            // Holistic(QuantileFunc(f))
-	qidMode                // Holistic(ModeFunc)
-	qidQ5                  // Avg (scalar)
-	qidQ6                  // Median (scalar)
-	qidQ7                  // CountRange(lo, hi)
-	qidGroups              // Groups
-)
-
-// qkey is one cache slot: the query id plus every parameter that shapes
-// its result. The watermark is not part of the key — the cache itself
-// lives on the view, so a new watermark is a new cache and results can
-// never cross views.
-type qkey struct {
-	id     qid
-	op     agg.ReduceOp
-	f      float64
-	lo, hi uint64
-}
-
 // qentry is one materialized (or in-flight) result. done closes when val
 // is set; waiters block on it, which is the single-flight: concurrent
 // identical queries find the entry the first caller installed and wait
@@ -43,25 +15,28 @@ type qentry struct {
 	val  any
 }
 
-// queryCache memoizes snapshot query results for one view. Entries are
-// bounded; at capacity the oldest entry is evicted (views are short-lived
-// under steady ingest — every seal supersedes them — so FIFO is as good
-// as LRU here and needs no per-hit bookkeeping).
+// queryCache memoizes snapshot query results for one view, keyed by the
+// query — id plus every parameter that shapes its result. The watermark is
+// not part of the key: the cache lives on the view, so a new watermark is
+// a new cache and results can never cross views. Entries are bounded; at
+// capacity the oldest entry is evicted (views are short-lived under steady
+// ingest — every seal supersedes them — so FIFO is as good as LRU here and
+// needs no per-hit bookkeeping).
 type queryCache struct {
 	cap   int
 	mu    sync.Mutex
-	m     map[qkey]*qentry
-	order []qkey
+	m     map[agg.Query]*qentry
+	order []agg.Query
 }
 
 func newQueryCache(cap int) *queryCache {
-	return &queryCache{cap: cap, m: make(map[qkey]*qentry)}
+	return &queryCache{cap: cap, m: make(map[agg.Query]*qentry)}
 }
 
 // do returns the cached value for k, computing it via compute on the
 // first call. Exactly one caller computes; the rest wait on the entry.
 // The hit/miss/evict counters land in the stream's metrics registry.
-func (c *queryCache) do(m *metrics, k qkey, compute func() any) any {
+func (c *queryCache) do(m *metrics, k agg.Query, compute func() any) any {
 	c.mu.Lock()
 	if e, ok := c.m[k]; ok {
 		c.mu.Unlock()
@@ -86,17 +61,4 @@ func (c *queryCache) do(m *metrics, k qkey, compute func() any) any {
 	defer close(e.done) // set even if compute panics, so waiters unblock
 	e.val = compute()
 	return e.val
-}
-
-// cached runs compute through the snapshot's view cache (straight through
-// when caching is disabled). Vector results come back as shared slices:
-// every hit returns the same backing array, so callers must treat them as
-// read-only — the memagg facade's row converters copy before the result
-// leaves the package.
-func cached[T any](sn *Snapshot, k qkey, compute func() T) T {
-	c := sn.v.cache
-	if c == nil {
-		return compute()
-	}
-	return c.do(sn.s.m, k, func() any { return compute() }).(T)
 }

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"memagg/internal/agg"
-	"memagg/internal/arena"
 	"memagg/internal/cview"
-	"memagg/internal/hashtbl"
 	"memagg/internal/wal"
 	"memagg/internal/wal/checkpoint"
 )
@@ -243,7 +241,7 @@ func Open(cfg Config) (*Stream, error) {
 // partition runs.
 func restoreGeneration(meta *checkpoint.Meta, parts [][]checkpoint.Group, holistic bool) *generation {
 	g := &generation{
-		parts: make([]table, len(parts)),
+		parts: make([]agg.Table, len(parts)),
 		bits:  meta.Bits,
 		rows:  meta.Watermark,
 		seq:   meta.Seq,
@@ -252,17 +250,17 @@ func restoreGeneration(meta *checkpoint.Meta, parts [][]checkpoint.Group, holist
 		if len(groups) == 0 {
 			continue
 		}
-		tb := table{t: hashtbl.NewLinearProbe[agg.Partial](len(groups)), ar: arena.New()}
+		tb := agg.NewTable(len(groups))
 		for _, gr := range groups {
-			p := tb.t.Upsert(gr.Key)
+			p := tb.T.Upsert(gr.Key)
 			*p = agg.RestorePartial(gr.Count, gr.Sum, gr.Min, gr.Max)
 			if holistic {
 				for _, v := range gr.Vals {
-					p.Buffer(tb.ar, v)
+					p.Buffer(tb.Ar, v)
 				}
 			}
 		}
-		g.groups += tb.t.Len()
+		g.groups += tb.Len()
 		g.parts[q] = tb
 	}
 	return g
@@ -272,15 +270,12 @@ func restoreGeneration(meta *checkpoint.Meta, parts [][]checkpoint.Group, holist
 // same fold absorb performs on the ingest path. Replayed deltas carry no
 // raw-row mirror: their record is already in the log.
 func replayDelta(keys, vals []uint64, holistic bool) *delta {
-	d := &delta{table: table{
-		t:  hashtbl.NewLinearProbe[agg.Partial](deltaTableCap),
-		ar: arena.New(),
-	}}
+	d := &delta{Table: agg.NewTable(deltaTableCap)}
 	for i, k := range keys {
-		p := d.t.Upsert(k)
+		p := d.T.Upsert(k)
 		p.Observe(vals[i])
 		if holistic {
-			p.Buffer(d.ar, vals[i])
+			p.Buffer(d.Ar, vals[i])
 		}
 	}
 	d.rows = uint64(len(keys))
@@ -371,15 +366,15 @@ func (s *Stream) checkpointOnce() {
 	for q := range base.parts {
 		tb := base.parts[q]
 		err := w.WritePartition(q, func(yield func(checkpoint.Group)) {
-			if tb.t == nil {
+			if tb.T == nil {
 				return
 			}
-			tb.t.Iterate(func(k uint64, p *agg.Partial) bool {
+			tb.T.Iterate(func(k uint64, p *agg.Partial) bool {
 				g := checkpoint.Group{Key: k, Count: p.Count(), Sum: p.Sum()}
 				g.Min, _ = p.Min()
 				g.Max, _ = p.Max()
 				if s.cfg.Holistic {
-					g.Vals = p.AppendValues(tb.ar, nil)
+					g.Vals = p.AppendValues(tb.Ar, nil)
 				}
 				yield(g)
 				return true

@@ -219,8 +219,8 @@ func TestHolisticDisabled(t *testing.T) {
 	if _, err := sn.MedianByKey(); err != agg.ErrUnsupported {
 		t.Fatalf("MedianByKey without Holistic = %v want ErrUnsupported", err)
 	}
-	if _, err := sn.Holistic(agg.QuantileFunc(0.9)); err != agg.ErrUnsupported {
-		t.Fatalf("Holistic without Holistic = %v want ErrUnsupported", err)
+	if _, err := sn.QuantileByKey(0.9); err != agg.ErrUnsupported {
+		t.Fatalf("QuantileByKey without Holistic = %v want ErrUnsupported", err)
 	}
 	rows := sortedQ1(sn.CountByKey())
 	if len(rows) != 2 || rows[0].Count != 2 || rows[1].Count != 1 {

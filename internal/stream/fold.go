@@ -27,20 +27,20 @@ type srcPartial struct {
 // are immutable, so structural sharing is free): a query that lands just
 // after a small seal rebuilds only the partitions the delta touched, not
 // the whole base.
-func (s *Stream) foldParts(base *generation, ds []*delta, workers int) []table {
+func (s *Stream) foldParts(base *generation, ds []*delta, workers int) []agg.Table {
 	bits := s.cfg.MergeBits
 	holistic := s.cfg.Holistic
 
 	total := 0
 	for _, d := range ds {
-		total += d.t.Len()
+		total += d.Len()
 	}
 	keys := make([]uint64, 0, total)
 	idxs := make([]uint64, 0, total)
 	refs := make([]srcPartial, 0, total)
 	for _, d := range ds {
-		ar := d.ar
-		d.t.Iterate(func(k uint64, p *agg.Partial) bool {
+		ar := d.Ar
+		d.T.Iterate(func(k uint64, p *agg.Partial) bool {
 			keys = append(keys, k)
 			idxs = append(idxs, uint64(len(refs)))
 			refs = append(refs, srcPartial{p: p, ar: ar})
@@ -50,27 +50,20 @@ func (s *Stream) foldParts(base *generation, ds []*delta, workers int) []table {
 
 	pt := radix.Partition(keys, idxs, bits, workers)
 	p := pt.NumPartitions()
-	parts := make([]table, p)
+	parts := make([]agg.Table, p)
 	morsel.Parts(p, workers, func(_, q int) {
-		var bp table
-		baseLen := 0
+		var bp agg.Table
 		if base != nil {
 			bp = base.parts[q]
-			if bp.t != nil {
-				baseLen = bp.t.Len()
-			}
 		}
 		pk, pi := pt.PartKeys(q), pt.PartVals(q)
 		if len(pk) == 0 {
 			parts[q] = bp // untouched: share with the base
 			return
 		}
-		nt := table{
-			t:  hashtbl.NewLinearProbe[agg.Partial](baseLen + len(pk)),
-			ar: arena.New(),
-		}
-		if bp.t != nil {
-			mergeTable(nt, bp, holistic)
+		nt := agg.NewTable(bp.Len() + len(pk))
+		if bp.T != nil {
+			agg.MergeTable(nt, bp, holistic)
 		}
 		// The delta groups land via the same blocked-hash loop as the
 		// batch kernels: pk is a plain column, so the blocks need no
@@ -82,19 +75,19 @@ func (s *Stream) foldParts(base *generation, ds []*delta, workers int) []table {
 			hashtbl.MixBatch(&h, bk)
 			for jj, k := range bk {
 				r := refs[pi[j+jj]]
-				np := nt.t.UpsertH(k, h[jj])
+				np := nt.T.UpsertH(k, h[jj])
 				np.Merge(r.p)
 				if holistic {
-					np.MergeValues(nt.ar, r.p, r.ar)
+					np.MergeValues(nt.Ar, r.p, r.ar)
 				}
 			}
 		}
 		for ; j < len(pk); j++ {
 			r := refs[pi[j]]
-			np := nt.t.Upsert(pk[j])
+			np := nt.T.Upsert(pk[j])
 			np.Merge(r.p)
 			if holistic {
-				np.MergeValues(nt.ar, r.p, r.ar)
+				np.MergeValues(nt.Ar, r.p, r.ar)
 			}
 		}
 		parts[q] = nt
@@ -107,7 +100,7 @@ func (s *Stream) foldParts(base *generation, ds []*delta, workers int) []table {
 // directly (zero copy); otherwise the first query over any snapshot of
 // this view runs the partition-wise fold at the stream's query
 // parallelism, and every later snapshot of the view reuses the result.
-func (v *view) sources(s *Stream) []table {
+func (v *view) sources(s *Stream) []agg.Table {
 	v.fold.Do(func() {
 		if len(v.sealed) == 0 {
 			if v.base != nil {

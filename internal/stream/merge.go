@@ -1,6 +1,10 @@
 package stream
 
-import "time"
+import (
+	"time"
+
+	"memagg/internal/agg"
+)
 
 // generation is one immutable base: the fold of every delta sealed before
 // it was built, radix-partitioned into 2^bits disjoint tables (partition q
@@ -9,7 +13,7 @@ import "time"
 // lets snapshots iterate partitions knowing each group appears exactly
 // once.
 type generation struct {
-	parts  []table // len 2^bits; a partition with no groups has a nil table
+	parts  []agg.Table // len 2^bits; a partition with no groups has a nil table
 	bits   int
 	rows   uint64
 	groups int
@@ -92,10 +96,6 @@ func (s *Stream) buildGeneration(base *generation, ds []*delta) *generation {
 	for _, d := range ds {
 		g.rows += d.rows
 	}
-	for _, tb := range parts {
-		if tb.t != nil {
-			g.groups += tb.t.Len()
-		}
-	}
+	g.groups = agg.Groups(parts)
 	return g
 }

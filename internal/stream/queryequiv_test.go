@@ -53,37 +53,35 @@ func layeredStream(tb testing.TB, cfg Config, keys, vals []uint64, baseRows int)
 // snapshotResults is every Q1–Q7 result (plus the extended reduce and
 // holistic forms) over one snapshot, for whole-struct comparison.
 type snapshotResults struct {
-	Watermark  uint64
-	Groups     int
-	GroupBound int
-	Q1         []agg.GroupCount
-	Q2         []agg.GroupFloat
-	Sum        []agg.GroupUint
-	Min        []agg.GroupUint
-	Max        []agg.GroupUint
-	Q3         []agg.GroupFloat
-	P90        []agg.GroupFloat
-	Mode       []agg.GroupFloat
-	Q4         uint64
-	Q5         float64
-	Q6         float64
-	Q7Mid      []agg.GroupCount
-	Q7Full     []agg.GroupCount
+	Watermark uint64
+	Groups    int
+	Q1        []agg.GroupCount
+	Q2        []agg.GroupFloat
+	Sum       []agg.GroupUint
+	Min       []agg.GroupUint
+	Max       []agg.GroupUint
+	Q3        []agg.GroupFloat
+	P90       []agg.GroupFloat
+	Mode      []agg.GroupFloat
+	Q4        uint64
+	Q5        float64
+	Q6        float64
+	Q7Mid     []agg.GroupCount
+	Q7Full    []agg.GroupCount
 }
 
 func queryAll(tb testing.TB, sn *Snapshot, lo, hi uint64) snapshotResults {
 	tb.Helper()
 	r := snapshotResults{
-		Watermark:  sn.Watermark(),
-		Groups:     sn.Groups(),
-		GroupBound: sn.GroupBound(),
-		Q1:         sn.CountByKey(),
-		Q2:         sn.AvgByKey(),
-		Sum:        sn.Reduce(agg.OpSum),
-		Min:        sn.Reduce(agg.OpMin),
-		Max:        sn.Reduce(agg.OpMax),
-		Q4:         sn.Count(),
-		Q5:         sn.Avg(),
+		Watermark: sn.Watermark(),
+		Groups:    sn.Groups(),
+		Q1:        sn.CountByKey(),
+		Q2:        sn.AvgByKey(),
+		Sum:       sn.Reduce(agg.OpSum),
+		Min:       sn.Reduce(agg.OpMin),
+		Max:       sn.Reduce(agg.OpMax),
+		Q4:        sn.Count(),
+		Q5:        sn.Avg(),
 	}
 	var err error
 	if r.Q3, err = sn.MedianByKey(); err != nil {
@@ -115,7 +113,7 @@ func queryAll(tb testing.TB, sn *Snapshot, lo, hi uint64) snapshotResults {
 // deterministic for a fixed view. Caching is disabled so every
 // configuration computes its own results.
 func TestQueryParallelSerialEquivalence(t *testing.T) {
-	defer func(c int) { serialQueryCutoff = c }(serialQueryCutoff)
+	defer func(c int) { agg.SerialQueryCutoff = c }(agg.SerialQueryCutoff)
 
 	specs := []dataset.Spec{
 		{Kind: dataset.RseqShf, N: 90_000, Cardinality: 25_000, Seed: 91},
@@ -132,7 +130,7 @@ func TestQueryParallelSerialEquivalence(t *testing.T) {
 
 		// Reference: one worker, cutoff above any group count — every
 		// kernel takes the serial path over the same folded sources.
-		serialQueryCutoff = 1 << 30
+		agg.SerialQueryCutoff = 1 << 30
 		ref := layeredStream(t, cfg, keys, vals, len(keys)/2)
 		want := queryAll(t, ref.Snapshot(), lo, hi)
 		if err := ref.Close(); err != nil {
@@ -145,7 +143,7 @@ func TestQueryParallelSerialEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 2, 8} {
 			for _, cutoff := range []int{0, 1 << 30} {
 				cfg.QueryWorkers = workers
-				serialQueryCutoff = cutoff
+				agg.SerialQueryCutoff = cutoff
 				s := layeredStream(t, cfg, keys, vals, len(keys)/2)
 				got := queryAll(t, s.Snapshot(), lo, hi)
 				if !reflect.DeepEqual(got, want) {
@@ -244,5 +242,28 @@ func TestQueryConcurrentSnapshots(t *testing.T) {
 	sn := s.Snapshot()
 	if sn.Watermark() != uint64(len(keys)) {
 		t.Fatalf("final watermark %d, want %d", sn.Watermark(), len(keys))
+	}
+}
+
+// TestQ4DoesNotFold: Q4 through the dispatcher is the watermark itself —
+// it must not force the delta fold the scanning queries need (right after
+// a recovery that fold is seconds of work a liveness check would pay).
+func TestQ4DoesNotFold(t *testing.T) {
+	spec := dataset.Spec{Kind: dataset.RseqShf, N: 20_000, Cardinality: 5_000, Seed: 96}
+	keys := spec.Keys()
+	s := layeredStream(t, Config{SealRows: 1 << 11, MergeBits: 4}, keys, dataset.Values(len(keys), spec.Seed), len(keys)/2)
+	defer s.Close()
+	sn := s.Snapshot()
+	if v, err := sn.Run(agg.Query{ID: agg.QCount}); err != nil || v != uint64(len(keys)) {
+		t.Fatalf("q4 = %v, %v; want %d", v, err, len(keys))
+	}
+	if n := s.m.queryFoldLat.Count(); n != 0 {
+		t.Fatalf("q4 folded the view's deltas (%d folds)", n)
+	}
+	if _, err := sn.Run(agg.Query{ID: agg.QCountByKey}); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.m.queryFoldLat.Count(); n != 1 {
+		t.Fatalf("q1 over sealed deltas recorded %d folds, want 1", n)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // queryOnce runs one full pass of the vector kernels (Q1, Q2, SUM-reduce)
 // over a fresh snapshot of a pre-built stream and returns the wall time.
-// The caller controls serialQueryCutoff and cfg.QueryWorkers; caching is
+// The caller controls agg.SerialQueryCutoff and cfg.QueryWorkers; caching is
 // off in the guard's streams, so every pass really scans.
 func queryOnce(tb testing.TB, s *Stream) time.Duration {
 	tb.Helper()
@@ -39,7 +39,7 @@ func TestQueryOverheadGuard(t *testing.T) {
 	if os.Getenv("MEMAGG_QUERY_GUARD") != "1" {
 		t.Skip("set MEMAGG_QUERY_GUARD=1 to run the query overhead guard")
 	}
-	defer func(c int) { serialQueryCutoff = c }(serialQueryCutoff)
+	defer func(c int) { agg.SerialQueryCutoff = c }(agg.SerialQueryCutoff)
 
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 1_000_000, Cardinality: 65_536, Seed: 72}
 	keys := spec.Keys()
@@ -58,14 +58,14 @@ func TestQueryOverheadGuard(t *testing.T) {
 	// the least interfered-with run is the honest cost of each path.
 	const parallelPath, serialPath = 0, 1 << 30
 	for _, cutoff := range []int{parallelPath, serialPath} {
-		serialQueryCutoff = cutoff
+		agg.SerialQueryCutoff = cutoff
 		queryOnce(t, s)
 	}
 	measure := func(rounds int) float64 {
 		best := map[int]time.Duration{}
 		for r := 0; r < rounds; r++ {
 			for _, cutoff := range []int{parallelPath, serialPath} {
-				serialQueryCutoff = cutoff
+				agg.SerialQueryCutoff = cutoff
 				runtime.GC()
 				el := queryOnce(t, s)
 				if cur, ok := best[cutoff]; !ok || el < cur {

@@ -2,56 +2,8 @@ package stream
 
 import (
 	"memagg/internal/agg"
-	"memagg/internal/arena"
 	"memagg/internal/hashtbl"
 )
-
-// table pairs a partial-aggregate hash table with the arena its holistic
-// value lists live in. A table is mutated by exactly one goroutine (its
-// shard before sealing, the merger while building a generation) and is
-// immutable once it appears in a view.
-type table struct {
-	t  *hashtbl.LinearProbe[agg.Partial]
-	ar *arena.Arena
-}
-
-// mergeTable folds every group of src into dst — the table-granularity form
-// of agg.Partial.Merge, used by the merger (base partition → new partition)
-// and by snapshots (combining a view's sources). Iteration delivers one
-// group per callback, so the batched-hash discipline of the lpBuild*
-// kernels takes a staging buffer here: groups accumulate in blocks of
-// hashtbl.HashBatch, each full block is Mix-hashed at once and probed with
-// UpsertH, and the final short block hashes row by row.
-func mergeTable(dst, src table, holistic bool) {
-	var (
-		h  [hashtbl.HashBatch]uint64
-		ks [hashtbl.HashBatch]uint64
-		ps [hashtbl.HashBatch]*agg.Partial
-	)
-	n := 0
-	fold := func(k, hk uint64, p *agg.Partial) {
-		np := dst.t.UpsertH(k, hk)
-		np.Merge(p)
-		if holistic {
-			np.MergeValues(dst.ar, p, src.ar)
-		}
-	}
-	src.t.Iterate(func(k uint64, p *agg.Partial) bool {
-		ks[n], ps[n] = k, p
-		n++
-		if n == hashtbl.HashBatch {
-			hashtbl.MixBatch(&h, ks[:])
-			for j, bk := range ks {
-				fold(bk, h[j], ps[j])
-			}
-			n = 0
-		}
-		return true
-	})
-	for j := 0; j < n; j++ {
-		fold(ks[j], hashtbl.Mix(ks[j]), ps[j])
-	}
-}
 
 // delta is one shard's in-progress (then sealed) table plus its row count.
 // On durable streams it also mirrors the raw rows (keys/vals, in arrival
@@ -59,7 +11,7 @@ func mergeTable(dst, src table, holistic bool) {
 // replay rebuilds the exact delta. publish drops the mirror once the
 // record is in the log.
 type delta struct {
-	table
+	agg.Table
 	rows       uint64
 	keys, vals []uint64
 }
@@ -131,20 +83,17 @@ func (sh *shard) run() {
 // dependent cache misses instead of serializing row by row.
 func (sh *shard) absorb(b batch) {
 	if sh.cur == nil {
-		sh.cur = &delta{table: table{
-			t:  hashtbl.NewLinearProbe[agg.Partial](sh.deltaSeed()),
-			ar: arena.New(),
-		}}
+		sh.cur = &delta{Table: agg.NewTable(sh.deltaSeed())}
 		if sh.s.dur != nil {
 			sh.cur.keys, sh.cur.vals = sh.spareKeys[:0], sh.spareVals[:0]
 			sh.spareKeys, sh.spareVals = nil, nil
 		}
 	}
-	t := sh.cur.t
+	t := sh.cur.T
 	var h [hashtbl.HashBatch]uint64
 	i := 0
 	if sh.s.cfg.Holistic {
-		ar := sh.cur.ar
+		ar := sh.cur.Ar
 		for ; i+hashtbl.HashBatch <= len(b.keys); i += hashtbl.HashBatch {
 			bk := b.keys[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
 			bv := b.vals[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]

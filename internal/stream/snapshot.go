@@ -3,9 +3,6 @@ package stream
 import (
 	"memagg/internal/agg"
 	"memagg/internal/arena"
-	"memagg/internal/morsel"
-	"memagg/internal/obs"
-	"memagg/internal/xsort"
 )
 
 // Snapshot is a consistent, immutable read view of the stream: the base
@@ -23,11 +20,11 @@ import (
 // A Snapshot is safe for concurrent use. Query state is shared at the
 // view level, not the snapshot level: the first query over a view that
 // pins unmerged deltas folds them partition-wise into key-disjoint
-// sources (in parallel at Config.QueryWorkers), vector kernels scan those
-// partitions in parallel above a serial group-count cutoff, and on a
-// cache-enabled stream materialized results are memoized on the view —
-// keyed by query id and parameters, single-flight — so every snapshot of
-// an unchanged view shares both the fold and the results. Cached vector
+// sources (in parallel at Config.QueryWorkers), agg.Run's kernels scan
+// those partitions in parallel above its serial group-count cutoff, and on
+// a cache-enabled stream materialized results are memoized on the view —
+// keyed by the agg.Query, single-flight — so every snapshot of an
+// unchanged view shares both the fold and the results. Cached vector
 // results are shared slices; treat them as read-only.
 type Snapshot struct {
 	s *Stream
@@ -44,82 +41,70 @@ func (s *Stream) Snapshot() *Snapshot {
 // result is exactly consistent with these rows.
 func (sn *Snapshot) Watermark() uint64 { return sn.v.watermark }
 
-// serialQueryCutoff is the group count below which query kernels scan on
-// the calling goroutine: under it the whole result fits comfortably in
-// cache and the partition scan finishes in microseconds, so worker
-// goroutine startup would dominate (measured with `-exp query`; a var so
-// the equivalence gate can force both paths).
-var serialQueryCutoff = 1 << 13
-
 // sources returns key-disjoint tables jointly holding every group,
 // folding the view's sealed deltas partition-wise on first use (see
 // view.sources). Entries with a nil table hold no groups.
-func (sn *Snapshot) sources() []table { return sn.v.sources(sn.s) }
+func (sn *Snapshot) sources() []agg.Table { return sn.v.sources(sn.s) }
 
-// partOffsets returns each source's exclusive start offset in a result
-// slice laid out partition by partition, plus the total group count.
-// Writing through these offsets lets parallel kernels fill one pre-sized
-// result with no per-worker buffers or concat — and makes the output
-// deterministic: partition order, table iteration order within each.
-func partOffsets(srcs []table) (offs []int, total int) {
-	offs = make([]int, len(srcs))
-	for q, tb := range srcs {
-		offs[q] = total
-		if tb.t != nil {
-			total += tb.t.Len()
-		}
+// Run executes q over the snapshot through agg.Run — the one kernel set —
+// at the stream's query parallelism, memoized on the view when the stream
+// caches results. The result types are agg.Run's. The up-front Check keeps
+// unrunnable queries out of the cache: a NaN quantile would be a key that
+// never compares equal to itself.
+func (sn *Snapshot) Run(q agg.Query) (any, error) {
+	cfg := &sn.s.cfg
+	if err := q.Check(cfg.Holistic); err != nil {
+		return nil, err
 	}
-	return offs, total
-}
-
-// queryWorkers returns the parallelism for a scan over total groups:
-// the configured query workers, or 1 below the serial cutoff
-// (Config.QuerySerialCutoff when set, the measured default otherwise).
-func (sn *Snapshot) queryWorkers(total int) int {
-	cutoff := sn.s.cfg.QuerySerialCutoff
-	if cutoff == 0 {
-		cutoff = serialQueryCutoff
+	if q.ID == agg.QCount {
+		// Q4 is the watermark: answering it must not force the delta fold
+		// the other queries need (seconds, right after a recovery).
+		return sn.v.watermark, nil
 	}
-	if cutoff > 0 && total < cutoff {
-		return 1
-	}
-	return sn.s.cfg.QueryWorkers
-}
-
-// scan runs body over every non-empty source partition, in parallel when
-// the snapshot is past the serial cutoff, and records the scan phase.
-func (sn *Snapshot) scan(srcs []table, total int, body func(worker, q int)) {
-	mk := obs.Start()
-	morsel.Parts(len(srcs), sn.queryWorkers(total), func(w, q int) {
-		if srcs[q].t != nil {
-			body(w, q)
-		}
-	})
-	mk.Tick(sn.s.m.queryScanLat)
-}
-
-// eachGroup visits every group exactly once with its fully merged partial
-// and the arena its buffered values live in — the serial walk behind the
-// scalar kernels' fallbacks and any caller that needs no parallelism.
-func (sn *Snapshot) eachGroup(fn func(k uint64, p *agg.Partial, ar *arena.Arena)) {
-	for _, tb := range sn.sources() {
-		if tb.t == nil {
-			continue
-		}
-		ar := tb.ar
-		tb.t.Iterate(func(k uint64, p *agg.Partial) bool {
-			fn(k, p, ar)
-			return true
+	compute := func() any {
+		v, _ := agg.Run(sn.sources(), q, agg.RunEnv{
+			Rows:     sn.v.watermark,
+			Holistic: cfg.Holistic,
+			Workers:  cfg.QueryWorkers,
+			ScanLat:  sn.s.m.queryScanLat,
+			MergeLat: sn.s.m.queryMergeLat,
 		})
+		return v
 	}
+	if c := sn.v.cache; c != nil {
+		return c.do(sn.s.m, q, compute), nil
+	}
+	return compute(), nil
 }
+
+// run is Run with the result asserted to the query's type — the body of
+// every typed method below. must drops the error of the queries that
+// cannot fail.
+func run[T any](sn *Snapshot, q agg.Query) (T, error) {
+	v, err := sn.Run(q)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return v.(T), nil
+}
+
+func must[T any](v T, _ error) T { return v }
 
 // EachGroup visits every group exactly once with its fully merged partial
 // and the arena its buffered values live in — the export the cluster
 // transport (internal/cluster) serializes from. The visited partials are
 // the snapshot's live state: read-only, valid while the snapshot is held.
 func (sn *Snapshot) EachGroup(fn func(k uint64, p *agg.Partial, ar *arena.Arena)) {
-	sn.eachGroup(fn)
+	for _, tb := range sn.sources() {
+		if tb.T == nil {
+			continue
+		}
+		tb.T.Iterate(func(k uint64, p *agg.Partial) bool {
+			fn(k, p, tb.Ar)
+			return true
+		})
+	}
 }
 
 // HolisticEnabled reports whether this snapshot's stream retains value
@@ -128,295 +113,62 @@ func (sn *Snapshot) HolisticEnabled() bool { return sn.s.cfg.Holistic }
 
 // Groups returns the number of distinct keys the snapshot covers. This is
 // the exact count, which requires the delta fold when unmerged deltas are
-// pinned (keys may repeat across layers); for pre-sizing, GroupBound is
-// free.
-func (sn *Snapshot) Groups() int {
-	_, total := partOffsets(sn.sources())
-	return total
-}
-
-// GroupBound returns a cheap upper bound on Groups — base groups plus
-// sealed delta groups, without cross-layer deduplication. It never
-// triggers the delta fold, so result pre-sizing can use it at zero cost.
-func (sn *Snapshot) GroupBound() int { return sn.v.groupBound }
+// pinned (keys may repeat across layers).
+func (sn *Snapshot) Groups() int { return agg.Groups(sn.sources()) }
 
 // CountByKey executes Q1: one (key, COUNT(*)) row per distinct key.
 func (sn *Snapshot) CountByKey() []agg.GroupCount {
-	return cached(sn, qkey{id: qidQ1}, sn.countByKey)
-}
-
-func (sn *Snapshot) countByKey() []agg.GroupCount {
-	srcs := sn.sources()
-	offs, total := partOffsets(srcs)
-	out := make([]agg.GroupCount, total)
-	sn.scan(srcs, total, func(_, q int) {
-		i := offs[q]
-		srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-			out[i] = agg.GroupCount{Key: k, Count: p.Count()}
-			i++
-			return true
-		})
-	})
-	return out
+	return must(run[[]agg.GroupCount](sn, agg.Query{ID: agg.QCountByKey}))
 }
 
 // AvgByKey executes Q2: one (key, AVG(val)) row per distinct key, computed
 // as one float64 division of the exact integer sum — bit-identical to the
 // batch engines.
 func (sn *Snapshot) AvgByKey() []agg.GroupFloat {
-	return cached(sn, qkey{id: qidQ2}, func() []agg.GroupFloat {
-		srcs := sn.sources()
-		offs, total := partOffsets(srcs)
-		out := make([]agg.GroupFloat, total)
-		sn.scan(srcs, total, func(_, q int) {
-			i := offs[q]
-			srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-				out[i] = agg.GroupFloat{Key: k, Val: p.Avg()}
-				i++
-				return true
-			})
-		})
-		return out
-	})
+	return must(run[[]agg.GroupFloat](sn, agg.Query{ID: agg.QAvgByKey}))
 }
 
 // Reduce executes the generalized distributive vector query: one
-// (key, op(val)) row per distinct key, for any ReduceOp.
+// (key, op(val)) row per distinct key, for any ReduceOp (an unknown op
+// answers nil).
 func (sn *Snapshot) Reduce(op agg.ReduceOp) []agg.GroupUint {
-	return cached(sn, qkey{id: qidReduce, op: op}, func() []agg.GroupUint {
-		srcs := sn.sources()
-		offs, total := partOffsets(srcs)
-		out := make([]agg.GroupUint, total)
-		sn.scan(srcs, total, func(_, q int) {
-			i := offs[q]
-			srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-				out[i] = agg.GroupUint{Key: k, Val: p.Reduce(op)}
-				i++
-				return true
-			})
-		})
-		return out
-	})
-}
-
-// Holistic executes the generalized holistic vector query: one
-// (key, fn(group's values)) row per distinct key. Requires Config.Holistic;
-// otherwise the value multisets were not retained and the query returns
-// agg.ErrUnsupported. An arbitrary fn cannot key the result cache — use
-// MedianByKey/QuantileByKey/ModeByKey for the cached forms.
-func (sn *Snapshot) Holistic(fn agg.HolisticFunc) ([]agg.GroupFloat, error) {
-	if !sn.s.cfg.Holistic {
-		return nil, agg.ErrUnsupported
-	}
-	return sn.holistic(fn), nil
-}
-
-func (sn *Snapshot) holistic(fn agg.HolisticFunc) []agg.GroupFloat {
-	srcs := sn.sources()
-	offs, total := partOffsets(srcs)
-	out := make([]agg.GroupFloat, total)
-	workers := sn.queryWorkers(total)
-	scratch := make([][]uint64, workers)
-	mk := obs.Start()
-	morsel.Parts(len(srcs), workers, func(w, q int) {
-		if srcs[q].t == nil {
-			return
-		}
-		i, ar, buf := offs[q], srcs[q].ar, scratch[w]
-		srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-			buf = p.AppendValues(ar, buf[:0])
-			out[i] = agg.GroupFloat{Key: k, Val: fn(buf)}
-			i++
-			return true
-		})
-		scratch[w] = buf
-	})
-	mk.Tick(sn.s.m.queryScanLat)
-	return out
-}
-
-// cachedHolistic routes one named holistic query through the result cache
-// after the shared Holistic support check.
-func (sn *Snapshot) cachedHolistic(k qkey, fn agg.HolisticFunc) ([]agg.GroupFloat, error) {
-	if !sn.s.cfg.Holistic {
-		return nil, agg.ErrUnsupported
-	}
-	return cached(sn, k, func() []agg.GroupFloat { return sn.holistic(fn) }), nil
+	return must(run[[]agg.GroupUint](sn, agg.Query{ID: agg.QReduce, Op: op}))
 }
 
 // MedianByKey executes Q3 (holistic): one (key, MEDIAN(val)) row per
-// distinct key. Requires Config.Holistic.
+// distinct key. Requires Config.Holistic; otherwise the value multisets
+// were not retained and the query returns agg.ErrUnsupported.
 func (sn *Snapshot) MedianByKey() ([]agg.GroupFloat, error) {
-	return sn.cachedHolistic(qkey{id: qidQ3}, agg.MedianFunc)
+	return run[[]agg.GroupFloat](sn, agg.Query{ID: agg.QMedianByKey})
 }
 
-// QuantileByKey executes the nearest-rank q-quantile per distinct key.
-// Requires Config.Holistic.
+// QuantileByKey executes the nearest-rank q-quantile per distinct key,
+// q in [0, 1]. Requires Config.Holistic.
 func (sn *Snapshot) QuantileByKey(q float64) ([]agg.GroupFloat, error) {
-	return sn.cachedHolistic(qkey{id: qidQuantile, f: q}, agg.QuantileFunc(q))
+	return run[[]agg.GroupFloat](sn, agg.Query{ID: agg.QQuantile, P: q})
 }
 
 // ModeByKey executes the most-frequent-value query per distinct key.
 // Requires Config.Holistic.
 func (sn *Snapshot) ModeByKey() ([]agg.GroupFloat, error) {
-	return sn.cachedHolistic(qkey{id: qidMode}, agg.ModeFunc)
+	return run[[]agg.GroupFloat](sn, agg.Query{ID: agg.QMode})
 }
 
 // Count executes Q4: COUNT(*) over the snapshot — the watermark itself.
 func (sn *Snapshot) Count() uint64 { return sn.v.watermark }
 
-// Avg executes Q5: AVG over the value column, as one float64 division of
-// the exact total sum by the exact row count. Per-partition integer
-// partial sums merge exactly, so the parallel result is bit-identical to
-// the serial one.
-func (sn *Snapshot) Avg() float64 {
-	return cached(sn, qkey{id: qidQ5}, func() float64 {
-		srcs := sn.sources()
-		_, total := partOffsets(srcs)
-		workers := sn.queryWorkers(total)
-		// One cache line per worker: the partial sums are written in the
-		// scan's hot loop.
-		type sumCount struct {
-			sum, count uint64
-			_          [6]uint64
-		}
-		parts := make([]sumCount, workers)
-		sn.scan(srcs, total, func(w, q int) {
-			sum, count := parts[w].sum, parts[w].count
-			srcs[q].t.Iterate(func(_ uint64, p *agg.Partial) bool {
-				sum += p.Sum()
-				count += p.Count()
-				return true
-			})
-			parts[w].sum, parts[w].count = sum, count
-		})
-		mk := obs.Start()
-		var sum, count uint64
-		for _, pc := range parts {
-			sum += pc.sum
-			count += pc.count
-		}
-		mk.Tick(sn.s.m.queryMergeLat)
-		if count == 0 {
-			return 0
-		}
-		return float64(sum) / float64(count)
-	})
-}
+// Avg executes Q5: AVG over the value column.
+func (sn *Snapshot) Avg() float64 { return must(run[float64](sn, agg.Query{ID: agg.QAvg})) }
 
-// Median executes Q6: MEDIAN over the key column. Unlike the batch hash
-// engines — which cannot enumerate keys in order and return ErrUnsupported
-// — the snapshot's per-group counts make the scalar median exact: gather
-// the (key, count) pairs partition-parallel, sort them by key through
-// internal/xsort, and walk cumulative counts to the middle rank(s).
-func (sn *Snapshot) Median() (float64, error) {
-	return cached(sn, qkey{id: qidQ6}, func() float64 {
-		srcs := sn.sources()
-		offs, total := partOffsets(srcs)
-		groups := make([]xsort.KV, total)
-		var n uint64
-		workers := sn.queryWorkers(total)
-		counts := make([]uint64, workers*8) // one cache line per worker
-		sn.scan(srcs, total, func(w, q int) {
-			i, rows := offs[q], counts[w*8]
-			srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-				c := p.Count()
-				groups[i] = xsort.KV{K: k, V: c}
-				rows += c
-				i++
-				return true
-			})
-			counts[w*8] = rows
-		})
-		for w := 0; w < workers; w++ {
-			n += counts[w*8]
-		}
-		if n == 0 {
-			return 0
-		}
-		mk := obs.Start()
-		sortKV(groups, workers)
-		m := float64(keyAtRank(groups, n/2))
-		if n%2 == 0 {
-			m = (float64(keyAtRank(groups, n/2-1)) + m) / 2
-		}
-		mk.Tick(sn.s.m.queryMergeLat)
-		return m
-	}), nil
-}
-
-// sortKV orders records ascending by key via internal/xsort: the parallel
-// block-introsort merge when both the input and the worker budget warrant
-// it, serial introsort otherwise (the Fig2/Fig10-measured routing).
-func sortKV(a []xsort.KV, workers int) {
-	if workers > 1 && len(a) >= serialQueryCutoff {
-		xsort.SortBIKV(a, workers)
-		return
-	}
-	xsort.IntrosortKV(a)
-}
-
-// keyAtRank returns the key at 0-based rank r of the expansion of the
-// key-sorted (key, count) runs.
-func keyAtRank(groups []xsort.KV, r uint64) uint64 {
-	var cum uint64
-	for _, g := range groups {
-		cum += g.V
-		if r < cum {
-			return g.K
-		}
-	}
-	return groups[len(groups)-1].K
-}
+// Median executes Q6: MEDIAN over the key column — exact here, where the
+// batch hash engines return ErrUnsupported (see agg.Run). The error is
+// always nil; the signature matches the batch engines'.
+func (sn *Snapshot) Median() (float64, error) { return run[float64](sn, agg.Query{ID: agg.QMedian}) }
 
 // CountRange executes Q7: Q1 restricted to lo <= key <= hi, rows ascending
 // by key (the tree-engine convention — a range query is inherently
-// ordered). Matching rows collect into per-worker buffers pre-sized by the
-// group bound and the range's width, then one xsort pass orders the
-// concatenation (hash partitions interleave key ranges, so a global sort
-// is needed regardless). The error is always nil; the signature matches
-// the batch engines'.
+// ordered). The error is always nil; the signature matches the batch
+// engines'.
 func (sn *Snapshot) CountRange(lo, hi uint64) ([]agg.GroupCount, error) {
-	return cached(sn, qkey{id: qidQ7, lo: lo, hi: hi}, func() []agg.GroupCount {
-		srcs := sn.sources()
-		_, total := partOffsets(srcs)
-		workers := sn.queryWorkers(total)
-		// Selectivity guess: no more groups can match than the bound says
-		// exist, and no more than the range has distinct keys (width 0
-		// means the full uint64 domain).
-		hint := sn.GroupBound()
-		if width := hi - lo + 1; width != 0 && width < uint64(hint) {
-			hint = int(width)
-		}
-		bufs := make([][]xsort.KV, workers)
-		sn.scan(srcs, total, func(w, q int) {
-			buf := bufs[w]
-			if buf == nil {
-				buf = make([]xsort.KV, 0, hint/workers+1)
-			}
-			srcs[q].t.Iterate(func(k uint64, p *agg.Partial) bool {
-				if lo <= k && k <= hi {
-					buf = append(buf, xsort.KV{K: k, V: p.Count()})
-				}
-				return true
-			})
-			bufs[w] = buf
-		})
-		mk := obs.Start()
-		n := 0
-		for _, b := range bufs {
-			n += len(b)
-		}
-		rows := make([]xsort.KV, 0, n)
-		for _, b := range bufs {
-			rows = append(rows, b...)
-		}
-		sortKV(rows, workers)
-		out := make([]agg.GroupCount, len(rows))
-		for i, r := range rows {
-			out[i] = agg.GroupCount{Key: r.K, Count: r.V}
-		}
-		mk.Tick(sn.s.m.queryMergeLat)
-		return out
-	}), nil
+	return run[[]agg.GroupCount](sn, agg.Query{ID: agg.QRange, Lo: lo, Hi: hi})
 }

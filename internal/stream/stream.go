@@ -93,27 +93,20 @@ type Config struct {
 	// QueryWorkers is the parallelism of snapshot queries: the
 	// partition-wise fold of sealed deltas into a view's sources and the
 	// partition scans of the query kernels. Snapshots whose group count
-	// falls below the serial cutoff scan on the calling goroutine
+	// falls below agg.SerialQueryCutoff scan on the calling goroutine
 	// regardless, so tiny views never pay goroutine overhead. <= 0 uses
 	// GOMAXPROCS.
 	QueryWorkers int
 
 	// QueryCacheEntries bounds the per-view result cache: snapshots of one
 	// view are immutable, so materialized query results are cached on the
-	// view keyed by query id and parameters, with single-flight so
+	// view keyed by the agg.Query, with single-flight so
 	// concurrent identical queries compute once. A new view (any seal or
 	// merge moves the watermark) starts a fresh cache; superseded caches
 	// die with their views. 0 means 128 entries; < 0 disables caching.
 	// Cached vector results are shared slices — treat them as read-only
 	// (the memagg facade copies on conversion).
 	QueryCacheEntries int
-
-	// QuerySerialCutoff overrides the group count below which query
-	// kernels scan serially on the calling goroutine. 0 keeps the
-	// measured default (see serialQueryCutoff); < 0 forces the parallel
-	// path at every size; a huge value forces the serial path. Mainly a
-	// measurement knob — the harness uses it to locate the crossover.
-	QuerySerialCutoff int
 
 	// Holistic retains every group's value multiset (arena-backed lists),
 	// enabling median/quantile/mode snapshot queries at the memory cost
@@ -222,34 +215,22 @@ type view struct {
 	sealed    []*delta
 	watermark uint64
 
-	// groupBound is a cheap upper bound on the view's distinct-key count:
-	// base groups plus every sealed delta's group count, without deduping
-	// across layers. Pre-sizing reads it so sizing a result slice never
-	// forces the delta fold.
-	groupBound int
-
 	// fold guards srcs: the view's key-disjoint source tables. With no
 	// sealed deltas the base partitions serve directly (zero copy, set
 	// eagerly); otherwise the first query folds base + deltas partition by
 	// partition (see foldParts).
 	fold sync.Once
-	srcs []table
+	srcs []agg.Table
 
 	// cache is the watermark-keyed result cache (nil when disabled).
 	cache *queryCache
 }
 
-// newView builds a view over the given layers, deriving the group bound
-// and attaching a fresh result cache. Every view the stream installs goes
+// newView builds a view over the given layers, attaching a fresh result
+// cache. Every view the stream installs goes
 // through here.
 func (s *Stream) newView(base *generation, sealed []*delta, watermark uint64) *view {
 	v := &view{base: base, sealed: sealed, watermark: watermark}
-	if base != nil {
-		v.groupBound = base.groups
-	}
-	for _, d := range sealed {
-		v.groupBound += d.t.Len()
-	}
 	if n := s.cfg.QueryCacheEntries; n > 0 {
 		v.cache = newQueryCache(n)
 	}

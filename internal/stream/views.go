@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"memagg/internal/agg"
-	"memagg/internal/arena"
 	"memagg/internal/cview"
 	"memagg/internal/hashtbl"
 )
@@ -73,7 +72,7 @@ func (s *Stream) ViewResult(name string) (*cview.Result, error) { return s.views
 // folds share one table scan and one hash pass no matter how many views
 // settle this seal.
 func (s *Stream) foldViews(prevWM, endWM uint64, d *delta) {
-	dig := &sealDigest{src: d.table}
+	dig := &sealDigest{src: d.Table}
 	s.views.OnSeal(prevWM, endWM, d.rows, dig.fold)
 }
 
@@ -87,17 +86,17 @@ func (s *Stream) foldViews(prevWM, endWM uint64, d *delta) {
 // partial refs stay valid for the digest's whole life.
 type sealDigest struct {
 	once sync.Once
-	src  table
+	src  agg.Table
 	keys []uint64
 	hs   []uint64
 	ps   []*agg.Partial
 }
 
 func (g *sealDigest) materialize() {
-	n := g.src.t.Len()
+	n := g.src.Len()
 	g.keys = make([]uint64, 0, n)
 	g.ps = make([]*agg.Partial, 0, n)
-	g.src.t.Iterate(func(k uint64, p *agg.Partial) bool {
+	g.src.T.Iterate(func(k uint64, p *agg.Partial) bool {
 		g.keys = append(g.keys, k)
 		g.ps = append(g.ps, p)
 		return true
@@ -114,13 +113,13 @@ func (g *sealDigest) materialize() {
 	}
 }
 
-func (g *sealDigest) fold(t *hashtbl.LinearProbe[agg.Partial], ar *arena.Arena, withValues bool) {
+func (g *sealDigest) fold(dst agg.Table, withValues bool) {
 	g.once.Do(g.materialize)
 	for i, k := range g.keys {
-		np := t.UpsertH(k, g.hs[i])
+		np := dst.T.UpsertH(k, g.hs[i])
 		np.Merge(g.ps[i])
 		if withValues {
-			np.MergeValues(ar, g.ps[i], g.src.ar)
+			np.MergeValues(dst.Ar, g.ps[i], g.src.Ar)
 		}
 	}
 }

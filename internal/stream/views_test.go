@@ -89,7 +89,7 @@ func (f *viewFeed) windowRows(sp cview.Spec, startWM uint64) (wk, wv []uint64, w
 
 // refValue runs q over a fresh volatile stream holding exactly the window
 // rows — the batch recompute the view must match bit for bit.
-func refValue(t *testing.T, q cview.Query, wk, wv []uint64) any {
+func refValue(t *testing.T, q agg.Query, wk, wv []uint64) any {
 	t.Helper()
 	s := New(viewConfig())
 	defer s.Close()
@@ -101,35 +101,7 @@ func refValue(t *testing.T, q cview.Query, wk, wv []uint64) any {
 			t.Fatal(err)
 		}
 	}
-	sn := s.Snapshot()
-	var (
-		out any
-		err error
-	)
-	switch q.ID {
-	case cview.QCountByKey:
-		out = sn.CountByKey()
-	case cview.QAvgByKey:
-		out = sn.AvgByKey()
-	case cview.QMedianByKey:
-		out, err = sn.MedianByKey()
-	case cview.QCount:
-		out = sn.Count()
-	case cview.QAvg:
-		out = sn.Avg()
-	case cview.QMedian:
-		out, err = sn.Median()
-	case cview.QRange:
-		out, err = sn.CountRange(q.Lo, q.Hi)
-	case cview.QReduce:
-		out = sn.Reduce(q.Op)
-	case cview.QQuantile:
-		out, err = sn.QuantileByKey(q.P)
-	case cview.QMode:
-		out, err = sn.ModeByKey()
-	default:
-		t.Fatalf("unhandled query %v", q)
-	}
+	out, err := s.Snapshot().Run(q)
 	if err != nil {
 		t.Fatalf("reference %v: %v", q, err)
 	}
@@ -150,20 +122,20 @@ func sortedValue(v any) any {
 	return v
 }
 
-func equivQueries() []cview.Query {
-	return []cview.Query{
-		{ID: cview.QCountByKey},
-		{ID: cview.QAvgByKey},
-		{ID: cview.QMedianByKey},
-		{ID: cview.QCount},
-		{ID: cview.QAvg},
-		{ID: cview.QMedian},
-		{ID: cview.QRange, Lo: 20, Hi: 200},
-		{ID: cview.QReduce, Op: agg.OpSum},
-		{ID: cview.QReduce, Op: agg.OpMin},
-		{ID: cview.QReduce, Op: agg.OpMax},
-		{ID: cview.QQuantile, P: 0.9},
-		{ID: cview.QMode},
+func equivQueries() []agg.Query {
+	return []agg.Query{
+		{ID: agg.QCountByKey},
+		{ID: agg.QAvgByKey},
+		{ID: agg.QMedianByKey},
+		{ID: agg.QCount},
+		{ID: agg.QAvg},
+		{ID: agg.QMedian},
+		{ID: agg.QRange, Lo: 20, Hi: 200},
+		{ID: agg.QReduce, Op: agg.OpSum},
+		{ID: agg.QReduce, Op: agg.OpMin},
+		{ID: agg.QReduce, Op: agg.OpMax},
+		{ID: agg.QQuantile, P: 0.9},
+		{ID: agg.QMode},
 	}
 }
 
@@ -254,11 +226,11 @@ func TestCViewPaneBoundary(t *testing.T) {
 
 	s := New(viewConfig())
 	defer s.Close()
-	if err := s.RegisterView(cview.Spec{Name: "slide", Query: cview.Query{ID: cview.QCount},
+	if err := s.RegisterView(cview.Spec{Name: "slide", Query: agg.Query{ID: agg.QCount},
 		PaneRows: 100, Panes: 2, Sliding: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RegisterView(cview.Spec{Name: "tumble", Query: cview.Query{ID: cview.QCount},
+	if err := s.RegisterView(cview.Spec{Name: "tumble", Query: agg.Query{ID: agg.QCount},
 		PaneRows: 100, Panes: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +283,7 @@ func TestCViewRegisterMidIngest(t *testing.T) {
 	feed := &viewFeed{s: s, keys: keys, vals: vals}
 	feed.seal(t, 500)
 
-	sp := cview.Spec{Name: "late", Query: cview.Query{ID: cview.QCountByKey},
+	sp := cview.Spec{Name: "late", Query: agg.Query{ID: agg.QCountByKey},
 		PaneRows: 10_000, Panes: 1}
 	if err := s.RegisterView(sp); err != nil {
 		t.Fatal(err)
@@ -349,11 +321,11 @@ func TestCViewRegisterMidIngest(t *testing.T) {
 func TestCViewEvictionRace(t *testing.T) {
 	s := New(Config{Shards: 1, QueueDepth: 8, SealRows: 1 << 20, MergeBits: 4})
 	defer s.Close()
-	if err := s.RegisterView(cview.Spec{Name: "race", Query: cview.Query{ID: cview.QCountByKey},
+	if err := s.RegisterView(cview.Spec{Name: "race", Query: agg.Query{ID: agg.QCountByKey},
 		PaneRows: 200, Panes: 2, Sliding: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RegisterView(cview.Spec{Name: "race-t", Query: cview.Query{ID: cview.QCount},
+	if err := s.RegisterView(cview.Spec{Name: "race-t", Query: agg.Query{ID: agg.QCount},
 		PaneRows: 300, Panes: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +395,8 @@ func TestCViewEvictionRace(t *testing.T) {
 func TestCViewRestartReplay(t *testing.T) {
 	keys, vals := gateData()
 	specs := []cview.Spec{
-		{Name: "counts", Query: cview.Query{ID: cview.QCountByKey}, PaneRows: 600, Panes: 3, Sliding: true},
-		{Name: "p90", Query: cview.Query{ID: cview.QQuantile, P: 0.9}, PaneRows: 500, Panes: 2},
+		{Name: "counts", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 600, Panes: 3, Sliding: true},
+		{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 500, Panes: 2},
 	}
 	run := func(t *testing.T, ckptEvery int, graceful bool) {
 		mem := wal.NewMemFS()
@@ -508,7 +480,7 @@ func TestCViewDefinitionsPersist(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"keep", "drop"} {
-		if err := s.RegisterView(cview.Spec{Name: name, Query: cview.Query{ID: cview.QCount},
+		if err := s.RegisterView(cview.Spec{Name: name, Query: agg.Query{ID: agg.QCount},
 			PaneRows: 100, Panes: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -541,11 +513,11 @@ func ingestWithViews(tb testing.TB, keys, vals []uint64, views bool) time.Durati
 		}
 	}()
 	if views {
-		for i, q := range []cview.Query{
-			{ID: cview.QCountByKey},
-			{ID: cview.QReduce, Op: agg.OpSum},
-			{ID: cview.QAvgByKey},
-			{ID: cview.QCount},
+		for i, q := range []agg.Query{
+			{ID: agg.QCountByKey},
+			{ID: agg.QReduce, Op: agg.OpSum},
+			{ID: agg.QAvgByKey},
+			{ID: agg.QCount},
 		} {
 			if err := s.RegisterView(cview.Spec{Name: fmt.Sprintf("g%d", i), Query: q,
 				PaneRows: 1 << 15, Panes: 4, Sliding: true}); err != nil {
@@ -614,7 +586,7 @@ func TestCViewOverheadGuard(t *testing.T) {
 func TestCViewStats(t *testing.T) {
 	s := New(viewConfig())
 	defer s.Close()
-	if err := s.RegisterView(cview.Spec{Name: "st", Query: cview.Query{ID: cview.QCount},
+	if err := s.RegisterView(cview.Spec{Name: "st", Query: agg.Query{ID: agg.QCount},
 		PaneRows: 100, Panes: 2, Sliding: true}); err != nil {
 		t.Fatal(err)
 	}

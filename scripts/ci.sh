@@ -9,6 +9,25 @@ go build ./...
 go vet ./...
 go test ./...
 
+# bench/ is its own module importing memagg and memagg/internal/...; root
+# `go test ./...` does not cover it, and a refactor of internals must not
+# break its build.
+(cd bench && go vet . && go test .)
+
+# Structural guard — one query algebra: the Q6 rank walk, the table merge
+# and the query-name switch each exist once (all in internal/agg), so a
+# new query family stays a one-place change. cmd/aggquery's switch
+# dispatches raw rows to batch Aggregators and bench/ names driver ops —
+# different jobs, excluded.
+for pat in 'func keyAtRank' 'func [mM]ergeTable' 'case "q1"'; do
+	n=$(find . -name '*.go' ! -name '*_test.go' ! -path './cmd/aggquery/*' ! -path './bench/*' ! -path './.*/*' |
+		xargs grep -lE "$pat" | wc -l)
+	if [ "$n" -gt 1 ]; then
+		echo "structural guard: '$pat' is defined in $n non-test files, want at most 1" >&2
+		exit 1
+	fi
+done
+
 go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./internal/hashtbl/...
 
 # The global shared-table engine's whole correctness story is concurrent:
@@ -58,9 +77,12 @@ MEMAGG_WAL_GUARD=1 go test -run 'TestWALOverheadGuard' -count=1 -v ./internal/st
 # quantile/mode byte-equal across worker counts and fold cutoffs against a
 # serial reference) and the result-cache contracts (single-flight,
 # watermark isolation, eviction) are pinned by name under the race
-# detector — the fold single-flight, offset-writing kernels, and cache all
-# run concurrently in production.
+# detector — the fold single-flight, agg.Run's offset-writing kernels, and
+# the cache all run concurrently in production. The query vocabulary's own
+# table (every spelling round-trips, QueryID values pinned as the on-disk
+# format they are, NaN/out-of-range quantiles rejected) rides along.
 go test -race -run 'TestQueryParallelSerialEquivalence|TestQueryConcurrentSnapshots|TestQueryCache' -count=1 -v ./internal/stream
+go test -race -run 'TestParseQuery|TestQueryValidate|TestQueryIDsPinned' -count=1 -v ./internal/agg
 
 # Query overhead guard: the partition-parallel query path at 1 worker must
 # stay within 20% of the plain serial path — the morsel dispatch and
@@ -90,6 +112,9 @@ go test -race -run 'TestRingMovementOnAdd' -count=1 -v ./internal/chash
 go test -race -run 'FuzzChunkWire|TestChunkWire|TestChunkStream' -count=1 -v ./internal/agg
 go test -race -run 'TestAppendChunkOwnedEquivalence|TestAppendChunkPoolRecycling' -count=1 -v ./internal/stream
 go test -race -run 'TestIngestEquivalenceJSONBinary|TestClusterIngestEquivalence|TestIngestBinaryMultiChunkBody|TestIngestBinaryRejectsCorruptBody|TestVersionedPathAliases' -count=1 -v ./cmd/aggserve
+# Query-parameter gate: p=NaN answers 400 (it used to crash the process)
+# and the router validates before it gathers.
+go test -race -run 'TestQuantileNaNRejected|TestRouterValidatesBeforeGather' -count=1 -v ./cmd/aggserve
 
 # Ingest wire throughput guard: binary chunk ingest must not be slower
 # than JSON ingest for the same rows through the same server (the -exp

@@ -394,6 +394,16 @@ func (sn *StreamSnapshot) EncodePartials(dst []byte) []byte {
 	return cluster.EncodeSnapshot(dst, sn.sn)
 }
 
+// Run executes one parsed query (see agg.ParseQuery for the vocabulary)
+// and returns its result in the public row types — see ResultRows. It is
+// the untyped form of the methods below, for callers that dispatch on a
+// query name (cmd/aggserve); both go through the same kernels and result
+// cache. A holistic query on a distributive stream is ErrUnsupported.
+func (sn *StreamSnapshot) Run(q agg.Query) (any, error) {
+	v, err := sn.sn.Run(q)
+	return ResultRows(v), err
+}
+
 // CountByKey executes Q1: one (key, COUNT(*)) row per distinct key.
 func (sn *StreamSnapshot) CountByKey() []GroupCount { return toCounts(sn.sn.CountByKey()) }
 

@@ -1,6 +1,8 @@
 package memagg
 
 import (
+	"fmt"
+
 	"memagg/internal/agg"
 	"memagg/internal/cview"
 )
@@ -99,9 +101,9 @@ type ViewResult struct {
 // checkpoints and Close, with the WAL suffix replayed through the same
 // fold path on restart.
 func (s *Stream) RegisterView(v ViewSpec) error {
-	q, err := cview.ParseQuery(v.Query, v.P, v.Lo, v.Hi)
+	q, err := agg.ParseQuery(v.Query, v.P, v.Lo, v.Hi)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %v", ErrBadView, err)
 	}
 	return s.s.RegisterView(cview.Spec{
 		Name:     v.Name,
@@ -174,15 +176,24 @@ func toViewResult(res *cview.Result) *ViewResult {
 		Version:     res.Version,
 		Truncated:   res.Truncated,
 	}
-	switch v := res.Value.(type) {
-	case []agg.GroupCount:
-		out.Value = toCounts(v)
-	case []agg.GroupFloat:
-		out.Value = toValues(v)
-	case []agg.GroupUint:
-		out.Value = toStats(v)
-	default:
-		out.Value = res.Value // uint64 (q4) or float64 (q5, q6)
-	}
+	out.Value = ResultRows(res.Value)
 	return out
+}
+
+// ResultRows converts an internal query result (what agg.Run, a cluster
+// gather, or a view read returns) to the public row types: []GroupCount
+// (q1, q7), []GroupValue (q2, q3, quantile, mode), []GroupStat
+// (sum/min/max); the scalars — uint64 (q4), float64 (q5, q6) — pass
+// through. It is the one converter behind StreamSnapshot.Run, ViewResult
+// and the aggserve router, so every serving path encodes the same shapes.
+func ResultRows(v any) any {
+	switch rows := v.(type) {
+	case []agg.GroupCount:
+		return toCounts(rows)
+	case []agg.GroupFloat:
+		return toValues(rows)
+	case []agg.GroupUint:
+		return toStats(rows)
+	}
+	return v
 }
