@@ -10,6 +10,8 @@ import (
 
 	"memagg/internal/agg"
 	"memagg/internal/cview"
+	"memagg/internal/morsel"
+	"memagg/internal/radix"
 	"memagg/internal/wal"
 	"memagg/internal/wal/checkpoint"
 )
@@ -103,8 +105,9 @@ func (s *Stream) ReadOnly() bool {
 
 // Open starts a stream like New and, when cfg.Durability is enabled,
 // recovers existing state first: the latest durable checkpoint is loaded
-// as the base generation, the WAL suffix past its watermark is replayed
-// into sealed deltas, and the log is left open for the write-ahead path.
+// as the base generation, the WAL suffix past its watermark is folded
+// into that base's partitions (the stream boots with no sealed backlog),
+// and the log is left open for the write-ahead path.
 // A corrupt WAL tail is truncated (longest-valid-prefix recovery); a
 // corrupt checkpoint is an error wrapping wal.ErrWALCorrupt — it never
 // silently drops acknowledged rows.
@@ -172,29 +175,32 @@ func Open(cfg Config) (*Stream, error) {
 		}
 	}
 
-	// Replay the WAL suffix: each surviving record is one sealed delta,
-	// rebuilt exactly as its shard built it the first time. Records at or
-	// below the checkpoint watermark are already folded into the base, but
-	// still feed any continuous view whose panes lag them. SkipBelow prunes
-	// whole segments only when no view needs their records either.
-	var sealed []*delta
+	// Replay the WAL suffix straight into the base generation's radix
+	// partitions: the recovered tables are not shared with anyone until the
+	// first install, so each record past the checkpoint watermark folds into
+	// them in place — recovery costs O(groups) memory and leaves no sealed
+	// backlog for the merger. A record becomes a delta of its own only when
+	// a continuous view still has to fold that seal. Records at or below
+	// the checkpoint watermark are already in the base and are read only
+	// for such views; SkipBelow prunes whole segments when no view needs
+	// their records either.
 	skipBelow := ckptWM
 	if wm, need := s.views.ReplayFloor(); need && wm < skipBelow {
 		skipBelow = wm
 	}
 	replay := func(r wal.Record) error {
 		end := r.EndWatermark
-		prev := end - uint64(len(r.Keys))
-		feed := s.views.Active() && s.views.NeedSeal(end)
-		if end <= ckptWM && !feed {
-			return nil
-		}
-		d := replayDelta(r.Keys, r.Vals, cfg.Holistic)
-		if feed {
-			s.foldViews(prev, end, d)
+		rows := uint64(len(r.Keys))
+		if s.views.Active() && s.views.NeedSeal(end) {
+			d := &delta{Table: agg.NewTable(deltaTableCap), rows: rows}
+			absorbRows(d.Table, r.Keys, r.Vals, cfg.Holistic)
+			s.foldViews(end-rows, end, d)
 		}
 		if end > ckptWM {
-			sealed = append(sealed, d)
+			if base == nil {
+				base = &generation{parts: make([]agg.Table, 1<<cfg.MergeBits), bits: cfg.MergeBits, seq: 1}
+			}
+			s.replayInto(base, r.Keys, r.Vals)
 		}
 		return nil
 	}
@@ -223,22 +229,25 @@ func Open(cfg Config) (*Stream, error) {
 	}
 	s.dur.log = log
 
-	wm := ckptWM
-	for _, d := range sealed {
-		wm += d.rows
+	var wm uint64
+	if base != nil {
+		base.groups = agg.Groups(base.parts)
+		wm = base.rows
 	}
-	s.view.Store(s.newView(base, sealed, wm))
+	s.view.Store(s.newView(base, nil, wm))
 
 	s.start()
-	if len(sealed) > 0 {
-		s.wake <- struct{}{}
+	// A long replay can leave the base a whole cadence past the checkpoint:
+	// ring the checkpointer exactly as a merge install would.
+	if base != nil {
+		s.maybeCheckpoint(base)
 	}
 	s.m.recoveryLat.Observe(time.Since(start))
 	return s, nil
 }
 
 // restoreGeneration rebuilds a base generation from a checkpoint's
-// partition runs.
+// partition runs. Open sets its group count once the WAL suffix is in.
 func restoreGeneration(meta *checkpoint.Meta, parts [][]checkpoint.Group, holistic bool) *generation {
 	g := &generation{
 		parts: make([]agg.Table, len(parts)),
@@ -260,26 +269,32 @@ func restoreGeneration(meta *checkpoint.Meta, parts [][]checkpoint.Group, holist
 				}
 			}
 		}
-		g.groups += tb.Len()
 		g.parts[q] = tb
 	}
 	return g
 }
 
-// replayDelta rebuilds one sealed delta from a WAL record's raw rows — the
-// same fold absorb performs on the ingest path. Replayed deltas carry no
-// raw-row mirror: their record is already in the log.
-func replayDelta(keys, vals []uint64, holistic bool) *delta {
-	d := &delta{Table: agg.NewTable(deltaTableCap)}
-	for i, k := range keys {
-		p := d.T.Upsert(k)
-		p.Observe(vals[i])
-		if holistic {
-			p.Buffer(d.Ar, vals[i])
+// replayInto folds one WAL record's rows into g's partitions: the
+// Hash_RX scatter at g's fan-out, then each touched partition absorbs its
+// rows with the shards' absorb kernel, partitions in parallel at the
+// merger's parallelism. Every key lands in the partition the merger would
+// have put it in, and Partial folds are insensitive to how rows are
+// grouped, so the result is exactly the generation a merge of the
+// record's delta would build. Only for an unpublished generation: it
+// mutates g in place.
+func (s *Stream) replayInto(g *generation, keys, vals []uint64) {
+	pt := radix.Partition(keys, vals, g.bits, s.cfg.MergeWorkers)
+	morsel.Parts(pt.NumPartitions(), s.cfg.MergeWorkers, func(_, q int) {
+		pk := pt.PartKeys(q)
+		if len(pk) == 0 {
+			return
 		}
-	}
-	d.rows = uint64(len(keys))
-	return d
+		if g.parts[q].T == nil {
+			g.parts[q] = agg.NewTable(len(pk))
+		}
+		absorbRows(g.parts[q], pk, pt.PartVals(q), s.cfg.Holistic)
+	})
+	g.rows += uint64(len(keys))
 }
 
 // logSeal is publish's write-ahead step, called under viewMu before the
@@ -432,5 +447,6 @@ func (m *metrics) walMetrics() *wal.Metrics {
 		SegsDropped:  m.walSegsDropped,
 		ReplayedRows: m.walReplayedRows,
 		SyncLat:      m.walSyncLat,
+		AppendLat:    m.walAppendLat,
 	}
 }

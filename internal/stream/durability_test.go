@@ -3,8 +3,11 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"memagg/internal/agg"
+	"memagg/internal/cview"
 	"memagg/internal/dataset"
 	"memagg/internal/wal"
 )
@@ -454,5 +457,127 @@ func TestCheckpointAheadOfWALRecovery(t *testing.T) {
 	w := checkRecoveredPrefix(t, "checkpoint-ahead", mem, 3000, keys2, vals2)
 	if w != uint64(len(keys2)) {
 		t.Fatalf("recovered watermark %d, want %d: acknowledged rows lost after checkpoint-ahead reopen", w, len(keys2))
+	}
+}
+
+// TestRecoveryFoldsIntoBase pins the shape of a recovered stream: Open
+// folds the WAL suffix straight into the base generation, so the stream
+// boots with no sealed backlog and no merge owed, and still answers every
+// query exactly as a stream that never crashed — with and without
+// holistic state, with and without a checkpoint under the suffix, with
+// and without a continuous view replaying alongside.
+func TestRecoveryFoldsIntoBase(t *testing.T) {
+	keys, vals := gateData()
+	half := len(keys) / 2
+	for _, holistic := range []bool{false, true} {
+		for _, ckpt := range []bool{false, true} {
+			for _, withView := range []bool{false, true} {
+				name := fmt.Sprintf("holistic=%v/checkpoint=%v/view=%v", holistic, ckpt, withView)
+				t.Run(name, func(t *testing.T) {
+					checkRecoveryFoldsIntoBase(t, keys, vals, half, holistic, ckpt, withView)
+				})
+			}
+		}
+	}
+}
+
+func checkRecoveryFoldsIntoBase(t *testing.T, keys, vals []uint64, half int, holistic, ckpt, withView bool) {
+	// No cadence checkpoint ever fires: with ckpt the only checkpoint is
+	// the graceful close after the first half, so the WAL suffix is
+	// exactly the second half; without, the WAL holds everything.
+	every := -1
+	if ckpt {
+		every = 1 << 30
+	}
+	mem := wal.NewMemFS()
+	efs := wal.NewErrFS(mem)
+	cfg := func(fs wal.FS) Config {
+		c := durableConfig(fs, every)
+		c.Holistic = holistic
+		return c
+	}
+	spec := cview.Spec{Name: "w", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 700, Panes: 3, Sliding: true}
+
+	s, err := Open(cfg(efs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if withView {
+		if err := s.RegisterView(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ingestUntilError(s, keys[:half], vals[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantCkpt := uint64(0)
+	if ckpt {
+		wantCkpt = uint64(half)
+	}
+	if got := s.Stats().CheckpointWatermark; got != wantCkpt {
+		t.Fatalf("checkpoint watermark %d after first half, want %d", got, wantCkpt)
+	}
+
+	s, err = Open(cfg(efs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ingestUntilError(s, keys[half:], vals[half:]); err != nil {
+		t.Fatal(err)
+	}
+	var before *cview.Result
+	if withView {
+		if before, err = s.ViewResult(spec.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	efs.Cut() // hard kill: no final checkpoint, no pane snapshot
+	_ = s.Close()
+
+	r, err := Open(cfg(mem))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	st := r.Stats()
+	if st.SealedPending != 0 || st.Merges != 0 {
+		t.Fatalf("recovered stream owes the merger: SealedPending=%d Merges=%d, want 0/0",
+			st.SealedPending, st.Merges)
+	}
+	if st.Watermark != uint64(len(keys)) {
+		t.Fatalf("recovered watermark %d, want %d", st.Watermark, len(keys))
+	}
+
+	ref := New(Config{Shards: 1, SealRows: 512, MergeBits: 4, Holistic: holistic})
+	defer ref.Close()
+	if err := ingestUntilError(ref, keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	got, want := r.Snapshot(), ref.Snapshot()
+	for _, q := range equivQueries() {
+		gv, gerr := got.Run(q)
+		wv, werr := want.Run(q)
+		if (gerr != nil) != (werr != nil) {
+			t.Fatalf("%v: recovered err %v, reference err %v", q, gerr, werr)
+		}
+		if werr == nil && !reflect.DeepEqual(sortedValue(gv), sortedValue(wv)) {
+			t.Fatalf("%v: recovered result differs from the never-crashed reference", q)
+		}
+	}
+
+	if withView {
+		after, err := r.ViewResult(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.Truncated || after.WindowStart != before.WindowStart || after.WindowEnd != before.WindowEnd ||
+			after.Rows != before.Rows || !reflect.DeepEqual(sortedValue(after.Value), sortedValue(before.Value)) {
+			t.Fatalf("recovered view (%d, %d] rows %d truncated=%v, want pre-kill (%d, %d] rows %d and the same result",
+				after.WindowStart, after.WindowEnd, after.Rows, after.Truncated,
+				before.WindowStart, before.WindowEnd, before.Rows)
+		}
 	}
 }

@@ -53,13 +53,14 @@ type metrics struct {
 	walReplayedRows *obs.Counter // rows replayed from the WAL at Open
 	ckpts           *obs.Counter // checkpoints committed
 
-	walSyncLat  *obs.Histogram // WAL fsync latency
-	ckptLat     *obs.Histogram // checkpoint write+commit duration
-	recoveryLat *obs.Histogram // Open recovery duration (load + replay)
+	walSyncLat   *obs.Histogram // WAL fsync latency
+	walAppendLat *obs.Histogram // WAL append latency (one record per seal)
+	ckptLat      *obs.Histogram // checkpoint write+commit duration
+	recoveryLat  *obs.Histogram // Open recovery duration (load + replay)
 
-	// Continuous-view instruments (internal/cview): the counters record
-	// through the cview.Metrics view cviewMetrics builds; the update
-	// histogram times the per-seal fold across all registered views.
+	// Continuous-view instruments (internal/cview), all recording through
+	// the cview.Metrics view cviewMetrics builds; the update histogram
+	// times each pane settle (a batch of deferred per-seal folds).
 	cviewUpdates      *obs.Counter
 	cviewPanesOpened  *obs.Counter
 	cviewPanesEvicted *obs.Counter
@@ -120,6 +121,8 @@ func newMetrics(s *Stream) *metrics {
 			"Checkpoints committed (CURRENT swapped)."),
 		walSyncLat: reg.NewHistogram("memagg_wal_fsync_seconds",
 			"WAL fsync latency."),
+		walAppendLat: reg.NewHistogram("memagg_wal_append_seconds",
+			"WAL append latency: record encode, write, any segment rotation and fsync."),
 		ckptLat: reg.NewHistogram("memagg_wal_checkpoint_seconds",
 			"Checkpoint duration (partition runs, META, CURRENT swap)."),
 		recoveryLat: reg.NewHistogram("memagg_wal_recovery_seconds",
@@ -135,7 +138,7 @@ func newMetrics(s *Stream) *metrics {
 		cviewReadsCached: reg.NewCounter("memagg_cview_reads_cached_total",
 			"Continuous-view reads answered from the version cache (view unchanged)."),
 		cviewUpdateLat: reg.NewHistogram("memagg_cview_update_seconds",
-			"Per-seal continuous-view update latency (all registered views' pane folds)."),
+			"Continuous-view pane settle latency (one batch of deferred per-seal folds)."),
 	}
 	// View-derived state is served as scrape-time gauges rather than
 	// double-maintained counters: the view pointer already is the truth.
@@ -223,6 +226,7 @@ func (m *metrics) cviewMetrics() *cview.Metrics {
 		PanesEvicted: m.cviewPanesEvicted,
 		Reads:        m.cviewReads,
 		ReadsCached:  m.cviewReadsCached,
+		UpdateLat:    m.cviewUpdateLat,
 	}
 }
 

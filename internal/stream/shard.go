@@ -75,12 +75,8 @@ func (sh *shard) run() {
 	sh.seal() // Close: publish whatever is left
 }
 
-// absorb folds one batch into the current delta. The holistic check is
-// hoisted out of the row loop, kernels-style, and both loops run in
-// hashtbl.HashBatch-blocked form — fill a block of Mix hashes first, then
-// probe with UpsertH — exactly like the batch engines' lpBuild* kernels:
-// the hash multiplies of a block overlap each other and the probes'
-// dependent cache misses instead of serializing row by row.
+// absorb folds one batch into the current delta via the shared absorb
+// kernel, and mirrors the raw rows on durable streams.
 func (sh *shard) absorb(b batch) {
 	if sh.cur == nil {
 		sh.cur = &delta{Table: agg.NewTable(sh.deltaSeed())}
@@ -89,14 +85,31 @@ func (sh *shard) absorb(b batch) {
 			sh.spareKeys, sh.spareVals = nil, nil
 		}
 	}
-	t := sh.cur.T
+	absorbRows(sh.cur.Table, b.keys, b.vals, sh.s.cfg.Holistic)
+	sh.cur.rows += uint64(len(b.keys))
+	if sh.s.dur != nil {
+		sh.cur.keys = append(sh.cur.keys, b.keys...)
+		sh.cur.vals = append(sh.cur.vals, b.vals...)
+	}
+}
+
+// absorbRows folds raw rows (vals[i] belongs to keys[i], equal length)
+// into dst: the one absorb kernel, run by the shards on ingest and by
+// recovery when it replays WAL records into the base's partitions. The
+// holistic check is hoisted out of the row loop, kernels-style, and both
+// loops run in hashtbl.HashBatch-blocked form — fill a block of Mix
+// hashes first, then probe with UpsertH — exactly like the batch engines'
+// lpBuild* kernels: the hash multiplies of a block overlap each other and
+// the probes' dependent cache misses instead of serializing row by row.
+func absorbRows(dst agg.Table, keys, vals []uint64, holistic bool) {
+	t := dst.T
 	var h [hashtbl.HashBatch]uint64
 	i := 0
-	if sh.s.cfg.Holistic {
-		ar := sh.cur.Ar
-		for ; i+hashtbl.HashBatch <= len(b.keys); i += hashtbl.HashBatch {
-			bk := b.keys[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
-			bv := b.vals[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
+	if holistic {
+		ar := dst.Ar
+		for ; i+hashtbl.HashBatch <= len(keys); i += hashtbl.HashBatch {
+			bk := keys[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
+			bv := vals[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
 			hashtbl.MixBatch(&h, bk)
 			for j, k := range bk {
 				p := t.UpsertH(k, h[j])
@@ -104,28 +117,23 @@ func (sh *shard) absorb(b batch) {
 				p.Buffer(ar, bv[j])
 			}
 		}
-		for ; i < len(b.keys); i++ {
-			p := t.Upsert(b.keys[i])
-			p.Observe(b.vals[i])
-			p.Buffer(ar, b.vals[i])
+		for ; i < len(keys); i++ {
+			p := t.Upsert(keys[i])
+			p.Observe(vals[i])
+			p.Buffer(ar, vals[i])
 		}
-	} else {
-		for ; i+hashtbl.HashBatch <= len(b.keys); i += hashtbl.HashBatch {
-			bk := b.keys[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
-			bv := b.vals[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
-			hashtbl.MixBatch(&h, bk)
-			for j, k := range bk {
-				t.UpsertH(k, h[j]).Observe(bv[j])
-			}
-		}
-		for ; i < len(b.keys); i++ {
-			t.Upsert(b.keys[i]).Observe(b.vals[i])
+		return
+	}
+	for ; i+hashtbl.HashBatch <= len(keys); i += hashtbl.HashBatch {
+		bk := keys[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
+		bv := vals[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
+		hashtbl.MixBatch(&h, bk)
+		for j, k := range bk {
+			t.UpsertH(k, h[j]).Observe(bv[j])
 		}
 	}
-	sh.cur.rows += uint64(len(b.keys))
-	if sh.s.dur != nil {
-		sh.cur.keys = append(sh.cur.keys, b.keys...)
-		sh.cur.vals = append(sh.cur.vals, b.vals...)
+	for ; i < len(keys); i++ {
+		t.Upsert(keys[i]).Observe(vals[i])
 	}
 }
 

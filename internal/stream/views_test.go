@@ -615,3 +615,40 @@ func TestCViewStats(t *testing.T) {
 		t.Fatalf("reads=%d cached=%d, want 2/1", st.ViewReads, st.ViewReadsCached)
 	}
 }
+
+// TestCViewUpdateLatencyRecorded: a view read that settles pending folds
+// records one memagg_cview_update_seconds sample per settled pane, and a
+// read with nothing pending records none.
+func TestCViewUpdateLatencyRecorded(t *testing.T) {
+	s := New(viewConfig())
+	defer s.Close()
+	if err := s.RegisterView(cview.Spec{Name: "lat", Query: agg.Query{ID: agg.QCount},
+		PaneRows: 1 << 20, Panes: 1}); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]uint64, 300)
+	for i := range keys {
+		keys[i] = uint64(i % 17)
+	}
+	if err := s.Append(keys, keys); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.m.cviewUpdateLat.Snapshot().Count; n != 0 {
+		t.Fatalf("%d update samples before any read settled a fold", n)
+	}
+	if _, err := s.ViewResult("lat"); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.m.cviewUpdateLat.Snapshot().Count; n != 1 {
+		t.Fatalf("%d update samples after the settling read, want 1", n)
+	}
+	if _, err := s.ViewResult("lat"); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.m.cviewUpdateLat.Snapshot().Count; n != 1 {
+		t.Fatalf("%d update samples after a read with nothing pending, want 1", n)
+	}
+}

@@ -351,13 +351,17 @@ func Load(fs wal.FS, root string) (*Meta, [][]Group, error) {
 	}
 	dir := filepath.Join(root, strings.TrimSpace(string(data)))
 
-	meta, err := loadMeta(fs, dir)
+	// One read buffer serves META and every run in turn: runs are
+	// typically tens of KB, and a frame larger than the buffer is read
+	// straight into its payload, so a bigger buffer buys nothing.
+	r := bufio.NewReaderSize(nil, loadBufBytes)
+	meta, err := loadMeta(fs, dir, r)
 	if err != nil {
 		return nil, nil, err
 	}
 	parts := make([][]Group, meta.Parts())
 	for q := range parts {
-		groups, err := loadPartition(fs, dir, q, meta.Holistic)
+		groups, err := loadPartition(fs, dir, q, meta.Holistic, r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -366,8 +370,11 @@ func Load(fs wal.FS, root string) (*Meta, [][]Group, error) {
 	return meta, parts, nil
 }
 
-func loadMeta(fs wal.FS, dir string) (*Meta, error) {
-	payload, err := readFramedFile(fs, filepath.Join(dir, metaName))
+// loadBufBytes sizes Load's one shared read buffer.
+const loadBufBytes = 64 << 10
+
+func loadMeta(fs wal.FS, dir string, r *bufio.Reader) (*Meta, error) {
+	payload, err := readFramedFile(fs, filepath.Join(dir, metaName), r)
 	if err != nil {
 		return nil, err
 	}
@@ -387,13 +394,13 @@ func loadMeta(fs wal.FS, dir string) (*Meta, error) {
 	return m, nil
 }
 
-func loadPartition(fs wal.FS, dir string, q int, holistic bool) ([]Group, error) {
+func loadPartition(fs wal.FS, dir string, q int, holistic bool, r *bufio.Reader) ([]Group, error) {
 	f, err := fs.Open(filepath.Join(dir, partName(q)))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open %s: %v: %w", partName(q), err, wal.ErrWALCorrupt)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	r.Reset(f)
 	var groups []Group
 	frames := 0
 	for {
@@ -460,14 +467,16 @@ func decodeRunFrame(groups []Group, payload []byte, q int, holistic bool) ([]Gro
 	return groups, nil
 }
 
-// readFramedFile reads a whole single-frame file, validating its CRC.
-func readFramedFile(fs wal.FS, path string) ([]byte, error) {
+// readFramedFile reads a whole single-frame file through r, validating
+// its CRC.
+func readFramedFile(fs wal.FS, path string, r *bufio.Reader) ([]byte, error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: open %s: %v: %w", path, err, wal.ErrWALCorrupt)
 	}
 	defer f.Close()
-	payload, _, err := wal.ReadFrame(bufio.NewReaderSize(f, 1<<20))
+	r.Reset(f)
+	payload, _, err := wal.ReadFrame(r)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}

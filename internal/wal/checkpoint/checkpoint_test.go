@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"memagg/internal/wal"
@@ -278,4 +279,64 @@ func TestOversizedGroupFailsCheckpoint(t *testing.T) {
 	if err == nil {
 		t.Fatal("oversized group framed without error")
 	}
+}
+
+// TestCheckpointLoadAllocBound: Load allocates within a small multiple of
+// the checkpoint's on-disk bytes — the decoded frames plus the Group
+// slices, and one shared read buffer. A per-file read buffer would cost
+// its full size for every run however small the run is, which at 64
+// partitions of ~40 KB is an order of magnitude over the bound.
+func TestCheckpointLoadAllocBound(t *testing.T) {
+	const groupsPerPart = 1024
+	fs := wal.NewMemFS()
+	meta := Meta{Seq: 1, Watermark: 1 << 20, Bits: 6}
+	w, err := NewWriter(fs, "ck", meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < meta.Parts(); q++ {
+		err := w.WritePartition(q, func(yield func(Group)) {
+			for i := 0; i < groupsPerPart; i++ {
+				k := uint64(q*groupsPerPart + i)
+				yield(Group{Key: k, Count: 16, Sum: 16 * k, Min: k, Max: k + 15})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join("ck", ckptDirName(meta.Seq))
+	names, err := fs.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var disk int64
+	for _, n := range names {
+		sz, err := fs.Size(filepath.Join(dir, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk += sz
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, parts, err := Load(fs, "ck")
+	runtime.ReadMemStats(&after)
+	if err != nil || got == nil {
+		t.Fatalf("load: meta %v, err %v", got, err)
+	}
+	if n := len(parts) * len(parts[0]); n != meta.Parts()*groupsPerPart {
+		t.Fatalf("loaded %d groups, want %d", n, meta.Parts()*groupsPerPart)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := 4 * uint64(disk); alloc > limit {
+		t.Fatalf("Load allocated %d bytes for a %d-byte checkpoint (%.1fx), want <= 4x",
+			alloc, disk, float64(alloc)/float64(disk))
+	}
+	t.Logf("Load allocated %d bytes for a %d-byte checkpoint (%.2fx)", alloc, disk, float64(alloc)/float64(disk))
 }

@@ -66,6 +66,7 @@ type Metrics struct {
 	SegsDropped  *obs.Counter   // segments removed by truncation
 	ReplayedRows *obs.Counter   // rows handed to replay at Open
 	SyncLat      *obs.Histogram // fsync latency
+	AppendLat    *obs.Histogram // Append latency: encode, write, any rotation and fsync
 }
 
 func inc(c *obs.Counter) {
@@ -436,6 +437,9 @@ func (l *Log) writeManifest() error {
 // torn, so every subsequent Append fails too and the caller must degrade
 // (recovery will repair the tail).
 func (l *Log) Append(r Record) error {
+	if m := l.opts.Metrics; m != nil && m.AppendLat != nil {
+		defer obs.Start().Tick(m.AppendLat)
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

@@ -3,6 +3,8 @@ package wal
 import (
 	"errors"
 	"testing"
+
+	"memagg/internal/obs"
 )
 
 // appendRows appends n single-row records to l, continuing from watermark
@@ -407,4 +409,29 @@ func TestResetBaseline(t *testing.T) {
 		t.Fatalf("replayed rows %v, want 51..55", keys)
 	}
 	l2.Close()
+}
+
+// TestAppendLatencyTimed: every Append records one AppendLat sample, and
+// the sample encloses the append's fsync — under sync=always the append
+// histogram's total can never be below the fsync histogram's.
+func TestAppendLatencyTimed(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := &Metrics{
+		AppendLat: reg.NewHistogram("append_seconds", "test"),
+		SyncLat:   reg.NewHistogram("fsync_seconds", "test"),
+	}
+	l, err := Open("wal", Options{FS: NewMemFS(), SyncPolicy: SyncAlways, Metrics: m}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	sync0 := m.SyncLat.Snapshot().SumNano // Open's own syncs, if any
+	appendRows(t, l, 0, 20)
+	app, syn := m.AppendLat.Snapshot(), m.SyncLat.Snapshot().SumNano-sync0
+	if app.Count != 20 {
+		t.Fatalf("append histogram holds %d samples, want 20", app.Count)
+	}
+	if app.SumNano < syn {
+		t.Fatalf("appends total %d ns < their fsyncs' %d ns", app.SumNano, syn)
+	}
 }

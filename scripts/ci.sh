@@ -64,9 +64,16 @@ MEMAGG_OBS_GUARD=1 go test -run 'TestObsOverheadGuard' -count=1 -v ./internal/st
 # suite runs under the race detector, and the kill-and-replay equivalence
 # gate — hard-kill via fault injection at arbitrary points, reopen,
 # Q1-Q7 must match a never-crashed reference at the recovered watermark —
-# is pinned by name so a test rename can't silently drop it.
+# is pinned by name so a test rename can't silently drop it. Beside it:
+# recovery folds the WAL suffix straight into the base (no sealed backlog,
+# no merge owed after Open, answers and views identical to a never-crashed
+# stream), checkpoint loads allocate within a small multiple of their
+# on-disk size (one shared read buffer, not one per partition file), and
+# the WAL append and view-settle histograms actually record.
 go test -race ./internal/wal/...
-go test -race -run 'TestCrashRecoveryEquivalence|TestCorruptTailRecoversPrefix|FuzzWALRecovery' -count=1 -v ./internal/stream
+go test -race -run 'TestCrashRecoveryEquivalence|TestCorruptTailRecoversPrefix|FuzzWALRecovery|TestRecoveryFoldsIntoBase|TestCViewUpdateLatencyRecorded' -count=1 -v ./internal/stream
+go test -race -run 'TestCheckpointLoadAllocBound' -count=1 -v ./internal/wal/checkpoint
+go test -race -run 'TestAppendLatencyTimed' -count=1 -v ./internal/wal
 
 # WAL overhead guard: with SyncPolicy=none the durable ingest path (raw-row
 # mirror, record encode, CRC32C, buffered write) must stay within 15% of a
