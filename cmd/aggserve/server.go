@@ -218,7 +218,11 @@ func (srv *server) handlePartials(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sn := srv.stream.Snapshot()
-	buf := sn.EncodePartials(nil)
+	buf, err := sn.EncodePartials(nil)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Memagg-Watermark", strconv.FormatUint(sn.Watermark(), 10))
 	if _, err := w.Write(buf); err != nil {

@@ -83,14 +83,6 @@ func (p *Partial) MergeValues(dst *arena.Arena, o *Partial, src *arena.Arena) {
 	src.Each(o.vals, func(v uint64) { dst.Append(&p.vals, v) })
 }
 
-// RestorePartial reconstructs a Partial from its serialized eager state —
-// the decode half of the durability layer's checkpoint codec (the encode
-// half reads Count/Sum/Min/Max). count == 0 restores the empty group;
-// buffered values are restored separately with Buffer.
-func RestorePartial(count, sum, min, max uint64) Partial {
-	return Partial{count: count, sum: sum, min: min, max: max, seen: count > 0}
-}
-
 // Count returns the group's record count.
 func (p *Partial) Count() uint64 { return p.count }
 

@@ -30,10 +30,10 @@
 //     reflects an exact prefix of its node's ingest), so scatter-gather
 //     needs no cross-node coordination to be consistent.
 //
-// The wire format reuses the WAL's self-validating frame codec
-// (length + CRC32C + payload, internal/wal.AppendFrame/ReadFrame) around
-// sequences of agg.Partial wire records — the same chunked-run framing
-// the checkpoint subsystem writes to disk, pointed at a socket.
+// The wire format is a header frame plus the snapshot's tables as one agg
+// group run — the record format, chunker and decoder the checkpoint
+// subsystem and view pane snapshots use on disk, pointed at a socket —
+// every frame the WAL's self-validating length + CRC32C + payload.
 //
 // Failure handling: every peer has a bounded in-flight window, transient
 // errors retry with exponential backoff, and consecutive failures trip a

@@ -8,33 +8,30 @@ import (
 	"io"
 
 	"memagg/internal/agg"
-	"memagg/internal/arena"
 	"memagg/internal/stream"
 	"memagg/internal/wal"
 )
 
 // Partial-set wire format — what a node streams to the router on
-// GET /partials. It reuses the WAL's self-validating frame codec
-// (internal/wal: u32 length + u32 CRC32C + payload), so every chunk is
-// integrity-checked and a truncated response is detected, not mis-read:
+// GET /partials: a header frame, then the snapshot's tables as one agg
+// group run (internal/agg/grouprun.go — the record format and chunker
+// checkpoint runs and view panes use), every frame the WAL's
+// self-validating u32 length + u32 CRC32C + payload, so a truncated
+// response is detected, not mis-read:
 //
 //	frame 0 (header):  "MAGP" u8:version u8:flags u64:watermark u64:groups
-//	frame 1..k (chunk): u32:ngroups, then ngroups agg.Partial wire records
+//	frame 1..k (run):  u32:ngroups, then ngroups group records
 //
-// flags bit0 = holistic (value multisets present). Chunks are cut near
-// chunkTarget so neither side ever buffers the whole set; the header's
-// group count tells the decoder when the set is complete, so there is no
-// trailer — a short stream is a framing error.
+// flags bit0 = holistic: the records carry value multisets. The run is at
+// least one frame and cut at agg.RunFrameBytes, so neither side ever
+// buffers a frame larger than a few MiB; the header's group count tells
+// the decoder when the set is complete, so there is no trailer — a short
+// stream is a framing error.
 
 // setVersion is the partial-set wire version. Bump on layout change; the
-// decoder rejects versions it does not speak.
-const setVersion = 1
-
-// chunkTarget is the soft payload bound a chunk frame is cut at. Well
-// under wal.MaxFrame, sized so a chunk amortizes framing overhead while
-// keeping decoder buffers modest. A var so tests can force multi-chunk
-// sets without megarow fixtures.
-var chunkTarget = 4 << 20
+// decoder rejects versions it does not speak. Version 2 records carry a
+// value count only in holistic sets (version 1 records always did).
+const setVersion = 2
 
 const setFlagHolistic = 1
 
@@ -43,7 +40,7 @@ var setMagic = [4]byte{'M', 'A', 'G', 'P'}
 // ErrBadSet marks a structurally invalid partial set: bad magic, unknown
 // version, or a stream that disagrees with its own header. Frame-level
 // corruption surfaces as wal.ErrWALCorrupt and record-level corruption as
-// agg.ErrPartialWire; all three mean "discard this response".
+// agg.ErrGroupRun; all three mean "discard this response".
 var ErrBadSet = errors.New("cluster: malformed partial set")
 
 // setHeader is the decoded header frame.
@@ -87,41 +84,34 @@ func decodeSetHeader(payload []byte) (setHeader, error) {
 // EncodeSnapshot appends the full partial set of sn to dst and returns
 // the extended slice: every group's merged partial, including buffered
 // value multisets when the stream retains them. The result decodes to
-// state Merge-equivalent to the snapshot — the node side of /partials.
-func EncodeSnapshot(dst []byte, sn *stream.Snapshot) []byte {
+// state Merge-equivalent to the snapshot — the node side of /partials. It
+// fails only on a group too large for one frame (agg.ErrGroupRun).
+func EncodeSnapshot(dst []byte, sn *stream.Snapshot) ([]byte, error) {
+	parts := sn.Parts()
 	dst = appendSetHeader(dst, setHeader{
 		Holistic:  sn.HolisticEnabled(),
 		Watermark: sn.Watermark(),
-		Groups:    uint64(sn.Groups()),
+		Groups:    uint64(agg.Groups(parts)),
 	})
-	chunk := make([]byte, 4, chunkTarget/4)
-	n := uint32(0)
-	flush := func() {
-		if n == 0 {
-			return
-		}
-		binary.LittleEndian.PutUint32(chunk[:4], n)
-		dst = wal.AppendFrame(dst, chunk)
-		chunk = chunk[:4]
-		n = 0
+	run := agg.NewRunWriter(nil, sn.HolisticEnabled(), func(frame []byte) error {
+		dst = append(dst, frame...)
+		return nil
+	})
+	for _, tb := range parts {
+		run.Add(tb)
 	}
-	sn.EachGroup(func(k uint64, p *agg.Partial, ar *arena.Arena) {
-		chunk = agg.AppendPartialWire(chunk, k, p, ar)
-		n++
-		if len(chunk) >= chunkTarget {
-			flush()
-		}
-	})
-	flush()
-	return dst
+	if err := run.Close(); err != nil {
+		return nil, fmt.Errorf("cluster: encode partial set: %w", err)
+	}
+	return dst, nil
 }
 
-// DecodePartialSet reads one partial set from r, invoking fn for every
-// group record. vals aliases an internal buffer valid only during the
-// call — copy (or Partial.Buffer into an arena) to retain. Returns the
-// header (watermark, holistic flag) once the stream checks out end to
-// end; any framing, record, or count mismatch fails the whole set.
-func DecodePartialSet(r io.Reader, fn func(key uint64, p *agg.Partial, vals []uint64) error) (setHeader, error) {
+// DecodePartialSet reads one partial set from r straight into parts: each
+// group lands in parts[radix.PartitionIndex(key, bits)], merging with any
+// state already there. Returns the header (watermark, holistic flag) once
+// the stream checks out end to end; any framing, record, or count
+// mismatch fails the whole set, and parts must then be discarded.
+func DecodePartialSet(r io.Reader, parts []agg.Table, bits int) (setHeader, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	payload, _, err := wal.ReadFrame(br)
 	if err != nil {
@@ -132,30 +122,16 @@ func DecodePartialSet(r io.Reader, fn func(key uint64, p *agg.Partial, vals []ui
 		return setHeader{}, err
 	}
 	var got uint64
-	for got < hdr.Groups {
+	for frames := 0; frames == 0 || got < hdr.Groups; frames++ {
 		payload, _, err := wal.ReadFrame(br)
 		if err != nil {
-			return setHeader{}, fmt.Errorf("cluster: partial set chunk after %d/%d groups: %w", got, hdr.Groups, err)
+			return setHeader{}, fmt.Errorf("cluster: partial set frame after %d/%d groups: %w", got, hdr.Groups, err)
 		}
-		if len(payload) < 4 {
-			return setHeader{}, fmt.Errorf("cluster: chunk of %d bytes: %w", len(payload), ErrBadSet)
+		n, err := agg.DecodeRunFrame(parts, bits, payload, hdr.Holistic)
+		if err != nil {
+			return setHeader{}, fmt.Errorf("cluster: partial set after %d groups: %w", got, err)
 		}
-		n := binary.LittleEndian.Uint32(payload[:4])
-		body := payload[4:]
-		for i := uint32(0); i < n; i++ {
-			key, p, vals, used, err := agg.DecodePartialWire(body)
-			if err != nil {
-				return setHeader{}, fmt.Errorf("cluster: group record %d: %w", got, err)
-			}
-			if err := fn(key, &p, vals); err != nil {
-				return setHeader{}, err
-			}
-			body = body[used:]
-			got++
-		}
-		if len(body) != 0 {
-			return setHeader{}, fmt.Errorf("cluster: %d trailing chunk bytes: %w", len(body), ErrBadSet)
-		}
+		got += uint64(n)
 	}
 	if got != hdr.Groups {
 		return setHeader{}, fmt.Errorf("cluster: set has %d groups, header says %d: %w", got, hdr.Groups, ErrBadSet)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memagg/internal/agg"
+	"memagg/internal/radix"
 	"memagg/internal/stream"
 	"memagg/internal/wal"
 )
@@ -50,21 +51,41 @@ type mgroup struct {
 	vals []uint64
 }
 
+// encode is EncodeSnapshot that fails the test on error.
+func encode(t *testing.T, sn *stream.Snapshot) []byte {
+	t.Helper()
+	buf, err := EncodeSnapshot(nil, sn)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	return buf
+}
+
+// decode decodes a set at the gather's fan-out.
+func decode(b []byte) (setHeader, []agg.Table, error) {
+	parts := make([]agg.Table, 1<<gatherBits)
+	hdr, err := DecodePartialSet(bytes.NewReader(b), parts, gatherBits)
+	return hdr, parts, err
+}
+
 func decodeAll(t *testing.T, buf []byte) (setHeader, map[uint64]*mgroup) {
 	t.Helper()
-	groups := make(map[uint64]*mgroup)
-	hdr, err := DecodePartialSet(bytes.NewReader(buf), func(k uint64, p *agg.Partial, vals []uint64) error {
-		g := groups[k]
-		if g == nil {
-			g = &mgroup{}
-			groups[k] = g
-		}
-		g.p.Merge(p)
-		g.vals = append(g.vals, vals...)
-		return nil
-	})
+	hdr, parts, err := decode(buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
+	}
+	groups := make(map[uint64]*mgroup)
+	for q, tb := range parts {
+		if tb.T == nil {
+			continue
+		}
+		tb.T.Iterate(func(k uint64, p *agg.Partial) bool {
+			if radix.PartitionIndex(k, gatherBits) != q {
+				t.Fatalf("group %d decoded into partition %d", k, q)
+			}
+			groups[k] = &mgroup{p: *p, vals: p.AppendValues(tb.Ar, nil)}
+			return true
+		})
 	}
 	return hdr, groups
 }
@@ -75,7 +96,7 @@ func TestPartialSetRoundTrip(t *testing.T) {
 	const rows = 20_000
 	s, want := buildStream(t, true, rows)
 	sn := s.Snapshot()
-	buf := EncodeSnapshot(nil, sn)
+	buf := encode(t, sn)
 
 	hdr, groups := decodeAll(t, buf)
 	if !hdr.Holistic {
@@ -128,7 +149,7 @@ func TestPartialSetRoundTrip(t *testing.T) {
 // value multisets and says so in its header.
 func TestPartialSetDistributive(t *testing.T) {
 	s, want := buildStream(t, false, 5_000)
-	buf := EncodeSnapshot(nil, s.Snapshot())
+	buf := encode(t, s.Snapshot())
 	hdr, groups := decodeAll(t, buf)
 	if hdr.Holistic {
 		t.Error("holistic flag set on distributive stream")
@@ -146,12 +167,12 @@ func TestPartialSetDistributive(t *testing.T) {
 // TestPartialSetChunking: sets larger than the chunk target split into
 // multiple frames and still decode whole.
 func TestPartialSetChunking(t *testing.T) {
-	old := chunkTarget
-	chunkTarget = 1 << 10
-	defer func() { chunkTarget = old }()
+	old := agg.RunFrameBytes
+	agg.RunFrameBytes = 1 << 10
+	defer func() { agg.RunFrameBytes = old }()
 
 	s, want := buildStream(t, true, 10_000)
-	buf := EncodeSnapshot(nil, s.Snapshot())
+	buf := encode(t, s.Snapshot())
 	_, groups := decodeAll(t, buf)
 	if len(groups) != len(want) {
 		t.Fatalf("decoded %d groups, want %d", len(groups), len(want))
@@ -163,10 +184,10 @@ func TestPartialSetChunking(t *testing.T) {
 // mis-merge.
 func TestPartialSetRejectsCorruption(t *testing.T) {
 	s, _ := buildStream(t, true, 2_000)
-	buf := EncodeSnapshot(nil, s.Snapshot())
+	buf := encode(t, s.Snapshot())
 
 	decode := func(b []byte) error {
-		_, err := DecodePartialSet(bytes.NewReader(b), func(uint64, *agg.Partial, []uint64) error { return nil })
+		_, _, err := decode(b)
 		return err
 	}
 	if err := decode(buf); err != nil {
@@ -181,7 +202,7 @@ func TestPartialSetRejectsCorruption(t *testing.T) {
 		if err == nil {
 			t.Fatalf("flip at %d: decode accepted corrupt set", off)
 		}
-		if !errors.Is(err, wal.ErrWALCorrupt) && !errors.Is(err, ErrBadSet) && !errors.Is(err, agg.ErrPartialWire) {
+		if !errors.Is(err, wal.ErrWALCorrupt) && !errors.Is(err, ErrBadSet) && !errors.Is(err, agg.ErrGroupRun) {
 			t.Fatalf("flip at %d: untyped error %v", off, err)
 		}
 	}
@@ -206,8 +227,7 @@ func TestSetHeaderRejects(t *testing.T) {
 		bad[mut.off] ^= 0xFF
 		// Recompute nothing: the CRC catches it first, which is fine — the
 		// decode must fail either way.
-		_, err := DecodePartialSet(bytes.NewReader(bad), func(uint64, *agg.Partial, []uint64) error { return nil })
-		if err == nil {
+		if _, _, err := decode(bad); err == nil {
 			t.Fatalf("%s mutation accepted", mut.name)
 		}
 	}
@@ -216,8 +236,7 @@ func TestSetHeaderRejects(t *testing.T) {
 	copy(payload, setMagic[:])
 	payload[4] = setVersion + 1
 	framed := wal.AppendFrame(nil, payload)
-	_, err := DecodePartialSet(bytes.NewReader(framed), func(uint64, *agg.Partial, []uint64) error { return nil })
-	if !errors.Is(err, ErrBadSet) {
+	if _, _, err := decode(framed); !errors.Is(err, ErrBadSet) {
 		t.Fatalf("unknown version: %v, want ErrBadSet", err)
 	}
 }

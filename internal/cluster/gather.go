@@ -5,7 +5,6 @@ import (
 
 	"memagg/internal/agg"
 	"memagg/internal/morsel"
-	"memagg/internal/radix"
 )
 
 // gatherBits is the radix fan-out a gather is partitioned by: every peer's
@@ -34,19 +33,6 @@ type Merged struct {
 	// parts are key-disjoint: partition q holds the keys whose
 	// radix.PartitionIndex is q.
 	parts []agg.Table
-}
-
-// addGroup folds one decoded group record into its partition of parts.
-func addGroup(parts []agg.Table, key uint64, p *agg.Partial, vals []uint64) {
-	tb := &parts[radix.PartitionIndex(key, gatherBits)]
-	if tb.T == nil {
-		*tb = agg.NewTable(0)
-	}
-	np := tb.T.Upsert(key)
-	np.Merge(p)
-	for _, v := range vals {
-		np.Buffer(tb.Ar, v)
-	}
 }
 
 // merge folds the decoded peer sets into one cluster state, partition by

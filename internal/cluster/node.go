@@ -91,7 +91,11 @@ func NodeHandler(s *stream.Stream) http.Handler {
 		sn := s.Snapshot()
 		// Encode fully before writing: the status line must not precede a
 		// failure, and the watermark header documents the snapshot served.
-		buf := EncodeSnapshot(nil, sn)
+		buf, err := EncodeSnapshot(nil, sn)
+		if err != nil {
+			nodeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("X-Memagg-Watermark", strconv.FormatUint(sn.Watermark(), 10))
 		w.Write(buf)

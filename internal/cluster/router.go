@@ -414,10 +414,7 @@ func (rt *Router) fetchPartials(p *peer) (*peerSet, error) {
 	}
 	defer resp.Body.Close()
 	set := &peerSet{parts: make([]agg.Table, 1<<gatherBits)}
-	hdr, err := DecodePartialSet(resp.Body, func(key uint64, pr *agg.Partial, vals []uint64) error {
-		addGroup(set.parts, key, pr, vals)
-		return nil
-	})
+	hdr, err := DecodePartialSet(resp.Body, set.parts, gatherBits)
 	if err != nil {
 		rt.m.errors.With(p.url, "partials").Inc()
 		return nil, &PeerError{Peer: p.url, Op: "partials", Err: err}

@@ -18,8 +18,9 @@ import (
 //	<dir>/
 //	  DEFS    view definitions: one CRC-framed JSON payload, rewritten
 //	          atomically (tmp + rename + dir sync) on every Register/Drop
-//	  PANES   pane state: framed binary runs in the checkpoint group
-//	          encoding, rewritten by the checkpointer and at Close
+//	  PANES   pane state: per pane a header frame, then the pane's table
+//	          as an agg group run (the checkpoint's record format and
+//	          chunker), rewritten by the checkpointer and at Close
 //
 // DEFS is the authority on which views exist — a view registered after
 // the last pane snapshot still comes back (its panes rebuild from the WAL
@@ -82,19 +83,13 @@ type Saved struct {
 	Panes        []SavedPane
 }
 
-// SavedPane is one persisted pane.
+// SavedPane is one persisted pane: its table decoded from the run, which
+// Restore adopts as the live pane's state.
 type SavedPane struct {
 	Idx    uint64
 	Rows   uint64
 	LastWM uint64
-	Groups []SavedGroup
-}
-
-// SavedGroup is one persisted group: the eager distributive folds plus
-// the value multiset when the view buffers one.
-type SavedGroup struct {
-	Key, Count, Sum, Min, Max uint64
-	Vals                      []uint64
+	agg.Table
 }
 
 // SaveDefs atomically rewrites the DEFS file with the current view
@@ -125,10 +120,6 @@ func (r *Registry) SaveDefs(fs wal.FS, dir string) error {
 	return writeAtomic(fs, dir, defsName, wal.AppendFrame(nil, payload))
 }
 
-// panesChunkGroups bounds the groups per PANES frame so one frame stays
-// well under wal.MaxFrame even with fat value multisets.
-const panesChunkGroups = 1 << 14
-
 // SavePanes atomically rewrites the PANES file with every view's live
 // pane state. Called by the stream's checkpointer (before WAL truncation,
 // so saved state and surviving log always jointly cover every window) and
@@ -141,14 +132,19 @@ func (r *Registry) SavePanes(fs wal.FS, dir string) error {
 	}
 	r.mu.RUnlock()
 
-	var buf []byte
+	var (
+		buf []byte
+		err error
+	)
 	hdr := make([]byte, 0, 16)
 	hdr = append(hdr, panesMagic...)
 	hdr = append(hdr, panesVersion)
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(views)))
 	buf = wal.AppendFrame(buf, hdr)
 	for _, v := range views {
-		buf = v.appendPanes(r.m, buf)
+		if buf, err = v.appendPanes(r.m, buf); err != nil {
+			return fmt.Errorf("cview: PANES view %q: %w", v.spec.Name, err)
+		}
 	}
 	return writeAtomic(fs, dir, panesName, buf)
 }
@@ -157,7 +153,7 @@ func (r *Registry) SavePanes(fs wal.FS, dir string) error {
 // pane a pane-header frame followed by its group-run frames. Pending
 // folds settle first — the snapshot claims coverage through lastWM, so it
 // must actually contain every absorbed seal.
-func (v *View) appendPanes(m *Metrics, dst []byte) []byte {
+func (v *View) appendPanes(m *Metrics, dst []byte) ([]byte, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.settleAll(m)
@@ -177,58 +173,33 @@ func (v *View) appendPanes(m *Metrics, dst []byte) []byte {
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(v.panes)))
 	dst = wal.AppendFrame(dst, p)
 	for _, pn := range v.panes {
-		dst = pn.append(dst, v.withValues)
+		var err error
+		if dst, err = pn.append(dst, v.withValues); err != nil {
+			return dst, err
+		}
 	}
-	return dst
+	return dst, nil
 }
 
-func (pn *pane) append(dst []byte, withValues bool) []byte {
-	total := pn.Len()
-	chunks := (total + panesChunkGroups - 1) / panesChunkGroups
-	hdr := make([]byte, 0, 32)
+// append serializes one pane: a header frame counting the run's frames,
+// then the pane's table as a group run.
+func (pn *pane) append(dst []byte, withValues bool) ([]byte, error) {
+	var frames []byte
+	run := agg.NewRunWriter(nil, withValues, func(f []byte) error {
+		frames = append(frames, f...)
+		return nil
+	})
+	run.Add(pn.Table)
+	if err := run.Close(); err != nil {
+		return dst, err
+	}
+	hdr := make([]byte, 0, 28)
 	hdr = binary.LittleEndian.AppendUint64(hdr, pn.idx)
 	hdr = binary.LittleEndian.AppendUint64(hdr, pn.rows)
 	hdr = binary.LittleEndian.AppendUint64(hdr, pn.lastWM)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(chunks))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(run.Frames()))
 	dst = wal.AppendFrame(dst, hdr)
-
-	var (
-		payload []byte
-		vals    []uint64
-		n       int
-	)
-	flush := func() []byte {
-		if n == 0 {
-			return dst
-		}
-		chunk := binary.LittleEndian.AppendUint32(nil, uint32(n))
-		chunk = append(chunk, payload...)
-		dst = wal.AppendFrame(dst, chunk)
-		payload, n = payload[:0], 0
-		return dst
-	}
-	pn.T.Iterate(func(k uint64, p *agg.Partial) bool {
-		payload = binary.LittleEndian.AppendUint64(payload, k)
-		payload = binary.LittleEndian.AppendUint64(payload, p.Count())
-		payload = binary.LittleEndian.AppendUint64(payload, p.Sum())
-		mn, _ := p.Min()
-		mx, _ := p.Max()
-		payload = binary.LittleEndian.AppendUint64(payload, mn)
-		payload = binary.LittleEndian.AppendUint64(payload, mx)
-		if withValues {
-			vals = p.AppendValues(pn.Ar, vals[:0])
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(vals)))
-			for _, v := range vals {
-				payload = binary.LittleEndian.AppendUint64(payload, v)
-			}
-		}
-		n++
-		if n == panesChunkGroups {
-			dst = flush()
-		}
-		return true
-	})
-	return flush()
+	return append(dst, frames...), nil
 }
 
 // Load recovers the persisted view set from dir: definitions from DEFS,
@@ -357,49 +328,17 @@ func readPane(r *bufio.Reader, withValues bool) (SavedPane, error) {
 		LastWM: binary.LittleEndian.Uint64(hdr[16:]),
 	}
 	chunks := int(binary.LittleEndian.Uint32(hdr[24:]))
+	run := make([]agg.Table, 1)
 	for c := 0; c < chunks; c++ {
 		p, _, err := wal.ReadFrame(r)
 		if err != nil {
 			return SavedPane{}, fmt.Errorf("cview: PANES group run: %w", err)
 		}
-		if len(p) < 4 {
-			return SavedPane{}, fmt.Errorf("cview: short group run: %w", wal.ErrWALCorrupt)
-		}
-		n := int(binary.LittleEndian.Uint32(p[:4]))
-		o := 4
-		for g := 0; g < n; g++ {
-			if len(p)-o < 40 {
-				return SavedPane{}, fmt.Errorf("cview: torn group: %w", wal.ErrWALCorrupt)
-			}
-			sg := SavedGroup{
-				Key:   binary.LittleEndian.Uint64(p[o:]),
-				Count: binary.LittleEndian.Uint64(p[o+8:]),
-				Sum:   binary.LittleEndian.Uint64(p[o+16:]),
-				Min:   binary.LittleEndian.Uint64(p[o+24:]),
-				Max:   binary.LittleEndian.Uint64(p[o+32:]),
-			}
-			o += 40
-			if withValues {
-				if len(p)-o < 4 {
-					return SavedPane{}, fmt.Errorf("cview: torn value run: %w", wal.ErrWALCorrupt)
-				}
-				nv := int(binary.LittleEndian.Uint32(p[o:]))
-				o += 4
-				if len(p)-o < 8*nv {
-					return SavedPane{}, fmt.Errorf("cview: torn value run: %w", wal.ErrWALCorrupt)
-				}
-				sg.Vals = make([]uint64, nv)
-				for j := range sg.Vals {
-					sg.Vals[j] = binary.LittleEndian.Uint64(p[o:])
-					o += 8
-				}
-			}
-			pn.Groups = append(pn.Groups, sg)
-		}
-		if o != len(p) {
-			return SavedPane{}, fmt.Errorf("cview: group run trailer: %w", wal.ErrWALCorrupt)
+		if _, err := agg.DecodeRunFrame(run, 0, p, withValues); err != nil {
+			return SavedPane{}, fmt.Errorf("cview: PANES group run: %w: %w", err, wal.ErrWALCorrupt)
 		}
 	}
+	pn.Table = run[0]
 	return pn, nil
 }
 
@@ -422,18 +361,9 @@ func (r *Registry) Restore(sv Saved) error {
 	v.gapLo, v.gapHi = sv.GapLo, sv.GapHi
 	v.evicted = sv.Evicted
 	for _, spn := range sv.Panes {
-		pn := &pane{idx: spn.Idx, rows: spn.Rows, lastWM: spn.LastWM}
-		cap := len(spn.Groups)
-		if cap < paneTableCap {
-			cap = paneTableCap
-		}
-		pn.Table = agg.NewTable(cap)
-		for _, sg := range spn.Groups {
-			p := pn.T.Upsert(sg.Key)
-			*p = agg.RestorePartial(sg.Count, sg.Sum, sg.Min, sg.Max)
-			for _, val := range sg.Vals {
-				p.Buffer(pn.Ar, val)
-			}
+		pn := &pane{idx: spn.Idx, Table: spn.Table, rows: spn.Rows, lastWM: spn.LastWM}
+		if pn.T == nil {
+			pn.Table = agg.NewTable(paneTableCap)
 		}
 		v.panes = append(v.panes, pn)
 	}

@@ -142,7 +142,7 @@ func Open(cfg Config) (*Stream, error) {
 		// The checkpoint's radix fan-out is baked into its partition runs;
 		// the recovered stream adopts it so partition indexes keep lining up.
 		cfg.MergeBits = meta.Bits
-		base = restoreGeneration(meta, parts, cfg.Holistic)
+		base = &generation{parts: parts, bits: meta.Bits, rows: meta.Watermark, seq: meta.Seq}
 		ckptWM = meta.Watermark
 	}
 
@@ -244,34 +244,6 @@ func Open(cfg Config) (*Stream, error) {
 	}
 	s.m.recoveryLat.Observe(time.Since(start))
 	return s, nil
-}
-
-// restoreGeneration rebuilds a base generation from a checkpoint's
-// partition runs. Open sets its group count once the WAL suffix is in.
-func restoreGeneration(meta *checkpoint.Meta, parts [][]checkpoint.Group, holistic bool) *generation {
-	g := &generation{
-		parts: make([]agg.Table, len(parts)),
-		bits:  meta.Bits,
-		rows:  meta.Watermark,
-		seq:   meta.Seq,
-	}
-	for q, groups := range parts {
-		if len(groups) == 0 {
-			continue
-		}
-		tb := agg.NewTable(len(groups))
-		for _, gr := range groups {
-			p := tb.T.Upsert(gr.Key)
-			*p = agg.RestorePartial(gr.Count, gr.Sum, gr.Min, gr.Max)
-			if holistic {
-				for _, v := range gr.Vals {
-					p.Buffer(tb.Ar, v)
-				}
-			}
-		}
-		g.parts[q] = tb
-	}
-	return g
 }
 
 // replayInto folds one WAL record's rows into g's partitions: the
@@ -378,24 +350,8 @@ func (s *Stream) checkpointOnce() {
 	if err != nil {
 		return
 	}
-	for q := range base.parts {
-		tb := base.parts[q]
-		err := w.WritePartition(q, func(yield func(checkpoint.Group)) {
-			if tb.T == nil {
-				return
-			}
-			tb.T.Iterate(func(k uint64, p *agg.Partial) bool {
-				g := checkpoint.Group{Key: k, Count: p.Count(), Sum: p.Sum()}
-				g.Min, _ = p.Min()
-				g.Max, _ = p.Max()
-				if s.cfg.Holistic {
-					g.Vals = p.AppendValues(tb.Ar, nil)
-				}
-				yield(g)
-				return true
-			})
-		})
-		if err != nil {
+	for q, tb := range base.parts {
+		if err := w.WritePartition(q, tb); err != nil {
 			w.Abort()
 			return
 		}

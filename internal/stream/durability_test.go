@@ -1,8 +1,13 @@
 package stream
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -579,5 +584,69 @@ func checkRecoveryFoldsIntoBase(t *testing.T, keys, vals []uint64, half int, hol
 				after.WindowStart, after.WindowEnd, after.Rows, after.Truncated,
 				before.WindowStart, before.WindowEnd, before.Rows)
 		}
+	}
+}
+
+// TestParentFormatLoads: the on-disk state written before checkpoint runs
+// and view PANES shared the group-run codec (testdata/parentfmt: a
+// holistic stream with two views over the first 3,000 gate rows, closed
+// gracefully, so a checkpoint plus a PANES snapshot) recovers under the
+// shared codec to the same answers — Q1–Q7 and the holistic queries equal
+// the batch engines over those rows, and both views equal the results
+// recorded when the state was written.
+func TestParentFormatLoads(t *testing.T) {
+	// Recovery repairs the log in place: work on a copy.
+	src, dir := filepath.Join("testdata", "parentfmt", "data"), filepath.Join(t.TempDir(), "data")
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := durableConfig(wal.OSFS{}, 1<<30)
+	cfg.Durability.Dir = dir
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.CheckpointWatermark != 3000 {
+		t.Fatalf("recovered checkpoint watermark %d, want 3000", st.CheckpointWatermark)
+	}
+	keys, vals := gateData()
+	checkAgainstBatch(t, "parent format", s.Snapshot(), keys[:3000], vals[:3000])
+
+	got := map[string]any{}
+	for _, name := range []string{"p90", "counts"} {
+		res, err := s.ViewResult(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Truncated {
+			t.Fatalf("%s: restored view reports Truncated", name)
+		}
+		got[name] = []any{res.WindowStart, res.WindowEnd, res.Rows, res.Groups, sortedValue(res.Value)}
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "parentfmt", "views.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, want) {
+		t.Fatalf("restored views differ from the results recorded at write time:\n got %.200s\nwant %.200s", gotJSON, want)
 	}
 }

@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"memagg/internal/agg"
-	"memagg/internal/arena"
-)
+import "memagg/internal/agg"
 
 // Snapshot is a consistent, immutable read view of the stream: the base
 // generation plus every delta sealed before the snapshot was taken, pinned
@@ -41,10 +38,12 @@ func (s *Stream) Snapshot() *Snapshot {
 // result is exactly consistent with these rows.
 func (sn *Snapshot) Watermark() uint64 { return sn.v.watermark }
 
-// sources returns key-disjoint tables jointly holding every group,
-// folding the view's sealed deltas partition-wise on first use (see
-// view.sources). Entries with a nil table hold no groups.
-func (sn *Snapshot) sources() []agg.Table { return sn.v.sources(sn.s) }
+// Parts returns key-disjoint tables jointly holding every group, folding
+// the view's sealed deltas partition-wise on first use (see view.sources)
+// — what queries scan and the cluster transport (internal/cluster)
+// encodes. Entries with a nil table hold no groups. The tables are the
+// snapshot's live state: read-only, valid while the snapshot is held.
+func (sn *Snapshot) Parts() []agg.Table { return sn.v.sources(sn.s) }
 
 // Run executes q over the snapshot through agg.Run — the one kernel set —
 // at the stream's query parallelism, memoized on the view when the stream
@@ -62,7 +61,7 @@ func (sn *Snapshot) Run(q agg.Query) (any, error) {
 		return sn.v.watermark, nil
 	}
 	compute := func() any {
-		v, _ := agg.Run(sn.sources(), q, agg.RunEnv{
+		v, _ := agg.Run(sn.Parts(), q, agg.RunEnv{
 			Rows:     sn.v.watermark,
 			Holistic: cfg.Holistic,
 			Workers:  cfg.QueryWorkers,
@@ -91,22 +90,6 @@ func run[T any](sn *Snapshot, q agg.Query) (T, error) {
 
 func must[T any](v T, _ error) T { return v }
 
-// EachGroup visits every group exactly once with its fully merged partial
-// and the arena its buffered values live in — the export the cluster
-// transport (internal/cluster) serializes from. The visited partials are
-// the snapshot's live state: read-only, valid while the snapshot is held.
-func (sn *Snapshot) EachGroup(fn func(k uint64, p *agg.Partial, ar *arena.Arena)) {
-	for _, tb := range sn.sources() {
-		if tb.T == nil {
-			continue
-		}
-		tb.T.Iterate(func(k uint64, p *agg.Partial) bool {
-			fn(k, p, tb.Ar)
-			return true
-		})
-	}
-}
-
 // HolisticEnabled reports whether this snapshot's stream retains value
 // multisets (median/quantile/mode queries answerable).
 func (sn *Snapshot) HolisticEnabled() bool { return sn.s.cfg.Holistic }
@@ -114,7 +97,7 @@ func (sn *Snapshot) HolisticEnabled() bool { return sn.s.cfg.Holistic }
 // Groups returns the number of distinct keys the snapshot covers. This is
 // the exact count, which requires the delta fold when unmerged deltas are
 // pinned (keys may repeat across layers).
-func (sn *Snapshot) Groups() int { return agg.Groups(sn.sources()) }
+func (sn *Snapshot) Groups() int { return agg.Groups(sn.Parts()) }
 
 // CountByKey executes Q1: one (key, COUNT(*)) row per distinct key.
 func (sn *Snapshot) CountByKey() []agg.GroupCount {

@@ -1,5 +1,5 @@
 // Package checkpoint serializes a stream's sealed base generation as
-// radix-partitioned runs of encoded partial aggregates — the disk-resident
+// radix-partitioned group runs of partial aggregates — the disk-resident
 // form of the Hash_RX partitioning discipline the literature's spill
 // formats converge on: each run holds the groups of one radix partition,
 // written and read with purely sequential I/O, so recovery rebuilds the
@@ -16,9 +16,11 @@
 //	    META            framed: seq, watermark, groups, bits, holistic
 //
 // Every file reuses the WAL's [length | CRC32C | payload] frame. A run is
-// a sequence of frames, each carrying the partition index and a slice of
-// its groups: large partitions chunk across frames so no frame approaches
-// wal.MaxFrame (which ReadFrame rejects as corrupt). A half-written
+// the partition's table in agg's group-run codec (internal/agg/grouprun.go)
+// with the partition index as each frame's head: large partitions chunk
+// across frames so no frame approaches wal.MaxFrame (which ReadFrame
+// rejects as corrupt), and Load decodes the frames straight into one
+// agg.Table per partition. A half-written
 // checkpoint can never be mistaken for a valid one: the CURRENT swap
 // happens only after every run and META are written and synced (files and
 // directories both), and a load validates every frame before handing
@@ -35,6 +37,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"memagg/internal/agg"
 	"memagg/internal/wal"
 )
 
@@ -58,14 +61,6 @@ type Meta struct {
 // Parts returns the number of partition runs.
 func (m Meta) Parts() int { return 1 << m.Bits }
 
-// Group is one group's serialized state: the eager distributive folds
-// plus, for holistic checkpoints, the buffered value multiset.
-type Group struct {
-	Key                  uint64
-	Count, Sum, Min, Max uint64
-	Vals                 []uint64
-}
-
 const (
 	currentName = "CURRENT"
 	metaName    = "META"
@@ -87,7 +82,6 @@ type Writer struct {
 	dir    string
 	meta   Meta
 	groups uint64
-	buf    []byte
 }
 
 // NewWriter starts checkpoint meta.Seq under root.
@@ -99,120 +93,36 @@ func NewWriter(fs wal.FS, root string, meta Meta) (*Writer, error) {
 	return w, nil
 }
 
-// partChunkBytes is the flush threshold for a run's frames: once the
-// pending payload crosses it, the frame is written and a new one started,
-// so a run of any size stays far below wal.MaxFrame per frame.
-const partChunkBytes = 4 << 20
-
-// WritePartition writes partition q's run as one or more frames. groups
-// yields each group once, in any order; a nil groups writes an empty run
-// (partitions with no groups still get a file, so a load can distinguish
-// "empty" from "missing"). Vals are encoded only for holistic
-// checkpoints. A single group too large to fit one frame (over
-// wal.MaxFrame of encoded values) fails the write — the caller skips the
-// checkpoint and the WAL keeps covering the data.
-func (w *Writer) WritePartition(q int, groups func(yield func(Group))) error {
-	f, err := w.fs.Create(filepath.Join(w.dir, partName(q)))
+// WritePartition writes partition q's run: t's groups (the zero Table for
+// an empty partition) as an agg group run whose frames open with q, value
+// multisets included when the checkpoint is holistic. A single group too
+// large to fit one frame fails the write — the caller skips the checkpoint
+// and the WAL keeps covering the data.
+func (w *Writer) WritePartition(q int, t agg.Table) error {
+	name := partName(q)
+	f, err := w.fs.Create(filepath.Join(w.dir, name))
 	if err != nil {
-		return fmt.Errorf("checkpoint: create %s: %w", partName(q), err)
+		return fmt.Errorf("checkpoint: create %s: %w", name, err)
 	}
-	p := &partWriter{w: w, f: f, q: q, payload: make([]byte, frameRunHeader, 1024)}
-	if groups != nil {
-		groups(p.add)
-	}
-	// The trailing flush also writes the run's only frame when the
-	// partition is empty.
-	if p.err == nil && (p.n > 0 || p.frames == 0) {
-		p.flush()
-	}
-	if p.err != nil {
+	run := agg.NewRunWriter(binary.LittleEndian.AppendUint32(nil, uint32(q)), w.meta.Holistic,
+		func(frame []byte) error {
+			_, err := f.Write(frame)
+			return err
+		})
+	run.Add(t)
+	if err := run.Close(); err != nil {
 		f.Close()
-		return p.err
+		return fmt.Errorf("checkpoint: write %s: %w", name, err)
 	}
+	w.groups += run.Groups()
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("checkpoint: sync %s: %w", partName(q), err)
+		return fmt.Errorf("checkpoint: sync %s: %w", name, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close %s: %w", partName(q), err)
+		return fmt.Errorf("checkpoint: close %s: %w", name, err)
 	}
 	return nil
-}
-
-// frameRunHeader is each run frame's payload header: partition index,
-// then the count of groups in this frame.
-const frameRunHeader = 8
-
-// partWriter streams one partition run, chunking groups into frames.
-type partWriter struct {
-	w       *Writer
-	f       wal.File
-	q       int
-	n       uint32 // groups in the pending frame
-	frames  int
-	payload []byte
-	err     error
-}
-
-func (p *partWriter) add(g Group) {
-	if p.err != nil {
-		return
-	}
-	size := 40
-	if p.w.meta.Holistic {
-		size += 4 + 8*len(g.Vals)
-	}
-	// A group that would push the frame past the hard limit goes into a
-	// frame of its own; only a group alone too big for any frame fails (in
-	// flush).
-	if p.n > 0 && len(p.payload)+size > wal.MaxFrame {
-		if p.flush(); p.err != nil {
-			return
-		}
-	}
-	var rec [40]byte
-	binary.LittleEndian.PutUint64(rec[0:8], g.Key)
-	binary.LittleEndian.PutUint64(rec[8:16], g.Count)
-	binary.LittleEndian.PutUint64(rec[16:24], g.Sum)
-	binary.LittleEndian.PutUint64(rec[24:32], g.Min)
-	binary.LittleEndian.PutUint64(rec[32:40], g.Max)
-	p.payload = append(p.payload, rec[:]...)
-	if p.w.meta.Holistic {
-		var nv [4]byte
-		binary.LittleEndian.PutUint32(nv[:], uint32(len(g.Vals)))
-		p.payload = append(p.payload, nv[:]...)
-		for _, v := range g.Vals {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], v)
-			p.payload = append(p.payload, b[:]...)
-		}
-	}
-	p.n++
-	p.w.groups++
-	if len(p.payload) >= partChunkBytes {
-		p.flush()
-	}
-}
-
-func (p *partWriter) flush() {
-	if len(p.payload) > wal.MaxFrame {
-		// Only a single monster group can get here (the chunk threshold is
-		// far below MaxFrame): it cannot be framed readably, so the
-		// checkpoint must not commit.
-		p.err = fmt.Errorf("checkpoint: partition %d: group of %d bytes exceeds max frame %d",
-			p.q, len(p.payload), wal.MaxFrame)
-		return
-	}
-	binary.LittleEndian.PutUint32(p.payload[0:4], uint32(p.q))
-	binary.LittleEndian.PutUint32(p.payload[4:8], p.n)
-	p.w.buf = wal.AppendFrame(p.w.buf[:0], p.payload)
-	if _, err := p.f.Write(p.w.buf); err != nil {
-		p.err = fmt.Errorf("checkpoint: write %s: %w", partName(p.q), err)
-		return
-	}
-	p.frames++
-	p.n = 0
-	p.payload = p.payload[:frameRunHeader]
 }
 
 // writeFile creates name under the checkpoint dir, writes data, syncs and
@@ -329,14 +239,16 @@ func removeDir(fs wal.FS, dir string) {
 	_ = fs.Remove(dir)
 }
 
-// Load reads the durable checkpoint under root. It returns (nil, nil,
+// Load reads the durable checkpoint under root: its META and one table per
+// partition (the zero Table for an empty one), unshared and ready to serve
+// as a base generation. It returns (nil, nil,
 // nil) only when no checkpoint exists (CURRENT absent); a checkpoint that
 // fails validation returns an error wrapping wal.ErrWALCorrupt — the
 // caller decides whether to fail recovery or start empty. Any other
 // CURRENT open error fails the load: treating a transient I/O or
 // permission error as "no checkpoint" would boot an empty stream while
 // the WAL below the checkpoint watermark is already truncated.
-func Load(fs wal.FS, root string) (*Meta, [][]Group, error) {
+func Load(fs wal.FS, root string) (*Meta, []agg.Table, error) {
 	f, err := fs.Open(filepath.Join(root, currentName))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -359,13 +271,11 @@ func Load(fs wal.FS, root string) (*Meta, [][]Group, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	parts := make([][]Group, meta.Parts())
+	parts := make([]agg.Table, meta.Parts())
 	for q := range parts {
-		groups, err := loadPartition(fs, dir, q, meta.Holistic, r)
-		if err != nil {
+		if err := loadPartition(fs, dir, q, meta.Holistic, r, parts[q:q+1]); err != nil {
 			return nil, nil, err
 		}
-		parts[q] = groups
 	}
 	return meta, parts, nil
 }
@@ -394,77 +304,34 @@ func loadMeta(fs wal.FS, dir string, r *bufio.Reader) (*Meta, error) {
 	return m, nil
 }
 
-func loadPartition(fs wal.FS, dir string, q int, holistic bool, r *bufio.Reader) ([]Group, error) {
-	f, err := fs.Open(filepath.Join(dir, partName(q)))
+// loadPartition decodes partition q's run into part, a one-table window
+// of Load's partition slice.
+func loadPartition(fs wal.FS, dir string, q int, holistic bool, r *bufio.Reader, part []agg.Table) error {
+	name := partName(q)
+	f, err := fs.Open(filepath.Join(dir, name))
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: open %s: %v: %w", partName(q), err, wal.ErrWALCorrupt)
+		return fmt.Errorf("checkpoint: open %s: %v: %w", name, err, wal.ErrWALCorrupt)
 	}
 	defer f.Close()
 	r.Reset(f)
-	var groups []Group
-	frames := 0
-	for {
+	for frames := 0; ; frames++ {
 		payload, _, err := wal.ReadFrame(r)
 		if err == io.EOF {
 			if frames == 0 {
-				return nil, fmt.Errorf("checkpoint: empty run %s: %w", partName(q), wal.ErrWALCorrupt)
+				return fmt.Errorf("checkpoint: empty run %s: %w", name, wal.ErrWALCorrupt)
 			}
-			return groups, nil
+			return nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("checkpoint: %s: %w", partName(q), err)
+			return fmt.Errorf("checkpoint: %s: %w", name, err)
 		}
-		frames++
-		groups, err = decodeRunFrame(groups, payload, q, holistic)
-		if err != nil {
-			return nil, err
+		if len(payload) < 4 || int(binary.LittleEndian.Uint32(payload)) != q {
+			return fmt.Errorf("checkpoint: bad run header %s: %w", name, wal.ErrWALCorrupt)
+		}
+		if _, err := agg.DecodeRunFrame(part, 0, payload[4:], holistic); err != nil {
+			return fmt.Errorf("checkpoint: %s: %w: %w", name, err, wal.ErrWALCorrupt)
 		}
 	}
-}
-
-// decodeRunFrame parses one run frame's groups, appending to groups.
-func decodeRunFrame(groups []Group, payload []byte, q int, holistic bool) ([]Group, error) {
-	if len(payload) < frameRunHeader || int(binary.LittleEndian.Uint32(payload[0:4])) != q {
-		return nil, fmt.Errorf("checkpoint: bad run header %s: %w", partName(q), wal.ErrWALCorrupt)
-	}
-	n := int(binary.LittleEndian.Uint32(payload[4:8]))
-	body := payload[frameRunHeader:]
-	if groups == nil {
-		groups = make([]Group, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		if len(body) < 40 {
-			return nil, fmt.Errorf("checkpoint: short run %s: %w", partName(q), wal.ErrWALCorrupt)
-		}
-		g := Group{
-			Key:   binary.LittleEndian.Uint64(body[0:8]),
-			Count: binary.LittleEndian.Uint64(body[8:16]),
-			Sum:   binary.LittleEndian.Uint64(body[16:24]),
-			Min:   binary.LittleEndian.Uint64(body[24:32]),
-			Max:   binary.LittleEndian.Uint64(body[32:40]),
-		}
-		body = body[40:]
-		if holistic {
-			if len(body) < 4 {
-				return nil, fmt.Errorf("checkpoint: short run %s: %w", partName(q), wal.ErrWALCorrupt)
-			}
-			nv := int(binary.LittleEndian.Uint32(body[0:4]))
-			body = body[4:]
-			if len(body) < 8*nv {
-				return nil, fmt.Errorf("checkpoint: short run %s: %w", partName(q), wal.ErrWALCorrupt)
-			}
-			g.Vals = make([]uint64, nv)
-			for j := range g.Vals {
-				g.Vals[j] = binary.LittleEndian.Uint64(body[8*j:])
-			}
-			body = body[8*nv:]
-		}
-		groups = append(groups, g)
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("checkpoint: trailing bytes in %s: %w", partName(q), wal.ErrWALCorrupt)
-	}
-	return groups, nil
 }
 
 // readFramedFile reads a whole single-frame file through r, validating

@@ -6,36 +6,42 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
+	"memagg/internal/agg"
 	"memagg/internal/wal"
 )
 
-// writeCheckpoint writes a full checkpoint with deterministic content:
-// partition q holds groups with keys q*100+i for i in [0, q+1).
+// testParts builds deterministic partition tables: partition q holds keys
+// q*100+i for i in [0, q+1), group i observing (and, holistic, buffering)
+// the values i..2i.
+func testParts(meta Meta) []agg.Table {
+	parts := make([]agg.Table, meta.Parts())
+	for q := range parts {
+		tb := agg.NewTable(q + 1)
+		for i := 0; i <= q; i++ {
+			p := tb.T.Upsert(uint64(q*100 + i))
+			for v := i; v <= 2*i; v++ {
+				p.Observe(uint64(v))
+				if meta.Holistic {
+					p.Buffer(tb.Ar, uint64(v))
+				}
+			}
+		}
+		parts[q] = tb
+	}
+	return parts
+}
+
+// writeCheckpoint writes a full checkpoint of testParts(meta).
 func writeCheckpoint(t *testing.T, fs wal.FS, root string, meta Meta) {
 	t.Helper()
 	w, err := NewWriter(fs, root, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q := 0; q < meta.Parts(); q++ {
-		q := q
-		err := w.WritePartition(q, func(yield func(Group)) {
-			for i := 0; i <= q; i++ {
-				g := Group{
-					Key:   uint64(q*100 + i),
-					Count: uint64(i + 1),
-					Sum:   uint64(10 * (i + 1)),
-					Min:   uint64(i),
-					Max:   uint64(i + 9),
-				}
-				if meta.Holistic {
-					g.Vals = []uint64{uint64(i), uint64(i + 1), uint64(i + 2)}
-				}
-				yield(g)
-			}
-		})
-		if err != nil {
+	for q, tb := range testParts(meta) {
+		if err := w.WritePartition(q, tb); err != nil {
 			t.Fatalf("partition %d: %v", q, err)
 		}
 	}
@@ -44,7 +50,43 @@ func writeCheckpoint(t *testing.T, fs wal.FS, root string, meta Meta) {
 	}
 }
 
-func checkLoaded(t *testing.T, meta *Meta, parts [][]Group, want Meta) {
+// sameTable reports whether two tables hold the same groups with the same
+// eager state and value multisets.
+func sameTable(got, want agg.Table) bool {
+	if got.Len() != want.Len() {
+		return false
+	}
+	same := true
+	if want.T != nil {
+		want.T.Iterate(func(k uint64, wp *agg.Partial) bool {
+			gp := got.T.Get(k)
+			if gp == nil || !samePartial(gp, wp) {
+				same = false
+				return false
+			}
+			gv := gp.AppendValues(got.Ar, nil)
+			wv := wp.AppendValues(want.Ar, nil)
+			same = len(gv) == len(wv)
+			for i := 0; same && i < len(gv); i++ {
+				same = gv[i] == wv[i]
+			}
+			return same
+		})
+	}
+	return same
+}
+
+// samePartial compares the eager state (the value lists live in different
+// arenas, so the structs differ in their list indices).
+func samePartial(a, b *agg.Partial) bool {
+	amin, aok := a.Min()
+	bmin, bok := b.Min()
+	amax, _ := a.Max()
+	bmax, _ := b.Max()
+	return a.Count() == b.Count() && a.Sum() == b.Sum() && aok == bok && amin == bmin && amax == bmax
+}
+
+func checkLoaded(t *testing.T, meta *Meta, parts []agg.Table, want Meta) {
 	t.Helper()
 	if meta == nil {
 		t.Fatal("no checkpoint loaded")
@@ -56,21 +98,17 @@ func checkLoaded(t *testing.T, meta *Meta, parts [][]Group, want Meta) {
 	if len(parts) != want.Parts() {
 		t.Fatalf("%d partitions, want %d", len(parts), want.Parts())
 	}
-	for q, groups := range parts {
-		if len(groups) != q+1 {
-			t.Fatalf("partition %d: %d groups, want %d", q, len(groups), q+1)
+	for q, tb := range testParts(want) {
+		if !sameTable(parts[q], tb) {
+			t.Fatalf("partition %d: loaded table differs from the written one", q)
 		}
-		for i, g := range groups {
-			if g.Key != uint64(q*100+i) || g.Count != uint64(i+1) || g.Sum != uint64(10*(i+1)) {
-				t.Fatalf("partition %d group %d: %+v", q, i, g)
-			}
-			if want.Holistic {
-				if len(g.Vals) != 3 || g.Vals[0] != uint64(i) {
-					t.Fatalf("partition %d group %d vals: %v", q, i, g.Vals)
+		if !want.Holistic {
+			parts[q].T.Iterate(func(k uint64, p *agg.Partial) bool {
+				if p.Buffered() != 0 {
+					t.Fatalf("non-holistic checkpoint carried values for key %d", k)
 				}
-			} else if g.Vals != nil {
-				t.Fatalf("non-holistic checkpoint carried vals: %v", g.Vals)
-			}
+				return true
+			})
 		}
 	}
 }
@@ -124,7 +162,7 @@ func TestUncommittedCheckpointInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	for q := 0; q < 2; q++ {
-		if err := w.WritePartition(q, nil); err != nil {
+		if err := w.WritePartition(q, agg.Table{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +224,7 @@ func TestFaultDuringCommitKeepsPrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 	for q := 0; q < 2; q++ {
-		if err := w.WritePartition(q, nil); err != nil {
+		if err := w.WritePartition(q, agg.Table{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,16 +259,15 @@ func TestLargePartitionChunksAcrossFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 150_000 // 150k groups x 40 B = 6 MB: crosses partChunkBytes
-	err = w.WritePartition(0, func(yield func(Group)) {
-		for i := 0; i < n; i++ {
-			yield(Group{Key: uint64(i), Count: 1, Sum: uint64(2 * i), Min: uint64(i), Max: uint64(i)})
-		}
-	})
-	if err != nil {
+	const n = 150_000 // 150k groups x 40 B = 6 MB: crosses agg.RunFrameBytes
+	big := agg.NewTable(n)
+	for i := 0; i < n; i++ {
+		big.T.Upsert(uint64(i)).Observe(uint64(2 * i))
+	}
+	if err := w.WritePartition(0, big); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WritePartition(1, nil); err != nil {
+	if err := w.WritePartition(1, agg.Table{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Commit(); err != nil {
@@ -249,14 +286,11 @@ func TestLargePartitionChunksAcrossFrames(t *testing.T) {
 	if got.Seq != 1 || got.Groups != n {
 		t.Fatalf("meta %+v, want seq 1 with %d groups", *got, n)
 	}
-	if len(parts[0]) != n || len(parts[1]) != 0 {
-		t.Fatalf("partition sizes %d/%d, want %d/0", len(parts[0]), len(parts[1]), n)
+	if parts[0].Len() != n || parts[1].Len() != 0 {
+		t.Fatalf("partition sizes %d/%d, want %d/0", parts[0].Len(), parts[1].Len(), n)
 	}
-	for _, i := range []int{0, 1, n / 2, n - 1} {
-		g := parts[0][i]
-		if g.Key != uint64(i) || g.Count != 1 || g.Sum != uint64(2*i) || g.Min != uint64(i) {
-			t.Fatalf("group %d: %+v", i, g)
-		}
+	if !sameTable(parts[0], big) {
+		t.Fatal("chunked partition differs from the written one")
 	}
 }
 
@@ -272,20 +306,22 @@ func TestOversizedGroupFailsCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := make([]uint64, wal.MaxFrame/8+1)
-	err = w.WritePartition(0, func(yield func(Group)) {
-		yield(Group{Key: 1, Count: uint64(len(vals)), Vals: vals})
-	})
-	if err == nil {
+	huge := agg.NewTable(1)
+	p := huge.T.Upsert(1)
+	for i := 0; i < wal.MaxFrame/8+1; i++ {
+		p.Observe(0)
+		p.Buffer(huge.Ar, 0)
+	}
+	if err := w.WritePartition(0, huge); err == nil {
 		t.Fatal("oversized group framed without error")
 	}
 }
 
-// TestCheckpointLoadAllocBound: Load allocates within a small multiple of
-// the checkpoint's on-disk bytes — the decoded frames plus the Group
-// slices, and one shared read buffer. A per-file read buffer would cost
-// its full size for every run however small the run is, which at 64
-// partitions of ~40 KB is an order of magnitude over the bound.
+// TestCheckpointLoadAllocBound: Load allocates the tables it returns plus
+// at most twice the checkpoint's on-disk bytes — the decoded frames and one
+// shared read buffer. A per-file read buffer would cost its full size for
+// every run however small the run is, which at 64 partitions of ~40 KB is
+// an order of magnitude over the bound.
 func TestCheckpointLoadAllocBound(t *testing.T) {
 	const groupsPerPart = 1024
 	fs := wal.NewMemFS()
@@ -295,13 +331,14 @@ func TestCheckpointLoadAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for q := 0; q < meta.Parts(); q++ {
-		err := w.WritePartition(q, func(yield func(Group)) {
-			for i := 0; i < groupsPerPart; i++ {
-				k := uint64(q*groupsPerPart + i)
-				yield(Group{Key: k, Count: 16, Sum: 16 * k, Min: k, Max: k + 15})
-			}
-		})
-		if err != nil {
+		tb := agg.NewTable(groupsPerPart)
+		for i := 0; i < groupsPerPart; i++ {
+			k := uint64(q*groupsPerPart + i)
+			p := tb.T.Upsert(k)
+			p.Observe(k)
+			p.Observe(k + 15)
+		}
+		if err := w.WritePartition(q, tb); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,13 +367,18 @@ func TestCheckpointLoadAllocBound(t *testing.T) {
 	if err != nil || got == nil {
 		t.Fatalf("load: meta %v, err %v", got, err)
 	}
-	if n := len(parts) * len(parts[0]); n != meta.Parts()*groupsPerPart {
+	if n := agg.Groups(parts); n != meta.Parts()*groupsPerPart {
 		t.Fatalf("loaded %d groups, want %d", n, meta.Parts()*groupsPerPart)
 	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	if limit := 4 * uint64(disk); alloc > limit {
-		t.Fatalf("Load allocated %d bytes for a %d-byte checkpoint (%.1fx), want <= 4x",
-			alloc, disk, float64(alloc)/float64(disk))
+	var tables uint64
+	for _, tb := range parts {
+		tables += uint64(tb.T.Cap()) * uint64(8+unsafe.Sizeof(agg.Partial{}))
 	}
-	t.Logf("Load allocated %d bytes for a %d-byte checkpoint (%.2fx)", alloc, disk, float64(alloc)/float64(disk))
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := tables + 2*uint64(disk); alloc > limit {
+		t.Fatalf("Load allocated %d bytes for a %d-byte checkpoint decoded into %d bytes of tables, want <= tables + 2x disk",
+			alloc, disk, tables)
+	}
+	t.Logf("Load allocated %d bytes: %d of tables + %.2fx the %d-byte checkpoint",
+		alloc, tables, float64(alloc-min(alloc, tables))/float64(disk), disk)
 }

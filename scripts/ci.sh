@@ -28,7 +28,24 @@ for pat in 'func keyAtRank' 'func [mM]ergeTable' 'case "q1"'; do
 	fi
 done
 
+# Structural guard — one group-run codec: checkpoint runs, view PANES and
+# cluster partial sets all serialize tables through internal/agg's
+# RunWriter, so no other non-test file encodes a Partial's eager state
+# (decoding is closed off by type: only internal/agg can build a Partial
+# from bytes).
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*/*' |
+	xargs grep -lE 'Uint(32|64)\([^)]*\.(Count|Sum)\(\)' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test files encode Partial state outside the group-run codec" >&2
+	exit 1
+fi
+
 go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./internal/hashtbl/...
+# The group-run codec's record fuzzer replays its checked-in corpus, and
+# the run writer/decoder round trip (multi-frame, heads, radix routing,
+# empty runs) is pinned by name; the three containers' own suites
+# (checkpoint, cview, cluster) run under -race below.
+go test -race -run 'FuzzPartialWire|TestPartialWire|TestRunWriterRoundTrip' -count=1 -v ./internal/agg
 
 # The global shared-table engine's whole correctness story is concurrent:
 # CAS-claimed slots, atomic lane folds, growth at batch boundaries. The
@@ -69,9 +86,12 @@ MEMAGG_OBS_GUARD=1 go test -run 'TestObsOverheadGuard' -count=1 -v ./internal/st
 # no merge owed after Open, answers and views identical to a never-crashed
 # stream), checkpoint loads allocate within a small multiple of their
 # on-disk size (one shared read buffer, not one per partition file), and
-# the WAL append and view-settle histograms actually record.
+# the WAL append and view-settle histograms actually record. A checkpoint
+# and PANES snapshot written before those files shared the group-run codec
+# (checked in under testdata/parentfmt) must keep recovering to the same
+# answers.
 go test -race ./internal/wal/...
-go test -race -run 'TestCrashRecoveryEquivalence|TestCorruptTailRecoversPrefix|FuzzWALRecovery|TestRecoveryFoldsIntoBase|TestCViewUpdateLatencyRecorded' -count=1 -v ./internal/stream
+go test -race -run 'TestCrashRecoveryEquivalence|TestCorruptTailRecoversPrefix|FuzzWALRecovery|TestRecoveryFoldsIntoBase|TestCViewUpdateLatencyRecorded|TestParentFormatLoads' -count=1 -v ./internal/stream
 go test -race -run 'TestCheckpointLoadAllocBound' -count=1 -v ./internal/wal/checkpoint
 go test -race -run 'TestAppendLatencyTimed' -count=1 -v ./internal/wal
 

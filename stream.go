@@ -389,8 +389,9 @@ func (sn *StreamSnapshot) Groups() int { return sn.sn.Groups() }
 // the cluster wire format (internal/cluster) to dst and returns the
 // extended slice — what a worker node serves on GET /partials for the
 // router's scatter-gather. The set decodes to state Merge-equivalent to
-// the snapshot, value multisets included on holistic streams.
-func (sn *StreamSnapshot) EncodePartials(dst []byte) []byte {
+// the snapshot, value multisets included on holistic streams. It fails
+// only on a group whose value multiset is too large for one wire frame.
+func (sn *StreamSnapshot) EncodePartials(dst []byte) ([]byte, error) {
 	return cluster.EncodeSnapshot(dst, sn.sn)
 }
 
