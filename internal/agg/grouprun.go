@@ -206,13 +206,15 @@ func (w *RunWriter) Frames() int { return w.frames }
 // Groups returns the number of groups added.
 func (w *RunWriter) Groups() uint64 { return w.groups }
 
-// DecodeRunFrame folds one run frame into parts. body is the frame payload
-// past the container's head: the group count, then the records. Each group
-// goes to parts[radix.PartitionIndex(key, bits)] (bits 0: parts is one
-// table), allocated on first use; a key already present merges into its
-// group, so decoding several runs into one parts slice is their fold. It
-// returns the number of groups decoded; errors wrap ErrGroupRun.
-func DecodeRunFrame(parts []Table, bits int, body []byte, values bool) (int, error) {
+// DecodeRunFrame folds one run frame into the partition set parts (see
+// parts.go; a set of one table takes every group). body is the frame
+// payload past the container's head: the group count, then the records.
+// Each group goes to its partition's table, allocated on first use; a key
+// already present merges into its group, so decoding several runs into one
+// set is their fold. It returns the number of groups decoded; errors wrap
+// ErrGroupRun.
+func DecodeRunFrame(parts []Table, body []byte, values bool) (int, error) {
+	bits := partBits(parts)
 	if len(body) < 4 {
 		return 0, fmt.Errorf("run frame of %d bytes: %w", len(body), ErrGroupRun)
 	}

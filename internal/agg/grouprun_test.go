@@ -130,7 +130,7 @@ func TestPartialWireRejectsMalformed(t *testing.T) {
 		"trailing":  append(append([]byte(nil), body...), 0),
 		"no count":  {1, 2},
 	} {
-		if _, err := DecodeRunFrame(make([]Table, 1), 0, bad, true); !errors.Is(err, ErrGroupRun) {
+		if _, err := DecodeRunFrame(make([]Table, 1), bad, true); !errors.Is(err, ErrGroupRun) {
 			t.Errorf("%s: err = %v, want ErrGroupRun", name, err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestRunWriterRoundTrip(t *testing.T) {
 			if !bytes.Equal(payload[:2], head) {
 				t.Fatalf("frame %d head %x", f, payload[:2])
 			}
-			n, err := DecodeRunFrame(parts, 2, payload[2:], values)
+			n, err := DecodeRunFrame(parts, payload[2:], values)
 			if err != nil {
 				t.Fatal(err)
 			}

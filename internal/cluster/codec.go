@@ -106,12 +106,13 @@ func EncodeSnapshot(dst []byte, sn *stream.Snapshot) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodePartialSet reads one partial set from r straight into parts: each
-// group lands in parts[radix.PartitionIndex(key, bits)], merging with any
-// state already there. Returns the header (watermark, holistic flag) once
-// the stream checks out end to end; any framing, record, or count
-// mismatch fails the whole set, and parts must then be discarded.
-func DecodePartialSet(r io.Reader, parts []agg.Table, bits int) (setHeader, error) {
+// DecodePartialSet reads one partial set from r straight into the partition
+// set parts (agg's layout at len(parts)): each group lands in its key's
+// partition, merging with any state already there. Returns the header
+// (watermark, holistic flag) once the stream checks out end to end; any
+// framing, record, or count mismatch fails the whole set, and parts must
+// then be discarded.
+func DecodePartialSet(r io.Reader, parts []agg.Table) (setHeader, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	payload, _, err := wal.ReadFrame(br)
 	if err != nil {
@@ -127,7 +128,7 @@ func DecodePartialSet(r io.Reader, parts []agg.Table, bits int) (setHeader, erro
 		if err != nil {
 			return setHeader{}, fmt.Errorf("cluster: partial set frame after %d/%d groups: %w", got, hdr.Groups, err)
 		}
-		n, err := agg.DecodeRunFrame(parts, bits, payload, hdr.Holistic)
+		n, err := agg.DecodeRunFrame(parts, payload, hdr.Holistic)
 		if err != nil {
 			return setHeader{}, fmt.Errorf("cluster: partial set after %d groups: %w", got, err)
 		}

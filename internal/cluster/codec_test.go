@@ -64,7 +64,7 @@ func encode(t *testing.T, sn *stream.Snapshot) []byte {
 // decode decodes a set at the gather's fan-out.
 func decode(b []byte) (setHeader, []agg.Table, error) {
 	parts := make([]agg.Table, 1<<gatherBits)
-	hdr, err := DecodePartialSet(bytes.NewReader(b), parts, gatherBits)
+	hdr, err := DecodePartialSet(bytes.NewReader(b), parts)
 	return hdr, parts, err
 }
 

@@ -414,7 +414,7 @@ func (rt *Router) fetchPartials(p *peer) (*peerSet, error) {
 	}
 	defer resp.Body.Close()
 	set := &peerSet{parts: make([]agg.Table, 1<<gatherBits)}
-	hdr, err := DecodePartialSet(resp.Body, set.parts, gatherBits)
+	hdr, err := DecodePartialSet(resp.Body, set.parts)
 	if err != nil {
 		rt.m.errors.With(p.url, "partials").Inc()
 		return nil, &PeerError{Peer: p.url, Op: "partials", Err: err}

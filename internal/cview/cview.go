@@ -12,13 +12,14 @@
 // contains its end watermark — deltas are the stream's atomic unit of
 // visibility, so windows advance delta by delta, never splitting one.
 //
-// Reads merge the live panes with agg.MergeTable and run the registered
-// query over the merged table through agg.Run — the same table merge and
-// the same kernels snapshots use — so a view's result is identical
-// to the batch query over the rows its window covers (the window-vs-batch
-// equivalence gate in internal/stream asserts reflect.DeepEqual,
-// holistics included). Results are cached per view keyed by a version
-// counter — a read of an unchanged view is a pointer load.
+// Reads fold the live panes into a partition set with agg.Fold and run
+// the registered query over it through agg.Run, partition-parallel — the
+// same fold and the same kernels snapshots use — so a view's result is
+// identical to the batch query over the rows its window covers (the
+// window-vs-batch equivalence gate in internal/stream asserts
+// reflect.DeepEqual, holistics included). Results are cached per view
+// keyed by a version counter — a read of an unchanged view is a pointer
+// load.
 //
 // Retention is evaluated when a seal opens a new pane: a sliding window
 // of N panes keeps [p-N+1, p]; a tumbling window keeps the current
@@ -119,12 +120,6 @@ func (sp Spec) retentionFloor(pIdx uint64) uint64 {
 	return pIdx - pIdx%n
 }
 
-// Fold merges one sealed delta's groups into a pane table. The stream
-// supplies it per seal (closing over the delta), so cview never sees
-// stream internals; withValues asks for the value multisets too (only
-// ever true for views whose query needs them, on holistic streams).
-type Fold func(dst agg.Table, withValues bool)
-
 // Metrics is the instrument set a Registry records into; any field (or
 // the whole struct) may be nil.
 type Metrics struct {
@@ -142,6 +137,8 @@ type Metrics struct {
 // watermark Register observes exact).
 type Registry struct {
 	holistic bool
+	bits     int // window fold fan-out: partition sets of 2^bits tables
+	workers  int // window fold and scan parallelism
 	m        *Metrics
 
 	// active mirrors len(views) so the per-seal fast path is one atomic
@@ -153,9 +150,11 @@ type Registry struct {
 }
 
 // NewRegistry builds an empty registry. holistic gates value-multiset
-// queries; m may be nil.
-func NewRegistry(holistic bool, m *Metrics) *Registry {
-	return &Registry{holistic: holistic, m: m, views: make(map[string]*View)}
+// queries; reads fold a window's panes into a partition set of 2^bits
+// tables (0 <= bits <= agg.MaxPartBits) and fold and scan it across
+// workers; m may be nil.
+func NewRegistry(holistic bool, bits, workers int, m *Metrics) *Registry {
+	return &Registry{holistic: holistic, bits: bits, workers: workers, m: m, views: make(map[string]*View)}
 }
 
 // Active reports whether any view is registered — the seal path's cheap
@@ -205,17 +204,19 @@ func (r *Registry) Drop(name string) bool {
 }
 
 // OnSeal feeds one sealed delta to every view: the delta covers rows
-// (prevWM, endWM] of the publication watermark and carries rows of them.
-// Callers serialize OnSeal calls and deliver them in watermark order
-// (live publication and WAL replay both do).
-func (r *Registry) OnSeal(prevWM, endWM, rows uint64, fold Fold) {
+// (prevWM, endWM] of the publication watermark and carries rows of them;
+// delta is its table, immutable from here on (it must carry value
+// multisets when the registry is holistic). Callers serialize OnSeal
+// calls and deliver them in watermark order (live publication and WAL
+// replay both do).
+func (r *Registry) OnSeal(prevWM, endWM, rows uint64, delta agg.Table) {
 	if !r.Active() {
 		return
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, v := range r.views {
-		v.absorb(r, prevWM, endWM, rows, fold)
+		v.absorb(r, prevWM, endWM, rows, delta)
 	}
 }
 
@@ -351,7 +352,7 @@ func (r *Registry) Result(name string) (*Result, error) {
 		}
 		return v.cached, nil
 	}
-	res := v.compute(r.m)
+	res := v.compute(r)
 	v.cached = res
 	return res, nil
 }
@@ -380,16 +381,16 @@ type View struct {
 
 // pane is one window slot: the merged partial state of every delta whose
 // end watermark fell inside it. Maintenance is deferred: absorb only
-// queues the seal's fold closure, and the folds run when somebody needs
+// queues the sealed delta's table, and the merges run when somebody needs
 // the pane's table — a read, a pane snapshot, or the pending cap. That
 // keeps the seal-publication path O(1) per view, and a pane evicted
-// before it is ever read never pays for its folds at all.
+// before it is ever read never pays for its merges at all.
 type pane struct {
 	idx uint64
 	agg.Table
 	rows    uint64
 	lastWM  uint64
-	pending []Fold
+	pending []agg.Table // sealed deltas not yet merged in
 }
 
 // paneTableCap seeds a fresh pane's table; it grows like any delta table.
@@ -401,15 +402,16 @@ const paneTableCap = 1 << 8
 // inline, amortizing the cost it deferred.
 const maxPendingFolds = 32
 
-// settle applies the pane's queued folds. Callers hold the owning view's
-// mu.
+// settle merges the pane's queued deltas into its table with
+// agg.MergeTable, value multisets only for views whose query needs them.
+// Callers hold the owning view's mu.
 func (p *pane) settle(m *Metrics, withValues bool) {
 	if len(p.pending) == 0 {
 		return
 	}
 	mk := obs.Start()
-	for _, f := range p.pending {
-		f(p.Table, withValues)
+	for _, d := range p.pending {
+		agg.MergeTable(p.Table, d, withValues)
 	}
 	if m != nil {
 		if m.Updates != nil {
@@ -419,9 +421,7 @@ func (p *pane) settle(m *Metrics, withValues bool) {
 			mk.Tick(m.UpdateLat)
 		}
 	}
-	for i := range p.pending {
-		p.pending[i] = nil
-	}
+	clear(p.pending)
 	p.pending = p.pending[:0]
 }
 
@@ -444,10 +444,10 @@ func (v *View) barrier() uint64 {
 
 // absorb accounts one sealed delta to the pane containing its end
 // watermark, opening the pane (and evicting expired ones) if needed. The
-// fold itself is deferred: absorb queues it on the pane and bumps the
-// version, so the seal path stays O(1) per view and readers settle on
+// merge itself is deferred: absorb queues the delta on the pane and bumps
+// the version, so the seal path stays O(1) per view and readers settle on
 // demand.
-func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, fold Fold) {
+func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, delta agg.Table) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	bar := v.barrier()
@@ -465,7 +465,7 @@ func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, fold Fold) {
 	if cur == nil || cur.idx != pIdx {
 		cur = v.open(r, pIdx)
 	}
-	cur.pending = append(cur.pending, fold)
+	cur.pending = append(cur.pending, delta)
 	if len(cur.pending) >= maxPendingFolds {
 		cur.settle(r.m, v.withValues)
 	}

@@ -10,23 +10,18 @@ import (
 	"memagg/internal/wal"
 )
 
-// foldRows builds the Fold a seal of the given rows would supply.
-func foldRows(keys, vals []uint64) Fold {
-	return func(dst agg.Table, withValues bool) {
-		for i, k := range keys {
-			p := dst.T.Upsert(k)
-			p.Observe(vals[i])
-			if withValues {
-				p.Buffer(dst.Ar, vals[i])
-			}
-		}
-	}
+// deltaOf builds the table a seal of the given rows would supply, value
+// multisets included (views that need none merge without them).
+func deltaOf(keys, vals []uint64) agg.Table {
+	t := agg.NewTable(len(keys))
+	agg.AbsorbRows(t, keys, vals, true)
+	return t
 }
 
 // seal feeds one synthetic sealed delta covering (prev, prev+len(keys)].
 func seal(r *Registry, prev uint64, keys, vals []uint64) uint64 {
 	end := prev + uint64(len(keys))
-	r.OnSeal(prev, end, uint64(len(keys)), foldRows(keys, vals))
+	r.OnSeal(prev, end, uint64(len(keys)), deltaOf(keys, vals))
 	return end
 }
 
@@ -54,7 +49,7 @@ func sortValue(v any) any {
 }
 
 func TestSpecValidation(t *testing.T) {
-	r := NewRegistry(false, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	ok := Spec{Name: "v", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 10, Panes: 2}
 	bad := []Spec{
 		func() Spec { s := ok; s.Name = ""; return s }(),
@@ -119,7 +114,7 @@ func TestRetentionFloor(t *testing.T) {
 }
 
 func TestPaneLifecycleSliding(t *testing.T) {
-	r := NewRegistry(false, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "s", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -155,7 +150,7 @@ func TestPaneLifecycleSliding(t *testing.T) {
 }
 
 func TestPaneLifecycleTumbling(t *testing.T) {
-	r := NewRegistry(false, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "t", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -188,7 +183,7 @@ func TestPaneLifecycleTumbling(t *testing.T) {
 // whose rows started in pane 0 credits the whole delta to pane 1 — deltas
 // are the atomic visibility unit, windows advance delta by delta.
 func TestSealSpansPanes(t *testing.T) {
-	r := NewRegistry(false, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "x", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 4, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -209,7 +204,7 @@ func TestSealSpansPanes(t *testing.T) {
 }
 
 func TestRegistrationBarrier(t *testing.T) {
-	r := NewRegistry(false, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "late", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 8, Sliding: true}
 	// Registered at watermark 200: the first two seals are history.
 	if err := r.Register(sp, 200); err != nil {
@@ -232,7 +227,7 @@ func TestRegistrationBarrier(t *testing.T) {
 }
 
 func TestGapTruncation(t *testing.T) {
-	r := NewRegistry(false, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "g", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -263,7 +258,7 @@ func TestGapTruncation(t *testing.T) {
 
 func TestResultCacheVersioning(t *testing.T) {
 	m := &Metrics{}
-	r := NewRegistry(false, m)
+	r := NewRegistry(false, 2, 2, m)
 	sp := Spec{Name: "c", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 1000, Panes: 1}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -292,7 +287,7 @@ func TestResultCacheVersioning(t *testing.T) {
 }
 
 func TestPersistRoundTrip(t *testing.T) {
-	r := NewRegistry(true, nil)
+	r := NewRegistry(true, 2, 2, nil)
 	specs := []Spec{
 		{Name: "counts", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 100, Panes: 3, Sliding: true},
 		{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 100, Panes: 2},
@@ -323,7 +318,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if len(saved) != len(specs) {
 		t.Fatalf("Load returned %d views, want %d", len(saved), len(specs))
 	}
-	r2 := NewRegistry(true, nil)
+	r2 := NewRegistry(true, 2, 2, nil)
 	for _, sv := range saved {
 		if err := r2.Restore(sv); err != nil {
 			t.Fatal(err)

@@ -334,7 +334,7 @@ func readPane(r *bufio.Reader, withValues bool) (SavedPane, error) {
 		if err != nil {
 			return SavedPane{}, fmt.Errorf("cview: PANES group run: %w", err)
 		}
-		if _, err := agg.DecodeRunFrame(run, 0, p, withValues); err != nil {
+		if _, err := agg.DecodeRunFrame(run, p, withValues); err != nil {
 			return SavedPane{}, fmt.Errorf("cview: PANES group run: %w: %w", err, wal.ErrWALCorrupt)
 		}
 	}

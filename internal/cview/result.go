@@ -31,15 +31,15 @@ type Result struct {
 	Value any
 }
 
-// compute evaluates the view's query over its live panes: merge the panes
-// into one window table (agg.MergeTable — the same fold the stream's
-// merger uses), then run the query through agg.Run, the kernels snapshots
-// use, which is what makes the window-vs-batch equivalence gate a
-// reflect.DeepEqual. The window is a single table, so the scan stays on
-// the calling goroutine. Callers hold v.mu; the panes are only ever
-// mutated under it, so the window is consistent by construction.
-func (v *View) compute(m *Metrics) *Result {
-	v.settleAll(m)
+// compute evaluates the view's query over its live panes: fold the panes
+// into a partition set of 2^r.bits tables (agg.Fold — the fold the
+// stream's merger and snapshots use), then run the query through agg.Run
+// at r.workers, the kernels snapshots use, which is what makes the
+// window-vs-batch equivalence gate a reflect.DeepEqual. Callers hold
+// v.mu; the panes are only ever mutated under it, so the window is
+// consistent by construction.
+func (v *View) compute(r *Registry) *Result {
+	v.settleAll(r.m)
 	res := &Result{
 		Name:        v.spec.Name,
 		Query:       v.spec.Query,
@@ -49,25 +49,19 @@ func (v *View) compute(m *Metrics) *Result {
 		Version:     v.ver,
 		Truncated:   v.truncated(),
 	}
-	bound := 0
-	for _, p := range v.panes {
+	panes := make([]agg.Table, len(v.panes))
+	for i, p := range v.panes {
 		res.Rows += p.rows
-		bound += p.Len()
+		panes[i] = p.Table
 	}
-	var window agg.Table // zero while no pane is live
-	if len(v.panes) == 1 {
-		// Single live pane: query it directly, no merge copy.
-		window = v.panes[0].Table
-	} else if len(v.panes) > 1 {
-		window = agg.NewTable(max(bound, paneTableCap))
-		for _, p := range v.panes {
-			agg.MergeTable(window, p.Table, v.withValues)
-		}
+	window := panes // no pane live: no groups; one pane: query it directly, no fold copy
+	if len(panes) > 1 {
+		window = agg.Fold(make([]agg.Table, 1<<r.bits), panes, v.withValues, r.workers)
 	}
-	res.Groups = window.Len()
+	res.Groups = agg.Groups(window)
 	// Register admitted the query (valid, and holistic only on a registry
 	// that buffers values), so Run cannot refuse it.
-	res.Value, _ = agg.Run([]agg.Table{window}, v.spec.Query,
-		agg.RunEnv{Rows: res.Rows, Holistic: v.withValues})
+	res.Value, _ = agg.Run(window, v.spec.Query,
+		agg.RunEnv{Rows: res.Rows, Holistic: v.withValues, Workers: r.workers})
 	return res
 }

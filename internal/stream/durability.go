@@ -10,8 +10,6 @@ import (
 
 	"memagg/internal/agg"
 	"memagg/internal/cview"
-	"memagg/internal/morsel"
-	"memagg/internal/radix"
 	"memagg/internal/wal"
 	"memagg/internal/wal/checkpoint"
 )
@@ -142,7 +140,7 @@ func Open(cfg Config) (*Stream, error) {
 		// The checkpoint's radix fan-out is baked into its partition runs;
 		// the recovered stream adopts it so partition indexes keep lining up.
 		cfg.MergeBits = meta.Bits
-		base = &generation{parts: parts, bits: meta.Bits, rows: meta.Watermark, seq: meta.Seq}
+		base = &generation{parts: parts, rows: meta.Watermark, seq: meta.Seq}
 		ckptWM = meta.Watermark
 	}
 
@@ -178,9 +176,11 @@ func Open(cfg Config) (*Stream, error) {
 	// Replay the WAL suffix straight into the base generation's radix
 	// partitions: the recovered tables are not shared with anyone until the
 	// first install, so each record past the checkpoint watermark folds into
-	// them in place — recovery costs O(groups) memory and leaves no sealed
-	// backlog for the merger. A record becomes a delta of its own only when
-	// a continuous view still has to fold that seal. Records at or below
+	// them in place (agg.Absorb at the merger's parallelism; every key lands
+	// in the partition a merge would have put it in) — recovery costs
+	// O(groups) memory and leaves no sealed backlog for the merger. A
+	// record becomes a delta of its own only when a continuous view still
+	// has to fold that seal. Records at or below
 	// the checkpoint watermark are already in the base and are read only
 	// for such views; SkipBelow prunes whole segments when no view needs
 	// their records either.
@@ -193,14 +193,15 @@ func Open(cfg Config) (*Stream, error) {
 		rows := uint64(len(r.Keys))
 		if s.views.Active() && s.views.NeedSeal(end) {
 			d := &delta{Table: agg.NewTable(deltaTableCap), rows: rows}
-			absorbRows(d.Table, r.Keys, r.Vals, cfg.Holistic)
+			agg.AbsorbRows(d.Table, r.Keys, r.Vals, cfg.Holistic)
 			s.foldViews(end-rows, end, d)
 		}
 		if end > ckptWM {
 			if base == nil {
-				base = &generation{parts: make([]agg.Table, 1<<cfg.MergeBits), bits: cfg.MergeBits, seq: 1}
+				base = &generation{parts: make([]agg.Table, 1<<cfg.MergeBits), seq: 1}
 			}
-			s.replayInto(base, r.Keys, r.Vals)
+			agg.Absorb(base.parts, r.Keys, r.Vals, cfg.Holistic, cfg.MergeWorkers)
+			base.rows += rows
 		}
 		return nil
 	}
@@ -244,29 +245,6 @@ func Open(cfg Config) (*Stream, error) {
 	}
 	s.m.recoveryLat.Observe(time.Since(start))
 	return s, nil
-}
-
-// replayInto folds one WAL record's rows into g's partitions: the
-// Hash_RX scatter at g's fan-out, then each touched partition absorbs its
-// rows with the shards' absorb kernel, partitions in parallel at the
-// merger's parallelism. Every key lands in the partition the merger would
-// have put it in, and Partial folds are insensitive to how rows are
-// grouped, so the result is exactly the generation a merge of the
-// record's delta would build. Only for an unpublished generation: it
-// mutates g in place.
-func (s *Stream) replayInto(g *generation, keys, vals []uint64) {
-	pt := radix.Partition(keys, vals, g.bits, s.cfg.MergeWorkers)
-	morsel.Parts(pt.NumPartitions(), s.cfg.MergeWorkers, func(_, q int) {
-		pk := pt.PartKeys(q)
-		if len(pk) == 0 {
-			return
-		}
-		if g.parts[q].T == nil {
-			g.parts[q] = agg.NewTable(len(pk))
-		}
-		absorbRows(g.parts[q], pk, pt.PartVals(q), s.cfg.Holistic)
-	})
-	g.rows += uint64(len(keys))
 }
 
 // logSeal is publish's write-ahead step, called under viewMu before the
@@ -343,7 +321,7 @@ func (s *Stream) checkpointOnce() {
 	meta := checkpoint.Meta{
 		Seq:       d.ckptSeq.Add(1),
 		Watermark: base.rows,
-		Bits:      base.bits,
+		Bits:      s.cfg.MergeBits,
 		Holistic:  s.cfg.Holistic,
 	}
 	w, err := checkpoint.NewWriter(d.fs, d.ckptDir, meta)

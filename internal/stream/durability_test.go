@@ -14,7 +14,9 @@ import (
 	"memagg/internal/agg"
 	"memagg/internal/cview"
 	"memagg/internal/dataset"
+	"memagg/internal/radix"
 	"memagg/internal/wal"
+	"memagg/internal/wal/checkpoint"
 )
 
 // durableConfig is the crash-gate configuration: one shard so publication
@@ -376,6 +378,51 @@ func TestHolisticMismatchRejected(t *testing.T) {
 	cfg.Holistic = false
 	if _, err := Open(cfg); err == nil {
 		t.Fatal("non-holistic Open of a holistic checkpoint succeeded")
+	}
+}
+
+// TestCheckpointBadBitsRejected: a CRC-valid checkpoint whose META fan-out
+// lies outside [1, agg.MaxPartBits] is corrupt. Past the bound the radix
+// partitioner clamps, so adopting it would recover a base whose partitions
+// later merges misroute keys into (double-counted groups, short counts);
+// Load and Open must both refuse it with wal.ErrWALCorrupt.
+func TestCheckpointBadBitsRejected(t *testing.T) {
+	for _, bits := range []int{0, agg.MaxPartBits + 1} {
+		fs := wal.NewMemFS()
+		cfg := durableConfig(fs, -1)
+		root := filepath.Join(cfg.Durability.Dir, "checkpoint")
+		w, err := checkpoint.NewWriter(fs, root, checkpoint.Meta{Seq: 1, Watermark: 2000, Bits: bits, Holistic: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A complete checkpoint: every partition run, each group in its
+		// PartitionIndex partition at the claimed fan-out.
+		parts := make([]agg.Table, 1<<bits)
+		for k := uint64(0); k < 2000; k++ {
+			tb := &parts[radix.PartitionIndex(k, bits)]
+			if tb.T == nil {
+				*tb = agg.NewTable(1)
+			}
+			agg.AbsorbRows(*tb, []uint64{k}, []uint64{k}, true)
+		}
+		for q, tb := range parts {
+			if err := w.WritePartition(q, tb); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := checkpoint.Load(fs, root); !errors.Is(err, wal.ErrWALCorrupt) {
+			t.Errorf("bits=%d: Load err = %v, want ErrWALCorrupt", bits, err)
+		}
+		s, err := Open(cfg)
+		if err == nil {
+			s.Close()
+		}
+		if !errors.Is(err, wal.ErrWALCorrupt) {
+			t.Errorf("bits=%d: Open err = %v, want ErrWALCorrupt", bits, err)
+		}
 	}
 }
 

@@ -7,14 +7,12 @@ import (
 )
 
 // generation is one immutable base: the fold of every delta sealed before
-// it was built, radix-partitioned into 2^bits disjoint tables (partition q
-// holds the keys whose radix.PartitionIndex is q). Disjointness is what
-// lets merge cycles rebuild partitions independently and in parallel, and
-// lets snapshots iterate partitions knowing each group appears exactly
-// once.
+// it was built, as an agg partition set of 2^MergeBits disjoint tables.
+// Disjointness is what lets merge cycles rebuild partitions independently
+// and in parallel, and lets snapshots iterate partitions knowing each
+// group appears exactly once.
 type generation struct {
-	parts  []agg.Table // len 2^bits; a partition with no groups has a nil table
-	bits   int
+	parts  []agg.Table // len 2^MergeBits; a partition with no groups has a nil table
 	rows   uint64
 	groups int
 	seq    uint64
@@ -83,12 +81,12 @@ func (s *Stream) mergeOnce() bool {
 }
 
 // buildGeneration folds base plus the sealed deltas ds into a fresh
-// generation via the shared partition-wise fold (foldParts) at the
+// generation via the shared partition-wise fold (foldDeltas) at the
 // merger's parallelism, then derives the generation bookkeeping.
 func (s *Stream) buildGeneration(base *generation, ds []*delta) *generation {
-	parts := s.foldParts(base, ds, s.cfg.MergeWorkers)
+	parts := s.foldDeltas(base, ds, s.cfg.MergeWorkers)
 
-	g := &generation{parts: parts, bits: s.cfg.MergeBits, seq: 1}
+	g := &generation{parts: parts, seq: 1}
 	if base != nil {
 		g.rows = base.rows
 		g.seq = base.seq + 1

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memagg/internal/agg"
+	"memagg/internal/cview"
 	"memagg/internal/dataset"
 )
 
@@ -152,6 +153,71 @@ func TestQueryParallelSerialEquivalence(t *testing.T) {
 				}
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestViewParallelSerialEquivalence is the same gate for continuous-view
+// reads: a window of several live panes is folded partition-wise and
+// scanned at the stream's query parallelism, so reading q1, q2, q6 and
+// quantile views at worker counts 1/2/8 with the serial cutoff forced both
+// ways must give results identical to the maximally serial configuration,
+// row order included — unsorted, the contract snapshots have.
+func TestViewParallelSerialEquivalence(t *testing.T) {
+	defer func(c int) { agg.SerialQueryCutoff = c }(agg.SerialQueryCutoff)
+
+	spec := dataset.Spec{Kind: dataset.RseqShf, N: 60_000, Cardinality: 20_000, Seed: 97}
+	keys := spec.Keys()
+	vals := dataset.Values(len(keys), spec.Seed)
+	views := []cview.Spec{
+		{Name: "q1", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 8000, Panes: 4, Sliding: true},
+		{Name: "q2", Query: agg.Query{ID: agg.QAvgByKey}, PaneRows: 8000, Panes: 4},
+		{Name: "q6", Query: agg.Query{ID: agg.QMedian}, PaneRows: 8000, Panes: 4, Sliding: true},
+		{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 8000, Panes: 4},
+	}
+	read := func(workers, cutoff int) []*cview.Result {
+		agg.SerialQueryCutoff = cutoff
+		cfg := viewConfig()
+		cfg.MergeBits = 5
+		cfg.QueryWorkers = workers
+		s := New(cfg)
+		defer s.Close()
+		for _, sp := range views {
+			if err := s.RegisterView(sp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		feed := &viewFeed{s: s, keys: keys, vals: vals}
+		for feed.fed+3000 <= len(keys) {
+			feed.seal(t, 3000)
+		}
+		out := make([]*cview.Result, len(views))
+		for i, sp := range views {
+			res, err := s.ViewResult(sp.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+
+	want := read(1, 1<<30)
+	for _, res := range want {
+		if res.PanesLive < 2 || res.Groups < 8192 {
+			t.Fatalf("%s: %d panes, %d groups: the window must fold several panes above the default cutoff",
+				res.Name, res.PanesLive, res.Groups)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		for _, cutoff := range []int{0, 1 << 30} {
+			got := read(workers, cutoff)
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("view %s: workers=%d cutoff=%d: result differs from serial reference",
+						want[i].Name, workers, cutoff)
 				}
 			}
 		}

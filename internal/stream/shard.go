@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"memagg/internal/agg"
-	"memagg/internal/hashtbl"
-)
+import "memagg/internal/agg"
 
 // delta is one shard's in-progress (then sealed) table plus its row count.
 // On durable streams it also mirrors the raw rows (keys/vals, in arrival
@@ -85,55 +82,11 @@ func (sh *shard) absorb(b batch) {
 			sh.spareKeys, sh.spareVals = nil, nil
 		}
 	}
-	absorbRows(sh.cur.Table, b.keys, b.vals, sh.s.cfg.Holistic)
+	agg.AbsorbRows(sh.cur.Table, b.keys, b.vals, sh.s.cfg.Holistic)
 	sh.cur.rows += uint64(len(b.keys))
 	if sh.s.dur != nil {
 		sh.cur.keys = append(sh.cur.keys, b.keys...)
 		sh.cur.vals = append(sh.cur.vals, b.vals...)
-	}
-}
-
-// absorbRows folds raw rows (vals[i] belongs to keys[i], equal length)
-// into dst: the one absorb kernel, run by the shards on ingest and by
-// recovery when it replays WAL records into the base's partitions. The
-// holistic check is hoisted out of the row loop, kernels-style, and both
-// loops run in hashtbl.HashBatch-blocked form — fill a block of Mix
-// hashes first, then probe with UpsertH — exactly like the batch engines'
-// lpBuild* kernels: the hash multiplies of a block overlap each other and
-// the probes' dependent cache misses instead of serializing row by row.
-func absorbRows(dst agg.Table, keys, vals []uint64, holistic bool) {
-	t := dst.T
-	var h [hashtbl.HashBatch]uint64
-	i := 0
-	if holistic {
-		ar := dst.Ar
-		for ; i+hashtbl.HashBatch <= len(keys); i += hashtbl.HashBatch {
-			bk := keys[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
-			bv := vals[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
-			hashtbl.MixBatch(&h, bk)
-			for j, k := range bk {
-				p := t.UpsertH(k, h[j])
-				p.Observe(bv[j])
-				p.Buffer(ar, bv[j])
-			}
-		}
-		for ; i < len(keys); i++ {
-			p := t.Upsert(keys[i])
-			p.Observe(vals[i])
-			p.Buffer(ar, vals[i])
-		}
-		return
-	}
-	for ; i+hashtbl.HashBatch <= len(keys); i += hashtbl.HashBatch {
-		bk := keys[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
-		bv := vals[i : i+hashtbl.HashBatch : i+hashtbl.HashBatch]
-		hashtbl.MixBatch(&h, bk)
-		for j, k := range bk {
-			t.UpsertH(k, h[j]).Observe(bv[j])
-		}
-	}
-	for ; i < len(keys); i++ {
-		t.Upsert(keys[i]).Observe(vals[i])
 	}
 }
 

@@ -48,7 +48,6 @@ import (
 	"memagg/internal/agg"
 	"memagg/internal/cview"
 	"memagg/internal/obs"
-	"memagg/internal/radix"
 )
 
 // ErrClosed is returned by Append and Flush after Close.
@@ -75,7 +74,8 @@ type Config struct {
 	// partitioned by the top MergeBits of the shared hash finalizer, and
 	// merge cycles rebuild only the partitions that received delta rows.
 	// Fixed for the stream's lifetime. <= 0 means 6 (64 partitions);
-	// clamped to [1, radix.MaxBits].
+	// clamped to [1, agg.MaxPartBits]. Continuous-view windows fold their
+	// panes at the same fan-out.
 	MergeBits int
 
 	// MergeWorkers is the parallelism of a merge cycle (the radix scatter
@@ -90,9 +90,10 @@ type Config struct {
 	// default seed (growth amortizes it for low-cardinality streams).
 	EstimatedGroups int
 
-	// QueryWorkers is the parallelism of snapshot queries: the
-	// partition-wise fold of sealed deltas into a view's sources and the
-	// partition scans of the query kernels. Snapshots whose group count
+	// QueryWorkers is the parallelism of snapshot queries and
+	// continuous-view reads: the partition-wise fold of sealed deltas (or a
+	// window's panes) and the partition scans of the query kernels. Reads
+	// whose group count
 	// falls below agg.SerialQueryCutoff scan on the calling goroutine
 	// regardless, so tiny views never pay goroutine overhead. <= 0 uses
 	// GOMAXPROCS.
@@ -146,8 +147,8 @@ func (c Config) withDefaults() Config {
 	if c.MergeBits <= 0 {
 		c.MergeBits = 6
 	}
-	if c.MergeBits > radix.MaxBits {
-		c.MergeBits = radix.MaxBits
+	if c.MergeBits > agg.MaxPartBits {
+		c.MergeBits = agg.MaxPartBits
 	}
 	if c.MergeWorkers <= 0 {
 		c.MergeWorkers = runtime.GOMAXPROCS(0)
@@ -218,7 +219,7 @@ type view struct {
 	// fold guards srcs: the view's key-disjoint source tables. With no
 	// sealed deltas the base partitions serve directly (zero copy, set
 	// eagerly); otherwise the first query folds base + deltas partition by
-	// partition (see foldParts).
+	// partition (see foldDeltas).
 	fold sync.Once
 	srcs []agg.Table
 
@@ -269,7 +270,7 @@ func New(cfg Config) *Stream {
 func newStream(cfg Config) *Stream {
 	s := &Stream{cfg: cfg, wake: make(chan struct{}, 1)}
 	s.m = newMetrics(s)
-	s.views = cview.NewRegistry(cfg.Holistic, s.m.cviewMetrics())
+	s.views = cview.NewRegistry(cfg.Holistic, cfg.MergeBits, cfg.QueryWorkers, s.m.cviewMetrics())
 	s.view.Store(s.newView(nil, nil, 0))
 	return s
 }

@@ -3,11 +3,8 @@ package stream
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 
-	"memagg/internal/agg"
 	"memagg/internal/cview"
-	"memagg/internal/hashtbl"
 )
 
 // Continuous views (internal/cview) hang off the stream's seal-publication
@@ -65,63 +62,11 @@ func (s *Stream) ViewResult(name string) (*cview.Result, error) { return s.views
 
 // foldViews feeds one sealed delta to every registered view. Called under
 // viewMu by publish (after logSeal — same ordering the WAL records) and by
-// recovery's replay loop; d covers watermark rows (prevWM, endWM].
-//
-// Views defer the fold (absorb only queues it), so the seal path pays one
-// closure allocation per view here; the digest below makes the eventual
-// folds share one table scan and one hash pass no matter how many views
-// settle this seal.
+// recovery's replay loop; d covers watermark rows (prevWM, endWM]. The
+// delta is immutable once sealed, so views queue its table and merge it
+// into their panes when they settle.
 func (s *Stream) foldViews(prevWM, endWM uint64, d *delta) {
-	dig := &sealDigest{src: d.Table}
-	s.views.OnSeal(prevWM, endWM, d.rows, dig.fold)
-}
-
-// sealDigest lazily extracts one sealed delta's groups into dense arrays —
-// keys, precomputed hashes, partial refs — shared by every view that
-// settles this seal. The delta table's slot scan and the key hashing
-// happen once; each view's settle is then a tight upsert+merge loop.
-// materialize runs under once: views settle under their own locks, so two
-// can race here. The source delta is immutable after sealing (the merger
-// and snapshot folds already read it concurrently), so the extracted
-// partial refs stay valid for the digest's whole life.
-type sealDigest struct {
-	once sync.Once
-	src  agg.Table
-	keys []uint64
-	hs   []uint64
-	ps   []*agg.Partial
-}
-
-func (g *sealDigest) materialize() {
-	n := g.src.Len()
-	g.keys = make([]uint64, 0, n)
-	g.ps = make([]*agg.Partial, 0, n)
-	g.src.T.Iterate(func(k uint64, p *agg.Partial) bool {
-		g.keys = append(g.keys, k)
-		g.ps = append(g.ps, p)
-		return true
-	})
-	g.hs = make([]uint64, len(g.keys))
-	var h [hashtbl.HashBatch]uint64
-	i := 0
-	for ; i+hashtbl.HashBatch <= len(g.keys); i += hashtbl.HashBatch {
-		hashtbl.MixBatch(&h, g.keys[i:i+hashtbl.HashBatch])
-		copy(g.hs[i:], h[:])
-	}
-	for ; i < len(g.keys); i++ {
-		g.hs[i] = hashtbl.Mix(g.keys[i])
-	}
-}
-
-func (g *sealDigest) fold(dst agg.Table, withValues bool) {
-	g.once.Do(g.materialize)
-	for i, k := range g.keys {
-		np := dst.T.UpsertH(k, g.hs[i])
-		np.Merge(g.ps[i])
-		if withValues {
-			np.MergeValues(dst.Ar, g.ps[i], g.src.Ar)
-		}
-	}
+	s.views.OnSeal(prevWM, endWM, d.rows, d.Table)
 }
 
 // cviewDir is the continuous-view persistence root on a durable stream.

@@ -298,7 +298,9 @@ func loadMeta(fs wal.FS, dir string, r *bufio.Reader) (*Meta, error) {
 		Bits:      int(payload[29]),
 		Holistic:  payload[30] == 1,
 	}
-	if m.Bits < 1 || m.Bits > 16 {
+	// Past agg.MaxPartBits the radix partitioner clamps, so a recovered
+	// stream would route keys to partitions these runs disagree with.
+	if m.Bits < 1 || m.Bits > agg.MaxPartBits {
 		return nil, fmt.Errorf("checkpoint: META bits %d: %w", m.Bits, wal.ErrWALCorrupt)
 	}
 	return m, nil
@@ -328,7 +330,7 @@ func loadPartition(fs wal.FS, dir string, q int, holistic bool, r *bufio.Reader,
 		if len(payload) < 4 || int(binary.LittleEndian.Uint32(payload)) != q {
 			return fmt.Errorf("checkpoint: bad run header %s: %w", name, wal.ErrWALCorrupt)
 		}
-		if _, err := agg.DecodeRunFrame(part, 0, payload[4:], holistic); err != nil {
+		if _, err := agg.DecodeRunFrame(part, payload[4:], holistic); err != nil {
 			return fmt.Errorf("checkpoint: %s: %w: %w", name, err, wal.ErrWALCorrupt)
 		}
 	}

@@ -40,7 +40,24 @@ if [ "$n" -gt 0 ]; then
 	exit 1
 fi
 
+# Structural guard — one owner of the partition layout: which partition of
+# a partition set a row or group lands in is decided inside internal/agg
+# (agg.Fold, agg.Absorb, the group-run decoder) on top of internal/radix,
+# so no other non-test file calls the partitioner or its index.
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/*' ! -path './internal/radix/*' ! -path './.*/*' |
+	xargs grep -lE 'radix\.Partition(Index)?\(' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test files outside internal/agg and internal/radix route by radix partition" >&2
+	exit 1
+fi
+
 go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./internal/hashtbl/...
+# The partition-set owner is tested directly: agg.Fold against a
+# single-table MergeTable reference (fan-outs 0/1/4/6, values on and off,
+# workers 1/2/8: same groups, PartitionIndex placement, untouched
+# partitions shared by pointer, inputs unmodified, worker-independent
+# order) and agg.Absorb against AbsorbRows.
+go test -race -run 'TestFold|TestAbsorb|TestPartBits' -count=1 -v ./internal/agg
 # The group-run codec's record fuzzer replays its checked-in corpus, and
 # the run writer/decoder round trip (multi-frame, heads, radix routing,
 # empty runs) is pinned by name; the three containers' own suites
@@ -109,6 +126,12 @@ MEMAGG_WAL_GUARD=1 go test -run 'TestWALOverheadGuard' -count=1 -v ./internal/st
 # table (every spelling round-trips, QueryID values pinned as the on-disk
 # format they are, NaN/out-of-range quantiles rejected) rides along.
 go test -race -run 'TestQueryParallelSerialEquivalence|TestQueryConcurrentSnapshots|TestQueryCache' -count=1 -v ./internal/stream
+# View reads fold their window partition-wise and scan it in parallel, so
+# they carry the same contract: q1/q2/q6/quantile views read identically
+# (unsorted) at worker counts 1/2/8 and both cutoffs. Beside it, a
+# checkpoint whose META fan-out the partitioner cannot route is refused by
+# Load and Open instead of recovering misrouted partitions.
+go test -race -run 'TestViewParallelSerialEquivalence|TestCheckpointBadBitsRejected' -count=1 -v ./internal/stream
 go test -race -run 'TestParseQuery|TestQueryValidate|TestQueryIDsPinned' -count=1 -v ./internal/agg
 
 # Query overhead guard: the partition-parallel query path at 1 worker must
