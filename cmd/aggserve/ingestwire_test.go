@@ -178,19 +178,60 @@ func TestIngestBinaryRejectsCorruptBody(t *testing.T) {
 	}
 }
 
-// TestVersionedPathAliases checks the /v1 contract on both server modes:
-// versioned and unversioned spellings serve the same handler.
-func TestVersionedPathAliases(t *testing.T) {
-	srv, _ := newTestServer(t)
-	for _, path := range []string{"/healthz", "/v1/healthz", "/stats", "/v1/stats", "/metrics", "/v1/metrics"} {
-		if w := do(t, srv, http.MethodGet, path, ""); w.Code != http.StatusOK {
-			t.Errorf("GET %s = %d", path, w.Code)
-		}
+// TestRoutesV1Only pins the route contract on both server modes: every
+// route answers under /v1 and at no unversioned spelling, /debug/vars is
+// gone, and metric route labels stay unversioned.
+func TestRoutesV1Only(t *testing.T) {
+	type call struct {
+		method, path, body string
+		want               int
 	}
-	rsrv := newTestCluster(t, 2)
-	for _, path := range []string{"/healthz", "/v1/healthz", "/cluster/stats", "/v1/cluster/stats", "/readyz", "/v1/readyz"} {
-		if w := doRouter(t, rsrv, http.MethodGet, path, ""); w.Code != http.StatusOK {
-			t.Errorf("router GET %s = %d (%s)", path, w.Code, w.Body)
+	get, post := http.MethodGet, http.MethodPost
+	ingest := `{"keys":[1,2],"vals":[3,4]}`
+	node := []call{
+		{post, "/ingest", ingest, http.StatusOK},
+		{post, "/flush", "", http.StatusOK},
+		{get, "/query?q=q1", "", http.StatusOK},
+		{get, "/stats", "", http.StatusOK},
+		{get, "/partials", "", http.StatusOK},
+		{post, "/views", `{"name":"v","query":"q1","pane_rows":8,"panes":1}`, http.StatusCreated},
+		{get, "/views", "", http.StatusOK},
+		{get, "/views/v", "", http.StatusOK},
+		{get, "/views/v/result", "", http.StatusOK},
+		{get, "/healthz", "", http.StatusOK},
+		{get, "/readyz", "", http.StatusOK},
+		{get, "/metrics", "", http.StatusOK},
+	}
+	router := []call{
+		{post, "/ingest", ingest, http.StatusOK},
+		{post, "/flush", "", http.StatusOK},
+		{get, "/query?q=q1", "", http.StatusOK},
+		{get, "/cluster/stats", "", http.StatusOK},
+		{get, "/healthz", "", http.StatusOK},
+		{get, "/readyz", "", http.StatusOK},
+		{get, "/metrics", "", http.StatusOK},
+	}
+	srv, _ := newTestServer(t)
+	for name, mode := range map[string]struct {
+		h     http.Handler
+		calls []call
+	}{"node": {srv, node}, "router": {newTestCluster(t, 2), router}} {
+		for _, c := range mode.calls {
+			if w := do(t, mode.h, c.method, c.path, c.body); w.Code != http.StatusNotFound {
+				t.Errorf("%s: %s %s = %d, want 404", name, c.method, c.path, w.Code)
+			}
+			if w := do(t, mode.h, c.method, "/v1"+c.path, c.body); w.Code != c.want {
+				t.Errorf("%s: %s /v1%s = %d, want %d (%s)", name, c.method, c.path, w.Code, c.want, w.Body)
+			}
+		}
+		for _, path := range []string{"/debug/vars", "/v1/debug/vars"} {
+			if w := do(t, mode.h, get, path, ""); w.Code != http.StatusNotFound {
+				t.Errorf("%s: GET %s = %d, want 404", name, path, w.Code)
+			}
+		}
+		w := do(t, mode.h, get, "/v1/metrics", "")
+		if want := `memagg_http_requests_total{route="/ingest",code="200"} 1`; !strings.Contains(w.Body.String(), want) {
+			t.Errorf("%s: /v1/metrics missing %q", name, want)
 		}
 	}
 }
@@ -224,7 +265,7 @@ func TestClusterIngestEquivalence(t *testing.T) {
 	binCluster := newEquivCluster(t)
 
 	for _, b := range equivBatches() {
-		if w := doRouter(t, jsonCluster, http.MethodPost, "/v1/ingest", b.jsonBody()); w.Code != http.StatusOK {
+		if w := do(t, jsonCluster, http.MethodPost, "/v1/ingest", b.jsonBody()); w.Code != http.StatusOK {
 			t.Fatalf("json cluster ingest = %d: %s", w.Code, w.Body)
 		}
 		if w := doChunk(t, binCluster, "/v1/ingest", b.chunkBody()); w.Code != http.StatusOK {
@@ -232,13 +273,13 @@ func TestClusterIngestEquivalence(t *testing.T) {
 		}
 	}
 	for _, srv := range []*routerServer{jsonCluster, binCluster} {
-		if w := doRouter(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
+		if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 			t.Fatalf("cluster flush = %d: %s", w.Code, w.Body)
 		}
 	}
 	for _, q := range equivQueries {
-		wj := doRouter(t, jsonCluster, http.MethodGet, "/v1/query?q="+q, "")
-		wb := doRouter(t, binCluster, http.MethodGet, "/v1/query?q="+q, "")
+		wj := do(t, jsonCluster, http.MethodGet, "/v1/query?q="+q, "")
+		wb := do(t, binCluster, http.MethodGet, "/v1/query?q="+q, "")
 		if wj.Code != http.StatusOK || wb.Code != http.StatusOK {
 			t.Fatalf("q=%s: json %d, binary %d (%s | %s)", q, wj.Code, wb.Code, wj.Body, wb.Body)
 		}
@@ -251,9 +292,9 @@ func TestClusterIngestEquivalence(t *testing.T) {
 // TestIngestThroughputGuard is the regression gate on the tentpole's
 // point: binary chunk ingest must not be slower than JSON ingest for the
 // same rows through the same HTTP server (in practice it is several
-// times faster — `-exp ingestwire` quantifies the gap; this guard only
-// pins the sign). Wall-clock ratios are noisy, so it runs only under
-// MEMAGG_INGEST_GUARD=1 — scripts/ci.sh sets it.
+// times faster; this guard only pins the sign). Wall-clock ratios are
+// noisy, so it runs only under MEMAGG_INGEST_GUARD=1 — scripts/ci.sh
+// sets it.
 func TestIngestThroughputGuard(t *testing.T) {
 	if os.Getenv("MEMAGG_INGEST_GUARD") != "1" {
 		t.Skip("set MEMAGG_INGEST_GUARD=1 to run the ingest throughput guard")

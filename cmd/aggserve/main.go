@@ -10,9 +10,10 @@
 // many rows were recovered and how long it took). -sync picks the fsync
 // policy (none | interval | always) and -checkpoint-every the checkpoint
 // cadence in rows. If the log becomes unwritable the server degrades to
-// read-only: /ingest and /flush return 503 while queries keep serving.
+// read-only: /v1/ingest and /v1/flush return 503 while queries keep
+// serving.
 //
-// Endpoints (mounted under /v1/; the unversioned paths stay as aliases):
+// Endpoints (every route is mounted under /v1/ only):
 //
 //	POST /v1/ingest   append one batch; Content-Type selects the body:
 //	                  application/json  {"keys":[1,2,1],"vals":[10,20,30]}
@@ -26,8 +27,14 @@
 //	GET  /v1/views/{name}         one view's description; DELETE drops it
 //	GET  /v1/views/{name}/result  evaluate the standing query (ETag/304)
 //	GET  /v1/stats                                         ingest/merge state
+//	GET  /v1/partials             the node's partial set (cluster gather wire)
+//	GET  /v1/healthz                                       liveness
+//	GET  /v1/readyz               readiness: open and not durability-degraded
 //	GET  /v1/metrics                                       Prometheus text format
-//	GET  /v1/debug/vars                                    expvar-style JSON
+//
+// Router mode (-peers) serves /v1/ingest, /v1/flush, /v1/query,
+// /v1/healthz, /v1/readyz and /v1/metrics with the same shapes, plus
+// GET /v1/cluster/stats (per-peer request and breaker health).
 //
 // Errors share one JSON envelope: {"error": "...", "code": <status>}.
 //
@@ -41,7 +48,7 @@
 // the per-view materialized-result cache (repeated dashboard queries
 // against an unchanged view are served from it).
 //
-// /metrics serves three metric groups in one scrape: the process-global
+// /v1/metrics serves three metric groups in one scrape: the process-global
 // instruments (engine phase timings, arena accounting), the stream's
 // (ingest rows/batches, append latency, backpressure blocked time, seals,
 // merges, snapshot staleness), and the server's own per-route request
@@ -126,7 +133,7 @@ func main() {
 		}
 		// In-flight handlers have drained; any that race the close observe
 		// ErrClosed and map to 503 (Close is safe against concurrent
-		// Append/Flush). On a durable stream Close also seals remaining
+		// AppendChunk/Flush). On a durable stream Close also seals remaining
 		// rows into the WAL and writes a final checkpoint, so the next boot
 		// recovers the full watermark without replay.
 		if err := s.Close(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 
 	"memagg"
 	"memagg/internal/cluster"
@@ -18,55 +17,21 @@ import (
 // set and merge exactly; responses carry the composed cluster watermark
 // and its ETag.
 type routerServer struct {
-	rt       *cluster.Router
-	mux      *http.ServeMux
-	reg      *obs.Registry
-	requests *obs.CounterVec
-	latency  *obs.HistogramVec
+	rt *cluster.Router
+	*http.ServeMux
 }
 
 func newRouterServer(rt *cluster.Router) *routerServer {
-	reg := obs.NewRegistry()
-	srv := &routerServer{
-		rt:  rt,
-		mux: http.NewServeMux(),
-		reg: reg,
-		requests: reg.NewCounterVec("memagg_http_requests_total",
-			"HTTP requests served, by route and status code.", "route", "code"),
-		latency: reg.NewHistogramVec("memagg_http_request_seconds",
-			"HTTP request latency, by route.", "route"),
-	}
-	srv.handle("/ingest", srv.handleIngest)
-	srv.handle("/flush", srv.handleFlush)
-	srv.handle("/query", srv.handleQuery)
-	srv.handle("/cluster/stats", srv.handleClusterStats)
-	srv.handle("/healthz", srv.handleHealthz)
-	srv.handle("/readyz", srv.handleReadyz)
-	regs := []*obs.Registry{obs.Default, rt.Registry(), reg}
-	srv.mux.Handle("/v1/metrics", obs.Handler(regs...))
-	srv.mux.Handle("/metrics", obs.Handler(regs...))
-	srv.mux.Handle("/v1/debug/vars", obs.VarsHandler(regs...))
-	srv.mux.Handle("/debug/vars", obs.VarsHandler(regs...))
+	srv := &routerServer{rt: rt}
+	srv.ServeMux = newAPIMux([]route{
+		{"/ingest", srv.handleIngest},
+		{"/flush", srv.handleFlush},
+		{"/query", srv.handleQuery},
+		{"/cluster/stats", srv.handleClusterStats},
+		{"/healthz", srv.handleHealthz},
+		{"/readyz", srv.handleReadyz},
+	}, obs.Default, rt.Registry())
 	return srv
-}
-
-func (srv *routerServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	srv.mux.ServeHTTP(w, r)
-}
-
-// handle mirrors server.handle: versioned /v1 mount plus the unversioned
-// alias, one shared route label.
-func (srv *routerServer) handle(route string, h http.HandlerFunc) {
-	lat := srv.latency.With(route)
-	wrapped := func(w http.ResponseWriter, r *http.Request) {
-		mk := obs.Start()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		mk.Tick(lat)
-		srv.requests.With(route, strconv.Itoa(sw.status)).Inc()
-	}
-	srv.mux.HandleFunc("/v1"+route, wrapped)
-	srv.mux.HandleFunc(route, wrapped)
 }
 
 // clusterStatus maps a router error to its HTTP status: 503 when peers

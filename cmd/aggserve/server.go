@@ -23,49 +23,29 @@ import (
 // status list stops at 511).
 const statusClientClosedRequest = 499
 
-// server wires one memagg.Stream to the HTTP API. Every route passes
-// through the metrics middleware (per-route request counters by status
-// code, per-route latency histograms), and /metrics serves those families
-// next to the process-global registry (engine phases, arena accounting)
-// and the stream's own (ingest, seal, merge, snapshot instruments).
+// server wires one memagg.Stream to the HTTP API. /v1/metrics serves the
+// process-global registry (engine phases, arena accounting), the stream's
+// own (ingest, seal, merge, snapshot instruments) and the API's per-route
+// request families (see newAPIMux).
 type server struct {
-	stream   *memagg.Stream
-	mux      *http.ServeMux
-	reg      *obs.Registry
-	requests *obs.CounterVec
-	latency  *obs.HistogramVec
+	stream *memagg.Stream
+	*http.ServeMux
 }
 
 func newServer(s *memagg.Stream) *server {
-	reg := obs.NewRegistry()
-	srv := &server{
-		stream: s,
-		mux:    http.NewServeMux(),
-		reg:    reg,
-		requests: reg.NewCounterVec("memagg_http_requests_total",
-			"HTTP requests served, by route and status code.", "route", "code"),
-		latency: reg.NewHistogramVec("memagg_http_request_seconds",
-			"HTTP request latency, by route.", "route"),
-	}
-	srv.handle("/ingest", srv.handleIngest)
-	srv.handle("/flush", srv.handleFlush)
-	srv.handle("/query", srv.handleQuery)
-	srv.handle("/stats", srv.handleStats)
-	srv.handle("/partials", srv.handlePartials)
-	srv.handle("/views", srv.handleViews)
-	srv.handle("/views/", srv.handleViewItem)
-	srv.handle("/healthz", srv.handleHealthz)
-	srv.handle("/readyz", srv.handleReadyz)
-	regs := []*obs.Registry{obs.Default, s.MetricsRegistry(), reg}
-	srv.mux.Handle("/v1/metrics", obs.Handler(regs...))
-	srv.mux.Handle("/metrics", obs.Handler(regs...))
-	srv.mux.Handle("/v1/debug/vars", obs.VarsHandler(regs...))
-	srv.mux.Handle("/debug/vars", obs.VarsHandler(regs...))
+	srv := &server{stream: s}
+	srv.ServeMux = newAPIMux([]route{
+		{"/ingest", srv.handleIngest},
+		{"/flush", srv.handleFlush},
+		{"/query", srv.handleQuery},
+		{"/stats", srv.handleStats},
+		{"/partials", srv.handlePartials},
+		{"/views", srv.handleViews},
+		{"/views/", srv.handleViewItem},
+		{"/healthz", srv.handleHealthz},
+		{"/readyz", srv.handleReadyz},
+	}, obs.Default, s.MetricsRegistry())
 	return srv
-}
-
-func (srv *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	srv.mux.ServeHTTP(w, r)
 }
 
 // statusWriter captures the status code a handler writes (200 when the
@@ -80,21 +60,37 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// handle registers h behind the metrics middleware, mounted at its
-// versioned path /v1<route> with the unversioned route kept as an alias.
-// Both spellings share one route label so the metric cardinality (and
-// existing dashboards) do not split by prefix.
-func (srv *server) handle(route string, h http.HandlerFunc) {
-	lat := srv.latency.With(route)
-	wrapped := func(w http.ResponseWriter, r *http.Request) {
-		mk := obs.Start()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		mk.Tick(lat)
-		srv.requests.With(route, strconv.Itoa(sw.status)).Inc()
+// route is one API endpoint: its unversioned path, which is also its
+// metric label, and its handler.
+type route struct {
+	path string
+	h    http.HandlerFunc
+}
+
+// newAPIMux mounts every route at /v1<route> behind the metrics
+// middleware — per-route request counters by status code and latency
+// histograms — and serves /v1/metrics over regs plus those two families.
+// The route label omits the /v1 prefix, so dashboards keyed on
+// {route="/ingest"} read the same series.
+func newAPIMux(routes []route, regs ...*obs.Registry) *http.ServeMux {
+	reg := obs.NewRegistry()
+	requests := reg.NewCounterVec("memagg_http_requests_total",
+		"HTTP requests served, by route and status code.", "route", "code")
+	latency := reg.NewHistogramVec("memagg_http_request_seconds",
+		"HTTP request latency, by route.", "route")
+	mux := http.NewServeMux()
+	for _, rt := range routes {
+		lat := latency.With(rt.path)
+		mux.HandleFunc("/v1"+rt.path, func(w http.ResponseWriter, r *http.Request) {
+			mk := obs.Start()
+			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+			rt.h(sw, r)
+			mk.Tick(lat)
+			requests.With(rt.path, strconv.Itoa(sw.status)).Inc()
+		})
 	}
-	srv.mux.HandleFunc("/v1"+route, wrapped)
-	srv.mux.HandleFunc(route, wrapped)
+	mux.Handle("/v1/metrics", obs.Handler(append(regs, reg)...))
+	return mux
 }
 
 type ingestRequest struct {
@@ -179,11 +175,12 @@ func chunkStatus(err error) (int, string) {
 	return ingestStatus(err), err.Error()
 }
 
-// ingestStatus maps an Append/Flush error to its HTTP status: 503 for the
-// expected refusals — the stream is draining during shutdown (ErrClosed)
-// or has degraded to read-only after a durability fault (ErrDurability) —
-// and 500 for anything else. The explicit errors.Is mapping keeps a future
-// unexpected error from masquerading as routine unavailability.
+// ingestStatus maps an AppendChunk/Flush error to its HTTP status: 503
+// for the expected refusals — the stream is draining during shutdown
+// (ErrClosed) or has degraded to read-only after a durability fault
+// (ErrDurability) — and 500 for anything else. The explicit errors.Is
+// mapping keeps a future unexpected error from masquerading as routine
+// unavailability.
 func ingestStatus(err error) int {
 	if errors.Is(err, memagg.ErrClosed) || errors.Is(err, memagg.ErrDurability) {
 		return http.StatusServiceUnavailable
@@ -280,6 +277,13 @@ func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q, err := parseQuery(params)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	// An already-cancelled request answers 499 before any query work:
+	// once the query runs, a fast finish makes both select cases below
+	// ready, and select picks between them at random.
+	if err := r.Context().Err(); err != nil {
+		httpError(w, statusClientClosedRequest, "request canceled: "+err.Error())
 		return
 	}
 	sn := srv.stream.Snapshot()

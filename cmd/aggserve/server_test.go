@@ -24,7 +24,7 @@ func newTestServer(t *testing.T) (*server, *memagg.Stream) {
 	return newServer(s), s
 }
 
-func do(t *testing.T, srv *server, method, target, body string) *httptest.ResponseRecorder {
+func do(t *testing.T, srv http.Handler, method, target, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	var r *http.Request
 	if body != "" {
@@ -40,15 +40,15 @@ func do(t *testing.T, srv *server, method, target, body string) *httptest.Respon
 func TestIngestFlushQueryRoundTrip(t *testing.T) {
 	srv, _ := newTestServer(t)
 
-	w := do(t, srv, http.MethodPost, "/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`)
+	w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", w.Code, w.Body)
 	}
-	if w := do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d: %s", w.Code, w.Body)
 	}
 
-	w = do(t, srv, http.MethodGet, "/query?q=q1", "")
+	w = do(t, srv, http.MethodGet, "/v1/query?q=q1", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("query q1 = %d: %s", w.Code, w.Body)
 	}
@@ -75,7 +75,7 @@ func TestIngestFlushQueryRoundTrip(t *testing.T) {
 	}
 
 	// A holistic stream answers q3 over the same snapshot state.
-	if w := do(t, srv, http.MethodGet, "/query?q=q3", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodGet, "/v1/query?q=q3", ""); w.Code != http.StatusOK {
 		t.Fatalf("query q3 = %d: %s", w.Code, w.Body)
 	}
 }
@@ -86,25 +86,25 @@ func TestQueryErrors(t *testing.T) {
 		target string
 		want   int
 	}{
-		{"/query?q=", http.StatusBadRequest},
-		{"/query?q=nonsense", http.StatusBadRequest},
-		{"/query?q=q7", http.StatusBadRequest},       // missing lo/hi
-		{"/query?q=quantile", http.StatusBadRequest}, // missing p
-		{"/query?q=q7&lo=9&hi=3", http.StatusOK},     // empty range is legal
-		{"/query?q=q1&extra=1", http.StatusOK},
+		{"/v1/query?q=", http.StatusBadRequest},
+		{"/v1/query?q=nonsense", http.StatusBadRequest},
+		{"/v1/query?q=q7", http.StatusBadRequest},       // missing lo/hi
+		{"/v1/query?q=quantile", http.StatusBadRequest}, // missing p
+		{"/v1/query?q=q7&lo=9&hi=3", http.StatusOK},     // empty range is legal
+		{"/v1/query?q=q1&extra=1", http.StatusOK},
 	}
 	for _, c := range cases {
 		if w := do(t, srv, http.MethodGet, c.target, ""); w.Code != c.want {
 			t.Errorf("GET %s = %d want %d (%s)", c.target, w.Code, c.want, w.Body)
 		}
 	}
-	if w := do(t, srv, http.MethodPost, "/query?q=q1", ""); w.Code != http.StatusMethodNotAllowed {
+	if w := do(t, srv, http.MethodPost, "/v1/query?q=q1", ""); w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST /query = %d want 405", w.Code)
 	}
-	if w := do(t, srv, http.MethodPost, "/ingest", `{bad json`); w.Code != http.StatusBadRequest {
+	if w := do(t, srv, http.MethodPost, "/v1/ingest", `{bad json`); w.Code != http.StatusBadRequest {
 		t.Errorf("bad ingest body = %d want 400", w.Code)
 	}
-	if w := do(t, srv, http.MethodPost, "/ingest", `{"keys":[1],"vals":[1,2]}`); w.Code != http.StatusBadRequest {
+	if w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1],"vals":[1,2]}`); w.Code != http.StatusBadRequest {
 		t.Errorf("more vals than keys = %d want 400", w.Code)
 	}
 }
@@ -113,7 +113,7 @@ func TestUnsupportedQueryOnDistributiveStream(t *testing.T) {
 	s := memagg.NewStream(memagg.StreamOptions{Shards: 1, SealRows: 4})
 	t.Cleanup(func() { _ = s.Close() })
 	srv := newServer(s)
-	if w := do(t, srv, http.MethodGet, "/query?q=q3", ""); w.Code != http.StatusUnprocessableEntity {
+	if w := do(t, srv, http.MethodGet, "/v1/query?q=q3", ""); w.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("q3 on distributive stream = %d want 422 (%s)", w.Code, w.Body)
 	}
 }
@@ -122,7 +122,7 @@ func TestQueryCanceledContext(t *testing.T) {
 	srv, s := newTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := httptest.NewRequest(http.MethodGet, "/query?q=q1", nil).WithContext(ctx)
+	r := httptest.NewRequest(http.MethodGet, "/v1/query?q=q1", nil).WithContext(ctx)
 	w := httptest.NewRecorder()
 	srv.ServeHTTP(w, r)
 	if w.Code != statusClientClosedRequest {
@@ -135,7 +135,7 @@ func TestQueryCanceledContext(t *testing.T) {
 	// An already-expired deadline behaves the same as an explicit cancel.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	r = httptest.NewRequest(http.MethodGet, "/query?q=q1", nil).WithContext(dctx)
+	r = httptest.NewRequest(http.MethodGet, "/v1/query?q=q1", nil).WithContext(dctx)
 	w = httptest.NewRecorder()
 	srv.ServeHTTP(w, r)
 	if w.Code != statusClientClosedRequest {
@@ -143,11 +143,11 @@ func TestQueryCanceledContext(t *testing.T) {
 	}
 
 	// Cancellation against a closed stream still answers 499, not a panic
-	// or a 500: the snapshot was pinned before the select.
+	// or a 500.
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r = httptest.NewRequest(http.MethodGet, "/query?q=q1", nil).WithContext(ctx)
+	r = httptest.NewRequest(http.MethodGet, "/v1/query?q=q1", nil).WithContext(ctx)
 	w = httptest.NewRecorder()
 	srv.ServeHTTP(w, r)
 	if w.Code != statusClientClosedRequest {
@@ -162,29 +162,29 @@ func TestQueryCanceledContext(t *testing.T) {
 // state.
 func TestIngestDuringShutdown(t *testing.T) {
 	srv, s := newTestServer(t)
-	if w := do(t, srv, http.MethodPost, "/ingest", `{"keys":[1,2],"vals":[1,2]}`); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2],"vals":[1,2]}`); w.Code != http.StatusOK {
 		t.Fatalf("ingest = %d", w.Code)
 	}
-	if w := do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d", w.Code)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	w := do(t, srv, http.MethodPost, "/ingest", `{"keys":[9],"vals":[9]}`)
+	w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[9],"vals":[9]}`)
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("ingest after close = %d want 503 (%s)", w.Code, w.Body)
 	}
 	if !strings.Contains(w.Body.String(), memagg.ErrClosed.Error()) {
 		t.Fatalf("503 body does not carry ErrClosed: %s", w.Body)
 	}
-	if w := do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusServiceUnavailable {
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("flush after close = %d want 503 (%s)", w.Code, w.Body)
 	}
 
 	// The closed stream still serves its final, fully merged state.
-	w = do(t, srv, http.MethodGet, "/query?q=q4", "")
+	w = do(t, srv, http.MethodGet, "/v1/query?q=q4", "")
 	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"result":2`) {
 		t.Fatalf("query after close = %d: %s", w.Code, w.Body)
 	}
@@ -214,10 +214,10 @@ func TestDurableServerRecoversOnBoot(t *testing.T) {
 
 	s := open()
 	srv := newServer(s)
-	if w := do(t, srv, http.MethodPost, "/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`); w.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", w.Code, w.Body)
 	}
-	if w := do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d", w.Code)
 	}
 	if err := s.Close(); err != nil {
@@ -229,15 +229,15 @@ func TestDurableServerRecoversOnBoot(t *testing.T) {
 	srv2 := newServer(s2)
 
 	var st memagg.StreamStats
-	w := do(t, srv2, http.MethodGet, "/stats", "")
+	w := do(t, srv2, http.MethodGet, "/v1/stats", "")
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/stats: %v", err)
+		t.Fatalf("/v1/stats: %v", err)
 	}
 	if !st.Durable || st.Watermark != 4 || st.CheckpointWatermark != 4 {
 		t.Fatalf("recovered stats = %+v, want durable watermark 4 from checkpoint", st)
 	}
 
-	w = do(t, srv2, http.MethodGet, "/query?q=q1", "")
+	w = do(t, srv2, http.MethodGet, "/v1/query?q=q1", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("query on recovered server = %d: %s", w.Code, w.Body)
 	}
@@ -259,12 +259,12 @@ func TestDurableServerRecoversOnBoot(t *testing.T) {
 		t.Fatalf("recovered q1 = watermark %d counts %v", resp.Watermark, counts)
 	}
 	// Holistic state (value multisets) survived the round trip too.
-	if w := do(t, srv2, http.MethodGet, "/query?q=q3", ""); w.Code != http.StatusOK {
+	if w := do(t, srv2, http.MethodGet, "/v1/query?q=q3", ""); w.Code != http.StatusOK {
 		t.Fatalf("q3 on recovered server = %d: %s", w.Code, w.Body)
 	}
 	// WAL metrics are live on the recovered server's /metrics.
-	if w := do(t, srv2, http.MethodGet, "/metrics", ""); !strings.Contains(w.Body.String(), "memagg_wal_checkpoint_watermark_rows 4") {
-		t.Fatalf("/metrics missing WAL checkpoint watermark gauge")
+	if w := do(t, srv2, http.MethodGet, "/v1/metrics", ""); !strings.Contains(w.Body.String(), "memagg_wal_checkpoint_watermark_rows 4") {
+		t.Fatalf("/v1/metrics missing WAL checkpoint watermark gauge")
 	}
 }
 
@@ -272,16 +272,16 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	// Generate some traffic first so the route counters have values.
-	do(t, srv, http.MethodPost, "/ingest", `{"keys":[1,2],"vals":[1,2]}`)
-	do(t, srv, http.MethodPost, "/flush", "")
-	do(t, srv, http.MethodGet, "/query?q=q1", "")
+	do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2],"vals":[1,2]}`)
+	do(t, srv, http.MethodPost, "/v1/flush", "")
+	do(t, srv, http.MethodGet, "/v1/query?q=q1", "")
 
-	w := do(t, srv, http.MethodGet, "/metrics", "")
+	w := do(t, srv, http.MethodGet, "/v1/metrics", "")
 	if w.Code != http.StatusOK {
-		t.Fatalf("/metrics = %d", w.Code)
+		t.Fatalf("/v1/metrics = %d", w.Code)
 	}
 	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("/metrics content-type = %q", ct)
+		t.Fatalf("/v1/metrics content-type = %q", ct)
 	}
 	body := w.Body.String()
 	for _, want := range []string{
@@ -294,7 +294,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"memagg_stream_seals_total",
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q", want)
+			t.Errorf("/v1/metrics missing %q", want)
 		}
 	}
 
@@ -310,33 +310,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestVarsEndpoint(t *testing.T) {
-	srv, _ := newTestServer(t)
-	do(t, srv, http.MethodPost, "/ingest", `{"keys":[7],"vals":[1]}`)
-	w := do(t, srv, http.MethodGet, "/debug/vars", "")
-	if w.Code != http.StatusOK {
-		t.Fatalf("/debug/vars = %d", w.Code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal(w.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if v, ok := vars["memagg_stream_rows_total"]; !ok || v.(float64) != 1 {
-		t.Fatalf("memagg_stream_rows_total = %v (present=%v)", v, ok)
-	}
-}
-
 func TestStatsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
-	do(t, srv, http.MethodPost, "/ingest", `{"keys":[1,1,2],"vals":[1,2,3]}`)
-	do(t, srv, http.MethodPost, "/flush", "")
-	w := do(t, srv, http.MethodGet, "/stats", "")
+	do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,1,2],"vals":[1,2,3]}`)
+	do(t, srv, http.MethodPost, "/v1/flush", "")
+	w := do(t, srv, http.MethodGet, "/v1/stats", "")
 	if w.Code != http.StatusOK {
-		t.Fatalf("/stats = %d", w.Code)
+		t.Fatalf("/v1/stats = %d", w.Code)
 	}
 	var st memagg.StreamStats
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
-		t.Fatalf("/stats not JSON: %v", err)
+		t.Fatalf("/v1/stats not JSON: %v", err)
 	}
 	if st.Ingested != 3 || st.Watermark != 3 || st.Batches != 1 || st.Seals == 0 {
 		t.Fatalf("stats = %+v", st)
@@ -349,14 +333,14 @@ func TestStatsEndpoint(t *testing.T) {
 // stale validator misses and a full response returns with the new tag.
 func TestQueryETagConditional(t *testing.T) {
 	srv, _ := newTestServer(t)
-	if w := do(t, srv, http.MethodPost, "/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`); w.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", w.Code, w.Body)
 	}
-	if w := do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d: %s", w.Code, w.Body)
 	}
 
-	w := do(t, srv, http.MethodGet, "/query?q=q1", "")
+	w := do(t, srv, http.MethodGet, "/v1/query?q=q1", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("query = %d: %s", w.Code, w.Body)
 	}
@@ -366,7 +350,7 @@ func TestQueryETagConditional(t *testing.T) {
 	}
 
 	cond := func(inm string) *httptest.ResponseRecorder {
-		r := httptest.NewRequest(http.MethodGet, "/query?q=q1", nil)
+		r := httptest.NewRequest(http.MethodGet, "/v1/query?q=q1", nil)
 		r.Header.Set("If-None-Match", inm)
 		w := httptest.NewRecorder()
 		srv.ServeHTTP(w, r)
@@ -389,10 +373,10 @@ func TestQueryETagConditional(t *testing.T) {
 	}
 
 	// Advance the watermark; the old validator must stop matching.
-	if w := do(t, srv, http.MethodPost, "/ingest", `{"keys":[9],"vals":[90]}`); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[9],"vals":[90]}`); w.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", w.Code, w.Body)
 	}
-	if w := do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d: %s", w.Code, w.Body)
 	}
 	w = cond(etag)
@@ -410,20 +394,20 @@ func TestQueryETagConditional(t *testing.T) {
 func TestHealthzReadyz(t *testing.T) {
 	srv, s := newTestServer(t)
 
-	if w := do(t, srv, http.MethodGet, "/healthz", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodGet, "/v1/healthz", ""); w.Code != http.StatusOK {
 		t.Fatalf("healthz = %d: %s", w.Code, w.Body)
 	}
-	if w := do(t, srv, http.MethodGet, "/readyz", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodGet, "/v1/readyz", ""); w.Code != http.StatusOK {
 		t.Fatalf("readyz = %d: %s", w.Code, w.Body)
 	}
 
 	_ = s.Close()
 	// Liveness is not readiness: the process still serves (queries keep
 	// working after Close), but it must not receive sharded ingest.
-	if w := do(t, srv, http.MethodGet, "/healthz", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodGet, "/v1/healthz", ""); w.Code != http.StatusOK {
 		t.Fatalf("healthz after close = %d: %s", w.Code, w.Body)
 	}
-	if w := do(t, srv, http.MethodGet, "/readyz", ""); w.Code != http.StatusServiceUnavailable {
+	if w := do(t, srv, http.MethodGet, "/v1/readyz", ""); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz after close = %d, want 503: %s", w.Code, w.Body)
 	}
 }
@@ -432,12 +416,12 @@ func TestHealthzReadyz(t *testing.T) {
 // the cluster wire format, tagged with the watermark it covers.
 func TestPartialsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
-	do(t, srv, http.MethodPost, "/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`)
-	if w := do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`)
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d", w.Code)
 	}
 
-	w := do(t, srv, http.MethodGet, "/partials", "")
+	w := do(t, srv, http.MethodGet, "/v1/partials", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("partials = %d: %s", w.Code, w.Body)
 	}
@@ -447,25 +431,12 @@ func TestPartialsEndpoint(t *testing.T) {
 	if w.Body.Len() == 0 {
 		t.Fatal("empty partial set body")
 	}
-	if w := do(t, srv, http.MethodPost, "/partials", ""); w.Code != http.StatusMethodNotAllowed {
+	if w := do(t, srv, http.MethodPost, "/v1/partials", ""); w.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST partials = %d, want 405", w.Code)
 	}
 }
 
 // doRouter drives the router-mode HTTP server in-process.
-func doRouter(t *testing.T, srv *routerServer, method, target, body string) *httptest.ResponseRecorder {
-	t.Helper()
-	var r *http.Request
-	if body != "" {
-		r = httptest.NewRequest(method, target, strings.NewReader(body))
-	} else {
-		r = httptest.NewRequest(method, target, nil)
-	}
-	w := httptest.NewRecorder()
-	srv.ServeHTTP(w, r)
-	return w
-}
-
 // newTestCluster spins up n worker nodes (full aggserve servers over
 // httptest) plus the router-mode server over them.
 func newTestCluster(t *testing.T, n int) *routerServer {
@@ -490,18 +461,18 @@ func newTestCluster(t *testing.T, n int) *routerServer {
 func TestRouterServerRoundTrip(t *testing.T) {
 	srv := newTestCluster(t, 3)
 
-	if w := doRouter(t, srv, http.MethodGet, "/readyz", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodGet, "/v1/readyz", ""); w.Code != http.StatusOK {
 		t.Fatalf("readyz = %d: %s", w.Code, w.Body)
 	}
-	w := doRouter(t, srv, http.MethodPost, "/ingest", `{"keys":[1,2,1,3,9,9],"vals":[10,20,30,40,5,7]}`)
+	w := do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2,1,3,9,9],"vals":[10,20,30,40,5,7]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", w.Code, w.Body)
 	}
-	if w := doRouter(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d: %s", w.Code, w.Body)
 	}
 
-	w = doRouter(t, srv, http.MethodGet, "/query?q=q1", "")
+	w = do(t, srv, http.MethodGet, "/v1/query?q=q1", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("query q1 = %d: %s", w.Code, w.Body)
 	}
@@ -532,7 +503,7 @@ func TestRouterServerRoundTrip(t *testing.T) {
 	if etag == "" {
 		t.Fatal("query response has no ETag")
 	}
-	r := httptest.NewRequest(http.MethodGet, "/query?q=q1", nil)
+	r := httptest.NewRequest(http.MethodGet, "/v1/query?q=q1", nil)
 	r.Header.Set("If-None-Match", etag)
 	w2 := httptest.NewRecorder()
 	srv.ServeHTTP(w2, r)
@@ -541,12 +512,12 @@ func TestRouterServerRoundTrip(t *testing.T) {
 	}
 
 	// Holistic query through the cluster.
-	if w := doRouter(t, srv, http.MethodGet, "/query?q=q3", ""); w.Code != http.StatusOK {
+	if w := do(t, srv, http.MethodGet, "/v1/query?q=q3", ""); w.Code != http.StatusOK {
 		t.Fatalf("query q3 = %d: %s", w.Code, w.Body)
 	}
 
 	// Stats name every peer.
-	w = doRouter(t, srv, http.MethodGet, "/cluster/stats", "")
+	w = do(t, srv, http.MethodGet, "/v1/cluster/stats", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("cluster/stats = %d: %s", w.Code, w.Body)
 	}
@@ -616,7 +587,7 @@ func TestRouterValidatesBeforeGather(t *testing.T) {
 	}
 	srv := newRouterServer(rt)
 	for _, target := range []string{"/v1/query?q=nope", "/v1/query?q=q7", "/v1/query?q=q7&lo=1", "/v1/query?q=quantile&p=NaN", "/v1/query"} {
-		if w := doRouter(t, srv, http.MethodGet, target, ""); w.Code != http.StatusBadRequest {
+		if w := do(t, srv, http.MethodGet, target, ""); w.Code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d want 400 (%s)", target, w.Code, w.Body)
 		}
 	}
@@ -625,7 +596,7 @@ func TestRouterValidatesBeforeGather(t *testing.T) {
 			t.Errorf("peer %s saw %d requests for malformed queries, want 0", st.Peer, st.Requests)
 		}
 	}
-	if w := doRouter(t, srv, http.MethodGet, "/v1/query?q=q1", ""); w.Code != http.StatusServiceUnavailable {
+	if w := do(t, srv, http.MethodGet, "/v1/query?q=q1", ""); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("q1 with every peer down = %d want 503 (%s)", w.Code, w.Body)
 	}
 }

@@ -105,10 +105,10 @@ func TestViewResultETag(t *testing.T) {
 	if w.Code != http.StatusCreated {
 		t.Fatalf("register = %d: %s", w.Code, w.Body)
 	}
-	if w = do(t, srv, http.MethodPost, "/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`); w.Code != http.StatusOK {
+	if w = do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`); w.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", w.Code, w.Body)
 	}
-	if w = do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	if w = do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d: %s", w.Code, w.Body)
 	}
 
@@ -142,10 +142,10 @@ func TestViewResultETag(t *testing.T) {
 	}
 
 	// A new seal bumps the version: the old tag must miss.
-	if w = do(t, srv, http.MethodPost, "/ingest", `{"keys":[7,7,7,7],"vals":[1,2,3,4]}`); w.Code != http.StatusOK {
+	if w = do(t, srv, http.MethodPost, "/v1/ingest", `{"keys":[7,7,7,7],"vals":[1,2,3,4]}`); w.Code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", w.Code, w.Body)
 	}
-	if w = do(t, srv, http.MethodPost, "/flush", ""); w.Code != http.StatusOK {
+	if w = do(t, srv, http.MethodPost, "/v1/flush", ""); w.Code != http.StatusOK {
 		t.Fatalf("flush = %d: %s", w.Code, w.Body)
 	}
 	r = doWithHeader(t, srv, http.MethodGet, "/v1/views/counts/result", "If-None-Match", etag)

@@ -29,12 +29,12 @@ var (
 	// ErrUnsupported, under the name the rest of the error set uses.
 	ErrUnsupportedQuery = agg.ErrUnsupported
 
-	// ErrClosed reports an Append, Flush or repeated Close on a closed
+	// ErrClosed reports an AppendChunk, Flush or repeated Close on a closed
 	// Stream. Identical to ErrStreamClosed.
 	ErrClosed = stream.ErrClosed
 
 	// ErrDurability reports that a durable Stream's write-ahead log failed:
-	// the stream has degraded to read-only serving, and Append/Flush return
+	// the stream has degraded to read-only serving, and AppendChunk/Flush return
 	// errors wrapping this sentinel (with the underlying fault attached).
 	ErrDurability = stream.ErrDurability
 

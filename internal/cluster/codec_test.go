@@ -30,13 +30,13 @@ func buildStream(t *testing.T, holistic bool, rows int) (*stream.Stream, map[uin
 		vals = append(vals, v)
 		want[k] = append(want[k], v)
 		if len(keys) == 512 {
-			if err := s.Append(keys, vals); err != nil {
+			if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
 				t.Fatalf("append: %v", err)
 			}
 			keys, vals = keys[:0], vals[:0]
 		}
 	}
-	if err := s.Append(keys, vals); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := s.Flush(); err != nil {

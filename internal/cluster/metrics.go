@@ -6,8 +6,8 @@ import (
 
 // metrics is the router's per-instance instrumentation: one family per
 // concern, peer-labelled series materialized on first use. Lives in the
-// router's own obs.Registry so two routers in one process (tests, the
-// harness) never share a counter — the Stream's convention.
+// router's own obs.Registry so two routers in one process (tests) never
+// share a counter — the Stream's convention.
 type metrics struct {
 	reg *obs.Registry
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -228,13 +227,6 @@ func (rt *Router) do(p *peer, op string, build func() (*http.Request, error)) (*
 	return fail(lastErr)
 }
 
-// ingestBody is the node /ingest JSON request, matching cmd/aggserve's
-// format so a router can front stock aggserve worker processes.
-type ingestBody struct {
-	Keys []uint64 `json:"keys"`
-	Vals []uint64 `json:"vals"`
-}
-
 // Ingest shards one batch of row pairs across the peers — the row-pair
 // spelling of IngestChunk, kept for callers that have not adopted the
 // columnar form.
@@ -331,30 +323,17 @@ func (rt *Router) Flush() error {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			errs[i] = rt.postJSON(p, "flush", "/flush", nil)
+			errs[i] = rt.send(p, "flush", http.MethodPost, "/v1/flush")
 		}(i, p)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
 
-func (rt *Router) postJSON(p *peer, op, path string, body any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return err
-		}
-	}
+// send runs one bodiless request against p and drains the response.
+func (rt *Router) send(p *peer, op, method, path string) error {
 	resp, err := rt.do(p, op, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, p.url+path, bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		return req, nil
+		return http.NewRequest(method, p.url+path, nil)
 	})
 	if err != nil {
 		return err
@@ -402,12 +381,12 @@ type peerSet struct {
 	parts []agg.Table // by radix.PartitionIndex at gatherBits
 }
 
-// fetchPartials GETs and decodes one peer's /partials stream. Decode
+// fetchPartials GETs and decodes one peer's /v1/partials stream. Decode
 // errors are transport-grade failures (a torn or corrupt response) and
 // surface as *PeerError like any other unreachable-peer condition.
 func (rt *Router) fetchPartials(p *peer) (*peerSet, error) {
 	resp, err := rt.do(p, "partials", func() (*http.Request, error) {
-		return http.NewRequest(http.MethodGet, p.url+"/partials", nil)
+		return http.NewRequest(http.MethodGet, p.url+"/v1/partials", nil)
 	})
 	if err != nil {
 		return nil, err
@@ -423,7 +402,7 @@ func (rt *Router) fetchPartials(p *peer) (*peerSet, error) {
 	return set, nil
 }
 
-// Ready probes every peer's /readyz. nil means the whole membership is
+// Ready probes every peer's /v1/readyz. nil means the whole membership is
 // ready (recovery complete, not degraded); otherwise the joined
 // *PeerError set names the stragglers. The router's caller gates cluster
 // traffic on this — /readyz is the membership contract.
@@ -434,15 +413,7 @@ func (rt *Router) Ready() error {
 		wg.Add(1)
 		go func(i int, p *peer) {
 			defer wg.Done()
-			resp, err := rt.do(p, "readyz", func() (*http.Request, error) {
-				return http.NewRequest(http.MethodGet, p.url+"/readyz", nil)
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			errs[i] = rt.send(p, "readyz", http.MethodGet, "/v1/readyz")
 		}(i, p)
 	}
 	wg.Wait()
@@ -508,6 +479,6 @@ func (rt *Router) Stats() []PeerStats {
 	return out
 }
 
-// IngestRows returns the total rows successfully sharded — the harness's
-// throughput numerator.
+// IngestRows returns the total rows successfully sharded — the
+// "ingested" count the router's ingest responses report.
 func (rt *Router) IngestRows() uint64 { return rt.m.rows.Value() }

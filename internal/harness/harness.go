@@ -117,13 +117,6 @@ func Experiments() []Experiment {
 		{"glb", "Extension: global shared table vs radix partitioning (Hash_GLB crossover)", ExtGLB},
 		{"alloc", "Extension: allocator dimension (D6) — go-runtime vs arena", ExtAlloc},
 		{"strings", "Extension: string-key backends on a word-count workload", ExtStrings},
-		{"stream", "Extension: streaming ingest — shard scaling, merge latency, staleness", ExtStream},
-		{"obs", "Extension: observability — recorded phase splits vs external timing", ExtObs},
-		{"wal", "Extension: durability — WAL sync-policy cost and recovery time vs log size", ExtWAL},
-		{"query", "Extension: snapshot queries — delta folds, parallel kernels, result cache", ExtQuery},
-		{"cluster", "Extension: clustered serving — sharded ingest router, exact scatter-gather", ExtCluster},
-		{"ingestwire", "Extension: columnar chunk ingest — binary wire vs JSON over HTTP", ExtIngestWire},
-		{"cview", "Extension: continuous views — incremental pane reads vs window recompute", ExtCView},
 	}
 }
 

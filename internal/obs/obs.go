@@ -28,7 +28,7 @@
 // timing layer costs <2%.
 //
 // Metrics are grouped in a Registry (see registry.go) and served in
-// Prometheus text exposition format or expvar-style JSON (see prom.go).
+// Prometheus text exposition format (see prom.go).
 package obs
 
 import (

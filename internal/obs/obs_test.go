@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -134,32 +133,6 @@ func TestPrometheusFormat(t *testing.T) {
 	if !strings.Contains(out, `fmt_lat_seconds_bucket{le="1.6777216e-05"}`) &&
 		!strings.Contains(out, `fmt_lat_seconds_bucket{le="1.024e-06"}`) {
 		t.Errorf("expected power-of-two second bounds in:\n%s", out)
-	}
-}
-
-func TestWriteVarsIsJSON(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("vars_total", "").Add(5)
-	h := r.NewHistogram("vars_seconds", "")
-	h.Observe(time.Millisecond)
-	cv := r.NewCounterVec("vars_req_total", "", "route")
-	cv.With("/ingest").Inc()
-
-	var sb strings.Builder
-	WriteVars(&sb, r)
-	var m map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &m); err != nil {
-		t.Fatalf("vars output is not JSON: %v\n%s", err, sb.String())
-	}
-	if m["vars_total"] != float64(5) {
-		t.Fatalf("vars_total = %v", m["vars_total"])
-	}
-	if _, ok := m[`vars_req_total{route="/ingest"}`]; !ok {
-		t.Fatalf("missing labelled series in %v", m)
-	}
-	hist, ok := m["vars_seconds"].(map[string]any)
-	if !ok || hist["count"] != float64(1) {
-		t.Fatalf("vars_seconds = %v", m["vars_seconds"])
 	}
 }
 

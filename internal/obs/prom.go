@@ -123,70 +123,11 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// WriteVars writes every metric as one flat expvar-style JSON object:
-// counters and gauges as numbers, histograms as {count, sum_ns, avg_ns}.
-// Keys are the family name plus a {label="value"} suffix for labelled
-// series — the same identity the Prometheus form uses.
-func WriteVars(w io.Writer, regs ...*Registry) {
-	fmt.Fprint(w, "{")
-	first := true
-	emit := func(key, val string) {
-		if !first {
-			fmt.Fprint(w, ",")
-		}
-		first = false
-		fmt.Fprintf(w, "\n%q: %s", key, val)
-	}
-	for _, r := range regs {
-		for _, m := range r.snapshot() {
-			writeVar(emit, m)
-		}
-	}
-	fmt.Fprint(w, "\n}\n")
-}
-
-func writeVar(emit func(key, val string), m metric) {
-	switch v := m.(type) {
-	case *Counter:
-		emit(v.name+labelString(v.labels), strconv.FormatUint(v.Value(), 10))
-	case *Gauge:
-		emit(v.name+labelString(v.labels), strconv.FormatInt(v.Value(), 10))
-	case *GaugeFunc:
-		emit(v.name+labelString(v.labels), strconv.FormatInt(v.Value(), 10))
-	case *Histogram:
-		emit(v.name+labelString(v.labels), histVar(v))
-	case *CounterVec:
-		v.each(func(m metric) { writeVar(emit, m) })
-	case *GaugeVec:
-		v.each(func(m metric) { writeVar(emit, m) })
-	case *HistogramVec:
-		v.each(func(m metric) { writeVar(emit, m) })
-	}
-}
-
-func histVar(h *Histogram) string {
-	s := h.Snapshot()
-	avg := uint64(0)
-	if s.Count > 0 {
-		avg = s.SumNano / s.Count
-	}
-	return fmt.Sprintf(`{"count": %d, "sum_ns": %d, "avg_ns": %d}`, s.Count, s.SumNano, avg)
-}
-
 // Handler serves the registries as a GET /metrics endpoint (Prometheus
 // text exposition).
 func Handler(regs ...*Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WritePrometheus(w, regs...)
-	})
-}
-
-// VarsHandler serves the registries as a GET /debug/vars endpoint
-// (expvar-style JSON).
-func VarsHandler(regs ...*Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		WriteVars(w, regs...)
 	})
 }

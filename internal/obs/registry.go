@@ -12,8 +12,8 @@ type metric interface {
 	Name() string
 }
 
-// Registry owns a set of metrics and serves them (WritePrometheus,
-// WriteVars). The process-global Default registry holds the package-level
+// Registry owns a set of metrics and serves them (WritePrometheus). The
+// process-global Default registry holds the package-level
 // instrumentation (engine phases, arena accounting); components with
 // per-instance state (a Stream, an HTTP server) carry their own Registry
 // so two instances never share a counter. Safe for concurrent use.

@@ -60,7 +60,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 						if off+m > len(keys) {
 							off = 0
 						}
-						if err := s.Append(keys[off:off+m], vals[off:off+m]); err != nil {
+						if err := s.AppendChunk(agg.Chunk{Keys: keys[off : off+m], Vals: vals[off : off+m]}, false); err != nil {
 							b.Error(err)
 							return
 						}

@@ -70,7 +70,7 @@ func TestQueryCacheWatermarkIsolation(t *testing.T) {
 	// Advance the stream: the new seal installs a new view with a fresh
 	// cache at a higher watermark.
 	extra := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := s.Append(extra, extra); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: extra, Vals: extra}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {

@@ -16,7 +16,7 @@ import (
 
 // ErrDurability marks errors caused by the durability layer failing: once
 // the WAL cannot be written the stream degrades to read-only serving, and
-// every subsequent Append/Flush returns an error wrapping this sentinel
+// every subsequent AppendChunk/Flush returns an error wrapping this sentinel
 // (with the underlying fault attached). Snapshots and Stats keep working.
 var ErrDurability = errors.New("stream: durability degraded, serving read-only")
 
@@ -84,7 +84,7 @@ func (d *durable) degrade(err error) {
 	d.degraded.Store(true)
 }
 
-// degradedErr returns the Append/Flush error for a degraded stream.
+// degradedErr returns the AppendChunk/Flush error for a degraded stream.
 func (d *durable) degradedErr() error {
 	d.causeMu.Lock()
 	cause := d.cause

@@ -59,7 +59,7 @@ func ingestUntilError(s *Stream, keys, vals []uint64) error {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		if err := s.Append(keys[off:end], vals[off:end]); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
 			return err
 		}
 		if (off/batchRows)%3 == 2 {
@@ -318,7 +318,7 @@ func TestDegradedStreamKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(keys[:1000], vals[:1000]); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys[:1000], Vals: vals[:1000]}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -330,7 +330,7 @@ func TestDegradedStreamKeepsServing(t *testing.T) {
 	// Drive ingest until the seal path observes the failure.
 	var ingestErr error
 	for i := 0; i < 100 && ingestErr == nil; i++ {
-		if err := s.Append(keys[:600], vals[:600]); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[:600], Vals: vals[:600]}, false); err != nil {
 			ingestErr = err
 			break
 		}

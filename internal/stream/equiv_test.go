@@ -72,7 +72,7 @@ func replay(t *testing.T, s *Stream, keys, vals []uint64, seed int64) {
 		if off+n > len(keys) {
 			n = len(keys) - off
 		}
-		if err := s.Append(keys[off:off+n], vals[off:off+n]); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off : off+n], Vals: vals[off : off+n]}, false); err != nil {
 			t.Fatal(err)
 		}
 		off += n
@@ -209,7 +209,7 @@ func TestStreamMatchesBatchEngines(t *testing.T) {
 // multisets were never retained).
 func TestHolisticDisabled(t *testing.T) {
 	s := New(Config{Shards: 1})
-	if err := s.Append([]uint64{1, 1, 2}, []uint64{3, 5, 7}); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{1, 1, 2}, Vals: []uint64{3, 5, 7}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

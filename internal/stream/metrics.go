@@ -17,16 +17,16 @@ import (
 type metrics struct {
 	reg *obs.Registry
 
-	rows      *obs.Counter // rows accepted by Append
-	batches   *obs.Counter // Append calls that carried rows
-	blockedNs *obs.Counter // nanoseconds Append spent blocked on full queues
+	rows      *obs.Counter // rows accepted by AppendChunk
+	batches   *obs.Counter // AppendChunk calls that carried rows
+	blockedNs *obs.Counter // nanoseconds AppendChunk spent blocked on full queues
 	seals     *obs.Counter // deltas frozen and published
 	merges    *obs.Counter // merge cycles completed
 	mergeNs   *obs.Counter // total merge-cycle nanoseconds
 	snapshots *obs.Counter // snapshots taken
 	lastMerge *obs.Gauge   // duration of the most recent merge cycle (ns)
 
-	appendLat *obs.Histogram // Append call latency
+	appendLat *obs.Histogram // AppendChunk call latency
 	mergeLat  *obs.Histogram // merge cycle duration
 
 	// Query-path instruments: the per-view result cache's outcome counters
@@ -233,7 +233,8 @@ func (m *metrics) cviewMetrics() *cview.Metrics {
 // Registry exposes the stream's private metric registry for serving.
 func (s *Stream) Registry() *obs.Registry { return s.m.reg }
 
-// AppendLatency returns the Append-call latency histogram's current state.
+// AppendLatency returns the AppendChunk latency histogram's current
+// state.
 func (s *Stream) AppendLatency() obs.HistogramSnapshot { return s.m.appendLat.Snapshot() }
 
 // MergeLatency returns the merge-cycle duration histogram's current state.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"memagg/internal/agg"
 	"memagg/internal/dataset"
 	"memagg/internal/obs"
 )
@@ -39,7 +40,7 @@ func ingestOnce(tb testing.TB, keys, vals []uint64, shards, batchLen int) time.D
 				if j > hi {
 					j = hi
 				}
-				if err := s.Append(keys[i:j], vals[i:j]); err != nil {
+				if err := s.AppendChunk(agg.Chunk{Keys: keys[i:j], Vals: vals[i:j]}, false); err != nil {
 					tb.Error(err)
 					return
 				}

@@ -30,7 +30,7 @@ func layeredStream(tb testing.TB, cfg Config, keys, vals []uint64, baseRows int)
 			if end > hi {
 				end = hi
 			}
-			if err := s.Append(keys[off:end], vals[off:end]); err != nil {
+			if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -293,7 +293,7 @@ func TestQueryConcurrentSnapshots(t *testing.T) {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		if err := s.Append(keys[off:end], vals[off:end]); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
 			t.Fatal(err)
 		}
 	}

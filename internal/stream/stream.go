@@ -9,7 +9,7 @@
 //     (hashtbl.LinearProbe over agg.Partial — every group's distributive
 //     folds maintained eagerly, plus arena-backed value lists when holistic
 //     queries are enabled). Appends are batched and flow through a bounded
-//     channel per shard: when a shard falls behind, Append blocks — the
+//     channel per shard: when a shard falls behind, AppendChunk blocks — the
 //     backpressure contract; rows are never dropped.
 //
 //   - Sealed deltas and merged generations. When a delta reaches the seal
@@ -50,7 +50,7 @@ import (
 	"memagg/internal/obs"
 )
 
-// ErrClosed is returned by Append and Flush after Close.
+// ErrClosed is returned by AppendChunk and Flush after Close.
 var ErrClosed = errors.New("stream: closed")
 
 // Config sizes a Stream. The zero value is usable; every field has a
@@ -61,7 +61,7 @@ type Config struct {
 	Shards int
 
 	// QueueDepth bounds each shard's ingest channel, in batches. A full
-	// queue blocks Append — backpressure, not loss. <= 0 means 8.
+	// queue blocks AppendChunk — backpressure, not loss. <= 0 means 8.
 	QueueDepth int
 
 	// SealRows is the delta size (rows) that triggers a seal: the shard
@@ -162,10 +162,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stream is a live streaming aggregation: Append feeds it, Snapshot reads
-// it. Append is safe for concurrent use by multiple producers; Snapshot and
-// Stats are safe from any goroutine at any time; Close is idempotent and
-// safe to race with Append and Flush (concurrent callers get ErrClosed).
+// Stream is a live streaming aggregation: AppendChunk feeds it, Snapshot
+// reads it. AppendChunk is safe for concurrent use by multiple producers;
+// Snapshot and Stats are safe from any goroutine at any time; Close is
+// idempotent and safe to race with AppendChunk and Flush (concurrent
+// callers get ErrClosed).
 type Stream struct {
 	cfg    Config
 	shards []*shard
@@ -183,7 +184,7 @@ type Stream struct {
 	mergeMu sync.Mutex    // serializes merge cycles (background merger vs MergeNow)
 
 	// bufs recycles batch backing arrays between the shards (which retire
-	// a batch once absorbed) and the copying Append path (which needs a
+	// a batch once absorbed) and the copying AppendChunk path (which needs a
 	// fresh scratch buffer per call) — with a steady producer the copy
 	// path stops allocating. Ownership-transferred chunk columns join the
 	// same pool after absorption.
@@ -192,7 +193,7 @@ type Stream struct {
 	rr     atomic.Uint64 // round-robin shard cursor
 	closed atomic.Bool
 
-	// closeMu fences Append/Flush (read side) against Close (write side):
+	// closeMu fences AppendChunk/Flush (read side) against Close (write side):
 	// Close cannot close the shard channels while a send is in flight, and
 	// a call that loses the race observes closed and returns ErrClosed
 	// instead of panicking on a closed channel.
@@ -291,14 +292,6 @@ func (s *Stream) start() {
 		s.dur.ckWG.Add(1)
 		go s.checkpointLoop()
 	}
-}
-
-// Append ingests one batch of rows: vals[i] belongs to keys[i], and a short
-// vals slice zero-extends, matching the batch operators. The batch is
-// copied (the caller may reuse its slices). It is the row-pair form of
-// AppendChunk — one ingest code path underneath.
-func (s *Stream) Append(keys, vals []uint64) error {
-	return s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false)
 }
 
 // AppendChunk ingests one columnar chunk and hands it to one shard,
@@ -428,8 +421,8 @@ func (s *Stream) Flush() error {
 // Close seals all remaining rows, waits for the merger to fold every
 // sealed delta into a final base generation, and stops the background
 // goroutines. The stream stays queryable (Snapshot/Stats) after Close;
-// further Append/Flush calls return ErrClosed, as does a second Close —
-// it is idempotent and safe to call concurrently with Append and Flush
+// further AppendChunk/Flush calls return ErrClosed, as does a second Close —
+// it is idempotent and safe to call concurrently with AppendChunk and Flush
 // (in-flight calls complete first; late callers get ErrClosed).
 func (s *Stream) Close() error {
 	s.closeMu.Lock()
@@ -437,7 +430,7 @@ func (s *Stream) Close() error {
 		s.closeMu.Unlock()
 		return ErrClosed
 	}
-	// With the write lock held no Append/Flush send is in flight and none
+	// With the write lock held no AppendChunk/Flush send is in flight and none
 	// can start (they observe closed under the read lock), so closing the
 	// shard channels cannot race a send.
 	for _, sh := range s.shards {
@@ -499,16 +492,16 @@ type Stats struct {
 	Shards   int
 	Holistic bool
 
-	// Ingested counts rows accepted by Append; Watermark counts rows
+	// Ingested counts rows accepted by AppendChunk; Watermark counts rows
 	// visible to a Snapshot taken now; Staleness is their difference (rows
 	// still in shard queues or unsealed deltas).
 	Ingested  uint64
 	Watermark uint64
 	Staleness uint64
 
-	// Batches counts Append calls that carried rows; Seals counts deltas
+	// Batches counts AppendChunk calls that carried rows; Seals counts deltas
 	// frozen and published; Snapshots counts Snapshot calls; Blocked is
-	// the total time Append spent stalled on full shard queues
+	// the total time AppendChunk spent stalled on full shard queues
 	// (backpressure).
 	Batches   uint64
 	Seals     uint64

@@ -33,17 +33,17 @@ func TestBackpressureBlocksNotDrops(t *testing.T) {
 
 	// Batch 1 occupies the shard goroutine (the hook stalls it), batch 2
 	// fills the depth-1 queue.
-	if err := s.Append(keys, vals); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	if err := s.Append(keys, vals); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
 		t.Fatal(err)
 	}
 
 	// Batch 3 has nowhere to go: Append must block.
 	done := make(chan error, 1)
-	go func() { done <- s.Append(keys, vals) }()
+	go func() { done <- s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false) }()
 	select {
 	case err := <-done:
 		t.Fatalf("Append returned (%v) with a full queue; want it to block", err)
@@ -125,7 +125,7 @@ func TestWatermarkMonotonic(t *testing.T) {
 					keys[i] = uint64(p*batches*batchLen + b*batchLen + i)
 					vals[i] = uint64(i)
 				}
-				if err := s.Append(keys, vals); err != nil {
+				if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
 					t.Error(err)
 					return
 				}
@@ -160,7 +160,7 @@ func TestWatermarkMonotonic(t *testing.T) {
 // Flush all return ErrClosed, while Snapshot/Stats keep serving.
 func TestClosedStream(t *testing.T) {
 	s := New(Config{Shards: 1})
-	if err := s.Append([]uint64{7, 7, 9}, []uint64{1, 2, 3}); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{7, 7, 9}, Vals: []uint64{1, 2, 3}}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -169,7 +169,7 @@ func TestClosedStream(t *testing.T) {
 	if err := s.Close(); err != ErrClosed {
 		t.Fatalf("second Close = %v want ErrClosed", err)
 	}
-	if err := s.Append([]uint64{1}, []uint64{1}); err != ErrClosed {
+	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{1}, Vals: []uint64{1}}, false); err != ErrClosed {
 		t.Fatalf("Append after Close = %v want ErrClosed", err)
 	}
 	if err := s.Flush(); err != ErrClosed {
@@ -185,10 +185,10 @@ func TestClosedStream(t *testing.T) {
 // convention: missing values aggregate as zero.
 func TestAppendZeroExtendsVals(t *testing.T) {
 	s := New(Config{Shards: 1})
-	if err := s.Append([]uint64{5, 5, 5}, []uint64{4}); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{5, 5, 5}, Vals: []uint64{4}}, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(nil, nil); err != nil { // empty batch is a no-op
+	if err := s.AppendChunk(agg.Chunk{Keys: nil, Vals: nil}, false); err != nil { // empty batch is a no-op
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

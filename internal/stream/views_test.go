@@ -36,7 +36,7 @@ type viewFeed struct {
 
 func (f *viewFeed) seal(t *testing.T, n int) {
 	t.Helper()
-	if err := f.s.Append(f.keys[f.fed:f.fed+n], f.vals[f.fed:f.fed+n]); err != nil {
+	if err := f.s.AppendChunk(agg.Chunk{Keys: f.keys[f.fed : f.fed+n], Vals: f.vals[f.fed : f.fed+n]}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.s.Flush(); err != nil {
@@ -94,7 +94,7 @@ func refValue(t *testing.T, q agg.Query, wk, wv []uint64) any {
 	s := New(viewConfig())
 	defer s.Close()
 	if len(wk) > 0 {
-		if err := s.Append(wk, wv); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: wk, Vals: wv}, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Flush(); err != nil {
@@ -252,8 +252,8 @@ func TestCViewPaneBoundary(t *testing.T) {
 	check("slide", 1, 100, 0)
 	check("tumble", 1, 100, 0)
 
-	feed.seal(t, 100) // end 200 → pane 1
-	check("slide", 2, 200, 0)  // sliding keeps panes {0,1}
+	feed.seal(t, 100)            // end 200 → pane 1
+	check("slide", 2, 200, 0)    // sliding keeps panes {0,1}
 	check("tumble", 1, 100, 100) // 1-pane tumble drops pane 0 whole
 
 	feed.seal(t, 100) // end 300 → pane 2
@@ -368,7 +368,7 @@ func TestCViewEvictionRace(t *testing.T) {
 
 	for off := 0; off < len(keys); off += 100 {
 		end := off + 100
-		if err := s.Append(keys[off:end], vals[off:end]); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Flush(); err != nil { // one seal per batch: panes churn
@@ -532,7 +532,7 @@ func ingestWithViews(tb testing.TB, keys, vals []uint64, views bool) time.Durati
 		if j > len(keys) {
 			j = len(keys)
 		}
-		if err := s.Append(keys[i:j], vals[i:j]); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[i:j], Vals: vals[i:j]}, false); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -595,7 +595,7 @@ func TestCViewStats(t *testing.T) {
 	for i := range keys {
 		keys[i] = rng.Uint64() % 32
 	}
-	if err := s.Append(keys, keys); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: keys}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -630,7 +630,7 @@ func TestCViewUpdateLatencyRecorded(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i % 17)
 	}
-	if err := s.Append(keys, keys); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: keys}, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"memagg/internal/agg"
 	"memagg/internal/dataset"
 	"memagg/internal/wal"
 )
@@ -20,7 +21,7 @@ import (
 // cost is the WAL code path itself (row mirror, encode, CRC, write) —
 // on a real disk, kernel writeback lands on later rounds at the page
 // cache's whim and would randomize a wall-clock ratio; sustained
-// on-disk throughput by sync policy is the harness's job (-exp wal).
+// on-disk throughput is bench/'s ingest_durable workload.
 // CheckpointEvery is negative so neither mode pays checkpoint I/O, and
 // Close (final checkpoint, fsync) is excluded from the timed window.
 func walIngestOnce(tb testing.TB, keys, vals []uint64, fs wal.FS, batchLen int) time.Duration {
@@ -46,7 +47,7 @@ func walIngestOnce(tb testing.TB, keys, vals []uint64, fs wal.FS, batchLen int) 
 		if j > len(keys) {
 			j = len(keys)
 		}
-		if err := s.Append(keys[i:j], vals[i:j]); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[i:j], Vals: vals[i:j]}, false); err != nil {
 			tb.Fatal(err)
 		}
 	}

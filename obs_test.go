@@ -57,7 +57,7 @@ func TestStreamCloseIdempotent(t *testing.T) {
 	if err := s.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close = %v; want ErrClosed", err)
 	}
-	if err := s.Append([]uint64{1}, []uint64{1}); !errors.Is(err, ErrStreamClosed) {
+	if err := s.AppendChunk(Chunk{Keys: []uint64{1}, Vals: []uint64{1}}); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("Append after Close = %v; want ErrStreamClosed", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestStreamCloseDuringAppends(t *testing.T) {
 			keys := []uint64{1, 2, 3, 4}
 			vals := []uint64{1, 1, 1, 1}
 			for i := 0; i < 500; i++ {
-				if err := s.Append(keys, vals); err != nil {
+				if err := s.AppendChunk(Chunk{Keys: keys, Vals: vals}); err != nil {
 					if !errors.Is(err, ErrClosed) {
 						t.Errorf("Append = %v", err)
 					}
@@ -132,7 +132,7 @@ func TestStreamMetrics(t *testing.T) {
 	s := NewStream(StreamOptions{Shards: 2, SealRows: 4})
 	defer s.Close()
 	for i := 0; i < 3; i++ {
-		if err := s.Append([]uint64{1, 2, 3, 4}, []uint64{1, 1, 1, 1}); err != nil {
+		if err := s.AppendChunk(Chunk{Keys: []uint64{1, 2, 3, 4}, Vals: []uint64{1, 1, 1, 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,8 +140,9 @@ func TestStreamMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
-	if m.Ingested != 12 || m.Batches != 3 {
-		t.Fatalf("metrics counters = ingested %d batches %d; want 12, 3", m.Ingested, m.Batches)
+	if m.Ingested != 12 || m.Batches != 3 || m.Watermark != 12 {
+		t.Fatalf("metrics counters = ingested %d batches %d watermark %d; want 12, 3, 12",
+			m.Ingested, m.Batches, m.Watermark)
 	}
 	if m.AppendLatency.Count != 3 {
 		t.Fatalf("AppendLatency.Count = %d; want 3", m.AppendLatency.Count)

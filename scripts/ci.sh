@@ -28,6 +28,30 @@ for pat in 'func keyAtRank' 'func [mM]ergeTable' 'case "q1"'; do
 	fi
 done
 
+# Structural guard — the harness regenerates the paper's batch evaluation
+# only: the serving stack (stream, WAL, views, cluster, the memagg facade
+# over them) is measured by bench/, so internal/harness imports none of it.
+n=$(grep -lE '"memagg(/internal/(stream|cluster|cview|wal)(/[^"]*)?)?"' internal/harness/*.go | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n internal/harness files import the serving stack" >&2
+	exit 1
+fi
+
+# Structural guard — one HTTP spelling: every aggserve route is mounted
+# under /v1 (metric route labels stay unversioned), and the expvar-style
+# /debug/vars format is gone in favour of the Prometheus scrape.
+n=$(find ./cmd ./internal -name '*.go' ! -name '*_test.go' |
+	xargs grep -E 'Handle(Func)?\(' | grep -vE 'Handle(Func)?\("/v1["/]' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test route mounts outside /v1" >&2
+	exit 1
+fi
+n=$(find ./cmd ./internal -name '*.go' ! -name '*_test.go' | xargs grep -l 'debug/vars' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test files mention debug/vars" >&2
+	exit 1
+fi
+
 # Structural guard — one group-run codec: checkpoint runs, view PANES and
 # cluster partial sets all serialize tables through internal/agg's
 # RunWriter, so no other non-test file encodes a Partial's eager state
@@ -161,14 +185,17 @@ go test -race -run 'TestRingMovementOnAdd' -count=1 -v ./internal/chash
 # concurrently.
 go test -race -run 'FuzzChunkWire|TestChunkWire|TestChunkStream' -count=1 -v ./internal/agg
 go test -race -run 'TestAppendChunkOwnedEquivalence|TestAppendChunkPoolRecycling' -count=1 -v ./internal/stream
-go test -race -run 'TestIngestEquivalenceJSONBinary|TestClusterIngestEquivalence|TestIngestBinaryMultiChunkBody|TestIngestBinaryRejectsCorruptBody|TestVersionedPathAliases' -count=1 -v ./cmd/aggserve
+go test -race -run 'TestIngestEquivalenceJSONBinary|TestClusterIngestEquivalence|TestIngestBinaryMultiChunkBody|TestIngestBinaryRejectsCorruptBody|TestRoutesV1Only' -count=1 -v ./cmd/aggserve
+# An already-cancelled query answers 499 before any query work (it used to
+# race the query's own completion and could answer 200).
+go test -race -run 'TestQueryCanceledContext$' -count=50 ./cmd/aggserve
 # Query-parameter gate: p=NaN answers 400 (it used to crash the process)
 # and the router validates before it gathers.
 go test -race -run 'TestQuantileNaNRejected|TestRouterValidatesBeforeGather' -count=1 -v ./cmd/aggserve
 
 # Ingest wire throughput guard: binary chunk ingest must not be slower
-# than JSON ingest for the same rows through the same server (the -exp
-# ingestwire sweep records the actual gap; this only pins the sign).
+# than JSON ingest for the same rows through the same server (this only
+# pins the sign; bench/'s ingest_paced workload measures chunk ingest).
 MEMAGG_INGEST_GUARD=1 go test -run 'TestIngestThroughputGuard' -count=1 -v ./cmd/aggserve
 
 # Continuous views (internal/cview). The whole package runs under the race
@@ -186,6 +213,6 @@ go test -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate' -count
 
 # Continuous-view overhead guard: ingest with 4 registered views must stay
 # within 10% of the same ingest with none — deferred pane maintenance
-# keeps the seal path O(1) per view (the -exp cview sweep records what
-# reads cost; this pins what ingest pays).
+# keeps the seal path O(1) per view (bench/'s dash_refresh workload
+# measures what reads cost; this pins what ingest pays).
 MEMAGG_CVIEW_GUARD=1 go test -run 'TestCViewOverheadGuard' -count=1 -v ./internal/stream

@@ -105,7 +105,7 @@ func toLatency(s obs.HistogramSnapshot) LatencyStats {
 type StreamMetrics struct {
 	StreamStats
 
-	// AppendLatency distributes Append call durations (copy, hand-off, any
+	// AppendLatency distributes AppendChunk call durations (copy, hand-off, any
 	// backpressure wait); MergeLatency distributes merge-cycle durations.
 	// Both are empty while timing is disabled (obs.SetDisabled); the
 	// counters in StreamStats record regardless.

@@ -28,7 +28,7 @@ type StreamOptions struct {
 	Shards int
 
 	// QueueDepth bounds each shard's ingest queue, in batches; a full queue
-	// blocks Append (backpressure, not loss). <= 0 means 8.
+	// blocks AppendChunk (backpressure, not loss). <= 0 means 8.
 	QueueDepth int
 
 	// SealRows is the delta size that triggers publication to the queryable
@@ -118,10 +118,10 @@ func streamMergeBits(estimatedGroups int) int {
 	return bits
 }
 
-// Stream is a live streaming aggregation: rows Append-ed in batches become
+// Stream is a live streaming aggregation: rows appended in batches become
 // visible to Snapshot queries once sealed, while a background merger folds
 // sealed state into an immutable, radix-partitioned base generation.
-// Append is safe for concurrent producers; Snapshot and Stats are safe
+// AppendChunk is safe for concurrent producers; Snapshot and Stats are safe
 // from any goroutine. See internal/stream for the full design.
 type Stream struct {
 	s      *stream.Stream
@@ -192,7 +192,7 @@ func OpenStream(opts StreamOptions) (*Stream, error) {
 }
 
 // ReadOnly reports whether the stream's durability layer failed and ingest
-// is refused (Append/Flush return errors wrapping ErrDurability); queries
+// is refused (AppendChunk/Flush return errors wrapping ErrDurability); queries
 // keep serving. Always false for volatile streams.
 func (s *Stream) ReadOnly() bool { return s.s.ReadOnly() }
 
@@ -206,24 +206,6 @@ func (s *Stream) Advice() Advice { return s.advice }
 // distinct from liveness, which a closed-but-queryable stream still
 // passes.
 func (s *Stream) Ready() bool { return !s.s.Closed() && !s.s.ReadOnly() }
-
-// Append ingests one batch of rows: values[i] belongs to keys[i], and a
-// short values slice treats missing values as zero (the batch operators'
-// convention). The slices are copied; the caller may reuse them.
-//
-// Deprecated: Append is the row-pair spelling of AppendChunk, kept as a
-// thin wrapper for compatibility. New code should spell the batch as a
-// columnar Chunk:
-//
-//	s.AppendChunk(memagg.Chunk{Keys: keys, Vals: values})
-//
-// or, when the caller owns the slices and will not touch them again
-// (decoded wire chunks qualify), skip the copy entirely:
-//
-//	s.AppendOwnedChunk(memagg.Chunk{Keys: keys, Vals: values})
-func (s *Stream) Append(keys, values []uint64) error {
-	return s.AppendChunk(Chunk{Keys: keys, Vals: values})
-}
 
 // AppendChunk ingests one columnar chunk: c.Vals[i] belongs to
 // c.Keys[i], and a short value column zero-extends. The columns are
@@ -255,7 +237,7 @@ func (s *Stream) MergeNow() bool { return s.s.MergeNow() }
 // Close seals all remaining rows, folds everything into a final base
 // generation, and stops the background goroutines. The stream remains
 // queryable after Close. Close is idempotent — a second call returns
-// ErrClosed — and safe to call concurrently with Append and Flush
+// ErrClosed — and safe to call concurrently with AppendChunk and Flush
 // (in-flight calls complete first; late callers get ErrClosed).
 func (s *Stream) Close() error { return s.s.Close() }
 
@@ -270,16 +252,16 @@ type StreamStats struct {
 	Shards   int
 	Holistic bool
 
-	// Ingested counts rows accepted by Append; Watermark counts rows
+	// Ingested counts rows accepted by AppendChunk; Watermark counts rows
 	// visible to a snapshot taken now; Staleness is their difference —
 	// rows still queued or in unsealed deltas.
 	Ingested  uint64
 	Watermark uint64
 	Staleness uint64
 
-	// Batches counts Append calls that carried rows; Seals counts deltas
+	// Batches counts AppendChunk calls that carried rows; Seals counts deltas
 	// frozen and published; Snapshots counts Snapshot calls; BlockedNanos
-	// is the total time Append spent stalled on full shard queues
+	// is the total time AppendChunk spent stalled on full shard queues
 	// (backpressure).
 	Batches      uint64
 	Seals        uint64
@@ -478,6 +460,6 @@ func (sn *StreamSnapshot) MaxByKey() []GroupStat { return toStats(sn.sn.Reduce(a
 // Metrics and Stats instead.
 func (s *Stream) MetricsRegistry() *obs.Registry { return s.s.Registry() }
 
-// ErrStreamClosed reports an Append or Flush on a closed stream. Same
+// ErrStreamClosed reports an AppendChunk or Flush on a closed stream. Same
 // value as ErrClosed.
 var ErrStreamClosed = stream.ErrClosed

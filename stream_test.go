@@ -29,7 +29,7 @@ func TestStreamMatchesAggregator(t *testing.T) {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		if err := s.Append(keys[off:end], vals[off:end]); err != nil {
+		if err := s.AppendChunk(Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestStreamMatchesAggregator(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(keys[:1], vals[:1]); err != ErrStreamClosed {
+	if err := s.AppendChunk(Chunk{Keys: keys[:1], Vals: vals[:1]}); err != ErrStreamClosed {
 		t.Fatalf("Append after Close = %v want ErrStreamClosed", err)
 	}
 	// Queries still serve after Close, now over the merged base.
@@ -127,7 +127,7 @@ func TestStreamWorkloadDerivation(t *testing.T) {
 	if st := s.Stats(); st.Shards != 1 || st.Holistic {
 		t.Fatalf("zero-options stream: shards=%d holistic=%v want 1,false", st.Shards, st.Holistic)
 	}
-	if err := s.Append([]uint64{1, 2}, []uint64{3, 4}); err != nil {
+	if err := s.AppendChunk(Chunk{Keys: []uint64{1, 2}, Vals: []uint64{3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
