@@ -249,7 +249,7 @@ func newEquivCluster(t *testing.T) *routerServer {
 		t.Cleanup(func() { ts.Close(); _ = s.Close() })
 		peers[i] = ts.URL
 	}
-	rt, err := cluster.NewRouter(cluster.Config{Peers: peers})
+	rt, err := cluster.NewRouter(peers)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}

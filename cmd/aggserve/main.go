@@ -37,6 +37,7 @@
 // GET /v1/cluster/stats (per-peer request and breaker health).
 //
 // Errors share one JSON envelope: {"error": "...", "code": <status>}.
+// JSON request bodies are capped at 64 MiB; a larger one answers 413.
 //
 // Query aliases: q1=count_by_key q2=avg_by_key q3=median_by_key q4=count
 // q5=avg q6=median q7=range (with lo= and hi=); quantile takes p=0.9.
@@ -44,9 +45,8 @@
 // row-count watermark it covers, taken without pausing ingest. Responses
 // carry `ETag: "<watermark>"`; a request whose If-None-Match matches the
 // current watermark gets 304 Not Modified before any query work runs.
-// -query-workers sets snapshot query parallelism and -query-cache sizes
-// the per-view materialized-result cache (repeated dashboard queries
-// against an unchanged view are served from it).
+// Query and merge parallelism follow GOMAXPROCS, and repeated dashboard
+// queries against an unchanged snapshot are served from its result cache.
 //
 // /v1/metrics serves three metric groups in one scrape: the process-global
 // instruments (engine phase timings, arena accounting), the stream's
@@ -76,29 +76,24 @@ func main() {
 	shards := flag.Int("shards", 0, "writer shards (0 = one per CPU)")
 	holistic := flag.Bool("holistic", false, "retain value multisets (median/quantile/mode queries)")
 	seal := flag.Int("seal", 0, "rows per delta before it becomes visible (0 = default)")
-	queryWorkers := flag.Int("query-workers", 0, "snapshot query parallelism: delta folds and partition scans (0 = one per CPU)")
-	queryCache := flag.Int("query-cache", 0, "per-view result cache entries (0 = default 128, negative = disabled)")
 	dataDir := flag.String("data-dir", "", "durability root (WAL + checkpoints); empty = volatile")
 	syncPolicy := flag.String("sync", "interval", "WAL fsync policy: none | interval | always")
 	checkpointEvery := flag.Int("checkpoint-every", 0,
 		"rows between checkpoints (0 = default 1Mi, negative = WAL-only)")
 	peers := flag.String("peers", "",
 		"comma-separated worker base URLs; when set, run as a cluster router instead of a node")
-	maxInflight := flag.Int("max-inflight", 0, "router mode: max in-flight requests per peer (0 = default 4)")
 	flag.Parse()
 
 	if *peers != "" {
-		runRouter(*addr, *peers, *maxInflight)
+		runRouter(*addr, *peers)
 		return
 	}
 
 	opts := memagg.StreamOptions{
-		Workload:          memagg.Workload{Output: memagg.Vector, Multithreaded: true},
-		Shards:            *shards,
-		SealRows:          *seal,
-		QueryWorkers:      *queryWorkers,
-		QueryCacheEntries: *queryCache,
-		Holistic:          *holistic,
+		Workload: memagg.Workload{Output: memagg.Vector, Multithreaded: true},
+		Shards:   *shards,
+		SealRows: *seal,
+		Holistic: *holistic,
 	}
 	if *dataDir != "" {
 		opts.Durability = memagg.StreamDurability{
@@ -156,14 +151,14 @@ func main() {
 // runRouter serves the cluster-router mode: no local stream — ingest is
 // sharded by group-key hash across the peer workers and queries
 // scatter-gather their partial sets (see internal/cluster).
-func runRouter(addr, peerList string, maxInflight int) {
+func runRouter(addr, peerList string) {
 	var peers []string
 	for _, p := range strings.Split(peerList, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			peers = append(peers, p)
 		}
 	}
-	rt, err := cluster.NewRouter(cluster.Config{Peers: peers, MaxInflight: maxInflight})
+	rt, err := cluster.NewRouter(peers)
 	if err != nil {
 		log.Fatalf("aggserve: router: %v", err)
 	}

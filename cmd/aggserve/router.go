@@ -84,20 +84,15 @@ func (srv *routerServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"appended": rows, "ingested": srv.rt.IngestRows()})
 		return
 	}
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	c, ok := readIngestJSON(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Vals) > len(req.Keys) {
-		httpError(w, http.StatusBadRequest, "more vals than keys")
-		return
-	}
-	if err := srv.rt.Ingest(req.Keys, req.Vals); err != nil {
+	if err := srv.rt.IngestChunk(c); err != nil {
 		clusterError(w, err)
 		return
 	}
-	writeJSON(w, map[string]any{"appended": len(req.Keys), "ingested": srv.rt.IngestRows()})
+	writeJSON(w, map[string]any{"appended": c.Rows(), "ingested": srv.rt.IngestRows()})
 }
 
 func (srv *routerServer) handleFlush(w http.ResponseWriter, r *http.Request) {

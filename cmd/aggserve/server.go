@@ -16,6 +16,7 @@ import (
 	"memagg"
 	"memagg/internal/agg"
 	"memagg/internal/obs"
+	"memagg/internal/wal"
 )
 
 // statusClientClosedRequest reports a request whose client disconnected
@@ -93,11 +94,6 @@ func newAPIMux(routes []route, regs ...*obs.Registry) *http.ServeMux {
 	return mux
 }
 
-type ingestRequest struct {
-	Keys []uint64 `json:"keys"`
-	Vals []uint64 `json:"vals"`
-}
-
 func (srv *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -116,23 +112,56 @@ func (srv *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"appended": rows, "ingested": srv.stream.Stats().Ingested})
 		return
 	}
-	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if len(req.Vals) > len(req.Keys) {
-		httpError(w, http.StatusBadRequest, "more vals than keys")
+	c, ok := readIngestJSON(w, r)
+	if !ok {
 		return
 	}
 	// The decoder allocated the columns for this request alone, so they
 	// transfer to the stream without the AppendChunk copy.
-	n := len(req.Keys)
-	if err := srv.stream.AppendOwnedChunk(memagg.Chunk{Keys: req.Keys, Vals: req.Vals}); err != nil {
+	if err := srv.stream.AppendOwnedChunk(c); err != nil {
 		httpError(w, ingestStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"appended": n, "ingested": srv.stream.Stats().Ingested})
+	writeJSON(w, map[string]any{"appended": c.Rows(), "ingested": srv.stream.Stats().Ingested})
+}
+
+// maxJSONBody caps every JSON request body, so one hostile request cannot
+// exhaust memory: 64 MiB, the largest frame the WAL accepts.
+const maxJSONBody = wal.MaxFrame
+
+// decodeJSON decodes r's JSON body into v, reading at most maxJSONBody
+// bytes. On failure it writes the error response — 413 for an oversized
+// body, 400 for malformed JSON — and returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooBig.Limit))
+		return false
+	}
+	httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	return false
+}
+
+// readIngestJSON decodes a JSON ingest body — {"keys":[...],"vals":[...]}
+// — into a chunk: the one JSON ingest spelling node and router share. On
+// failure it writes the error response and returns false.
+func readIngestJSON(w http.ResponseWriter, r *http.Request) (memagg.Chunk, bool) {
+	var req struct {
+		Keys []uint64 `json:"keys"`
+		Vals []uint64 `json:"vals"`
+	}
+	if !decodeJSON(w, r, &req) {
+		return memagg.Chunk{}, false
+	}
+	if len(req.Vals) > len(req.Keys) {
+		httpError(w, http.StatusBadRequest, "more vals than keys")
+		return memagg.Chunk{}, false
+	}
+	return memagg.Chunk{Keys: req.Keys, Vals: req.Vals}, true
 }
 
 // isChunkRequest reports whether the request negotiated the binary chunk

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -448,7 +450,7 @@ func newTestCluster(t *testing.T, n int) *routerServer {
 		t.Cleanup(func() { ts.Close(); _ = s.Close() })
 		peers[i] = ts.URL
 	}
-	rt, err := cluster.NewRouter(cluster.Config{Peers: peers})
+	rt, err := cluster.NewRouter(peers)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -581,7 +583,7 @@ func TestRouterValidatesBeforeGather(t *testing.T) {
 		peers[i] = ts.URL
 		ts.Close() // killed before the first request
 	}
-	rt, err := cluster.NewRouter(cluster.Config{Peers: peers, RetryBackoff: time.Millisecond})
+	rt, err := cluster.NewRouter(peers)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -598,5 +600,97 @@ func TestRouterValidatesBeforeGather(t *testing.T) {
 	}
 	if w := do(t, srv, http.MethodGet, "/v1/query?q=q1", ""); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("q1 with every peer down = %d want 503 (%s)", w.Code, w.Body)
+	}
+}
+
+// spaces is an endless reader of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// oversized returns a body of maxJSONBody+1 bytes: whitespace, then
+// payload. Without the cap it is valid JSON the handler would accept.
+func oversized(payload string) io.Reader {
+	pad := int64(maxJSONBody + 1 - len(payload))
+	return io.MultiReader(io.LimitReader(spaces{}, pad), strings.NewReader(payload))
+}
+
+// TestJSONBodyTooLarge: a JSON body one byte over the cap answers 413 in
+// the error envelope, on the node's and the router's /v1/ingest and on
+// POST /v1/views, before anything is applied — and the server keeps
+// serving. Without the cap each body decoded whole.
+func TestJSONBodyTooLarge(t *testing.T) {
+	node, s := newTestServer(t)
+	router := newTestCluster(t, 2)
+	rows := func() int { return int(s.Stats().Ingested + router.rt.IngestRows()) }
+	views := func() int { return len(s.Views()) }
+	for _, c := range []struct {
+		name, target, payload string
+		h                     http.Handler
+		applied               func() int
+	}{
+		{"node ingest", "/v1/ingest", `{"keys":[1],"vals":[1]}`, node, rows},
+		{"router ingest", "/v1/ingest", `{"keys":[1],"vals":[1]}`, router, rows},
+		{"node views", "/v1/views", `{"name":"big","query":"q1","pane_rows":4,"panes":2}`, node, views},
+	} {
+		w := httptest.NewRecorder()
+		c.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, c.target, oversized(c.payload)))
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: %d-byte body = %d want 413 (%s)", c.name, maxJSONBody+1, w.Code, w.Body)
+		}
+		var env struct {
+			Error string `json:"error"`
+			Code  int    `json:"code"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Code != http.StatusRequestEntityTooLarge || env.Error == "" {
+			t.Fatalf("%s: error envelope = %s (%v)", c.name, w.Body, err)
+		}
+		if n := c.applied(); n != 0 {
+			t.Fatalf("%s: oversized body applied %d rows/views, want 0", c.name, n)
+		}
+		if w := do(t, c.h, http.MethodGet, "/v1/healthz", ""); w.Code != http.StatusOK {
+			t.Fatalf("%s: healthz after 413 = %d want 200", c.name, w.Code)
+		}
+	}
+}
+
+// TestStatsKeysPinned: /v1/stats is memagg.StreamStats encoded as JSON,
+// so its keys and their order are wire format that bench/ and operators
+// parse; this pins them.
+func TestStatsKeysPinned(t *testing.T) {
+	srv, _ := newTestServer(t)
+	dec := json.NewDecoder(strings.NewReader(do(t, srv, http.MethodGet, "/v1/stats", "").Body.String()))
+	var keys []string
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		"Shards", "Holistic", "Ingested", "Watermark", "Staleness",
+		"Batches", "Seals", "Snapshots", "BlockedNanos",
+		"SealedPending", "Generation", "Groups",
+		"Merges", "MergeTotalNanos", "MergeLastNanos",
+		"QueryCacheHits", "QueryCacheMisses", "QueryCacheEvictions",
+		"Views", "ViewPanesLive", "ViewPanesEvicted", "ViewUpdates", "ViewReads", "ViewReadsCached",
+		"Durable", "ReadOnly", "WALAppends", "WALFsyncs", "WALSegmentRotations", "WALSizeBytes",
+		"Checkpoints", "CheckpointWatermark",
+	}
+	if !reflect.DeepEqual(keys, want) {
+		t.Fatalf("/v1/stats keys =\n%v\nwant\n%v", keys, want)
 	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -42,8 +41,7 @@ func (srv *server) handleViews(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{"views": srv.stream.Views()})
 	case http.MethodPost:
 		var req viewRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+		if !decodeJSON(w, r, &req) {
 			return
 		}
 		err := srv.stream.RegisterView(memagg.ViewSpec{
@@ -74,14 +72,9 @@ func (srv *server) handleViews(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleViewItem serves /views/{name} and /views/{name}/result (under
-// both the /v1 and unversioned mounts).
+// handleViewItem serves /v1/views/{name} and /v1/views/{name}/result.
 func (srv *server) handleViewItem(w http.ResponseWriter, r *http.Request) {
-	rest := r.URL.Path
-	if i := strings.Index(rest, "/views/"); i >= 0 {
-		rest = rest[i+len("/views/"):]
-	}
-	name, sub, _ := strings.Cut(rest, "/")
+	name, sub, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/v1/views/"), "/")
 	if name == "" {
 		httpError(w, http.StatusNotFound, "missing view name")
 		return

@@ -52,7 +52,7 @@ import (
 
 // ErrPeerUnavailable marks a peer the router cannot currently reach:
 // its circuit breaker is open, or every retry of a request failed.
-// Errors returned by Ingest, Flush, and Gather wrap it.
+// Errors returned by IngestChunk, Flush, and Gather wrap it.
 var ErrPeerUnavailable = errors.New("cluster: peer unavailable")
 
 // PeerError reports a failed operation against one peer, wrapping

@@ -14,82 +14,22 @@ import (
 	"memagg/internal/obs"
 )
 
-// Config parameterizes a Router. Peers is the static membership — base
-// URLs of the worker nodes, in ring order (index = node id). The zero
-// value of every other field selects a sensible default.
-type Config struct {
-	// Peers are the worker base URLs ("http://host:port"). Membership is
-	// static for the life of the router; order defines node ids and the
-	// watermark vector layout.
-	Peers []string
+// The router's failure protocol. Every peer gets a bounded in-flight
+// window (a slow peer queues its own work without starving the others);
+// a transiently failed request is retried with a doubling backoff; and a
+// run of consecutive transient failures trips the peer's circuit breaker
+// open until the cooldown admits one half-open probe.
+const (
+	maxInflight      = 4                     // concurrent requests per peer
+	retries          = 3                     // total attempts = retries+1
+	retryBackoff     = 25 * time.Millisecond // first retry's delay
+	breakerThreshold = 5                     // consecutive failures that trip
+	breakerCooldown  = time.Second           // open time before a probe
+)
 
-	// Replicas is the consistent-hash virtual node count per peer.
-	// Default chash.DefaultReplicas (128).
-	Replicas int
-
-	// MaxInflight bounds concurrent in-flight requests per peer
-	// (backpressure: a slow peer queues its own work without starving
-	// the others). Default 4.
-	MaxInflight int
-
-	// Retries is how many times a transiently failed request is retried
-	// (total attempts = Retries+1). Default 3.
-	Retries int
-
-	// RetryBackoff is the first retry's delay; it doubles per retry.
-	// Default 25ms.
-	RetryBackoff time.Duration
-
-	// BreakerThreshold is the consecutive transient-failure count that
-	// trips a peer's circuit breaker open. Default 5.
-	BreakerThreshold int
-
-	// BreakerCooldown is how long a tripped breaker rejects requests
-	// before admitting one half-open probe. Default 1s.
-	BreakerCooldown time.Duration
-
-	// Client issues the HTTP requests. Default: a client with a 30s
-	// overall timeout (bounds a hung peer; the breaker handles repeats).
-	Client *http.Client
-
-	// Test seams (in-package tests only).
-	now   func() time.Time
-	sleep func(time.Duration)
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.Replicas <= 0 {
-		out.Replicas = chash.DefaultReplicas
-	}
-	if out.MaxInflight <= 0 {
-		out.MaxInflight = 4
-	}
-	if out.Retries < 0 {
-		out.Retries = 0
-	} else if out.Retries == 0 {
-		out.Retries = 3
-	}
-	if out.RetryBackoff <= 0 {
-		out.RetryBackoff = 25 * time.Millisecond
-	}
-	if out.BreakerThreshold <= 0 {
-		out.BreakerThreshold = 5
-	}
-	if out.BreakerCooldown <= 0 {
-		out.BreakerCooldown = time.Second
-	}
-	if out.Client == nil {
-		out.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if out.now == nil {
-		out.now = time.Now
-	}
-	if out.sleep == nil {
-		out.sleep = time.Sleep
-	}
-	return out
-}
+// client issues every router request. Its overall timeout bounds a hung
+// peer; the breaker handles repeats.
+var client = &http.Client{Timeout: 30 * time.Second}
 
 // peer is the router's per-node state: the bounded in-flight window and
 // the circuit breaker.
@@ -103,29 +43,34 @@ type peer struct {
 // and answers queries by scatter-gathering partial aggregates. Safe for
 // concurrent use; one Router per cluster.
 type Router struct {
-	cfg   Config
+	urls  []string
 	ring  *chash.Ring
 	peers []*peer
 	m     *metrics
+
+	// sleep waits out retry backoff and readiness polls; in-package tests
+	// stub it.
+	sleep func(time.Duration)
 }
 
-// NewRouter builds a router over cfg.Peers. Errors when the membership
-// is empty.
-func NewRouter(cfg Config) (*Router, error) {
-	if len(cfg.Peers) == 0 {
+// NewRouter builds a router over the static membership peers: worker
+// base URLs ("http://host:port") whose order defines node ids and the
+// watermark vector layout. Errors when the membership is empty.
+func NewRouter(peers []string) (*Router, error) {
+	if len(peers) == 0 {
 		return nil, errors.New("cluster: no peers configured")
 	}
-	cfg = cfg.withDefaults()
 	rt := &Router{
-		cfg:  cfg,
-		ring: chash.NewRing(len(cfg.Peers), cfg.Replicas),
-		m:    newMetrics(),
+		urls:  peers,
+		ring:  chash.NewRing(len(peers), chash.DefaultReplicas),
+		m:     newMetrics(),
+		sleep: time.Sleep,
 	}
-	for _, u := range cfg.Peers {
+	for _, u := range peers {
 		p := &peer{
 			url:      u,
-			inflight: make(chan struct{}, cfg.MaxInflight),
-			brk:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
+			inflight: make(chan struct{}, maxInflight),
+			brk:      newBreaker(breakerThreshold, breakerCooldown, time.Now),
 		}
 		rt.peers = append(rt.peers, p)
 		rt.m.brkState.With(u).Set(breakerClosed)
@@ -134,7 +79,7 @@ func NewRouter(cfg Config) (*Router, error) {
 }
 
 // Peers returns the membership base URLs in node-id order.
-func (rt *Router) Peers() []string { return rt.cfg.Peers }
+func (rt *Router) Peers() []string { return rt.urls }
 
 // Owner returns the node id owning the given group key.
 func (rt *Router) Owner(key uint64) int { return rt.ring.Owner(key) }
@@ -173,12 +118,12 @@ func (rt *Router) do(p *peer, op string, build func() (*http.Request, error)) (*
 	p.inflight <- struct{}{}
 	defer func() { <-p.inflight }()
 
-	backoff := rt.cfg.RetryBackoff
+	backoff := retryBackoff
 	var lastErr error
-	for attempt := 0; attempt <= rt.cfg.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			rt.m.retries.With(p.url).Inc()
-			rt.cfg.sleep(backoff)
+			rt.sleep(backoff)
 			backoff *= 2
 		}
 		if !p.brk.allow() {
@@ -194,7 +139,7 @@ func (rt *Router) do(p *peer, op string, build func() (*http.Request, error)) (*
 		}
 		rt.m.requests.With(p.url, op).Inc()
 		mk := obs.Start()
-		resp, err := rt.cfg.Client.Do(req)
+		resp, err := client.Do(req)
 		if err != nil {
 			lastErr = err
 			if p.brk.failure() {
@@ -225,13 +170,6 @@ func (rt *Router) do(p *peer, op string, build func() (*http.Request, error)) (*
 		rt.recordState(p)
 	}
 	return fail(lastErr)
-}
-
-// Ingest shards one batch of row pairs across the peers — the row-pair
-// spelling of IngestChunk, kept for callers that have not adopted the
-// columnar form.
-func (rt *Router) Ingest(keys, vals []uint64) error {
-	return rt.IngestChunk(agg.Chunk{Keys: keys, Vals: vals})
 }
 
 // IngestChunk scatters one columnar chunk across the peers by group-key
@@ -422,16 +360,16 @@ func (rt *Router) Ready() error {
 
 // WaitReady polls Ready until it succeeds or the timeout elapses.
 func (rt *Router) WaitReady(timeout time.Duration) error {
-	deadline := rt.cfg.now().Add(timeout)
+	deadline := time.Now().Add(timeout)
 	for {
 		err := rt.Ready()
 		if err == nil {
 			return nil
 		}
-		if rt.cfg.now().After(deadline) {
+		if time.Now().After(deadline) {
 			return fmt.Errorf("cluster: not ready after %v: %w", timeout, err)
 		}
-		rt.cfg.sleep(25 * time.Millisecond)
+		rt.sleep(25 * time.Millisecond)
 	}
 }
 

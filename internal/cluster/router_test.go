@@ -78,14 +78,11 @@ func testCluster(t *testing.T, n int, cfg stream.Config) (*Router, []*stream.Str
 			streams[i].Close()
 		}
 	})
-	rt, err := NewRouter(Config{
-		Peers:        peers,
-		RetryBackoff: time.Millisecond,
-		sleep:        func(time.Duration) {}, // no real backoff in tests
-	})
+	rt, err := NewRouter(peers)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
+	rt.sleep = func(time.Duration) {} // no real backoff in tests
 	return rt, streams, servers
 }
 
@@ -149,7 +146,7 @@ func TestClusterEquivalence(t *testing.T) {
 				if end > rows {
 					end = rows
 				}
-				if err := rt.Ingest(keys[off:end], vals[off:end]); err != nil {
+				if err := rt.IngestChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {
 					t.Errorf("router ingest: %v", err)
 					return
 				}
@@ -239,7 +236,7 @@ func TestClusterKillTripsBreaker(t *testing.T) {
 	keys, vals := testRows(6_000, 500)
 
 	// Healthy warm-up.
-	if err := rt.Ingest(keys[:2000], vals[:2000]); err != nil {
+	if err := rt.IngestChunk(agg.Chunk{Keys: keys[:2000], Vals: vals[:2000]}); err != nil {
 		t.Fatalf("warm-up ingest: %v", err)
 	}
 
@@ -248,7 +245,7 @@ func TestClusterKillTripsBreaker(t *testing.T) {
 	servers[1].Close()
 	var sawPeerErr bool
 	for off := 2000; off < 6000; off += 1000 {
-		err := rt.Ingest(keys[off:off+1000], vals[off:off+1000])
+		err := rt.IngestChunk(agg.Chunk{Keys: keys[off : off+1000], Vals: vals[off : off+1000]})
 		if err == nil {
 			t.Fatal("ingest to a killed peer succeeded")
 		}
@@ -285,7 +282,7 @@ func TestClusterKillTripsBreaker(t *testing.T) {
 	// Fail-fast: with the breaker open, an ingest touching the dead peer
 	// returns immediately (no dials, no retries of a known-dead peer).
 	start := time.Now()
-	err := rt.Ingest(keys[:2000], vals[:2000])
+	err := rt.IngestChunk(agg.Chunk{Keys: keys[:2000], Vals: vals[:2000]})
 	if !errors.Is(err, ErrPeerUnavailable) {
 		t.Fatalf("post-trip ingest error %v", err)
 	}
@@ -328,7 +325,7 @@ func TestRouterReadyGating(t *testing.T) {
 func TestRouterShardsByOwner(t *testing.T) {
 	rt, streams, _ := testCluster(t, 3, stream.Config{Shards: 1, SealRows: 512})
 	keys, vals := testRows(9_000, 300)
-	if err := rt.Ingest(keys, vals); err != nil {
+	if err := rt.IngestChunk(agg.Chunk{Keys: keys, Vals: vals}); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
 	if err := rt.Flush(); err != nil {

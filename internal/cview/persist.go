@@ -370,33 +370,14 @@ func (r *Registry) Restore(sv Saved) error {
 	return nil
 }
 
-// writeAtomic writes one file via tmp + rename + dir sync — the same
-// commit discipline the WAL manifest and checkpoint CURRENT use.
+// writeAtomic creates dir if needed and atomically replaces dir/name with
+// data through wal.ReplaceFile.
 func writeAtomic(fs wal.FS, dir, name string, data []byte) error {
 	if err := fs.MkdirAll(dir); err != nil {
 		return fmt.Errorf("cview: mkdir %s: %w", dir, err)
 	}
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("cview: create %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("cview: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("cview: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("cview: close %s: %w", tmp, err)
-	}
-	if err := fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("cview: commit %s: %w", name, err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("cview: sync dir %s: %w", dir, err)
+	if err := wal.ReplaceFile(fs, dir, name, data); err != nil {
+		return fmt.Errorf("cview: %w", err)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,12 +35,9 @@ type Durability struct {
 	// SyncPolicy is the WAL fsync discipline (none | interval | always).
 	SyncPolicy wal.SyncPolicy
 
-	// SyncInterval is SyncPolicy=interval's amortization period; <= 0 means
-	// the wal package default (100ms).
-	SyncInterval time.Duration
-
 	// SegmentBytes is the WAL segment rotation size; <= 0 means the wal
-	// package default (16 MiB).
+	// package default (16 MiB). A test seam: tests shrink it to force
+	// rotations.
 	SegmentBytes int
 
 	// CheckpointEvery is the checkpoint cadence in rows: a checkpoint is
@@ -176,8 +174,8 @@ func Open(cfg Config) (*Stream, error) {
 	// Replay the WAL suffix straight into the base generation's radix
 	// partitions: the recovered tables are not shared with anyone until the
 	// first install, so each record past the checkpoint watermark folds into
-	// them in place (agg.Absorb at the merger's parallelism; every key lands
-	// in the partition a merge would have put it in) — recovery costs
+	// them in place (agg.Absorb at GOMAXPROCS, like a merge; every key
+	// lands in the partition a merge would have put it in) — recovery costs
 	// O(groups) memory and leaves no sealed backlog for the merger. A
 	// record becomes a delta of its own only when a continuous view still
 	// has to fold that seal. Records at or below
@@ -200,7 +198,7 @@ func Open(cfg Config) (*Stream, error) {
 			if base == nil {
 				base = &generation{parts: make([]agg.Table, 1<<cfg.MergeBits), seq: 1}
 			}
-			agg.Absorb(base.parts, r.Keys, r.Vals, cfg.Holistic, cfg.MergeWorkers)
+			agg.Absorb(base.parts, r.Keys, r.Vals, cfg.Holistic, runtime.GOMAXPROCS(0))
 			base.rows += rows
 		}
 		return nil
@@ -208,7 +206,6 @@ func Open(cfg Config) (*Stream, error) {
 	log, err := wal.Open(filepath.Join(dcfg.Dir, "wal"), wal.Options{
 		FS:           fs,
 		SyncPolicy:   dcfg.SyncPolicy,
-		SyncInterval: dcfg.SyncInterval,
 		SegmentBytes: dcfg.SegmentBytes,
 		SkipBelow:    skipBelow,
 		Metrics:      s.m.walMetrics(),

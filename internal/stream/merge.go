@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"runtime"
 	"time"
 
 	"memagg/internal/agg"
@@ -81,10 +82,10 @@ func (s *Stream) mergeOnce() bool {
 }
 
 // buildGeneration folds base plus the sealed deltas ds into a fresh
-// generation via the shared partition-wise fold (foldDeltas) at the
-// merger's parallelism, then derives the generation bookkeeping.
+// generation via the shared partition-wise fold (foldDeltas) at
+// GOMAXPROCS, then derives the generation bookkeeping.
 func (s *Stream) buildGeneration(base *generation, ds []*delta) *generation {
-	parts := s.foldDeltas(base, ds, s.cfg.MergeWorkers)
+	parts := s.foldDeltas(base, ds, runtime.GOMAXPROCS(0))
 
 	g := &generation{parts: parts, seq: 1}
 	if base != nil {

@@ -54,7 +54,10 @@ import (
 var ErrClosed = errors.New("stream: closed")
 
 // Config sizes a Stream. The zero value is usable; every field has a
-// sensible default.
+// sensible default. Merge cycles and WAL replay fold at GOMAXPROCS.
+// QueueDepth, QueryWorkers and QueryCacheEntries are test seams: the
+// memagg facade leaves them at their defaults, and tests set them to force
+// backpressure, compare worker counts and compute uncached references.
 type Config struct {
 	// Shards is the number of writer shards (private delta tables fed by
 	// independent queues). <= 0 uses GOMAXPROCS.
@@ -77,10 +80,6 @@ type Config struct {
 	// clamped to [1, agg.MaxPartBits]. Continuous-view windows fold their
 	// panes at the same fan-out.
 	MergeBits int
-
-	// MergeWorkers is the parallelism of a merge cycle (the radix scatter
-	// and the per-partition folds). <= 0 uses GOMAXPROCS.
-	MergeWorkers int
 
 	// EstimatedGroups is the expected group-by cardinality of the stream
 	// (Section 3.2's "cardinality is unknown up front" knob, surfaced).
@@ -149,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MergeBits > agg.MaxPartBits {
 		c.MergeBits = agg.MaxPartBits
-	}
-	if c.MergeWorkers <= 0 {
-		c.MergeWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueryWorkers <= 0 {
 		c.QueryWorkers = runtime.GOMAXPROCS(0)
@@ -488,7 +484,10 @@ func (s *Stream) publish(d *delta) (spareKeys, spareVals []uint64) {
 }
 
 // Stats is a point-in-time report of the stream's ingest and merge state.
+// Its JSON encoding is the /v1/stats body, so field names and order are
+// wire format; durations are int64 nanoseconds.
 type Stats struct {
+	// Shards and Holistic echo the stream's configuration.
 	Shards   int
 	Holistic bool
 
@@ -500,13 +499,13 @@ type Stats struct {
 	Staleness uint64
 
 	// Batches counts AppendChunk calls that carried rows; Seals counts deltas
-	// frozen and published; Snapshots counts Snapshot calls; Blocked is
-	// the total time AppendChunk spent stalled on full shard queues
+	// frozen and published; Snapshots counts Snapshot calls; BlockedNanos
+	// is the total time AppendChunk spent stalled on full shard queues
 	// (backpressure).
-	Batches   uint64
-	Seals     uint64
-	Snapshots uint64
-	Blocked   time.Duration
+	Batches      uint64
+	Seals        uint64
+	Snapshots    uint64
+	BlockedNanos int64
 
 	// SealedPending is the number of sealed deltas awaiting merge;
 	// Generation counts base generations built; Groups is the group count
@@ -515,10 +514,11 @@ type Stats struct {
 	Generation    uint64
 	Groups        int
 
-	// Merges counts merge cycles; MergeTotal/MergeLast time them.
-	Merges     uint64
-	MergeTotal time.Duration
-	MergeLast  time.Duration
+	// Merges counts merge cycles; MergeTotalNanos and MergeLastNanos time
+	// them.
+	Merges          uint64
+	MergeTotalNanos int64
+	MergeLastNanos  int64
 
 	// Result-cache outcomes across every view: queries answered from a
 	// view's materialized results, queries that computed them, and entries
@@ -558,18 +558,18 @@ func (s *Stream) Stats() Stats {
 	v := s.view.Load()
 	ing := s.m.rows.Value()
 	st := Stats{
-		Shards:        len(s.shards),
-		Holistic:      s.cfg.Holistic,
-		Ingested:      ing,
-		Watermark:     v.watermark,
-		Batches:       s.m.batches.Value(),
-		Seals:         s.m.seals.Value(),
-		Snapshots:     s.m.snapshots.Value(),
-		Blocked:       time.Duration(s.m.blockedNs.Value()),
-		SealedPending: len(v.sealed),
-		Merges:        s.m.merges.Value(),
-		MergeTotal:    time.Duration(s.m.mergeNs.Value()),
-		MergeLast:     time.Duration(s.m.lastMerge.Value()),
+		Shards:          len(s.shards),
+		Holistic:        s.cfg.Holistic,
+		Ingested:        ing,
+		Watermark:       v.watermark,
+		Batches:         s.m.batches.Value(),
+		Seals:           s.m.seals.Value(),
+		Snapshots:       s.m.snapshots.Value(),
+		BlockedNanos:    int64(s.m.blockedNs.Value()),
+		SealedPending:   len(v.sealed),
+		Merges:          s.m.merges.Value(),
+		MergeTotalNanos: int64(s.m.mergeNs.Value()),
+		MergeLastNanos:  int64(s.m.lastMerge.Value()),
 
 		QueryCacheHits:      s.m.qcacheHits.Value(),
 		QueryCacheMisses:    s.m.qcacheMisses.Value(),

@@ -99,50 +99,21 @@ func NewWriter(fs wal.FS, root string, meta Meta) (*Writer, error) {
 // large to fit one frame fails the write — the caller skips the checkpoint
 // and the WAL keeps covering the data.
 func (w *Writer) WritePartition(q int, t agg.Table) error {
-	name := partName(q)
-	f, err := w.fs.Create(filepath.Join(w.dir, name))
-	if err != nil {
-		return fmt.Errorf("checkpoint: create %s: %w", name, err)
-	}
-	run := agg.NewRunWriter(binary.LittleEndian.AppendUint32(nil, uint32(q)), w.meta.Holistic,
-		func(frame []byte) error {
-			_, err := f.Write(frame)
+	err := wal.WriteFile(w.fs, filepath.Join(w.dir, partName(q)), func(f io.Writer) error {
+		run := agg.NewRunWriter(binary.LittleEndian.AppendUint32(nil, uint32(q)), w.meta.Holistic,
+			func(frame []byte) error {
+				_, err := f.Write(frame)
+				return err
+			})
+		run.Add(t)
+		if err := run.Close(); err != nil {
 			return err
-		})
-	run.Add(t)
-	if err := run.Close(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: write %s: %w", name, err)
-	}
-	w.groups += run.Groups()
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: sync %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close %s: %w", name, err)
-	}
-	return nil
-}
-
-// writeFile creates name under the checkpoint dir, writes data, syncs and
-// closes — every byte durable before Commit's CURRENT swap can reference
-// it.
-func (w *Writer) writeFile(name string, data []byte) error {
-	f, err := w.fs.Create(filepath.Join(w.dir, name))
+		}
+		w.groups += run.Groups()
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("checkpoint: create %s: %w", name, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: write %s: %w", name, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: sync %s: %w", name, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: close %s: %w", name, err)
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
 }
@@ -164,51 +135,22 @@ func (w *Writer) Commit() error {
 	} else {
 		payload = append(payload, 0)
 	}
-	if err := w.writeFile(metaName, wal.AppendFrame(nil, payload)); err != nil {
+	err := wal.WriteFile(w.fs, filepath.Join(w.dir, metaName), func(f io.Writer) error {
+		_, err := f.Write(wal.AppendFrame(nil, payload))
 		return err
+	})
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	// Before CURRENT can reference the checkpoint, its directory entries
 	// (runs, META) and the root's entry for the directory itself must be
 	// durable — the files' own fsyncs pin their bytes, not their names.
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		return fmt.Errorf("checkpoint: sync dir: %w", err)
-	}
-	if err := w.fs.SyncDir(w.root); err != nil {
-		return fmt.Errorf("checkpoint: sync root: %w", err)
-	}
-
-	tmp := filepath.Join(w.root, currentName+".tmp")
-	if err := w.writeFileAt(tmp, []byte(ckptDirName(w.meta.Seq)+"\n")); err != nil {
-		return err
-	}
-	if err := w.fs.Rename(tmp, filepath.Join(w.root, currentName)); err != nil {
-		return fmt.Errorf("checkpoint: swap CURRENT: %w", err)
-	}
-	// The rename is the commit point in memory; this sync makes it the
-	// commit point on disk.
-	if err := w.fs.SyncDir(w.root); err != nil {
-		return fmt.Errorf("checkpoint: sync root: %w", err)
+	err = wal.ReplaceFile(w.fs, w.root, currentName, []byte(ckptDirName(w.meta.Seq)+"\n"), w.dir, w.root)
+	if err != nil {
+		return fmt.Errorf("checkpoint: commit: %w", err)
 	}
 	removeStale(w.fs, w.root, ckptDirName(w.meta.Seq))
 	return nil
-}
-
-// writeFileAt is writeFile with an absolute path (for CURRENT.tmp, which
-// lives in the root rather than the checkpoint dir).
-func (w *Writer) writeFileAt(path string, data []byte) error {
-	f, err := w.fs.Create(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: create %s: %w", path, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: write %s: %w", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: sync %s: %w", path, err)
-	}
-	return f.Close()
 }
 
 // Abort removes a checkpoint that will not be committed (a fault midway):

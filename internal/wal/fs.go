@@ -23,6 +23,7 @@
 package wal
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -125,3 +126,55 @@ func (OSFS) Size(name string) (int64, error) {
 
 // join builds FS paths; every FS implementation uses the host separator.
 func join(elem ...string) string { return filepath.Join(elem...) }
+
+// WriteFile creates name, fills it through write, fsyncs and closes it:
+// every byte is durable before a later commit step can reference the
+// file. It is the one create → write → Sync → Close sequence behind the
+// log's manifest, checkpoint files and view snapshots.
+func WriteFile(fs FS, name string, write func(io.Writer) error) error {
+	f, err := fs.Create(name)
+	if err != nil {
+		return fmt.Errorf("create %s: %w", name, err)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", name, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("sync %s: %w", name, err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close %s: %w", name, err)
+	}
+	return nil
+}
+
+// ReplaceFile atomically replaces dir/name with data: WriteFile to
+// name.tmp, rename it over name, then fsync dir. The rename is the commit
+// point in memory and the directory fsync makes it the commit point on
+// disk. deps are directories whose entries the new content refers to;
+// they are fsynced first, so the committed file never names an entry a
+// power loss could drop.
+func ReplaceFile(fs FS, dir, name string, data []byte, deps ...string) error {
+	for _, d := range deps {
+		if err := fs.SyncDir(d); err != nil {
+			return fmt.Errorf("sync dir %s: %w", d, err)
+		}
+	}
+	tmp := join(dir, name+".tmp")
+	err := WriteFile(fs, tmp, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if err := fs.Rename(tmp, join(dir, name)); err != nil {
+		return fmt.Errorf("rename %s: %w", tmp, err)
+	}
+	if err := fs.SyncDir(dir); err != nil {
+		return fmt.Errorf("sync dir %s: %w", dir, err)
+	}
+	return nil
+}

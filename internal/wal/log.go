@@ -20,7 +20,7 @@ const (
 	// SyncNone never fsyncs on append: the OS page cache decides. Fastest;
 	// a crash can lose every record since the last rotation.
 	SyncNone SyncPolicy = iota
-	// SyncInterval fsyncs when at least SyncInterval has passed since the
+	// SyncInterval fsyncs when at least syncPeriod has passed since the
 	// last sync, amortizing the fsync over many appends. A crash loses at
 	// most the records of the last interval.
 	SyncInterval
@@ -94,8 +94,6 @@ type Options struct {
 	FS FS
 	// SyncPolicy is the fsync discipline; see the constants.
 	SyncPolicy SyncPolicy
-	// SyncInterval is SyncInterval's amortization period. <= 0 means 100ms.
-	SyncInterval time.Duration
 	// SegmentBytes rotates the active segment when it would exceed this
 	// size. <= 0 means 16 MiB.
 	SegmentBytes int
@@ -111,14 +109,14 @@ func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OSFS{}
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 16 << 20
 	}
 	return o
 }
+
+// syncPeriod is the SyncInterval policy's amortization period.
+const syncPeriod = 100 * time.Millisecond
 
 const manifestName = "MANIFEST"
 
@@ -395,39 +393,17 @@ func (l *Log) readManifest() ([]segment, error) {
 	return segs, nil
 }
 
-// writeManifest swaps in a manifest listing l.segs: written to a temp
-// file, synced, then renamed over MANIFEST — the atomic commit point of
-// rotations and truncations.
+// writeManifest swaps in a manifest listing l.segs — the atomic commit
+// point of rotations and truncations. The directory fsync also makes any
+// segment files created alongside it survive power loss.
 func (l *Log) writeManifest() error {
 	var b strings.Builder
 	b.WriteString("memagg-wal v1\n")
 	for _, sg := range l.segs {
 		fmt.Fprintf(&b, "%s %d\n", sg.name, sg.endWM)
 	}
-	tmp := join(l.dir, manifestName+".tmp")
-	f, err := l.fs.Create(tmp)
-	if err != nil {
+	if err := ReplaceFile(l.fs, l.dir, manifestName, []byte(b.String())); err != nil {
 		return fmt.Errorf("wal: manifest: %w", err)
-	}
-	if _, err := f.Write([]byte(b.String())); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: manifest: %w", err)
-	}
-	if err := l.fs.Rename(tmp, join(l.dir, manifestName)); err != nil {
-		return fmt.Errorf("wal: manifest swap: %w", err)
-	}
-	// The rename committed the manifest in memory; the directory fsync
-	// makes the commit — and any segment files created alongside it —
-	// survive power loss.
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		return fmt.Errorf("wal: manifest dir sync: %w", err)
 	}
 	return nil
 }
@@ -470,7 +446,7 @@ func (l *Log) Append(r Record) error {
 	case SyncAlways:
 		return l.syncLocked()
 	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.SyncInterval {
+		if time.Since(l.lastSync) >= syncPeriod {
 			return l.syncLocked()
 		}
 	}

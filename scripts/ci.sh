@@ -75,6 +75,20 @@ if [ "$n" -gt 0 ]; then
 	exit 1
 fi
 
+# Structural guard — one durable-file writer: every file the durability
+# layer commits (WAL manifest, checkpoint runs, META and CURRENT, view DEFS
+# and PANES) goes through wal.WriteFile / wal.ReplaceFile, so the
+# create -> write -> Sync -> Close -> Rename -> SyncDir order lives in one
+# place. Outside internal/wal's FS implementations and those helpers
+# (fs.go, memfs.go, errfs.go), no non-test file renames or syncs a
+# directory.
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/wal/fs.go' ! -path './internal/wal/memfs.go' \
+	! -path './internal/wal/errfs.go' ! -path './.*/*' | xargs grep -lE '\.(Rename|SyncDir)\(' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test files rename or sync a directory outside the wal helpers" >&2
+	exit 1
+fi
+
 go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./internal/hashtbl/...
 # The partition-set owner is tested directly: agg.Fold against a
 # single-table MergeTable reference (fan-outs 0/1/4/6, values on and off,
@@ -186,6 +200,10 @@ go test -race -run 'TestRingMovementOnAdd' -count=1 -v ./internal/chash
 go test -race -run 'FuzzChunkWire|TestChunkWire|TestChunkStream' -count=1 -v ./internal/agg
 go test -race -run 'TestAppendChunkOwnedEquivalence|TestAppendChunkPoolRecycling' -count=1 -v ./internal/stream
 go test -race -run 'TestIngestEquivalenceJSONBinary|TestClusterIngestEquivalence|TestIngestBinaryMultiChunkBody|TestIngestBinaryRejectsCorruptBody|TestRoutesV1Only' -count=1 -v ./cmd/aggserve
+# JSON bodies are capped: one byte over the cap answers 413 on node and
+# router ingest and on view registration, nothing is applied, and the
+# server keeps serving. /v1/stats keys and their order are wire format.
+go test -race -run 'TestJSONBodyTooLarge|TestStatsKeysPinned' -count=1 -v ./cmd/aggserve
 # An already-cancelled query answers 499 before any query work (it used to
 # race the query's own completion and could answer 200).
 go test -race -run 'TestQueryCanceledContext$' -count=50 ./cmd/aggserve

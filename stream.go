@@ -2,7 +2,6 @@ package memagg
 
 import (
 	"errors"
-	"time"
 
 	"memagg/internal/agg"
 	"memagg/internal/cluster"
@@ -18,7 +17,8 @@ import (
 // the batch backend choice: Function == Holistic retains value multisets,
 // Multithreaded toggles sharded ingest, and EstimatedGroups sizes the
 // merge fan-out so each base partition stays cache-sized. Explicit fields
-// override what Workload derives.
+// override what Workload derives. GOMAXPROCS bounds the merge and query
+// worker pools, and each view caches up to 128 query results.
 type StreamOptions struct {
 	// Workload describes the queries this stream will serve; see Recommend.
 	Workload Workload
@@ -27,32 +27,9 @@ type StreamOptions struct {
 	// workload: GOMAXPROCS when Workload.Multithreaded, otherwise 1.
 	Shards int
 
-	// QueueDepth bounds each shard's ingest queue, in batches; a full queue
-	// blocks AppendChunk (backpressure, not loss). <= 0 means 8.
-	QueueDepth int
-
 	// SealRows is the delta size that triggers publication to the queryable
 	// view. Smaller values lower snapshot staleness. <= 0 means 32768.
 	SealRows int
-
-	// MergeWorkers is the parallelism of background merge cycles. <= 0
-	// means GOMAXPROCS.
-	MergeWorkers int
-
-	// QueryWorkers is the parallelism of snapshot queries: the
-	// partition-wise fold of sealed deltas into a view's sources and the
-	// partition scans of the Q1–Q7 kernels. Snapshots below the serial
-	// group-count cutoff scan on the calling goroutine regardless. <= 0
-	// means GOMAXPROCS.
-	QueryWorkers int
-
-	// QueryCacheEntries bounds the per-view result cache. Snapshots of an
-	// unchanged view are immutable, so materialized results are cached on
-	// the view keyed by query id and parameters, with single-flight
-	// deduplication of concurrent identical queries; any seal or merge
-	// starts a fresh cache at the new watermark. 0 means 128 entries;
-	// < 0 disables caching.
-	QueryCacheEntries int
 
 	// Holistic retains every group's value multiset, enabling
 	// MedianByKey/QuantileByKey/ModeByKey on snapshots. Also implied by
@@ -83,13 +60,6 @@ type StreamDurability struct {
 	// "interval" (amortized, the default), or "always" (every seal durable
 	// on acknowledgment).
 	SyncPolicy string
-
-	// SyncInterval is the "interval" policy's amortization period; <= 0
-	// means 100ms.
-	SyncInterval time.Duration
-
-	// SegmentBytes is the WAL segment rotation size; <= 0 means 16 MiB.
-	SegmentBytes int
 
 	// CheckpointEvery is the checkpoint cadence in rows (how far the base
 	// generation may outgrow the last checkpoint before a new one is
@@ -157,16 +127,12 @@ func OpenStream(opts StreamOptions) (*Stream, error) {
 		shards = 1
 	}
 	cfg := stream.Config{
-		Shards:            shards, // <= 0 (multithreaded workload): GOMAXPROCS
-		QueueDepth:        opts.QueueDepth,
-		SealRows:          opts.SealRows,
-		MergeBits:         streamMergeBits(opts.Workload.EstimatedGroups),
-		MergeWorkers:      opts.MergeWorkers,
-		QueryWorkers:      opts.QueryWorkers,
-		QueryCacheEntries: opts.QueryCacheEntries,
-		EstimatedGroups:   opts.Workload.EstimatedGroups,
-		Holistic:          holistic,
-		DisableMerger:     opts.DisableMerger,
+		Shards:          shards, // <= 0 (multithreaded workload): GOMAXPROCS
+		SealRows:        opts.SealRows,
+		MergeBits:       streamMergeBits(opts.Workload.EstimatedGroups),
+		EstimatedGroups: opts.Workload.EstimatedGroups,
+		Holistic:        holistic,
+		DisableMerger:   opts.DisableMerger,
 	}
 	if d := opts.Durability; d.Dir != "" {
 		if opts.DisableMerger {
@@ -179,8 +145,6 @@ func OpenStream(opts StreamOptions) (*Stream, error) {
 		cfg.Durability = stream.Durability{
 			Dir:             d.Dir,
 			SyncPolicy:      policy,
-			SyncInterval:    d.SyncInterval,
-			SegmentBytes:    d.SegmentBytes,
 			CheckpointEvery: d.CheckpointEvery,
 		}
 	}
@@ -245,113 +209,14 @@ func (s *Stream) Close() error { return s.s.Close() }
 // exactly Watermark() of them — without blocking writers or the merger.
 func (s *Stream) Snapshot() *StreamSnapshot { return &StreamSnapshot{sn: s.s.Snapshot()} }
 
-// StreamStats is a point-in-time report of a stream's ingest and merge
-// state.
-type StreamStats struct {
-	// Shards and Holistic echo the stream's configuration.
-	Shards   int
-	Holistic bool
+// StreamStats is a point-in-time report of a stream's ingest, merge,
+// result-cache, view and durability state, read from the same obs-backed
+// instruments the stream's /metrics families serve. Its JSON encoding is
+// the /v1/stats body cmd/aggserve serves.
+type StreamStats = stream.Stats
 
-	// Ingested counts rows accepted by AppendChunk; Watermark counts rows
-	// visible to a snapshot taken now; Staleness is their difference —
-	// rows still queued or in unsealed deltas.
-	Ingested  uint64
-	Watermark uint64
-	Staleness uint64
-
-	// Batches counts AppendChunk calls that carried rows; Seals counts deltas
-	// frozen and published; Snapshots counts Snapshot calls; BlockedNanos
-	// is the total time AppendChunk spent stalled on full shard queues
-	// (backpressure).
-	Batches      uint64
-	Seals        uint64
-	Snapshots    uint64
-	BlockedNanos int64
-
-	// SealedPending counts sealed deltas awaiting the merger; Generation
-	// counts base generations built; Groups is the current base's group
-	// count (unmerged deltas excluded).
-	SealedPending int
-	Generation    uint64
-	Groups        int
-
-	// Merges counts completed merge cycles; MergeTotalNanos and
-	// MergeLastNanos time them.
-	Merges          uint64
-	MergeTotalNanos int64
-	MergeLastNanos  int64
-
-	// Result-cache outcomes across every view: queries answered from a
-	// view's materialized results, queries that computed and stored them,
-	// and entries evicted by the per-view capacity bound.
-	QueryCacheHits      uint64
-	QueryCacheMisses    uint64
-	QueryCacheEvictions uint64
-
-	// Continuous-view state: registered views, live and evicted panes
-	// across them, pane folds applied (one per view per seal), and result
-	// reads (total and answered from the version cache).
-	Views            int
-	ViewPanesLive    int
-	ViewPanesEvicted uint64
-	ViewUpdates      uint64
-	ViewReads        uint64
-	ViewReadsCached  uint64
-
-	// Durable reports whether the stream runs with a WAL; ReadOnly whether
-	// its durability layer failed and ingest is refused. The remaining
-	// fields are zero for volatile streams: WAL activity counters and the
-	// row count covered by the last durable checkpoint.
-	Durable             bool
-	ReadOnly            bool
-	WALAppends          uint64
-	WALFsyncs           uint64
-	WALSegmentRotations uint64
-	WALSizeBytes        int64
-	Checkpoints         uint64
-	CheckpointWatermark uint64
-}
-
-// Stats reports the stream's current state, read from the same obs-backed
-// instruments the stream's /metrics families serve. Safe from any
-// goroutine.
-func (s *Stream) Stats() StreamStats {
-	st := s.s.Stats()
-	return StreamStats{
-		Shards:              st.Shards,
-		Holistic:            st.Holistic,
-		Ingested:            st.Ingested,
-		Watermark:           st.Watermark,
-		Staleness:           st.Staleness,
-		Batches:             st.Batches,
-		Seals:               st.Seals,
-		Snapshots:           st.Snapshots,
-		BlockedNanos:        int64(st.Blocked),
-		SealedPending:       st.SealedPending,
-		Generation:          st.Generation,
-		Groups:              st.Groups,
-		Merges:              st.Merges,
-		MergeTotalNanos:     int64(st.MergeTotal),
-		MergeLastNanos:      int64(st.MergeLast),
-		QueryCacheHits:      st.QueryCacheHits,
-		QueryCacheMisses:    st.QueryCacheMisses,
-		QueryCacheEvictions: st.QueryCacheEvictions,
-		Views:               st.Views,
-		ViewPanesLive:       st.ViewPanesLive,
-		ViewPanesEvicted:    st.ViewPanesEvicted,
-		ViewUpdates:         st.ViewUpdates,
-		ViewReads:           st.ViewReads,
-		ViewReadsCached:     st.ViewReadsCached,
-		Durable:             st.Durable,
-		ReadOnly:            st.ReadOnly,
-		WALAppends:          st.WALAppends,
-		WALFsyncs:           st.WALFsyncs,
-		WALSegmentRotations: st.WALSegmentRotations,
-		WALSizeBytes:        st.WALSizeBytes,
-		Checkpoints:         st.Checkpoints,
-		CheckpointWatermark: st.CheckpointWatermark,
-	}
-}
+// Stats reports the stream's current state. Safe from any goroutine.
+func (s *Stream) Stats() StreamStats { return s.s.Stats() }
 
 // StreamSnapshot answers the full Q1–Q7 query set over one consistent
 // point of the stream: every query sees exactly Watermark() rows, no
