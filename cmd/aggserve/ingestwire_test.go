@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"memagg"
 	"memagg/internal/cluster"
 	"memagg/internal/dataset"
+	"memagg/internal/pairtest"
 )
 
 // wireBatch is one ingest batch in both spellings: a JSON body and the
@@ -293,12 +293,10 @@ func TestClusterIngestEquivalence(t *testing.T) {
 // point: binary chunk ingest must not be slower than JSON ingest for the
 // same rows through the same HTTP server (in practice it is several
 // times faster; this guard only pins the sign). Wall-clock ratios are
-// noisy, so it runs only under MEMAGG_INGEST_GUARD=1 — scripts/ci.sh
-// sets it.
+// noisy, so it runs only under pairtest.Gate (MEMAGG_GUARDS=1) —
+// scripts/ci.sh sets it.
 func TestIngestThroughputGuard(t *testing.T) {
-	if os.Getenv("MEMAGG_INGEST_GUARD") != "1" {
-		t.Skip("set MEMAGG_INGEST_GUARD=1 to run the ingest throughput guard")
-	}
+	pairtest.Gate(t)
 	const n, batchLen = 1 << 20, 8192
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: n, Cardinality: 1 << 16, Seed: 41}
 	keys := spec.Keys()
@@ -336,24 +334,7 @@ func TestIngestThroughputGuard(t *testing.T) {
 		return time.Since(start)
 	}
 
-	// Warm both paths once, then keep the per-mode minimum of three runs:
-	// the least interfered-with run is the honest measurement.
-	run(false)
-	run(true)
-	best := func(binary bool) time.Duration {
-		m := time.Duration(1 << 62)
-		for r := 0; r < 3; r++ {
-			if d := run(binary); d < m {
-				m = d
-			}
-		}
-		return m
-	}
-	jsonTime, binTime := best(false), best(true)
-	jsonRate := float64(n) / jsonTime.Seconds()
-	binRate := float64(n) / binTime.Seconds()
-	t.Logf("json %.0f rows/s, binary %.0f rows/s (%.2fx)", jsonRate, binRate, binRate/jsonRate)
-	if binRate < jsonRate {
-		t.Fatalf("binary ingest slower than JSON: %.0f vs %.0f rows/s", binRate, jsonRate)
-	}
+	pairtest.Run(t, 1.0,
+		func() time.Duration { return run(true) },
+		func() time.Duration { return run(false) })
 }

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -107,8 +108,8 @@ func appendColumn(dst []byte, col byte, vals []uint64, pad int) []byte {
 	emit := func(part []uint64, zeros int) []byte {
 		n := len(part) + zeros
 		start := len(dst)
-		dst = append(dst, make([]byte, 8+chunkColHeader+8*n)...)
-		payload := dst[start+8:]
+		dst = append(dst, make([]byte, wal.FrameHeader+chunkColHeader+8*n)...)
+		payload := dst[start+wal.FrameHeader:]
 		payload[0] = col
 		binary.LittleEndian.PutUint32(payload[1:chunkColHeader], uint32(n))
 		off := chunkColHeader
@@ -117,8 +118,7 @@ func appendColumn(dst []byte, col byte, vals []uint64, pad int) []byte {
 			off += 8
 		}
 		clear(payload[off:]) // the zero-extension tail
-		binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(dst[start+4:], wal.Checksum(payload))
+		wal.SealFrame(dst[start:])
 		return dst
 	}
 	for len(vals) >= chunkFrameRows {
@@ -247,30 +247,13 @@ func ReadChunk(br *bufio.Reader) (Chunk, error) {
 // the bytes consumed — the buffer-at-once form of ReadChunk (tests, the
 // fuzzer, and small clients use it; servers stream with ReadChunk).
 func DecodeChunkWire(src []byte) (Chunk, int, error) {
-	sr := &sliceReader{b: src}
-	r := bufio.NewReader(sr)
-	c, err := ReadChunk(r)
+	rd := bytes.NewReader(src)
+	br := bufio.NewReader(rd)
+	c, err := ReadChunk(br)
 	if err != nil {
 		return Chunk{}, 0, err
 	}
 	// The bufio layer may have pulled ahead of the chunk; consumed is what
 	// it drew from src minus what still sits unread in its buffer.
-	return c, sr.n - r.Buffered(), nil
-}
-
-// sliceReader is an io.Reader over a byte slice that counts bytes read —
-// DecodeChunkWire's consumed-bytes bookkeeping.
-type sliceReader struct {
-	b []byte
-	n int
-}
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	s.n += n
-	return n, nil
+	return c, len(src) - rd.Len() - br.Buffered(), nil
 }

@@ -140,8 +140,8 @@ type RunWriter struct {
 // NewRunWriter starts a run whose frame payloads open with head and whose
 // records carry value multisets when values is set.
 func NewRunWriter(head []byte, values bool, emit func(frame []byte) error) *RunWriter {
-	w := &RunWriter{values: values, countAt: 8 + len(head), emit: emit}
-	w.buf = make([]byte, 8, 8+len(head)+4+1024) // 8: the wal frame header
+	w := &RunWriter{values: values, countAt: wal.FrameHeader + len(head), emit: emit}
+	w.buf = make([]byte, wal.FrameHeader, wal.FrameHeader+len(head)+4+1024)
 	w.buf = append(w.buf, head...)
 	w.buf = append(w.buf, 0, 0, 0, 0)
 	return w
@@ -156,7 +156,7 @@ func (w *RunWriter) Add(t Table) {
 		// A group that would push the pending frame past wal.MaxFrame opens
 		// a frame of its own; only a group too large for any frame fails
 		// (in flush).
-		if w.n > 0 && len(w.buf)-8+groupSize(p, w.values) > wal.MaxFrame {
+		if w.n > 0 && len(w.buf)-wal.FrameHeader+groupSize(p, w.values) > wal.MaxFrame {
 			if w.flush(); w.err != nil {
 				return false
 			}
@@ -164,7 +164,7 @@ func (w *RunWriter) Add(t Table) {
 		w.buf = appendGroup(w.buf, k, p, t.Ar, w.values)
 		w.n++
 		w.groups++
-		if len(w.buf)-8 >= RunFrameBytes {
+		if len(w.buf)-wal.FrameHeader >= RunFrameBytes {
 			w.flush()
 		}
 		return w.err == nil
@@ -173,14 +173,12 @@ func (w *RunWriter) Add(t Table) {
 
 // flush frames the pending payload in place and emits it.
 func (w *RunWriter) flush() {
-	payload := w.buf[8:]
-	if len(payload) > wal.MaxFrame {
-		w.err = fmt.Errorf("group of %d bytes exceeds max frame %d: %w", len(payload), wal.MaxFrame, ErrGroupRun)
+	if size := len(w.buf) - wal.FrameHeader; size > wal.MaxFrame {
+		w.err = fmt.Errorf("group of %d bytes exceeds max frame %d: %w", size, wal.MaxFrame, ErrGroupRun)
 		return
 	}
 	binary.LittleEndian.PutUint32(w.buf[w.countAt:], w.n)
-	binary.LittleEndian.PutUint32(w.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.buf[4:8], wal.Checksum(payload))
+	wal.SealFrame(w.buf)
 	if err := w.emit(w.buf); err != nil {
 		w.err = err
 		return

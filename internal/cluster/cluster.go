@@ -69,11 +69,6 @@ func (e *PeerError) Error() string {
 
 func (e *PeerError) Unwrap() error { return ErrPeerUnavailable }
 
-// Cause returns the underlying error (the transport failure or HTTP
-// status) — Unwrap is reserved for the ErrPeerUnavailable sentinel so
-// errors.Is stays the routing contract.
-func (e *PeerError) Cause() error { return e.Err }
-
 // PartialAvailabilityError reports a scatter-gather that could not reach
 // every node: exact cluster results need all owners, so the query fails
 // as a whole, naming the missing peers. Wraps ErrPeerUnavailable.

@@ -154,6 +154,9 @@ type Registry struct {
 // tables (0 <= bits <= agg.MaxPartBits) and fold and scan it across
 // workers; m may be nil.
 func NewRegistry(holistic bool, bits, workers int, m *Metrics) *Registry {
+	if m == nil {
+		m = &Metrics{}
+	}
 	return &Registry{holistic: holistic, bits: bits, workers: workers, m: m, views: make(map[string]*View)}
 }
 
@@ -341,15 +344,11 @@ func (r *Registry) Result(name string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknown, name)
 	}
-	if r.m != nil && r.m.Reads != nil {
-		r.m.Reads.Inc()
-	}
+	r.m.Reads.Inc()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.cached != nil {
-		if r.m != nil && r.m.ReadsCached != nil {
-			r.m.ReadsCached.Inc()
-		}
+		r.m.ReadsCached.Inc()
 		return v.cached, nil
 	}
 	res := v.compute(r)
@@ -413,14 +412,8 @@ func (p *pane) settle(m *Metrics, withValues bool) {
 	for _, d := range p.pending {
 		agg.MergeTable(p.Table, d, withValues)
 	}
-	if m != nil {
-		if m.Updates != nil {
-			m.Updates.Add(uint64(len(p.pending)))
-		}
-		if m.UpdateLat != nil {
-			mk.Tick(m.UpdateLat)
-		}
-	}
+	m.Updates.Add(uint64(len(p.pending)))
+	mk.Tick(m.UpdateLat)
 	clear(p.pending)
 	p.pending = p.pending[:0]
 }
@@ -501,15 +494,11 @@ func (v *View) open(r *Registry, pIdx uint64) *pane {
 		}
 		v.panes = v.panes[:len(v.panes)-drop]
 		v.evicted += uint64(drop)
-		if r.m != nil && r.m.PanesEvicted != nil {
-			r.m.PanesEvicted.Add(uint64(drop))
-		}
+		r.m.PanesEvicted.Add(uint64(drop))
 	}
 	p := &pane{idx: pIdx, Table: agg.NewTable(paneTableCap)}
 	v.panes = append(v.panes, p)
-	if r.m != nil && r.m.PanesOpened != nil {
-		r.m.PanesOpened.Inc()
-	}
+	r.m.PanesOpened.Inc()
 	return p
 }
 

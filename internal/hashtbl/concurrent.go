@@ -191,8 +191,8 @@ func (t *Concurrent) growLocked() {
 // UpsertSlotH returns the slot for key (hash h, which must be Mix(key)),
 // claiming an empty slot with a CAS when the key is new. The caller must
 // hold an open batch; the returned slot indexes the lane array that batch's
-// BeginBatch returned, at slot*Lanes(). The zero key maps to the dedicated
-// zero cell, Cap().
+// BeginBatch returned, at slot times the table's lane count. The zero key
+// maps to the dedicated zero cell, Cap().
 func (t *Concurrent) UpsertSlotH(key, h uint64) int {
 	if key == 0 {
 		if !t.hasZero.Load() {
@@ -267,9 +267,6 @@ func (t *Concurrent) Len() int {
 // Cap returns the number of probe slots (the zero cell excluded — it is
 // addressed as slot Cap()).
 func (t *Concurrent) Cap() int { return len(t.keys) }
-
-// Lanes returns the number of lane words per slot.
-func (t *Concurrent) Lanes() int { return t.lanes }
 
 // Vals returns the current lane array. Quiescent-read helper for the
 // post-build emit phase; invalidated by growth like any slot index.

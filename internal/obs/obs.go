@@ -62,17 +62,23 @@ type meta struct {
 func (m *meta) Name() string { return m.name }
 
 // Counter is a monotonically increasing value. The zero Counter is ready
-// to use (construct through a Registry to serve it).
+// to use (construct through a Registry to serve it); recording into a nil
+// *Counter is a no-op, as it is for a nil *Gauge and *Histogram, so an
+// instrument set may leave any field unset.
 type Counter struct {
 	meta
 	v atomic.Uint64
 }
 
 // Add increments the counter by n. Always records (see package comment).
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -84,10 +90,18 @@ type Gauge struct {
 }
 
 // Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v int64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Add adjusts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
+func (g *Gauge) Add(d int64) {
+	if g != nil {
+		g.v.Add(d)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -146,7 +160,7 @@ func bucketIndex(ns uint64) int {
 // Observe records one duration. A no-op under SetDisabled — durations are
 // timing instruments, unlike counters.
 func (h *Histogram) Observe(d time.Duration) {
-	if disabled.Load() {
+	if h == nil || disabled.Load() {
 		return
 	}
 	h.observe(d)

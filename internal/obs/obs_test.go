@@ -22,6 +22,22 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestNilInstrumentsNoop pins the contract instrument sets rely on: every
+// recording method on a nil instrument does nothing instead of panicking.
+func TestNilInstrumentsNoop(t *testing.T) {
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
+	c.Add(3)
+	c.Inc()
+	g.Set(7)
+	g.Add(-2)
+	h.Observe(time.Millisecond)
+	Start().Tick(h).Tick(nil)
+}
+
 func TestCountersRecordWhileDisabled(t *testing.T) {
 	SetDisabled(true)
 	defer SetDisabled(false)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -226,17 +225,4 @@ func (v *CounterVec) Each(fn func(labelValues []string, c *Counter)) {
 		}
 		fn(vals, c)
 	})
-}
-
-// SortedNames returns the registered family names, sorted — diagnostics
-// and tests.
-func (r *Registry) SortedNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.names))
-	for n := range r.names {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +8,7 @@ import (
 	"memagg/internal/agg"
 	"memagg/internal/dataset"
 	"memagg/internal/obs"
+	"memagg/internal/pairtest"
 )
 
 // ingestOnce pushes the whole dataset through a fresh stream with one
@@ -59,51 +58,25 @@ func ingestOnce(tb testing.TB, keys, vals []uint64, shards, batchLen int) time.D
 // (obs.SetDisabled) and fails when the instrumented run is more than 5%
 // slower than the disabled one (budget: <2% expected, 5% allowed for
 // scheduler noise). Wall-clock ratios are inherently noisy, so the guard
-// only runs when MEMAGG_OBS_GUARD=1 — scripts/ci.sh sets it; a plain
-// `go test ./...` skips.
+// runs only under pairtest.Gate (MEMAGG_GUARDS=1) — scripts/ci.sh sets
+// it; a plain `go test ./...` skips.
 func TestObsOverheadGuard(t *testing.T) {
-	if os.Getenv("MEMAGG_OBS_GUARD") != "1" {
-		t.Skip("set MEMAGG_OBS_GUARD=1 to run the obs overhead guard")
-	}
+	pairtest.Gate(t)
 	const shards, batchLen = 1, 4096
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 1_000_000, Cardinality: 100_000, Seed: 71}
 	keys := spec.Keys()
 	vals := dataset.Values(len(keys), spec.Seed)
 
 	// One writer shard keeps the run near-deterministic (no producer/merger
-	// time-sharing to randomize the clock); a GC before each run stops one
-	// mode from paying the other's garbage. Warm both paths once, then keep
-	// the per-mode minimum: the least interfered-with run is the honest
-	// cost of each configuration.
-	ingestOnce(t, keys, vals, shards, batchLen)
-	measure := func(rounds int) float64 {
-		best := map[bool]time.Duration{}
-		for r := 0; r < rounds; r++ {
-			for _, disabled := range []bool{false, true} {
-				obs.SetDisabled(disabled)
-				runtime.GC()
-				el := ingestOnce(t, keys, vals, shards, batchLen)
-				if cur, ok := best[disabled]; !ok || el < cur {
-					best[disabled] = el
-				}
-			}
+	// time-sharing to randomize the clock).
+	ingest := func(disabled bool) func() time.Duration {
+		return func() time.Duration {
+			obs.SetDisabled(disabled)
+			return ingestOnce(t, keys, vals, shards, batchLen)
 		}
-		ratio := float64(best[false]) / float64(best[true])
-		t.Logf("instrumented=%v disabled=%v ratio=%.4f", best[false], best[true], ratio)
-		return ratio
 	}
 	defer obs.SetDisabled(false)
-
-	ratio := measure(7)
-	if ratio > 1.05 {
-		// A real regression reproduces; a scheduler hiccup does not. Confirm
-		// over a longer pass before failing.
-		ratio = measure(14)
-	}
-	if ratio > 1.05 {
-		t.Fatalf("instrumented ingest is %.1f%% slower than disabled (budget 5%%, confirmed twice)",
-			(ratio-1)*100)
-	}
+	pairtest.Run(t, 1.05, ingest(false), ingest(true))
 }
 
 // BenchmarkStreamIngestDisabled is BenchmarkStreamIngest's counterpart

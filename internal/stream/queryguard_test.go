@@ -1,13 +1,12 @@
 package stream
 
 import (
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
 	"memagg/internal/agg"
 	"memagg/internal/dataset"
+	"memagg/internal/pairtest"
 )
 
 // queryOnce runs one full pass of the vector kernels (Q1, Q2, SUM-reduce)
@@ -31,14 +30,11 @@ func queryOnce(tb testing.TB, s *Stream) time.Duration {
 // forced off) must not be materially slower than the plain serial path
 // (cutoff forced past every group count) on the same view. The morsel
 // dispatch and offset bookkeeping should cost low single digits; 20% is
-// allowed for scheduler noise, confirmed twice like the obs guard.
-// Wall-clock ratios are noisy, so the guard only runs when
-// MEMAGG_QUERY_GUARD=1 — scripts/ci.sh sets it; plain `go test ./...`
-// skips.
+// allowed for scheduler noise. Wall-clock ratios are noisy, so the guard
+// runs only under pairtest.Gate (MEMAGG_GUARDS=1) — scripts/ci.sh sets
+// it; plain `go test ./...` skips.
 func TestQueryOverheadGuard(t *testing.T) {
-	if os.Getenv("MEMAGG_QUERY_GUARD") != "1" {
-		t.Skip("set MEMAGG_QUERY_GUARD=1 to run the query overhead guard")
-	}
+	pairtest.Gate(t)
 	defer func(c int) { agg.SerialQueryCutoff = c }(agg.SerialQueryCutoff)
 
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 1_000_000, Cardinality: 65_536, Seed: 72}
@@ -54,38 +50,12 @@ func TestQueryOverheadGuard(t *testing.T) {
 		}
 	}()
 
-	// Warm both paths, then keep the per-mode minimum of interleaved runs:
-	// the least interfered-with run is the honest cost of each path.
-	const parallelPath, serialPath = 0, 1 << 30
-	for _, cutoff := range []int{parallelPath, serialPath} {
-		agg.SerialQueryCutoff = cutoff
-		queryOnce(t, s)
-	}
-	measure := func(rounds int) float64 {
-		best := map[int]time.Duration{}
-		for r := 0; r < rounds; r++ {
-			for _, cutoff := range []int{parallelPath, serialPath} {
-				agg.SerialQueryCutoff = cutoff
-				runtime.GC()
-				el := queryOnce(t, s)
-				if cur, ok := best[cutoff]; !ok || el < cur {
-					best[cutoff] = el
-				}
-			}
+	query := func(cutoff int) func() time.Duration {
+		return func() time.Duration {
+			agg.SerialQueryCutoff = cutoff
+			return queryOnce(t, s)
 		}
-		ratio := float64(best[parallelPath]) / float64(best[serialPath])
-		t.Logf("parallel-path=%v serial-path=%v ratio=%.4f",
-			best[parallelPath], best[serialPath], ratio)
-		return ratio
 	}
-
-	ratio := measure(7)
-	if ratio > 1.20 {
-		// A real regression reproduces; a scheduler hiccup does not.
-		ratio = measure(14)
-	}
-	if ratio > 1.20 {
-		t.Fatalf("parallel query path at 1 worker is %.1f%% slower than serial (budget 20%%, confirmed twice)",
-			(ratio-1)*100)
-	}
+	const parallelPath, serialPath = 0, 1 << 30
+	pairtest.Run(t, 1.20, query(parallelPath), query(serialPath))
 }

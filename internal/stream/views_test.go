@@ -3,9 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +12,7 @@ import (
 	"memagg/internal/cview"
 	"memagg/internal/dataset"
 	"memagg/internal/obs"
+	"memagg/internal/pairtest"
 	"memagg/internal/wal"
 )
 
@@ -546,40 +545,19 @@ func ingestWithViews(tb testing.TB, keys, vals []uint64, views bool) time.Durati
 // registered distributive views must stay within 10% of the same ingest
 // with none. The per-seal fold is O(delta groups), amortized over
 // SealRows rows — the budget holds with plenty of slack; wall-clock
-// ratios are noisy, so the guard is env-gated like the other guards.
+// ratios are noisy, so the guard runs only under pairtest.Gate like the
+// other guards.
 func TestCViewOverheadGuard(t *testing.T) {
-	if os.Getenv("MEMAGG_CVIEW_GUARD") != "1" {
-		t.Skip("set MEMAGG_CVIEW_GUARD=1 to run the continuous-view overhead guard")
-	}
+	pairtest.Gate(t)
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 1_000_000, Cardinality: 512, Seed: 85}
 	keys := spec.Keys()
 	vals := dataset.Values(len(keys), spec.Seed)
 
 	obs.SetDisabled(false)
-	ingestWithViews(t, keys, vals, false) // warm
-	measure := func(rounds int) float64 {
-		best := map[bool]time.Duration{}
-		for r := 0; r < rounds; r++ {
-			for _, views := range []bool{true, false} {
-				runtime.GC()
-				el := ingestWithViews(t, keys, vals, views)
-				if cur, ok := best[views]; !ok || el < cur {
-					best[views] = el
-				}
-			}
-		}
-		ratio := float64(best[true]) / float64(best[false])
-		t.Logf("views=%v none=%v ratio=%.4f", best[true], best[false], ratio)
-		return ratio
+	ingest := func(views bool) func() time.Duration {
+		return func() time.Duration { return ingestWithViews(t, keys, vals, views) }
 	}
-	ratio := measure(7)
-	if ratio > 1.10 {
-		ratio = measure(14)
-	}
-	if ratio > 1.10 {
-		t.Fatalf("ingest with 4 views is %.1f%% slower than without (budget 10%%, confirmed twice)",
-			(ratio-1)*100)
-	}
+	pairtest.Run(t, 1.10, ingest(true), ingest(false))
 }
 
 // TestCViewStats checks the view families surface through Stats.

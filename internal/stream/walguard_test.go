@@ -1,14 +1,13 @@
 package stream
 
 import (
-	"os"
-	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
 
 	"memagg/internal/agg"
 	"memagg/internal/dataset"
+	"memagg/internal/pairtest"
 	"memagg/internal/wal"
 )
 
@@ -70,56 +69,25 @@ func walIngestOnce(tb testing.TB, keys, vals []uint64, fs wal.FS, batchLen int) 
 // WAL must stay within 15% of a fully volatile stream. The WAL path adds
 // a raw-row mirror per delta plus an encode+buffered-write per seal, all
 // off the producer's critical path except the mirror append — 15% is the
-// ceiling the issue sets, not the expectation. Wall-clock ratios are
-// noisy, so the guard only runs when MEMAGG_WAL_GUARD=1 — scripts/ci.sh
-// sets it; a plain `go test ./...` skips.
+// ceiling, not the expectation. Wall-clock ratios are noisy, so the guard
+// runs only under pairtest.Gate (MEMAGG_GUARDS=1) — scripts/ci.sh sets
+// it; a plain `go test ./...` skips.
 func TestWALOverheadGuard(t *testing.T) {
-	if os.Getenv("MEMAGG_WAL_GUARD") != "1" {
-		t.Skip("set MEMAGG_WAL_GUARD=1 to run the WAL overhead guard")
-	}
+	pairtest.Gate(t)
 	const batchLen = 4096
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 1_000_000, Cardinality: 100_000, Seed: 71}
 	keys := spec.Keys()
 	vals := dataset.Values(len(keys), spec.Seed)
 
 	// GC pauses land on whichever run happens to cross a heap-growth
-	// threshold; with collection off and an explicit GC between runs,
-	// every run starts from the same clean heap and none is interrupted.
+	// threshold; with collection off and the GC pairtest runs before
+	// every run, each run starts from the same clean heap and none is
+	// interrupted.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	// Same protocol as the obs guard: one writer shard, GC before each
-	// run, warm both paths once, keep the per-mode minimum. Each durable
-	// round gets a fresh MemFS so no run pays replay for the last.
-	walIngestOnce(t, keys, vals, nil, batchLen)
-	walIngestOnce(t, keys, vals, wal.NewMemFS(), batchLen)
-	measure := func(rounds int) float64 {
-		best := map[bool]time.Duration{}
-		for r := 0; r < rounds; r++ {
-			for _, durable := range []bool{true, false} {
-				var fs wal.FS
-				if durable {
-					fs = wal.NewMemFS()
-				}
-				runtime.GC()
-				el := walIngestOnce(t, keys, vals, fs, batchLen)
-				if cur, ok := best[durable]; !ok || el < cur {
-					best[durable] = el
-				}
-			}
-		}
-		ratio := float64(best[true]) / float64(best[false])
-		t.Logf("durable=%v volatile=%v ratio=%.4f", best[true], best[false], ratio)
-		return ratio
-	}
-
-	ratio := measure(5)
-	if ratio > 1.15 {
-		// A real regression reproduces; a scheduler hiccup does not.
-		// Confirm over a longer pass before failing.
-		ratio = measure(10)
-	}
-	if ratio > 1.15 {
-		t.Fatalf("SyncPolicy=none durable ingest is %.1f%% slower than volatile (budget 15%%, confirmed twice)",
-			(ratio-1)*100)
-	}
+	// Each durable run gets a fresh MemFS so no run pays replay for the
+	// last.
+	pairtest.Run(t, 1.15,
+		func() time.Duration { return walIngestOnce(t, keys, vals, wal.NewMemFS(), batchLen) },
+		func() time.Duration { return walIngestOnce(t, keys, vals, nil, batchLen) })
 }

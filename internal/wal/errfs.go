@@ -86,13 +86,6 @@ func (e *ErrFS) Cut() {
 	e.mu.Unlock()
 }
 
-// Tripped reports whether the fault has fired.
-func (e *ErrFS) Tripped() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tripped
-}
-
 // step advances op's countdown. It returns (fail, partial): fail when this
 // operation must error, partial when a tripping write should persist its
 // first half.

@@ -50,7 +50,7 @@ func FuzzReadFrame(f *testing.F) {
 // decoder, and every accepted record must round-trip through encodeRecord.
 func FuzzRecordDecode(f *testing.F) {
 	valid := encodeRecord(nil, Record{EndWatermark: 3, Keys: []uint64{1, 2, 3}, Vals: []uint64{9, 8, 7}})
-	f.Add(valid[frameHeader:]) // the framed payload
+	f.Add(valid[FrameHeader:]) // the framed payload
 	f.Add([]byte{recordRows})
 	f.Add([]byte{recordRows, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
@@ -67,7 +67,7 @@ func FuzzRecordDecode(f *testing.F) {
 			t.Fatalf("accepted record with %d keys, %d vals", len(rec.Keys), len(rec.Vals))
 		}
 		re := encodeRecord(nil, rec)
-		if !bytes.Equal(re[frameHeader:], payload) {
+		if !bytes.Equal(re[FrameHeader:], payload) {
 			t.Fatal("accepted record does not round-trip")
 		}
 	})

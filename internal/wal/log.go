@@ -55,9 +55,9 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return 0, fmt.Errorf("wal: unknown sync policy %q (none|interval|always)", s)
 }
 
-// Metrics is the log's optional instrument set; nil disables recording.
-// The stream wires these into its per-stream obs registry so /metrics
-// exposes the WAL next to the ingest pipeline.
+// Metrics is the log's optional instrument set; a nil set or field
+// records nothing. The stream wires these into its per-stream obs
+// registry so /metrics exposes the WAL next to the ingest pipeline.
 type Metrics struct {
 	Appends      *obs.Counter   // records appended
 	AppendBytes  *obs.Counter   // framed bytes appended
@@ -67,24 +67,6 @@ type Metrics struct {
 	ReplayedRows *obs.Counter   // rows handed to replay at Open
 	SyncLat      *obs.Histogram // fsync latency
 	AppendLat    *obs.Histogram // Append latency: encode, write, any rotation and fsync
-}
-
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func add(c *obs.Counter, n uint64) {
-	if c != nil {
-		c.Add(n)
-	}
-}
-
-func observe(h *obs.Histogram, d time.Duration) {
-	if h != nil {
-		h.Observe(d)
-	}
 }
 
 // Options configures a Log. The zero value is usable: OS filesystem, no
@@ -111,6 +93,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 16 << 20
+	}
+	if o.Metrics == nil {
+		o.Metrics = &Metrics{}
 	}
 	return o
 }
@@ -300,7 +285,7 @@ func (l *Log) scanSegment(name string, replay func(Record) error) (int64, uint64
 			}
 		}
 		if replay != nil {
-			add(l.opts.Metrics.replayedRows(), uint64(rec.Rows()))
+			l.opts.Metrics.ReplayedRows.Add(uint64(rec.Rows()))
 			if err := replay(rec); err != nil {
 				if errors.Is(err, ErrWALCorrupt) {
 					return off, lastWM, err
@@ -312,14 +297,6 @@ func (l *Log) scanSegment(name string, replay func(Record) error) (int64, uint64
 		lastWM = rec.EndWatermark
 		off += int64(n)
 	}
-}
-
-// replayedRows is the nil-safe accessor for Metrics.ReplayedRows.
-func (m *Metrics) replayedRows() *obs.Counter {
-	if m == nil {
-		return nil
-	}
-	return m.ReplayedRows
 }
 
 // truncateSegment cuts name to size bytes.
@@ -413,9 +390,7 @@ func (l *Log) writeManifest() error {
 // torn, so every subsequent Append fails too and the caller must degrade
 // (recovery will repair the tail).
 func (l *Log) Append(r Record) error {
-	if m := l.opts.Metrics; m != nil && m.AppendLat != nil {
-		defer obs.Start().Tick(m.AppendLat)
-	}
+	defer obs.Start().Tick(l.opts.Metrics.AppendLat)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -437,11 +412,8 @@ func (l *Log) Append(r Record) error {
 	}
 	l.activeSize += int64(len(l.buf))
 	l.lastWM = r.EndWatermark
-	m := l.opts.Metrics
-	if m != nil {
-		inc(m.Appends)
-		add(m.AppendBytes, uint64(len(l.buf)))
-	}
+	l.opts.Metrics.Appends.Inc()
+	l.opts.Metrics.AppendBytes.Add(uint64(len(l.buf)))
 	switch l.opts.SyncPolicy {
 	case SyncAlways:
 		return l.syncLocked()
@@ -460,11 +432,8 @@ func (l *Log) syncLocked() error {
 		return l.broken
 	}
 	l.lastSync = time.Now()
-	m := l.opts.Metrics
-	if m != nil {
-		inc(m.Syncs)
-		observe(m.SyncLat, time.Since(start))
-	}
+	l.opts.Metrics.Syncs.Inc()
+	l.opts.Metrics.SyncLat.Observe(time.Since(start))
 	return nil
 }
 
@@ -501,9 +470,7 @@ func (l *Log) rotate() error {
 	if err := l.writeManifest(); err != nil {
 		return err
 	}
-	if m := l.opts.Metrics; m != nil {
-		inc(m.Rotations)
-	}
+	l.opts.Metrics.Rotations.Inc()
 	return nil
 }
 
@@ -536,9 +503,7 @@ func (l *Log) TruncateBelow(wm uint64) error {
 	for _, name := range drop {
 		_ = l.fs.Remove(join(l.dir, name))
 	}
-	if m := l.opts.Metrics; m != nil {
-		add(m.SegsDropped, uint64(len(drop)))
-	}
+	l.opts.Metrics.SegsDropped.Add(uint64(len(drop)))
 	return nil
 }
 
@@ -590,9 +555,7 @@ func (l *Log) ResetBaseline(wm uint64) error {
 	for _, n := range old {
 		_ = l.fs.Remove(join(l.dir, n))
 	}
-	if m := l.opts.Metrics; m != nil {
-		add(m.SegsDropped, uint64(len(old)))
-	}
+	l.opts.Metrics.SegsDropped.Add(uint64(len(old)))
 	return nil
 }
 

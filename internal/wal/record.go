@@ -20,7 +20,8 @@ import (
 // A frame is valid iff the full n bytes are present and their CRC32C
 // matches. A short header, a short payload, or a CRC mismatch all mean
 // the same thing to recovery: the log ends at the previous frame.
-const frameHeader = 8
+// FrameHeader is the header's size.
+const FrameHeader = 8
 
 // MaxFrame bounds a frame's payload so a corrupt length field cannot ask
 // the reader to allocate gigabytes: 64 MiB is ~100x the largest frame the
@@ -33,18 +34,24 @@ const MaxFrame = 64 << 20
 // support on both x86 (SSE4.2) and arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Checksum returns the frame checksum (CRC32C) of payload — exported so
-// writers that build frames in place inside a larger buffer (the chunk
-// and checkpoint codecs) compute the same sum ReadFrame verifies.
-func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
+// SealFrame writes frame's header: frame is FrameHeader reserved bytes
+// followed by the payload. Every frame writer ends here — AppendFrame, and
+// the codecs that build a frame in place inside a larger buffer (log
+// records, chunk columns, group runs) — so the header is written in one
+// place.
+func SealFrame(frame []byte) {
+	payload := frame[FrameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+}
 
 // AppendFrame appends the frame for payload to dst and returns it.
 func AppendFrame(dst, payload []byte) []byte {
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	start := len(dst)
+	dst = append(dst, make([]byte, FrameHeader)...)
+	dst = append(dst, payload...)
+	SealFrame(dst[start:])
+	return dst
 }
 
 // ReadFrame reads one frame from r. It returns the payload and the total
@@ -52,7 +59,7 @@ func AppendFrame(dst, payload []byte) []byte {
 // invalid frame returns an error wrapping ErrWALCorrupt — callers
 // truncate at the offset where the failed read started.
 func ReadFrame(r *bufio.Reader) (payload []byte, n int, err error) {
-	var hdr [frameHeader]byte
+	var hdr [FrameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		if err == io.EOF {
 			return nil, 0, io.EOF // clean end: no partial header
@@ -73,7 +80,7 @@ func ReadFrame(r *bufio.Reader) (payload []byte, n int, err error) {
 	if crc := crc32.Checksum(payload, castagnoli); crc != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return nil, 0, fmt.Errorf("frame CRC mismatch: %w", ErrWALCorrupt)
 	}
-	return payload, frameHeader + int(length), nil
+	return payload, FrameHeader + int(length), nil
 }
 
 // Record is one logical log entry: the raw rows of one sealed delta,
@@ -112,8 +119,8 @@ func encodeRecord(dst []byte, r Record) []byte {
 	n := len(r.Keys)
 	payloadLen := recordHeaderSize + 16*n
 	start := len(dst)
-	dst = slices.Grow(dst, frameHeader+payloadLen)[:start+frameHeader+payloadLen]
-	payload := dst[start+frameHeader:]
+	dst = slices.Grow(dst, FrameHeader+payloadLen)[:start+FrameHeader+payloadLen]
+	payload := dst[start+FrameHeader:]
 	payload[0] = recordRows
 	binary.LittleEndian.PutUint64(payload[1:9], r.EndWatermark)
 	binary.LittleEndian.PutUint32(payload[9:13], uint32(n))
@@ -126,8 +133,7 @@ func encodeRecord(dst []byte, r Record) []byte {
 		binary.LittleEndian.PutUint64(payload[off:], v)
 		off += 8
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	SealFrame(dst[start:])
 	return dst
 }
 

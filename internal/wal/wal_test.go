@@ -194,7 +194,7 @@ func TestCorruptMiddleDropsLaterSegments(t *testing.T) {
 	// that point is unreachable — prefix semantics, not per-segment repair.
 	name := join("wal", segName(1))
 	data := fs.Bytes(name)
-	data[frameHeader+1] ^= 0xff
+	data[FrameHeader+1] ^= 0xff
 	fs.SetBytes(name, data)
 
 	var keys []uint64
