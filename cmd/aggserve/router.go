@@ -23,7 +23,7 @@ type routerServer struct {
 
 func newRouterServer(rt *cluster.Router) *routerServer {
 	srv := &routerServer{rt: rt}
-	srv.ServeMux = newAPIMux([]route{
+	srv.ServeMux = newAPIMux(obs.NewRegistry(), []route{
 		{"/ingest", srv.handleIngest},
 		{"/flush", srv.handleFlush},
 		{"/query", srv.handleQuery},
@@ -107,17 +107,6 @@ func (srv *routerServer) handleFlush(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"flushed": true})
 }
 
-// clusterQueryResponse tags every result with the composed cluster
-// watermark it is consistent with: the vector (one element per peer, in
-// membership order) plus its total — the cluster analog of the
-// single-node watermark field.
-type clusterQueryResponse struct {
-	Query     string            `json:"query"`
-	Watermark cluster.Watermark `json:"watermark"`
-	Rows      uint64            `json:"rows"`
-	Result    any               `json:"result"`
-}
-
 func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
@@ -141,7 +130,11 @@ func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// (per URL), so it is the entity tag — the single-node contract,
 	// lifted. The gather itself cannot be skipped (the vector is only
 	// known from the peers' responses), but the merge-side query work and
-	// the response body can.
+	// the response body can. Unlike a node, the router keeps no body
+	// cache: it outlives its peers, and a peer's watermark can go back (a
+	// volatile peer restarts at 0, WAL recovery truncates to the longest
+	// valid prefix), so over the router's lifetime one vector can stand
+	// for two different results.
 	etag := m.Watermark.ETag()
 	if etagMatches(r.Header.Get("If-None-Match"), etag) {
 		w.Header().Set("ETag", etag)
@@ -153,13 +146,7 @@ func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, queryStatus(err), err.Error())
 		return
 	}
-	w.Header().Set("ETag", etag)
-	writeJSON(w, clusterQueryResponse{
-		Query:     name,
-		Watermark: m.Watermark,
-		Rows:      m.Watermark.Total(),
-		Result:    memagg.ResultRows(rows),
-	})
+	writeBody(w, etag, appendClusterQueryBody(nil, name, m.Watermark, memagg.ResultRows(rows)))
 }
 
 func (srv *routerServer) handleClusterStats(w http.ResponseWriter, r *http.Request) {

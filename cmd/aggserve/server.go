@@ -27,15 +27,17 @@ const statusClientClosedRequest = 499
 // server wires one memagg.Stream to the HTTP API. /v1/metrics serves the
 // process-global registry (engine phases, arena accounting), the stream's
 // own (ingest, seal, merge, snapshot instruments) and the API's per-route
-// request families (see newAPIMux).
+// request families and body-cache instruments (see newAPIMux).
 type server struct {
 	stream *memagg.Stream
+	bodies *bodyCache
 	*http.ServeMux
 }
 
 func newServer(s *memagg.Stream) *server {
-	srv := &server{stream: s}
-	srv.ServeMux = newAPIMux([]route{
+	api := obs.NewRegistry()
+	srv := &server{stream: s, bodies: newBodyCache(api)}
+	srv.ServeMux = newAPIMux(api, []route{
 		{"/ingest", srv.handleIngest},
 		{"/flush", srv.handleFlush},
 		{"/query", srv.handleQuery},
@@ -70,11 +72,10 @@ type route struct {
 
 // newAPIMux mounts every route at /v1<route> behind the metrics
 // middleware — per-route request counters by status code and latency
-// histograms — and serves /v1/metrics over regs plus those two families.
-// The route label omits the /v1 prefix, so dashboards keyed on
-// {route="/ingest"} read the same series.
-func newAPIMux(routes []route, regs ...*obs.Registry) *http.ServeMux {
-	reg := obs.NewRegistry()
+// histograms, registered in the API registry reg — and serves /v1/metrics
+// over regs and reg. The route label omits the /v1 prefix, so dashboards
+// keyed on {route="/ingest"} read the same series.
+func newAPIMux(reg *obs.Registry, routes []route, regs ...*obs.Registry) *http.ServeMux {
 	requests := reg.NewCounterVec("memagg_http_requests_total",
 		"HTTP requests served, by route and status code.", "route", "code")
 	latency := reg.NewHistogramVec("memagg_http_request_seconds",
@@ -281,14 +282,6 @@ func (srv *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"ready": true, "watermark": srv.stream.Stats().Watermark})
 }
 
-// queryResponse tags every result with the snapshot watermark it is
-// consistent with.
-type queryResponse struct {
-	Query     string `json:"query"`
-	Watermark uint64 `json:"watermark"`
-	Result    any    `json:"result"`
-}
-
 // outcome is one finished snapshot query, handed back from the goroutine
 // that ran it.
 type outcome struct {
@@ -326,6 +319,13 @@ func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	// The same contract lets the server keep the body: a GET of this URL
+	// at this watermark writes the bytes the first one encoded.
+	uri := r.URL.RequestURI()
+	if body, ok := srv.bodies.get(uri, etag); ok {
+		writeBody(w, etag, body)
+		return
+	}
 	done := make(chan outcome, 1)
 	go func() {
 		result, err := sn.Run(q)
@@ -342,8 +342,9 @@ func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			httpError(w, queryStatus(o.err), o.err.Error())
 			return
 		}
-		w.Header().Set("ETag", etag)
-		writeJSON(w, queryResponse{Query: name, Watermark: sn.Watermark(), Result: o.result})
+		body := appendQueryBody(nil, name, sn.Watermark(), o.result)
+		srv.bodies.put(uri, etag, body)
+		writeBody(w, etag, body)
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 //	DELETE /v1/views/{name}        drop a view
 //	GET    /v1/views/{name}/result evaluate the view's standing query
 //
-// Result responses carry an ETag derived from the view's version counter
-// and absorbed watermark, so a poller whose view has not absorbed a seal
-// since its last read gets a 304 without any merge work — the HTTP face
-// of the view's own result cache.
+// Result responses carry an ETag derived from the view's registration,
+// version counter and absorbed watermark, so a poller whose view has not
+// absorbed a seal since its last read gets a 304 without any merge work —
+// the HTTP face of the view's own result cache — and the server answers a
+// repeated read from its body cache.
 
 // viewRequest is the POST /v1/views body: the ViewSpec fields in the
 // /v1/query parameter spellings.
@@ -101,19 +102,24 @@ func (srv *server) handleViewItem(w http.ResponseWriter, r *http.Request) {
 }
 
 func (srv *server) handleViewResult(w http.ResponseWriter, r *http.Request, name string) {
-	// A view result is fully determined by the view's fold/evict version
-	// and the watermark it has absorbed, so that pair is the entity tag —
-	// checked before any pane merge runs.
+	// A view result is fully determined by which registration of the name
+	// it is, the view's fold/evict version and the watermark it has
+	// absorbed, so that triple is the entity tag — checked before any pane
+	// merge runs, and keying the body cache.
 	info, err := srv.stream.ViewStatus(name)
 	if err != nil {
 		httpError(w, viewStatus(err), err.Error())
 		return
 	}
-	etag := `"cv` + strconv.FormatUint(info.Version, 10) + "-" +
-		strconv.FormatUint(info.Watermark, 10) + `"`
+	etag := viewETag(info.Registration, info.Version, info.Watermark)
 	if etagMatches(r.Header.Get("If-None-Match"), etag) {
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	uri := r.URL.RequestURI()
+	if body, ok := srv.bodies.get(uri, etag); ok {
+		writeBody(w, etag, body)
 		return
 	}
 	res, err := srv.stream.View(name)
@@ -122,11 +128,20 @@ func (srv *server) handleViewResult(w http.ResponseWriter, r *http.Request, name
 		return
 	}
 	// Tag with the version the result actually carries: a seal may have
-	// landed between the info read and the evaluation.
-	etag = `"cv` + strconv.FormatUint(res.Version, 10) + "-" +
-		strconv.FormatUint(res.WindowEnd, 10) + `"`
-	w.Header().Set("ETag", etag)
-	writeJSON(w, res)
+	// landed between the info read and the evaluation. Should the name
+	// have been dropped and registered again in between, the body lands
+	// under the old registration's tag, which no later read computes.
+	etag = viewETag(info.Registration, res.Version, res.WindowEnd)
+	body := appendViewBody(nil, res)
+	srv.bodies.put(uri, etag, body)
+	writeBody(w, etag, body)
+}
+
+// viewETag renders a view result's entity tag: "cv<registration
+// hex>.<version>-<watermark>".
+func viewETag(registration, version, watermark uint64) string {
+	return `"cv` + strconv.FormatUint(registration, 16) + "." + strconv.FormatUint(version, 10) + "-" +
+		strconv.FormatUint(watermark, 10) + `"`
 }
 
 // viewStatus maps a view-API error to its HTTP status.

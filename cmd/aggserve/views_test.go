@@ -156,3 +156,44 @@ func TestViewResultETag(t *testing.T) {
 		t.Fatal("ETag did not change after a seal")
 	}
 }
+
+// TestViewReregisterETag: a view dropped and registered again under its
+// name at the same watermark is a different registration, so the old
+// registration's tag must not answer 304 and its cached body must not be
+// served for the new query.
+func TestViewReregisterETag(t *testing.T) {
+	srv, _ := newTestServer(t)
+	ingestFlush(t, srv, `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`)
+	register := func(query string) {
+		t.Helper()
+		w := do(t, srv, http.MethodPost, "/v1/views", `{"name":"v","query":"`+query+`","pane_rows":8,"panes":2}`)
+		if w.Code != http.StatusCreated {
+			t.Fatalf("register %s = %d: %s", query, w.Code, w.Body)
+		}
+	}
+	register("q1")
+	w := do(t, srv, http.MethodGet, "/v1/views/v/result", "")
+	if w.Code != http.StatusOK {
+		t.Fatalf("result = %d: %s", w.Code, w.Body)
+	}
+	etag := w.Header().Get("ETag")
+	if w := do(t, srv, http.MethodDelete, "/v1/views/v", ""); w.Code != http.StatusOK {
+		t.Fatalf("delete = %d: %s", w.Code, w.Body)
+	}
+	register("q2")
+
+	if r := doWithHeader(t, srv, http.MethodGet, "/v1/views/v/result", "If-None-Match", etag); r.Code != http.StatusOK {
+		t.Fatalf("old registration's tag %s on the new registration = %d, want 200", etag, r.Code)
+	}
+	w = do(t, srv, http.MethodGet, "/v1/views/v/result", "")
+	var res struct {
+		Query string `json:"query"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Query != "q2" || w.Header().Get("ETag") == etag {
+		t.Fatalf("re-registered view answered query %q with ETag %s (old %s); want q2 under a new tag",
+			res.Query, w.Header().Get("ETag"), etag)
+	}
+}

@@ -41,6 +41,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"memagg/internal/agg"
 	"memagg/internal/obs"
@@ -147,6 +148,7 @@ type Registry struct {
 
 	mu    sync.RWMutex
 	views map[string]*View
+	regs  uint64 // last registration identity handed out; under mu
 }
 
 // NewRegistry builds an empty registry. holistic gates value-multiset
@@ -157,7 +159,13 @@ func NewRegistry(holistic bool, bits, workers int, m *Metrics) *Registry {
 	if m == nil {
 		m = &Metrics{}
 	}
-	return &Registry{holistic: holistic, bits: bits, workers: workers, m: m, views: make(map[string]*View)}
+	return &Registry{
+		holistic: holistic, bits: bits, workers: workers, m: m,
+		views: make(map[string]*View),
+		// Registration identities count up from the boot clock, so they
+		// also differ from every identity an earlier process handed out.
+		regs: uint64(time.Now().UnixNano()),
+	}
 }
 
 // Active reports whether any view is registered — the seal path's cheap
@@ -189,6 +197,8 @@ func (r *Registry) Register(spec Spec, startWM uint64) error {
 	if _, ok := r.views[spec.Name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, spec.Name)
 	}
+	r.regs++
+	v.reg = r.regs
 	r.views[spec.Name] = v
 	r.active.Store(int32(len(r.views)))
 	return nil
@@ -300,6 +310,7 @@ func (r *Registry) Staleness(ingested uint64) uint64 {
 // Info is a point-in-time description of one view.
 type Info struct {
 	Spec           Spec
+	Registration   uint64 // identity of this Register call: a re-registered name gets a new one
 	StartWatermark uint64 // registration watermark: rows at or below stay out
 	Watermark      uint64 // last absorbed seal watermark
 	PanesLive      int
@@ -360,6 +371,7 @@ func (r *Registry) Result(name string) (*Result, error) {
 // panes, and the water-level bookkeeping that makes recovery honest.
 type View struct {
 	spec       Spec
+	reg        uint64 // registration identity (see Info.Registration)
 	withValues bool
 	startWM    uint64
 
@@ -507,6 +519,7 @@ func (v *View) info() Info {
 	defer v.mu.Unlock()
 	return Info{
 		Spec:           v.spec,
+		Registration:   v.reg,
 		StartWatermark: v.startWM,
 		Watermark:      v.lastWM,
 		PanesLive:      len(v.panes),

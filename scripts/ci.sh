@@ -108,6 +108,17 @@ if [ "$n" -gt 0 ]; then
 	exit 1
 fi
 
+# Structural guard — one result encoder: query and view results reach the
+# wire only through cmd/aggserve's append encoder (resultjson.go), so no
+# non-test file there declares a reflected result envelope (a "result" or
+# "value" JSON tag) or hands a result to encoding/json.
+n=$(find ./cmd/aggserve -name '*.go' ! -name '*_test.go' |
+	xargs grep -nE 'json:"(result|value)"|(writeJSON|json\.Marshal(Indent)?|\.Encode)\(.*([Rr]esult|\bres\b|ResultRows|\.Run\(|\.View\()' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test lines in cmd/aggserve encode a query or view result with encoding/json" >&2
+	exit 1
+fi
+
 go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./internal/hashtbl/...
 # The partition-set owner is tested directly: agg.Fold against a
 # single-table MergeTable reference (fan-outs 0/1/4/6, values on and off,
@@ -224,7 +235,16 @@ go test -race -run 'TestQuantileNaNRejected|TestRouterValidatesBeforeGather' -co
 # PANES snapshot), plus the HTTP CRUD/ETag surface.
 go test -race ./internal/cview/...
 go test -race -run 'TestCViewBatchEquivalence|TestCViewPaneBoundary|TestCViewEvictionRace|TestCViewRegisterMidIngest|TestCViewRestartReplay|TestCViewDefinitionsPersist' -count=1 -v ./internal/stream
-go test -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate' -count=1 -v ./cmd/aggserve
+go test -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate|TestViewReregisterETag' -count=1 -v ./cmd/aggserve
+# Result bodies: the append encoder is byte-identical to encoding/json over
+# the reflected envelopes it replaced (a table of every result shape, every
+# query of the vocabulary through a stream and its views, and the fuzz
+# target's seeds). A node's body cache, one entry per URI hit only at its
+# stored ETag, never serves a body past its tag, holds its entry and byte
+# bounds, and pairs one tag with one body under concurrent GETs; the
+# router keeps none, so a peer that restarts back to the same watermark
+# vector never gets its old body served.
+go test -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestRouterPeerRestartSameVector' -count=1 -v ./cmd/aggserve
 
 # Overhead guards, last so nothing else competes for the CPU. Each times
 # one code path against its baseline in ABBA-ordered pairs through

@@ -62,6 +62,11 @@ type ViewInfo struct {
 	// keys result caching and HTTP ETags.
 	Version uint64 `json:"version"`
 
+	// Registration identifies this registration of the name: a view
+	// dropped and registered again gets a new one, also across restarts.
+	// It keys HTTP ETags beside Version and Watermark.
+	Registration uint64 `json:"-"`
+
 	// Truncated reports the window currently overlaps rows a restart
 	// could not replay (the WAL was truncated past the view's saved
 	// panes); it clears once the window slides past the gap.
@@ -160,6 +165,7 @@ func toViewInfo(in cview.Info) ViewInfo {
 		PanesLive:      in.PanesLive,
 		PanesEvicted:   in.PanesEvicted,
 		Version:        in.Version,
+		Registration:   in.Registration,
 		Truncated:      in.Truncated,
 	}
 }
