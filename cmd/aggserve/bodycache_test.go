@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,8 +218,10 @@ func TestBodyCacheCountersRegistered(t *testing.T) {
 
 // TestRouterPeerRestartSameVector: a volatile peer that restarts and takes
 // new rows up to its old watermark brings the cluster back to the same
-// vector — the same ETag — with different data. The router must answer
-// the new rows, not a body from before the restart.
+// vector with different data. The router must answer the new rows, not a
+// body from before the restart, and the peer's new incarnation must move
+// the ETag, so a client holding the pre-restart tag gets the new body
+// instead of a 304.
 func TestRouterPeerRestartSameVector(t *testing.T) {
 	var peer atomic.Pointer[server]
 	restart := func() {
@@ -237,6 +240,30 @@ func TestRouterPeerRestartSameVector(t *testing.T) {
 	}
 	router := newRouterServer(rt)
 
+	type q1Body struct {
+		Watermark []uint64 `json:"watermark"`
+		Result    []struct {
+			Key uint64 `json:"key"`
+		} `json:"result"`
+	}
+	decode := func(w *httptest.ResponseRecorder) q1Body {
+		t.Helper()
+		var b q1Body
+		if err := json.Unmarshal(w.Body.Bytes(), &b); err != nil {
+			t.Fatalf("decode %q: %v", w.Body, err)
+		}
+		return b
+	}
+	wantNewRows := func(w *httptest.ResponseRecorder, what string) {
+		t.Helper()
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s = %d, want 200", what, w.Code)
+		}
+		if r := decode(w).Result; len(r) != 2 || r[0].Key != 3 || r[1].Key != 4 {
+			t.Fatalf("%s = %s, want keys 3 and 4", what, w.Body)
+		}
+	}
+
 	ingestFlush(t, router, `{"keys":[1,2],"vals":[10,20]}`)
 	before := do(t, router, http.MethodGet, "/v1/query?q=q1", "")
 	restart()
@@ -245,18 +272,18 @@ func TestRouterPeerRestartSameVector(t *testing.T) {
 	if before.Code != http.StatusOK || after.Code != http.StatusOK {
 		t.Fatalf("GET q1 = %d, %d", before.Code, after.Code)
 	}
-	if b, a := before.Header().Get("ETag"), after.Header().Get("ETag"); b != a {
-		t.Fatalf("ETags %s and %s differ; the test needs the restarted peer back at the same watermark", b, a)
+	if b, a := decode(before).Watermark, decode(after).Watermark; !reflect.DeepEqual(b, a) {
+		t.Fatalf("watermark vectors %v and %v differ; the test needs the restarted peer back at the same watermark", b, a)
 	}
-	var resp struct {
-		Result []struct {
-			Key uint64 `json:"key"`
-		} `json:"result"`
+	wantNewRows(after, "q1 after the peer restart")
+
+	oldTag := before.Header().Get("ETag")
+	if oldTag == after.Header().Get("ETag") {
+		t.Fatalf("ETag %s unchanged across the peer restart", oldTag)
 	}
-	if err := json.Unmarshal(after.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Result) != 2 || resp.Result[0].Key != 3 || resp.Result[1].Key != 4 {
-		t.Fatalf("q1 after the peer restart = %s, want keys 3 and 4", after.Body)
-	}
+	r := httptest.NewRequest(http.MethodGet, "/v1/query?q=q1", nil)
+	r.Header.Set("If-None-Match", oldTag)
+	revalidate := httptest.NewRecorder()
+	router.ServeHTTP(revalidate, r)
+	wantNewRows(revalidate, "revalidation with the pre-restart tag")
 }

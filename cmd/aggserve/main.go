@@ -46,7 +46,8 @@
 // carry `ETag: "<watermark>"`; a request whose If-None-Match matches the
 // current watermark gets 304 Not Modified before any query work runs.
 // Query and merge parallelism follow GOMAXPROCS, and repeated dashboard
-// queries against an unchanged snapshot are served from its result cache.
+// queries against an unchanged snapshot are served from the server's body
+// cache, keyed by the same tag.
 //
 // /v1/metrics serves three metric groups in one scrape: the process-global
 // instruments (engine phase timings, arena accounting), the stream's

@@ -126,16 +126,15 @@ func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, err)
 		return
 	}
-	// The composed watermark vector fully determines every query result
-	// (per URL), so it is the entity tag — the single-node contract,
-	// lifted. The gather itself cannot be skipped (the vector is only
-	// known from the peers' responses), but the merge-side query work and
-	// the response body can. Unlike a node, the router keeps no body
-	// cache: it outlives its peers, and a peer's watermark can go back (a
-	// volatile peer restarts at 0, WAL recovery truncates to the longest
-	// valid prefix), so over the router's lifetime one vector can stand
-	// for two different results.
-	etag := m.Watermark.ETag()
+	// The composed watermark vector, with the peers' incarnation ids
+	// folded in, fully determines every query result (per URL), so it is
+	// the entity tag — the single-node contract, lifted (see
+	// cluster.Merged.ETag). The gather itself cannot be skipped (the tag
+	// is only known from the peers' responses), but the merge-side query
+	// work and the response body can. A peer restart changes the tag even
+	// when the vector comes back to an old value, so it costs each client
+	// one full re-download. The router keeps no body cache.
+	etag := m.ETag()
 	if etagMatches(r.Header.Get("If-None-Match"), etag) {
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)

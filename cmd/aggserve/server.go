@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand/v2"
 	"mime"
 	"net/http"
 	"net/url"
@@ -15,6 +16,7 @@ import (
 
 	"memagg"
 	"memagg/internal/agg"
+	"memagg/internal/cluster"
 	"memagg/internal/obs"
 	"memagg/internal/wal"
 )
@@ -31,12 +33,19 @@ const statusClientClosedRequest = 499
 type server struct {
 	stream *memagg.Stream
 	bodies *bodyCache
+	// incarnation identifies this server process to cluster routers: a
+	// restarted node can come back to an old watermark with other rows.
+	incarnation string
 	*http.ServeMux
 }
 
 func newServer(s *memagg.Stream) *server {
 	api := obs.NewRegistry()
-	srv := &server{stream: s, bodies: newBodyCache(api)}
+	srv := &server{
+		stream:      s,
+		bodies:      newBodyCache(api),
+		incarnation: strconv.FormatUint(rand.Uint64(), 36),
+	}
 	srv.ServeMux = newAPIMux(api, []route{
 		{"/ingest", srv.handleIngest},
 		{"/flush", srv.handleFlush},
@@ -238,7 +247,7 @@ func (srv *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // cluster wire format — the worker half of the router's scatter-gather.
 // The body is framed and CRC-checked end to end (internal/wal frames), so
 // the router detects torn responses; the watermark header names the
-// snapshot served.
+// snapshot served, and the incarnation header this process.
 func (srv *server) handlePartials(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
@@ -252,6 +261,7 @@ func (srv *server) handlePartials(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Memagg-Watermark", strconv.FormatUint(sn.Watermark(), 10))
+	w.Header().Set(cluster.IncarnationHeader, srv.incarnation)
 	if _, err := w.Write(buf); err != nil {
 		log.Printf("aggserve: partials write: %v", err)
 	}
@@ -282,11 +292,11 @@ func (srv *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"ready": true, "watermark": srv.stream.Stats().Watermark})
 }
 
-// outcome is one finished snapshot query, handed back from the goroutine
-// that ran it.
+// outcome is one finished snapshot query's encoded body, handed back
+// from the goroutine that ran it.
 type outcome struct {
-	result any
-	err    error
+	body []byte
+	err  error
 }
 
 func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -326,25 +336,31 @@ func (srv *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, etag, body)
 		return
 	}
+	// The query goroutine encodes and stores the body itself, so a query
+	// whose client leaves still lands in the body cache for the retry.
 	done := make(chan outcome, 1)
 	go func() {
 		result, err := sn.Run(q)
-		done <- outcome{result, err}
+		if err != nil {
+			done <- outcome{err: err}
+			return
+		}
+		body := appendQueryBody(nil, name, sn.Watermark(), result)
+		srv.bodies.put(uri, etag, body)
+		done <- outcome{body: body}
 	}()
 	select {
 	case <-r.Context().Done():
 		// The client went away or the server is draining: stop waiting.
-		// The snapshot query finishes in the background and is discarded —
-		// snapshots are read-only, so there is nothing to undo.
+		// The query finishes in the background; snapshots are read-only,
+		// so there is nothing to undo.
 		httpError(w, statusClientClosedRequest, "request canceled: "+r.Context().Err().Error())
 	case o := <-done:
 		if o.err != nil {
 			httpError(w, queryStatus(o.err), o.err.Error())
 			return
 		}
-		body := appendQueryBody(nil, name, sn.Watermark(), o.result)
-		srv.bodies.put(uri, etag, body)
-		writeBody(w, etag, body)
+		writeBody(w, etag, o.body)
 	}
 }
 

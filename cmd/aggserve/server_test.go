@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,6 +155,57 @@ func TestQueryCanceledContext(t *testing.T) {
 	srv.ServeHTTP(w, r)
 	if w.Code != statusClientClosedRequest {
 		t.Fatalf("canceled query on closed stream = %d want %d (%s)", w.Code, statusClientClosedRequest, w.Body)
+	}
+}
+
+// lateCancel is a request context that is already canceled (Done is
+// closed) but whose first Err check reports nil: the handler's pre-check
+// passes, and the query starts with the client already gone.
+type lateCancel struct {
+	context.Context
+	checks atomic.Int32
+}
+
+func (c *lateCancel) Err() error {
+	if c.checks.Add(1) == 1 {
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// TestQueryCanceledMidQueryKeepsBody: a GET canceled after the pre-check
+// still finishes its query in the background, and the encoded body lands
+// in the body cache for the retry, whichever select case the handler took.
+func TestQueryCanceledMidQueryKeepsBody(t *testing.T) {
+	srv, _ := newTestServer(t)
+	ingestFlush(t, srv, `{"keys":[1,2,1,3],"vals":[10,20,30,40]}`)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := httptest.NewRequest(http.MethodGet, "/v1/query?q=q1", nil).WithContext(&lateCancel{Context: ctx})
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, r)
+	if w.Code != statusClientClosedRequest && w.Code != http.StatusOK {
+		t.Fatalf("query canceled mid-flight = %d: %s", w.Code, w.Body)
+	}
+
+	const gauge = "memagg_http_body_cache_bytes "
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		metrics := do(t, srv, http.MethodGet, "/v1/metrics", "").Body.String()
+		i := strings.Index(metrics, "\n"+gauge)
+		if i < 0 {
+			t.Fatalf("/v1/metrics has no %q line", gauge)
+		}
+		if line := metrics[i+1+len(gauge):]; !strings.HasPrefix(line, "0\n") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled query's body never reached the body cache")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, ok := srv.bodies.get("/v1/query?q=q1", `"4"`); !ok {
+		t.Fatal("body cache holds no q1 body at watermark 4")
 	}
 }
 
@@ -685,8 +737,7 @@ func TestStatsKeysPinned(t *testing.T) {
 		"Batches", "Seals", "Snapshots", "BlockedNanos",
 		"SealedPending", "Generation", "Groups",
 		"Merges", "MergeTotalNanos", "MergeLastNanos",
-		"QueryCacheHits", "QueryCacheMisses", "QueryCacheEvictions",
-		"Views", "ViewPanesLive", "ViewPanesEvicted", "ViewUpdates", "ViewReads", "ViewReadsCached",
+		"Views", "ViewPanesLive", "ViewPanesEvicted", "ViewUpdates", "ViewReads",
 		"Durable", "ReadOnly", "WALAppends", "WALFsyncs", "WALSegmentRotations", "WALSizeBytes",
 		"Checkpoints", "CheckpointWatermark",
 	}

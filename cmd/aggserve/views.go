@@ -19,9 +19,8 @@ import (
 //
 // Result responses carry an ETag derived from the view's registration,
 // version counter and absorbed watermark, so a poller whose view has not
-// absorbed a seal since its last read gets a 304 without any merge work —
-// the HTTP face of the view's own result cache — and the server answers a
-// repeated read from its body cache.
+// absorbed a seal since its last read gets a 304 without any merge work,
+// and the server answers a repeated read from its body cache.
 
 // viewRequest is the POST /v1/views body: the ViewSpec fields in the
 // /v1/query parameter spellings.

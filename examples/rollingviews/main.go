@@ -1,8 +1,7 @@
 // Rollingviews: continuous queries over a live stream. Instead of
 // recomputing a dashboard's aggregates on every poll, the stream
 // maintains named views incrementally: each is a ring of panes fed from
-// the seal-publication path, and a read merges the live panes (or hits
-// the view's result cache when nothing sealed since the last read). The
+// the seal-publication path, and a read merges the live panes. The
 // example registers a sliding per-key count and a tumbling p95 quantile,
 // feeds readings through in chunks, and polls both views as the windows
 // fill, slide, and tumble.

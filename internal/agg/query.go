@@ -24,8 +24,7 @@ const (
 // Query is one query over a bag of per-key partials: the id plus its
 // parameters (Op for QReduce, P for QQuantile, Lo/Hi for QRange; the rest
 // ignore them). It is the one spelling every serving path shares — HTTP
-// /v1/query on nodes and routers, view registration, Run — and, being
-// comparable, the stream result cache's key.
+// /v1/query on nodes and routers, view registration, Run.
 type Query struct {
 	ID QueryID
 	Op ReduceOp

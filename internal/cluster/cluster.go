@@ -24,7 +24,8 @@
 //   - Watermark composition (the WAL's LSN discipline). Each node's
 //     snapshot watermark counts the rows it has made visible; the router
 //     composes the per-node watermarks into a cluster watermark — the
-//     full vector for the entity tag, the minimum as the summary bound.
+//     full vector (with the nodes' incarnation ids) for the entity tag,
+//     the minimum as the summary bound.
 //     Because nodes own disjoint keys, any combination of per-node
 //     snapshots is a consistent cluster state (each group's result
 //     reflects an exact prefix of its node's ingest), so scatter-gather
@@ -46,9 +47,14 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 )
+
+// IncarnationHeader names the /v1/partials response header carrying the
+// serving process's incarnation id: minted once per process, so it changes
+// whenever a peer restarts. The router folds it into its entity tags (see
+// Merged.ETag).
+const IncarnationHeader = "X-Memagg-Incarnation"
 
 // ErrPeerUnavailable marks a peer the router cannot currently reach:
 // its circuit breaker is open, or every retry of a request failed.
@@ -113,22 +119,4 @@ func (w Watermark) Min() uint64 {
 		}
 	}
 	return m
-}
-
-// ETag renders the vector as an HTTP entity tag: a query result over the
-// cluster is fully determined by the per-node watermarks (per query URL),
-// so the composed vector is the validator — exactly the single-node
-// watermark-as-ETag contract, lifted to the fleet.
-func (w Watermark) ETag() string {
-	var b strings.Builder
-	b.WriteByte('"')
-	b.WriteByte('c')
-	for i, v := range w {
-		if i > 0 {
-			b.WriteByte('.')
-		}
-		b.WriteString(strconv.FormatUint(v, 10))
-	}
-	b.WriteByte('"')
-	return b.String()
 }

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"hash/fnv"
+	"io"
 	"runtime"
+	"strconv"
+	"strings"
 
 	"memagg/internal/agg"
 	"memagg/internal/morsel"
@@ -30,6 +34,10 @@ type Merged struct {
 	// peer — the gate for the median/quantile/mode queries.
 	Holistic bool
 
+	// incarnations holds each peer's process incarnation id (the
+	// IncarnationHeader value of its /v1/partials response), in peer order.
+	incarnations []string
+
 	// parts are key-disjoint: partition q holds the keys whose
 	// radix.PartitionIndex is q.
 	parts []agg.Table
@@ -40,9 +48,15 @@ type Merged struct {
 // is normally pure insertion; agg.MergeTable keeps it exact even if a
 // group ever has state on two nodes.
 func merge(sets []*peerSet) *Merged {
-	m := &Merged{Watermark: make(Watermark, len(sets)), Holistic: true, parts: sets[0].parts}
+	m := &Merged{
+		Watermark:    make(Watermark, len(sets)),
+		incarnations: make([]string, len(sets)),
+		Holistic:     true,
+		parts:        sets[0].parts,
+	}
 	for i, set := range sets {
 		m.Watermark[i] = set.hdr.Watermark
+		m.incarnations[i] = set.incarnation
 		m.Holistic = m.Holistic && set.hdr.Holistic
 	}
 	morsel.Parts(len(m.parts), runtime.GOMAXPROCS(0), func(_, q int) {
@@ -57,6 +71,34 @@ func merge(sets []*peerSet) *Merged {
 		}
 	})
 	return m
+}
+
+// ETag renders the state as an HTTP entity tag: "c<w0>.<w1>...-<ids>".
+// While every peer process lives, the watermark vector fully determines
+// every query result (per query URL) — the single-node watermark-as-ETag
+// contract, lifted to the fleet. A peer's watermark can go back, though: a
+// volatile peer restarts at 0, and WAL recovery truncates to the longest
+// valid prefix, so one vector can stand for two different results over
+// the router's lifetime. The tag therefore also folds in a hash of the
+// peers' incarnation ids, and any peer restart changes it.
+func (m *Merged) ETag() string {
+	h := fnv.New64a()
+	for _, id := range m.incarnations {
+		io.WriteString(h, id)
+		h.Write([]byte{0})
+	}
+	var b strings.Builder
+	b.WriteString(`"c`)
+	for i, v := range m.Watermark {
+		if i > 0 {
+			b.WriteByte('.')
+		}
+		b.WriteString(strconv.FormatUint(v, 10))
+	}
+	b.WriteByte('-')
+	b.WriteString(strconv.FormatUint(h.Sum64(), 36))
+	b.WriteByte('"')
+	return b.String()
 }
 
 // Groups returns the number of distinct keys across the cluster.

@@ -315,8 +315,9 @@ func (rt *Router) Gather() (*Merged, error) {
 
 // peerSet is one peer's decoded partial set.
 type peerSet struct {
-	hdr   setHeader
-	parts []agg.Table // by radix.PartitionIndex at gatherBits
+	hdr         setHeader
+	incarnation string      // the peer's IncarnationHeader
+	parts       []agg.Table // by radix.PartitionIndex at gatherBits
 }
 
 // fetchPartials GETs and decodes one peer's /v1/partials stream. Decode
@@ -337,6 +338,7 @@ func (rt *Router) fetchPartials(p *peer) (*peerSet, error) {
 		return nil, &PeerError{Peer: p.url, Op: "partials", Err: err}
 	}
 	set.hdr = hdr
+	set.incarnation = resp.Header.Get(IncarnationHeader)
 	return set, nil
 }
 

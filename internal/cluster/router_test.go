@@ -186,7 +186,7 @@ func TestClusterEquivalence(t *testing.T) {
 	if len(m.Watermark) != 3 {
 		t.Fatalf("watermark vector has %d elements, want 3", len(m.Watermark))
 	}
-	etag := m.Watermark.ETag()
+	etag := m.ETag()
 	if !strings.HasPrefix(etag, `"c`) || strings.Count(etag, ".") != 2 {
 		t.Fatalf("malformed cluster ETag %q", etag)
 	}

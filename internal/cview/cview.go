@@ -17,9 +17,9 @@
 // same fold and the same kernels snapshots use — so a view's result is
 // identical to the batch query over the rows its window covers (the
 // window-vs-batch equivalence gate in internal/stream asserts
-// reflect.DeepEqual, holistics included). Results are cached per view
-// keyed by a version counter — a read of an unchanged view is a pointer
-// load.
+// reflect.DeepEqual, holistics included). Every read computes afresh and
+// returns a result the caller owns; a version counter, bumped on every
+// fold and eviction, lets servers key their own response caches on it.
 //
 // Retention is evaluated when a seal opens a new pane: a sliding window
 // of N panes keeps [p-N+1, p]; a tumbling window keeps the current
@@ -59,7 +59,7 @@ var (
 )
 
 // maxPanes bounds a window's pane count: a ring is merged whole on every
-// uncached read, so an absurd count is a config bug, not a bigger window.
+// read, so an absurd count is a config bug, not a bigger window.
 const maxPanes = 1 << 16
 
 // Spec defines one continuous view.
@@ -128,7 +128,6 @@ type Metrics struct {
 	PanesOpened  *obs.Counter
 	PanesEvicted *obs.Counter
 	Reads        *obs.Counter   // Result calls
-	ReadsCached  *obs.Counter   // Result calls answered by the version cache
 	UpdateLat    *obs.Histogram // per-settle latency (a batch of deferred folds)
 }
 
@@ -346,8 +345,7 @@ func (r *Registry) Infos() []Info {
 	return out
 }
 
-// Result evaluates (or serves cached) one view's standing query over its
-// current window.
+// Result evaluates one view's standing query over its current window.
 func (r *Registry) Result(name string) (*Result, error) {
 	r.mu.RLock()
 	v, ok := r.views[name]
@@ -358,13 +356,7 @@ func (r *Registry) Result(name string) (*Result, error) {
 	r.m.Reads.Inc()
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.cached != nil {
-		r.m.ReadsCached.Inc()
-		return v.cached, nil
-	}
-	res := v.compute(r)
-	v.cached = res
-	return res, nil
+	return v.compute(r), nil
 }
 
 // View is one registered continuous view: its spec, its ring of live
@@ -379,15 +371,13 @@ type View struct {
 	panes   []*pane // ascending pane index; all >= the current retention floor
 	lastWM  uint64  // watermark of the last absorbed seal (>= startWM)
 	evicted uint64
-	ver     uint64 // bumps on fold/evict; keys the result cache and ETags
+	ver     uint64 // bumps on fold/evict; keys ETags
 
 	// gapLo/gapHi record rows (gapLo, gapHi] that can never reach this
 	// view: a replayed seal arrived with prevWM past the view's barrier,
 	// so the log no longer covers the stretch between them. Results
 	// report Truncated while the window overlaps the gap.
 	gapLo, gapHi uint64
-
-	cached *Result
 }
 
 // pane is one window slot: the merged partial state of every delta whose
@@ -478,7 +468,6 @@ func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, delta agg.Table) 
 	cur.lastWM = endWM
 	v.lastWM = endWM
 	v.ver++
-	v.cached = nil
 }
 
 func (v *View) tail() *pane {

@@ -256,9 +256,11 @@ func TestGapTruncation(t *testing.T) {
 	}
 }
 
+// TestResultCacheVersioning: the version that servers key response caches
+// and ETags on holds still across reads of an unchanged view and bumps on
+// every fold.
 func TestResultCacheVersioning(t *testing.T) {
-	m := &Metrics{}
-	r := NewRegistry(false, 2, 2, m)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "c", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 1000, Panes: 1}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -273,16 +275,16 @@ func TestResultCacheVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
-		t.Fatal("unchanged view must serve the identical cached *Result")
+	if r2.Version != r1.Version {
+		t.Fatalf("unchanged view: version %d then %d", r1.Version, r2.Version)
 	}
 	seal(r, 100, k, v)
 	r3, err := r.Result("c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3 == r1 || r3.Version == r1.Version {
-		t.Fatal("a fold must invalidate the cache and bump the version")
+	if r3.Version == r1.Version {
+		t.Fatal("a fold must bump the version")
 	}
 }
 

@@ -3,8 +3,7 @@ package cview
 import "memagg/internal/agg"
 
 // Result is one evaluation of a view's standing query over its current
-// window. Results are immutable and shared by every read of an unchanged
-// view (the version cache); treat vector Values as read-only.
+// window. Every read builds a fresh Result; the caller owns it.
 type Result struct {
 	Name  string
 	Query agg.Query

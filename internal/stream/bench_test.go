@@ -91,10 +91,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 //
 //	fold=cold  — every iteration builds a fresh identical stream, so the
 //	             per-iteration cost includes the partition-wise delta fold
-//	fold=warm  — one stream, fold memoized on the view, cache disabled:
-//	             the pure scan cost
-//	cached     — one stream with the result cache on: post-first
-//	             iterations are cache hits
+//	fold=warm  — one stream, fold memoized on the view: the pure scan
+//	             cost
 //
 // serial forces the pre-PR path (cutoff above every group count); par=N
 // runs the partition-parallel kernels at N workers.
@@ -116,15 +114,13 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		name    string
 		workers int
 		cutoff  int
-		cache   int
 	}{
-		{"serial", 1, 1 << 30, -1},
-		{"par=2", 2, 0, -1},
-		{"par=8", 8, 0, -1},
+		{"serial", 1, 1 << 30},
+		{"par=2", 2, 0},
+		{"par=8", 8, 0},
 	} {
 		cfg := base
 		cfg.QueryWorkers = bc.workers
-		cfg.QueryCacheEntries = bc.cache
 		agg.SerialQueryCutoff = bc.cutoff
 		b.Run("fold=cold/"+bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -151,21 +147,6 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			}
 		})
 	}
-	agg.SerialQueryCutoff = 0
-	cfg := base
-	cfg.QueryWorkers = 8
-	b.Run("cached/par=8", func(b *testing.B) {
-		s := layeredStream(b, cfg, keys, vals, len(keys)/2)
-		q1(b, s) // miss: fold + scan + insert
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q1(b, s)
-		}
-		b.StopTimer()
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	})
 }
 
 func benchName(shards int, seeded bool) string {

@@ -232,7 +232,7 @@ func Open(cfg Config) (*Stream, error) {
 		base.groups = agg.Groups(base.parts)
 		wm = base.rows
 	}
-	s.view.Store(s.newView(base, nil, wm))
+	s.view.Store(&view{base: base, watermark: wm})
 
 	s.start()
 	// A long replay can leave the base a whole cadence past the checkpoint:

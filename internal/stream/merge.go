@@ -70,7 +70,7 @@ func (s *Stream) mergeOnce() bool {
 	// seals append), so the unmerged suffix is everything past the prefix
 	// we just folded. The watermark is unchanged: merging moves rows
 	// between layers of the view, it does not add any.
-	s.install(s.newView(g, cur.sealed[n:], cur.watermark))
+	s.install(&view{base: g, sealed: cur.sealed[n:], watermark: cur.watermark})
 	s.viewMu.Unlock()
 
 	s.m.merges.Inc()

@@ -29,15 +29,10 @@ type metrics struct {
 	appendLat *obs.Histogram // AppendChunk call latency
 	mergeLat  *obs.Histogram // merge cycle duration
 
-	// Query-path instruments: the per-view result cache's outcome counters
-	// and the three phases a snapshot query decomposes into — fold (sealed
-	// deltas into per-partition sources, once per view), scan (the
-	// partition-parallel kernel walk), and merge (the serial tail: scalar
-	// partial merges, ordered sorts).
-	qcacheHits   *obs.Counter
-	qcacheMisses *obs.Counter
-	qcacheEvicts *obs.Counter
-
+	// Query-path instruments: the three phases a snapshot query decomposes
+	// into — fold (sealed deltas into per-partition sources, once per
+	// view), scan (the partition-parallel kernel walk), and merge (the
+	// serial tail: scalar partial merges, ordered sorts).
 	queryFoldLat  *obs.Histogram
 	queryScanLat  *obs.Histogram
 	queryMergeLat *obs.Histogram
@@ -65,7 +60,6 @@ type metrics struct {
 	cviewPanesOpened  *obs.Counter
 	cviewPanesEvicted *obs.Counter
 	cviewReads        *obs.Counter
-	cviewReadsCached  *obs.Counter
 	cviewUpdateLat    *obs.Histogram
 }
 
@@ -93,12 +87,6 @@ func newMetrics(s *Stream) *metrics {
 			"Append call latency (copy, hand-off, and any backpressure wait)."),
 		mergeLat: reg.NewHistogram("memagg_stream_merge_seconds",
 			"Merge cycle duration (delta flatten, scatter, partition folds)."),
-		qcacheHits: reg.NewCounter("memagg_stream_query_cache_hits_total",
-			"Snapshot queries answered from a view's result cache."),
-		qcacheMisses: reg.NewCounter("memagg_stream_query_cache_misses_total",
-			"Snapshot queries that computed and populated a view's result cache."),
-		qcacheEvicts: reg.NewCounter("memagg_stream_query_cache_evictions_total",
-			"Result-cache entries evicted by the per-view capacity bound."),
 		queryFoldLat: reg.NewHistogram("memagg_stream_query_fold_seconds",
 			"Partition-wise fold of sealed deltas into a view's query sources (once per view)."),
 		queryScanLat: reg.NewHistogram("memagg_stream_query_scan_seconds",
@@ -135,8 +123,6 @@ func newMetrics(s *Stream) *metrics {
 			"Continuous-view panes evicted by window retention."),
 		cviewReads: reg.NewCounter("memagg_cview_reads_total",
 			"Continuous-view result reads."),
-		cviewReadsCached: reg.NewCounter("memagg_cview_reads_cached_total",
-			"Continuous-view reads answered from the version cache (view unchanged)."),
 		cviewUpdateLat: reg.NewHistogram("memagg_cview_update_seconds",
 			"Continuous-view pane settle latency (one batch of deferred per-seal folds)."),
 	}
@@ -225,7 +211,6 @@ func (m *metrics) cviewMetrics() *cview.Metrics {
 		PanesOpened:  m.cviewPanesOpened,
 		PanesEvicted: m.cviewPanesEvicted,
 		Reads:        m.cviewReads,
-		ReadsCached:  m.cviewReadsCached,
 		UpdateLat:    m.cviewUpdateLat,
 	}
 }

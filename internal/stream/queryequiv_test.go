@@ -126,8 +126,7 @@ func TestQueryParallelSerialEquivalence(t *testing.T) {
 		vals := dataset.Values(len(keys), spec.Seed)
 		lo := uint64(0)
 		hi := ^uint64(0) / 2 // roughly half the hashed key domain
-		cfg := Config{SealRows: 1 << 13, MergeBits: 5, Holistic: true,
-			QueryCacheEntries: -1, QueryWorkers: 1}
+		cfg := Config{SealRows: 1 << 13, MergeBits: 5, Holistic: true, QueryWorkers: 1}
 
 		// Reference: one worker, cutoff above any group count — every
 		// kernel takes the serial path over the same folded sources.
@@ -224,32 +223,29 @@ func TestViewParallelSerialEquivalence(t *testing.T) {
 	}
 }
 
-// TestQueryDeterministicAcrossSnapshots checks the other identity the
-// cache relies on: two snapshots of one view share the fold and produce
-// identical results (same rows, same order) whether or not the cache is
-// on, and repeated queries on one snapshot are stable.
+// TestQueryDeterministicAcrossSnapshots checks that two snapshots of one
+// view share the fold and produce identical results (same rows, same
+// order) — the identity the server's ETag-keyed body cache relies on.
 func TestQueryDeterministicAcrossSnapshots(t *testing.T) {
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 50_000, Cardinality: 12_000, Seed: 94}
 	keys := spec.Keys()
 	vals := dataset.Values(len(keys), spec.Seed)
-	for _, cacheEntries := range []int{-1, 0} {
-		s := layeredStream(t, Config{SealRows: 1 << 12, MergeBits: 5, Holistic: true,
-			QueryCacheEntries: cacheEntries}, keys, vals, len(keys)/3)
-		a := queryAll(t, s.Snapshot(), 10, 1<<60)
-		b := queryAll(t, s.Snapshot(), 10, 1<<60)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("cache=%d: two snapshots of one view disagree", cacheEntries)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
+	s := layeredStream(t, Config{SealRows: 1 << 12, MergeBits: 5, Holistic: true},
+		keys, vals, len(keys)/3)
+	a := queryAll(t, s.Snapshot(), 10, 1<<60)
+	b := queryAll(t, s.Snapshot(), 10, 1<<60)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two snapshots of one view disagree")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestQueryConcurrentSnapshots hammers one live stream with concurrent
 // snapshot queries while ingest and merging run — the race-detector
-// coverage for the parallel fold (view single-flight), the partition
-// scans, and the result cache. Every observed snapshot must be internally
+// coverage for the parallel fold (view single-flight) and the partition
+// scans. Every observed snapshot must be internally
 // consistent: Q1 row total == Q4 == watermark.
 func TestQueryConcurrentSnapshots(t *testing.T) {
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 60_000, Cardinality: 15_000, Seed: 95}

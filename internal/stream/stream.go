@@ -55,9 +55,9 @@ var ErrClosed = errors.New("stream: closed")
 
 // Config sizes a Stream. The zero value is usable; every field has a
 // sensible default. Merge cycles and WAL replay fold at GOMAXPROCS.
-// QueueDepth, QueryWorkers and QueryCacheEntries are test seams: the
-// memagg facade leaves them at their defaults, and tests set them to force
-// backpressure, compare worker counts and compute uncached references.
+// QueueDepth and QueryWorkers are test seams: the memagg facade leaves
+// them at their defaults, and tests set them to force backpressure and
+// compare worker counts.
 type Config struct {
 	// Shards is the number of writer shards (private delta tables fed by
 	// independent queues). <= 0 uses GOMAXPROCS.
@@ -97,16 +97,6 @@ type Config struct {
 	// regardless, so tiny views never pay goroutine overhead. <= 0 uses
 	// GOMAXPROCS.
 	QueryWorkers int
-
-	// QueryCacheEntries bounds the per-view result cache: snapshots of one
-	// view are immutable, so materialized query results are cached on the
-	// view keyed by the agg.Query, with single-flight so
-	// concurrent identical queries compute once. A new view (any seal or
-	// merge moves the watermark) starts a fresh cache; superseded caches
-	// die with their views. 0 means 128 entries; < 0 disables caching.
-	// Cached vector results are shared slices — treat them as read-only
-	// (the memagg facade copies on conversion).
-	QueryCacheEntries int
 
 	// Holistic retains every group's value multiset (arena-backed lists),
 	// enabling median/quantile/mode snapshot queries at the memory cost
@@ -151,9 +141,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryWorkers <= 0 {
 		c.QueryWorkers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueryCacheEntries == 0 {
-		c.QueryCacheEntries = 128
 	}
 	return c
 }
@@ -203,11 +190,10 @@ type Stream struct {
 // the view covers: base.rows plus the sealed deltas' rows. Rows still in
 // shard queues or unsealed deltas are not yet visible.
 //
-// Query state hangs off the view rather than the Snapshot: everything a
-// view references is immutable, so the partition-wise fold of its sealed
-// deltas (srcs) and the materialized results keyed by its watermark
-// (cache) are computed once and shared by every snapshot that pins the
-// view, no matter how many are taken. Both die with the view.
+// The fold hangs off the view rather than the Snapshot: everything a view
+// references is immutable, so the partition-wise fold of its sealed deltas
+// (srcs) is computed once and shared by every snapshot that pins the view,
+// no matter how many are taken. It dies with the view.
 type view struct {
 	base      *generation
 	sealed    []*delta
@@ -219,20 +205,6 @@ type view struct {
 	// partition (see foldDeltas).
 	fold sync.Once
 	srcs []agg.Table
-
-	// cache is the watermark-keyed result cache (nil when disabled).
-	cache *queryCache
-}
-
-// newView builds a view over the given layers, attaching a fresh result
-// cache. Every view the stream installs goes
-// through here.
-func (s *Stream) newView(base *generation, sealed []*delta, watermark uint64) *view {
-	v := &view{base: base, sealed: sealed, watermark: watermark}
-	if n := s.cfg.QueryCacheEntries; n > 0 {
-		v.cache = newQueryCache(n)
-	}
-	return v
 }
 
 // batch is one ingest unit: either rows (keys/vals, equal length) or a
@@ -268,7 +240,7 @@ func newStream(cfg Config) *Stream {
 	s := &Stream{cfg: cfg, wake: make(chan struct{}, 1)}
 	s.m = newMetrics(s)
 	s.views = cview.NewRegistry(cfg.Holistic, cfg.MergeBits, cfg.QueryWorkers, s.m.cviewMetrics())
-	s.view.Store(s.newView(nil, nil, 0))
+	s.view.Store(&view{})
 	return s
 }
 
@@ -468,7 +440,7 @@ func (s *Stream) publish(d *delta) (spareKeys, spareVals []uint64) {
 	sealed := make([]*delta, len(v.sealed)+1)
 	copy(sealed, v.sealed)
 	sealed[len(v.sealed)] = d
-	s.install(s.newView(v.base, sealed, endWM))
+	s.install(&view{base: v.base, sealed: sealed, watermark: endWM})
 	// Continuous views absorb the delta under the same lock: pane
 	// assignment follows publication (= WAL) order exactly, and a view
 	// registered at watermark w sees precisely the seals past w.
@@ -520,22 +492,13 @@ type Stats struct {
 	MergeTotalNanos int64
 	MergeLastNanos  int64
 
-	// Result-cache outcomes across every view: queries answered from a
-	// view's materialized results, queries that computed them, and entries
-	// evicted by the per-view capacity bound.
-	QueryCacheHits      uint64
-	QueryCacheMisses    uint64
-	QueryCacheEvictions uint64
-
 	// Continuous-view state: registered views, live panes across them,
-	// pane evictions, per-view-per-seal fold updates, and reads (total and
-	// answered from the version cache).
+	// pane evictions, per-view-per-seal fold updates, and reads.
 	Views            int
 	ViewPanesLive    int
 	ViewPanesEvicted uint64
 	ViewUpdates      uint64
 	ViewReads        uint64
-	ViewReadsCached  uint64
 
 	// Durable reports whether the stream runs with a WAL; ReadOnly whether
 	// the durability layer failed and ingest is refused. The remaining
@@ -571,16 +534,11 @@ func (s *Stream) Stats() Stats {
 		MergeTotalNanos: int64(s.m.mergeNs.Value()),
 		MergeLastNanos:  int64(s.m.lastMerge.Value()),
 
-		QueryCacheHits:      s.m.qcacheHits.Value(),
-		QueryCacheMisses:    s.m.qcacheMisses.Value(),
-		QueryCacheEvictions: s.m.qcacheEvicts.Value(),
-
 		Views:            s.views.Len(),
 		ViewPanesLive:    s.views.PanesLive(),
 		ViewPanesEvicted: s.m.cviewPanesEvicted.Value(),
 		ViewUpdates:      s.m.cviewUpdates.Value(),
 		ViewReads:        s.m.cviewReads.Value(),
-		ViewReadsCached:  s.m.cviewReadsCached.Value(),
 	}
 	if ing > v.watermark {
 		st.Staleness = ing - v.watermark

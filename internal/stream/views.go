@@ -56,8 +56,7 @@ func (s *Stream) Views() []cview.Info { return s.views.Infos() }
 func (s *Stream) ViewInfo(name string) (cview.Info, error) { return s.views.Info(name) }
 
 // ViewResult evaluates one continuous view's standing query over its
-// current window (served from the view's version-keyed cache when nothing
-// sealed since the last read).
+// current window.
 func (s *Stream) ViewResult(name string) (*cview.Result, error) { return s.views.Result(name) }
 
 // foldViews feeds one sealed delta to every registered view. Called under

@@ -5,6 +5,36 @@
 # drives — must be data-race-free, not just correct.
 set -eux
 
+# pinned runs `go test "$@"` after checking that every |-separated
+# alternative of its -run pattern names at least one test, fuzz target,
+# benchmark or example in its ./ packages. go test passes silently when an
+# alternative matches nothing, so without the check a renamed test drops
+# out of its pin unnoticed. Alternatives are matched as extended regular
+# expressions against `go test -list .` output; none may contain a '|'
+# inside parentheses.
+pinned() {
+	pat='' pkgs='' prev=''
+	for a in "$@"; do
+		if [ "$prev" = -run ]; then pat=$a; fi
+		case $a in ./*) pkgs="$pkgs $a" ;; esac
+		prev=$a
+	done
+	# shellcheck disable=SC2086 # pkgs is a word list
+	names=$(go test -list . $pkgs | grep -E '^(Test|Fuzz|Benchmark|Example)' || true)
+	old_ifs=$IFS
+	IFS='|'
+	set -f
+	for alt in $pat; do
+		if ! printf '%s\n' "$names" | grep -qE -- "$alt"; then
+			echo "pinned: -run alternative '$alt' matches nothing in$pkgs" >&2
+			exit 1
+		fi
+	done
+	set +f
+	IFS=$old_ifs
+	go test "$@"
+}
+
 go build ./...
 go vet ./...
 go test ./...
@@ -125,20 +155,20 @@ go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./in
 # workers 1/2/8: same groups, PartitionIndex placement, untouched
 # partitions shared by pointer, inputs unmodified, worker-independent
 # order) and agg.Absorb against AbsorbRows.
-go test -race -run 'TestFold|TestAbsorb|TestPartBits' -count=1 -v ./internal/agg
+pinned -race -run 'TestFold|TestAbsorb|TestPartBits' -count=1 -v ./internal/agg
 # The group-run codec's record fuzzer replays its checked-in corpus, and
 # the run writer/decoder round trip (multi-frame, heads, radix routing,
 # empty runs) is pinned by name; the three containers' own suites
 # (checkpoint, cview, cluster) run under -race below.
-go test -race -run 'FuzzPartialWire|TestPartialWire|TestRunWriterRoundTrip' -count=1 -v ./internal/agg
+pinned -race -run 'FuzzPartialWire|TestPartialWire|TestRunWriterRoundTrip' -count=1 -v ./internal/agg
 
 # The global shared-table engine's whole correctness story is concurrent:
 # CAS-claimed slots, atomic lane folds, growth at batch boundaries. The
 # dedicated contended-upsert test and the parallel-vs-serial equivalence
 # gate are pinned by name so a rename can't silently drop them from the
 # race pass above.
-go test -race -run 'TestConcurrentParallelUpsertRace' -count=1 -v ./internal/hashtbl
-go test -race -run 'TestGLBParallelReduceMatchesSerial|TestGLBParallelShortValsAndZeroKey' -count=1 -v ./internal/agg
+pinned -race -run 'TestConcurrentParallelUpsertRace' -count=1 -v ./internal/hashtbl
+pinned -race -run 'TestGLBParallelReduceMatchesSerial|TestGLBParallelShortValsAndZeroKey' -count=1 -v ./internal/agg
 
 # The streaming subsystem's whole design is concurrent (sharded writers,
 # background merger, lock-free snapshot pinning), so its entire suite —
@@ -151,7 +181,7 @@ go test -race ./internal/stream/...
 # go-runtime allocator) — for the serial engines and for Hash_GLB's
 # buffer-and-replay holistic path. Catches per-row/per-group allocations
 # creeping back into the monomorphized build kernels.
-go test -run 'TestQ3AllocBudget|TestGLBAllocBudget' -count=1 ./internal/agg
+pinned -run 'TestQ3AllocBudget|TestGLBAllocBudget' -count=1 ./internal/agg
 
 # Durability subsystem: the WAL and checkpoint packages are exercised by
 # concurrent writers (group commit under the view lock, background
@@ -169,26 +199,27 @@ go test -run 'TestQ3AllocBudget|TestGLBAllocBudget' -count=1 ./internal/agg
 # (checked in under testdata/parentfmt) must keep recovering to the same
 # answers.
 go test -race ./internal/wal/...
-go test -race -run 'TestCrashRecoveryEquivalence|TestCorruptTailRecoversPrefix|FuzzWALRecovery|TestRecoveryFoldsIntoBase|TestCViewUpdateLatencyRecorded|TestParentFormatLoads' -count=1 -v ./internal/stream
-go test -race -run 'TestCheckpointLoadAllocBound' -count=1 -v ./internal/wal/checkpoint
-go test -race -run 'TestAppendLatencyTimed' -count=1 -v ./internal/wal
+pinned -race -run 'TestCrashRecoveryEquivalence|TestCorruptTailRecoversPrefix|FuzzWALRecovery|TestRecoveryFoldsIntoBase|TestCViewUpdateLatencyRecorded|TestParentFormatLoads' -count=1 -v ./internal/stream
+pinned -race -run 'TestCheckpointLoadAllocBound' -count=1 -v ./internal/wal/checkpoint
+pinned -race -run 'TestAppendLatencyTimed' -count=1 -v ./internal/wal
 
 # Snapshot query path: the parallel-vs-serial equivalence gate (Q1-Q7 plus
 # quantile/mode byte-equal across worker counts and fold cutoffs against a
-# serial reference) and the result-cache contracts (single-flight,
-# watermark isolation, eviction) are pinned by name under the race
-# detector — the fold single-flight, agg.Run's offset-writing kernels, and
-# the cache all run concurrently in production. The query vocabulary's own
-# table (every spelling round-trips, QueryID values pinned as the on-disk
-# format they are, NaN/out-of-range quantiles rejected) rides along.
-go test -race -run 'TestQueryParallelSerialEquivalence|TestQueryConcurrentSnapshots|TestQueryCache' -count=1 -v ./internal/stream
+# serial reference) and the snapshot contracts (an old snapshot keeps its
+# rows after new seals, parameters answer distinct queries, every result
+# is caller-owned) are pinned by name under the race detector — the fold
+# single-flight and agg.Run's offset-writing kernels run concurrently in
+# production. The query vocabulary's own table (every spelling
+# round-trips, QueryID values pinned as the on-disk format they are,
+# NaN/out-of-range quantiles rejected) rides along.
+pinned -race -run 'TestQueryParallelSerialEquivalence|TestQueryConcurrentSnapshots|TestSnapshotWatermarkIsolation|TestSnapshotResultsCallerOwned' -count=1 -v ./internal/stream
 # View reads fold their window partition-wise and scan it in parallel, so
 # they carry the same contract: q1/q2/q6/quantile views read identically
 # (unsorted) at worker counts 1/2/8 and both cutoffs. Beside it, a
 # checkpoint whose META fan-out the partitioner cannot route is refused by
 # Load and Open instead of recovering misrouted partitions.
-go test -race -run 'TestViewParallelSerialEquivalence|TestCheckpointBadBitsRejected' -count=1 -v ./internal/stream
-go test -race -run 'TestParseQuery|TestQueryValidate|TestQueryIDsPinned' -count=1 -v ./internal/agg
+pinned -race -run 'TestViewParallelSerialEquivalence|TestCheckpointBadBitsRejected' -count=1 -v ./internal/stream
+pinned -race -run 'TestParseQuery|TestQueryValidate|TestQueryIDsPinned' -count=1 -v ./internal/agg
 
 # Clustered serving: the router, breaker, wire codec, and scatter-gather
 # merge are exercised by concurrent producers against live HTTP nodes, so
@@ -198,9 +229,9 @@ go test -race -run 'TestParseQuery|TestQueryValidate|TestQueryIDsPinned' -count=
 # kill-one-worker gate (breaker trips, typed partial-availability errors,
 # no hangs) are pinned by name so a rename can't silently drop them.
 go test -race ./internal/cluster/...
-go test -race -run 'TestClusterEquivalence|TestClusterKillTripsBreaker' -count=1 -v ./internal/cluster
+pinned -race -run 'TestClusterEquivalence|TestClusterKillTripsBreaker' -count=1 -v ./internal/cluster
 # Consistent-hash movement bound: adding a node to N must move <= K/N keys.
-go test -race -run 'TestRingMovementOnAdd' -count=1 -v ./internal/chash
+pinned -race -run 'TestRingMovementOnAdd' -count=1 -v ./internal/chash
 
 # Columnar chunk ingest (binary wire + zero-copy path). The fuzz harness
 # replays its checked-in seed corpus (decode -> re-encode -> identical, or
@@ -210,19 +241,19 @@ go test -race -run 'TestRingMovementOnAdd' -count=1 -v ./internal/chash
 # quantile/mode) — single node and the 3-node scatter path — under the
 # race detector, with the ownership-transfer pool recycling exercised
 # concurrently.
-go test -race -run 'FuzzChunkWire|TestChunkWire|TestChunkStream' -count=1 -v ./internal/agg
-go test -race -run 'TestAppendChunkOwnedEquivalence|TestAppendChunkPoolRecycling' -count=1 -v ./internal/stream
-go test -race -run 'TestIngestEquivalenceJSONBinary|TestClusterIngestEquivalence|TestIngestBinaryMultiChunkBody|TestIngestBinaryRejectsCorruptBody|TestRoutesV1Only' -count=1 -v ./cmd/aggserve
+pinned -race -run 'FuzzChunkWire|TestChunkWire|TestChunkStream' -count=1 -v ./internal/agg
+pinned -race -run 'TestAppendChunkOwnedEquivalence|TestAppendChunkPoolRecycling' -count=1 -v ./internal/stream
+pinned -race -run 'TestIngestEquivalenceJSONBinary|TestClusterIngestEquivalence|TestIngestBinaryMultiChunkBody|TestIngestBinaryRejectsCorruptBody|TestRoutesV1Only' -count=1 -v ./cmd/aggserve
 # JSON bodies are capped: one byte over the cap answers 413 on node and
 # router ingest and on view registration, nothing is applied, and the
 # server keeps serving. /v1/stats keys and their order are wire format.
-go test -race -run 'TestJSONBodyTooLarge|TestStatsKeysPinned' -count=1 -v ./cmd/aggserve
+pinned -race -run 'TestJSONBodyTooLarge|TestStatsKeysPinned' -count=1 -v ./cmd/aggserve
 # An already-cancelled query answers 499 before any query work (it used to
 # race the query's own completion and could answer 200).
-go test -race -run 'TestQueryCanceledContext$' -count=50 ./cmd/aggserve
+pinned -race -run 'TestQueryCanceledContext$' -count=50 ./cmd/aggserve
 # Query-parameter gate: p=NaN answers 400 (it used to crash the process)
 # and the router validates before it gathers.
-go test -race -run 'TestQuantileNaNRejected|TestRouterValidatesBeforeGather' -count=1 -v ./cmd/aggserve
+pinned -race -run 'TestQuantileNaNRejected|TestRouterValidatesBeforeGather' -count=1 -v ./cmd/aggserve
 
 # Continuous views (internal/cview). The whole package runs under the race
 # detector, then the stream-level gates are pinned by name so a rename
@@ -234,17 +265,19 @@ go test -race -run 'TestQuantileNaNRejected|TestRouterValidatesBeforeGather' -co
 # in both death modes (hard kill -> WAL-suffix replay, graceful close ->
 # PANES snapshot), plus the HTTP CRUD/ETag surface.
 go test -race ./internal/cview/...
-go test -race -run 'TestCViewBatchEquivalence|TestCViewPaneBoundary|TestCViewEvictionRace|TestCViewRegisterMidIngest|TestCViewRestartReplay|TestCViewDefinitionsPersist' -count=1 -v ./internal/stream
-go test -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate|TestViewReregisterETag' -count=1 -v ./cmd/aggserve
+pinned -race -run 'TestCViewBatchEquivalence|TestCViewPaneBoundary|TestCViewEvictionRace|TestCViewRegisterMidIngest|TestCViewRestartReplay|TestCViewDefinitionsPersist' -count=1 -v ./internal/stream
+pinned -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate|TestViewReregisterETag' -count=1 -v ./cmd/aggserve
 # Result bodies: the append encoder is byte-identical to encoding/json over
 # the reflected envelopes it replaced (a table of every result shape, every
 # query of the vocabulary through a stream and its views, and the fuzz
 # target's seeds). A node's body cache, one entry per URI hit only at its
 # stored ETag, never serves a body past its tag, holds its entry and byte
-# bounds, and pairs one tag with one body under concurrent GETs; the
-# router keeps none, so a peer that restarts back to the same watermark
-# vector never gets its old body served.
-go test -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestRouterPeerRestartSameVector' -count=1 -v ./cmd/aggserve
+# bounds, pairs one tag with one body under concurrent GETs, and keeps the
+# body of a query whose client left mid-flight. The router keeps none, and
+# a peer that restarts back to the same watermark vector moves the
+# router's ETag with its new incarnation, so neither an old body nor a 304
+# for the pre-restart tag is served.
+pinned -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestQueryCanceledMidQueryKeepsBody|TestRouterPeerRestartSameVector' -count=1 -v ./cmd/aggserve
 
 # Overhead guards, last so nothing else competes for the CPU. Each times
 # one code path against its baseline in ABBA-ordered pairs through
@@ -263,4 +296,5 @@ go test -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestRouterPeerRe
 # The tests skip without MEMAGG_GUARDS=1, so plain `go test ./...` stays
 # deterministic; -p 1 keeps the two packages' guards from timing each
 # other.
-MEMAGG_GUARDS=1 go test -p 1 -count=1 -v -run 'Guard$' ./internal/stream ./cmd/aggserve
+export MEMAGG_GUARDS=1
+pinned -p 1 -count=1 -v -run 'Guard$' ./internal/stream ./cmd/aggserve

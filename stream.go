@@ -18,7 +18,7 @@ import (
 // Multithreaded toggles sharded ingest, and EstimatedGroups sizes the
 // merge fan-out so each base partition stays cache-sized. Explicit fields
 // override what Workload derives. GOMAXPROCS bounds the merge and query
-// worker pools, and each view caches up to 128 query results.
+// worker pools.
 type StreamOptions struct {
 	// Workload describes the queries this stream will serve; see Recommend.
 	Workload Workload
@@ -210,7 +210,7 @@ func (s *Stream) Close() error { return s.s.Close() }
 func (s *Stream) Snapshot() *StreamSnapshot { return &StreamSnapshot{sn: s.s.Snapshot()} }
 
 // StreamStats is a point-in-time report of a stream's ingest, merge,
-// result-cache, view and durability state, read from the same obs-backed
+// view and durability state, read from the same obs-backed
 // instruments the stream's /metrics families serve. Its JSON encoding is
 // the /v1/stats body cmd/aggserve serves.
 type StreamStats = stream.Stats
@@ -245,8 +245,8 @@ func (sn *StreamSnapshot) EncodePartials(dst []byte) ([]byte, error) {
 // Run executes one parsed query (see agg.ParseQuery for the vocabulary)
 // and returns its result in the public row types — see ResultRows. It is
 // the untyped form of the methods below, for callers that dispatch on a
-// query name (cmd/aggserve); both go through the same kernels and result
-// cache. A holistic query on a distributive stream is ErrUnsupported.
+// query name (cmd/aggserve); both go through the same kernels. A holistic
+// query on a distributive stream is ErrUnsupported.
 func (sn *StreamSnapshot) Run(q agg.Query) (any, error) {
 	v, err := sn.sn.Run(q)
 	return ResultRows(v), err

@@ -59,7 +59,7 @@ type ViewInfo struct {
 	PanesEvicted uint64 `json:"panes_evicted"`
 
 	// Version bumps on every pane fold and eviction; with Watermark it
-	// keys result caching and HTTP ETags.
+	// keys HTTP ETags.
 	Version uint64 `json:"version"`
 
 	// Registration identifies this registration of the name: a view
@@ -74,8 +74,7 @@ type ViewInfo struct {
 }
 
 // ViewResult is one evaluation of a view's standing query over its
-// current window. Vector results share memory across reads of an
-// unchanged view — treat them as read-only.
+// current window. Every read returns a fresh result the caller owns.
 type ViewResult struct {
 	Name  string `json:"name"`
 	Query string `json:"query"`
@@ -121,8 +120,7 @@ func (s *Stream) RegisterView(v ViewSpec) error {
 
 // View evaluates one continuous view's standing query over its current
 // window. The result is identical to the matching snapshot query over
-// exactly the window's rows; reads of an unchanged view are served from
-// the view's cache.
+// exactly the window's rows.
 func (s *Stream) View(name string) (*ViewResult, error) {
 	res, err := s.s.ViewResult(name)
 	if err != nil {
