@@ -15,14 +15,14 @@ func snapshotTestData(n, card int, seed uint64) ([]uint64, []uint64) {
 	return keys, dataset.Values(len(keys), seed)
 }
 
-// TestSnapshotWatermarkIsolation proves a snapshot answers from the rows
+// TestQueryCacheWatermarkIsolation proves a snapshot answers from the rows
 // it pinned: one taken before new rows seal keeps returning its original
-// rows, a snapshot of the advanced view answers at the new watermark, and
-// parameterized queries on one snapshot answer per parameter.
-func TestSnapshotWatermarkIsolation(t *testing.T) {
+// rows, and a snapshot of the advanced view answers at the new watermark.
+// The name dates from the per-view query cache that once sat in front of
+// Snapshot; the isolation it guards holds without that cache.
+func TestQueryCacheWatermarkIsolation(t *testing.T) {
 	keys, vals := snapshotTestData(20_000, 4_000, 102)
-	s := layeredStream(t, Config{SealRows: 1 << 11, MergeBits: 5, Holistic: true},
-		keys, vals, len(keys)/2)
+	s := layeredStream(t, Config{SealRows: 1 << 11, MergeBits: 5}, keys, vals, len(keys)/2)
 	defer s.Close()
 
 	oldSn := s.Snapshot()
@@ -64,10 +64,20 @@ func TestSnapshotWatermarkIsolation(t *testing.T) {
 	if oldTotal != oldWM {
 		t.Fatalf("old Q1 total %d != old watermark %d", oldTotal, oldWM)
 	}
+}
 
-	// Distinct parameters answer distinct queries: different CountRange
-	// bounds and quantiles on one snapshot must not collide.
-	full, err := oldSn.CountRange(0, ^uint64(0))
+// TestQueryCacheParamsKeyed proves parameterized queries on one snapshot
+// answer per parameter: different CountRange bounds and quantiles must not
+// collide. The name dates from the per-view query cache whose key once had
+// to carry the parameters.
+func TestQueryCacheParamsKeyed(t *testing.T) {
+	keys, vals := snapshotTestData(10_000, 2_000, 103)
+	s := layeredStream(t, Config{SealRows: 1 << 11, MergeBits: 5, Holistic: true},
+		keys, vals, len(keys)/2)
+	defer s.Close()
+	sn := s.Snapshot()
+
+	full, err := sn.CountRange(0, ^uint64(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +86,7 @@ func TestSnapshotWatermarkIsolation(t *testing.T) {
 	}
 	// Split at the median key of the full result so the narrow range is a
 	// strict subset regardless of the key domain.
-	narrow, err := oldSn.CountRange(0, full[len(full)/2].Key)
+	narrow, err := sn.CountRange(0, full[len(full)/2].Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +94,11 @@ func TestSnapshotWatermarkIsolation(t *testing.T) {
 		t.Fatalf("narrow range (%d rows) not narrower than full (%d): params collided?",
 			len(narrow), len(full))
 	}
-	p50, err := oldSn.QuantileByKey(0.5)
+	p50, err := sn.QuantileByKey(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p99, err := oldSn.QuantileByKey(0.99)
+	p99, err := sn.QuantileByKey(0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
