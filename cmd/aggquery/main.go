@@ -16,10 +16,11 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -78,11 +79,11 @@ func main() {
 
 	switch strings.ToLower(*query) {
 	case "q1":
-		printCounts(a.CountByKey(keys), *limit)
+		printRows(a.CountByKey(keys), "count", *limit, countRow)
 	case "q2":
-		printValues(a.AvgByKey(keys, vals), *limit)
+		printRows(a.AvgByKey(keys, vals), "value", *limit, valueRow)
 	case "q3":
-		printValues(a.MedianByKey(keys, vals), *limit)
+		printRows(a.MedianByKey(keys, vals), "value", *limit, valueRow)
 	case "q4":
 		fmt.Printf("count\t%d\n", a.Count(keys))
 	case "q5":
@@ -98,17 +99,17 @@ func main() {
 		if err != nil {
 			fatalf("q7 with %s: %v", *backend, err)
 		}
-		printCounts(rows, *limit)
+		printRows(rows, "count", *limit, countRow)
 	case "sum":
-		printStats(a.SumByKey(keys, vals), *limit)
+		printRows(a.SumByKey(keys, vals), "value", *limit, statRow)
 	case "min":
-		printStats(a.MinByKey(keys, vals), *limit)
+		printRows(a.MinByKey(keys, vals), "value", *limit, statRow)
 	case "max":
-		printStats(a.MaxByKey(keys, vals), *limit)
+		printRows(a.MaxByKey(keys, vals), "value", *limit, statRow)
 	case "mode":
-		printValues(a.ModeByKey(keys, vals), *limit)
+		printRows(a.ModeByKey(keys, vals), "value", *limit, valueRow)
 	case "quantile":
-		printValues(a.QuantileByKey(keys, vals, *qv), *limit)
+		printRows(a.QuantileByKey(keys, vals, *qv), "value", *limit, valueRow)
 	default:
 		fatalf("unknown query %q", *query)
 	}
@@ -132,35 +133,13 @@ func runStringMode(file, query, backend, prefix string, limit int) {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	printStrCounts := func(rows []memagg.StringGroupCount) {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-		fmt.Println("key\tcount")
-		for i, r := range rows {
-			if limit > 0 && i >= limit {
-				fmt.Printf("... (%d more rows)\n", len(rows)-limit)
-				return
-			}
-			fmt.Printf("%s\t%d\n", r.Key, r.Count)
-		}
-	}
-	printStrValues := func(rows []memagg.StringGroupValue) {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-		fmt.Println("key\tvalue")
-		for i, r := range rows {
-			if limit > 0 && i >= limit {
-				fmt.Printf("... (%d more rows)\n", len(rows)-limit)
-				return
-			}
-			fmt.Printf("%s\t%g\n", r.Key, r.Value)
-		}
-	}
 	switch strings.ToLower(query) {
 	case "q1":
-		printStrCounts(a.CountByKey(keys))
+		printRows(a.CountByKey(keys), "count", limit, strCountRow)
 	case "q2":
-		printStrValues(a.AvgByKey(keys, vals))
+		printRows(a.AvgByKey(keys, vals), "value", limit, strValueRow)
 	case "q3":
-		printStrValues(a.MedianByKey(keys, vals))
+		printRows(a.MedianByKey(keys, vals), "value", limit, strValueRow)
 	case "q6":
 		m, err := a.MedianKey(keys)
 		if err != nil {
@@ -172,7 +151,7 @@ func runStringMode(file, query, backend, prefix string, limit int) {
 		if err != nil {
 			fatalf("q7 with %s: %v", bk, err)
 		}
-		printStrCounts(rows)
+		printRows(rows, "count", limit, strCountRow)
 	default:
 		fatalf("string mode supports q1, q2, q3, q6, q7 (got %q)", query)
 	}
@@ -254,41 +233,31 @@ func readCSV(path string) (keys, vals []uint64, err error) {
 	return keys, vals, sc.Err()
 }
 
-func printCounts(rows []memagg.GroupCount, limit int) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-	fmt.Println("key\tcount")
+// printRows prints rows in ascending key order under a "key\t<column>"
+// header, stopping after limit rows (0 = all). split returns one row's key
+// and aggregate, printed in their default formats (%d, %s, %g).
+func printRows[R any, K cmp.Ordered, V any](rows []R, column string, limit int, split func(R) (K, V)) {
+	slices.SortFunc(rows, func(a, b R) int {
+		ka, _ := split(a)
+		kb, _ := split(b)
+		return cmp.Compare(ka, kb)
+	})
+	fmt.Printf("key\t%s\n", column)
 	for i, r := range rows {
 		if limit > 0 && i >= limit {
 			fmt.Printf("... (%d more rows)\n", len(rows)-limit)
 			return
 		}
-		fmt.Printf("%d\t%d\n", r.Key, r.Count)
+		k, v := split(r)
+		fmt.Printf("%v\t%v\n", k, v)
 	}
 }
 
-func printStats(rows []memagg.GroupStat, limit int) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-	fmt.Println("key\tvalue")
-	for i, r := range rows {
-		if limit > 0 && i >= limit {
-			fmt.Printf("... (%d more rows)\n", len(rows)-limit)
-			return
-		}
-		fmt.Printf("%d\t%d\n", r.Key, r.Value)
-	}
-}
-
-func printValues(rows []memagg.GroupValue, limit int) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Key < rows[j].Key })
-	fmt.Println("key\tvalue")
-	for i, r := range rows {
-		if limit > 0 && i >= limit {
-			fmt.Printf("... (%d more rows)\n", len(rows)-limit)
-			return
-		}
-		fmt.Printf("%d\t%g\n", r.Key, r.Value)
-	}
-}
+func countRow(r memagg.GroupCount) (uint64, uint64)           { return r.Key, r.Count }
+func valueRow(r memagg.GroupValue) (uint64, float64)          { return r.Key, r.Value }
+func statRow(r memagg.GroupStat) (uint64, uint64)             { return r.Key, r.Value }
+func strCountRow(r memagg.StringGroupCount) (string, uint64)  { return r.Key, r.Count }
+func strValueRow(r memagg.StringGroupValue) (string, float64) { return r.Key, r.Value }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "aggquery: "+format+"\n", args...)

@@ -11,8 +11,9 @@ import (
 )
 
 // The result encoder: query and view bodies are appended straight into a
-// byte slice for the closed set of shapes a result can take — the row
-// types of memagg.ResultRows and the two scalars — with the bytes
+// byte slice for the closed set of shapes a result can take — the three
+// row types of agg.Run (aliased as memagg.GroupCount, GroupValue and
+// GroupStat) and the two scalars — with the bytes
 // json.NewEncoder(w).Encode wrote for the reflected envelopes they
 // replace, trailing newline included (resultjson_test.go compares the two
 // on every shape). There is no reflection fallback: a result of any other

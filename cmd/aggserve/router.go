@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 
-	"memagg"
 	"memagg/internal/cluster"
 	"memagg/internal/obs"
 )
@@ -145,7 +144,7 @@ func (srv *routerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, queryStatus(err), err.Error())
 		return
 	}
-	writeBody(w, etag, appendClusterQueryBody(nil, name, m.Watermark, memagg.ResultRows(rows)))
+	writeBody(w, etag, appendClusterQueryBody(nil, name, m.Watermark, rows))
 }
 
 func (srv *routerServer) handleClusterStats(w http.ResponseWriter, r *http.Request) {

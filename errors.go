@@ -25,12 +25,11 @@ var (
 
 	// ErrUnsupportedQuery reports a query the chosen backend cannot
 	// execute (hash backends answering Median or CountRange, holistic
-	// queries on a distributive stream). It is the same value as
-	// ErrUnsupported, under the name the rest of the error set uses.
+	// queries on a distributive stream).
 	ErrUnsupportedQuery = agg.ErrUnsupported
 
 	// ErrClosed reports an AppendChunk, Flush or repeated Close on a closed
-	// Stream. Identical to ErrStreamClosed.
+	// Stream.
 	ErrClosed = stream.ErrClosed
 
 	// ErrDurability reports that a durable Stream's write-ahead log failed:

@@ -97,7 +97,7 @@ func (e *cuckooEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 	})
 	out := make([]GroupFloat, 0, m.Len())
 	m.Iterate(func(k uint64, st *avgState) bool {
-		out = append(out, GroupFloat{Key: k, Val: st.avg()})
+		out = append(out, GroupFloat{Key: k, Value: st.avg()})
 		return true
 	})
 	return out
@@ -118,7 +118,7 @@ func (e *cuckooEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
 	})
 	out := make([]GroupFloat, 0, m.Len())
 	m.Iterate(func(k uint64, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Val: Median(*lst)})
+		out = append(out, GroupFloat{Key: k, Value: Median(*lst)})
 		return true
 	})
 	return out
@@ -195,7 +195,7 @@ func (e *tbbEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 	})
 	out := make([]GroupFloat, 0, m.Len())
 	m.Iterate(func(k uint64, st *avgState) bool {
-		out = append(out, GroupFloat{Key: k, Val: st.avg()})
+		out = append(out, GroupFloat{Key: k, Value: st.avg()})
 		return true
 	})
 	return out
@@ -214,7 +214,7 @@ func (e *tbbEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
 	})
 	out := make([]GroupFloat, 0, m.Len())
 	m.Iterate(func(k uint64, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Val: Median(*lst)})
+		out = append(out, GroupFloat{Key: k, Value: Median(*lst)})
 		return true
 	})
 	return out

@@ -42,8 +42,8 @@ type GroupCount struct {
 
 // GroupFloat is one row of a vector AVG or MEDIAN result (Q2/Q3).
 type GroupFloat struct {
-	Key uint64
-	Val float64
+	Key   uint64
+	Value float64
 }
 
 // ErrUnsupported is returned by operators a backend cannot execute

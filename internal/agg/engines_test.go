@@ -112,8 +112,8 @@ func TestAllEnginesAgreeOnQ2(t *testing.T) {
 			t.Fatalf("%s: %d groups want %d", e.Name(), len(got), len(want))
 		}
 		for _, g := range got {
-			if math.Abs(g.Val-want[g.Key]) > 1e-9 {
-				t.Fatalf("%s: key %d avg %v want %v", e.Name(), g.Key, g.Val, want[g.Key])
+			if math.Abs(g.Value-want[g.Key]) > 1e-9 {
+				t.Fatalf("%s: key %d avg %v want %v", e.Name(), g.Key, g.Value, want[g.Key])
 			}
 		}
 	}
@@ -128,8 +128,8 @@ func TestAllEnginesAgreeOnQ3(t *testing.T) {
 			t.Fatalf("%s: %d groups want %d", e.Name(), len(got), len(want))
 		}
 		for _, g := range got {
-			if g.Val != want[g.Key] {
-				t.Fatalf("%s: key %d median %v want %v", e.Name(), g.Key, g.Val, want[g.Key])
+			if g.Value != want[g.Key] {
+				t.Fatalf("%s: key %d median %v want %v", e.Name(), g.Key, g.Value, want[g.Key])
 			}
 		}
 	}

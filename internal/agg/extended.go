@@ -44,8 +44,8 @@ func (op ReduceOp) String() string {
 
 // GroupUint is one row of a generalized distributive vector result.
 type GroupUint struct {
-	Key uint64
-	Val uint64
+	Key   uint64
+	Value uint64
 }
 
 // HolisticFunc aggregates one group's complete value multiset. The slice
@@ -116,12 +116,12 @@ func (e *sortEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint 
 	cur := buf[0].K
 	for _, r := range buf {
 		if r.K != cur {
-			out = append(out, GroupUint{Key: cur, Val: st.val})
+			out = append(out, GroupUint{Key: cur, Value: st.val})
 			cur, st = r.K, reduceState{}
 		}
 		st.fold(op, r.V)
 	}
-	out = append(out, GroupUint{Key: cur, Val: st.val})
+	out = append(out, GroupUint{Key: cur, Value: st.val})
 	e.releaseKV(buf)
 	return out
 }
@@ -141,7 +141,7 @@ func (e *sortEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Grou
 			for _, r := range buf[start:i] {
 				scratch = append(scratch, r.V)
 			}
-			out = append(out, GroupFloat{Key: buf[start].K, Val: fn(scratch)})
+			out = append(out, GroupFloat{Key: buf[start].K, Value: fn(scratch)})
 			start = i
 		}
 	}
@@ -158,7 +158,7 @@ func (e *hashEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint 
 	buildReduce(t, keys, vals, op)
 	out := make([]GroupUint, 0, t.Len())
 	t.Iterate(func(k uint64, st *reduceState) bool {
-		out = append(out, GroupUint{Key: k, Val: st.val})
+		out = append(out, GroupUint{Key: k, Value: st.val})
 		return true
 	})
 	return out
@@ -184,7 +184,7 @@ func (e *treeEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint 
 	buildReduce(t, keys, vals, op)
 	out := make([]GroupUint, 0, t.Len())
 	t.Iterate(func(k uint64, st *reduceState) bool {
-		out = append(out, GroupUint{Key: k, Val: st.val})
+		out = append(out, GroupUint{Key: k, Value: st.val})
 		return true
 	})
 	return out
@@ -215,7 +215,7 @@ func (e *cuckooEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUin
 	})
 	out := make([]GroupUint, 0, m.Len())
 	m.Iterate(func(k uint64, st *reduceState) bool {
-		out = append(out, GroupUint{Key: k, Val: st.val})
+		out = append(out, GroupUint{Key: k, Value: st.val})
 		return true
 	})
 	return out
@@ -231,7 +231,7 @@ func (e *cuckooEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 	})
 	out := make([]GroupFloat, 0, m.Len())
 	m.Iterate(func(k uint64, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Val: fn(*lst)})
+		out = append(out, GroupFloat{Key: k, Value: fn(*lst)})
 		return true
 	})
 	return out
@@ -247,7 +247,7 @@ func (e *tbbEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
 	})
 	out := make([]GroupUint, 0, m.Len())
 	m.Iterate(func(k uint64, st *reduceState) bool {
-		out = append(out, GroupUint{Key: k, Val: st.val})
+		out = append(out, GroupUint{Key: k, Value: st.val})
 		return true
 	})
 	return out
@@ -263,7 +263,7 @@ func (e *tbbEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Group
 	})
 	out := make([]GroupFloat, 0, m.Len())
 	m.Iterate(func(k uint64, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Val: fn(*lst)})
+		out = append(out, GroupFloat{Key: k, Value: fn(*lst)})
 		return true
 	})
 	return out

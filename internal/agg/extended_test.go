@@ -50,9 +50,9 @@ func TestVectorReduceAllOpsAllEngines(t *testing.T) {
 				t.Fatalf("%s/%s: %d groups want %d", e.Name(), op, len(got), len(want))
 			}
 			for _, g := range got {
-				if want[g.Key] != g.Val {
+				if want[g.Key] != g.Value {
 					t.Fatalf("%s/%s: key %d = %d want %d",
-						e.Name(), op, g.Key, g.Val, want[g.Key])
+						e.Name(), op, g.Key, g.Value, want[g.Key])
 				}
 			}
 		}
@@ -67,7 +67,7 @@ func TestVectorReduceCountMatchesVectorCount(t *testing.T) {
 			counts[g.Key] = g.Count
 		}
 		for _, g := range AsReducer(e).VectorReduce(keys, nil, OpCount) {
-			if counts[g.Key] != g.Val {
+			if counts[g.Key] != g.Value {
 				t.Fatalf("%s: VectorReduce(COUNT) disagrees with VectorCount at key %d",
 					e.Name(), g.Key)
 			}
@@ -94,13 +94,13 @@ func TestVectorHolisticQuantileAndMode(t *testing.T) {
 	for _, e := range reducerEngines() {
 		r := AsReducer(e)
 		for _, g := range r.VectorHolistic(keys, vals, QuantileFunc(0.9)) {
-			if g.Val != wantQ[g.Key] {
-				t.Fatalf("%s: p90 of key %d = %v want %v", e.Name(), g.Key, g.Val, wantQ[g.Key])
+			if g.Value != wantQ[g.Key] {
+				t.Fatalf("%s: p90 of key %d = %v want %v", e.Name(), g.Key, g.Value, wantQ[g.Key])
 			}
 		}
 		for _, g := range r.VectorHolistic(keys, vals, ModeFunc) {
-			if g.Val != wantM[g.Key] {
-				t.Fatalf("%s: mode of key %d = %v want %v", e.Name(), g.Key, g.Val, wantM[g.Key])
+			if g.Value != wantM[g.Key] {
+				t.Fatalf("%s: mode of key %d = %v want %v", e.Name(), g.Key, g.Value, wantM[g.Key])
 			}
 		}
 	}
@@ -111,10 +111,10 @@ func TestVectorHolisticMedianMatchesVectorMedian(t *testing.T) {
 	for _, e := range reducerEngines() {
 		want := map[uint64]float64{}
 		for _, g := range e.VectorMedian(keys, vals) {
-			want[g.Key] = g.Val
+			want[g.Key] = g.Value
 		}
 		for _, g := range AsReducer(e).VectorHolistic(keys, vals, MedianFunc) {
-			if want[g.Key] != g.Val {
+			if want[g.Key] != g.Value {
 				t.Fatalf("%s: holistic median disagrees at key %d", e.Name(), g.Key)
 			}
 		}
@@ -212,8 +212,8 @@ func TestPLATMatchesReferenceAcrossThreadCounts(t *testing.T) {
 			}
 		}
 		for _, g := range e.VectorMedian(keys, vals) {
-			if wantMed[g.Key] != g.Val {
-				t.Fatalf("p=%d: key %d median %v want %v", p, g.Key, g.Val, wantMed[g.Key])
+			if wantMed[g.Key] != g.Value {
+				t.Fatalf("p=%d: key %d median %v want %v", p, g.Key, g.Value, wantMed[g.Key])
 			}
 		}
 	}
@@ -275,7 +275,7 @@ func TestAdaptiveCorrectEitherWay(t *testing.T) {
 		med := e.VectorMedian(keys, vals)
 		wantMed := refVectorMedian(keys, vals)
 		for _, g := range med {
-			if math.Abs(g.Val-wantMed[g.Key]) > 0 {
+			if math.Abs(g.Value-wantMed[g.Key]) > 0 {
 				t.Fatalf("card=%d: adaptive median wrong at key %d", card, g.Key)
 			}
 		}

@@ -275,7 +275,7 @@ func (e *globalEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 		m = m.Tick(ph.build)
 		out := make([]GroupFloat, 0, t.Len())
 		t.Iterate(func(k uint64, st *avgState) bool {
-			out = append(out, GroupFloat{Key: k, Val: st.avg()})
+			out = append(out, GroupFloat{Key: k, Value: st.avg()})
 			return true
 		})
 		m.Tick(ph.iterate)
@@ -291,7 +291,7 @@ func (e *globalEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 		// Same division as avgState.avg(): exact equivalence to the
 		// serial reference, bit for bit.
 		st := avgState{sum: lanes[s*2], count: lanes[s*2+1]}
-		out = append(out, GroupFloat{Key: k, Val: st.avg()})
+		out = append(out, GroupFloat{Key: k, Value: st.avg()})
 		return true
 	})
 	m.Tick(ph.iterate)
@@ -307,7 +307,7 @@ func (e *globalEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUin
 		m = m.Tick(ph.build)
 		out := make([]GroupUint, 0, t.Len())
 		t.Iterate(func(k uint64, st *reduceState) bool {
-			out = append(out, GroupUint{Key: k, Val: st.val})
+			out = append(out, GroupUint{Key: k, Value: st.val})
 			return true
 		})
 		m.Tick(ph.iterate)
@@ -333,7 +333,7 @@ func (e *globalEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUin
 	lanes := t.Vals()
 	out := make([]GroupUint, 0, t.Len())
 	t.Iterate(func(s int, k uint64) bool {
-		out = append(out, GroupUint{Key: k, Val: lanes[s]})
+		out = append(out, GroupUint{Key: k, Value: lanes[s]})
 		return true
 	})
 	m.Tick(ph.iterate)
@@ -428,7 +428,7 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 		var scratch []uint64
 		t.Iterate(func(s int, k uint64) bool {
 			scratch = ar.AppendTo(scratch[:0], lists[s])
-			out = append(out, GroupFloat{Key: k, Val: fn(scratch)})
+			out = append(out, GroupFloat{Key: k, Value: fn(scratch)})
 			return true
 		})
 	} else {
@@ -444,7 +444,7 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 		})
 		m = m.Tick(ph.merge)
 		t.Iterate(func(s int, k uint64) bool {
-			out = append(out, GroupFloat{Key: k, Val: fn(lists[s])})
+			out = append(out, GroupFloat{Key: k, Value: fn(lists[s])})
 			return true
 		})
 	}

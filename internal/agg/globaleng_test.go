@@ -38,8 +38,8 @@ func TestGLBParallelReduceMatchesSerial(t *testing.T) {
 				t.Fatalf("%v/%s: %d groups want %d", spec, op, len(got), len(want))
 			}
 			for _, g := range got {
-				if want[g.Key] != g.Val {
-					t.Fatalf("%v/%s: key %d = %d want %d", spec, op, g.Key, g.Val, want[g.Key])
+				if want[g.Key] != g.Value {
+					t.Fatalf("%v/%s: key %d = %d want %d", spec, op, g.Key, g.Value, want[g.Key])
 				}
 			}
 		}
@@ -47,11 +47,11 @@ func TestGLBParallelReduceMatchesSerial(t *testing.T) {
 		// the same exact uint64 sums once.
 		wantAvg := map[uint64]float64{}
 		for _, g := range ser.(Engine).VectorAvg(keys, vals) {
-			wantAvg[g.Key] = g.Val
+			wantAvg[g.Key] = g.Value
 		}
 		for _, g := range par.(Engine).VectorAvg(keys, vals) {
-			if wantAvg[g.Key] != g.Val {
-				t.Fatalf("%v/AVG: key %d = %v want %v", spec, g.Key, g.Val, wantAvg[g.Key])
+			if wantAvg[g.Key] != g.Value {
+				t.Fatalf("%v/AVG: key %d = %v want %v", spec, g.Key, g.Value, wantAvg[g.Key])
 			}
 		}
 	}
@@ -76,8 +76,8 @@ func TestGLBParallelShortValsAndZeroKey(t *testing.T) {
 			t.Fatalf("%s: %d groups want %d", op, len(got), len(want))
 		}
 		for _, g := range got {
-			if want[g.Key] != g.Val {
-				t.Fatalf("%s: key %d = %d want %d", op, g.Key, g.Val, want[g.Key])
+			if want[g.Key] != g.Value {
+				t.Fatalf("%s: key %d = %d want %d", op, g.Key, g.Value, want[g.Key])
 			}
 		}
 	}

@@ -105,7 +105,7 @@ func (e *hashEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 	buildAvg(t, keys, vals)
 	out := make([]GroupFloat, 0, t.Len())
 	t.Iterate(func(k uint64, st *avgState) bool {
-		out = append(out, GroupFloat{Key: k, Val: st.avg()})
+		out = append(out, GroupFloat{Key: k, Value: st.avg()})
 		return true
 	})
 	return out

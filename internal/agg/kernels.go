@@ -253,7 +253,7 @@ func lpBuildReduce(t *hashtbl.LinearProbe[reduceState], keys, vals []uint64, op 
 func emitHolistic(t kvTable[[]uint64], fn HolisticFunc) []GroupFloat {
 	out := make([]GroupFloat, 0, t.Len())
 	t.Iterate(func(k uint64, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Val: fn(*lst)})
+		out = append(out, GroupFloat{Key: k, Value: fn(*lst)})
 		return true
 	})
 	return out
@@ -266,7 +266,7 @@ func emitHolisticArena(t kvTable[arena.List], ar *arena.Arena, fn HolisticFunc) 
 	var scratch []uint64
 	t.Iterate(func(k uint64, lst *arena.List) bool {
 		scratch = ar.AppendTo(scratch[:0], *lst)
-		out = append(out, GroupFloat{Key: k, Val: fn(scratch)})
+		out = append(out, GroupFloat{Key: k, Value: fn(scratch)})
 		return true
 	})
 	return out

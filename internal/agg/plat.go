@@ -181,7 +181,7 @@ func (e *platEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 			}
 			out := make([]GroupFloat, 0, merged.Len())
 			merged.Iterate(func(k uint64, st *avgState) bool {
-				out = append(out, GroupFloat{Key: k, Val: st.avg()})
+				out = append(out, GroupFloat{Key: k, Value: st.avg()})
 				return true
 			})
 			return out
@@ -213,7 +213,7 @@ func (e *platEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Grou
 			}
 			out := make([]GroupFloat, 0, merged.Len())
 			merged.Iterate(func(k uint64, lst *[]uint64) bool {
-				out = append(out, GroupFloat{Key: k, Val: fn(*lst)})
+				out = append(out, GroupFloat{Key: k, Value: fn(*lst)})
 				return true
 			})
 			return out
@@ -240,7 +240,7 @@ func (e *platEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint 
 			}
 			out := make([]GroupUint, 0, merged.Len())
 			merged.Iterate(func(k uint64, st *reduceState) bool {
-				out = append(out, GroupUint{Key: k, Val: st.val})
+				out = append(out, GroupUint{Key: k, Value: st.val})
 				return true
 			})
 			return out

@@ -206,7 +206,7 @@ func (e *radixEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 		lpBuildAvg(t, pkeys, pvals)
 		out := make([]GroupFloat, 0, t.Len())
 		t.Iterate(func(k uint64, st *avgState) bool {
-			out = append(out, GroupFloat{Key: k, Val: st.avg()})
+			out = append(out, GroupFloat{Key: k, Value: st.avg()})
 			return true
 		})
 		return out
@@ -248,7 +248,7 @@ func (e *radixEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint
 		lpBuildReduce(t, pkeys, pvals, op)
 		out := make([]GroupUint, 0, t.Len())
 		t.Iterate(func(k uint64, st *reduceState) bool {
-			out = append(out, GroupUint{Key: k, Val: st.val})
+			out = append(out, GroupUint{Key: k, Value: st.val})
 			return true
 		})
 		return out

@@ -52,8 +52,8 @@ func TestHashRXPartitionedPath(t *testing.T) {
 
 			wantQ2 := refVectorAvg(keys, vals)
 			for _, g := range e.VectorAvg(keys, vals) {
-				if math.Abs(g.Val-wantQ2[g.Key]) > 1e-9 {
-					t.Fatalf("card=%d p=%d Q2 key %d: %v want %v", card, p, g.Key, g.Val, wantQ2[g.Key])
+				if math.Abs(g.Value-wantQ2[g.Key]) > 1e-9 {
+					t.Fatalf("card=%d p=%d Q2 key %d: %v want %v", card, p, g.Key, g.Value, wantQ2[g.Key])
 				}
 			}
 
@@ -63,8 +63,8 @@ func TestHashRXPartitionedPath(t *testing.T) {
 				t.Fatalf("card=%d p=%d Q3: %d groups want %d", card, p, len(gotQ3), len(wantQ3))
 			}
 			for _, g := range gotQ3 {
-				if g.Val != wantQ3[g.Key] {
-					t.Fatalf("card=%d p=%d Q3 key %d: %v want %v", card, p, g.Key, g.Val, wantQ3[g.Key])
+				if g.Value != wantQ3[g.Key] {
+					t.Fatalf("card=%d p=%d Q3 key %d: %v want %v", card, p, g.Key, g.Value, wantQ3[g.Key])
 				}
 			}
 		}

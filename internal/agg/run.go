@@ -64,9 +64,9 @@ func Run(parts []Table, q Query, env RunEnv) (any, error) {
 	case QCountByKey:
 		return vector(&s, func(k uint64, p *Partial) GroupCount { return GroupCount{Key: k, Count: p.Count()} }), nil
 	case QAvgByKey:
-		return vector(&s, func(k uint64, p *Partial) GroupFloat { return GroupFloat{Key: k, Val: p.Avg()} }), nil
+		return vector(&s, func(k uint64, p *Partial) GroupFloat { return GroupFloat{Key: k, Value: p.Avg()} }), nil
 	case QReduce:
-		return vector(&s, func(k uint64, p *Partial) GroupUint { return GroupUint{Key: k, Val: p.Reduce(q.Op)} }), nil
+		return vector(&s, func(k uint64, p *Partial) GroupUint { return GroupUint{Key: k, Value: p.Reduce(q.Op)} }), nil
 	case QMedianByKey:
 		return s.holistic(MedianFunc), nil
 	case QQuantile:
@@ -146,7 +146,7 @@ func (s *scanner) holistic(fn HolisticFunc) []GroupFloat {
 		i, ar, buf := s.offs[q], s.parts[q].Ar, scratch[w]
 		s.parts[q].T.Iterate(func(k uint64, p *Partial) bool {
 			buf = p.AppendValues(ar, buf[:0])
-			out[i] = GroupFloat{Key: k, Val: fn(buf)}
+			out[i] = GroupFloat{Key: k, Value: fn(buf)}
 			i++
 			return true
 		})

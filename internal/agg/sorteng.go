@@ -133,13 +133,13 @@ func (e *sortEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 	var st avgState
 	for _, r := range buf {
 		if r.K != cur {
-			out = append(out, GroupFloat{Key: cur, Val: st.avg()})
+			out = append(out, GroupFloat{Key: cur, Value: st.avg()})
 			cur, st = r.K, avgState{}
 		}
 		st.sum += r.V
 		st.count++
 	}
-	out = append(out, GroupFloat{Key: cur, Val: st.avg()})
+	out = append(out, GroupFloat{Key: cur, Value: st.avg()})
 	e.releaseKV(buf)
 	return out
 }

@@ -28,8 +28,8 @@ type GroupCount struct {
 
 // GroupFloat is one row of a string-keyed vector AVG or MEDIAN result.
 type GroupFloat struct {
-	Key string
-	Val float64
+	Key   string
+	Value float64
 }
 
 // ErrUnsupported mirrors agg.ErrUnsupported for the string engines.
@@ -151,7 +151,7 @@ func (e *hashEngine) VectorAvg(keys []string, vals []uint64) []GroupFloat {
 	}
 	out := make([]GroupFloat, 0, t.Len())
 	t.Iterate(func(k string, st *avgState) bool {
-		out = append(out, GroupFloat{Key: k, Val: st.avg()})
+		out = append(out, GroupFloat{Key: k, Value: st.avg()})
 		return true
 	})
 	return out
@@ -165,7 +165,7 @@ func (e *hashEngine) VectorMedian(keys []string, vals []uint64) []GroupFloat {
 	}
 	out := make([]GroupFloat, 0, t.Len())
 	t.Iterate(func(k string, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Val: agg.Median(*lst)})
+		out = append(out, GroupFloat{Key: k, Value: agg.Median(*lst)})
 		return true
 	})
 	return out
@@ -211,7 +211,7 @@ func (treeEngine) VectorAvg(keys []string, vals []uint64) []GroupFloat {
 	}
 	out := make([]GroupFloat, 0, t.Len())
 	t.Iterate(func(k string, st *avgState) bool {
-		out = append(out, GroupFloat{Key: k, Val: st.avg()})
+		out = append(out, GroupFloat{Key: k, Value: st.avg()})
 		return true
 	})
 	return out
@@ -225,7 +225,7 @@ func (treeEngine) VectorMedian(keys []string, vals []uint64) []GroupFloat {
 	}
 	out := make([]GroupFloat, 0, t.Len())
 	t.Iterate(func(k string, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Val: agg.Median(*lst)})
+		out = append(out, GroupFloat{Key: k, Value: agg.Median(*lst)})
 		return true
 	})
 	return out
@@ -325,13 +325,13 @@ func (e *sortEngine) VectorAvg(keys []string, vals []uint64) []GroupFloat {
 	var st avgState
 	for _, r := range buf {
 		if r.K != cur {
-			out = append(out, GroupFloat{Key: cur, Val: st.avg()})
+			out = append(out, GroupFloat{Key: cur, Value: st.avg()})
 			cur, st = r.K, avgState{}
 		}
 		st.sum += r.V
 		st.count++
 	}
-	return append(out, GroupFloat{Key: cur, Val: st.avg()})
+	return append(out, GroupFloat{Key: cur, Value: st.avg()})
 }
 
 func (e *sortEngine) VectorMedian(keys []string, vals []uint64) []GroupFloat {
@@ -349,7 +349,7 @@ func (e *sortEngine) VectorMedian(keys []string, vals []uint64) []GroupFloat {
 			for _, r := range buf[start:i] {
 				scratch = append(scratch, r.V)
 			}
-			out = append(out, GroupFloat{Key: buf[start].K, Val: agg.Median(scratch)})
+			out = append(out, GroupFloat{Key: buf[start].K, Value: agg.Median(scratch)})
 			start = i
 		}
 	}

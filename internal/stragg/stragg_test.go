@@ -69,13 +69,13 @@ func TestAllEnginesAgreeOnAvgAndMedian(t *testing.T) {
 	for _, e := range Engines() {
 		for _, g := range e.VectorAvg(keys, vals) {
 			want := float64(sums[g.Key]) / float64(counts[g.Key])
-			if diff := g.Val - want; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("%s: avg of %q = %v want %v", e.Name(), g.Key, g.Val, want)
+			if diff := g.Value - want; diff > 1e-9 || diff < -1e-9 {
+				t.Fatalf("%s: avg of %q = %v want %v", e.Name(), g.Key, g.Value, want)
 			}
 		}
 		for _, g := range e.VectorMedian(keys, vals) {
-			if g.Val != wantMed[g.Key] {
-				t.Fatalf("%s: median of %q = %v want %v", e.Name(), g.Key, g.Val, wantMed[g.Key])
+			if g.Value != wantMed[g.Key] {
+				t.Fatalf("%s: median of %q = %v want %v", e.Name(), g.Key, g.Value, wantMed[g.Key])
 			}
 		}
 	}

@@ -49,11 +49,11 @@ func TestAppendChunkOwnedEquivalence(t *testing.T) {
 	ra, rb := a.Reduce(agg.OpSum), b.Reduce(agg.OpSum)
 	sums := make(map[uint64]uint64, len(ra))
 	for _, g := range ra {
-		sums[g.Key] = g.Val
+		sums[g.Key] = g.Value
 	}
 	for _, g := range rb {
-		if sums[g.Key] != g.Val {
-			t.Fatalf("key %d: copied sum %d, owned sum %d", g.Key, sums[g.Key], g.Val)
+		if sums[g.Key] != g.Value {
+			t.Fatalf("key %d: copied sum %d, owned sum %d", g.Key, sums[g.Key], g.Value)
 		}
 	}
 }
@@ -95,7 +95,7 @@ func TestAppendChunkPoolRecycling(t *testing.T) {
 	}
 	var total uint64
 	for _, g := range s.Snapshot().Reduce(agg.OpSum) {
-		total += g.Val
+		total += g.Value
 	}
 	if total != want {
 		t.Fatalf("sum of vals = %d want %d", total, want)

@@ -196,7 +196,7 @@ func TestAppendZeroExtendsVals(t *testing.T) {
 	}
 	sn := s.Snapshot()
 	rows := sn.Reduce(agg.OpSum)
-	if len(rows) != 1 || rows[0].Key != 5 || rows[0].Val != 4 {
+	if len(rows) != 1 || rows[0].Key != 5 || rows[0].Value != 4 {
 		t.Fatalf("sum rows = %+v want [{5 4}]", rows)
 	}
 	if sn.Count() != 3 {

@@ -109,17 +109,14 @@ type Options struct {
 	Allocator Allocator
 }
 
-// GroupCount is one row of a vector COUNT result.
-type GroupCount struct {
-	Key   uint64
-	Count uint64
-}
+// GroupCount is one row of a vector COUNT result (Q1, Q7).
+type GroupCount = agg.GroupCount
 
-// GroupValue is one row of a vector AVG or MEDIAN result.
-type GroupValue struct {
-	Key   uint64
-	Value float64
-}
+// GroupValue is one row of a vector AVG, MEDIAN, quantile or mode result.
+type GroupValue = agg.GroupFloat
+
+// GroupStat is one row of a SUM/MIN/MAX result.
+type GroupStat = agg.GroupUint
 
 // Aggregator executes aggregation queries over one backend. It is
 // stateless between calls and safe for concurrent use by multiple
@@ -184,20 +181,20 @@ func (a *Aggregator) Backend() Backend { return a.backend }
 // Row order is ascending by key for sort- and tree-based backends and
 // unspecified for hash-based ones.
 func (a *Aggregator) CountByKey(keys []uint64) []GroupCount {
-	return toCounts(a.engine.VectorCount(keys))
+	return nonNil(a.engine.VectorCount(keys))
 }
 
 // AvgByKey executes Q2: one (key, AVG(values)) row per distinct key.
 // values[i] belongs to keys[i]; a short values slice treats missing
 // values as zero.
 func (a *Aggregator) AvgByKey(keys, values []uint64) []GroupValue {
-	return toValues(a.engine.VectorAvg(keys, values))
+	return nonNil(a.engine.VectorAvg(keys, values))
 }
 
 // MedianByKey executes Q3 (holistic): one (key, MEDIAN(values)) row per
 // distinct key.
 func (a *Aggregator) MedianByKey(keys, values []uint64) []GroupValue {
-	return toValues(a.engine.VectorMedian(keys, values))
+	return nonNil(a.engine.VectorMedian(keys, values))
 }
 
 // Count executes Q4: COUNT(*) over the input.
@@ -225,73 +222,44 @@ func (a *Aggregator) CountRange(keys []uint64, lo, hi uint64) ([]GroupCount, err
 	if err != nil {
 		return nil, a.queryErr("CountRange", err)
 	}
-	return toCounts(rows), nil
-}
-
-// GroupStat is one row of a SUM/MIN/MAX result.
-type GroupStat struct {
-	Key   uint64
-	Value uint64
+	return nonNil(rows), nil
 }
 
 // SumByKey returns one (key, SUM(values)) row per distinct key.
 func (a *Aggregator) SumByKey(keys, values []uint64) []GroupStat {
-	return toStats(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpSum))
+	return nonNil(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpSum))
 }
 
 // MinByKey returns one (key, MIN(values)) row per distinct key.
 func (a *Aggregator) MinByKey(keys, values []uint64) []GroupStat {
-	return toStats(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpMin))
+	return nonNil(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpMin))
 }
 
 // MaxByKey returns one (key, MAX(values)) row per distinct key.
 func (a *Aggregator) MaxByKey(keys, values []uint64) []GroupStat {
-	return toStats(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpMax))
+	return nonNil(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpMax))
 }
 
 // QuantileByKey returns one (key, q-quantile of values) row per distinct
 // key, by the nearest-rank method. Holistic: each group's full value set
 // is buffered during the build.
 func (a *Aggregator) QuantileByKey(keys, values []uint64, q float64) []GroupValue {
-	return toValues(agg.AsReducer(a.engine).VectorHolistic(keys, values, agg.QuantileFunc(q)))
+	return nonNil(agg.AsReducer(a.engine).VectorHolistic(keys, values, agg.QuantileFunc(q)))
 }
 
 // ModeByKey returns one (key, most frequent value) row per distinct key.
 // Holistic.
 func (a *Aggregator) ModeByKey(keys, values []uint64) []GroupValue {
-	return toValues(agg.AsReducer(a.engine).VectorHolistic(keys, values, agg.ModeFunc))
+	return nonNil(agg.AsReducer(a.engine).VectorHolistic(keys, values, agg.ModeFunc))
 }
 
-// ErrUnsupported reports a query the chosen backend cannot execute (see
-// Median and CountRange). Same value as ErrUnsupportedQuery.
-var ErrUnsupported = agg.ErrUnsupported
-
-// convertRows maps an internal result-row slice onto its public mirror —
-// the one copy loop behind every to* converter.
-func convertRows[I, O any](rows []I, conv func(I) O) []O {
-	out := make([]O, len(rows))
-	for i, r := range rows {
-		out[i] = conv(r)
+// nonNil returns rows, or an empty slice where the engine answered nil:
+// the batch vector methods answer empty input with [], not nil.
+func nonNil[T any](rows []T) []T {
+	if rows == nil {
+		return []T{}
 	}
-	return out
-}
-
-func toStats(rows []agg.GroupUint) []GroupStat {
-	return convertRows(rows, func(r agg.GroupUint) GroupStat {
-		return GroupStat{Key: r.Key, Value: r.Val}
-	})
-}
-
-func toCounts(rows []agg.GroupCount) []GroupCount {
-	return convertRows(rows, func(r agg.GroupCount) GroupCount {
-		return GroupCount{Key: r.Key, Count: r.Count}
-	})
-}
-
-func toValues(rows []agg.GroupFloat) []GroupValue {
-	return convertRows(rows, func(r agg.GroupFloat) GroupValue {
-		return GroupValue{Key: r.Key, Value: r.Val}
-	})
+	return rows
 }
 
 // --- dataset generation --------------------------------------------------------

@@ -2,6 +2,8 @@ package memagg
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -70,7 +72,7 @@ func TestMedianAndRangeSupportMatrix(t *testing.T) {
 		_, merr := a.Median(keys)
 		_, rerr := a.CountRange(keys, 10, 50)
 		if hashBackends[b] {
-			if !errors.Is(merr, ErrUnsupported) || !errors.Is(rerr, ErrUnsupported) {
+			if !errors.Is(merr, ErrUnsupportedQuery) || !errors.Is(rerr, ErrUnsupportedQuery) {
 				t.Fatalf("%s: hash backend should reject Q6/Q7 (got %v, %v)", b, merr, rerr)
 			}
 			continue
@@ -251,7 +253,7 @@ func TestStringAggregatorRoundTrip(t *testing.T) {
 			t.Fatalf("%s: avg/median group counts wrong", b)
 		}
 		m, err := a.MedianKey(keys)
-		if errors.Is(err, ErrUnsupported) {
+		if errors.Is(err, ErrUnsupportedQuery) {
 			if b != StrHashLP && b != StrHashSC {
 				t.Fatalf("%s rejected MedianKey", b)
 			}
@@ -259,7 +261,7 @@ func TestStringAggregatorRoundTrip(t *testing.T) {
 			t.Fatalf("%s: median key %q want b", b, m)
 		}
 		pr, err := a.CountByPrefix(keys, "b")
-		if errors.Is(err, ErrUnsupported) {
+		if errors.Is(err, ErrUnsupportedQuery) {
 			continue
 		}
 		if len(pr) != 1 || pr[0].Count != 3 {
@@ -268,5 +270,96 @@ func TestStringAggregatorRoundTrip(t *testing.T) {
 	}
 	if _, err := NewStrings("bogus"); err == nil {
 		t.Fatal("bogus string backend accepted")
+	}
+}
+
+// TestResultsOwnedAndNonNil pins two properties of the batch vector
+// results, which are the engines' own row slices: a result is not changed
+// by a later call on other input (under the arena allocator the sort
+// engines recycle their working buffers across calls), and empty input
+// answers a non-nil, zero-length slice.
+func TestResultsOwnedAndNonNil(t *testing.T) {
+	keysA, err := Generate(Zipf, 5000, 300, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keysB, err := Generate(RseqShf, 8000, 700, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valsA, valsB := GenerateValues(len(keysA), 11), GenerateValues(len(keysB), 12)
+
+	for _, b := range Backends() {
+		for _, al := range Allocators() {
+			name := fmt.Sprintf("%s/%s", b, al)
+			a, err := New(b, Options{Threads: 2, Allocator: al})
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := a.CountByKey(keysA)
+			medians := a.MedianByKey(keysA, valsA)
+			sums := a.SumByKey(keysA, valsA)
+			quantiles := a.QuantileByKey(keysA, valsA, 0.9)
+			wantCounts, wantMedians := slices.Clone(counts), slices.Clone(medians)
+			wantSums, wantQuantiles := slices.Clone(sums), slices.Clone(quantiles)
+
+			a.CountByKey(keysB)
+			a.MedianByKey(keysB, valsB)
+			a.SumByKey(keysB, valsB)
+			a.QuantileByKey(keysB, valsB, 0.9)
+			if !slices.Equal(counts, wantCounts) || !slices.Equal(medians, wantMedians) ||
+				!slices.Equal(sums, wantSums) || !slices.Equal(quantiles, wantQuantiles) {
+				t.Fatalf("%s: a later call on other input changed an earlier result", name)
+			}
+
+			checkEmpty(t, name+" CountByKey", a.CountByKey(nil))
+			checkEmpty(t, name+" AvgByKey", a.AvgByKey(nil, nil))
+			checkEmpty(t, name+" MedianByKey", a.MedianByKey(nil, nil))
+			checkEmpty(t, name+" SumByKey", a.SumByKey(nil, nil))
+			checkEmpty(t, name+" MinByKey", a.MinByKey(nil, nil))
+			checkEmpty(t, name+" MaxByKey", a.MaxByKey(nil, nil))
+			checkEmpty(t, name+" QuantileByKey", a.QuantileByKey(nil, nil, 0.5))
+			checkEmpty(t, name+" ModeByKey", a.ModeByKey(nil, nil))
+			if rows, err := a.CountRange(nil, 0, 10); err == nil {
+				checkEmpty(t, name+" CountRange", rows)
+			}
+		}
+	}
+
+	strA := make([]string, len(keysA))
+	for i, k := range keysA {
+		strA[i] = fmt.Sprintf("k%d", k)
+	}
+	strB := make([]string, len(keysB))
+	for i, k := range keysB {
+		strB[i] = fmt.Sprintf("key-%d", k)
+	}
+	for _, b := range StringBackends() {
+		a, err := NewStrings(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := a.CountByKey(strA)
+		medians := a.MedianByKey(strA, valsA)
+		wantCounts, wantMedians := slices.Clone(counts), slices.Clone(medians)
+		a.CountByKey(strB)
+		a.MedianByKey(strB, valsB)
+		if !slices.Equal(counts, wantCounts) || !slices.Equal(medians, wantMedians) {
+			t.Fatalf("%s: a later call on other input changed an earlier result", b)
+		}
+
+		checkEmpty(t, string(b)+" CountByKey", a.CountByKey(nil))
+		checkEmpty(t, string(b)+" AvgByKey", a.AvgByKey(nil, nil))
+		checkEmpty(t, string(b)+" MedianByKey", a.MedianByKey(nil, nil))
+		if rows, err := a.CountByPrefix(nil, "k"); err == nil {
+			checkEmpty(t, string(b)+" CountByPrefix", rows)
+		}
+	}
+}
+
+func checkEmpty[T any](t *testing.T, what string, rows []T) {
+	t.Helper()
+	if rows == nil || len(rows) != 0 {
+		t.Fatalf("%s on empty input = %#v, want a non-nil empty slice", what, rows)
 	}
 }

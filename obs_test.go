@@ -43,10 +43,6 @@ func TestTypedErrors(t *testing.T) {
 	if qe.Backend != HashLP || qe.Query != "Median" {
 		t.Fatalf("QueryError = %+v; want backend Hash_LP, query Median", qe)
 	}
-	// Back-compat: the old sentinel name still matches.
-	if !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("Median err = %v; want ErrUnsupported (legacy alias)", err)
-	}
 }
 
 func TestStreamCloseIdempotent(t *testing.T) {
@@ -57,8 +53,8 @@ func TestStreamCloseIdempotent(t *testing.T) {
 	if err := s.Close(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("second Close = %v; want ErrClosed", err)
 	}
-	if err := s.AppendChunk(Chunk{Keys: []uint64{1}, Vals: []uint64{1}}); !errors.Is(err, ErrStreamClosed) {
-		t.Fatalf("Append after Close = %v; want ErrStreamClosed", err)
+	if err := s.AppendChunk(Chunk{Keys: []uint64{1}, Vals: []uint64{1}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after Close = %v; want ErrClosed", err)
 	}
 }
 

@@ -149,6 +149,18 @@ if [ "$n" -gt 0 ]; then
 	exit 1
 fi
 
+# Structural guard — one row type per result shape: the kernels' row
+# types (internal/agg, internal/stragg) are the public ones, aliased by the
+# facade, so no other non-test file declares a Group*/StringGroup* row
+# struct or a converter copying rows between two such types. The pattern
+# is anchored so internal/memsim's sparseGroupSim does not match.
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/*' ! -path './internal/stragg/*' ! -path './.*/*' |
+	xargs grep -nE '^type (String)?Group[A-Z][A-Za-z]* struct|^(func|var) (convertRows|ResultRows)[[( =]' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test row structs or row converters outside internal/agg and internal/stragg" >&2
+	exit 1
+fi
+
 go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./internal/hashtbl/...
 # The partition-set owner is tested directly: agg.Fold against a
 # single-table MergeTable reference (fan-outs 0/1/4/6, values on and off,

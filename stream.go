@@ -243,51 +243,34 @@ func (sn *StreamSnapshot) EncodePartials(dst []byte) ([]byte, error) {
 }
 
 // Run executes one parsed query (see agg.ParseQuery for the vocabulary)
-// and returns its result in the public row types — see ResultRows. It is
-// the untyped form of the methods below, for callers that dispatch on a
-// query name (cmd/aggserve); both go through the same kernels. A holistic
-// query on a distributive stream is ErrUnsupported.
-func (sn *StreamSnapshot) Run(q agg.Query) (any, error) {
-	v, err := sn.sn.Run(q)
-	return ResultRows(v), err
-}
+// and returns its result: []GroupCount (q1, q7), []GroupValue (q2, q3,
+// quantile, mode), []GroupStat (sum/min/max), uint64 (q4) or float64
+// (q5, q6). It is the untyped form of the methods below, for callers that
+// dispatch on a query name (cmd/aggserve); both go through the same
+// kernels. A holistic query on a distributive stream is
+// ErrUnsupportedQuery.
+func (sn *StreamSnapshot) Run(q agg.Query) (any, error) { return sn.sn.Run(q) }
 
 // CountByKey executes Q1: one (key, COUNT(*)) row per distinct key.
-func (sn *StreamSnapshot) CountByKey() []GroupCount { return toCounts(sn.sn.CountByKey()) }
+func (sn *StreamSnapshot) CountByKey() []GroupCount { return sn.sn.CountByKey() }
 
 // AvgByKey executes Q2: one (key, AVG(values)) row per distinct key.
-func (sn *StreamSnapshot) AvgByKey() []GroupValue { return toValues(sn.sn.AvgByKey()) }
+func (sn *StreamSnapshot) AvgByKey() []GroupValue { return sn.sn.AvgByKey() }
 
 // MedianByKey executes Q3 (holistic): one (key, MEDIAN(values)) row per
 // distinct key. Requires a holistic stream (StreamOptions.Holistic or a
-// holistic workload); otherwise ErrUnsupported.
-func (sn *StreamSnapshot) MedianByKey() ([]GroupValue, error) {
-	rows, err := sn.sn.MedianByKey()
-	if err != nil {
-		return nil, err
-	}
-	return toValues(rows), nil
-}
+// holistic workload); otherwise ErrUnsupportedQuery.
+func (sn *StreamSnapshot) MedianByKey() ([]GroupValue, error) { return sn.sn.MedianByKey() }
 
 // QuantileByKey returns one (key, q-quantile of values) row per distinct
 // key by the nearest-rank method. Holistic streams only.
 func (sn *StreamSnapshot) QuantileByKey(q float64) ([]GroupValue, error) {
-	rows, err := sn.sn.QuantileByKey(q)
-	if err != nil {
-		return nil, err
-	}
-	return toValues(rows), nil
+	return sn.sn.QuantileByKey(q)
 }
 
 // ModeByKey returns one (key, most frequent value) row per distinct key.
 // Holistic streams only.
-func (sn *StreamSnapshot) ModeByKey() ([]GroupValue, error) {
-	rows, err := sn.sn.ModeByKey()
-	if err != nil {
-		return nil, err
-	}
-	return toValues(rows), nil
-}
+func (sn *StreamSnapshot) ModeByKey() ([]GroupValue, error) { return sn.sn.ModeByKey() }
 
 // Count executes Q4: COUNT(*) over the snapshot — its watermark.
 func (sn *StreamSnapshot) Count() uint64 { return sn.sn.Count() }
@@ -303,28 +286,20 @@ func (sn *StreamSnapshot) Median() (float64, error) { return sn.sn.Median() }
 // CountRange executes Q7: Q1 restricted to lo <= key <= hi, rows
 // ascending by key.
 func (sn *StreamSnapshot) CountRange(lo, hi uint64) ([]GroupCount, error) {
-	rows, err := sn.sn.CountRange(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return toCounts(rows), nil
+	return sn.sn.CountRange(lo, hi)
 }
 
 // SumByKey returns one (key, SUM(values)) row per distinct key.
-func (sn *StreamSnapshot) SumByKey() []GroupStat { return toStats(sn.sn.Reduce(agg.OpSum)) }
+func (sn *StreamSnapshot) SumByKey() []GroupStat { return sn.sn.Reduce(agg.OpSum) }
 
 // MinByKey returns one (key, MIN(values)) row per distinct key.
-func (sn *StreamSnapshot) MinByKey() []GroupStat { return toStats(sn.sn.Reduce(agg.OpMin)) }
+func (sn *StreamSnapshot) MinByKey() []GroupStat { return sn.sn.Reduce(agg.OpMin) }
 
 // MaxByKey returns one (key, MAX(values)) row per distinct key.
-func (sn *StreamSnapshot) MaxByKey() []GroupStat { return toStats(sn.sn.Reduce(agg.OpMax)) }
+func (sn *StreamSnapshot) MaxByKey() []GroupStat { return sn.sn.Reduce(agg.OpMax) }
 
 // MetricsRegistry exposes the stream's metric registry for embedding in a
 // metrics endpoint: serve it alongside the process-global registry with
 // obs.WritePrometheus (see cmd/aggserve). Typed access goes through
 // Metrics and Stats instead.
 func (s *Stream) MetricsRegistry() *obs.Registry { return s.s.Registry() }
-
-// ErrStreamClosed reports an AppendChunk or Flush on a closed stream. Same
-// value as ErrClosed.
-var ErrStreamClosed = stream.ErrClosed

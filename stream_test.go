@@ -111,8 +111,8 @@ func TestStreamMatchesAggregator(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendChunk(Chunk{Keys: keys[:1], Vals: vals[:1]}); err != ErrStreamClosed {
-		t.Fatalf("Append after Close = %v want ErrStreamClosed", err)
+	if err := s.AppendChunk(Chunk{Keys: keys[:1], Vals: vals[:1]}); err != ErrClosed {
+		t.Fatalf("Append after Close = %v want ErrClosed", err)
 	}
 	// Queries still serve after Close, now over the merged base.
 	checkCounts(t, "Q1 after Close", s.Snapshot().CountByKey(), batch.CountByKey(keys))
@@ -133,8 +133,8 @@ func TestStreamWorkloadDerivation(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Snapshot().MedianByKey(); err != ErrUnsupported {
-		t.Fatalf("MedianByKey on distributive stream = %v want ErrUnsupported", err)
+	if _, err := s.Snapshot().MedianByKey(); err != ErrUnsupportedQuery {
+		t.Fatalf("MedianByKey on distributive stream = %v want ErrUnsupportedQuery", err)
 	}
 
 	h := NewStream(StreamOptions{Workload: Workload{Function: Holistic, Multithreaded: true}})

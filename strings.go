@@ -32,16 +32,10 @@ func StringBackends() []StringBackend {
 }
 
 // StringGroupCount is one row of a string-keyed COUNT result.
-type StringGroupCount struct {
-	Key   string
-	Count uint64
-}
+type StringGroupCount = stragg.GroupCount
 
 // StringGroupValue is one row of a string-keyed AVG or MEDIAN result.
-type StringGroupValue struct {
-	Key   string
-	Value float64
-}
+type StringGroupValue = stragg.GroupFloat
 
 // StringAggregator executes aggregation queries over string keys with one
 // backend. Like Aggregator, it is stateless between calls.
@@ -66,54 +60,37 @@ func (a *StringAggregator) Backend() StringBackend { return a.backend }
 // Order is lexicographic for sort- and tree-based backends, unspecified
 // for hash-based ones.
 func (a *StringAggregator) CountByKey(keys []string) []StringGroupCount {
-	rows := a.engine.VectorCount(keys)
-	out := make([]StringGroupCount, len(rows))
-	for i, r := range rows {
-		out[i] = StringGroupCount{Key: r.Key, Count: r.Count}
-	}
-	return out
+	return nonNil(a.engine.VectorCount(keys))
 }
 
 // AvgByKey returns one (key, AVG(values)) row per distinct key.
 func (a *StringAggregator) AvgByKey(keys []string, values []uint64) []StringGroupValue {
-	return toStrValues(a.engine.VectorAvg(keys, values))
+	return nonNil(a.engine.VectorAvg(keys, values))
 }
 
 // MedianByKey returns one (key, MEDIAN(values)) row per distinct key
 // (holistic).
 func (a *StringAggregator) MedianByKey(keys []string, values []uint64) []StringGroupValue {
-	return toStrValues(a.engine.VectorMedian(keys, values))
+	return nonNil(a.engine.VectorMedian(keys, values))
 }
 
 // MedianKey returns the lexicographic median key (lower middle for even
-// counts). Hash backends return ErrUnsupported.
+// counts). Hash backends return ErrUnsupportedQuery.
 func (a *StringAggregator) MedianKey(keys []string) (string, error) {
 	s, err := a.engine.ScalarMedianKey(keys)
 	if err != nil {
-		return "", ErrUnsupported
+		return "", ErrUnsupportedQuery
 	}
 	return s, nil
 }
 
 // CountByPrefix returns CountByKey restricted to keys starting with
 // prefix — the string analog of CountRange. Hash backends return
-// ErrUnsupported.
+// ErrUnsupportedQuery.
 func (a *StringAggregator) CountByPrefix(keys []string, prefix string) ([]StringGroupCount, error) {
 	rows, err := a.engine.PrefixCount(keys, prefix)
 	if err != nil {
-		return nil, ErrUnsupported
+		return nil, ErrUnsupportedQuery
 	}
-	out := make([]StringGroupCount, len(rows))
-	for i, r := range rows {
-		out[i] = StringGroupCount{Key: r.Key, Count: r.Count}
-	}
-	return out, nil
-}
-
-func toStrValues(rows []stragg.GroupFloat) []StringGroupValue {
-	out := make([]StringGroupValue, len(rows))
-	for i, r := range rows {
-		out[i] = StringGroupValue{Key: r.Key, Value: r.Val}
-	}
-	return out
+	return nonNil(rows), nil
 }

@@ -9,9 +9,8 @@ import (
 
 // ViewSpec defines a continuous view: a named standing query maintained
 // incrementally over a tumbling or sliding window of the stream, in
-// watermark (arrival) order. Reading a view costs a merge of its live
-// panes — or a pointer load when nothing sealed since the last read —
-// instead of a recompute over the window's rows.
+// watermark (arrival) order. Every read folds the view's live panes into
+// a fresh result instead of recomputing over the window's rows.
 type ViewSpec struct {
 	// Name identifies the view; non-empty, no '/', at most 128 bytes.
 	Name string
@@ -169,7 +168,7 @@ func toViewInfo(in cview.Info) ViewInfo {
 }
 
 func toViewResult(res *cview.Result) *ViewResult {
-	out := &ViewResult{
+	return &ViewResult{
 		Name:        res.Name,
 		Query:       res.Query.String(),
 		WindowStart: res.WindowStart,
@@ -179,25 +178,6 @@ func toViewResult(res *cview.Result) *ViewResult {
 		Groups:      res.Groups,
 		Version:     res.Version,
 		Truncated:   res.Truncated,
+		Value:       res.Value,
 	}
-	out.Value = ResultRows(res.Value)
-	return out
-}
-
-// ResultRows converts an internal query result (what agg.Run, a cluster
-// gather, or a view read returns) to the public row types: []GroupCount
-// (q1, q7), []GroupValue (q2, q3, quantile, mode), []GroupStat
-// (sum/min/max); the scalars — uint64 (q4), float64 (q5, q6) — pass
-// through. It is the one converter behind StreamSnapshot.Run, ViewResult
-// and the aggserve router, so every serving path encodes the same shapes.
-func ResultRows(v any) any {
-	switch rows := v.(type) {
-	case []agg.GroupCount:
-		return toCounts(rows)
-	case []agg.GroupFloat:
-		return toValues(rows)
-	case []agg.GroupUint:
-		return toStats(rows)
-	}
-	return v
 }
