@@ -55,10 +55,11 @@ var (
 	ErrBadView = cview.ErrBadSpec
 )
 
-// QueryError reports a query an Aggregator's backend cannot execute,
-// carrying which backend and which query for error reports that span many
-// backends (the harness, the HTTP server). It wraps ErrUnsupportedQuery:
-// errors.Is(err, memagg.ErrUnsupportedQuery) holds.
+// QueryError reports a query an Aggregator's or StringAggregator's backend
+// cannot execute, carrying which backend and which query for error reports
+// that span many backends (the harness, the HTTP server). Backend holds
+// the StringBackend name for string aggregators. It wraps
+// ErrUnsupportedQuery: errors.Is(err, memagg.ErrUnsupportedQuery) holds.
 type QueryError struct {
 	Backend Backend
 	Query   string

@@ -45,18 +45,23 @@ func scatter(keys, vals []uint64, bits, workers int) *radix.Partitioned {
 }
 
 // Fold folds the groups of srcs (plain tables, any layout) into the
-// partition set base and returns the result as a new set of base's
-// length, copy-on-write: base and srcs are never mutated. The sources'
-// groups are flattened into key/reference columns and scattered with the
-// Hash_RX partitioner; each partition is then rebuilt independently —
-// copy of the base partition, then the source groups that landed there —
-// across workers on the morsel partition cursor. Partitions that received
-// no source groups are shared with base by pointer (both are immutable,
-// so structural sharing is free): a fold of a small delta rebuilds only
-// the partitions it touches. withValues carries the value multisets along.
-// The result is a pure function of the inputs' contents and iteration
-// order — the same tables in the same order at any worker count.
-func Fold(base, srcs []Table, withValues bool, workers int) []Table {
+// partition set base and returns the result as a set of base's length,
+// plus the number of partitions folded in place. srcs are never mutated;
+// base partition q is mutated only when own[q] is set (the caller holds
+// the only reference to it), and nil own means copy-on-write everywhere.
+// The sources' groups are flattened into key/reference columns and
+// scattered with the Hash_RX partitioner; each partition then folds
+// independently across workers on the morsel partition cursor. A touched
+// partition the caller owns takes the source groups straight into its
+// table — Wen et al.'s update-in-place build; any other touched partition
+// is rebuilt as a copy of the base partition plus those groups.
+// Partitions that received no source groups are shared with base by
+// pointer: a fold of a small delta rebuilds only the partitions it
+// touches. withValues carries the value multisets along. The result's
+// groups are a pure function of the inputs' contents, in place or not,
+// and for a given mask its tables and their iteration order are the same
+// at any worker count.
+func Fold(base, srcs []Table, own []bool, withValues bool, workers int) ([]Table, int) {
 	bits := partBits(base)
 	total := 0
 	for _, t := range srcs {
@@ -81,27 +86,37 @@ func Fold(base, srcs []Table, withValues bool, workers int) []Table {
 	}
 
 	pt := scatter(keys, refs, bits, workers)
+	inPlace := func(q int) bool { return own != nil && own[q] && base[q].T != nil }
 	parts := make([]Table, len(base))
 	morsel.Parts(len(base), workers, func(_, q int) {
-		if pk := pt.PartKeys(q); len(pk) > 0 {
-			parts[q] = foldPart(base[q], pk, pt.PartVals(q), ps, srcs, withValues)
-		} else {
-			parts[q] = base[q] // untouched: share with the base
+		parts[q] = base[q] // untouched, or folded in place: the base's table
+		pk := pt.PartKeys(q)
+		if len(pk) == 0 {
+			return
 		}
+		if !inPlace(q) {
+			parts[q] = NewTable(base[q].Len() + len(pk))
+			if base[q].T != nil {
+				MergeTable(parts[q], base[q], withValues)
+			}
+		}
+		foldPart(parts[q], pk, pt.PartVals(q), ps, srcs, withValues)
 	})
-	return parts
+	n := 0
+	for q := range parts {
+		if inPlace(q) && len(pt.PartKeys(q)) > 0 {
+			n++
+		}
+	}
+	return parts, n
 }
 
-// foldPart is one partition of Fold: a copy of the base partition bp,
-// then the source groups that landed there (keys pk, references pr into
-// ps and srcs). The groups land via the same blocked-hash loop as the
-// batch kernels: pk is a plain column, so the blocks need no staging (a
-// short last block hashes key by key).
-func foldPart(bp Table, pk, pr []uint64, ps []*Partial, srcs []Table, withValues bool) Table {
-	nt := NewTable(bp.Len() + len(pk))
-	if bp.T != nil {
-		MergeTable(nt, bp, withValues)
-	}
+// foldPart is one partition of Fold: it upserts the source groups that
+// landed in the partition (keys pk, references pr into ps and srcs) into
+// dst. The groups land via the same blocked-hash loop as the batch
+// kernels: pk is a plain column, so the blocks need no staging (a short
+// last block hashes key by key).
+func foldPart(dst Table, pk, pr []uint64, ps []*Partial, srcs []Table, withValues bool) {
 	var h [hashBatch]uint64
 	for j := 0; j < len(pk); j += hashBatch {
 		bk := pk[j:min(j+hashBatch, len(pk))]
@@ -115,14 +130,13 @@ func foldPart(bp Table, pk, pr []uint64, ps []*Partial, srcs []Table, withValues
 		for i, k := range bk {
 			r := pr[j+i]
 			p := ps[uint32(r)]
-			np := nt.T.UpsertH(k, h[i])
+			np := dst.T.UpsertH(k, h[i])
 			np.Merge(p)
 			if withValues {
-				np.MergeValues(nt.Ar, p, srcs[r>>32].Ar)
+				np.MergeValues(dst.Ar, p, srcs[r>>32].Ar)
 			}
 		}
 	}
-	return nt
 }
 
 // Absorb folds raw rows (vals[i] belongs to keys[i], equal length) into

@@ -84,7 +84,9 @@ func randRows(rng *rand.Rand, n int, pick func() uint64) (keys, vals []uint64) {
 // counts: the same groups with the same state, every key in its
 // PartitionIndex partition, partitions no source touched shared with the
 // base by pointer, base and sources untouched — and the same tables in
-// the same iteration order at every worker count.
+// the same iteration order at every worker count. With an ownership mask
+// the same groups land, owned partitions fold in place, and partitions
+// the caller does not own are left as they were.
 func TestFold(t *testing.T) {
 	for _, bits := range []int{0, 1, 4, 6} {
 		for _, holistic := range []bool{false, true} {
@@ -124,10 +126,20 @@ func TestFold(t *testing.T) {
 			}
 			want := dumpTables(t, ref)
 
+			touched := make([]bool, len(base))
+			for _, s := range srcs {
+				for k := range dumpTables(t, s) {
+					touched[radix.PartitionIndex(k, bits)] = true
+				}
+			}
+
 			var firstOrder []uint64
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("bits=%d holistic=%v workers=%d", bits, holistic, workers)
-				got := Fold(base, srcs, holistic, workers)
+				got, n := Fold(base, srcs, nil, holistic, workers)
+				if n != 0 {
+					t.Fatalf("%s: copy-on-write fold reports %d partitions in place", label, n)
+				}
 				if len(got) != len(base) {
 					t.Fatalf("%s: %d partitions, want %d", label, len(got), len(base))
 				}
@@ -150,6 +162,43 @@ func TestFold(t *testing.T) {
 					firstOrder = o
 				} else if !slices.Equal(o, firstOrder) {
 					t.Fatalf("%s: iteration order differs from workers=1", label)
+				}
+
+				// In place: a fresh copy of the base with every even partition
+				// owned. Owned touched partitions keep their table, the rest
+				// are copied, and no partition the caller does not own changes.
+				ib := make([]Table, len(base))
+				Absorb(ib, bk, bv, holistic, 1)
+				own := make([]bool, len(ib))
+				var shared []Table
+				for q := range own {
+					if own[q] = q%2 == 0; !own[q] {
+						shared = append(shared, ib[q])
+					}
+				}
+				sharedBefore := dumpTables(t, shared...)
+				got, n = Fold(ib, srcs, own, holistic, workers)
+				checkLayout(t, label+" in place", got, bits)
+				if g := dumpTables(t, got...); !reflect.DeepEqual(g, want) {
+					t.Fatalf("%s: in-place fold differs from the MergeTable reference", label)
+				}
+				wantN := 0
+				for q := range got {
+					switch inPlace := own[q] && ib[q].T != nil; {
+					case touched[q] && inPlace:
+						wantN++
+						if got[q].T != ib[q].T || got[q].Ar != ib[q].Ar {
+							t.Fatalf("%s: owned partition %d was copied, want folded in place", label, q)
+						}
+					case touched[q] && got[q].T == ib[q].T:
+						t.Fatalf("%s: partition %d not owned but folded in place", label, q)
+					}
+				}
+				if n != wantN {
+					t.Fatalf("%s: %d partitions reported in place, want %d", label, n, wantN)
+				}
+				if !reflect.DeepEqual(dumpTables(t, shared...), sharedBefore) {
+					t.Fatalf("%s: a partition the caller does not own was mutated", label)
 				}
 			}
 		}

@@ -385,7 +385,8 @@ type View struct {
 // queues the sealed delta's table, and the merges run when somebody needs
 // the pane's table — a read, a pane snapshot, or the pending cap. That
 // keeps the seal-publication path O(1) per view, and a pane evicted
-// before it is ever read never pays for its merges at all.
+// before it is ever read never pays for its merges, or for its table, at
+// all. A pane with no table (nil T) holds no groups.
 type pane struct {
 	idx uint64
 	agg.Table
@@ -394,7 +395,8 @@ type pane struct {
 	pending []agg.Table // sealed deltas not yet merged in
 }
 
-// paneTableCap seeds a fresh pane's table; it grows like any delta table.
+// paneTableCap seeds a pane's table when its first fold settles; it grows
+// like any delta table.
 const paneTableCap = 1 << 8
 
 // maxPendingFolds bounds a pane's deferred-fold queue. Each queued fold
@@ -405,12 +407,17 @@ const maxPendingFolds = 32
 
 // settle merges the pane's queued deltas into its table with
 // agg.MergeTable, value multisets only for views whose query needs them.
-// Callers hold the owning view's mu.
+// The table is created here, on the pane's first settle: a pane evicted
+// before anything reads it never allocates one. Callers hold the owning
+// view's mu.
 func (p *pane) settle(m *Metrics, withValues bool) {
 	if len(p.pending) == 0 {
 		return
 	}
 	mk := obs.Start()
+	if p.T == nil {
+		p.Table = agg.NewTable(paneTableCap)
+	}
 	for _, d := range p.pending {
 		agg.MergeTable(p.Table, d, withValues)
 	}
@@ -497,7 +504,7 @@ func (v *View) open(r *Registry, pIdx uint64) *pane {
 		v.evicted += uint64(drop)
 		r.m.PanesEvicted.Add(uint64(drop))
 	}
-	p := &pane{idx: pIdx, Table: agg.NewTable(paneTableCap)}
+	p := &pane{idx: pIdx}
 	v.panes = append(v.panes, p)
 	r.m.PanesOpened.Inc()
 	return p

@@ -368,3 +368,79 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("empty dir: got %v, %v", saved, err)
 	}
 }
+
+// TestUnsettledPaneRoundTrip: a pane gets its table only when its first
+// queued fold settles. A pane persisted or read straight after it opened
+// (folds still queued, no table yet), and a restored pane that holds no
+// groups at all (no table, nothing queued), must read, persist and reload
+// like any other — and the empty one must take a later fold.
+func TestUnsettledPaneRoundTrip(t *testing.T) {
+	sp := Spec{Name: "counts", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 100, Panes: 2, Sliding: true}
+	want := func(keys []uint64) []agg.GroupCount {
+		return sortValue(agg.HashLP().VectorCount(keys)).([]agg.GroupCount)
+	}
+	read := func(r *Registry) *Result {
+		t.Helper()
+		res, err := r.Result(sp.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortValue(res.Value)
+		return res
+	}
+	reload := func(r *Registry) *Registry {
+		t.Helper()
+		fs := wal.NewMemFS()
+		if err := r.SaveDefs(fs, "cv"); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SavePanes(fs, "cv"); err != nil {
+			t.Fatal(err)
+		}
+		saved, err := Load(fs, "cv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2 := NewRegistry(false, 2, 2, nil)
+		for _, sv := range saved {
+			if err := r2.Restore(sv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r2
+	}
+
+	// Persisted, then read, before any settle.
+	r := NewRegistry(false, 2, 2, nil)
+	if err := r.Register(sp, 0); err != nil {
+		t.Fatal(err)
+	}
+	k, v := rows(0, 60, 16)
+	seal(r, 0, k, v)
+	if p := r.views[sp.Name].panes[0]; p.T != nil || len(p.pending) != 1 {
+		t.Fatalf("fresh pane: table allocated %v, %d folds queued; want none, 1", p.T != nil, len(p.pending))
+	}
+	if got := read(reload(r)); got.Rows != 60 || !reflect.DeepEqual(got.Value, want(k)) {
+		t.Fatalf("persisted unsettled pane reloads as %d rows %v", got.Rows, got.Value)
+	}
+	if got := read(r); got.Rows != 60 || !reflect.DeepEqual(got.Value, want(k)) {
+		t.Fatalf("unsettled pane reads %d rows %v", got.Rows, got.Value)
+	}
+
+	// A restored pane with no groups: no table, nothing queued.
+	r = NewRegistry(false, 2, 2, nil)
+	if err := r.Restore(Saved{Spec: sp, Panes: []SavedPane{{Idx: 0}}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(r); got.PanesLive != 1 || got.Groups != 0 || len(got.Value.([]agg.GroupCount)) != 0 {
+		t.Fatalf("empty pane reads %d panes, %d groups, %v", got.PanesLive, got.Groups, got.Value)
+	}
+	r = reload(r)
+	if got := read(r); got.PanesLive != 1 || got.Groups != 0 {
+		t.Fatalf("empty pane reloads as %d panes, %d groups", got.PanesLive, got.Groups)
+	}
+	seal(r, 0, k, v)
+	if got := read(r); got.PanesLive != 1 || got.Rows != 60 || !reflect.DeepEqual(got.Value, want(k)) {
+		t.Fatalf("empty pane after a fold reads %d panes, %d rows, %v", got.PanesLive, got.Rows, got.Value)
+	}
+}

@@ -361,11 +361,7 @@ func (r *Registry) Restore(sv Saved) error {
 	v.gapLo, v.gapHi = sv.GapLo, sv.GapHi
 	v.evicted = sv.Evicted
 	for _, spn := range sv.Panes {
-		pn := &pane{idx: spn.Idx, Table: spn.Table, rows: spn.Rows, lastWM: spn.LastWM}
-		if pn.T == nil {
-			pn.Table = agg.NewTable(paneTableCap)
-		}
-		v.panes = append(v.panes, pn)
+		v.panes = append(v.panes, &pane{idx: spn.Idx, Table: spn.Table, rows: spn.Rows, lastWM: spn.LastWM})
 	}
 	return nil
 }

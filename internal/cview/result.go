@@ -55,7 +55,7 @@ func (v *View) compute(r *Registry) *Result {
 	}
 	window := panes // no pane live: no groups; one pane: query it directly, no fold copy
 	if len(panes) > 1 {
-		window = agg.Fold(make([]agg.Table, 1<<r.bits), panes, v.withValues, r.workers)
+		window, _ = agg.Fold(make([]agg.Table, 1<<r.bits), panes, nil, v.withValues, r.workers)
 	}
 	res.Groups = agg.Groups(window)
 	// Register admitted the query (valid, and holistic only on a registry

@@ -32,9 +32,6 @@ type GroupFloat struct {
 	Value float64
 }
 
-// ErrUnsupported mirrors agg.ErrUnsupported for the string engines.
-var ErrUnsupported = errors.New("stragg: query unsupported by this algorithm")
-
 // Engine executes the query set over string keys. Vector results are
 // lexicographically ordered for sort- and tree-based engines, unspecified
 // for hash-based ones.
@@ -172,11 +169,11 @@ func (e *hashEngine) VectorMedian(keys []string, vals []uint64) []GroupFloat {
 }
 
 func (e *hashEngine) ScalarMedianKey([]string) (string, error) {
-	return "", ErrUnsupported
+	return "", agg.ErrUnsupported
 }
 
 func (e *hashEngine) PrefixCount([]string, string) ([]GroupCount, error) {
-	return nil, ErrUnsupported
+	return nil, agg.ErrUnsupported
 }
 
 // --- tree engine ----------------------------------------------------------------

@@ -88,7 +88,7 @@ func TestScalarMedianKey(t *testing.T) {
 	want := s[(len(s)-1)/2]
 	for _, e := range Engines() {
 		got, err := e.ScalarMedianKey(keys)
-		if errors.Is(err, ErrUnsupported) {
+		if errors.Is(err, agg.ErrUnsupported) {
 			if e.Category() != agg.HashBased {
 				t.Fatalf("%s rejected scalar median", e.Name())
 			}
@@ -111,7 +111,7 @@ func TestPrefixCount(t *testing.T) {
 		}
 		for _, e := range Engines() {
 			got, err := e.PrefixCount(keys, prefix)
-			if errors.Is(err, ErrUnsupported) {
+			if errors.Is(err, agg.ErrUnsupported) {
 				if e.Category() != agg.HashBased {
 					t.Fatalf("%s rejected prefix count", e.Name())
 				}

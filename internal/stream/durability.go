@@ -138,7 +138,7 @@ func Open(cfg Config) (*Stream, error) {
 		// The checkpoint's radix fan-out is baked into its partition runs;
 		// the recovered stream adopts it so partition indexes keep lining up.
 		cfg.MergeBits = meta.Bits
-		base = &generation{parts: parts, rows: meta.Watermark, seq: meta.Seq}
+		base = ownedGeneration(parts, meta.Watermark, meta.Seq)
 		ckptWM = meta.Watermark
 	}
 
@@ -196,7 +196,7 @@ func Open(cfg Config) (*Stream, error) {
 		}
 		if end > ckptWM {
 			if base == nil {
-				base = &generation{parts: make([]agg.Table, 1<<cfg.MergeBits), seq: 1}
+				base = ownedGeneration(make([]agg.Table, 1<<cfg.MergeBits), 0, 1)
 			}
 			agg.Absorb(base.parts, r.Keys, r.Vals, cfg.Holistic, runtime.GOMAXPROCS(0))
 			base.rows += rows
@@ -299,18 +299,19 @@ func (s *Stream) maybeCheckpoint(g *generation) {
 }
 
 // checkpointOnce serializes the current base generation as a checkpoint
-// and truncates the WAL below its watermark. The base is immutable, so the
-// whole write happens off the ingest path. Checkpoint failures do not
-// degrade the stream — the WAL still covers every acknowledged row — but a
-// degraded stream writes no checkpoints: its base may already contain rows
-// the torn log tail never made durable, and checkpointing them would claim
-// a watermark the log cannot back.
+// and truncates the WAL below its watermark. The base is pinned like a
+// snapshot's (merges copy the partitions it shares instead of folding in
+// place), so the whole write happens off the ingest path. Checkpoint
+// failures do not degrade the stream — the WAL still covers every
+// acknowledged row — but a degraded stream writes no checkpoints: its base
+// may already contain rows the torn log tail never made durable, and
+// checkpointing them would claim a watermark the log cannot back.
 func (s *Stream) checkpointOnce() {
 	d := s.dur
 	if d.degraded.Load() {
 		return
 	}
-	base := s.view.Load().base
+	base := s.pin().base
 	if base == nil || base.rows <= d.lastCkptWM.Load() {
 		return
 	}

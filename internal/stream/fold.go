@@ -7,9 +7,12 @@ import (
 
 // foldDeltas folds the sealed deltas ds into base's partitions with
 // agg.Fold — the shared core of the merger's generation builds and the
-// snapshot query path. Partitions no delta touched are shared with the
-// base; with no base yet the deltas fold into an empty set at MergeBits.
-func (s *Stream) foldDeltas(base *generation, ds []*delta, workers int) []agg.Table {
+// snapshot query path — and returns the partitions plus the count folded
+// in place. own is agg.Fold's ownership mask: nil (the snapshot path, and
+// the merger whenever a reader holds base) folds copy-on-write, and
+// partitions no delta touched are shared with the base either way. With
+// no base yet the deltas fold into an empty set at MergeBits.
+func (s *Stream) foldDeltas(base *generation, ds []*delta, own []bool, workers int) ([]agg.Table, int) {
 	var bp []agg.Table
 	if base != nil {
 		bp = base.parts
@@ -20,7 +23,7 @@ func (s *Stream) foldDeltas(base *generation, ds []*delta, workers int) []agg.Ta
 	for i, d := range ds {
 		srcs[i] = d.Table
 	}
-	return agg.Fold(bp, srcs, s.cfg.Holistic, workers)
+	return agg.Fold(bp, srcs, own, s.cfg.Holistic, workers)
 }
 
 // sources returns the view's key-disjoint source tables, folding on first
@@ -37,7 +40,7 @@ func (v *view) sources(s *Stream) []agg.Table {
 			return
 		}
 		mk := obs.Start()
-		v.srcs = s.foldDeltas(v.base, v.sealed, s.cfg.QueryWorkers)
+		v.srcs, _ = s.foldDeltas(v.base, v.sealed, nil, s.cfg.QueryWorkers)
 		mk.Tick(s.m.queryFoldLat)
 	})
 	return v.srcs

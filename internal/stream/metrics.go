@@ -26,6 +26,12 @@ type metrics struct {
 	snapshots *obs.Counter // snapshots taken
 	lastMerge *obs.Gauge   // duration of the most recent merge cycle (ns)
 
+	// Base partitions merge cycles touched: folded into in place (no
+	// reader could see them) or copied (a snapshot or checkpoint pinned
+	// the base, or an older generation still shares the partition).
+	mergeInPlace *obs.Counter
+	mergeCopied  *obs.Counter
+
 	appendLat *obs.Histogram // AppendChunk call latency
 	mergeLat  *obs.Histogram // merge cycle duration
 
@@ -77,6 +83,10 @@ func newMetrics(s *Stream) *metrics {
 			"Delta seals: frozen shard tables published into the queryable view."),
 		merges: reg.NewCounter("memagg_stream_merges_total",
 			"Merge cycles folding sealed deltas into a base generation."),
+		mergeInPlace: reg.NewCounter("memagg_stream_merge_parts_in_place_total",
+			"Base partitions a merge cycle folded into in place (no reader held them)."),
+		mergeCopied: reg.NewCounter("memagg_stream_merge_parts_copied_total",
+			"Base partitions a merge cycle copied because a snapshot or checkpoint could see them."),
 		mergeNs: reg.NewCounter("memagg_stream_merge_nanos_total",
 			"Total merge-cycle duration in nanoseconds."),
 		snapshots: reg.NewCounter("memagg_stream_snapshots_total",

@@ -4,10 +4,11 @@ import "memagg/internal/agg"
 
 // Snapshot is a consistent, immutable read view of the stream: the base
 // generation plus every delta sealed before the snapshot was taken, pinned
-// by a single atomic pointer load. All queries over one snapshot see
-// exactly Watermark() rows — ingest and merging proceed untouched
-// underneath, and the pinned state is reclaimed by the GC when the last
-// snapshot referencing it is dropped.
+// by an atomic pointer load and one compare-and-swap on the base. All
+// queries over one snapshot see exactly Watermark() rows — ingest and
+// merging proceed underneath (a merge copies the partitions a pinned base
+// would otherwise have updated in place), and the pinned state is
+// reclaimed by the GC when the last snapshot referencing it is dropped.
 //
 // Query results use the hash-engine conventions of internal/agg: vector
 // row order is unspecified (sort if you need order — CountRange, which is
@@ -26,10 +27,14 @@ type Snapshot struct {
 	v *view
 }
 
-// Snapshot pins the current view. Never blocks writers or the merger.
+// Snapshot pins the current view. It never blocks writers; the merger
+// sees the pin and copies, rather than updates in place, any base
+// partition the snapshot can reach. If an in-place fold of the current
+// base is already in flight, Snapshot waits for that one merge cycle and
+// pins the view it installs.
 func (s *Stream) Snapshot() *Snapshot {
 	s.m.snapshots.Inc()
-	return &Snapshot{s: s, v: s.view.Load()}
+	return &Snapshot{s: s, v: s.pin()}
 }
 
 // Watermark returns the number of rows this snapshot covers. Every query

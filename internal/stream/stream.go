@@ -15,20 +15,26 @@
 //   - Sealed deltas and merged generations. When a delta reaches the seal
 //     threshold its shard freezes it and publishes it into the queryable
 //     view; a background merger folds batches of sealed deltas into a new
-//     immutable base generation, radix-partitioned by internal/radix so the
-//     fold parallelizes over disjoint key partitions (the Hash_RX
-//     discipline: every key lives in exactly one partition, so partitions
-//     merge independently with no locks). Partitions untouched by a merge
-//     cycle are shared structurally with the previous generation.
+//     base generation, radix-partitioned by internal/radix so the fold
+//     parallelizes over disjoint key partitions (the Hash_RX discipline:
+//     every key lives in exactly one partition, so partitions merge
+//     independently with no locks). Partitions untouched by a merge cycle
+//     are shared structurally with the previous generation. A base no
+//     reader has pinned is folded into in place — the update-in-place
+//     hash build, no copy — and only partitions a snapshot or the
+//     checkpointer can see, directly or through an older generation, are
+//     rebuilt copy-on-write.
 //
-//   - Snapshot queries. Snapshot atomically pins the current view — one
-//     base generation plus the sealed deltas not yet merged — with a plain
-//     atomic pointer load: no stop-the-world, no reader/writer locks.
-//     Everything a view references is immutable, so readers compute any
-//     Q1–Q7 result consistent with the view's row-count watermark while
-//     writers and the merger proceed; superseded state is reclaimed by the
-//     garbage collector once the last snapshot drops it (GC is the epoch
-//     scheme).
+//   - Snapshot queries. Snapshot pins the current view — one base
+//     generation plus the sealed deltas not yet merged — with an atomic
+//     pointer load and one compare-and-swap that marks the base shared: no
+//     stop-the-world, no reader/writer locks. A pinned view is immutable,
+//     so readers compute any Q1–Q7 result consistent with the view's
+//     row-count watermark while writers and the merger proceed. The one
+//     wait is a pin that finds the base already claimed by an in-place
+//     fold: it waits for that single merge cycle and pins the view it
+//     installs. Superseded state is reclaimed by the garbage collector once
+//     the last snapshot drops it (GC is the epoch scheme).
 //
 // Mergeability is what makes the whole scheme sound: agg.Partial.Merge is
 // exact for every distributive ReduceOp and for the algebraic avg, and the
@@ -157,9 +163,10 @@ type Stream struct {
 	dur    *durable        // nil when durability is disabled
 	views  *cview.Registry // continuous views, fed from publish
 
-	// view is the queryable state: an immutable (base, sealed deltas,
-	// watermark) triple swapped atomically. viewMu serializes installs
-	// (seals and merge publications); readers never take it.
+	// view is the queryable state: a (base, sealed deltas, watermark)
+	// triple swapped atomically. viewMu serializes installs (seals and
+	// merge publications); readers never take it, and pin the base
+	// instead (see pin).
 	view   atomic.Pointer[view]
 	viewMu sync.Mutex
 
@@ -186,14 +193,15 @@ type Stream struct {
 	mergerWG sync.WaitGroup
 }
 
-// view is one immutable queryable state. watermark is the number of rows
-// the view covers: base.rows plus the sealed deltas' rows. Rows still in
-// shard queues or unsealed deltas are not yet visible.
+// view is one queryable state. watermark is the number of rows the view
+// covers: base.rows plus the sealed deltas' rows. Rows still in shard
+// queues or unsealed deltas are not yet visible. Readers take views
+// through pin, after which everything the view references is immutable.
 //
-// The fold hangs off the view rather than the Snapshot: everything a view
-// references is immutable, so the partition-wise fold of its sealed deltas
-// (srcs) is computed once and shared by every snapshot that pins the view,
-// no matter how many are taken. It dies with the view.
+// The fold hangs off the view rather than the Snapshot: the partition-wise
+// fold of a pinned view's sealed deltas (srcs) is computed once and shared
+// by every snapshot that pins the view, no matter how many are taken. It
+// dies with the view.
 type view struct {
 	base      *generation
 	sealed    []*delta

@@ -273,6 +273,32 @@ func TestStringAggregatorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStringQueryErrors: a hash string backend refuses the ordered
+// queries with a QueryError naming the backend and the query, wrapping
+// ErrUnsupportedQuery — the error shape Aggregator gives the same
+// condition.
+func TestStringQueryErrors(t *testing.T) {
+	a, err := NewStrings(StrHashLP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"b", "a", "b"}
+	_, medianErr := a.MedianKey(keys)
+	_, prefixErr := a.CountByPrefix(keys, "b")
+	for query, err := range map[string]error{"MedianKey": medianErr, "CountByPrefix": prefixErr} {
+		if !errors.Is(err, ErrUnsupportedQuery) {
+			t.Fatalf("%s err = %v; want ErrUnsupportedQuery", query, err)
+		}
+		var qe *QueryError
+		if !errors.As(err, &qe) {
+			t.Fatalf("%s err = %T; want *QueryError", query, err)
+		}
+		if qe.Backend != Backend(StrHashLP) || qe.Query != query {
+			t.Fatalf("%s QueryError = %+v; want backend %s, query %s", query, qe, StrHashLP, query)
+		}
+	}
+}
+
 // TestResultsOwnedAndNonNil pins two properties of the batch vector
 // results, which are the engines' own row slices: a result is not changed
 // by a later call on other input (under the arena allocator the sort

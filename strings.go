@@ -75,22 +75,29 @@ func (a *StringAggregator) MedianByKey(keys []string, values []uint64) []StringG
 }
 
 // MedianKey returns the lexicographic median key (lower middle for even
-// counts). Hash backends return ErrUnsupportedQuery.
+// counts). Hash backends have no key order: they return a QueryError
+// wrapping ErrUnsupportedQuery.
 func (a *StringAggregator) MedianKey(keys []string) (string, error) {
 	s, err := a.engine.ScalarMedianKey(keys)
 	if err != nil {
-		return "", ErrUnsupportedQuery
+		return "", a.queryErr("MedianKey", err)
 	}
 	return s, nil
 }
 
 // CountByPrefix returns CountByKey restricted to keys starting with
-// prefix — the string analog of CountRange. Hash backends return
-// ErrUnsupportedQuery.
+// prefix — the string analog of CountRange. Hash backends return a
+// QueryError wrapping ErrUnsupportedQuery.
 func (a *StringAggregator) CountByPrefix(keys []string, prefix string) ([]StringGroupCount, error) {
 	rows, err := a.engine.PrefixCount(keys, prefix)
 	if err != nil {
-		return nil, ErrUnsupportedQuery
+		return nil, a.queryErr("CountByPrefix", err)
 	}
 	return nonNil(rows), nil
+}
+
+// queryErr wraps an engine error in a QueryError naming this aggregator's
+// backend.
+func (a *StringAggregator) queryErr(query string, err error) error {
+	return &QueryError{Backend: Backend(a.backend), Query: query, Err: err}
 }
