@@ -311,6 +311,13 @@ func (s *Stream) checkpointOnce() {
 	if d.degraded.Load() {
 		return
 	}
+	// Header fields are safe to read unpinned: a redundant ring returns
+	// here without marking the base shared, so the next merge may still
+	// fold it in place. The base may have moved on by the time the pin
+	// lands, so the check runs again on the pinned one.
+	if base := s.view.Load().base; base == nil || base.rows <= d.lastCkptWM.Load() {
+		return
+	}
 	base := s.pin().base
 	if base == nil || base.rows <= d.lastCkptWM.Load() {
 		return

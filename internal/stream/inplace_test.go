@@ -210,6 +210,46 @@ func TestMergePartsCounters(t *testing.T) {
 	}
 }
 
+// TestRedundantCheckpointLeavesBaseFree: a checkpoint ring that finds
+// nothing new to write must not pin the base. A reopened stream's base is
+// exactly its checkpoint, so a checkpoint run right after Open is
+// redundant; the next merge must still fold in place.
+func TestRedundantCheckpointLeavesBaseFree(t *testing.T) {
+	const bits = 2
+	fs := wal.NewMemFS()
+	cfg := durableConfig(fs, 1<<30)
+	cfg.MergeBits, cfg.DisableMerger = bits, true
+	keys := halfKeys(2_000, bits, 0, 1<<bits)
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendSealed(t, s, keys, keys)
+	s.MergeNow()
+	if err := s.Close(); err != nil { // final checkpoint
+		t.Fatal(err)
+	}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, want := r.view.Load().base.rows, r.dur.lastCkptWM.Load(); got != want {
+		t.Fatalf("reopened base at %d rows, last checkpoint at %d", got, want)
+	}
+	r.checkpointOnce()
+	if st := r.view.Load().base.state.Load(); st != genFree {
+		t.Fatalf("redundant checkpoint left the base in state %d, want free", st)
+	}
+	appendSealed(t, r, keys, keys)
+	if !r.MergeNow() {
+		t.Fatal("nothing to merge")
+	}
+	if i, c := r.m.mergeInPlace.Value(), r.m.mergeCopied.Value(); i != 1<<bits || c != 0 {
+		t.Fatalf("merge after a redundant checkpoint: in place %d, copied %d; want %d, 0", i, c, 1<<bits)
+	}
+}
+
 // TestInPlaceReadersRaceMerger: K readers snapshot continuously while a
 // producer appends and the background merger folds — in place whenever
 // no reader holds the base. With one shard the watermark W covers exactly

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -197,13 +196,6 @@ func (h *memHandle) Read(p []byte) (int, error) {
 func (h *memHandle) Write(p []byte) (int, error) {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	// Grow by doubling, so a write costs about one copy, as it does into a
-	// page cache: append's 1.25x step for large slices re-copies a 16 MiB
-	// segment about five times over, and timings of the log over a MemFS
-	// would mostly time that.
-	if len(h.f.data)+len(p) > cap(h.f.data) {
-		h.f.data = slices.Grow(h.f.data, max(len(p), cap(h.f.data)))
-	}
 	h.f.data = append(h.f.data, p...)
 	return len(p), nil
 }

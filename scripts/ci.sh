@@ -231,7 +231,7 @@ pinned -race -run 'TestAppendLatencyTimed' -count=1 -v ./internal/wal
 # vocabulary's own table (every spelling round-trips, QueryID values
 # pinned as the on-disk format they are, NaN/out-of-range quantiles
 # rejected) rides along.
-pinned -race -run 'TestQueryParallelSerialEquivalence|TestQueryConcurrentSnapshots|TestQueryCacheWatermarkIsolation|TestQueryCacheParamsKeyed|TestSnapshotResultsCallerOwned|TestInPlaceSnapshotIsolation|TestInPlaceOwnershipAcrossGenerations|TestInPlaceReadersRaceMerger|TestInPlaceCheckpointRacesMerges|TestMergePartsCounters' -count=1 -v ./internal/stream
+pinned -race -run 'TestQueryParallelSerialEquivalence|TestQueryConcurrentSnapshots|TestQueryCacheWatermarkIsolation|TestQueryCacheParamsKeyed|TestSnapshotResultsCallerOwned|TestInPlaceSnapshotIsolation|TestInPlaceOwnershipAcrossGenerations|TestInPlaceReadersRaceMerger|TestInPlaceCheckpointRacesMerges|TestMergePartsCounters|TestRedundantCheckpointLeavesBaseFree' -count=1 -v ./internal/stream
 # View reads fold their window partition-wise and scan it in parallel, so
 # they carry the same contract: q1/q2/q6/quantile views read identically
 # (unsorted) at worker counts 1/2/8 and both cutoffs. Beside it, a
