@@ -30,13 +30,14 @@ func buildStream(t *testing.T, holistic bool, rows int) (*stream.Stream, map[uin
 		vals = append(vals, v)
 		want[k] = append(want[k], v)
 		if len(keys) == 512 {
-			if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
+			if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}); err != nil {
 				t.Fatalf("append: %v", err)
 			}
-			keys, vals = keys[:0], vals[:0]
+			// Fresh arrays: the stream reads the appended ones in place.
+			keys, vals = make([]uint64, 0, 512), make([]uint64, 0, 512)
 		}
 	}
-	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}); err != nil {
 		t.Fatalf("append: %v", err)
 	}
 	if err := s.Flush(); err != nil {

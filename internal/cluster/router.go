@@ -211,24 +211,34 @@ func (rt *Router) IngestChunk(c agg.Chunk) error {
 		}
 		p.Vals = append(p.Vals, v)
 	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, part := range parts {
+	return errors.Join(rt.eachPeer(func(i int, p *peer) error {
+		part := parts[i]
 		if part.Rows() == 0 {
-			continue
+			return nil
 		}
+		if err := rt.postChunk(p, part); err != nil {
+			return err
+		}
+		rt.m.rows.Add(uint64(part.Rows()))
+		rt.m.batches.Inc()
+		return nil
+	})...)
+}
+
+// eachPeer runs fn for every peer concurrently and returns its errors,
+// indexed like rt.peers — the router's one fan-out.
+func (rt *Router) eachPeer(fn func(i int, p *peer) error) []error {
+	errs := make([]error, len(rt.peers))
+	var wg sync.WaitGroup
+	for i, p := range rt.peers {
 		wg.Add(1)
-		go func(i int, part agg.Chunk) {
+		go func() {
 			defer wg.Done()
-			errs[i] = rt.postChunk(rt.peers[i], part)
-			if errs[i] == nil {
-				rt.m.rows.Add(uint64(part.Rows()))
-				rt.m.batches.Inc()
-			}
-		}(i, part)
+			errs[i] = fn(i, p)
+		}()
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return errs
 }
 
 // postChunk ships one chunk to a peer as a binary chunk-stream body on
@@ -255,17 +265,9 @@ func (rt *Router) postChunk(p *peer, c agg.Chunk) error {
 // every peer, making all previously acknowledged rows visible to the
 // next Gather.
 func (rt *Router) Flush() error {
-	errs := make([]error, len(rt.peers))
-	var wg sync.WaitGroup
-	for i, p := range rt.peers {
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			errs[i] = rt.send(p, "flush", http.MethodPost, "/v1/flush")
-		}(i, p)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return errors.Join(rt.eachPeer(func(_ int, p *peer) error {
+		return rt.send(p, "flush", http.MethodPost, "/v1/flush")
+	})...)
 }
 
 // send runs one bodiless request against p and drains the response.
@@ -287,18 +289,11 @@ func (rt *Router) send(p *peer, op, method, path string) error {
 // whole gather with a *PartialAvailabilityError.
 func (rt *Router) Gather() (*Merged, error) {
 	rt.m.queries.Inc()
-	n := len(rt.peers)
-	sets := make([]*peerSet, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, p := range rt.peers {
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			sets[i], errs[i] = rt.fetchPartials(p)
-		}(i, p)
-	}
-	wg.Wait()
+	sets := make([]*peerSet, len(rt.peers))
+	errs := rt.eachPeer(func(i int, p *peer) (err error) {
+		sets[i], err = rt.fetchPartials(p)
+		return err
+	})
 	var pae PartialAvailabilityError
 	for i, err := range errs {
 		if err != nil {
@@ -347,17 +342,9 @@ func (rt *Router) fetchPartials(p *peer) (*peerSet, error) {
 // *PeerError set names the stragglers. The router's caller gates cluster
 // traffic on this — /readyz is the membership contract.
 func (rt *Router) Ready() error {
-	errs := make([]error, len(rt.peers))
-	var wg sync.WaitGroup
-	for i, p := range rt.peers {
-		wg.Add(1)
-		go func(i int, p *peer) {
-			defer wg.Done()
-			errs[i] = rt.send(p, "readyz", http.MethodGet, "/v1/readyz")
-		}(i, p)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+	return errors.Join(rt.eachPeer(func(_ int, p *peer) error {
+		return rt.send(p, "readyz", http.MethodGet, "/v1/readyz")
+	})...)
 }
 
 // WaitReady polls Ready until it succeeds or the timeout elapses.

@@ -33,7 +33,7 @@ func testNode(s *stream.Stream) http.Handler {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			if err := s.AppendChunk(c, true); err != nil {
+			if err := s.AppendChunk(c); err != nil {
 				http.Error(w, err.Error(), http.StatusServiceUnavailable)
 				return
 			}
@@ -162,7 +162,7 @@ func TestClusterEquivalence(t *testing.T) {
 		t.FailNow()
 	}
 
-	if err := local.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
+	if err := local.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}); err != nil {
 		t.Fatalf("local append: %v", err)
 	}
 	if err := rt.Flush(); err != nil {

@@ -35,7 +35,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 	}{{1, 0}, {1, groups}, {4, 0}, {4, groups}, {8, 0}, {8, groups}} {
 		b.Run(benchName(cfg.shards, cfg.est > 0), func(b *testing.B) {
 			shards := cfg.shards
-			s := New(Config{Shards: shards, QueueDepth: 8, SealRows: 1 << 15,
+			s := New(Config{Shards: shards, SealRows: 1 << 15,
 				MergeBits: 6, EstimatedGroups: cfg.est})
 			b.ResetTimer()
 
@@ -60,7 +60,7 @@ func BenchmarkStreamIngest(b *testing.B) {
 						if off+m > len(keys) {
 							off = 0
 						}
-						if err := s.AppendChunk(agg.Chunk{Keys: keys[off : off+m], Vals: vals[off : off+m]}, false); err != nil {
+						if err := s.AppendChunk(agg.Chunk{Keys: keys[off : off+m], Vals: vals[off : off+m]}); err != nil {
 							b.Error(err)
 							return
 						}

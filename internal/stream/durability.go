@@ -248,27 +248,24 @@ func Open(cfg Config) (*Stream, error) {
 // sealed delta becomes visible: the record carries the delta's raw rows and
 // the watermark the install is about to publish, so WAL order is exactly
 // seal-publication order and the watermark doubles as the log sequence
-// number. All of the delta's batches commit as this one record — one write,
-// at most one fsync: the group-commit path. A failed append degrades the
-// stream; the delta is still published (visible until the process exits,
-// like every pre-durability row) but ingest stops accepting new rows.
-func (s *Stream) logSeal(d *delta, endWM uint64) (spareKeys, spareVals []uint64) {
+// number. All of the delta's batches commit as this one record — encoded
+// straight from the batches' columns, one write, at most one fsync: the
+// group-commit path. A failed append degrades the stream; the delta is
+// still published (visible until the process exits, like every
+// pre-durability row) but ingest stops accepting new rows.
+func (s *Stream) logSeal(d *delta, endWM uint64) {
 	if s.dur == nil {
-		return nil, nil
+		return
 	}
-	// The mirror's only job is this append, and Append copies the record
-	// into the log's own buffer before returning — so the backing arrays
-	// are handed back to the shard for its next delta.
-	spareKeys, spareVals = d.keys, d.vals
+	// The record is the columns' last reader: drop them either way.
+	keys, vals := d.keys, d.vals
 	d.keys, d.vals = nil, nil
 	if s.dur.degraded.Load() {
-		return spareKeys, spareVals
+		return
 	}
-	err := s.dur.log.Append(wal.Record{EndWatermark: endWM, Keys: spareKeys, Vals: spareVals})
-	if err != nil {
+	if err := s.dur.log.AppendSegments(endWM, keys, vals); err != nil {
 		s.dur.degrade(err)
 	}
-	return spareKeys, spareVals
 }
 
 // checkpointLoop runs checkpoints in the background, one per doorbell

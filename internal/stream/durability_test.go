@@ -26,11 +26,10 @@ import (
 // cross checkpoint boundaries.
 func durableConfig(fs wal.FS, checkpointEvery int) Config {
 	return Config{
-		Shards:     1,
-		QueueDepth: 4,
-		SealRows:   512,
-		MergeBits:  4,
-		Holistic:   true,
+		Shards:    1,
+		SealRows:  512,
+		MergeBits: 4,
+		Holistic:  true,
 		Durability: Durability{
 			Dir:             "data",
 			FS:              fs,
@@ -59,7 +58,7 @@ func ingestUntilError(s *Stream, keys, vals []uint64) error {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {
 			return err
 		}
 		if (off/batchRows)%3 == 2 {
@@ -318,7 +317,7 @@ func TestDegradedStreamKeepsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendChunk(agg.Chunk{Keys: keys[:1000], Vals: vals[:1000]}, false); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys[:1000], Vals: vals[:1000]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -330,7 +329,7 @@ func TestDegradedStreamKeepsServing(t *testing.T) {
 	// Drive ingest until the seal path observes the failure.
 	var ingestErr error
 	for i := 0; i < 100 && ingestErr == nil; i++ {
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[:600], Vals: vals[:600]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[:600], Vals: vals[:600]}); err != nil {
 			ingestErr = err
 			break
 		}

@@ -72,7 +72,7 @@ func replay(t *testing.T, s *Stream, keys, vals []uint64, seed int64) {
 		if off+n > len(keys) {
 			n = len(keys) - off
 		}
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[off : off+n], Vals: vals[off : off+n]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off : off+n], Vals: vals[off : off+n]}); err != nil {
 			t.Fatal(err)
 		}
 		off += n
@@ -182,11 +182,10 @@ func TestStreamMatchesBatchEngines(t *testing.T) {
 		vals := dataset.Values(len(keys), spec.Seed)
 		for _, shards := range []int{1, 3} {
 			s := New(Config{
-				Shards:     shards,
-				QueueDepth: 4,
-				SealRows:   1 << 12, // several seals and merge cycles per spec
-				MergeBits:  5,
-				Holistic:   true,
+				Shards:    shards,
+				SealRows:  1 << 12, // several seals and merge cycles per spec
+				MergeBits: 5,
+				Holistic:  true,
 			})
 			replay(t, s, keys, vals, int64(spec.Seed))
 
@@ -209,7 +208,7 @@ func TestStreamMatchesBatchEngines(t *testing.T) {
 // multisets were never retained).
 func TestHolisticDisabled(t *testing.T) {
 	s := New(Config{Shards: 1})
-	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{1, 1, 2}, Vals: []uint64{3, 5, 7}}, false); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{1, 1, 2}, Vals: []uint64{3, 5, 7}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

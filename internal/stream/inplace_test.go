@@ -28,7 +28,7 @@ func appendSealed(tb testing.TB, s *Stream, keys, vals []uint64) {
 	tb.Helper()
 	for off := 0; off < len(keys); off += 1000 {
 		end := min(off+1000, len(keys))
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -298,7 +298,7 @@ func TestInPlaceReadersRaceMerger(t *testing.T) {
 	const batchLen = 977
 	for off := 0; off < len(keys); off += batchLen {
 		end := min(off+batchLen, len(keys))
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {
 			t.Fatal(err)
 		}
 		if (off/batchLen)%3 == 2 {

@@ -30,7 +30,7 @@ func layeredStream(tb testing.TB, cfg Config, keys, vals []uint64, baseRows int)
 			if end > hi {
 				end = hi
 			}
-			if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
+			if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {
 				tb.Fatal(err)
 			}
 		}
@@ -289,7 +289,7 @@ func TestQueryConcurrentSnapshots(t *testing.T) {
 		if end > len(keys) {
 			end = len(keys)
 		}
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,14 +3,14 @@ package stream
 import "memagg/internal/agg"
 
 // delta is one shard's in-progress (then sealed) table plus its row count.
-// On durable streams it also mirrors the raw rows (keys/vals, in arrival
-// order): the seal's WAL record carries rows, not aggregate state, so a
-// replay rebuilds the exact delta. publish drops the mirror once the
-// record is in the log.
+// On durable streams it also keeps the columns of every batch it absorbed
+// (keys/vals, one segment per batch, in arrival order): the seal's WAL
+// record carries rows, not aggregate state, so a replay rebuilds the
+// exact delta. logSeal writes the segments out and drops them.
 type delta struct {
 	agg.Table
 	rows       uint64
-	keys, vals []uint64
+	keys, vals [][]uint64
 }
 
 // deltaTableCap seeds a fresh delta's table when the stream has no
@@ -46,10 +46,6 @@ type shard struct {
 	s   *Stream
 	ch  chan batch
 	cur *delta
-	// spareKeys/spareVals are the previous delta's raw-row mirror arrays,
-	// handed back by publish once the WAL record is written; the next
-	// delta appends into them instead of growing fresh slices.
-	spareKeys, spareVals []uint64
 }
 
 func (sh *shard) run() {
@@ -64,7 +60,6 @@ func (sh *shard) run() {
 			continue
 		}
 		sh.absorb(b)
-		sh.s.recycleBatch(b) // absorbed: the backing memory is free to reuse
 		if sh.cur.rows >= uint64(sh.s.cfg.SealRows) {
 			sh.seal()
 		}
@@ -73,20 +68,17 @@ func (sh *shard) run() {
 }
 
 // absorb folds one batch into the current delta via the shared absorb
-// kernel, and mirrors the raw rows on durable streams.
+// kernel; on durable streams the delta also keeps the batch's columns for
+// its WAL record.
 func (sh *shard) absorb(b batch) {
 	if sh.cur == nil {
 		sh.cur = &delta{Table: agg.NewTable(sh.deltaSeed())}
-		if sh.s.dur != nil {
-			sh.cur.keys, sh.cur.vals = sh.spareKeys[:0], sh.spareVals[:0]
-			sh.spareKeys, sh.spareVals = nil, nil
-		}
 	}
 	agg.AbsorbRows(sh.cur.Table, b.keys, b.vals, sh.s.cfg.Holistic)
 	sh.cur.rows += uint64(len(b.keys))
 	if sh.s.dur != nil {
-		sh.cur.keys = append(sh.cur.keys, b.keys...)
-		sh.cur.vals = append(sh.cur.vals, b.vals...)
+		sh.cur.keys = append(sh.cur.keys, b.keys)
+		sh.cur.vals = append(sh.cur.vals, b.vals)
 	}
 }
 
@@ -100,5 +92,5 @@ func (sh *shard) seal() {
 	d := sh.cur
 	sh.cur = nil
 	sh.s.m.seals.Inc()
-	sh.spareKeys, sh.spareVals = sh.s.publish(d)
+	sh.s.publish(d)
 }

@@ -32,7 +32,7 @@ func TestQueryCacheWatermarkIsolation(t *testing.T) {
 	// Advance the stream: the new seal installs a new view at a higher
 	// watermark.
 	extra := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	if err := s.AppendChunk(agg.Chunk{Keys: extra, Vals: extra}, false); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: extra, Vals: extra}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -139,7 +139,7 @@ func TestSnapshotResultsCallerOwned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for off := 0; off < 400; off += 100 {
-		if err := vs.AppendChunk(agg.Chunk{Keys: keys[off : off+100], Vals: vals[off : off+100]}, false); err != nil {
+		if err := vs.AppendChunk(agg.Chunk{Keys: keys[off : off+100], Vals: vals[off : off+100]}); err != nil {
 			t.Fatal(err)
 		}
 		if err := vs.Flush(); err != nil {

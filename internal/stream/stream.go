@@ -61,17 +61,12 @@ var ErrClosed = errors.New("stream: closed")
 
 // Config sizes a Stream. The zero value is usable; every field has a
 // sensible default. Merge cycles and WAL replay fold at GOMAXPROCS.
-// QueueDepth and QueryWorkers are test seams: the memagg facade leaves
-// them at their defaults, and tests set them to force backpressure and
-// compare worker counts.
+// QueryWorkers is a test seam: the memagg facade leaves it at its
+// default, and tests set it to compare worker counts.
 type Config struct {
 	// Shards is the number of writer shards (private delta tables fed by
 	// independent queues). <= 0 uses GOMAXPROCS.
 	Shards int
-
-	// QueueDepth bounds each shard's ingest channel, in batches. A full
-	// queue blocks AppendChunk — backpressure, not loss. <= 0 means 8.
-	QueueDepth int
 
 	// SealRows is the delta size (rows) that triggers a seal: the shard
 	// freezes the delta, publishes it to the queryable view, and starts a
@@ -133,9 +128,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
-	}
 	if c.SealRows <= 0 {
 		c.SealRows = 1 << 15
 	}
@@ -173,13 +165,6 @@ type Stream struct {
 	wake    chan struct{} // merger doorbell (capacity 1)
 	mergeMu sync.Mutex    // serializes merge cycles (background merger vs MergeNow)
 
-	// bufs recycles batch backing arrays between the shards (which retire
-	// a batch once absorbed) and the copying AppendChunk path (which needs a
-	// fresh scratch buffer per call) — with a steady producer the copy
-	// path stops allocating. Ownership-transferred chunk columns join the
-	// same pool after absorption.
-	bufs sync.Pool
-
 	rr     atomic.Uint64 // round-robin shard cursor
 	closed atomic.Bool
 
@@ -215,17 +200,16 @@ type view struct {
 	srcs []agg.Table
 }
 
+// queueDepth bounds each shard's ingest channel, in batches. A full queue
+// blocks AppendChunk — backpressure, not loss.
+const queueDepth = 8
+
 // batch is one ingest unit: either rows (keys/vals, equal length) or a
-// flush marker (ack non-nil). After its shard absorbs it the batch's
-// backing memory is dead and recycles into the stream's buffer pool: buf
-// is the single allocation behind a copied batch (keys and vals are its
-// halves — recycle buf, never the halves, or the pool would hand out
-// aliasing buffers), while an ownership-transferred chunk's columns
-// (owned) recycle individually.
+// flush marker (ack non-nil). The columns are the producer's, read in
+// place: a volatile shard drops them once absorbed, a durable one once
+// its delta's WAL record is written.
 type batch struct {
 	keys, vals []uint64
-	buf        []uint64
-	owned      bool
 	ack        chan<- struct{}
 }
 
@@ -257,7 +241,7 @@ func newStream(cfg Config) *Stream {
 func (s *Stream) start() {
 	s.shards = make([]*shard, s.cfg.Shards)
 	for i := range s.shards {
-		sh := &shard{s: s, ch: make(chan batch, s.cfg.QueueDepth)}
+		sh := &shard{s: s, ch: make(chan batch, queueDepth)}
 		s.shards[i] = sh
 		s.shardWG.Add(1)
 		go sh.run()
@@ -275,15 +259,12 @@ func (s *Stream) start() {
 // the shard drains — rows are never dropped. Rows become visible to
 // snapshots once their delta seals (see Flush).
 //
-// With owned false the columns are copied (the caller may reuse them),
-// into a pooled scratch buffer so a steady producer allocates nothing.
-// With owned true the chunk's slices transfer to the stream — zero copy:
-// the receiving shard folds them straight into its delta table and then
-// recycles them through the same pool the copying path draws from. The
-// caller must not touch either column again, and the columns must not
-// overlap each other (distinct allocations, or disjoint ranges of one).
-// A short value column zero-extends in both modes.
-func (s *Stream) AppendChunk(c agg.Chunk, owned bool) error {
+// The stream takes the columns without copying and only reads them: the
+// receiving shard folds them straight into its delta table, and a durable
+// stream keeps them until the delta's WAL record is written. The caller
+// must not modify either column again. A short value column zero-extends
+// into a fresh column; the caller's is never grown.
+func (s *Stream) AppendChunk(c agg.Chunk) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
@@ -300,22 +281,10 @@ func (s *Stream) AppendChunk(c agg.Chunk, owned bool) error {
 		return nil
 	}
 	mk := obs.Start()
-	b := batch{owned: owned}
-	if owned {
-		b.keys, b.vals = c.Keys, c.Vals
-		if len(b.vals) < n {
-			// Zero-extend the transferred value column; the grown slice is
-			// ours either way.
-			nv := make([]uint64, n)
-			copy(nv, c.Vals)
-			b.vals = nv
-		}
-	} else {
-		buf := s.getBuf(2 * n)
-		b.keys, b.vals, b.buf = buf[:n:n], buf[n:], buf
-		copy(b.keys, c.Keys)
-		m := copy(b.vals, c.Vals)
-		clear(b.vals[m:]) // pooled buffers come back dirty
+	b := batch{keys: c.Keys, vals: c.Vals}
+	if len(b.vals) < n {
+		b.vals = make([]uint64, n)
+		copy(b.vals, c.Vals)
 	}
 	// Count before the send: a fast shard may seal these rows the moment
 	// they land, and the watermark must never be observed ahead of the
@@ -335,40 +304,6 @@ func (s *Stream) AppendChunk(c agg.Chunk, owned bool) error {
 	}
 	mk.Tick(s.m.appendLat)
 	return nil
-}
-
-// getBuf returns a scratch buffer of length n from the recycle pool, or
-// a fresh one when the pool is empty or its head is too small.
-func (s *Stream) getBuf(n int) []uint64 {
-	if v := s.bufs.Get(); v != nil {
-		if b := *(v.(*[]uint64)); cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]uint64, n)
-}
-
-// putBuf returns a retired buffer to the recycle pool.
-func (s *Stream) putBuf(b []uint64) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	s.bufs.Put(&b)
-}
-
-// recycleBatch retires an absorbed batch's backing memory into the pool.
-// A copied batch recycles its single backing allocation; an
-// ownership-transferred chunk recycles each column.
-func (s *Stream) recycleBatch(b batch) {
-	if b.buf != nil {
-		s.putBuf(b.buf)
-		return
-	}
-	if b.owned {
-		s.putBuf(b.keys)
-		s.putBuf(b.vals)
-	}
 }
 
 // Flush seals every shard's current delta and returns once the rows of all
@@ -440,11 +375,11 @@ func (s *Stream) install(nv *view) {
 // visible) and rings the merger's doorbell. With durability enabled the
 // delta's record hits the WAL first, still under viewMu — write-ahead: by
 // the time a snapshot can observe the rows, the log already carries them.
-func (s *Stream) publish(d *delta) (spareKeys, spareVals []uint64) {
+func (s *Stream) publish(d *delta) {
 	s.viewMu.Lock()
 	v := s.view.Load()
 	endWM := v.watermark + d.rows
-	spareKeys, spareVals = s.logSeal(d, endWM)
+	s.logSeal(d, endWM)
 	sealed := make([]*delta, len(v.sealed)+1)
 	copy(sealed, v.sealed)
 	sealed[len(v.sealed)] = d
@@ -460,7 +395,6 @@ func (s *Stream) publish(d *delta) (spareKeys, spareVals []uint64) {
 	case s.wake <- struct{}{}:
 	default:
 	}
-	return spareKeys, spareVals
 }
 
 // Stats is a point-in-time report of the stream's ingest and merge state.

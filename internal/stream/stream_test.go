@@ -17,9 +17,8 @@ func TestBackpressureBlocksNotDrops(t *testing.T) {
 	var stalled sync.Once
 	entered := make(chan struct{})
 	s := New(Config{
-		Shards:     1,
-		QueueDepth: 1,
-		SealRows:   1 << 20, // never seal on size; only Flush seals
+		Shards:   1,
+		SealRows: 1 << 20, // never seal on size; only Flush seals
 		testBatchHook: func() {
 			stalled.Do(func() {
 				close(entered)
@@ -31,19 +30,21 @@ func TestBackpressureBlocksNotDrops(t *testing.T) {
 	keys := []uint64{1, 2, 3}
 	vals := []uint64{10, 20, 30}
 
-	// Batch 1 occupies the shard goroutine (the hook stalls it), batch 2
-	// fills the depth-1 queue.
-	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
+	// Batch 1 occupies the shard goroutine (the hook stalls it), the next
+	// queueDepth batches fill the queue.
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
-		t.Fatal(err)
+	for i := 0; i < queueDepth; i++ {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Batch 3 has nowhere to go: Append must block.
+	// One more batch has nowhere to go: Append must block.
 	done := make(chan error, 1)
-	go func() { done <- s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false) }()
+	go func() { done <- s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}) }()
 	select {
 	case err := <-done:
 		t.Fatalf("Append returned (%v) with a full queue; want it to block", err)
@@ -66,7 +67,7 @@ func TestBackpressureBlocksNotDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	want := uint64(3 * len(keys))
+	want := uint64((queueDepth + 2) * len(keys))
 	if st.Ingested != want || st.Watermark != want {
 		t.Fatalf("ingested/watermark = %d/%d want %d/%d", st.Ingested, st.Watermark, want, want)
 	}
@@ -87,7 +88,7 @@ func TestBackpressureBlocksNotDrops(t *testing.T) {
 // (across seal installs AND merge installs) and never overtakes the
 // ingested count.
 func TestWatermarkMonotonic(t *testing.T) {
-	s := New(Config{Shards: 2, QueueDepth: 2, SealRows: 256, MergeBits: 4})
+	s := New(Config{Shards: 2, SealRows: 256, MergeBits: 4})
 
 	stop := make(chan struct{})
 	var pollWG sync.WaitGroup
@@ -118,14 +119,16 @@ func TestWatermarkMonotonic(t *testing.T) {
 		prodWG.Add(1)
 		go func(p int) {
 			defer prodWG.Done()
-			keys := make([]uint64, batchLen)
-			vals := make([]uint64, batchLen)
 			for b := 0; b < batches; b++ {
+				// Fresh columns per batch: the stream reads appended ones
+				// in place.
+				keys := make([]uint64, batchLen)
+				vals := make([]uint64, batchLen)
 				for i := range keys {
 					keys[i] = uint64(p*batches*batchLen + b*batchLen + i)
 					vals[i] = uint64(i)
 				}
-				if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}, false); err != nil {
+				if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -160,7 +163,7 @@ func TestWatermarkMonotonic(t *testing.T) {
 // Flush all return ErrClosed, while Snapshot/Stats keep serving.
 func TestClosedStream(t *testing.T) {
 	s := New(Config{Shards: 1})
-	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{7, 7, 9}, Vals: []uint64{1, 2, 3}}, false); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{7, 7, 9}, Vals: []uint64{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -169,7 +172,7 @@ func TestClosedStream(t *testing.T) {
 	if err := s.Close(); err != ErrClosed {
 		t.Fatalf("second Close = %v want ErrClosed", err)
 	}
-	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{1}, Vals: []uint64{1}}, false); err != ErrClosed {
+	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{1}, Vals: []uint64{1}}); err != ErrClosed {
 		t.Fatalf("Append after Close = %v want ErrClosed", err)
 	}
 	if err := s.Flush(); err != ErrClosed {
@@ -185,10 +188,10 @@ func TestClosedStream(t *testing.T) {
 // convention: missing values aggregate as zero.
 func TestAppendZeroExtendsVals(t *testing.T) {
 	s := New(Config{Shards: 1})
-	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{5, 5, 5}, Vals: []uint64{4}}, false); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: []uint64{5, 5, 5}, Vals: []uint64{4}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendChunk(agg.Chunk{Keys: nil, Vals: nil}, false); err != nil { // empty batch is a no-op
+	if err := s.AppendChunk(agg.Chunk{Keys: nil, Vals: nil}); err != nil { // empty batch is a no-op
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

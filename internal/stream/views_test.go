@@ -21,7 +21,7 @@ import (
 // exactly the batches appended since the last one — seal boundaries are
 // batch boundaries, and the test knows each pane's exact row range.
 func viewConfig() Config {
-	return Config{Shards: 1, QueueDepth: 8, SealRows: 1 << 20, MergeBits: 4, Holistic: true}
+	return Config{Shards: 1, SealRows: 1 << 20, MergeBits: 4, Holistic: true}
 }
 
 // viewFeed drives a stream one seal at a time and remembers each seal's
@@ -35,7 +35,7 @@ type viewFeed struct {
 
 func (f *viewFeed) seal(t *testing.T, n int) {
 	t.Helper()
-	if err := f.s.AppendChunk(agg.Chunk{Keys: f.keys[f.fed : f.fed+n], Vals: f.vals[f.fed : f.fed+n]}, false); err != nil {
+	if err := f.s.AppendChunk(agg.Chunk{Keys: f.keys[f.fed : f.fed+n], Vals: f.vals[f.fed : f.fed+n]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.s.Flush(); err != nil {
@@ -93,7 +93,7 @@ func refValue(t *testing.T, q agg.Query, wk, wv []uint64) any {
 	s := New(viewConfig())
 	defer s.Close()
 	if len(wk) > 0 {
-		if err := s.AppendChunk(agg.Chunk{Keys: wk, Vals: wv}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: wk, Vals: wv}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Flush(); err != nil {
@@ -318,7 +318,7 @@ func TestCViewRegisterMidIngest(t *testing.T) {
 // race detector checks the locking, the body checks every read is
 // internally consistent (Q1 counts sum to the window row count).
 func TestCViewEvictionRace(t *testing.T) {
-	s := New(Config{Shards: 1, QueueDepth: 8, SealRows: 1 << 20, MergeBits: 4})
+	s := New(Config{Shards: 1, SealRows: 1 << 20, MergeBits: 4})
 	defer s.Close()
 	if err := s.RegisterView(cview.Spec{Name: "race", Query: agg.Query{ID: agg.QCountByKey},
 		PaneRows: 200, Panes: 2, Sliding: true}); err != nil {
@@ -367,7 +367,7 @@ func TestCViewEvictionRace(t *testing.T) {
 
 	for off := 0; off < len(keys); off += 100 {
 		end := off + 100
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Flush(); err != nil { // one seal per batch: panes churn
@@ -505,7 +505,7 @@ func TestCViewDefinitionsPersist(t *testing.T) {
 // seals happening (unlike the obs guard, the per-seal view fold is
 // exactly what's being priced), with or without 4 registered views.
 func ingestWithViews(tb testing.TB, keys, vals []uint64, views bool) time.Duration {
-	s := New(Config{Shards: 1, QueueDepth: 8, SealRows: 1 << 14, MergeBits: 6})
+	s := New(Config{Shards: 1, SealRows: 1 << 14, MergeBits: 6})
 	defer func() {
 		if err := s.Close(); err != nil {
 			tb.Fatal(err)
@@ -531,7 +531,7 @@ func ingestWithViews(tb testing.TB, keys, vals []uint64, views bool) time.Durati
 		if j > len(keys) {
 			j = len(keys)
 		}
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[i:j], Vals: vals[i:j]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[i:j], Vals: vals[i:j]}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -573,7 +573,7 @@ func TestCViewStats(t *testing.T) {
 	for i := range keys {
 		keys[i] = rng.Uint64() % 32
 	}
-	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: keys}, false); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: keys}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -608,7 +608,7 @@ func TestCViewUpdateLatencyRecorded(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i % 17)
 	}
-	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: keys}, false); err != nil {
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: keys}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {

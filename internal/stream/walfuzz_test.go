@@ -85,7 +85,7 @@ func FuzzWALRecovery(f *testing.F) {
 		// Recover. CheckpointEvery -1 keeps this WAL-only, so the whole
 		// recovered state is what the damaged log proves.
 		cfg := Config{
-			Shards: 1, QueueDepth: 4, SealRows: 64, MergeBits: 4, Holistic: true,
+			Shards: 1, SealRows: 64, MergeBits: 4, Holistic: true,
 			Durability: Durability{Dir: "data", FS: fs, SyncPolicy: wal.SyncNone, CheckpointEvery: -1},
 		}
 		s, err := Open(cfg)

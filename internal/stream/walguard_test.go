@@ -17,14 +17,14 @@ import (
 // ingestOnce, SealRows is small enough that seals (and therefore WAL
 // appends) actually happen: the guard measures the logging path, not
 // just the Append hot loop. The log lives on a MemFS so the measured
-// cost is the WAL code path itself (row mirror, encode, CRC, write) —
+// cost is the WAL code path itself (encode, CRC, write) —
 // on a real disk, kernel writeback lands on later rounds at the page
 // cache's whim and would randomize a wall-clock ratio; sustained
 // on-disk throughput is bench/'s ingest_durable workload.
 // CheckpointEvery is negative so neither mode pays checkpoint I/O, and
 // Close (final checkpoint, fsync) is excluded from the timed window.
 func walIngestOnce(tb testing.TB, keys, vals []uint64, fs wal.FS, batchLen int) time.Duration {
-	cfg := Config{Shards: 1, QueueDepth: 8, SealRows: 1 << 14, MergeBits: 6}
+	cfg := Config{Shards: 1, SealRows: 1 << 14, MergeBits: 6}
 	var s *Stream
 	if fs == nil {
 		s = New(cfg)
@@ -46,7 +46,7 @@ func walIngestOnce(tb testing.TB, keys, vals []uint64, fs wal.FS, batchLen int) 
 		if j > len(keys) {
 			j = len(keys)
 		}
-		if err := s.AppendChunk(agg.Chunk{Keys: keys[i:j], Vals: vals[i:j]}, false); err != nil {
+		if err := s.AppendChunk(agg.Chunk{Keys: keys[i:j], Vals: vals[i:j]}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -67,9 +67,9 @@ func walIngestOnce(tb testing.TB, keys, vals []uint64, fs wal.FS, batchLen int) 
 // TestWALOverheadGuard proves the no-fsync durability tier is cheap
 // enough to leave on: the same workload ingested with a SyncPolicy=none
 // WAL must stay within 15% of a fully volatile stream. The WAL path adds
-// a raw-row mirror per delta plus an encode+buffered-write per seal, all
-// off the producer's critical path except the mirror append — 15% is the
-// ceiling, not the expectation. Wall-clock ratios are noisy, so the guard
+// an encode+buffered-write per seal, straight from the columns of the
+// batches the delta absorbed and off the producer's critical path — 15%
+// is the ceiling, not the expectation. Wall-clock ratios are noisy, so the guard
 // runs only under pairtest.Gate (MEMAGG_GUARDS=1) — scripts/ci.sh sets
 // it; a plain `go test ./...` skips.
 func TestWALOverheadGuard(t *testing.T) {

@@ -49,7 +49,7 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzRecordDecode: arbitrary frame payloads must never panic the record
 // decoder, and every accepted record must round-trip through encodeRecord.
 func FuzzRecordDecode(f *testing.F) {
-	valid := encodeRecord(nil, Record{EndWatermark: 3, Keys: []uint64{1, 2, 3}, Vals: []uint64{9, 8, 7}})
+	valid := encodeRecord(nil, 3, [][]uint64{{1, 2, 3}}, [][]uint64{{9, 8, 7}})
 	f.Add(valid[FrameHeader:]) // the framed payload
 	f.Add([]byte{recordRows})
 	f.Add([]byte{recordRows, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
@@ -66,7 +66,7 @@ func FuzzRecordDecode(f *testing.F) {
 		if len(rec.Keys) != len(rec.Vals) {
 			t.Fatalf("accepted record with %d keys, %d vals", len(rec.Keys), len(rec.Vals))
 		}
-		re := encodeRecord(nil, rec)
+		re := encodeRecord(nil, rec.EndWatermark, [][]uint64{rec.Keys}, [][]uint64{rec.Vals})
 		if !bytes.Equal(re[FrameHeader:], payload) {
 			t.Fatal("accepted record does not round-trip")
 		}

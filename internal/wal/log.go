@@ -390,6 +390,13 @@ func (l *Log) writeManifest() error {
 // torn, so every subsequent Append fails too and the caller must degrade
 // (recovery will repair the tail).
 func (l *Log) Append(r Record) error {
+	return l.AppendSegments(r.EndWatermark, [][]uint64{r.Keys}, [][]uint64{r.Vals})
+}
+
+// AppendSegments is Append for a record whose rows arrive as column
+// segments (see encodeRecord): it writes the same bytes as Append of the
+// record whose Keys and Vals are the segments concatenated.
+func (l *Log) AppendSegments(endWM uint64, keys, vals [][]uint64) error {
 	defer obs.Start().Tick(l.opts.Metrics.AppendLat)
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -399,7 +406,7 @@ func (l *Log) Append(r Record) error {
 	if l.broken != nil {
 		return l.broken
 	}
-	l.buf = encodeRecord(l.buf[:0], r)
+	l.buf = encodeRecord(l.buf[:0], endWM, keys, vals)
 	if l.activeSize > 0 && l.activeSize+int64(len(l.buf)) > int64(l.opts.SegmentBytes) {
 		if err := l.rotate(); err != nil {
 			l.broken = err
@@ -411,7 +418,7 @@ func (l *Log) Append(r Record) error {
 		return l.broken
 	}
 	l.activeSize += int64(len(l.buf))
-	l.lastWM = r.EndWatermark
+	l.lastWM = endWM
 	l.opts.Metrics.Appends.Inc()
 	l.opts.Metrics.AppendBytes.Add(uint64(len(l.buf)))
 	switch l.opts.SyncPolicy {

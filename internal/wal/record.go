@@ -112,26 +112,35 @@ const (
 	recordHeaderSize = 13
 )
 
-// encodeRecord appends r's framed encoding to dst. It builds the frame
-// in place — payload first, header backfilled — so a caller reusing dst
-// across appends (Log.Append does) allocates nothing on the hot path.
-func encodeRecord(dst []byte, r Record) []byte {
-	n := len(r.Keys)
+// encodeRecord appends the framed encoding of the record ending at endWM
+// to dst. Its rows arrive as column segments: the record's keys are the
+// keys segments concatenated in order, and its values likewise, so a
+// sealed delta logs the batches it absorbed without first gathering them
+// into one array. The bytes do not depend on how the rows are split. The
+// keys and vals segments must hold the same total number of rows. The
+// frame is built in place — payload first, header backfilled — so a caller
+// reusing dst across appends (Log.Append does) allocates nothing on the
+// hot path.
+func encodeRecord(dst []byte, endWM uint64, keys, vals [][]uint64) []byte {
+	n := 0
+	for _, seg := range keys {
+		n += len(seg)
+	}
 	payloadLen := recordHeaderSize + 16*n
 	start := len(dst)
 	dst = slices.Grow(dst, FrameHeader+payloadLen)[:start+FrameHeader+payloadLen]
 	payload := dst[start+FrameHeader:]
 	payload[0] = recordRows
-	binary.LittleEndian.PutUint64(payload[1:9], r.EndWatermark)
+	binary.LittleEndian.PutUint64(payload[1:9], endWM)
 	binary.LittleEndian.PutUint32(payload[9:13], uint32(n))
 	off := recordHeaderSize
-	for _, k := range r.Keys {
-		binary.LittleEndian.PutUint64(payload[off:], k)
-		off += 8
-	}
-	for _, v := range r.Vals {
-		binary.LittleEndian.PutUint64(payload[off:], v)
-		off += 8
+	for _, segs := range [2][][]uint64{keys, vals} {
+		for _, seg := range segs {
+			for _, x := range seg {
+				binary.LittleEndian.PutUint64(payload[off:], x)
+				off += 8
+			}
+		}
 	}
 	SealFrame(dst[start:])
 	return dst

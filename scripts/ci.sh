@@ -258,10 +258,16 @@ pinned -race -run 'TestRingMovementOnAdd' -count=1 -v ./internal/chash
 # a rename can't drop the corpus replay. The content-negotiation gates then
 # prove JSON-fed and binary-fed servers answer bit-identical Q1-Q7 (plus
 # quantile/mode) — single node and the 3-node scatter path — under the
-# race detector, with the ownership-transfer pool recycling exercised
-# concurrently.
+# race detector, with concurrent producers appending across shards. The
+# stream reads appended columns in place, so the facade's AppendChunk
+# copy (the caller may reuse its slices) has a gate of its own, on a
+# volatile stream and across a durable reopen; the WAL record written
+# from a delta's batch columns must be byte-identical to the one-array
+# encoding.
 pinned -race -run 'FuzzChunkWire|TestChunkWire|TestChunkStream' -count=1 -v ./internal/agg
-pinned -race -run 'TestAppendChunkOwnedEquivalence|TestAppendChunkPoolRecycling' -count=1 -v ./internal/stream
+pinned -race -run 'TestAppendChunkShortValsZeroExtend|TestAppendChunkConcurrentAccounting' -count=1 -v ./internal/stream
+pinned -race -run 'TestAppendChunkCallerMayReuse' -count=1 -v .
+pinned -race -run 'TestRecordSegmentsEncodeIdentically|TestAppendSegmentsMatchesAppend' -count=1 -v ./internal/wal
 pinned -race -run 'TestIngestEquivalenceJSONBinary|TestClusterIngestEquivalence|TestIngestBinaryMultiChunkBody|TestIngestBinaryRejectsCorruptBody|TestRoutesV1Only' -count=1 -v ./cmd/aggserve
 # JSON bodies are capped: one byte over the cap answers 413 on node and
 # router ingest and on view registration, nothing is applied, and the
@@ -303,9 +309,12 @@ pinned -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestQueryCanceled
 # internal/pairtest and fails only when the paired ratios' median is over
 # budget with 95% confidence (see that package):
 #   - obs: instrumented ingest vs timing disabled, 1.05 (DESIGN.md
-#     budget <2%);
-#   - WAL: SyncPolicy=none durable ingest (raw-row mirror, record encode,
-#     CRC32C, buffered write) vs volatile, 1.15;
+#     budget <2%), on a line of its own at -cpu 1: at GOMAXPROCS=2 the
+#     timing calls run on the producer while the shard absorbs on the
+#     other CPU, so a 30 us spin per Mark.Tick hid off the critical path;
+#     on one CPU every instrument's cost lands in the measured time;
+#   - WAL: SyncPolicy=none durable ingest (record encode from the sealed
+#     delta's batch columns, CRC32C, buffered write) vs volatile, 1.15;
 #   - query: the partition-parallel path at 1 worker vs the plain serial
 #     path, 1.20;
 #   - cview: ingest with 4 registered views vs none, 1.10;
@@ -316,4 +325,5 @@ pinned -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestQueryCanceled
 # deterministic; -p 1 keeps the two packages' guards from timing each
 # other.
 export MEMAGG_GUARDS=1
-pinned -p 1 -count=1 -v -run 'Guard$' ./internal/stream ./cmd/aggserve
+pinned -p 1 -count=1 -v -run 'Guard$' -skip 'TestObsOverheadGuard' ./internal/stream ./cmd/aggserve
+pinned -count=1 -v -cpu 1 -run 'TestObsOverheadGuard$' ./internal/stream

@@ -173,21 +173,31 @@ func (s *Stream) Ready() bool { return !s.s.Closed() && !s.s.ReadOnly() }
 
 // AppendChunk ingests one columnar chunk: c.Vals[i] belongs to
 // c.Keys[i], and a short value column zero-extends. The columns are
-// copied (into pooled scratch, so a steady producer allocates nothing);
-// the caller may reuse them. AppendChunk blocks when the receiving
-// shard's queue is full (backpressure, not loss) and returns ErrClosed
-// after Close. Rows become visible to snapshots once their delta seals;
-// call Flush for an immediate visibility barrier.
-func (s *Stream) AppendChunk(c Chunk) error { return s.s.AppendChunk(c, false) }
+// copied into one fresh allocation per call (there is no buffer pool),
+// so the caller may reuse them as soon as AppendChunk returns.
+// AppendChunk blocks when the receiving shard's queue is full
+// (backpressure, not loss) and returns ErrClosed after Close. Rows
+// become visible to snapshots once their delta seals; call Flush for an
+// immediate visibility barrier.
+func (s *Stream) AppendChunk(c Chunk) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	n := len(c.Keys)
+	buf := make([]uint64, 2*n)
+	copy(buf, c.Keys)
+	copy(buf[n:], c.Vals)
+	return s.s.AppendChunk(Chunk{Keys: buf[:n:n], Vals: buf[n:]})
+}
 
-// AppendOwnedChunk is AppendChunk in ownership-transfer mode: the
-// chunk's slices pass to the stream without copying, are folded straight
-// into a shard's delta table, and are then recycled through the stream's
-// ingest buffer pool. The caller must not touch either column again
-// after a successful call, and the columns must not share backing memory
-// with anything the caller keeps (ReadChunk's outputs qualify — the
-// servers feed decoded wire chunks through this path).
-func (s *Stream) AppendOwnedChunk(c Chunk) error { return s.s.AppendChunk(c, true) }
+// AppendOwnedChunk is AppendChunk without the copy: the chunk's slices
+// pass to the stream, which folds them straight into a shard's delta
+// table and only reads them — until their delta seals and, on a durable
+// stream, its WAL record is written; then the garbage collector takes
+// them. The caller must not modify either column after a successful
+// call (ReadChunk's outputs qualify — the servers feed decoded wire
+// chunks through this path).
+func (s *Stream) AppendOwnedChunk(c Chunk) error { return s.s.AppendChunk(c) }
 
 // Flush makes every row this caller appended before the call visible to
 // subsequent snapshots.

@@ -147,6 +147,76 @@ func TestStreamWorkloadDerivation(t *testing.T) {
 	}
 }
 
+// TestAppendChunkCallerMayReuse pins AppendChunk's copy: the caller
+// overwrites its columns right after every call, and the stream must
+// still answer over the rows as appended — on a volatile stream, and on a
+// durable one after Close and reopen. The durable stream writes no
+// checkpoints, so the reopen rebuilds every row from the WAL, whose
+// records are encoded at seal time, long after the overwrites: a facade
+// that stopped copying would log the overwritten values.
+func TestAppendChunkCallerMayReuse(t *testing.T) {
+	keys, err := Generate(RseqShf, 20_000, 700, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := GenerateValues(len(keys), 11)
+	batch, err := New(HashLP, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const chunk = 500
+	feed := func(s *Stream) {
+		t.Helper()
+		k, v := make([]uint64, chunk), make([]uint64, chunk)
+		for off := 0; off < len(keys); off += chunk {
+			n := copy(k, keys[off:])
+			copy(v, vals[off:off+n])
+			if err := s.AppendChunk(Chunk{Keys: k[:n], Vals: v[:n]}); err != nil {
+				t.Fatal(err)
+			}
+			for i := range k {
+				k[i], v[i] = 1<<40+uint64(i), 1<<30
+			}
+		}
+	}
+	check := func(label string, s *Stream) {
+		t.Helper()
+		sn := s.Snapshot()
+		if sn.Watermark() != uint64(len(keys)) {
+			t.Fatalf("%s: watermark = %d want %d", label, sn.Watermark(), len(keys))
+		}
+		checkCounts(t, label+" Q1", sn.CountByKey(), batch.CountByKey(keys))
+		checkValues(t, label+" Q2", sn.AvgByKey(), batch.AvgByKey(keys, vals))
+	}
+
+	v := NewStream(StreamOptions{SealRows: 2_048})
+	feed(v)
+	if err := v.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("volatile", v)
+
+	opts := StreamOptions{
+		SealRows:   2_048,
+		Durability: StreamDurability{Dir: t.TempDir(), SyncPolicy: "none", CheckpointEvery: -1},
+	}
+	d, err := OpenStream(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenStream(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("durable reopen", re)
+}
+
 func checkCounts(t *testing.T, label string, got, want []GroupCount) {
 	t.Helper()
 	sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
