@@ -112,7 +112,7 @@ func (srv *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if isChunkRequest(r) {
 		// Binary chunk stream: decode each wire chunk and transfer its
 		// freshly allocated columns straight into the stream — the only
-		// copy between socket and delta table is the wire decode itself.
+		// copy between socket and delta is the wire decode itself.
 		rows, err := ingestChunks(r.Body, srv.stream.AppendOwnedChunk)
 		if err != nil {
 			status, msg := chunkStatus(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	mathbits "math/bits"
 
+	"memagg/internal/arena"
 	"memagg/internal/hashtbl"
 	"memagg/internal/morsel"
 	"memagg/internal/radix"
@@ -17,7 +18,8 @@ import (
 // independently and in parallel — the Hash_RX discipline — and this file
 // is the only place that decides which partition a row or group goes to:
 // the stream's base generations and snapshot folds, WAL replay, view
-// windows and the group-run decoder all build their sets here.
+// windows, the stream's deltas (AbsorbParts) and the group-run decoder
+// all build their sets here.
 
 // MaxPartBits bounds a partition set's fan-out: the radix partitioner
 // clamps past it, so a larger set could not be routed consistently.
@@ -44,79 +46,104 @@ func scatter(keys, vals []uint64, bits, workers int) *radix.Partitioned {
 	return radix.Partition(keys, vals, bits, workers)
 }
 
-// Fold folds the groups of srcs (plain tables, any layout) into the
-// partition set base and returns the result as a set of base's length,
-// plus the number of partitions folded in place. srcs are never mutated;
-// base partition q is mutated only when own[q] is set (the caller holds
-// the only reference to it), and nil own means copy-on-write everywhere.
-// The sources' groups are flattened into key/reference columns and
-// scattered with the Hash_RX partitioner; each partition then folds
-// independently across workers on the morsel partition cursor. A touched
-// partition the caller owns takes the source groups straight into its
-// table — Wen et al.'s update-in-place build; any other touched partition
-// is rebuilt as a copy of the base partition plus those groups.
+// Fold folds the groups of srcs into the partition set base and returns
+// the result as a set of base's length, plus the number of partitions
+// folded in place. Each source is itself a partition set: one at base's
+// fan-out folds partition q into partition q as it stands — no flatten,
+// no scatter, each source partition read in its own slot order — and a
+// one-table source (any layout) has its groups flattened into key/
+// reference columns and scattered with the Hash_RX partitioner. Any other
+// length is a caller bug. srcs are never mutated; base partition q is
+// mutated only when own[q] is set (the caller holds the only reference
+// to it), and nil own means copy-on-write everywhere. Each partition
+// folds independently across workers on the morsel partition cursor. A
+// touched partition the caller owns takes the source groups straight
+// into its table — Wen et al.'s update-in-place build; any other touched
+// partition is rebuilt as a copy of the base partition plus those groups.
 // Partitions that received no source groups are shared with base by
 // pointer: a fold of a small delta rebuilds only the partitions it
 // touches. withValues carries the value multisets along. The result's
 // groups are a pure function of the inputs' contents, in place or not,
 // and for a given mask its tables and their iteration order are the same
 // at any worker count.
-func Fold(base, srcs []Table, own []bool, withValues bool, workers int) ([]Table, int) {
+func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int) ([]Table, int) {
 	bits := partBits(base)
 	total := 0
-	for _, t := range srcs {
-		total += t.Len()
+	for _, src := range srcs {
+		switch len(src) {
+		case len(base):
+		case 1:
+			total += src[0].Len()
+		default:
+			panic(fmt.Sprintf("agg: fold of a %d-table source into a %d-partition set", len(src), len(base)))
+		}
 	}
-	// refs[i] locates group i: its source's index in the high 32 bits, its
-	// position in ps in the low 32 (the source is needed only for the arena
-	// its values live in).
+	// refs[i] locates flattened group i: its source's index in the high 32
+	// bits, its position in ps in the low 32 (the source is needed only for
+	// the arena its values live in).
 	keys := make([]uint64, 0, total)
 	refs := make([]uint64, 0, total)
 	ps := make([]*Partial, 0, total)
-	for s, t := range srcs {
-		if t.T == nil {
+	for s, src := range srcs {
+		if len(src) == len(base) || src[0].T == nil {
 			continue
 		}
-		t.T.Iterate(func(k uint64, p *Partial) bool {
+		src[0].T.Iterate(func(k uint64, p *Partial) bool {
 			keys = append(keys, k)
 			refs = append(refs, uint64(s)<<32|uint64(len(ps)))
 			ps = append(ps, p)
 			return true
 		})
 	}
+	pt := &radix.Partitioned{Bounds: make([]int, len(base)+1)}
+	if len(keys) > 0 {
+		pt = scatter(keys, refs, bits, workers)
+	}
 
-	pt := scatter(keys, refs, bits, workers)
 	inPlace := func(q int) bool { return own != nil && own[q] && base[q].T != nil }
 	parts := make([]Table, len(base))
+	touched := make([]bool, len(base))
 	morsel.Parts(len(base), workers, func(_, q int) {
 		parts[q] = base[q] // untouched, or folded in place: the base's table
 		pk := pt.PartKeys(q)
-		if len(pk) == 0 {
+		n := len(pk)
+		for _, src := range srcs {
+			if len(src) == len(base) {
+				n += src[q].Len()
+			}
+		}
+		if n == 0 {
 			return
 		}
+		touched[q] = true
 		if !inPlace(q) {
-			parts[q] = NewTable(base[q].Len() + len(pk))
+			parts[q] = NewTable(base[q].Len() + n)
 			if base[q].T != nil {
 				MergeTable(parts[q], base[q], withValues)
+			}
+		}
+		for _, src := range srcs {
+			if len(src) == len(base) && src[q].T != nil {
+				MergeTable(parts[q], src[q], withValues)
 			}
 		}
 		foldPart(parts[q], pk, pt.PartVals(q), ps, srcs, withValues)
 	})
 	n := 0
 	for q := range parts {
-		if inPlace(q) && len(pt.PartKeys(q)) > 0 {
+		if touched[q] && inPlace(q) {
 			n++
 		}
 	}
 	return parts, n
 }
 
-// foldPart is one partition of Fold: it upserts the source groups that
-// landed in the partition (keys pk, references pr into ps and srcs) into
-// dst. The groups land via the same blocked-hash loop as the batch
-// kernels: pk is a plain column, so the blocks need no staging (a short
-// last block hashes key by key).
-func foldPart(dst Table, pk, pr []uint64, ps []*Partial, srcs []Table, withValues bool) {
+// foldPart is the scattered half of one Fold partition: it upserts the
+// one-table sources' groups that landed in the partition (keys pk,
+// references pr into ps and srcs) into dst. The groups land via the same
+// blocked-hash loop as the batch kernels: pk is a plain column, so the
+// blocks need no staging (a short last block hashes key by key).
+func foldPart(dst Table, pk, pr []uint64, ps []*Partial, srcs [][]Table, withValues bool) {
 	var h [hashBatch]uint64
 	for j := 0; j < len(pk); j += hashBatch {
 		bk := pk[j:min(j+hashBatch, len(pk))]
@@ -133,7 +160,52 @@ func foldPart(dst Table, pk, pr []uint64, ps []*Partial, srcs []Table, withValue
 			np := dst.T.UpsertH(k, h[i])
 			np.Merge(p)
 			if withValues {
-				np.MergeValues(dst.Ar, p, srcs[r>>32].Ar)
+				np.MergeValues(dst.Ar, p, srcs[r>>32][0].Ar)
+			}
+		}
+	}
+}
+
+// AbsorbParts folds raw rows (vals[i] belongs to keys[i], equal length)
+// into the partition set parts in place, routing each row to partition
+// radix.PartitionIndex(key, bits) — the top bits of the hash its probe
+// computes anyway, so routing costs one shift per row and there is no
+// scatter pass. It is the one absorb kernel: a block of hashBatch Mix
+// hashes is filled first, then probed with UpsertH, exactly like the
+// lpBuild* kernels, so the hash multiplies of a block overlap each other
+// and the probes' dependent cache misses. A partition's table is created
+// the first time a row lands in it, with room for seed[q] groups (nil
+// seed: the table's minimum), and every partition buffers its value
+// multisets in the one arena ar. Only for a set nobody else can see yet:
+// it mutates the tables.
+func AbsorbParts(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64, holistic bool) {
+	shift := uint(64 - partBits(parts)) // a shift of 64 yields partition 0
+	var h [hashBatch]uint64
+	for i := 0; i < len(keys); i += hashBatch {
+		bk := keys[i:min(i+hashBatch, len(keys))]
+		bv := vals[i : i+len(bk)]
+		if len(bk) == hashBatch {
+			mixBatch(&h, bk)
+		} else {
+			for j, k := range bk {
+				h[j] = hashtbl.Mix(k)
+			}
+		}
+		for j, k := range bk {
+			q := h[j] >> shift
+			t := parts[q].T
+			if t == nil {
+				n := 0
+				if seed != nil {
+					n = seed[q]
+				}
+				t = hashtbl.NewLinearProbe[Partial](n)
+				parts[q] = Table{T: t, Ar: ar}
+			}
+			p := t.UpsertH(k, h[j])
+			p.Observe(bv[j])
+			if holistic {
+				p.Buffer(ar, bv[j])
 			}
 		}
 	}
@@ -142,10 +214,11 @@ func foldPart(dst Table, pk, pr []uint64, ps []*Partial, srcs []Table, withValue
 // Absorb folds raw rows (vals[i] belongs to keys[i], equal length) into
 // the partition set parts in place: the Hash_RX scatter at the set's
 // fan-out, then each touched partition absorbs its rows with AbsorbRows,
-// partitions in parallel across workers; a partition's table is allocated
-// on first use. Partial folds are insensitive to how rows are grouped, so
-// the result equals a Fold of a table that absorbed the same rows. Only
-// for a set nobody else can see yet: it mutates the tables.
+// partitions in parallel across workers; a partition's
+// table is allocated on first use, sized for its rows. Partial folds are
+// insensitive to how rows are grouped, so the result equals a Fold of a
+// table that absorbed the same rows. Only for a set nobody else can see
+// yet: it mutates the tables.
 func Absorb(parts []Table, keys, vals []uint64, holistic bool, workers int) {
 	pt := scatter(keys, vals, partBits(parts), workers)
 	morsel.Parts(len(parts), workers, func(_, q int) {
@@ -161,44 +234,7 @@ func Absorb(parts []Table, keys, vals []uint64, holistic bool, workers int) {
 }
 
 // AbsorbRows folds raw rows (vals[i] belongs to keys[i], equal length)
-// into dst: the one absorb kernel, run by a stream's shards on ingest and
-// by Absorb per partition. The holistic check is hoisted out of the row
-// loop, and both loops run in hashBatch-blocked form — fill a block of Mix
-// hashes first, then probe with UpsertH — exactly like the lpBuild*
-// kernels: the hash multiplies of a block overlap each other and the
-// probes' dependent cache misses instead of serializing row by row.
+// into the one table dst: AbsorbParts over a set of one.
 func AbsorbRows(dst Table, keys, vals []uint64, holistic bool) {
-	t := dst.T
-	var h [hashBatch]uint64
-	i := 0
-	if holistic {
-		ar := dst.Ar
-		for ; i+hashBatch <= len(keys); i += hashBatch {
-			bk := keys[i : i+hashBatch : i+hashBatch]
-			bv := vals[i : i+hashBatch : i+hashBatch]
-			mixBatch(&h, bk)
-			for j, k := range bk {
-				p := t.UpsertH(k, h[j])
-				p.Observe(bv[j])
-				p.Buffer(ar, bv[j])
-			}
-		}
-		for ; i < len(keys); i++ {
-			p := t.Upsert(keys[i])
-			p.Observe(vals[i])
-			p.Buffer(ar, vals[i])
-		}
-		return
-	}
-	for ; i+hashBatch <= len(keys); i += hashBatch {
-		bk := keys[i : i+hashBatch : i+hashBatch]
-		bv := vals[i : i+hashBatch : i+hashBatch]
-		mixBatch(&h, bk)
-		for j, k := range bk {
-			t.UpsertH(k, h[j]).Observe(bv[j])
-		}
-	}
-	for ; i < len(keys); i++ {
-		t.Upsert(keys[i]).Observe(vals[i])
-	}
+	AbsorbParts([]Table{dst}, dst.Ar, nil, keys, vals, holistic)
 }

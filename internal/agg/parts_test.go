@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"memagg/internal/arena"
 	"memagg/internal/radix"
 )
 
@@ -70,6 +71,26 @@ func checkLayout(t *testing.T, label string, parts []Table, bits int) {
 	}
 }
 
+// rowsDump folds rows into ref the naive way, one map entry per key: the
+// independent reference for the absorb kernel.
+func rowsDump(ref map[uint64]groupDump, keys, vals []uint64, holistic bool) {
+	for i, k := range keys {
+		v := vals[i]
+		d, ok := ref[k]
+		if !ok {
+			d.min, d.max = v, v
+		}
+		d.count++
+		d.sum += v
+		d.min, d.max = min(d.min, v), max(d.max, v)
+		if holistic {
+			d.vals = append(d.vals, v)
+			slices.Sort(d.vals)
+		}
+		ref[k] = d
+	}
+}
+
 // randRows returns n rows over keys drawn from pick, values random.
 func randRows(rng *rand.Rand, n int, pick func() uint64) (keys, vals []uint64) {
 	keys, vals = make([]uint64, n), make([]uint64, n)
@@ -79,12 +100,22 @@ func randRows(rng *rand.Rand, n int, pick func() uint64) (keys, vals []uint64) {
 	return keys, vals
 }
 
-// TestFold checks agg.Fold against a single-table MergeTable reference at
-// several fan-outs, with and without value multisets, at several worker
-// counts: the same groups with the same state, every key in its
-// PartitionIndex partition, partitions no source touched shared with the
-// base by pointer, base and sources untouched — and the same tables in
-// the same iteration order at every worker count. With an ownership mask
+// oneTableSources wraps each table as a one-table Fold source, the shape
+// Fold flattens and scatters.
+func oneTableSources(tables []Table) [][]Table {
+	srcs := make([][]Table, len(tables))
+	for i := range tables {
+		srcs[i] = tables[i : i+1]
+	}
+	return srcs
+}
+
+// TestFold checks agg.Fold of one-table sources against a single-table
+// MergeTable reference at several fan-outs, with and without value
+// multisets, at several worker counts: the same groups with the same
+// state, every key in its PartitionIndex partition, partitions no source
+// touched shared with the base by pointer, base and sources untouched —
+// and the same tables in the same iteration order at every worker count. With an ownership mask
 // the same groups land, owned partitions fold in place, and partitions
 // the caller does not own are left as they were.
 func TestFold(t *testing.T) {
@@ -136,7 +167,7 @@ func TestFold(t *testing.T) {
 			var firstOrder []uint64
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("bits=%d holistic=%v workers=%d", bits, holistic, workers)
-				got, n := Fold(base, srcs, nil, holistic, workers)
+				got, n := Fold(base, oneTableSources(srcs), nil, holistic, workers)
 				if n != 0 {
 					t.Fatalf("%s: copy-on-write fold reports %d partitions in place", label, n)
 				}
@@ -177,7 +208,7 @@ func TestFold(t *testing.T) {
 					}
 				}
 				sharedBefore := dumpTables(t, shared...)
-				got, n = Fold(ib, srcs, own, holistic, workers)
+				got, n = Fold(ib, oneTableSources(srcs), own, holistic, workers)
 				checkLayout(t, label+" in place", got, bits)
 				if g := dumpTables(t, got...); !reflect.DeepEqual(g, want) {
 					t.Fatalf("%s: in-place fold differs from the MergeTable reference", label)
@@ -205,7 +236,7 @@ func TestFold(t *testing.T) {
 	}
 }
 
-// TestAbsorb checks agg.Absorb against AbsorbRows into one table: the same
+// TestAbsorb checks agg.Absorb against a row-by-row reference: the same
 // groups with the same state, every key in its PartitionIndex partition,
 // and tables allocated only for partitions that received rows.
 func TestAbsorb(t *testing.T) {
@@ -214,22 +245,140 @@ func TestAbsorb(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("bits=%d holistic=%v workers=%d", bits, holistic, workers)
 				rng := rand.New(rand.NewSource(int64(bits)))
-				ref := NewTable(0)
+				ref := map[uint64]groupDump{}
 				parts := make([]Table, 1<<bits)
 				// Two batches: the second lands on tables the first allocated.
 				for batch := 0; batch < 2; batch++ {
 					k, v := randRows(rng, 3000, func() uint64 { return rng.Uint64() % 40 })
-					AbsorbRows(ref, k, v, holistic)
+					rowsDump(ref, k, v, holistic)
 					Absorb(parts, k, v, holistic, workers)
 				}
 				checkLayout(t, label, parts, bits)
-				if !reflect.DeepEqual(dumpTables(t, parts...), dumpTables(t, ref)) {
-					t.Fatalf("%s: absorb differs from the AbsorbRows reference", label)
+				if !reflect.DeepEqual(dumpTables(t, parts...), ref) {
+					t.Fatalf("%s: absorb differs from the row-by-row reference", label)
 				}
 				for q, tb := range parts {
 					if tb.T != nil && tb.Len() == 0 {
 						t.Fatalf("%s: partition %d allocated without rows", label, q)
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldPartitionSets: Fold over partition-set sources at the base's
+// fan-out (folded partition q into q) equals Fold over the same groups
+// given as one-table sources (flattened and scattered), and a mix of both
+// kinds equals either — at several fan-outs, with and without value
+// multisets, at workers 1/2/8, copy-on-write (own nil) and in place (own
+// all true). A source at any other fan-out is a caller bug.
+func TestFoldPartitionSets(t *testing.T) {
+	for _, bits := range []int{0, 1, 4, 6} {
+		for _, holistic := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(bits*10 + 3)))
+			bk, bv := randRows(rng, 4000, func() uint64 { return rng.Uint64() % 3000 })
+			freshBase := func() []Table {
+				base := make([]Table, 1<<bits)
+				Absorb(base, bk, bv, holistic, 1)
+				return base
+			}
+			const nsrc = 4
+			sets := make([][]Table, nsrc)
+			tables := make([]Table, nsrc)
+			for i := range sets {
+				k, v := randRows(rng, 1500, func() uint64 { return rng.Uint64() % 5000 })
+				sets[i] = make([]Table, 1<<bits)
+				AbsorbParts(sets[i], arena.New(), nil, k, v, holistic)
+				tables[i] = NewTable(0)
+				AbsorbRows(tables[i], k, v, holistic)
+			}
+			mixed := oneTableSources(tables)
+			mixed[1], mixed[3] = sets[1], sets[3]
+			for _, workers := range []int{1, 2, 8} {
+				for _, owned := range []bool{false, true} {
+					label := fmt.Sprintf("bits=%d holistic=%v workers=%d owned=%v", bits, holistic, workers, owned)
+					fold := func(srcs [][]Table) map[uint64]groupDump {
+						base := freshBase()
+						var own []bool
+						if owned {
+							own = make([]bool, len(base))
+							for q := range own {
+								own[q] = true
+							}
+						}
+						got, _ := Fold(base, srcs, own, holistic, workers)
+						checkLayout(t, label, got, bits)
+						return dumpTables(t, got...)
+					}
+					want := fold(oneTableSources(tables))
+					if got := fold(sets); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: partition-set sources fold differently from one-table sources (%d vs %d groups)", label, len(got), len(want))
+					}
+					if got := fold(mixed); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: mixed sources fold differently from one-table sources", label)
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fold of a 2-table source into a 4-partition set did not panic")
+		}
+	}()
+	Fold(make([]Table, 4), [][]Table{make([]Table, 2)}, nil, false, 1)
+}
+
+// TestAbsorbParts checks agg.AbsorbParts against a row-by-row reference:
+// every group in its PartitionIndex partition with the same state
+// and value multiset, key 0 included, tables allocated only for
+// partitions that received rows, every partition's values in the one
+// arena passed in — and a set seeded from another's group counts starts
+// every partition large enough to hold that count without a rehash.
+func TestAbsorbParts(t *testing.T) {
+	for _, bits := range []int{0, 1, 6, MaxPartBits} {
+		for _, holistic := range []bool{false, true} {
+			label := fmt.Sprintf("bits=%d holistic=%v", bits, holistic)
+			rng := rand.New(rand.NewSource(int64(bits) + 11))
+			ref := map[uint64]groupDump{}
+			parts := make([]Table, 1<<bits)
+			ar := arena.New()
+			// Two batches, the first with a short tail block and key 0: the
+			// second lands on tables the first allocated.
+			for batch, n := range []int{3001, 6000} {
+				k, v := randRows(rng, n, func() uint64 { return rng.Uint64() % 20000 })
+				if batch == 0 {
+					k[0], k[n-1] = 0, 0
+				}
+				rowsDump(ref, k, v, holistic)
+				AbsorbParts(parts, ar, nil, k, v, holistic)
+			}
+			checkLayout(t, label, parts, bits)
+			if !reflect.DeepEqual(dumpTables(t, parts...), ref) {
+				t.Fatalf("%s: AbsorbParts differs from the row-by-row reference", label)
+			}
+			seed := make([]int, len(parts))
+			for q, tb := range parts {
+				seed[q] = tb.Len()
+				if tb.T == nil {
+					continue
+				}
+				if tb.Len() == 0 {
+					t.Fatalf("%s: partition %d allocated without rows", label, q)
+				}
+				if tb.Ar != ar {
+					t.Fatalf("%s: partition %d holds its values outside the shared arena", label, q)
+				}
+			}
+
+			// Too few rows to grow any table: its size is the seed's.
+			again := make([]Table, len(parts))
+			k, v := randRows(rng, 64, func() uint64 { return rng.Uint64() % 20000 })
+			AbsorbParts(again, arena.New(), seed, k, v, holistic)
+			for q, tb := range again {
+				if tb.T != nil && tb.T.Cap()*7/8 < seed[q] {
+					t.Fatalf("%s: partition %d seeded for %d groups starts at %d slots", label, q, seed[q], tb.T.Cap())
 				}
 			}
 		}

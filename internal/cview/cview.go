@@ -217,11 +217,11 @@ func (r *Registry) Drop(name string) bool {
 
 // OnSeal feeds one sealed delta to every view: the delta covers rows
 // (prevWM, endWM] of the publication watermark and carries rows of them;
-// delta is its table, immutable from here on (it must carry value
+// delta is its partition set, immutable from here on (it must carry value
 // multisets when the registry is holistic). Callers serialize OnSeal
 // calls and deliver them in watermark order (live publication and WAL
 // replay both do).
-func (r *Registry) OnSeal(prevWM, endWM, rows uint64, delta agg.Table) {
+func (r *Registry) OnSeal(prevWM, endWM, rows uint64, delta []agg.Table) {
 	if !r.Active() {
 		return
 	}
@@ -382,21 +382,21 @@ type View struct {
 
 // pane is one window slot: the merged partial state of every delta whose
 // end watermark fell inside it. Maintenance is deferred: absorb only
-// queues the sealed delta's table, and the merges run when somebody needs
-// the pane's table — a read, a pane snapshot, or the pending cap. That
-// keeps the seal-publication path O(1) per view, and a pane evicted
-// before it is ever read never pays for its merges, or for its table, at
-// all. A pane with no table (nil T) holds no groups.
+// queues the sealed delta's partition set, and the merges run when
+// somebody needs the pane's table — a read, a pane snapshot, or the
+// pending cap. That keeps the seal-publication path O(1) per view, and a
+// pane evicted before it is ever read never pays for its merges, or for
+// its table, at all. A pane with no table (nil T) holds no groups.
 type pane struct {
 	idx uint64
 	agg.Table
 	rows    uint64
 	lastWM  uint64
-	pending []agg.Table // sealed deltas not yet merged in
+	pending [][]agg.Table // sealed deltas' partition sets not yet merged in
 }
 
 // paneTableCap seeds a pane's table when its first fold settles; it grows
-// like any delta table.
+// by doubling like any hash table.
 const paneTableCap = 1 << 8
 
 // maxPendingFolds bounds a pane's deferred-fold queue. Each queued fold
@@ -405,8 +405,9 @@ const paneTableCap = 1 << 8
 // inline, amortizing the cost it deferred.
 const maxPendingFolds = 32
 
-// settle merges the pane's queued deltas into its table with
-// agg.MergeTable, value multisets only for views whose query needs them.
+// settle merges every partition of the pane's queued deltas into its
+// table with agg.MergeTable, value multisets only for views whose query
+// needs them.
 // The table is created here, on the pane's first settle: a pane evicted
 // before anything reads it never allocates one. Callers hold the owning
 // view's mu.
@@ -419,7 +420,11 @@ func (p *pane) settle(m *Metrics, withValues bool) {
 		p.Table = agg.NewTable(paneTableCap)
 	}
 	for _, d := range p.pending {
-		agg.MergeTable(p.Table, d, withValues)
+		for _, part := range d {
+			if part.T != nil {
+				agg.MergeTable(p.Table, part, withValues)
+			}
+		}
 	}
 	m.Updates.Add(uint64(len(p.pending)))
 	mk.Tick(m.UpdateLat)
@@ -449,7 +454,7 @@ func (v *View) barrier() uint64 {
 // merge itself is deferred: absorb queues the delta on the pane and bumps
 // the version, so the seal path stays O(1) per view and readers settle on
 // demand.
-func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, delta agg.Table) {
+func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, delta []agg.Table) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	bar := v.barrier()

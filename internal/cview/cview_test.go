@@ -7,15 +7,17 @@ import (
 	"testing"
 
 	"memagg/internal/agg"
+	"memagg/internal/arena"
 	"memagg/internal/wal"
 )
 
-// deltaOf builds the table a seal of the given rows would supply, value
-// multisets included (views that need none merge without them).
-func deltaOf(keys, vals []uint64) agg.Table {
-	t := agg.NewTable(len(keys))
-	agg.AbsorbRows(t, keys, vals, true)
-	return t
+// deltaOf builds the partition set a seal of the given rows would
+// supply, value multisets included (views that need none merge without
+// them).
+func deltaOf(keys, vals []uint64) []agg.Table {
+	parts := make([]agg.Table, 1<<2)
+	agg.AbsorbParts(parts, arena.New(), nil, keys, vals, true)
+	return parts
 }
 
 // seal feeds one synthetic sealed delta covering (prev, prev+len(keys)].

@@ -55,7 +55,11 @@ func (v *View) compute(r *Registry) *Result {
 	}
 	window := panes // no pane live: no groups; one pane: query it directly, no fold copy
 	if len(panes) > 1 {
-		window, _ = agg.Fold(make([]agg.Table, 1<<r.bits), panes, nil, v.withValues, r.workers)
+		srcs := make([][]agg.Table, len(panes)) // one-table sources: Fold scatters them
+		for i := range panes {
+			srcs[i] = panes[i : i+1]
+		}
+		window, _ = agg.Fold(make([]agg.Table, 1<<r.bits), srcs, nil, v.withValues, r.workers)
 	}
 	res.Groups = agg.Groups(window)
 	// Register admitted the query (valid, and holistic only on a registry

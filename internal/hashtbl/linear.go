@@ -1,5 +1,7 @@
 package hashtbl
 
+import "unsafe"
+
 // LinearProbe is the paper's custom linear-probing hash table (Hash_LP):
 // open addressing in one contiguous slot array, probing forward in steps of
 // one. The default mode keeps a power-of-two capacity so the slot index is
@@ -54,9 +56,26 @@ func NewLinearProbeMod[V any](capacity int) *LinearProbe[V] {
 	return t
 }
 
+// pageBytes is the smallest page size a slot array is touched at.
+const pageBytes = 4096
+
+// alloc installs fresh zeroed slot arrays and writes one zero per page
+// into each. The probe reads a slot before it writes it, and on memory
+// the kernel has not mapped yet that read maps the shared zero page, so
+// the write faults a second time; writing first makes it one fault per
+// page. Tables sized up front (a stream delta's partitions, seeded from
+// the previous delta) start on such memory more often than tables grown
+// by doubling, whose discarded predecessors the heap recycles.
 func (t *LinearProbe[V]) alloc(slots int) {
 	t.keys = make([]uint64, slots)
 	t.vals = make([]V, slots)
+	for i := 0; i < slots; i += pageBytes / 8 {
+		t.keys[i] = 0
+	}
+	var zero V
+	for i, step := 0, max(pageBytes/max(int(unsafe.Sizeof(zero)), 1), 1); i < slots; i += step {
+		t.vals[i] = zero
+	}
 	if t.useMask {
 		t.mask = uint64(slots - 1)
 	} else {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -13,14 +14,10 @@ import (
 // as many producer goroutines as shards. b.N counts ROWS; the rows/s metric
 // is the headline number for EXPERIMENTS.md.
 //
-// The est=y variants set Config.EstimatedGroups so each delta table is
-// seeded near its final size instead of growing from the 1<<10 default —
-// at SealRows = 1<<15 and ~100k-group data the unseeded delta rehashes
-// through five doublings (1Ki → 32Ki slots) before every seal, all of it
-// on the shard's critical path. Before/after on this workload (1 shard,
-// single-core container, 1M rows): 4.3M rows/s unseeded → 6.0M rows/s
-// seeded — ~40% more ingest throughput from sizing alone, the same
-// EstimatedGroups discipline the batch engines apply via estimateGroups.
+// bits is the stream's MergeBits, the fan-out every delta is partitioned
+// at as it absorbs. 6 is the default; 12 is the partitioner's maximum,
+// 4,096 partitions, about 8 rows per partition of a 32Ki-row delta: the
+// case where routing rows into many small tables costs the most.
 //
 //	go test ./internal/stream/ -bench StreamIngest -benchtime 1000000x
 func BenchmarkStreamIngest(b *testing.B) {
@@ -31,12 +28,11 @@ func BenchmarkStreamIngest(b *testing.B) {
 
 	for _, cfg := range []struct {
 		shards int
-		est    int
-	}{{1, 0}, {1, groups}, {4, 0}, {4, groups}, {8, 0}, {8, groups}} {
-		b.Run(benchName(cfg.shards, cfg.est > 0), func(b *testing.B) {
+		bits   int
+	}{{1, 6}, {4, 6}, {8, 6}, {1, 12}} {
+		b.Run(fmt.Sprintf("shards=%d/bits=%d", cfg.shards, cfg.bits), func(b *testing.B) {
 			shards := cfg.shards
-			s := New(Config{Shards: shards, SealRows: 1 << 15,
-				MergeBits: 6, EstimatedGroups: cfg.est})
+			s := New(Config{Shards: shards, SealRows: 1 << 15, MergeBits: cfg.bits})
 			b.ResetTimer()
 
 			// Split b.N rows across one producer per shard; each producer
@@ -147,12 +143,4 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 			}
 		})
 	}
-}
-
-func benchName(shards int, seeded bool) string {
-	name := "shards=" + string(rune('0'+shards))
-	if seeded {
-		return name + "/est=y"
-	}
-	return name + "/est=n"
 }

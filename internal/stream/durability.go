@@ -190,8 +190,9 @@ func Open(cfg Config) (*Stream, error) {
 		end := r.EndWatermark
 		rows := uint64(len(r.Keys))
 		if s.views.Active() && s.views.NeedSeal(end) {
-			d := &delta{Table: agg.NewTable(deltaTableCap), rows: rows}
-			agg.AbsorbRows(d.Table, r.Keys, r.Vals, cfg.Holistic)
+			d := newDelta(cfg.MergeBits)
+			d.rows = rows
+			agg.AbsorbParts(d.parts, d.ar, nil, r.Keys, r.Vals, cfg.Holistic)
 			s.foldViews(end-rows, end, d)
 		}
 		if end > ckptWM {

@@ -11,7 +11,9 @@ import (
 // in place. own is agg.Fold's ownership mask: nil (the snapshot path, and
 // the merger whenever a reader holds base) folds copy-on-write, and
 // partitions no delta touched are shared with the base either way. With
-// no base yet the deltas fold into an empty set at MergeBits.
+// no base yet the deltas fold into an empty set at MergeBits. Deltas are
+// partition sets at the same fan-out, so delta partition q folds straight
+// into base partition q.
 func (s *Stream) foldDeltas(base *generation, ds []*delta, own []bool, workers int) ([]agg.Table, int) {
 	var bp []agg.Table
 	if base != nil {
@@ -19,9 +21,9 @@ func (s *Stream) foldDeltas(base *generation, ds []*delta, own []bool, workers i
 	} else {
 		bp = make([]agg.Table, 1<<s.cfg.MergeBits)
 	}
-	srcs := make([]agg.Table, len(ds))
+	srcs := make([][]agg.Table, len(ds))
 	for i, d := range ds {
-		srcs[i] = d.Table
+		srcs[i] = d.parts
 	}
 	return agg.Fold(bp, srcs, own, s.cfg.Holistic, workers)
 }

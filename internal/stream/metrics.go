@@ -96,7 +96,7 @@ func newMetrics(s *Stream) *metrics {
 		appendLat: reg.NewHistogram("memagg_stream_append_seconds",
 			"Append call latency (copy, hand-off, and any backpressure wait)."),
 		mergeLat: reg.NewHistogram("memagg_stream_merge_seconds",
-			"Merge cycle duration (delta flatten, scatter, partition folds)."),
+			"Merge cycle duration (partition folds)."),
 		queryFoldLat: reg.NewHistogram("memagg_stream_query_fold_seconds",
 			"Partition-wise fold of sealed deltas into a view's query sources (once per view)."),
 		queryScanLat: reg.NewHistogram("memagg_stream_query_scan_seconds",

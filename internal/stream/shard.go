@@ -1,51 +1,43 @@
 package stream
 
-import "memagg/internal/agg"
+import (
+	"memagg/internal/agg"
+	"memagg/internal/arena"
+)
 
-// delta is one shard's in-progress (then sealed) table plus its row count.
-// On durable streams it also keeps the columns of every batch it absorbed
-// (keys/vals, one segment per batch, in arrival order): the seal's WAL
-// record carries rows, not aggregate state, so a replay rebuilds the
-// exact delta. logSeal writes the segments out and drops them.
+// delta is one shard's in-progress (then sealed) state: a partition set
+// at the stream's MergeBits, every partition's value lists in the one
+// arena ar, plus its row count. Rows are routed to their partition as
+// they are absorbed, so a merge folds delta partition q straight into
+// base partition q. On durable streams it also keeps the columns of every
+// batch it absorbed (keys/vals, one segment per batch, in arrival order):
+// the seal's WAL record carries rows, not aggregate state, so a replay
+// rebuilds the exact delta. logSeal writes the segments out and drops
+// them.
 type delta struct {
-	agg.Table
+	parts      []agg.Table
+	ar         *arena.Arena
 	rows       uint64
 	keys, vals [][]uint64
 }
 
-// deltaTableCap seeds a fresh delta's table when the stream has no
-// cardinality estimate; LinearProbe doubles as groups arrive, so a
-// low-cardinality delta stays tiny while a high-cardinality one amortizes
-// its growth. With Config.EstimatedGroups set, deltaSeed sizes the table
-// up front instead — a high-cardinality delta otherwise pays ~log2(groups/
-// 1024) rehash passes before its first seal (BenchmarkStreamIngest
-// documents the before/after).
-const deltaTableCap = 1 << 10
-
-// deltaSeed returns the capacity a fresh delta table is created with:
-// the configured estimate, capped by SealRows (a delta cannot hold more
-// groups than rows before it seals).
-func (sh *shard) deltaSeed() int {
-	est := sh.s.cfg.EstimatedGroups
-	if est <= 0 {
-		return deltaTableCap
-	}
-	if est > sh.s.cfg.SealRows {
-		est = sh.s.cfg.SealRows
-	}
-	if est < deltaTableCap {
-		return deltaTableCap
-	}
-	return est
+// newDelta returns an empty delta at fan-out 2^bits.
+func newDelta(bits int) *delta {
+	return &delta{parts: make([]agg.Table, 1<<bits), ar: arena.New()}
 }
 
 // shard is one writer: a goroutine draining a bounded batch queue into a
 // private delta, sealing it into the shared view when it reaches the
-// threshold. Only the shard goroutine touches cur.
+// threshold. Only the shard goroutine touches cur and seed.
 type shard struct {
 	s   *Stream
 	ch  chan batch
 	cur *delta
+
+	// seed[q] is the group count partition q reached in the shard's last
+	// sealed delta: the next delta's partition starts at that size instead
+	// of rehashing its way back up (nil before the first seal).
+	seed []int
 }
 
 func (sh *shard) run() {
@@ -67,14 +59,14 @@ func (sh *shard) run() {
 	sh.seal() // Close: publish whatever is left
 }
 
-// absorb folds one batch into the current delta via the shared absorb
-// kernel; on durable streams the delta also keeps the batch's columns for
-// its WAL record.
+// absorb routes one batch into the current delta's partitions; on
+// durable streams the delta also keeps the batch's columns for its WAL
+// record.
 func (sh *shard) absorb(b batch) {
 	if sh.cur == nil {
-		sh.cur = &delta{Table: agg.NewTable(sh.deltaSeed())}
+		sh.cur = newDelta(sh.s.cfg.MergeBits)
 	}
-	agg.AbsorbRows(sh.cur.Table, b.keys, b.vals, sh.s.cfg.Holistic)
+	agg.AbsorbParts(sh.cur.parts, sh.cur.ar, sh.seed, b.keys, b.vals, sh.s.cfg.Holistic)
 	sh.cur.rows += uint64(len(b.keys))
 	if sh.s.dur != nil {
 		sh.cur.keys = append(sh.cur.keys, b.keys)
@@ -91,6 +83,12 @@ func (sh *shard) seal() {
 	}
 	d := sh.cur
 	sh.cur = nil
+	if sh.seed == nil {
+		sh.seed = make([]int, len(d.parts))
+	}
+	for q, t := range d.parts {
+		sh.seed[q] = t.Len()
+	}
 	sh.s.m.seals.Inc()
 	sh.s.publish(d)
 }

@@ -5,21 +5,26 @@
 // The design is a miniature LSM for aggregate state, built from three
 // pieces the repo already has:
 //
-//   - Sharded ingest. N writer shards each own a private delta table
-//     (hashtbl.LinearProbe over agg.Partial — every group's distributive
-//     folds maintained eagerly, plus arena-backed value lists when holistic
-//     queries are enabled). Appends are batched and flow through a bounded
-//     channel per shard: when a shard falls behind, AppendChunk blocks — the
-//     backpressure contract; rows are never dropped.
+//   - Sharded ingest. N writer shards each own a private delta: a
+//     partition set of hashtbl.LinearProbe tables over agg.Partial at the
+//     base's radix fan-out (every group's distributive folds maintained
+//     eagerly, plus value lists in one arena per delta when holistic
+//     queries are enabled), each row routed to its partition by the hash
+//     its probe computes anyway, and each partition sized from the group
+//     count it reached in the shard's previous delta. Appends are batched
+//     and flow through a bounded channel per shard: when a shard falls
+//     behind, AppendChunk blocks — the backpressure contract; rows are
+//     never dropped.
 //
 //   - Sealed deltas and merged generations. When a delta reaches the seal
 //     threshold its shard freezes it and publishes it into the queryable
 //     view; a background merger folds batches of sealed deltas into a new
-//     base generation, radix-partitioned by internal/radix so the fold
-//     parallelizes over disjoint key partitions (the Hash_RX discipline:
-//     every key lives in exactly one partition, so partitions merge
-//     independently with no locks). Partitions untouched by a merge cycle
-//     are shared structurally with the previous generation. A base no
+//     base generation, partition q of every delta into partition q of the
+//     base, so the fold parallelizes over disjoint key partitions (the
+//     Hash_RX discipline: every key lives in exactly one partition, so
+//     partitions merge independently with no locks). Partitions untouched
+//     by a merge cycle are shared structurally with the previous
+//     generation. A base no
 //     reader has pinned is folded into in place — the update-in-place
 //     hash build, no copy — and only partitions a snapshot or the
 //     checkpointer can see, directly or through an older generation, are
@@ -64,7 +69,7 @@ var ErrClosed = errors.New("stream: closed")
 // QueryWorkers is a test seam: the memagg facade leaves it at its
 // default, and tests set it to compare worker counts.
 type Config struct {
-	// Shards is the number of writer shards (private delta tables fed by
+	// Shards is the number of writer shards (private deltas fed by
 	// independent queues). <= 0 uses GOMAXPROCS.
 	Shards int
 
@@ -74,21 +79,15 @@ type Config struct {
 	// often. <= 0 means 32768.
 	SealRows int
 
-	// MergeBits is the radix fan-out of the base generation: groups are
-	// partitioned by the top MergeBits of the shared hash finalizer, and
-	// merge cycles rebuild only the partitions that received delta rows.
+	// MergeBits is the radix fan-out of the deltas and the base
+	// generation: groups are partitioned by the top MergeBits of the
+	// shared hash finalizer as shards absorb them, and merge cycles fold
+	// delta partition q into base partition q, rebuilding only the
+	// partitions that received delta rows.
 	// Fixed for the stream's lifetime. <= 0 means 6 (64 partitions);
 	// clamped to [1, agg.MaxPartBits]. Continuous-view windows fold their
 	// panes at the same fan-out.
 	MergeBits int
-
-	// EstimatedGroups is the expected group-by cardinality of the stream
-	// (Section 3.2's "cardinality is unknown up front" knob, surfaced).
-	// It seeds each shard's delta table — capped at SealRows, since a
-	// delta can never hold more groups than rows — so a well-estimated
-	// stream's deltas skip their doubling cascade. <= 0 keeps the small
-	// default seed (growth amortizes it for low-cardinality streams).
-	EstimatedGroups int
 
 	// QueryWorkers is the parallelism of snapshot queries and
 	// continuous-view reads: the partition-wise fold of sealed deltas (or a
@@ -260,7 +259,7 @@ func (s *Stream) start() {
 // snapshots once their delta seals (see Flush).
 //
 // The stream takes the columns without copying and only reads them: the
-// receiving shard folds them straight into its delta table, and a durable
+// receiving shard folds them straight into its delta, and a durable
 // stream keeps them until the delta's WAL record is written. The caller
 // must not modify either column again. A short value column zero-extends
 // into a fresh column; the caller's is never grown.

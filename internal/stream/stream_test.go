@@ -206,3 +206,42 @@ func TestAppendZeroExtendsVals(t *testing.T) {
 		t.Fatalf("count = %d want 3", sn.Count())
 	}
 }
+
+// TestHolisticDeltaOneArena: a sealed holistic delta keeps the value
+// lists of all its partitions in one arena (an arena per partition would
+// pin at least one 512 KiB chunk per touched partition), and that arena
+// holds no more than the one-table delta the same rows would build.
+func TestHolisticDeltaOneArena(t *testing.T) {
+	keys, vals := snapshotTestData(200_000, 5000, 7)
+	s := New(Config{Shards: 1, SealRows: 1 << 20, Holistic: true, DisableMerger: true})
+	defer s.Close()
+	if err := s.AppendChunk(agg.Chunk{Keys: keys, Vals: vals}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := s.view.Load().sealed
+	if len(sealed) != 1 {
+		t.Fatalf("%d sealed deltas, want 1", len(sealed))
+	}
+	d := sealed[0]
+	touched := 0
+	for q, p := range d.parts {
+		if p.T == nil {
+			continue
+		}
+		touched++
+		if p.Ar != d.ar {
+			t.Fatalf("partition %d buffers its values outside the delta's arena", q)
+		}
+	}
+	if touched < 2 {
+		t.Fatalf("%d partitions touched, want several", touched)
+	}
+	ref := agg.NewTable(0)
+	agg.AbsorbRows(ref, keys, vals, true)
+	if got, want := d.ar.FootprintBytes(), ref.Ar.FootprintBytes(); got > want {
+		t.Fatalf("holistic delta holds %d arena bytes, one table of the same rows %d", got, want)
+	}
+}

@@ -96,7 +96,8 @@ fi
 
 # Structural guard — one owner of the partition layout: which partition of
 # a partition set a row or group lands in is decided inside internal/agg
-# (agg.Fold, agg.Absorb, the group-run decoder) on top of internal/radix,
+# (agg.Fold, agg.Absorb, agg.AbsorbParts, the group-run decoder) on top of
+# internal/radix,
 # so no other non-test file calls the partitioner or its index.
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/*' ! -path './internal/radix/*' ! -path './.*/*' |
 	xargs grep -lE 'radix\.Partition(Index)?\(' | wc -l)
@@ -166,8 +167,13 @@ go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./in
 # single-table MergeTable reference (fan-outs 0/1/4/6, values on and off,
 # workers 1/2/8: same groups, PartitionIndex placement, untouched
 # partitions shared by pointer, inputs unmodified, worker-independent
-# order) and agg.Absorb against AbsorbRows.
-pinned -race -run 'TestFold|TestAbsorb|TestPartBits' -count=1 -v ./internal/agg
+# order); Fold over partition-set sources (folded partition q into q)
+# against the same groups as one-table sources (workers 1/2/8, copy-on-
+# write and in place); agg.Absorb against AbsorbRows; and
+# agg.AbsorbParts, the stream deltas' router, against AbsorbRows (fan-outs
+# 0/1/6/MaxPartBits, key 0, values on and off, one shared arena, seeded
+# sizes).
+pinned -race -run 'TestFold|TestFoldPartitionSets|TestAbsorb|TestAbsorbParts|TestPartBits' -count=1 -v ./internal/agg
 # The group-run codec's record fuzzer replays its checked-in corpus, and
 # the run writer/decoder round trip (multi-frame, heads, radix routing,
 # empty runs) is pinned by name; the three containers' own suites
@@ -187,6 +193,9 @@ pinned -race -run 'TestGLBParallelReduceMatchesSerial|TestGLBParallelShortValsAn
 # including the stream-vs-batch equivalence gate — runs under the race
 # detector.
 go test -race ./internal/stream/...
+# A sealed holistic delta keeps the value lists of all its partitions in
+# one arena, no larger than the one-table delta of the same rows.
+pinned -race -run 'TestHolisticDeltaOneArena' -count=1 -v ./internal/stream
 
 # Allocs-regression smoke check: the arena-backed holistic Q3 must stay
 # within its recorded allocs/op budget (and keep its >=10x margin over the

@@ -16,9 +16,9 @@ import (
 // Workload reuses Recommend's workload model to size the stream instead of
 // the batch backend choice: Function == Holistic retains value multisets,
 // Multithreaded toggles sharded ingest, and EstimatedGroups sizes the
-// merge fan-out so each base partition stays cache-sized. Explicit fields
-// override what Workload derives. GOMAXPROCS bounds the merge and query
-// worker pools.
+// merge fan-out — the partitioning of every delta and of the base — so
+// each base partition stays cache-sized. Explicit fields override what
+// Workload derives. GOMAXPROCS bounds the merge and query worker pools.
 type StreamOptions struct {
 	// Workload describes the queries this stream will serve; see Recommend.
 	Workload Workload
@@ -127,12 +127,11 @@ func OpenStream(opts StreamOptions) (*Stream, error) {
 		shards = 1
 	}
 	cfg := stream.Config{
-		Shards:          shards, // <= 0 (multithreaded workload): GOMAXPROCS
-		SealRows:        opts.SealRows,
-		MergeBits:       streamMergeBits(opts.Workload.EstimatedGroups),
-		EstimatedGroups: opts.Workload.EstimatedGroups,
-		Holistic:        holistic,
-		DisableMerger:   opts.DisableMerger,
+		Shards:        shards, // <= 0 (multithreaded workload): GOMAXPROCS
+		SealRows:      opts.SealRows,
+		MergeBits:     streamMergeBits(opts.Workload.EstimatedGroups),
+		Holistic:      holistic,
+		DisableMerger: opts.DisableMerger,
 	}
 	if d := opts.Durability; d.Dir != "" {
 		if opts.DisableMerger {
