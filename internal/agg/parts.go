@@ -48,67 +48,61 @@ func scatter(keys, vals []uint64, bits, workers int) *radix.Partitioned {
 
 // Fold folds the groups of srcs into the partition set base and returns
 // the result as a set of base's length, plus the number of partitions
-// folded in place. Each source is itself a partition set: one at base's
-// fan-out folds partition q into partition q as it stands — no flatten,
-// no scatter, each source partition read in its own slot order — and a
-// one-table source (any layout) has its groups flattened into key/
-// reference columns and scattered with the Hash_RX partitioner. Any other
-// length is a caller bug. srcs are never mutated; base partition q is
-// mutated only when own[q] is set (the caller holds the only reference
-// to it), and nil own means copy-on-write everywhere. Each partition
-// folds independently across workers on the morsel partition cursor. A
-// touched partition the caller owns takes the source groups straight
-// into its table — Wen et al.'s update-in-place build; any other touched
-// partition is rebuilt as a copy of the base partition plus those groups.
-// Partitions that received no source groups are shared with base by
-// pointer: a fold of a small delta rebuilds only the partitions it
-// touches. withValues carries the value multisets along. The result's
-// groups are a pure function of the inputs' contents, in place or not,
-// and for a given mask its tables and their iteration order are the same
-// at any worker count.
+// folded in place. Each source is itself a partition set at a fan-out no
+// larger than base's (a one-table source is the set of fan-out 0; a
+// finer one is a caller bug), so source partition c holds exactly the
+// groups of base partitions c<<d through (c+1)<<d - 1, d the difference
+// in fan-out. A source at base's fan-out folds partition q into
+// partition q as it stands, each source partition read in its own slot
+// order; a coarser source is first split, one source partition at a
+// time and partitions in parallel, into its 2^d base partitions (see
+// split). srcs are never mutated; base partition q is mutated only when
+// own[q] is set (the caller holds the only reference to it), and nil own
+// means copy-on-write everywhere. Each partition folds independently
+// across workers on the morsel partition cursor. A touched partition the
+// caller owns takes the source groups straight into its table — Wen et
+// al.'s update-in-place build; any other touched partition is rebuilt as
+// a copy of the base partition plus those groups. Partitions that
+// received no source groups are shared with base by pointer: a fold of a
+// small delta rebuilds only the partitions it touches. withValues
+// carries the value multisets along. The result's groups are a pure
+// function of the inputs' contents, in place or not, and for a given
+// mask its tables and their iteration order are the same at any worker
+// count.
 func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int) ([]Table, int) {
 	bits := partBits(base)
-	total := 0
-	for _, src := range srcs {
-		switch len(src) {
-		case len(base):
-		case 1:
-			total += src[0].Len()
-		default:
+	splits := make([]*split, len(srcs)) // nil: the source is at base's fan-out
+	var jobs [][2]int                   // source, source partition
+	for s, src := range srcs {
+		sb := partBits(src)
+		if sb > bits {
 			panic(fmt.Sprintf("agg: fold of a %d-table source into a %d-partition set", len(src), len(base)))
 		}
-	}
-	// refs[i] locates flattened group i: its source's index in the high 32
-	// bits, its position in ps in the low 32 (the source is needed only for
-	// the arena its values live in).
-	keys := make([]uint64, 0, total)
-	refs := make([]uint64, 0, total)
-	ps := make([]*Partial, 0, total)
-	for s, src := range srcs {
-		if len(src) == len(base) || src[0].T == nil {
+		if sb == bits {
 			continue
 		}
-		src[0].T.Iterate(func(k uint64, p *Partial) bool {
-			keys = append(keys, k)
-			refs = append(refs, uint64(s)<<32|uint64(len(ps)))
-			ps = append(ps, p)
-			return true
-		})
+		splits[s] = newSplit(src, bits)
+		for c, tb := range src {
+			if tb.Len() > 0 {
+				jobs = append(jobs, [2]int{s, c})
+			}
+		}
 	}
-	pt := &radix.Partitioned{Bounds: make([]int, len(base)+1)}
-	if len(keys) > 0 {
-		pt = scatter(keys, refs, bits, workers)
-	}
+	morsel.Parts(len(jobs), workers, func(_, j int) {
+		s, c := jobs[j][0], jobs[j][1]
+		splits[s].part(srcs[s][c], c, bits)
+	})
 
 	inPlace := func(q int) bool { return own != nil && own[q] && base[q].T != nil }
 	parts := make([]Table, len(base))
 	touched := make([]bool, len(base))
 	morsel.Parts(len(base), workers, func(_, q int) {
 		parts[q] = base[q] // untouched, or folded in place: the base's table
-		pk := pt.PartKeys(q)
-		n := len(pk)
-		for _, src := range srcs {
-			if len(src) == len(base) {
+		n := 0
+		for s, src := range srcs {
+			if sp := splits[s]; sp != nil {
+				n += sp.bounds[q+1] - sp.bounds[q]
+			} else {
 				n += src[q].Len()
 			}
 		}
@@ -122,12 +116,14 @@ func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int
 				MergeTable(parts[q], base[q], withValues)
 			}
 		}
-		for _, src := range srcs {
-			if len(src) == len(base) && src[q].T != nil {
+		for s, src := range srcs {
+			if sp := splits[s]; sp != nil {
+				lo, hi := sp.bounds[q], sp.bounds[q+1]
+				foldPart(parts[q], sp.keys[lo:hi], sp.ps[lo:hi], src[q>>sp.d].Ar, withValues)
+			} else if src[q].T != nil {
 				MergeTable(parts[q], src[q], withValues)
 			}
 		}
-		foldPart(parts[q], pk, pt.PartVals(q), ps, srcs, withValues)
 	})
 	n := 0
 	for q := range parts {
@@ -138,12 +134,75 @@ func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int
 	return parts, n
 }
 
-// foldPart is the scattered half of one Fold partition: it upserts the
-// one-table sources' groups that landed in the partition (keys pk,
-// references pr into ps and srcs) into dst. The groups land via the same
-// blocked-hash loop as the batch kernels: pk is a plain column, so the
-// blocks need no staging (a short last block hashes key by key).
-func foldPart(dst Table, pk, pr []uint64, ps []*Partial, srcs [][]Table, withValues bool) {
+// split is a Fold source coarser than the base, its groups listed by base
+// partition: base partition q's groups are keys[bounds[q]:bounds[q+1]]
+// with their partials in ps, all from source partition q>>d. Source
+// partition c's groups occupy the same range of the columns before and
+// after the split, so partitions split independently.
+type split struct {
+	d      uint // fan-out difference
+	keys   []uint64
+	ps     []*Partial
+	bounds []int // len 2^(source bits + d) + 1
+}
+
+// newSplit sizes the columns of src split to fan-out bits; every base
+// partition starts empty at its source partition's offset.
+func newSplit(src []Table, bits int) *split {
+	d := uint(bits - partBits(src))
+	sp := &split{d: d, bounds: make([]int, len(src)<<d+1)}
+	off := 0
+	for c, tb := range src {
+		for q := c << d; q < (c+1)<<d; q++ {
+			sp.bounds[q] = off
+		}
+		off += tb.Len()
+	}
+	sp.bounds[len(sp.bounds)-1] = off
+	sp.keys, sp.ps = make([]uint64, off), make([]*Partial, off)
+	return sp
+}
+
+// maxSub is the largest sub-partition index a split records; it must fit
+// the uint16 the counting pass stores per group.
+const maxSub uint16 = 1<<MaxPartBits - 1
+
+// part splits source partition c (table tb) into its 2^d base partitions
+// at fan-out bits: a counting pass records each group's sub-partition —
+// the next d bits of its hash below the source's — and a placing pass
+// writes key and partial into that sub-partition's range. The table is
+// not mutated in between, so both passes see the same slot order, and
+// within a base partition the groups keep it.
+func (sp *split) part(tb Table, c, bits int) {
+	shift, mask := uint(64-bits), uint64(1)<<sp.d-1
+	sub := make([]uint16, 0, tb.Len()) // see maxSub
+	cur := make([]int, 1<<sp.d)
+	tb.T.Iterate(func(k uint64, _ *Partial) bool {
+		b := uint16(hashtbl.Mix(k) >> shift & mask)
+		sub = append(sub, b)
+		cur[b]++
+		return true
+	})
+	at := sp.bounds[c<<sp.d]
+	for i, n := range cur {
+		sp.bounds[c<<sp.d+i], cur[i] = at, at
+		at += n
+	}
+	i := 0
+	tb.T.Iterate(func(k uint64, p *Partial) bool {
+		b := sub[i]
+		i++
+		sp.keys[cur[b]], sp.ps[cur[b]] = k, p
+		cur[b]++
+		return true
+	})
+}
+
+// foldPart upserts the groups of one base partition's slice of a split
+// (keys pk, partials pp, value lists in ar) into dst. The groups land via
+// the same blocked-hash loop as the batch kernels: pk is a plain column,
+// so the blocks need no staging (a short last block hashes key by key).
+func foldPart(dst Table, pk []uint64, pp []*Partial, ar *arena.Arena, withValues bool) {
 	var h [hashBatch]uint64
 	for j := 0; j < len(pk); j += hashBatch {
 		bk := pk[j:min(j+hashBatch, len(pk))]
@@ -155,12 +214,11 @@ func foldPart(dst Table, pk, pr []uint64, ps []*Partial, srcs [][]Table, withVal
 			}
 		}
 		for i, k := range bk {
-			r := pr[j+i]
-			p := ps[uint32(r)]
+			p := pp[j+i]
 			np := dst.T.UpsertH(k, h[i])
 			np.Merge(p)
 			if withValues {
-				np.MergeValues(dst.Ar, p, srcs[r>>32][0].Ar)
+				np.MergeValues(dst.Ar, p, ar)
 			}
 		}
 	}

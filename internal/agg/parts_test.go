@@ -100,8 +100,9 @@ func randRows(rng *rand.Rand, n int, pick func() uint64) (keys, vals []uint64) {
 	return keys, vals
 }
 
-// oneTableSources wraps each table as a one-table Fold source, the shape
-// Fold flattens and scatters.
+// oneTableSources wraps each table as a one-table Fold source: a
+// partition set of fan-out 0, which Fold splits across every base
+// partition.
 func oneTableSources(tables []Table) [][]Table {
 	srcs := make([][]Table, len(tables))
 	for i := range tables {
@@ -267,14 +268,15 @@ func TestAbsorb(t *testing.T) {
 	}
 }
 
-// TestFoldPartitionSets: Fold over partition-set sources at the base's
-// fan-out (folded partition q into q) equals Fold over the same groups
-// given as one-table sources (flattened and scattered), and a mix of both
-// kinds equals either — at several fan-outs, with and without value
-// multisets, at workers 1/2/8, copy-on-write (own nil) and in place (own
-// all true). A source at any other fan-out is a caller bug.
+// TestFoldPartitionSets: Fold over partition-set sources equals Fold over
+// the same groups given as one-table sources — sources at the base's
+// fan-out (folded partition q into q), sources coarser than the base
+// (each partition split across the base partitions it covers), and a mix
+// of all three — at several fan-outs, with and without value multisets,
+// at workers 1/2/8, copy-on-write (own nil) and in place (own all true).
+// A source finer than the base is a caller bug.
 func TestFoldPartitionSets(t *testing.T) {
-	for _, bits := range []int{0, 1, 4, 6} {
+	for _, bits := range []int{0, 1, 4, 6, 9} {
 		for _, holistic := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(int64(bits*10 + 3)))
 			bk, bv := randRows(rng, 4000, func() uint64 { return rng.Uint64() % 3000 })
@@ -283,18 +285,24 @@ func TestFoldPartitionSets(t *testing.T) {
 				Absorb(base, bk, bv, holistic, 1)
 				return base
 			}
+			coarse := max(bits-3, 0) // a fan-out below the base's where there is one
 			const nsrc = 4
-			sets := make([][]Table, nsrc)
+			sets, coarser := make([][]Table, nsrc), make([][]Table, nsrc)
 			tables := make([]Table, nsrc)
 			for i := range sets {
 				k, v := randRows(rng, 1500, func() uint64 { return rng.Uint64() % 5000 })
+				if i == 0 {
+					k[0] = 0
+				}
 				sets[i] = make([]Table, 1<<bits)
 				AbsorbParts(sets[i], arena.New(), nil, k, v, holistic)
+				coarser[i] = make([]Table, 1<<coarse)
+				AbsorbParts(coarser[i], arena.New(), nil, k, v, holistic)
 				tables[i] = NewTable(0)
 				AbsorbRows(tables[i], k, v, holistic)
 			}
 			mixed := oneTableSources(tables)
-			mixed[1], mixed[3] = sets[1], sets[3]
+			mixed[1], mixed[3] = sets[1], coarser[3]
 			for _, workers := range []int{1, 2, 8} {
 				for _, owned := range []bool{false, true} {
 					label := fmt.Sprintf("bits=%d holistic=%v workers=%d owned=%v", bits, holistic, workers, owned)
@@ -315,6 +323,9 @@ func TestFoldPartitionSets(t *testing.T) {
 					if got := fold(sets); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: partition-set sources fold differently from one-table sources (%d vs %d groups)", label, len(got), len(want))
 					}
+					if got := fold(coarser); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: sources at fan-out %d fold differently from one-table sources", label, coarse)
+					}
 					if got := fold(mixed); !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s: mixed sources fold differently from one-table sources", label)
 					}
@@ -324,10 +335,10 @@ func TestFoldPartitionSets(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Fold of a 2-table source into a 4-partition set did not panic")
+			t.Fatal("Fold of an 8-table source into a 4-partition set did not panic")
 		}
 	}()
-	Fold(make([]Table, 4), [][]Table{make([]Table, 2)}, nil, false, 1)
+	Fold(make([]Table, 4), [][]Table{make([]Table, 8)}, nil, false, 1)
 }
 
 // TestAbsorbParts checks agg.AbsorbParts against a row-by-row reference:

@@ -55,7 +55,7 @@ func (v *View) compute(r *Registry) *Result {
 	}
 	window := panes // no pane live: no groups; one pane: query it directly, no fold copy
 	if len(panes) > 1 {
-		srcs := make([][]agg.Table, len(panes)) // one-table sources: Fold scatters them
+		srcs := make([][]agg.Table, len(panes)) // one-table sources: Fold splits them
 		for i := range panes {
 			srcs[i] = panes[i : i+1]
 		}

@@ -26,7 +26,7 @@ func TestFreshTableFaultsOncePerPage(t *testing.T) {
 	}
 	faults := minorFaults(t) - before
 	pages := int64(tb.Cap()) * 16 / pageBytes // keys plus uint64 values
-	if faults > pages*3/2 {
+	if faults > pages*5/4 {
 		t.Fatalf("filling a fresh %d-slot table took %d minor faults for %d pages, want about one per page", tb.Cap(), faults, pages)
 	}
 	t.Logf("%d minor faults for %d pages", faults, pages)

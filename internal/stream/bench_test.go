@@ -14,10 +14,11 @@ import (
 // as many producer goroutines as shards. b.N counts ROWS; the rows/s metric
 // is the headline number for EXPERIMENTS.md.
 //
-// bits is the stream's MergeBits, the fan-out every delta is partitioned
-// at as it absorbs. 6 is the default; 12 is the partitioner's maximum,
-// 4,096 partitions, about 8 rows per partition of a 32Ki-row delta: the
-// case where routing rows into many small tables costs the most.
+// bits is the stream's MergeBits. 6 is the default, where deltas are
+// partitioned at the base's fan-out; 12 is the partitioner's maximum,
+// 4,096 base partitions, where deltas stay at maxDeltaBits and every
+// merge splits each delta partition across the 64 base partitions it
+// covers.
 //
 //	go test ./internal/stream/ -bench StreamIngest -benchtime 1000000x
 func BenchmarkStreamIngest(b *testing.B) {

@@ -190,7 +190,7 @@ func Open(cfg Config) (*Stream, error) {
 		end := r.EndWatermark
 		rows := uint64(len(r.Keys))
 		if s.views.Active() && s.views.NeedSeal(end) {
-			d := newDelta(cfg.MergeBits)
+			d := newDelta(cfg.deltaBits())
 			d.rows = rows
 			agg.AbsorbParts(d.parts, d.ar, nil, r.Keys, r.Vals, cfg.Holistic)
 			s.foldViews(end-rows, end, d)

@@ -203,6 +203,36 @@ func TestStreamMatchesBatchEngines(t *testing.T) {
 	}
 }
 
+// TestStreamPastDeltaCapMatchesBatch runs the equivalence gate on a
+// stream whose MergeBits exceeds maxDeltaBits: its deltas stay at the
+// capped fan-out, and every merge and snapshot fold splits each delta
+// partition across the base partitions it covers. The answers must still
+// be the batch engines'.
+func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
+	for _, spec := range equivSpecs()[1:3] {
+		keys := spec.Keys()
+		vals := dataset.Values(len(keys), spec.Seed)
+		for _, shards := range []int{1, 3} {
+			s := New(Config{Shards: shards, SealRows: 1 << 12, MergeBits: maxDeltaBits + 3, Holistic: true})
+			replay(t, s, keys, vals, int64(spec.Seed))
+			label := spec.String() + "/shards=" + string(rune('0'+shards))
+			for _, d := range s.view.Load().sealed {
+				if len(d.parts) != 1<<maxDeltaBits {
+					t.Fatalf("%s: delta of %d partitions, want %d", label, len(d.parts), 1<<maxDeltaBits)
+				}
+			}
+			checkAgainstBatch(t, label+"/flushed", s.Snapshot(), keys, vals)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if g := s.view.Load().base; g == nil || len(g.parts) != 1<<(maxDeltaBits+3) {
+				t.Fatalf("%s: base generation is not at MergeBits", label)
+			}
+			checkAgainstBatch(t, label+"/closed", s.Snapshot(), keys, vals)
+		}
+	}
+}
+
 // TestHolisticDisabled checks the non-holistic configuration: distributive
 // queries work, holistic ones report agg.ErrUnsupported (the value
 // multisets were never retained).

@@ -12,8 +12,9 @@ import (
 // the merger whenever a reader holds base) folds copy-on-write, and
 // partitions no delta touched are shared with the base either way. With
 // no base yet the deltas fold into an empty set at MergeBits. Deltas are
-// partition sets at the same fan-out, so delta partition q folds straight
-// into base partition q.
+// partition sets at deltaBits, so up to maxDeltaBits delta partition q
+// folds straight into base partition q, and past it each delta partition
+// is split across the base partitions it covers.
 func (s *Stream) foldDeltas(base *generation, ds []*delta, own []bool, workers int) ([]agg.Table, int) {
 	var bp []agg.Table
 	if base != nil {

@@ -6,10 +6,11 @@ import (
 )
 
 // delta is one shard's in-progress (then sealed) state: a partition set
-// at the stream's MergeBits, every partition's value lists in the one
+// at the stream's deltaBits, every partition's value lists in the one
 // arena ar, plus its row count. Rows are routed to their partition as
 // they are absorbed, so a merge folds delta partition q straight into
-// base partition q. On durable streams it also keeps the columns of every
+// base partition q, or, past maxDeltaBits, into the base partitions it
+// covers. On durable streams it also keeps the columns of every
 // batch it absorbed (keys/vals, one segment per batch, in arrival order):
 // the seal's WAL record carries rows, not aggregate state, so a replay
 // rebuilds the exact delta. logSeal writes the segments out and drops
@@ -64,7 +65,7 @@ func (sh *shard) run() {
 // record.
 func (sh *shard) absorb(b batch) {
 	if sh.cur == nil {
-		sh.cur = newDelta(sh.s.cfg.MergeBits)
+		sh.cur = newDelta(sh.s.cfg.deltaBits())
 	}
 	agg.AbsorbParts(sh.cur.parts, sh.cur.ar, sh.seed, b.keys, b.vals, sh.s.cfg.Holistic)
 	sh.cur.rows += uint64(len(b.keys))

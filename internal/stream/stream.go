@@ -7,7 +7,8 @@
 //
 //   - Sharded ingest. N writer shards each own a private delta: a
 //     partition set of hashtbl.LinearProbe tables over agg.Partial at the
-//     base's radix fan-out (every group's distributive folds maintained
+//     base's radix fan-out, capped at the default's (every group's
+//     distributive folds maintained
 //     eagerly, plus value lists in one arena per delta when holistic
 //     queries are enabled), each row routed to its partition by the hash
 //     its probe computes anyway, and each partition sized from the group
@@ -20,7 +21,9 @@
 //     threshold its shard freezes it and publishes it into the queryable
 //     view; a background merger folds batches of sealed deltas into a new
 //     base generation, partition q of every delta into partition q of the
-//     base, so the fold parallelizes over disjoint key partitions (the
+//     base (past the cap, each delta partition split across the base
+//     partitions it covers), so the fold parallelizes over disjoint key
+//     partitions (the
 //     Hash_RX discipline: every key lives in exactly one partition, so
 //     partitions merge independently with no locks). Partitions untouched
 //     by a merge cycle are shared structurally with the previous
@@ -79,11 +82,12 @@ type Config struct {
 	// often. <= 0 means 32768.
 	SealRows int
 
-	// MergeBits is the radix fan-out of the deltas and the base
-	// generation: groups are partitioned by the top MergeBits of the
-	// shared hash finalizer as shards absorb them, and merge cycles fold
-	// delta partition q into base partition q, rebuilding only the
-	// partitions that received delta rows.
+	// MergeBits is the radix fan-out of the base generation: groups are
+	// partitioned by the top MergeBits of the shared hash finalizer, and
+	// merge cycles rebuild only the partitions that received delta rows.
+	// Shards absorb into deltas partitioned the same way at up to the
+	// default's fan-out (see maxDeltaBits), so at the default a merge folds
+	// delta partition q into base partition q.
 	// Fixed for the stream's lifetime. <= 0 means 6 (64 partitions);
 	// clamped to [1, agg.MaxPartBits]. Continuous-view windows fold their
 	// panes at the same fan-out.
@@ -131,7 +135,7 @@ func (c Config) withDefaults() Config {
 		c.SealRows = 1 << 15
 	}
 	if c.MergeBits <= 0 {
-		c.MergeBits = 6
+		c.MergeBits = maxDeltaBits
 	}
 	if c.MergeBits > agg.MaxPartBits {
 		c.MergeBits = agg.MaxPartBits
@@ -141,6 +145,16 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// maxDeltaBits caps a delta's fan-out at the default MergeBits. A
+// SealRows delta spread over more partitions leaves each only a handful
+// of rows (at MergeBits 12 about 8 rows in each of 4,096 tables per
+// 32 Ki-row delta), so past the cap agg.Fold splits each delta partition
+// across the base partitions it covers instead.
+const maxDeltaBits = 6
+
+// deltaBits is the fan-out of the stream's deltas.
+func (c Config) deltaBits() int { return min(c.MergeBits, maxDeltaBits) }
 
 // Stream is a live streaming aggregation: AppendChunk feeds it, Snapshot
 // reads it. AppendChunk is safe for concurrent use by multiple producers;

@@ -167,9 +167,11 @@ go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./in
 # single-table MergeTable reference (fan-outs 0/1/4/6, values on and off,
 # workers 1/2/8: same groups, PartitionIndex placement, untouched
 # partitions shared by pointer, inputs unmodified, worker-independent
-# order); Fold over partition-set sources (folded partition q into q)
-# against the same groups as one-table sources (workers 1/2/8, copy-on-
-# write and in place); agg.Absorb against AbsorbRows; and
+# order); Fold over partition-set sources — at the base's fan-out (folded
+# partition q into q) and coarser (each partition split across the base
+# partitions it covers) — against the same groups as one-table sources
+# (workers 1/2/8, copy-on-write and in place); agg.Absorb against
+# AbsorbRows; and
 # agg.AbsorbParts, the stream deltas' router, against AbsorbRows (fan-outs
 # 0/1/6/MaxPartBits, key 0, values on and off, one shared arena, seeded
 # sizes).
@@ -332,7 +334,11 @@ pinned -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestQueryCanceled
 #     measures chunk ingest).
 # The tests skip without MEMAGG_GUARDS=1, so plain `go test ./...` stays
 # deterministic; -p 1 keeps the two packages' guards from timing each
-# other.
+# other. Both guard lines always run and report, so a failing guard on
+# the first line does not hide the obs guard's reading; the gate fails
+# after them if either line failed.
 export MEMAGG_GUARDS=1
-pinned -p 1 -count=1 -v -run 'Guard$' -skip 'TestObsOverheadGuard' ./internal/stream ./cmd/aggserve
-pinned -count=1 -v -cpu 1 -run 'TestObsOverheadGuard$' ./internal/stream
+guards=0
+pinned -p 1 -count=1 -v -run 'Guard$' -skip 'TestObsOverheadGuard' ./internal/stream ./cmd/aggserve || guards=1
+pinned -count=1 -v -cpu 1 -run 'TestObsOverheadGuard$' ./internal/stream || guards=1
+test "$guards" -eq 0

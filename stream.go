@@ -16,8 +16,8 @@ import (
 // Workload reuses Recommend's workload model to size the stream instead of
 // the batch backend choice: Function == Holistic retains value multisets,
 // Multithreaded toggles sharded ingest, and EstimatedGroups sizes the
-// merge fan-out — the partitioning of every delta and of the base — so
-// each base partition stays cache-sized. Explicit fields override what
+// merge fan-out — the partitioning of the base, and of every delta up to
+// the default fan-out — so each base partition stays cache-sized. Explicit fields override what
 // Workload derives. GOMAXPROCS bounds the merge and query worker pools.
 type StreamOptions struct {
 	// Workload describes the queries this stream will serve; see Recommend.
