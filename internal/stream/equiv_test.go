@@ -8,6 +8,7 @@ import (
 
 	"memagg/internal/agg"
 	"memagg/internal/dataset"
+	"memagg/internal/radix"
 )
 
 // equivSpecs mirrors the batch gate's coverage: uniform and skewed key
@@ -207,7 +208,8 @@ func TestStreamMatchesBatchEngines(t *testing.T) {
 // stream whose MergeBits exceeds maxDeltaBits: its deltas stay at the
 // capped fan-out, and every merge and snapshot fold splits each delta
 // partition across the base partitions it covers. The answers must still
-// be the batch engines'.
+// be the batch engines', and every merged group must sit in its
+// PartitionIndex partition.
 func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
 	for _, spec := range equivSpecs()[1:3] {
 		keys := spec.Keys()
@@ -225,8 +227,20 @@ func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if g := s.view.Load().base; g == nil || len(g.parts) != 1<<(maxDeltaBits+3) {
+			g := s.view.Load().base
+			if g == nil || len(g.parts) != 1<<(maxDeltaBits+3) {
 				t.Fatalf("%s: base generation is not at MergeBits", label)
+			}
+			for q, p := range g.parts {
+				if p.T == nil {
+					continue
+				}
+				p.T.Iterate(func(k uint64, _ *agg.Partial) bool {
+					if r := radix.PartitionIndex(k, maxDeltaBits+3); r != q {
+						t.Fatalf("%s: key %d in base partition %d, belongs in %d", label, k, q, r)
+					}
+					return true
+				})
 			}
 			checkAgainstBatch(t, label+"/closed", s.Snapshot(), keys, vals)
 		}
