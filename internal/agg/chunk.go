@@ -71,7 +71,7 @@ const (
 	MaxWireChunkRows = 1 << 24
 )
 
-var chunkMagic = [4]byte{'M', 'A', 'G', 'C'}
+const chunkMagic = "MAGC"
 
 // ChunkContentType is the media type of a binary chunk-stream HTTP body:
 // zero or more wire chunks back to back, read until clean EOF. Shared by
@@ -160,7 +160,7 @@ func AppendChunkWire(dst []byte, c Chunk) []byte {
 		c.Keys = c.Keys[MaxWireChunkRows:]
 	}
 	var hdr [chunkHeaderSize]byte
-	copy(hdr[:4], chunkMagic[:])
+	copy(hdr[:4], chunkMagic)
 	hdr[4] = chunkVersion
 	hdr[5] = 0 // flags, reserved
 	binary.LittleEndian.PutUint64(hdr[6:14], uint64(c.Rows()))
@@ -175,14 +175,8 @@ func AppendChunkWire(dst []byte, c Chunk) []byte {
 
 // decodeChunkHeader parses a header frame payload.
 func decodeChunkHeader(payload []byte) (rows uint64, err error) {
-	if len(payload) != chunkHeaderSize {
-		return 0, fmt.Errorf("chunk header frame is %d bytes: %w", len(payload), ErrChunkWire)
-	}
-	if [4]byte(payload[:4]) != chunkMagic {
-		return 0, fmt.Errorf("bad chunk magic %q: %w", payload[:4], ErrChunkWire)
-	}
-	if payload[4] != chunkVersion {
-		return 0, fmt.Errorf("unknown chunk version %d: %w", payload[4], ErrChunkWire)
+	if err := wal.CheckHeader(payload, chunkMagic, chunkVersion, chunkHeaderSize, ErrChunkWire); err != nil {
+		return 0, fmt.Errorf("chunk %w", err)
 	}
 	if payload[5] != 0 {
 		return 0, fmt.Errorf("reserved chunk flags %#x: %w", payload[5], ErrChunkWire)

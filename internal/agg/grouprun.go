@@ -147,28 +147,31 @@ func NewRunWriter(head []byte, values bool, emit func(frame []byte) error) *RunW
 	return w
 }
 
-// Add appends every group of t to the run; the zero Table adds none.
-func (w *RunWriter) Add(t Table) {
-	if t.T == nil || w.err != nil {
-		return
-	}
-	t.T.Iterate(func(k uint64, p *Partial) bool {
-		// A group that would push the pending frame past wal.MaxFrame opens
-		// a frame of its own; only a group too large for any frame fails
-		// (in flush).
-		if w.n > 0 && len(w.buf)-wal.FrameHeader+groupSize(p, w.values) > wal.MaxFrame {
-			if w.flush(); w.err != nil {
-				return false
+// Add appends every group of the tables to the run, in order; the zero
+// Table adds none.
+func (w *RunWriter) Add(ts ...Table) {
+	for _, t := range ts {
+		if t.T == nil || w.err != nil {
+			continue
+		}
+		t.T.Iterate(func(k uint64, p *Partial) bool {
+			// A group that would push the pending frame past wal.MaxFrame
+			// opens a frame of its own; only a group too large for any frame
+			// fails (in flush).
+			if w.n > 0 && len(w.buf)-wal.FrameHeader+groupSize(p, w.values) > wal.MaxFrame {
+				if w.flush(); w.err != nil {
+					return false
+				}
 			}
-		}
-		w.buf = appendGroup(w.buf, k, p, t.Ar, w.values)
-		w.n++
-		w.groups++
-		if len(w.buf)-wal.FrameHeader >= RunFrameBytes {
-			w.flush()
-		}
-		return w.err == nil
-	})
+			w.buf = appendGroup(w.buf, k, p, t.Ar, w.values)
+			w.n++
+			w.groups++
+			if len(w.buf)-wal.FrameHeader >= RunFrameBytes {
+				w.flush()
+			}
+			return w.err == nil
+		})
+	}
 }
 
 // flush frames the pending payload in place and emits it.

@@ -7,7 +7,6 @@ import (
 	"memagg/internal/arena"
 	"memagg/internal/hashtbl"
 	"memagg/internal/morsel"
-	"memagg/internal/radix"
 )
 
 // Partition sets — the one partitioned-table shape. A partition set is a
@@ -15,15 +14,15 @@ import (
 // whose radix.PartitionIndex(key, bits) is q (a partition with no groups is
 // the zero Table); bits is recovered from the length, so no caller passes
 // it. Disjointness is what lets partitions be built, merged and scanned
-// independently and in parallel — the Hash_RX discipline — and this file
+// independently and in parallel — the Hash_RX discipline — and internal/agg
 // is the only place that decides which partition a row or group goes to:
-// the stream's base generations and snapshot folds, WAL replay, view
-// windows, the stream's deltas (AbsorbParts) and the group-run decoder
-// all build their sets here.
+// raw rows by AbsorbParts, partial state by Fold, encoded groups by the
+// group-run decoder.
 
-// MaxPartBits bounds a partition set's fan-out: the radix partitioner
-// clamps past it, so a larger set could not be routed consistently.
-const MaxPartBits = radix.MaxBits
+// MaxPartBits bounds a partition set's fan-out at the batch Hash_RX
+// partitioner's (radix.MaxBits); a checkpoint naming a larger one is
+// refused.
+const MaxPartBits = 12
 
 // partBits returns the fan-out of a partition set. A length that is not a
 // power of two in [1, 2^MaxPartBits] is a caller bug.
@@ -34,16 +33,6 @@ func partBits(parts []Table) int {
 		panic(fmt.Sprintf("agg: partition set of %d tables", n))
 	}
 	return bits
-}
-
-// scatter is the Hash_RX partitioner at a set's fan-out; a set of one
-// partition (bits 0, below radix.Partition's clamp) takes the rows as they
-// are.
-func scatter(keys, vals []uint64, bits, workers int) *radix.Partitioned {
-	if bits == 0 {
-		return &radix.Partitioned{Keys: keys, Vals: vals, Bounds: []int{0, len(keys)}}
-	}
-	return radix.Partition(keys, vals, bits, workers)
 }
 
 // Fold folds the groups of srcs into the partition set base and returns
@@ -62,7 +51,8 @@ func scatter(keys, vals []uint64, bits, workers int) *radix.Partitioned {
 // across workers on the morsel partition cursor. A touched partition the
 // caller owns takes the source groups straight into its table — Wen et
 // al.'s update-in-place build; any other touched partition is rebuilt as
-// a copy of the base partition plus those groups. Partitions that
+// a copy of the base partition plus those groups, sized for the base and
+// the largest source partition (sources share most keys). Partitions that
 // received no source groups are shared with base by pointer: a fold of a
 // small delta rebuilds only the partitions it touches. withValues
 // carries the value multisets along. The result's groups are a pure
@@ -98,20 +88,20 @@ func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int
 	touched := make([]bool, len(base))
 	morsel.Parts(len(base), workers, func(_, q int) {
 		parts[q] = base[q] // untouched, or folded in place: the base's table
-		n := 0
+		most := 0
 		for s, src := range srcs {
 			if sp := splits[s]; sp != nil {
-				n += sp.bounds[q+1] - sp.bounds[q]
+				most = max(most, sp.bounds[q+1]-sp.bounds[q])
 			} else {
-				n += src[q].Len()
+				most = max(most, src[q].Len())
 			}
 		}
-		if n == 0 {
+		if most == 0 {
 			return
 		}
 		touched[q] = true
 		if !inPlace(q) {
-			parts[q] = NewTable(base[q].Len() + n)
+			parts[q] = NewTable(base[q].Len() + most)
 			if base[q].T != nil {
 				MergeTable(parts[q], base[q], withValues)
 			}
@@ -233,11 +223,27 @@ func foldPart(dst Table, pk []uint64, pp []*Partial, ar *arena.Arena, withValues
 // lpBuild* kernels, so the hash multiplies of a block overlap each other
 // and the probes' dependent cache misses. A partition's table is created
 // the first time a row lands in it, with room for seed[q] groups (nil
-// seed: the table's minimum), and every partition buffers its value
-// multisets in the one arena ar. Only for a set nobody else can see yet:
-// it mutates the tables.
-func AbsorbParts(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64, holistic bool) {
+// seed: the table's minimum), on the arena ar (nil: an arena of its own);
+// a row's values go to its partition's arena. More than one worker each
+// own a contiguous range of partitions and probe only the rows that route
+// into it. No two may write one arena, so ar must then be nil and the
+// set's tables must not share arenas. Only for a set nobody else can see
+// yet: it mutates the tables.
+func AbsorbParts(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64, holistic bool, workers int) {
+	workers = max(1, min(workers, len(parts)))
+	if workers > 1 && ar != nil {
+		panic("agg: AbsorbParts on a shared arena at more than one worker")
+	}
+	morsel.Parts(workers, workers, func(_, w int) {
+		absorbRange(parts, ar, seed, keys, vals, holistic, w*len(parts)/workers, (w+1)*len(parts)/workers)
+	})
+}
+
+// absorbRange is AbsorbParts over the rows that route to partitions
+// [lo, hi); the others are hashed and skipped.
+func absorbRange(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64, holistic bool, lo, hi int) {
 	shift := uint(64 - partBits(parts)) // a shift of 64 yields partition 0
+	first, span := uint64(lo), uint64(hi-lo)
 	var h [hashBatch]uint64
 	for i := 0; i < len(keys); i += hashBatch {
 		bk := keys[i:min(i+hashBatch, len(keys))]
@@ -251,48 +257,25 @@ func AbsorbParts(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64
 		}
 		for j, k := range bk {
 			q := h[j] >> shift
-			t := parts[q].T
-			if t == nil {
+			if q-first >= span {
+				continue
+			}
+			tb := &parts[q]
+			if tb.T == nil {
 				n := 0
 				if seed != nil {
 					n = seed[q]
 				}
-				t = hashtbl.NewLinearProbe[Partial](n)
-				parts[q] = Table{T: t, Ar: ar}
+				*tb = Table{T: hashtbl.NewLinearProbe[Partial](n), Ar: ar}
+				if ar == nil {
+					tb.Ar = arena.New()
+				}
 			}
-			p := t.UpsertH(k, h[j])
+			p := tb.T.UpsertH(k, h[j])
 			p.Observe(bv[j])
 			if holistic {
-				p.Buffer(ar, bv[j])
+				p.Buffer(tb.Ar, bv[j])
 			}
 		}
 	}
-}
-
-// Absorb folds raw rows (vals[i] belongs to keys[i], equal length) into
-// the partition set parts in place: the Hash_RX scatter at the set's
-// fan-out, then each touched partition absorbs its rows with AbsorbRows,
-// partitions in parallel across workers; a partition's
-// table is allocated on first use, sized for its rows. Partial folds are
-// insensitive to how rows are grouped, so the result equals a Fold of a
-// table that absorbed the same rows. Only for a set nobody else can see
-// yet: it mutates the tables.
-func Absorb(parts []Table, keys, vals []uint64, holistic bool, workers int) {
-	pt := scatter(keys, vals, partBits(parts), workers)
-	morsel.Parts(len(parts), workers, func(_, q int) {
-		pk := pt.PartKeys(q)
-		if len(pk) == 0 {
-			return
-		}
-		if parts[q].T == nil {
-			parts[q] = NewTable(len(pk))
-		}
-		AbsorbRows(parts[q], pk, pt.PartVals(q), holistic)
-	})
-}
-
-// AbsorbRows folds raw rows (vals[i] belongs to keys[i], equal length)
-// into the one table dst: AbsorbParts over a set of one.
-func AbsorbRows(dst Table, keys, vals []uint64, holistic bool) {
-	AbsorbParts([]Table{dst}, dst.Ar, nil, keys, vals, holistic)
 }

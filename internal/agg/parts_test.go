@@ -127,7 +127,7 @@ func TestFold(t *testing.T) {
 			// there is more than one, so some base partitions stay untouched.
 			base := make([]Table, 1<<bits)
 			bk, bv := randRows(rng, 5000, func() uint64 { return rng.Uint64() % 3000 })
-			Absorb(base, bk, bv, holistic, 1)
+			AbsorbParts(base, nil, nil, bk, bv, holistic, 1)
 			srcKey := func() uint64 {
 				for {
 					k := rng.Uint64() % 4000
@@ -143,7 +143,7 @@ func TestFold(t *testing.T) {
 				}
 				srcs[i] = NewTable(0)
 				k, v := randRows(rng, 2000, srcKey)
-				AbsorbRows(srcs[i], k, v, holistic)
+				AbsorbParts(srcs[i:i+1], nil, nil, k, v, holistic, 1)
 			}
 			baseBefore, srcsBefore := dumpTables(t, base...), make([]map[uint64]groupDump, len(srcs))
 			for i, s := range srcs {
@@ -200,7 +200,7 @@ func TestFold(t *testing.T) {
 				// owned. Owned touched partitions keep their table, the rest
 				// are copied, and no partition the caller does not own changes.
 				ib := make([]Table, len(base))
-				Absorb(ib, bk, bv, holistic, 1)
+				AbsorbParts(ib, nil, nil, bk, bv, holistic, 1)
 				own := make([]bool, len(ib))
 				var shared []Table
 				for q := range own {
@@ -237,9 +237,11 @@ func TestFold(t *testing.T) {
 	}
 }
 
-// TestAbsorb checks agg.Absorb against a row-by-row reference: the same
-// groups with the same state, every key in its PartitionIndex partition,
-// and tables allocated only for partitions that received rows.
+// TestAbsorb checks AbsorbParts with no arena passed in — each new
+// partition on an arena of its own — against a row-by-row reference over
+// a few heavily repeated keys at workers 1/2/8: the same groups with the
+// same state, every key in its PartitionIndex partition, and tables
+// allocated only for partitions that received rows.
 func TestAbsorb(t *testing.T) {
 	for _, bits := range []int{0, 1, 4, 6} {
 		for _, holistic := range []bool{false, true} {
@@ -252,7 +254,7 @@ func TestAbsorb(t *testing.T) {
 				for batch := 0; batch < 2; batch++ {
 					k, v := randRows(rng, 3000, func() uint64 { return rng.Uint64() % 40 })
 					rowsDump(ref, k, v, holistic)
-					Absorb(parts, k, v, holistic, workers)
+					AbsorbParts(parts, nil, nil, k, v, holistic, workers)
 				}
 				checkLayout(t, label, parts, bits)
 				if !reflect.DeepEqual(dumpTables(t, parts...), ref) {
@@ -282,7 +284,7 @@ func TestFoldPartitionSets(t *testing.T) {
 			bk, bv := randRows(rng, 4000, func() uint64 { return rng.Uint64() % 3000 })
 			freshBase := func() []Table {
 				base := make([]Table, 1<<bits)
-				Absorb(base, bk, bv, holistic, 1)
+				AbsorbParts(base, nil, nil, bk, bv, holistic, 1)
 				return base
 			}
 			coarse := max(bits-3, 0) // a fan-out below the base's where there is one
@@ -295,11 +297,11 @@ func TestFoldPartitionSets(t *testing.T) {
 					k[0] = 0
 				}
 				sets[i] = make([]Table, 1<<bits)
-				AbsorbParts(sets[i], arena.New(), nil, k, v, holistic)
+				AbsorbParts(sets[i], arena.New(), nil, k, v, holistic, 1)
 				coarser[i] = make([]Table, 1<<coarse)
-				AbsorbParts(coarser[i], arena.New(), nil, k, v, holistic)
+				AbsorbParts(coarser[i], arena.New(), nil, k, v, holistic, 1)
 				tables[i] = NewTable(0)
-				AbsorbRows(tables[i], k, v, holistic)
+				AbsorbParts(tables[i:i+1], nil, nil, k, v, holistic, 1)
 			}
 			mixed := oneTableSources(tables)
 			mixed[1], mixed[3] = sets[1], coarser[3]
@@ -341,57 +343,124 @@ func TestFoldPartitionSets(t *testing.T) {
 	Fold(make([]Table, 4), [][]Table{make([]Table, 8)}, nil, false, 1)
 }
 
-// TestAbsorbParts checks agg.AbsorbParts against a row-by-row reference:
-// every group in its PartitionIndex partition with the same state
-// and value multiset, key 0 included, tables allocated only for
-// partitions that received rows, every partition's values in the one
-// arena passed in — and a set seeded from another's group counts starts
-// every partition large enough to hold that count without a rehash.
+// TestAbsorbParts checks agg.AbsorbParts against a row-by-row reference
+// at workers 1/2/8: every group in its PartitionIndex partition with the
+// same state and value multiset, key 0 included, and tables allocated
+// only for partitions that received rows. One worker buffers every new
+// partition's values in the one arena passed in; more give each new
+// partition an arena of its own. A set whose partitions already have
+// tables, each on its own arena, keeps every value in its partition's
+// arena and none in the one passed in. And a set seeded from another's
+// group counts starts every partition large enough to hold that count
+// without a rehash.
 func TestAbsorbParts(t *testing.T) {
 	for _, bits := range []int{0, 1, 6, MaxPartBits} {
 		for _, holistic := range []bool{false, true} {
-			label := fmt.Sprintf("bits=%d holistic=%v", bits, holistic)
-			rng := rand.New(rand.NewSource(int64(bits) + 11))
-			ref := map[uint64]groupDump{}
-			parts := make([]Table, 1<<bits)
-			ar := arena.New()
-			// Two batches, the first with a short tail block and key 0: the
-			// second lands on tables the first allocated.
-			for batch, n := range []int{3001, 6000} {
-				k, v := randRows(rng, n, func() uint64 { return rng.Uint64() % 20000 })
-				if batch == 0 {
-					k[0], k[n-1] = 0, 0
+			for _, workers := range []int{1, 2, 8} {
+				if holistic && workers > 1 && bits > 6 {
+					continue // an arena per partition pins 512 KiB each
 				}
-				rowsDump(ref, k, v, holistic)
-				AbsorbParts(parts, ar, nil, k, v, holistic)
-			}
-			checkLayout(t, label, parts, bits)
-			if !reflect.DeepEqual(dumpTables(t, parts...), ref) {
-				t.Fatalf("%s: AbsorbParts differs from the row-by-row reference", label)
-			}
-			seed := make([]int, len(parts))
-			for q, tb := range parts {
-				seed[q] = tb.Len()
-				if tb.T == nil {
-					continue
+				label := fmt.Sprintf("bits=%d holistic=%v workers=%d", bits, holistic, workers)
+				rng := rand.New(rand.NewSource(int64(bits) + 11))
+				var ar *arena.Arena // AbsorbParts' arena: shared at one worker only
+				if workers == 1 {
+					ar = arena.New()
 				}
-				if tb.Len() == 0 {
-					t.Fatalf("%s: partition %d allocated without rows", label, q)
+				ref := map[uint64]groupDump{}
+				parts := make([]Table, 1<<bits)
+				// Two batches, the first with a short tail block and key 0: the
+				// second lands on tables the first allocated.
+				for batch, n := range []int{3001, 6000} {
+					k, v := randRows(rng, n, func() uint64 { return rng.Uint64() % 20000 })
+					if batch == 0 {
+						k[0], k[n-1] = 0, 0
+					}
+					rowsDump(ref, k, v, holistic)
+					AbsorbParts(parts, ar, nil, k, v, holistic, workers)
 				}
-				if tb.Ar != ar {
-					t.Fatalf("%s: partition %d holds its values outside the shared arena", label, q)
+				checkLayout(t, label, parts, bits)
+				if !reflect.DeepEqual(dumpTables(t, parts...), ref) {
+					t.Fatalf("%s: AbsorbParts differs from the row-by-row reference", label)
 				}
-			}
+				seed := make([]int, len(parts))
+				arenas := map[*arena.Arena]int{}
+				for q, tb := range parts {
+					seed[q] = tb.Len()
+					if tb.T == nil {
+						continue
+					}
+					if tb.Len() == 0 {
+						t.Fatalf("%s: partition %d allocated without rows", label, q)
+					}
+					if ar != nil && tb.Ar != ar {
+						t.Fatalf("%s: partition %d holds its values outside the shared arena", label, q)
+					}
+					if p, dup := arenas[tb.Ar]; dup && ar == nil {
+						t.Fatalf("%s: partitions %d and %d share an arena", label, p, q)
+					}
+					arenas[tb.Ar] = q
+				}
 
-			// Too few rows to grow any table: its size is the seed's.
-			again := make([]Table, len(parts))
-			k, v := randRows(rng, 64, func() uint64 { return rng.Uint64() % 20000 })
-			AbsorbParts(again, arena.New(), seed, k, v, holistic)
-			for q, tb := range again {
-				if tb.T != nil && tb.T.Cap()*7/8 < seed[q] {
-					t.Fatalf("%s: partition %d seeded for %d groups starts at %d slots", label, q, seed[q], tb.T.Cap())
+				// Tables that exist take the values into their own arenas.
+				if bits <= 6 {
+					own := make([]Table, len(parts))
+					for q := range own {
+						own[q] = NewTable(0)
+					}
+					stray := arena.New()
+					if workers > 1 {
+						stray = nil
+					}
+					ref := map[uint64]groupDump{}
+					k, v := randRows(rng, 5000, func() uint64 { return rng.Uint64() % 20000 })
+					rowsDump(ref, k, v, holistic)
+					AbsorbParts(own, stray, nil, k, v, holistic, workers)
+					if stray != nil && stray.UsedWords() != 0 {
+						t.Fatalf("%s: %d words of values landed outside their partitions' arenas", label, stray.UsedWords())
+					}
+					if !reflect.DeepEqual(dumpTables(t, own...), ref) {
+						t.Fatalf("%s: AbsorbParts into existing tables differs from the row-by-row reference", label)
+					}
+				}
+
+				// Too few rows to grow any table: its size is the seed's.
+				again := make([]Table, len(parts))
+				k, v := randRows(rng, 64, func() uint64 { return rng.Uint64() % 20000 })
+				AbsorbParts(again, nil, seed, k, v, holistic, workers)
+				for q, tb := range again {
+					if tb.T != nil && tb.T.Cap()*7/8 < seed[q] {
+						t.Fatalf("%s: partition %d seeded for %d groups starts at %d slots", label, q, seed[q], tb.T.Cap())
+					}
 				}
 			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AbsorbParts on a shared arena at 2 workers did not panic")
+		}
+	}()
+	AbsorbParts(make([]Table, 4), arena.New(), nil, []uint64{1}, []uint64{1}, true, 2)
+}
+
+// TestFoldSizesForLargestSource: a copied partition is sized for the base
+// partition plus the largest source partition, not the sum of the
+// sources: eight folds of one source share all their keys, so the fold of
+// eight copies into an empty set gets the same tables as the fold of one.
+func TestFoldSizesForLargestSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	src := make([]Table, 1<<4)
+	k, v := randRows(rng, 20000, func() uint64 { return rng.Uint64() % 5000 })
+	AbsorbParts(src, nil, nil, k, v, false, 1)
+	one, _ := Fold(make([]Table, len(src)), [][]Table{src}, nil, false, 1)
+	srcs := make([][]Table, 8)
+	for i := range srcs {
+		srcs[i] = src
+	}
+	eight, _ := Fold(make([]Table, len(src)), srcs, nil, false, 1)
+	for q := range one {
+		if got, want := eight[q].T.Cap(), one[q].T.Cap(); got != want {
+			t.Fatalf("partition %d: fold of 8 copies has %d slots, fold of one %d", q, got, want)
 		}
 	}
 }

@@ -35,7 +35,7 @@ const setVersion = 2
 
 const setFlagHolistic = 1
 
-var setMagic = [4]byte{'M', 'A', 'G', 'P'}
+const setMagic = "MAGP"
 
 // ErrBadSet marks a structurally invalid partial set: bad magic, unknown
 // version, or a stream that disagrees with its own header. Frame-level
@@ -52,7 +52,7 @@ type setHeader struct {
 
 func appendSetHeader(dst []byte, h setHeader) []byte {
 	buf := make([]byte, 0, 22)
-	buf = append(buf, setMagic[:]...)
+	buf = append(buf, setMagic...)
 	buf = append(buf, setVersion)
 	var flags byte
 	if h.Holistic {
@@ -65,14 +65,8 @@ func appendSetHeader(dst []byte, h setHeader) []byte {
 }
 
 func decodeSetHeader(payload []byte) (setHeader, error) {
-	if len(payload) != 22 {
-		return setHeader{}, fmt.Errorf("header frame is %d bytes: %w", len(payload), ErrBadSet)
-	}
-	if [4]byte(payload[:4]) != setMagic {
-		return setHeader{}, fmt.Errorf("bad magic %q: %w", payload[:4], ErrBadSet)
-	}
-	if payload[4] != setVersion {
-		return setHeader{}, fmt.Errorf("unknown version %d: %w", payload[4], ErrBadSet)
+	if err := wal.CheckHeader(payload, setMagic, setVersion, 22, ErrBadSet); err != nil {
+		return setHeader{}, err
 	}
 	return setHeader{
 		Holistic:  payload[5]&setFlagHolistic != 0,
@@ -97,9 +91,7 @@ func EncodeSnapshot(dst []byte, sn *stream.Snapshot) ([]byte, error) {
 		dst = append(dst, frame...)
 		return nil
 	})
-	for _, tb := range parts {
-		run.Add(tb)
-	}
+	run.Add(parts...)
 	if err := run.Close(); err != nil {
 		return nil, fmt.Errorf("cluster: encode partial set: %w", err)
 	}

@@ -2,8 +2,8 @@
 // over tumbling or sliding windows of a stream, maintained incrementally
 // from the seal-publication path instead of recomputed per read.
 //
-// A view is a ring of panes in watermark order. A pane is an agg.Partial
-// table — the same mergeable state the stream's deltas and generations
+// A view is a ring of panes in watermark order. A pane is a partition set
+// of agg.Partial tables — the same shape and state the stream's deltas
 // hold — covering PaneRows rows of the publication watermark: pane p owns
 // the rows whose visibility watermark falls in (p*W, (p+1)*W]. Sealed
 // deltas are folded into panes as they publish (the stream calls OnSeal
@@ -44,6 +44,8 @@ import (
 	"time"
 
 	"memagg/internal/agg"
+	"memagg/internal/arena"
+	"memagg/internal/hashtbl"
 	"memagg/internal/obs"
 )
 
@@ -137,8 +139,9 @@ type Metrics struct {
 // watermark Register observes exact).
 type Registry struct {
 	holistic bool
-	bits     int // window fold fan-out: partition sets of 2^bits tables
-	workers  int // window fold and scan parallelism
+	bits     int    // window fold fan-out: partition sets of 2^bits tables
+	owned    []bool // a true per pane partition: settles fold in place
+	workers  int    // window fold and scan parallelism
 	m        *Metrics
 
 	// active mirrors len(views) so the per-seal fast path is one atomic
@@ -151,15 +154,20 @@ type Registry struct {
 }
 
 // NewRegistry builds an empty registry. holistic gates value-multiset
-// queries; reads fold a window's panes into a partition set of 2^bits
-// tables (0 <= bits <= agg.MaxPartBits) and fold and scan it across
-// workers; m may be nil.
-func NewRegistry(holistic bool, bits, workers int, m *Metrics) *Registry {
+// queries; panes are partition sets of 2^paneBits tables, the fan-out of
+// the sealed deltas OnSeal delivers; reads fold a window's panes into a
+// partition set of 2^bits tables (0 <= paneBits <= bits <=
+// agg.MaxPartBits) and fold and scan it across workers; m may be nil.
+func NewRegistry(holistic bool, bits, paneBits, workers int, m *Metrics) *Registry {
 	if m == nil {
 		m = &Metrics{}
 	}
+	owned := make([]bool, 1<<paneBits)
+	for q := range owned {
+		owned[q] = true
+	}
 	return &Registry{
-		holistic: holistic, bits: bits, workers: workers, m: m,
+		holistic: holistic, bits: bits, owned: owned, workers: workers, m: m,
 		views: make(map[string]*View),
 		// Registration identities count up from the boot clock, so they
 		// also differ from every identity an earlier process handed out.
@@ -217,10 +225,10 @@ func (r *Registry) Drop(name string) bool {
 
 // OnSeal feeds one sealed delta to every view: the delta covers rows
 // (prevWM, endWM] of the publication watermark and carries rows of them;
-// delta is its partition set, immutable from here on (it must carry value
-// multisets when the registry is holistic). Callers serialize OnSeal
-// calls and deliver them in watermark order (live publication and WAL
-// replay both do).
+// delta is its partition set at the pane fan-out, immutable from here on
+// (it must carry value multisets when the registry is holistic). Callers
+// serialize OnSeal calls and deliver them in watermark order (live
+// publication and WAL replay both do).
 func (r *Registry) OnSeal(prevWM, endWM, rows uint64, delta []agg.Table) {
 	if !r.Active() {
 		return
@@ -381,23 +389,20 @@ type View struct {
 }
 
 // pane is one window slot: the merged partial state of every delta whose
-// end watermark fell inside it. Maintenance is deferred: absorb only
-// queues the sealed delta's partition set, and the merges run when
-// somebody needs the pane's table — a read, a pane snapshot, or the
-// pending cap. That keeps the seal-publication path O(1) per view, and a
-// pane evicted before it is ever read never pays for its merges, or for
-// its table, at all. A pane with no table (nil T) holds no groups.
+// end watermark fell inside it, as a partition set at the pane fan-out.
+// Maintenance is deferred: absorb only queues the sealed delta's
+// partition set, and the folds run when somebody needs the pane's set —
+// a read, a pane snapshot, or the pending cap. That keeps the
+// seal-publication path O(1) per view, and a pane evicted before it is
+// ever read never pays for its folds, or for its set, at all. A pane
+// with no set (nil parts) holds no groups.
 type pane struct {
-	idx uint64
-	agg.Table
+	idx     uint64
+	parts   []agg.Table
 	rows    uint64
 	lastWM  uint64
-	pending [][]agg.Table // sealed deltas' partition sets not yet merged in
+	pending [][]agg.Table // sealed deltas' partition sets not yet folded in
 }
-
-// paneTableCap seeds a pane's table when its first fold settles; it grows
-// by doubling like any hash table.
-const paneTableCap = 1 << 8
 
 // maxPendingFolds bounds a pane's deferred-fold queue. Each queued fold
 // pins its sealed delta in memory, so a view that is never read must not
@@ -405,37 +410,43 @@ const paneTableCap = 1 << 8
 // inline, amortizing the cost it deferred.
 const maxPendingFolds = 32
 
-// settle merges every partition of the pane's queued deltas into its
-// table with agg.MergeTable, value multisets only for views whose query
-// needs them.
-// The table is created here, on the pane's first settle: a pane evicted
-// before anything reads it never allocates one. Callers hold the owning
-// view's mu.
-func (p *pane) settle(m *Metrics, withValues bool) {
+// settle folds the pane's queued deltas into its set in place with
+// agg.Fold, partition q into q, value multisets only for views whose
+// query needs them. The set is created here, on the pane's first settle:
+// a pane evicted before anything reads it never allocates one. Callers
+// hold the owning view's mu.
+func (p *pane) settle(r *Registry, withValues bool) {
 	if len(p.pending) == 0 {
 		return
 	}
 	mk := obs.Start()
-	if p.T == nil {
-		p.Table = agg.NewTable(paneTableCap)
+	if p.parts == nil {
+		p.parts = newPaneSet(len(r.owned))
 	}
-	for _, d := range p.pending {
-		for _, part := range d {
-			if part.T != nil {
-				agg.MergeTable(p.Table, part, withValues)
-			}
-		}
-	}
-	m.Updates.Add(uint64(len(p.pending)))
-	mk.Tick(m.UpdateLat)
+	p.parts, _ = agg.Fold(p.parts, p.pending, r.owned, withValues, 1)
+	r.m.Updates.Add(uint64(len(p.pending)))
+	mk.Tick(r.m.UpdateLat)
 	clear(p.pending)
 	p.pending = p.pending[:0]
 }
 
+// newPaneSet returns an empty pane set of n tables, so that a settle folds
+// into every partition in place, all on one arena like a stream delta's:
+// an arena per partition would pin a 512 KiB chunk each once values are
+// buffered.
+func newPaneSet(n int) []agg.Table {
+	parts := make([]agg.Table, n)
+	ar := arena.New()
+	for q := range parts {
+		parts[q] = agg.Table{T: hashtbl.NewLinearProbe[agg.Partial](0), Ar: ar}
+	}
+	return parts
+}
+
 // settleAll applies every live pane's pending folds. Callers hold v.mu.
-func (v *View) settleAll(m *Metrics) {
+func (v *View) settleAll(r *Registry) {
 	for _, p := range v.panes {
-		p.settle(m, v.withValues)
+		p.settle(r, v.withValues)
 	}
 }
 
@@ -474,7 +485,7 @@ func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, delta []agg.Table
 	}
 	cur.pending = append(cur.pending, delta)
 	if len(cur.pending) >= maxPendingFolds {
-		cur.settle(r.m, v.withValues)
+		cur.settle(r, v.withValues)
 	}
 	cur.rows += rows
 	cur.lastWM = endWM
@@ -498,7 +509,7 @@ func (v *View) open(r *Registry, pIdx uint64) *pane {
 		drop++
 	}
 	if drop > 0 {
-		// Evicted panes free wholesale: the table and arena are the only
+		// Evicted panes free wholesale: the tables and arena are the only
 		// owners of the pane's state, and any still-pending folds are
 		// dropped unrun — work a never-read pane never has to pay.
 		copy(v.panes, v.panes[drop:])

@@ -16,7 +16,7 @@ import (
 // them).
 func deltaOf(keys, vals []uint64) []agg.Table {
 	parts := make([]agg.Table, 1<<2)
-	agg.AbsorbParts(parts, arena.New(), nil, keys, vals, true)
+	agg.AbsorbParts(parts, arena.New(), nil, keys, vals, true, 1)
 	return parts
 }
 
@@ -51,7 +51,7 @@ func sortValue(v any) any {
 }
 
 func TestSpecValidation(t *testing.T) {
-	r := NewRegistry(false, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, 2, nil)
 	ok := Spec{Name: "v", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 10, Panes: 2}
 	bad := []Spec{
 		func() Spec { s := ok; s.Name = ""; return s }(),
@@ -116,7 +116,7 @@ func TestRetentionFloor(t *testing.T) {
 }
 
 func TestPaneLifecycleSliding(t *testing.T) {
-	r := NewRegistry(false, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, 2, nil)
 	sp := Spec{Name: "s", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestPaneLifecycleSliding(t *testing.T) {
 }
 
 func TestPaneLifecycleTumbling(t *testing.T) {
-	r := NewRegistry(false, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, 2, nil)
 	sp := Spec{Name: "t", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestPaneLifecycleTumbling(t *testing.T) {
 // whose rows started in pane 0 credits the whole delta to pane 1 — deltas
 // are the atomic visibility unit, windows advance delta by delta.
 func TestSealSpansPanes(t *testing.T) {
-	r := NewRegistry(false, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, 2, nil)
 	sp := Spec{Name: "x", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 4, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -205,8 +205,44 @@ func TestSealSpansPanes(t *testing.T) {
 	}
 }
 
+// TestHolisticPaneOneArena: a settled holistic pane is a partition set at
+// the pane fan-out whose tables all buffer their values in one arena, no
+// larger than the arena one table of the same rows fills.
+func TestHolisticPaneOneArena(t *testing.T) {
+	r := NewRegistry(true, 2, 2, 2, nil)
+	sp := Spec{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 1 << 20, Panes: 1}
+	if err := r.Register(sp, 0); err != nil {
+		t.Fatal(err)
+	}
+	var all, allVals []uint64
+	wm := uint64(0)
+	for i := 0; i < 4; i++ {
+		k, v := rows(i*50_000, 50_000, 5000)
+		wm = seal(r, wm, k, v)
+		all, allVals = append(all, k...), append(allVals, v...)
+	}
+	if _, err := r.Result(sp.Name); err != nil {
+		t.Fatal(err)
+	}
+	p := r.views[sp.Name].panes[0]
+	if len(p.parts) != 1<<2 || len(p.pending) != 0 {
+		t.Fatalf("settled pane: %d partitions, %d folds queued; want 4, 0", len(p.parts), len(p.pending))
+	}
+	ar := p.parts[0].Ar
+	for q, tb := range p.parts {
+		if tb.Ar != ar {
+			t.Fatalf("pane partition %d buffers its values outside partition 0's arena", q)
+		}
+	}
+	ref := agg.NewTable(0)
+	agg.AbsorbParts([]agg.Table{ref}, nil, nil, all, allVals, true, 1)
+	if got, want := ar.FootprintBytes(), ref.Ar.FootprintBytes(); got > want {
+		t.Fatalf("holistic pane holds %d arena bytes, one table of the same rows %d", got, want)
+	}
+}
+
 func TestRegistrationBarrier(t *testing.T) {
-	r := NewRegistry(false, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, 2, nil)
 	sp := Spec{Name: "late", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 8, Sliding: true}
 	// Registered at watermark 200: the first two seals are history.
 	if err := r.Register(sp, 200); err != nil {
@@ -229,7 +265,7 @@ func TestRegistrationBarrier(t *testing.T) {
 }
 
 func TestGapTruncation(t *testing.T) {
-	r := NewRegistry(false, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, 2, nil)
 	sp := Spec{Name: "g", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -262,7 +298,7 @@ func TestGapTruncation(t *testing.T) {
 // and ETags on holds still across reads of an unchanged view and bumps on
 // every fold.
 func TestResultCacheVersioning(t *testing.T) {
-	r := NewRegistry(false, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, 2, nil)
 	sp := Spec{Name: "c", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 1000, Panes: 1}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -291,7 +327,7 @@ func TestResultCacheVersioning(t *testing.T) {
 }
 
 func TestPersistRoundTrip(t *testing.T) {
-	r := NewRegistry(true, 2, 2, nil)
+	r := NewRegistry(true, 2, 2, 2, nil)
 	specs := []Spec{
 		{Name: "counts", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 100, Panes: 3, Sliding: true},
 		{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 100, Panes: 2},
@@ -315,14 +351,14 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err := r.SavePanes(fs, "cv"); err != nil {
 		t.Fatal(err)
 	}
-	saved, err := Load(fs, "cv")
+	saved, err := Load(fs, "cv", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(saved) != len(specs) {
 		t.Fatalf("Load returned %d views, want %d", len(saved), len(specs))
 	}
-	r2 := NewRegistry(true, 2, 2, nil)
+	r2 := NewRegistry(true, 2, 2, 2, nil)
 	for _, sv := range saved {
 		if err := r2.Restore(sv); err != nil {
 			t.Fatal(err)
@@ -352,7 +388,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err := r.SaveDefs(fs2, "cv"); err != nil {
 		t.Fatal(err)
 	}
-	saved2, err := Load(fs2, "cv")
+	saved2, err := Load(fs2, "cv", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +402,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 
 	// Nothing persisted at all.
-	if saved, err := Load(wal.NewMemFS(), "cv"); err != nil || saved != nil {
+	if saved, err := Load(wal.NewMemFS(), "cv", 2); err != nil || saved != nil {
 		t.Fatalf("empty dir: got %v, %v", saved, err)
 	}
 }
@@ -399,11 +435,11 @@ func TestUnsettledPaneRoundTrip(t *testing.T) {
 		if err := r.SavePanes(fs, "cv"); err != nil {
 			t.Fatal(err)
 		}
-		saved, err := Load(fs, "cv")
+		saved, err := Load(fs, "cv", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2 := NewRegistry(false, 2, 2, nil)
+		r2 := NewRegistry(false, 2, 2, 2, nil)
 		for _, sv := range saved {
 			if err := r2.Restore(sv); err != nil {
 				t.Fatal(err)
@@ -413,14 +449,14 @@ func TestUnsettledPaneRoundTrip(t *testing.T) {
 	}
 
 	// Persisted, then read, before any settle.
-	r := NewRegistry(false, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, 2, nil)
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
 	k, v := rows(0, 60, 16)
 	seal(r, 0, k, v)
-	if p := r.views[sp.Name].panes[0]; p.T != nil || len(p.pending) != 1 {
-		t.Fatalf("fresh pane: table allocated %v, %d folds queued; want none, 1", p.T != nil, len(p.pending))
+	if p := r.views[sp.Name].panes[0]; p.parts != nil || len(p.pending) != 1 {
+		t.Fatalf("fresh pane: set allocated %v, %d folds queued; want none, 1", p.parts != nil, len(p.pending))
 	}
 	if got := read(reload(r)); got.Rows != 60 || !reflect.DeepEqual(got.Value, want(k)) {
 		t.Fatalf("persisted unsettled pane reloads as %d rows %v", got.Rows, got.Value)
@@ -430,7 +466,7 @@ func TestUnsettledPaneRoundTrip(t *testing.T) {
 	}
 
 	// A restored pane with no groups: no table, nothing queued.
-	r = NewRegistry(false, 2, 2, nil)
+	r = NewRegistry(false, 2, 2, 2, nil)
 	if err := r.Restore(Saved{Spec: sp, Panes: []SavedPane{{Idx: 0}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@ import (
 //	<dir>/
 //	  DEFS    view definitions: one CRC-framed JSON payload, rewritten
 //	          atomically (tmp + rename + dir sync) on every Register/Drop
-//	  PANES   pane state: per pane a header frame, then the pane's table
-//	          as an agg group run (the checkpoint's record format and
+//	  PANES   pane state: per pane a header frame, then the pane's set
+//	          as one agg group run (the checkpoint's record format and
 //	          chunker), rewritten by the checkpointer and at Close
 //
 // DEFS is the authority on which views exist — a view registered after
@@ -83,13 +83,13 @@ type Saved struct {
 	Panes        []SavedPane
 }
 
-// SavedPane is one persisted pane: its table decoded from the run, which
+// SavedPane is one persisted pane: its set decoded from the run, which
 // Restore adopts as the live pane's state.
 type SavedPane struct {
 	Idx    uint64
 	Rows   uint64
 	LastWM uint64
-	agg.Table
+	Parts  []agg.Table
 }
 
 // SaveDefs atomically rewrites the DEFS file with the current view
@@ -142,7 +142,7 @@ func (r *Registry) SavePanes(fs wal.FS, dir string) error {
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(views)))
 	buf = wal.AppendFrame(buf, hdr)
 	for _, v := range views {
-		if buf, err = v.appendPanes(r.m, buf); err != nil {
+		if buf, err = v.appendPanes(r, buf); err != nil {
 			return fmt.Errorf("cview: PANES view %q: %w", v.spec.Name, err)
 		}
 	}
@@ -153,10 +153,10 @@ func (r *Registry) SavePanes(fs wal.FS, dir string) error {
 // pane a pane-header frame followed by its group-run frames. Pending
 // folds settle first — the snapshot claims coverage through lastWM, so it
 // must actually contain every absorbed seal.
-func (v *View) appendPanes(m *Metrics, dst []byte) ([]byte, error) {
+func (v *View) appendPanes(r *Registry, dst []byte) ([]byte, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.settleAll(m)
+	v.settleAll(r)
 	p := make([]byte, 0, 64+len(v.spec.Name))
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(v.spec.Name)))
 	p = append(p, v.spec.Name...)
@@ -182,14 +182,14 @@ func (v *View) appendPanes(m *Metrics, dst []byte) ([]byte, error) {
 }
 
 // append serializes one pane: a header frame counting the run's frames,
-// then the pane's table as a group run.
+// then the pane's set as one group run.
 func (pn *pane) append(dst []byte, withValues bool) ([]byte, error) {
 	var frames []byte
 	run := agg.NewRunWriter(nil, withValues, func(f []byte) error {
 		frames = append(frames, f...)
 		return nil
 	})
-	run.Add(pn.Table)
+	run.Add(pn.parts...)
 	if err := run.Close(); err != nil {
 		return dst, err
 	}
@@ -204,13 +204,14 @@ func (pn *pane) append(dst []byte, withValues bool) ([]byte, error) {
 
 // Load recovers the persisted view set from dir: definitions from DEFS,
 // pane state from PANES where it matches (same name, same registration
-// watermark). Either file may be absent — no views, or definitions only.
-func Load(fs wal.FS, dir string) ([]Saved, error) {
+// watermark), each pane into a set of 2^paneBits tables. Either file may
+// be absent — no views, or definitions only.
+func Load(fs wal.FS, dir string, paneBits int) ([]Saved, error) {
 	defs, err := loadDefs(fs, dir)
 	if err != nil || len(defs) == 0 {
 		return nil, err
 	}
-	states, err := loadPanes(fs, dir)
+	states, err := loadPanes(fs, dir, paneBits)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +249,7 @@ func loadDefs(fs wal.FS, dir string) ([]savedDef, error) {
 	return defs.Views, nil
 }
 
-func loadPanes(fs wal.FS, dir string) (map[string]Saved, error) {
+func loadPanes(fs wal.FS, dir string, paneBits int) (map[string]Saved, error) {
 	f, err := fs.Open(filepath.Join(dir, panesName))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -262,13 +263,13 @@ func loadPanes(fs wal.FS, dir string) (map[string]Saved, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cview: PANES header: %w", err)
 	}
-	if len(hdr) != 9 || string(hdr[:4]) != panesMagic || hdr[4] != panesVersion {
-		return nil, fmt.Errorf("cview: bad PANES header: %w", wal.ErrWALCorrupt)
+	if err := wal.CheckHeader(hdr, panesMagic, panesVersion, 9, wal.ErrWALCorrupt); err != nil {
+		return nil, fmt.Errorf("cview: bad PANES header: %w", err)
 	}
 	nviews := int(binary.LittleEndian.Uint32(hdr[5:9]))
 	out := make(map[string]Saved, nviews)
 	for i := 0; i < nviews; i++ {
-		name, sv, err := readView(r)
+		name, sv, err := readView(r, paneBits)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +278,7 @@ func loadPanes(fs wal.FS, dir string) (map[string]Saved, error) {
 	return out, nil
 }
 
-func readView(r *bufio.Reader) (string, Saved, error) {
+func readView(r *bufio.Reader, paneBits int) (string, Saved, error) {
 	p, _, err := wal.ReadFrame(r)
 	if err != nil {
 		return "", Saved{}, fmt.Errorf("cview: PANES view header: %w", err)
@@ -305,7 +306,7 @@ func readView(r *bufio.Reader) (string, Saved, error) {
 	}
 	sv.Panes = make([]SavedPane, 0, npanes)
 	for i := 0; i < npanes; i++ {
-		pn, err := readPane(r, withValues)
+		pn, err := readPane(r, withValues, paneBits)
 		if err != nil {
 			return "", Saved{}, err
 		}
@@ -314,7 +315,7 @@ func readView(r *bufio.Reader) (string, Saved, error) {
 	return name, sv, nil
 }
 
-func readPane(r *bufio.Reader, withValues bool) (SavedPane, error) {
+func readPane(r *bufio.Reader, withValues bool, paneBits int) (SavedPane, error) {
 	hdr, _, err := wal.ReadFrame(r)
 	if err != nil {
 		return SavedPane{}, fmt.Errorf("cview: PANES pane header: %w", err)
@@ -328,17 +329,16 @@ func readPane(r *bufio.Reader, withValues bool) (SavedPane, error) {
 		LastWM: binary.LittleEndian.Uint64(hdr[16:]),
 	}
 	chunks := int(binary.LittleEndian.Uint32(hdr[24:]))
-	run := make([]agg.Table, 1)
+	pn.Parts = newPaneSet(1 << paneBits)
 	for c := 0; c < chunks; c++ {
 		p, _, err := wal.ReadFrame(r)
 		if err != nil {
 			return SavedPane{}, fmt.Errorf("cview: PANES group run: %w", err)
 		}
-		if _, err := agg.DecodeRunFrame(run, p, withValues); err != nil {
+		if _, err := agg.DecodeRunFrame(pn.Parts, p, withValues); err != nil {
 			return SavedPane{}, fmt.Errorf("cview: PANES group run: %w: %w", err, wal.ErrWALCorrupt)
 		}
 	}
-	pn.Table = run[0]
 	return pn, nil
 }
 
@@ -361,7 +361,7 @@ func (r *Registry) Restore(sv Saved) error {
 	v.gapLo, v.gapHi = sv.GapLo, sv.GapHi
 	v.evicted = sv.Evicted
 	for _, spn := range sv.Panes {
-		v.panes = append(v.panes, &pane{idx: spn.Idx, Table: spn.Table, rows: spn.Rows, lastWM: spn.LastWM})
+		v.panes = append(v.panes, &pane{idx: spn.Idx, parts: spn.Parts, rows: spn.Rows, lastWM: spn.LastWM})
 	}
 	return nil
 }

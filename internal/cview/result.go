@@ -30,15 +30,15 @@ type Result struct {
 	Value any
 }
 
-// compute evaluates the view's query over its live panes: fold the panes
-// into a partition set of 2^r.bits tables (agg.Fold — the fold the
+// compute evaluates the view's query over its live panes: fold the pane
+// sets into a partition set of 2^r.bits tables (agg.Fold — the fold the
 // stream's merger and snapshots use), then run the query through agg.Run
 // at r.workers, the kernels snapshots use, which is what makes the
 // window-vs-batch equivalence gate a reflect.DeepEqual. Callers hold
 // v.mu; the panes are only ever mutated under it, so the window is
 // consistent by construction.
 func (v *View) compute(r *Registry) *Result {
-	v.settleAll(r.m)
+	v.settleAll(r)
 	res := &Result{
 		Name:        v.spec.Name,
 		Query:       v.spec.Query,
@@ -48,17 +48,17 @@ func (v *View) compute(r *Registry) *Result {
 		Version:     v.ver,
 		Truncated:   v.truncated(),
 	}
-	panes := make([]agg.Table, len(v.panes))
-	for i, p := range v.panes {
+	srcs := make([][]agg.Table, 0, len(v.panes))
+	for _, p := range v.panes {
 		res.Rows += p.rows
-		panes[i] = p.Table
-	}
-	window := panes // no pane live: no groups; one pane: query it directly, no fold copy
-	if len(panes) > 1 {
-		srcs := make([][]agg.Table, len(panes)) // one-table sources: Fold splits them
-		for i := range panes {
-			srcs[i] = panes[i : i+1]
+		if p.parts != nil {
+			srcs = append(srcs, p.parts)
 		}
+	}
+	var window []agg.Table
+	if len(srcs) == 1 && len(srcs[0]) == 1<<r.bits {
+		window = srcs[0] // one pane at the window's fan-out: query it directly, no fold copy
+	} else {
 		window, _ = agg.Fold(make([]agg.Table, 1<<r.bits), srcs, nil, v.withValues, r.workers)
 	}
 	res.Groups = agg.Groups(window)

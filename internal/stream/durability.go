@@ -161,7 +161,7 @@ func Open(cfg Config) (*Stream, error) {
 	// snapshotted panes), then WAL replay below folds the log suffix through
 	// the same per-seal hook live ingest uses — panes the snapshot already
 	// covers are skipped by the views' own watermark barriers.
-	saved, err := cview.Load(fs, s.cviewDir())
+	saved, err := cview.Load(fs, s.cviewDir(), cfg.deltaBits())
 	if err != nil {
 		return nil, fmt.Errorf("stream: load continuous views: %w", err)
 	}
@@ -174,7 +174,7 @@ func Open(cfg Config) (*Stream, error) {
 	// Replay the WAL suffix straight into the base generation's radix
 	// partitions: the recovered tables are not shared with anyone until the
 	// first install, so each record past the checkpoint watermark folds into
-	// them in place (agg.Absorb at GOMAXPROCS, like a merge; every key
+	// them in place (agg.AbsorbParts at GOMAXPROCS, like a merge; every key
 	// lands in the partition a merge would have put it in) — recovery costs
 	// O(groups) memory and leaves no sealed backlog for the merger. A
 	// record becomes a delta of its own only when a continuous view still
@@ -192,14 +192,14 @@ func Open(cfg Config) (*Stream, error) {
 		if s.views.Active() && s.views.NeedSeal(end) {
 			d := newDelta(cfg.deltaBits())
 			d.rows = rows
-			agg.AbsorbParts(d.parts, d.ar, nil, r.Keys, r.Vals, cfg.Holistic)
+			agg.AbsorbParts(d.parts, d.ar, nil, r.Keys, r.Vals, cfg.Holistic, 1)
 			s.foldViews(end-rows, end, d)
 		}
 		if end > ckptWM {
 			if base == nil {
 				base = ownedGeneration(make([]agg.Table, 1<<cfg.MergeBits), 0, 1)
 			}
-			agg.Absorb(base.parts, r.Keys, r.Vals, cfg.Holistic, runtime.GOMAXPROCS(0))
+			agg.AbsorbParts(base.parts, nil, nil, r.Keys, r.Vals, cfg.Holistic, runtime.GOMAXPROCS(0))
 			base.rows += rows
 		}
 		return nil

@@ -402,7 +402,7 @@ func TestCheckpointBadBitsRejected(t *testing.T) {
 			if tb.T == nil {
 				*tb = agg.NewTable(1)
 			}
-			agg.AbsorbRows(*tb, []uint64{k}, []uint64{k}, true)
+			agg.AbsorbParts([]agg.Table{*tb}, nil, nil, []uint64{k}, []uint64{k}, true, 1)
 		}
 		for q, tb := range parts {
 			if err := w.WritePartition(q, tb); err != nil {

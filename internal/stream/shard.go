@@ -67,7 +67,7 @@ func (sh *shard) absorb(b batch) {
 	if sh.cur == nil {
 		sh.cur = newDelta(sh.s.cfg.deltaBits())
 	}
-	agg.AbsorbParts(sh.cur.parts, sh.cur.ar, sh.seed, b.keys, b.vals, sh.s.cfg.Holistic)
+	agg.AbsorbParts(sh.cur.parts, sh.cur.ar, sh.seed, b.keys, b.vals, sh.s.cfg.Holistic, 1)
 	sh.cur.rows += uint64(len(b.keys))
 	if sh.s.dur != nil {
 		sh.cur.keys = append(sh.cur.keys, b.keys)

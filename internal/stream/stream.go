@@ -244,7 +244,7 @@ func New(cfg Config) *Stream {
 func newStream(cfg Config) *Stream {
 	s := &Stream{cfg: cfg, wake: make(chan struct{}, 1)}
 	s.m = newMetrics(s)
-	s.views = cview.NewRegistry(cfg.Holistic, cfg.MergeBits, cfg.QueryWorkers, s.m.cviewMetrics())
+	s.views = cview.NewRegistry(cfg.Holistic, cfg.MergeBits, cfg.deltaBits(), cfg.QueryWorkers, s.m.cviewMetrics())
 	s.view.Store(&view{})
 	return s
 }

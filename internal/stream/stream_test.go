@@ -240,7 +240,7 @@ func TestHolisticDeltaOneArena(t *testing.T) {
 		t.Fatalf("%d partitions touched, want several", touched)
 	}
 	ref := agg.NewTable(0)
-	agg.AbsorbRows(ref, keys, vals, true)
+	agg.AbsorbParts([]agg.Table{ref}, nil, nil, keys, vals, true, 1)
 	if got, want := d.ar.FootprintBytes(), ref.Ar.FootprintBytes(); got > want {
 		t.Fatalf("holistic delta holds %d arena bytes, one table of the same rows %d", got, want)
 	}

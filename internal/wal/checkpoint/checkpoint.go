@@ -230,8 +230,8 @@ func loadMeta(fs wal.FS, dir string, r *bufio.Reader) (*Meta, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) != 31 || string(payload[:4]) != metaMagic || payload[4] != metaVersion {
-		return nil, fmt.Errorf("checkpoint: bad META: %w", wal.ErrWALCorrupt)
+	if err := wal.CheckHeader(payload, metaMagic, metaVersion, 31, wal.ErrWALCorrupt); err != nil {
+		return nil, fmt.Errorf("checkpoint: bad META: %w", err)
 	}
 	m := &Meta{
 		Seq:       binary.LittleEndian.Uint64(payload[5:13]),

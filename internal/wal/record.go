@@ -54,6 +54,22 @@ func AppendFrame(dst, payload []byte) []byte {
 	return dst
 }
 
+// CheckHeader is the one reader of a header frame's payload (checkpoint
+// META, view PANES, a wire chunk, a cluster partial set): size bytes (at
+// least five) opening with the four-byte magic and the version byte. A
+// mismatch is an error wrapping sentinel, the caller's own mark.
+func CheckHeader(payload []byte, magic string, version byte, size int, sentinel error) error {
+	switch {
+	case len(payload) != size:
+		return fmt.Errorf("header of %d bytes, want %d: %w", len(payload), size, sentinel)
+	case string(payload[:4]) != magic:
+		return fmt.Errorf("bad magic %q, want %q: %w", payload[:4], magic, sentinel)
+	case payload[4] != version:
+		return fmt.Errorf("unknown version %d, want %d: %w", payload[4], version, sentinel)
+	}
+	return nil
+}
+
 // ReadFrame reads one frame from r. It returns the payload and the total
 // bytes consumed. io.EOF with n == 0 is a clean end of input; any torn or
 // invalid frame returns an error wrapping ErrWALCorrupt — callers

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 )
@@ -108,5 +109,31 @@ func TestAppendSegmentsMatchesAppend(t *testing.T) {
 	}
 	if !slices.Equal(got, keys) {
 		t.Fatalf("replayed keys %v, want %v", got, keys)
+	}
+}
+
+// TestCheckHeader: the one header reader accepts exactly a payload of the
+// stated size opening with the magic and version, and refuses a short or
+// long payload, another magic or another version with the caller's
+// sentinel.
+func TestCheckHeader(t *testing.T) {
+	errMine := errors.New("mine")
+	good := []byte("MAGX\x02fields")
+	if err := CheckHeader(good, "MAGX", 2, len(good), errMine); err != nil {
+		t.Fatalf("good header: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		payload []byte
+		size    int
+	}{
+		"short":   {good[:len(good)-1], len(good)},
+		"long":    {good, len(good) - 1},
+		"empty":   {nil, len(good)},
+		"magic":   {[]byte("MAGY\x02fields"), len(good)},
+		"version": {[]byte("MAGX\x03fields"), len(good)},
+	} {
+		if err := CheckHeader(tc.payload, "MAGX", 2, tc.size, errMine); !errors.Is(err, errMine) {
+			t.Errorf("%s: %v, want the caller's sentinel", name, err)
+		}
 	}
 }

@@ -96,13 +96,22 @@ fi
 
 # Structural guard — one owner of the partition layout: which partition of
 # a partition set a row or group lands in is decided inside internal/agg
-# (agg.Fold, agg.Absorb, agg.AbsorbParts, the group-run decoder) on top of
+# (agg.Fold, agg.AbsorbParts, the group-run decoder) on top of
 # internal/radix,
 # so no other non-test file calls the partitioner or its index.
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/*' ! -path './internal/radix/*' ! -path './.*/*' |
 	xargs grep -lE 'radix\.Partition(Index)?\(' | wc -l)
 if [ "$n" -gt 0 ]; then
 	echo "structural guard: $n non-test files outside internal/agg and internal/radix route by radix partition" >&2
+	exit 1
+fi
+# Partition sets route rows by the hash their probe computes, with no
+# scatter pass, so the Hash_RX scatter itself (radix.Partition) serves
+# only the batch engines that are built on it.
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/radixeng.go' ! -path './internal/agg/phased.go' \
+	! -path './internal/radix/*' ! -path './.*/*' | xargs grep -lE 'radix\.Partition\(' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test files outside the batch radix engines scatter with radix.Partition" >&2
 	exit 1
 fi
 
@@ -128,6 +137,16 @@ n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/wal/*' ! -path '
 	xargs grep -lE 'crc32|Checksum\(' | wc -l)
 if [ "$n" -gt 0 ]; then
 	echo "structural guard: $n non-test files outside internal/wal compute a frame checksum" >&2
+	exit 1
+fi
+# ... and one frame-header parser: the magic and version that open a
+# checkpoint META, a view PANES file, a wire chunk and a cluster partial
+# set are checked by wal.CheckHeader, so outside internal/wal no non-test
+# file compares a header magic.
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/wal/*' ! -path './bench/*' ! -path './.*/*' |
+	xargs grep -nE '(!=|==) *[A-Za-z_.]*[mM]agic|[mM]agic[A-Za-z_]*\)? *(!=|==)' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test lines outside internal/wal compare a frame-header magic" >&2
 	exit 1
 fi
 
@@ -170,12 +189,14 @@ go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./in
 # order); Fold over partition-set sources — at the base's fan-out (folded
 # partition q into q) and coarser (each partition split across the base
 # partitions it covers) — against the same groups as one-table sources
-# (workers 1/2/8, copy-on-write and in place); agg.Absorb against
-# AbsorbRows; and
-# agg.AbsorbParts, the stream deltas' router, against AbsorbRows (fan-outs
-# 0/1/6/MaxPartBits, key 0, values on and off, one shared arena, seeded
-# sizes).
-pinned -race -run 'TestFold|TestFoldPartitionSets|TestAbsorb|TestAbsorbParts|TestPartBits' -count=1 -v ./internal/agg
+# (workers 1/2/8, copy-on-write and in place); a copied partition sized
+# for the largest source, not their sum; and agg.AbsorbParts, the one
+# absorb kernel of the stream's deltas and WAL replay, against a
+# row-by-row reference (fan-outs 0/1/6/MaxPartBits, workers 1/2/8 each on
+# its own range of partitions, key 0, values on and off, one shared arena
+# at one worker, existing tables keeping values in their own arenas,
+# seeded sizes).
+pinned -race -run 'TestFold|TestFoldPartitionSets|TestFoldSizesForLargestSource|TestAbsorbParts|TestPartBits' -count=1 -v ./internal/agg
 # The group-run codec's record fuzzer replays its checked-in corpus, and
 # the run writer/decoder round trip (multi-frame, heads, radix routing,
 # empty runs) is pinned by name; the three containers' own suites
