@@ -346,6 +346,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`memagg_http_requests_total{route="/ingest",code="200"} 1`, // server: route counters
 		`memagg_http_request_seconds_bucket{route="/query",`,
 		"memagg_stream_seals_total",
+		"memagg_stream_run_seals_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/v1/metrics missing %q", want)
@@ -734,7 +735,7 @@ func TestStatsKeysPinned(t *testing.T) {
 	}
 	want := []string{
 		"Shards", "Holistic", "Ingested", "Watermark", "Staleness",
-		"Batches", "Seals", "Snapshots", "BlockedNanos",
+		"Batches", "Seals", "RunSeals", "Snapshots", "BlockedNanos",
 		"SealedPending", "Generation", "Groups",
 		"Merges", "MergeTotalNanos", "MergeLastNanos",
 		"Views", "ViewPanesLive", "ViewPanesEvicted", "ViewUpdates", "ViewReads",

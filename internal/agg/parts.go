@@ -16,63 +16,87 @@ import (
 // it. Disjointness is what lets partitions be built, merged and scanned
 // independently and in parallel — the Hash_RX discipline — and internal/agg
 // is the only place that decides which partition a row or group goes to:
-// raw rows by AbsorbParts, partial state by Fold, encoded groups by the
-// group-run decoder.
+// raw rows by AbsorbParts and ScatterRows, partial state by Fold, encoded
+// groups by the group-run decoder.
 
 // MaxPartBits bounds a partition set's fan-out at the batch Hash_RX
 // partitioner's (radix.MaxBits); a checkpoint naming a larger one is
 // refused.
 const MaxPartBits = 12
 
-// partBits returns the fan-out of a partition set. A length that is not a
-// power of two in [1, 2^MaxPartBits] is a caller bug.
-func partBits(parts []Table) int {
-	n := len(parts)
+// partBits returns the fan-out of a partition set.
+func partBits(parts []Table) int { return fanOut(len(parts)) }
+
+// fanOut returns the fan-out of n partitions. An n that is not a power of
+// two in [1, 2^MaxPartBits] is a caller bug.
+func fanOut(n int) int {
 	bits := mathbits.TrailingZeros(uint(n))
 	if n == 0 || n&(n-1) != 0 || bits > MaxPartBits {
-		panic(fmt.Sprintf("agg: partition set of %d tables", n))
+		panic(fmt.Sprintf("agg: %d partitions", n))
 	}
 	return bits
 }
 
-// Fold folds the groups of srcs into the partition set base and returns
-// the result as a set of base's length, plus the number of partitions
-// folded in place. Each source is itself a partition set at a fan-out no
-// larger than base's (a one-table source is the set of fan-out 0; a
-// finer one is a caller bug), so source partition c holds exactly the
-// groups of base partitions c<<d through (c+1)<<d - 1, d the difference
-// in fan-out. A source at base's fan-out folds partition q into
-// partition q as it stands, each source partition read in its own slot
-// order; a coarser source is first split, one source partition at a
-// time and partitions in parallel, into its 2^d base partitions (see
-// split). srcs are never mutated; base partition q is mutated only when
-// own[q] is set (the caller holds the only reference to it), and nil own
-// means copy-on-write everywhere. Each partition folds independently
-// across workers on the morsel partition cursor. A touched partition the
-// caller owns takes the source groups straight into its table — Wen et
-// al.'s update-in-place build; any other touched partition is rebuilt as
-// a copy of the base partition plus those groups, sized for the base and
-// the largest source partition (sources share most keys). Partitions that
-// received no source groups are shared with base by pointer: a fold of a
-// small delta rebuilds only the partitions it touches. withValues
-// carries the value multisets along. The result's groups are a pure
-// function of the inputs' contents, in place or not, and for a given
-// mask its tables and their iteration order are the same at any worker
-// count.
-func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int) ([]Table, int) {
+// Source is one input of Fold: a partition set of aggregated groups
+// (Parts) or a run of raw rows (Rows, see ScatterRows). Exactly one is
+// set.
+type Source struct {
+	Parts []Table
+	Rows  *Rows
+}
+
+// Fold folds srcs into the partition set base and returns the result as a
+// set of base's length, plus the number of partitions folded in place. It
+// is the one way rows or groups enter a built partition set: the stream's
+// merges and snapshot folds, continuous-view pane settles and window
+// reads, and WAL replay all go through it.
+//
+// A partition-set source has a fan-out no larger than base's (a one-table
+// source is the set of fan-out 0; a finer one is a caller bug), so source
+// partition c holds exactly the groups of base partitions c<<d through
+// (c+1)<<d - 1, d the difference in fan-out. One at base's fan-out folds
+// partition q into partition q as it stands, each source partition read
+// in its own slot order; a coarser one is first split, one source
+// partition at a time and partitions in parallel, into its 2^d base
+// partitions (see split). A run source has a fan-out no smaller than
+// base's (a coarser one is a caller bug), so base partition q takes the
+// run's partitions q<<d through (q+1)<<d - 1, one contiguous stretch of
+// rows, observed row by row where a set's groups are merged.
+//
+// srcs are never mutated; base partition q is mutated only when own[q] is
+// set (the caller holds the only reference to it), and nil own means
+// copy-on-write everywhere. Each partition folds independently across
+// workers on the morsel partition cursor. A touched partition the caller
+// owns takes the source groups straight into its table — Wen et al.'s
+// update-in-place build; any other touched partition is rebuilt as a copy
+// of the base partition plus those groups, sized for the base and the
+// largest source partition (sources share most keys; a run counts its
+// rows). Partitions that received nothing are shared with base by
+// pointer: a fold of a small delta rebuilds only the partitions it
+// touches. withValues carries the value multisets along. The result's
+// groups are a pure function of the inputs' contents, in place or not,
+// and for a given mask its tables and their iteration order are the same
+// at any worker count.
+func Fold(base []Table, srcs []Source, own []bool, withValues bool, workers int) ([]Table, int) {
 	bits := partBits(base)
-	splits := make([]*split, len(srcs)) // nil: the source is at base's fan-out
+	splits := make([]*split, len(srcs)) // nil: a run, or a set at base's fan-out
 	var jobs [][2]int                   // source, source partition
 	for s, src := range srcs {
-		sb := partBits(src)
+		if src.Rows != nil {
+			if src.Rows.bits() < bits {
+				panic(fmt.Sprintf("agg: fold of a %d-partition run into a %d-partition set", len(src.Rows.Bounds)-1, len(base)))
+			}
+			continue
+		}
+		sb := partBits(src.Parts)
 		if sb > bits {
-			panic(fmt.Sprintf("agg: fold of a %d-table source into a %d-partition set", len(src), len(base)))
+			panic(fmt.Sprintf("agg: fold of a %d-table source into a %d-partition set", len(src.Parts), len(base)))
 		}
 		if sb == bits {
 			continue
 		}
-		splits[s] = newSplit(src, bits)
-		for c, tb := range src {
+		splits[s] = newSplit(src.Parts, bits)
+		for c, tb := range src.Parts {
 			if tb.Len() > 0 {
 				jobs = append(jobs, [2]int{s, c})
 			}
@@ -80,7 +104,7 @@ func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int
 	}
 	morsel.Parts(len(jobs), workers, func(_, j int) {
 		s, c := jobs[j][0], jobs[j][1]
-		splits[s].part(srcs[s][c], c, bits)
+		splits[s].part(srcs[s].Parts[c], c, bits)
 	})
 
 	inPlace := func(q int) bool { return own != nil && own[q] && base[q].T != nil }
@@ -90,10 +114,14 @@ func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int
 		parts[q] = base[q] // untouched, or folded in place: the base's table
 		most := 0
 		for s, src := range srcs {
-			if sp := splits[s]; sp != nil {
+			switch sp := splits[s]; {
+			case src.Rows != nil:
+				lo, hi := src.Rows.span(q, bits)
+				most = max(most, hi-lo)
+			case sp != nil:
 				most = max(most, sp.bounds[q+1]-sp.bounds[q])
-			} else {
-				most = max(most, src[q].Len())
+			default:
+				most = max(most, src.Parts[q].Len())
 			}
 		}
 		if most == 0 {
@@ -107,11 +135,15 @@ func Fold(base []Table, srcs [][]Table, own []bool, withValues bool, workers int
 			}
 		}
 		for s, src := range srcs {
-			if sp := splits[s]; sp != nil {
+			switch sp := splits[s]; {
+			case src.Rows != nil:
+				lo, hi := src.Rows.span(q, bits)
+				foldRows(parts[q], src.Rows.Keys[lo:hi], src.Rows.Vals[lo:hi], withValues)
+			case sp != nil:
 				lo, hi := sp.bounds[q], sp.bounds[q+1]
-				foldPart(parts[q], sp.keys[lo:hi], sp.ps[lo:hi], src[q>>sp.d].Ar, withValues)
-			} else if src[q].T != nil {
-				MergeTable(parts[q], src[q], withValues)
+				foldPart(parts[q], sp.keys[lo:hi], sp.ps[lo:hi], src.Parts[q>>sp.d].Ar, withValues)
+			case src.Parts[q].T != nil:
+				MergeTable(parts[q], src.Parts[q], withValues)
 			}
 		}
 	})
@@ -218,32 +250,17 @@ func foldPart(dst Table, pk []uint64, pp []*Partial, ar *arena.Arena, withValues
 // into the partition set parts in place, routing each row to partition
 // radix.PartitionIndex(key, bits) — the top bits of the hash its probe
 // computes anyway, so routing costs one shift per row and there is no
-// scatter pass. It is the one absorb kernel: a block of hashBatch Mix
-// hashes is filled first, then probed with UpsertH, exactly like the
-// lpBuild* kernels, so the hash multiplies of a block overlap each other
-// and the probes' dependent cache misses. A partition's table is created
-// the first time a row lands in it, with room for seed[q] groups (nil
-// seed: the table's minimum), on the arena ar (nil: an arena of its own);
-// a row's values go to its partition's arena. More than one worker each
-// own a contiguous range of partitions and probe only the rows that route
-// into it. No two may write one arena, so ar must then be nil and the
-// set's tables must not share arenas. Only for a set nobody else can see
-// yet: it mutates the tables.
-func AbsorbParts(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64, holistic bool, workers int) {
-	workers = max(1, min(workers, len(parts)))
-	if workers > 1 && ar != nil {
-		panic("agg: AbsorbParts on a shared arena at more than one worker")
-	}
-	morsel.Parts(workers, workers, func(_, w int) {
-		absorbRange(parts, ar, seed, keys, vals, holistic, w*len(parts)/workers, (w+1)*len(parts)/workers)
-	})
-}
-
-// absorbRange is AbsorbParts over the rows that route to partitions
-// [lo, hi); the others are hashed and skipped.
-func absorbRange(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64, holistic bool, lo, hi int) {
+// scatter pass. It is the absorb kernel of a stream's table deltas: a
+// block of hashBatch Mix hashes is filled first, then probed with
+// UpsertH, exactly like the lpBuild* kernels, so the hash multiplies of a
+// block overlap each other and the probes' dependent cache misses. A
+// partition's table is created the first time a row lands in it, with
+// room for seed[q] groups (nil seed: the table's minimum), on the arena
+// ar (nil: an arena of its own); a row's values go to its partition's
+// arena. Only for a set nobody else can see yet: it mutates the tables.
+// Rows headed for a set somebody may share go through Fold as a run.
+func AbsorbParts(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64, holistic bool) {
 	shift := uint(64 - partBits(parts)) // a shift of 64 yields partition 0
-	first, span := uint64(lo), uint64(hi-lo)
 	var h [hashBatch]uint64
 	for i := 0; i < len(keys); i += hashBatch {
 		bk := keys[i:min(i+hashBatch, len(keys))]
@@ -256,15 +273,11 @@ func absorbRange(parts []Table, ar *arena.Arena, seed []int, keys, vals []uint64
 			}
 		}
 		for j, k := range bk {
-			q := h[j] >> shift
-			if q-first >= span {
-				continue
-			}
-			tb := &parts[q]
+			tb := &parts[h[j]>>shift]
 			if tb.T == nil {
 				n := 0
 				if seed != nil {
-					n = seed[q]
+					n = seed[h[j]>>shift]
 				}
 				*tb = Table{T: hashtbl.NewLinearProbe[Partial](n), Ar: ar}
 				if ar == nil {

@@ -103,10 +103,19 @@ func randRows(rng *rand.Rand, n int, pick func() uint64) (keys, vals []uint64) {
 // oneTableSources wraps each table as a one-table Fold source: a
 // partition set of fan-out 0, which Fold splits across every base
 // partition.
-func oneTableSources(tables []Table) [][]Table {
-	srcs := make([][]Table, len(tables))
+func oneTableSources(tables []Table) []Source {
+	srcs := make([]Source, len(tables))
 	for i := range tables {
-		srcs[i] = tables[i : i+1]
+		srcs[i] = Source{Parts: tables[i : i+1]}
+	}
+	return srcs
+}
+
+// setSources wraps each partition set as a Fold source.
+func setSources(sets ...[]Table) []Source {
+	srcs := make([]Source, len(sets))
+	for i, set := range sets {
+		srcs[i] = Source{Parts: set}
 	}
 	return srcs
 }
@@ -127,7 +136,7 @@ func TestFold(t *testing.T) {
 			// there is more than one, so some base partitions stay untouched.
 			base := make([]Table, 1<<bits)
 			bk, bv := randRows(rng, 5000, func() uint64 { return rng.Uint64() % 3000 })
-			AbsorbParts(base, nil, nil, bk, bv, holistic, 1)
+			AbsorbParts(base, nil, nil, bk, bv, holistic)
 			srcKey := func() uint64 {
 				for {
 					k := rng.Uint64() % 4000
@@ -143,7 +152,7 @@ func TestFold(t *testing.T) {
 				}
 				srcs[i] = NewTable(0)
 				k, v := randRows(rng, 2000, srcKey)
-				AbsorbParts(srcs[i:i+1], nil, nil, k, v, holistic, 1)
+				AbsorbParts(srcs[i:i+1], nil, nil, k, v, holistic)
 			}
 			baseBefore, srcsBefore := dumpTables(t, base...), make([]map[uint64]groupDump, len(srcs))
 			for i, s := range srcs {
@@ -200,7 +209,7 @@ func TestFold(t *testing.T) {
 				// owned. Owned touched partitions keep their table, the rest
 				// are copied, and no partition the caller does not own changes.
 				ib := make([]Table, len(base))
-				AbsorbParts(ib, nil, nil, bk, bv, holistic, 1)
+				AbsorbParts(ib, nil, nil, bk, bv, holistic)
 				own := make([]bool, len(ib))
 				var shared []Table
 				for q := range own {
@@ -239,44 +248,46 @@ func TestFold(t *testing.T) {
 
 // TestAbsorb checks AbsorbParts with no arena passed in — each new
 // partition on an arena of its own — against a row-by-row reference over
-// a few heavily repeated keys at workers 1/2/8: the same groups with the
-// same state, every key in its PartitionIndex partition, and tables
-// allocated only for partitions that received rows.
+// a few heavily repeated keys: the same groups with the same state, every
+// key in its PartitionIndex partition, and tables allocated only for
+// partitions that received rows.
 func TestAbsorb(t *testing.T) {
 	for _, bits := range []int{0, 1, 4, 6} {
 		for _, holistic := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 8} {
-				label := fmt.Sprintf("bits=%d holistic=%v workers=%d", bits, holistic, workers)
-				rng := rand.New(rand.NewSource(int64(bits)))
-				ref := map[uint64]groupDump{}
-				parts := make([]Table, 1<<bits)
-				// Two batches: the second lands on tables the first allocated.
-				for batch := 0; batch < 2; batch++ {
-					k, v := randRows(rng, 3000, func() uint64 { return rng.Uint64() % 40 })
-					rowsDump(ref, k, v, holistic)
-					AbsorbParts(parts, nil, nil, k, v, holistic, workers)
-				}
-				checkLayout(t, label, parts, bits)
-				if !reflect.DeepEqual(dumpTables(t, parts...), ref) {
-					t.Fatalf("%s: absorb differs from the row-by-row reference", label)
-				}
-				for q, tb := range parts {
-					if tb.T != nil && tb.Len() == 0 {
-						t.Fatalf("%s: partition %d allocated without rows", label, q)
-					}
+			label := fmt.Sprintf("bits=%d holistic=%v", bits, holistic)
+			rng := rand.New(rand.NewSource(int64(bits)))
+			ref := map[uint64]groupDump{}
+			parts := make([]Table, 1<<bits)
+			// Two batches: the second lands on tables the first allocated.
+			for batch := 0; batch < 2; batch++ {
+				k, v := randRows(rng, 3000, func() uint64 { return rng.Uint64() % 40 })
+				rowsDump(ref, k, v, holistic)
+				AbsorbParts(parts, nil, nil, k, v, holistic)
+			}
+			checkLayout(t, label, parts, bits)
+			if !reflect.DeepEqual(dumpTables(t, parts...), ref) {
+				t.Fatalf("%s: absorb differs from the row-by-row reference", label)
+			}
+			for q, tb := range parts {
+				if tb.T != nil && tb.Len() == 0 {
+					t.Fatalf("%s: partition %d allocated without rows", label, q)
 				}
 			}
 		}
 	}
 }
 
-// TestFoldPartitionSets: Fold over partition-set sources equals Fold over
-// the same groups given as one-table sources — sources at the base's
-// fan-out (folded partition q into q), sources coarser than the base
-// (each partition split across the base partitions it covers), and a mix
-// of all three — at several fan-outs, with and without value multisets,
-// at workers 1/2/8, copy-on-write (own nil) and in place (own all true).
-// A source finer than the base is a caller bug.
+// TestFoldPartitionSets: Fold over partition-set and run sources equals
+// Fold over the same groups given as one-table sources — sets at the
+// base's fan-out (folded partition q into q), sets coarser than the base
+// (each partition split across the base partitions it covers), runs at
+// the base's fan-out, runs finer than the base (several run partitions
+// into one base partition: the pane case), runs at fan-outs 8 and 12
+// (MergeBits past the delta cap), and a mix of all of them — at several
+// fan-outs, with and without value multisets, at workers 1/2/8,
+// copy-on-write (own nil) and in place (own all true). Runs are scattered
+// from two column segments each. A set source finer than the base, or a
+// run coarser than it, is a caller bug.
 func TestFoldPartitionSets(t *testing.T) {
 	for _, bits := range []int{0, 1, 4, 6, 9} {
 		for _, holistic := range []bool{false, true} {
@@ -284,31 +295,57 @@ func TestFoldPartitionSets(t *testing.T) {
 			bk, bv := randRows(rng, 4000, func() uint64 { return rng.Uint64() % 3000 })
 			freshBase := func() []Table {
 				base := make([]Table, 1<<bits)
-				AbsorbParts(base, nil, nil, bk, bv, holistic, 1)
+				AbsorbParts(base, nil, nil, bk, bv, holistic)
 				return base
 			}
 			coarse := max(bits-3, 0) // a fan-out below the base's where there is one
+			runBits := []int{max(bits, 1), min(bits+3, MaxPartBits), MaxPartBits}
+			if bits <= 8 {
+				runBits = append(runBits, 8)
+			}
 			const nsrc = 4
 			sets, coarser := make([][]Table, nsrc), make([][]Table, nsrc)
 			tables := make([]Table, nsrc)
+			runs := make([][]Source, len(runBits)) // runs[j][i]: source i at runBits[j]
+			for j := range runs {
+				runs[j] = make([]Source, nsrc)
+			}
 			for i := range sets {
 				k, v := randRows(rng, 1500, func() uint64 { return rng.Uint64() % 5000 })
 				if i == 0 {
 					k[0] = 0
 				}
 				sets[i] = make([]Table, 1<<bits)
-				AbsorbParts(sets[i], arena.New(), nil, k, v, holistic, 1)
+				AbsorbParts(sets[i], arena.New(), nil, k, v, holistic)
 				coarser[i] = make([]Table, 1<<coarse)
-				AbsorbParts(coarser[i], arena.New(), nil, k, v, holistic, 1)
+				AbsorbParts(coarser[i], arena.New(), nil, k, v, holistic)
 				tables[i] = NewTable(0)
-				AbsorbParts(tables[i:i+1], nil, nil, k, v, holistic, 1)
+				AbsorbParts(tables[i:i+1], nil, nil, k, v, holistic)
+				cut := 1 + i*300 // the split between the two segments, past a short block
+				for j, rb := range runBits {
+					runs[j][i] = Source{Rows: ScatterRows([][]uint64{k[:cut], k[cut:]}, [][]uint64{v[:cut], v[cut:]}, rb, 1)}
+				}
 			}
 			mixed := oneTableSources(tables)
-			mixed[1], mixed[3] = sets[1], coarser[3]
+			mixed[1], mixed[2], mixed[3] = Source{Parts: sets[1]}, runs[1][2], Source{Parts: coarser[3]}
+			cases := []struct {
+				name string
+				srcs []Source
+			}{
+				{"partition-set sources", setSources(sets...)},
+				{fmt.Sprintf("sources at fan-out %d", coarse), setSources(coarser...)},
+				{"mixed sources", mixed},
+			}
+			for j, rb := range runBits {
+				cases = append(cases, struct {
+					name string
+					srcs []Source
+				}{fmt.Sprintf("runs at fan-out %d", rb), runs[j]})
+			}
 			for _, workers := range []int{1, 2, 8} {
 				for _, owned := range []bool{false, true} {
 					label := fmt.Sprintf("bits=%d holistic=%v workers=%d owned=%v", bits, holistic, workers, owned)
-					fold := func(srcs [][]Table) map[uint64]groupDump {
+					fold := func(srcs []Source) map[uint64]groupDump {
 						base := freshBase()
 						var own []bool
 						if owned {
@@ -322,48 +359,102 @@ func TestFoldPartitionSets(t *testing.T) {
 						return dumpTables(t, got...)
 					}
 					want := fold(oneTableSources(tables))
-					if got := fold(sets); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: partition-set sources fold differently from one-table sources (%d vs %d groups)", label, len(got), len(want))
-					}
-					if got := fold(coarser); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: sources at fan-out %d fold differently from one-table sources", label, coarse)
-					}
-					if got := fold(mixed); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: mixed sources fold differently from one-table sources", label)
+					for _, c := range cases {
+						if got := fold(c.srcs); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: %s fold differently from one-table sources (%d vs %d groups)", label, c.name, len(got), len(want))
+						}
 					}
 				}
 			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Fold of an 8-table source into a 4-partition set did not panic")
-		}
-	}()
-	Fold(make([]Table, 4), [][]Table{make([]Table, 8)}, nil, false, 1)
+	for _, bad := range []Source{
+		{Parts: make([]Table, 8)},
+		{Rows: ScatterRows([][]uint64{{1, 2, 3}}, [][]uint64{{1, 2, 3}}, 1, 1)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Fold of a source at fan-out 3 (set) or 1 (run) into a set at fan-out 2 did not panic")
+				}
+			}()
+			Fold(make([]Table, 4), []Source{bad}, nil, false, 1)
+		}()
+	}
 }
 
-// TestAbsorbParts checks agg.AbsorbParts against a row-by-row reference
-// at workers 1/2/8: every group in its PartitionIndex partition with the
-// same state and value multiset, key 0 included, and tables allocated
-// only for partitions that received rows. One worker buffers every new
-// partition's values in the one arena passed in; more give each new
-// partition an arena of its own. A set whose partitions already have
-// tables, each on its own arena, keeps every value in its partition's
-// arena and none in the one passed in. And a set seeded from another's
-// group counts starts every partition large enough to hold that count
-// without a rehash.
+// TestFoldRunsInPlace: a run source folds into the partitions the caller
+// owns in place, rebuilds the rest copy-on-write, shares untouched
+// partitions with the base by pointer, and never mutates the run.
+func TestFoldRunsInPlace(t *testing.T) {
+	const bits = 4
+	rng := rand.New(rand.NewSource(9))
+	bk, bv := randRows(rng, 3000, func() uint64 { return rng.Uint64() % 2000 })
+	k, v := randRows(rng, 2000, func() uint64 {
+		for {
+			if k := rng.Uint64() % 4000; radix.PartitionIndex(k, bits) != 0 {
+				return k
+			}
+		}
+	})
+	run := ScatterRows([][]uint64{k}, [][]uint64{v}, 8, 2)
+	before := slices.Clone(run.Keys)
+	want := map[uint64]groupDump{}
+	rowsDump(want, bk, bv, true)
+	rowsDump(want, k, v, true)
+	base := make([]Table, 1<<bits)
+	AbsorbParts(base, nil, nil, bk, bv, true)
+	own := make([]bool, len(base))
+	for q := range own {
+		own[q] = q%2 == 1
+	}
+	baseBefore := slices.Clone(base)
+	got, n := Fold(base, []Source{{Rows: run}}, own, true, 2)
+	checkLayout(t, "runs in place", got, bits)
+	if !reflect.DeepEqual(dumpTables(t, got...), want) {
+		t.Fatal("run fold differs from the row-by-row reference")
+	}
+	if got[0] != baseBefore[0] {
+		t.Fatal("untouched partition 0 was copied, want shared")
+	}
+	inPlace := 0
+	for q := 1; q < len(got); q++ {
+		if same := got[q].T == baseBefore[q].T; same != own[q] {
+			t.Fatalf("partition %d: folded in place %v, owned %v", q, same, own[q])
+		}
+		if own[q] {
+			inPlace++
+		}
+	}
+	if n != inPlace {
+		t.Fatalf("%d partitions reported in place, want %d", n, inPlace)
+	}
+	if !slices.Equal(run.Keys, before) {
+		t.Fatal("run mutated")
+	}
+}
+
+// TestAbsorbParts checks agg.AbsorbParts against a row-by-row reference:
+// every group in its PartitionIndex partition with the same state and
+// value multiset, key 0 included, and tables allocated only for
+// partitions that received rows. With an arena passed in every new
+// partition buffers its values there; with none each new partition gets
+// an arena of its own. A set whose partitions already have tables, each
+// on its own arena, keeps every value in its partition's arena and none
+// in the one passed in. And a set seeded from another's group counts
+// starts every partition large enough to hold that count without a
+// rehash.
 func TestAbsorbParts(t *testing.T) {
 	for _, bits := range []int{0, 1, 6, MaxPartBits} {
 		for _, holistic := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 8} {
-				if holistic && workers > 1 && bits > 6 {
+			for _, shared := range []bool{true, false} {
+				if holistic && !shared && bits > 6 {
 					continue // an arena per partition pins 512 KiB each
 				}
-				label := fmt.Sprintf("bits=%d holistic=%v workers=%d", bits, holistic, workers)
+				label := fmt.Sprintf("bits=%d holistic=%v shared=%v", bits, holistic, shared)
 				rng := rand.New(rand.NewSource(int64(bits) + 11))
-				var ar *arena.Arena // AbsorbParts' arena: shared at one worker only
-				if workers == 1 {
+				var ar *arena.Arena // AbsorbParts' arena, when shared
+				if shared {
 					ar = arena.New()
 				}
 				ref := map[uint64]groupDump{}
@@ -376,7 +467,7 @@ func TestAbsorbParts(t *testing.T) {
 						k[0], k[n-1] = 0, 0
 					}
 					rowsDump(ref, k, v, holistic)
-					AbsorbParts(parts, ar, nil, k, v, holistic, workers)
+					AbsorbParts(parts, ar, nil, k, v, holistic)
 				}
 				checkLayout(t, label, parts, bits)
 				if !reflect.DeepEqual(dumpTables(t, parts...), ref) {
@@ -408,14 +499,11 @@ func TestAbsorbParts(t *testing.T) {
 						own[q] = NewTable(0)
 					}
 					stray := arena.New()
-					if workers > 1 {
-						stray = nil
-					}
 					ref := map[uint64]groupDump{}
 					k, v := randRows(rng, 5000, func() uint64 { return rng.Uint64() % 20000 })
 					rowsDump(ref, k, v, holistic)
-					AbsorbParts(own, stray, nil, k, v, holistic, workers)
-					if stray != nil && stray.UsedWords() != 0 {
+					AbsorbParts(own, stray, nil, k, v, holistic)
+					if stray.UsedWords() != 0 {
 						t.Fatalf("%s: %d words of values landed outside their partitions' arenas", label, stray.UsedWords())
 					}
 					if !reflect.DeepEqual(dumpTables(t, own...), ref) {
@@ -426,7 +514,7 @@ func TestAbsorbParts(t *testing.T) {
 				// Too few rows to grow any table: its size is the seed's.
 				again := make([]Table, len(parts))
 				k, v := randRows(rng, 64, func() uint64 { return rng.Uint64() % 20000 })
-				AbsorbParts(again, nil, seed, k, v, holistic, workers)
+				AbsorbParts(again, ar, seed, k, v, holistic)
 				for q, tb := range again {
 					if tb.T != nil && tb.T.Cap()*7/8 < seed[q] {
 						t.Fatalf("%s: partition %d seeded for %d groups starts at %d slots", label, q, seed[q], tb.T.Cap())
@@ -435,12 +523,6 @@ func TestAbsorbParts(t *testing.T) {
 			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AbsorbParts on a shared arena at 2 workers did not panic")
-		}
-	}()
-	AbsorbParts(make([]Table, 4), arena.New(), nil, []uint64{1}, []uint64{1}, true, 2)
 }
 
 // TestFoldSizesForLargestSource: a copied partition is sized for the base
@@ -451,13 +533,13 @@ func TestFoldSizesForLargestSource(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	src := make([]Table, 1<<4)
 	k, v := randRows(rng, 20000, func() uint64 { return rng.Uint64() % 5000 })
-	AbsorbParts(src, nil, nil, k, v, false, 1)
-	one, _ := Fold(make([]Table, len(src)), [][]Table{src}, nil, false, 1)
+	AbsorbParts(src, nil, nil, k, v, false)
+	one, _ := Fold(make([]Table, len(src)), setSources(src), nil, false, 1)
 	srcs := make([][]Table, 8)
 	for i := range srcs {
 		srcs[i] = src
 	}
-	eight, _ := Fold(make([]Table, len(src)), srcs, nil, false, 1)
+	eight, _ := Fold(make([]Table, len(src)), setSources(srcs...), nil, false, 1)
 	for q := range one {
 		if got, want := eight[q].T.Cap(), one[q].T.Cap(); got != want {
 			t.Fatalf("partition %d: fold of 8 copies has %d slots, fold of one %d", q, got, want)

@@ -225,11 +225,12 @@ func (r *Registry) Drop(name string) bool {
 
 // OnSeal feeds one sealed delta to every view: the delta covers rows
 // (prevWM, endWM] of the publication watermark and carries rows of them;
-// delta is its partition set at the pane fan-out, immutable from here on
-// (it must carry value multisets when the registry is holistic). Callers
-// serialize OnSeal calls and deliver them in watermark order (live
-// publication and WAL replay both do).
-func (r *Registry) OnSeal(prevWM, endWM, rows uint64, delta []agg.Table) {
+// delta is its agg.Fold source, immutable from here on — a partition set
+// at the pane fan-out (carrying value multisets when the registry is
+// holistic) or a run at that fan-out or finer. Callers serialize OnSeal
+// calls and deliver them in watermark order (live publication and WAL
+// replay both do).
+func (r *Registry) OnSeal(prevWM, endWM, rows uint64, delta agg.Source) {
 	if !r.Active() {
 		return
 	}
@@ -391,7 +392,7 @@ type View struct {
 // pane is one window slot: the merged partial state of every delta whose
 // end watermark fell inside it, as a partition set at the pane fan-out.
 // Maintenance is deferred: absorb only queues the sealed delta's
-// partition set, and the folds run when somebody needs the pane's set —
+// source, and the folds run when somebody needs the pane's set —
 // a read, a pane snapshot, or the pending cap. That keeps the
 // seal-publication path O(1) per view, and a pane evicted before it is
 // ever read never pays for its folds, or for its set, at all. A pane
@@ -401,7 +402,7 @@ type pane struct {
 	parts   []agg.Table
 	rows    uint64
 	lastWM  uint64
-	pending [][]agg.Table // sealed deltas' partition sets not yet folded in
+	pending []agg.Source // sealed deltas not yet folded in
 }
 
 // maxPendingFolds bounds a pane's deferred-fold queue. Each queued fold
@@ -411,7 +412,8 @@ type pane struct {
 const maxPendingFolds = 32
 
 // settle folds the pane's queued deltas into its set in place with
-// agg.Fold, partition q into q, value multisets only for views whose
+// agg.Fold — a table delta partition q into q, a run delta's rows for
+// pane partition q into q — value multisets only for views whose
 // query needs them. The set is created here, on the pane's first settle:
 // a pane evicted before anything reads it never allocates one. Callers
 // hold the owning view's mu.
@@ -465,7 +467,7 @@ func (v *View) barrier() uint64 {
 // merge itself is deferred: absorb queues the delta on the pane and bumps
 // the version, so the seal path stays O(1) per view and readers settle on
 // demand.
-func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, delta []agg.Table) {
+func (v *View) absorb(r *Registry, prevWM, endWM, rows uint64, delta agg.Source) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	bar := v.barrier()

@@ -11,19 +11,30 @@ import (
 	"memagg/internal/wal"
 )
 
-// deltaOf builds the partition set a seal of the given rows would
+// deltaOf builds the partition set a table delta of the given rows would
 // supply, value multisets included (views that need none merge without
 // them).
 func deltaOf(keys, vals []uint64) []agg.Table {
 	parts := make([]agg.Table, 1<<2)
-	agg.AbsorbParts(parts, arena.New(), nil, keys, vals, true, 1)
+	agg.AbsorbParts(parts, arena.New(), nil, keys, vals, true)
 	return parts
 }
 
-// seal feeds one synthetic sealed delta covering (prev, prev+len(keys)].
+// sealed counts seal calls, so that seal alternates delta kinds.
+var sealed int
+
+// seal feeds one synthetic sealed delta covering (prev, prev+len(keys)]:
+// every other one a table delta at the pane fan-out, the others run
+// deltas alternately at the pane fan-out and finer, as a stream whose
+// MergeBits exceeds the pane's would seal them.
 func seal(r *Registry, prev uint64, keys, vals []uint64) uint64 {
 	end := prev + uint64(len(keys))
-	r.OnSeal(prev, end, uint64(len(keys)), deltaOf(keys, vals))
+	d := agg.Source{Parts: deltaOf(keys, vals)}
+	if sealed%2 == 1 {
+		d = agg.Source{Rows: agg.ScatterRows([][]uint64{keys}, [][]uint64{vals}, 2+sealed%4/2*3, 1)}
+	}
+	sealed++
+	r.OnSeal(prev, end, uint64(len(keys)), d)
 	return end
 }
 
@@ -235,7 +246,7 @@ func TestHolisticPaneOneArena(t *testing.T) {
 		}
 	}
 	ref := agg.NewTable(0)
-	agg.AbsorbParts([]agg.Table{ref}, nil, nil, all, allVals, true, 1)
+	agg.AbsorbParts([]agg.Table{ref}, nil, nil, all, allVals, true)
 	if got, want := ar.FootprintBytes(), ref.Ar.FootprintBytes(); got > want {
 		t.Fatalf("holistic pane holds %d arena bytes, one table of the same rows %d", got, want)
 	}

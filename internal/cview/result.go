@@ -48,16 +48,16 @@ func (v *View) compute(r *Registry) *Result {
 		Version:     v.ver,
 		Truncated:   v.truncated(),
 	}
-	srcs := make([][]agg.Table, 0, len(v.panes))
+	srcs := make([]agg.Source, 0, len(v.panes))
 	for _, p := range v.panes {
 		res.Rows += p.rows
 		if p.parts != nil {
-			srcs = append(srcs, p.parts)
+			srcs = append(srcs, agg.Source{Parts: p.parts})
 		}
 	}
 	var window []agg.Table
-	if len(srcs) == 1 && len(srcs[0]) == 1<<r.bits {
-		window = srcs[0] // one pane at the window's fan-out: query it directly, no fold copy
+	if len(srcs) == 1 && len(srcs[0].Parts) == 1<<r.bits {
+		window = srcs[0].Parts // one pane at the window's fan-out: query it directly, no fold copy
 	} else {
 		window, _ = agg.Fold(make([]agg.Table, 1<<r.bits), srcs, nil, v.withValues, r.workers)
 	}

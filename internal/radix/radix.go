@@ -80,13 +80,30 @@ func PartitionIndex(key uint64, bits int) int {
 // scatters the w-th contiguous input chunk, and within a partition tuples
 // appear in chunk order.
 func Partition(keys, vals []uint64, bits, workers int) *Partitioned {
+	var vs [][]uint64
+	if vals != nil {
+		vs = [][]uint64{vals}
+	}
+	return PartitionSegments([][]uint64{keys}, vs, bits, workers)
+}
+
+// PartitionSegments is Partition over the concatenation of the key
+// segments keys[0], keys[1], ...: a column that arrived in pieces is
+// scattered without first being copied into one. When vals is non-nil it
+// holds one value segment per key segment, each paired with its key
+// segment like Partition's vals (a short or missing segment reads as
+// zeros).
+func PartitionSegments(keys, vals [][]uint64, bits, workers int) *Partitioned {
 	if bits < 1 {
 		bits = 1
 	}
 	if bits > MaxBits {
 		bits = MaxBits
 	}
-	n := len(keys)
+	n := 0
+	for _, seg := range keys {
+		n += len(seg)
+	}
 	p := 1 << uint(bits)
 	if workers < 1 {
 		workers = 1
@@ -103,10 +120,11 @@ func Partition(keys, vals []uint64, bits, workers int) *Partitioned {
 		go func(w int) {
 			defer wg.Done()
 			h := make([]int, p)
-			lo, hi := n*w/workers, n*(w+1)/workers
-			for _, k := range keys[lo:hi] {
-				h[PartitionIndex(k, bits)]++
-			}
+			pieces(keys, n*w/workers, n*(w+1)/workers, func(s, lo, hi int) {
+				for _, k := range keys[s][lo:hi] {
+					h[PartitionIndex(k, bits)]++
+				}
+			})
 			hists[w] = h
 		}(w)
 	}
@@ -145,28 +163,62 @@ func Partition(keys, vals []uint64, bits, workers int) *Partitioned {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			lo, hi := n*w/workers, n*(w+1)/workers
-			scatter(pt, keys, vals, lo, hi, cursors[w])
+			c := newCombiner(pt, cursors[w])
+			pieces(keys, n*w/workers, n*(w+1)/workers, func(s, lo, hi int) {
+				var vs []uint64
+				if s < len(vals) {
+					vs = vals[s]
+				}
+				c.scatter(keys[s], vs, lo, hi)
+			})
+			c.flush()
 		}(w)
 	}
 	wg.Wait()
 	return pt
 }
 
+// pieces calls f(s, lo, hi) for every segment s that overlaps rows
+// [from, to) of the segments' concatenation, [lo, hi) being the overlap
+// in segment s's own indexes.
+func pieces(keys [][]uint64, from, to int, f func(s, lo, hi int)) {
+	off := 0
+	for s, seg := range keys {
+		end := off + len(seg)
+		if end > from && off < to {
+			f(s, max(from, off)-off, min(to, end)-off)
+		}
+		if off = end; off >= to {
+			return
+		}
+	}
+}
+
+// combiner is one worker's write-combining state: a small buffer per
+// partition and the worker's next output index per partition.
+type combiner struct {
+	pt         *Partitioned
+	bufK, bufV []uint64
+	fill       []uint8
+	cur        []int
+}
+
+func newCombiner(pt *Partitioned, cur []int) *combiner {
+	p := pt.NumPartitions()
+	c := &combiner{pt: pt, bufK: make([]uint64, p*wcEntries), fill: make([]uint8, p), cur: cur}
+	if pt.Vals != nil {
+		c.bufV = make([]uint64, p*wcEntries)
+	}
+	return c
+}
+
 // scatter writes keys[lo:hi] (and paired values) to their partitions,
 // staging tuples in per-partition write-combining buffers and flushing each
 // buffer as a bulk copy when it fills. cur[q] is this worker's next output
 // index for partition q and advances as tuples are flushed.
-func scatter(pt *Partitioned, keys, vals []uint64, lo, hi int, cur []int) {
-	p := pt.NumPartitions()
+func (c *combiner) scatter(keys, vals []uint64, lo, hi int) {
+	pt, bufK, bufV, fill, cur := c.pt, c.bufK, c.bufV, c.fill, c.cur
 	bits := pt.Bits
-	bufK := make([]uint64, p*wcEntries)
-	var bufV []uint64
-	if pt.Vals != nil {
-		bufV = make([]uint64, p*wcEntries)
-	}
-	fill := make([]uint8, p)
-
 	for i := lo; i < hi; i++ {
 		k := keys[i]
 		q := PartitionIndex(k, bits)
@@ -192,19 +244,23 @@ func scatter(pt *Partitioned, keys, vals []uint64, lo, hi int, cur []int) {
 		}
 		fill[q] = uint8(f)
 	}
+}
 
-	// Flush the partial buffers.
-	for q := 0; q < p; q++ {
-		f := int(fill[q])
+// flush copies the partial buffers out.
+func (c *combiner) flush() {
+	pt := c.pt
+	for q := range c.fill {
+		f := int(c.fill[q])
 		if f == 0 {
 			continue
 		}
 		base := q * wcEntries
-		dst := cur[q]
-		copy(pt.Keys[dst:dst+f], bufK[base:base+f])
-		if bufV != nil {
-			copy(pt.Vals[dst:dst+f], bufV[base:base+f])
+		dst := c.cur[q]
+		copy(pt.Keys[dst:dst+f], c.bufK[base:base+f])
+		if c.bufV != nil {
+			copy(pt.Vals[dst:dst+f], c.bufV[base:base+f])
 		}
-		cur[q] = dst + f
+		c.cur[q] = dst + f
+		c.fill[q] = 0
 	}
 }

@@ -1,6 +1,7 @@
 package radix
 
 import (
+	"slices"
 	"testing"
 
 	"memagg/internal/dataset"
@@ -150,6 +151,35 @@ func TestPartitionInputNotMutated(t *testing.T) {
 	for i := range keys {
 		if keys[i] != kcopy[i] || vals[i] != vcopy[i] {
 			t.Fatal("Partition mutated its input")
+		}
+	}
+}
+
+// TestPartitionSegments: scattering a column that arrived in segments is
+// the scatter of their concatenation, tuple for tuple at the same worker
+// count — segment cuts inside a worker's chunk, empty segments, and short
+// or missing value segments (read as zeros) included.
+func TestPartitionSegments(t *testing.T) {
+	keys := dataset.Random(5000, 1, 700, 3)
+	vals := dataset.Values(len(keys), 3)
+	cuts := []int{0, 0, 9, 1000, 1000, 2500, 4999, 5000}
+	var ks, vs [][]uint64
+	for i := 1; i < len(cuts); i++ {
+		ks = append(ks, keys[cuts[i-1]:cuts[i]])
+		vs = append(vs, vals[cuts[i-1]:cuts[i]])
+	}
+	flat := append([]uint64(nil), vals...)
+	vs[4] = vs[4][:700] // short: the rest reads as zeros
+	clear(flat[1000+700 : 2500])
+	for _, workers := range []int{1, 3, 8} {
+		want := Partition(keys, flat, 6, workers)
+		got := PartitionSegments(ks, vs, 6, workers)
+		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Vals, want.Vals) || !slices.Equal(got.Bounds, want.Bounds) {
+			t.Fatalf("workers=%d: segmented scatter differs from the scatter of the concatenation", workers)
+		}
+		checkPartitioned(t, got, keys, flat)
+		if k := PartitionSegments(ks, nil, 6, workers); k.Vals != nil || !slices.Equal(k.Keys, want.Keys) {
+			t.Fatalf("workers=%d: keys-only segmented scatter differs", workers)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memagg/internal/agg"
+	"memagg/internal/arena"
 	"memagg/internal/dataset"
 )
 
@@ -14,14 +15,18 @@ import (
 // as many producer goroutines as shards. b.N counts ROWS; the rows/s metric
 // is the headline number for EXPERIMENTS.md.
 //
-// bits is the stream's MergeBits. 6 is the default, where deltas are
-// partitioned at the base's fan-out; 12 is the partitioner's maximum,
-// 4,096 base partitions, where deltas stay at maxDeltaBits and every
-// merge splits each delta partition across the 64 base partitions it
-// covers.
+// bits is the stream's MergeBits. 6 is the default, where table deltas
+// are partitioned at the base's fan-out; 12 is the partitioner's maximum,
+// 4,096 base partitions, where table deltas stay at maxDeltaBits and
+// every merge splits each delta partition across the 64 base partitions
+// it covers, while run deltas are scattered at 12.
+//
+// The kind=*/groups=* cells are the sweep that fixes runCutoff (see
+// benchDeltaKinds).
 //
 //	go test ./internal/stream/ -bench StreamIngest -benchtime 1000000x
 func BenchmarkStreamIngest(b *testing.B) {
+	benchDeltaKinds(b)
 	const groups, batchLen = 100_000, 4096
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 1_000_000, Cardinality: groups, Seed: 71}
 	keys := spec.Keys()
@@ -143,5 +148,56 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// benchDeltaKinds is the single-threaded sweep behind runCutoff: per
+// 32 Ki-row delta, the work a shard and the merger do for each delta
+// kind, on uniform keys over 1 Ki to 1 Mi groups, into a 64-partition
+// base that already holds every group and folds in place (the merger's
+// steady state). kind=table absorbs the rows into a fresh seeded table
+// delta and folds its partitions q into q; kind=run scatters the rows
+// into a run and folds them row by row. b.N counts rows; ns/row is the
+// cell's figure.
+func benchDeltaKinds(b *testing.B) {
+	const seal, bits = 1 << 15, 6
+	for _, groups := range []int{1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 20} {
+		spec := dataset.Spec{Kind: dataset.RseqShf, N: max(1<<20, 2*groups), Cardinality: groups, Seed: 17}
+		keys := spec.Keys()
+		vals := dataset.Values(len(keys), spec.Seed)
+		for _, kind := range []string{"table", "run"} {
+			b.Run(fmt.Sprintf("kind=%s/groups=%dKi", kind, groups>>10), func(b *testing.B) {
+				base := make([]agg.Table, 1<<bits)
+				agg.AbsorbParts(base, nil, nil, keys, vals, false)
+				own := make([]bool, len(base))
+				for q := range own {
+					own[q] = true
+				}
+				var seed []int
+				off := 0
+				b.ResetTimer()
+				for n := 0; n < b.N; n += seal {
+					if off+seal > len(keys) {
+						off = 0
+					}
+					k, v := keys[off:off+seal], vals[off:off+seal]
+					off += seal
+					var src agg.Source
+					if kind == "table" {
+						src.Parts = make([]agg.Table, 1<<bits)
+						agg.AbsorbParts(src.Parts, arena.New(), seed, k, v, false)
+						seed = make([]int, len(src.Parts))
+						for q, t := range src.Parts {
+							seed[q] = t.Len()
+						}
+					} else {
+						src.Rows = agg.ScatterRows([][]uint64{k}, [][]uint64{v}, bits, 1)
+					}
+					base, _ = agg.Fold(base, []agg.Source{src}, own, false, 1)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((b.N+seal-1)/seal*seal), "ns/row")
+			})
+		}
 	}
 }

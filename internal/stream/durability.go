@@ -172,34 +172,36 @@ func Open(cfg Config) (*Stream, error) {
 	}
 
 	// Replay the WAL suffix straight into the base generation's radix
-	// partitions: the recovered tables are not shared with anyone until the
-	// first install, so each record past the checkpoint watermark folds into
-	// them in place (agg.AbsorbParts at GOMAXPROCS, like a merge; every key
-	// lands in the partition a merge would have put it in) — recovery costs
-	// O(groups) memory and leaves no sealed backlog for the merger. A
-	// record becomes a delta of its own only when a continuous view still
-	// has to fold that seal. Records at or below
-	// the checkpoint watermark are already in the base and are read only
-	// for such views; SkipBelow prunes whole segments when no view needs
-	// their records either.
+	// partitions: each record is scattered into a run at MergeBits and
+	// folded like a merge (agg.Fold at GOMAXPROCS), and since the recovered
+	// tables are not shared with anyone until the first install, it folds
+	// in place — recovery costs O(groups) memory and leaves no sealed
+	// backlog for the merger. The same run is the delta a continuous view
+	// folds when it still needs that seal. Records at or below the
+	// checkpoint watermark are already in the base and are read only for
+	// such views; SkipBelow prunes whole segments when no view needs their
+	// records either.
 	skipBelow := ckptWM
 	if wm, need := s.views.ReplayFloor(); need && wm < skipBelow {
 		skipBelow = wm
 	}
+	workers := runtime.GOMAXPROCS(0)
 	replay := func(r wal.Record) error {
 		end := r.EndWatermark
 		rows := uint64(len(r.Keys))
-		if s.views.Active() && s.views.NeedSeal(end) {
-			d := newDelta(cfg.deltaBits())
-			d.rows = rows
-			agg.AbsorbParts(d.parts, d.ar, nil, r.Keys, r.Vals, cfg.Holistic, 1)
-			s.foldViews(end-rows, end, d)
+		view := s.views.Active() && s.views.NeedSeal(end)
+		if !view && end <= ckptWM {
+			return nil
+		}
+		run := agg.Source{Rows: agg.ScatterRows([][]uint64{r.Keys}, [][]uint64{r.Vals}, cfg.MergeBits, workers)}
+		if view {
+			s.foldViews(end-rows, end, &delta{src: run, rows: rows})
 		}
 		if end > ckptWM {
 			if base == nil {
 				base = ownedGeneration(make([]agg.Table, 1<<cfg.MergeBits), 0, 1)
 			}
-			agg.AbsorbParts(base.parts, nil, nil, r.Keys, r.Vals, cfg.Holistic, runtime.GOMAXPROCS(0))
+			base.parts, _ = agg.Fold(base.parts, []agg.Source{run}, base.owned, cfg.Holistic, workers)
 			base.rows += rows
 		}
 		return nil
@@ -255,13 +257,11 @@ func Open(cfg Config) (*Stream, error) {
 // still published (visible until the process exits, like every
 // pre-durability row) but ingest stops accepting new rows.
 func (s *Stream) logSeal(d *delta, endWM uint64) {
-	if s.dur == nil {
-		return
-	}
-	// The record is the columns' last reader: drop them either way.
+	// The record is the columns' last reader: drop them either way (a
+	// volatile run delta's seal was).
 	keys, vals := d.keys, d.vals
 	d.keys, d.vals = nil, nil
-	if s.dur.degraded.Load() {
+	if s.dur == nil || s.dur.degraded.Load() {
 		return
 	}
 	if err := s.dur.log.AppendSegments(endWM, keys, vals); err != nil {

@@ -205,9 +205,10 @@ func TestStreamMatchesBatchEngines(t *testing.T) {
 }
 
 // TestStreamPastDeltaCapMatchesBatch runs the equivalence gate on a
-// stream whose MergeBits exceeds maxDeltaBits: its deltas stay at the
-// capped fan-out, and every merge and snapshot fold splits each delta
-// partition across the base partitions it covers. The answers must still
+// stream whose MergeBits exceeds maxDeltaBits: its table deltas stay at
+// the capped fan-out, and every merge and snapshot fold splits each
+// table delta partition across the base partitions it covers, while its
+// run deltas are scattered at MergeBits itself. The answers must still
 // be the batch engines', and every merged group must sit in its
 // PartitionIndex partition.
 func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
@@ -219,8 +220,12 @@ func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
 			replay(t, s, keys, vals, int64(spec.Seed))
 			label := spec.String() + "/shards=" + string(rune('0'+shards))
 			for _, d := range s.view.Load().sealed {
-				if len(d.parts) != 1<<maxDeltaBits {
-					t.Fatalf("%s: delta of %d partitions, want %d", label, len(d.parts), 1<<maxDeltaBits)
+				if r := d.src.Rows; r != nil {
+					if len(r.Bounds) != 1<<(maxDeltaBits+3)+1 {
+						t.Fatalf("%s: run delta of %d partitions, want %d", label, len(r.Bounds)-1, 1<<(maxDeltaBits+3))
+					}
+				} else if len(d.src.Parts) != 1<<maxDeltaBits {
+					t.Fatalf("%s: delta of %d partitions, want %d", label, len(d.src.Parts), 1<<maxDeltaBits)
 				}
 			}
 			checkAgainstBatch(t, label+"/flushed", s.Snapshot(), keys, vals)
@@ -243,6 +248,12 @@ func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
 				})
 			}
 			checkAgainstBatch(t, label+"/closed", s.Snapshot(), keys, vals)
+			// A shard's first delta is a table, split across the base
+			// partitions; 20 000 groups leave a 4 Ki-row delta well under
+			// runCutoff rows per group, so runs follow.
+			if st := s.Stats(); spec.Cardinality > 1<<12 && st.RunSeals == 0 || st.RunSeals == st.Seals {
+				t.Fatalf("%s: %d run seals of %d over %d groups", label, st.RunSeals, st.Seals, spec.Cardinality)
+			}
 		}
 	}
 }

@@ -11,10 +11,12 @@ import (
 // in place. own is agg.Fold's ownership mask: nil (the snapshot path, and
 // the merger whenever a reader holds base) folds copy-on-write, and
 // partitions no delta touched are shared with the base either way. With
-// no base yet the deltas fold into an empty set at MergeBits. Deltas are
-// partition sets at deltaBits, so up to maxDeltaBits delta partition q
-// folds straight into base partition q, and past it each delta partition
-// is split across the base partitions it covers.
+// no base yet the deltas fold into an empty set at MergeBits. A table
+// delta is a partition set at deltaBits, so up to maxDeltaBits its
+// partition q folds straight into base partition q, and past it each
+// delta partition is split across the base partitions it covers; a run
+// delta is scattered at MergeBits, so base partition q observes the run's
+// rows for q.
 func (s *Stream) foldDeltas(base *generation, ds []*delta, own []bool, workers int) ([]agg.Table, int) {
 	var bp []agg.Table
 	if base != nil {
@@ -22,9 +24,9 @@ func (s *Stream) foldDeltas(base *generation, ds []*delta, own []bool, workers i
 	} else {
 		bp = make([]agg.Table, 1<<s.cfg.MergeBits)
 	}
-	srcs := make([][]agg.Table, len(ds))
+	srcs := make([]agg.Source, len(ds))
 	for i, d := range ds {
-		srcs[i] = d.parts
+		srcs[i] = d.src
 	}
 	return agg.Fold(bp, srcs, own, s.cfg.Holistic, workers)
 }

@@ -21,6 +21,7 @@ type metrics struct {
 	batches   *obs.Counter // AppendChunk calls that carried rows
 	blockedNs *obs.Counter // nanoseconds AppendChunk spent blocked on full queues
 	seals     *obs.Counter // deltas frozen and published
+	runSeals  *obs.Counter // the seals that published a run delta
 	merges    *obs.Counter // merge cycles completed
 	mergeNs   *obs.Counter // total merge-cycle nanoseconds
 	snapshots *obs.Counter // snapshots taken
@@ -81,6 +82,8 @@ func newMetrics(s *Stream) *metrics {
 			"Nanoseconds Append spent blocked on full shard queues (backpressure)."),
 		seals: reg.NewCounter("memagg_stream_seals_total",
 			"Delta seals: frozen shard tables published into the queryable view."),
+		runSeals: reg.NewCounter("memagg_stream_run_seals_total",
+			"Delta seals that published a run (the batches' rows scattered by partition, no tables) instead of tables."),
 		merges: reg.NewCounter("memagg_stream_merges_total",
 			"Merge cycles folding sealed deltas into a base generation."),
 		mergeInPlace: reg.NewCounter("memagg_stream_merge_parts_in_place_total",

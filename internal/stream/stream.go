@@ -5,25 +5,30 @@
 // The design is a miniature LSM for aggregate state, built from three
 // pieces the repo already has:
 //
-//   - Sharded ingest. N writer shards each own a private delta: a
-//     partition set of hashtbl.LinearProbe tables over agg.Partial at the
-//     base's radix fan-out, capped at the default's (every group's
-//     distributive folds maintained
-//     eagerly, plus value lists in one arena per delta when holistic
-//     queries are enabled), each row routed to its partition by the hash
-//     its probe computes anyway, and each partition sized from the group
-//     count it reached in the shard's previous delta. Appends are batched
-//     and flow through a bounded channel per shard: when a shard falls
-//     behind, AppendChunk blocks — the backpressure contract; rows are
-//     never dropped.
+//   - Sharded ingest. N writer shards each own a private delta of one of
+//     two kinds. A table delta is a partition set of
+//     hashtbl.LinearProbe tables over agg.Partial at the base's radix
+//     fan-out, capped at the default's (every group's distributive folds
+//     maintained eagerly, plus value lists in one arena per delta when
+//     holistic queries are enabled), each row routed to its partition by
+//     the hash its probe computes anyway, and each partition sized from
+//     the group count it reached in the shard's previous table delta. A
+//     run delta aggregates nothing: it keeps the batches' columns and at
+//     seal scatters them by partition at the base's fan-out. A shard
+//     takes runs while its last table delta cut its rows by less than
+//     runCutoff — then the tables would buy the merge almost nothing —
+//     with every tableEvery-th delta a table again to keep measuring.
+//     Appends are batched and flow through a bounded channel per shard:
+//     when a shard falls behind, AppendChunk blocks — the backpressure
+//     contract; rows are never dropped.
 //
 //   - Sealed deltas and merged generations. When a delta reaches the seal
 //     threshold its shard freezes it and publishes it into the queryable
 //     view; a background merger folds batches of sealed deltas into a new
 //     base generation, partition q of every delta into partition q of the
-//     base (past the cap, each delta partition split across the base
-//     partitions it covers), so the fold parallelizes over disjoint key
-//     partitions (the
+//     base (past the cap, each table delta partition split across the
+//     base partitions it covers), so the fold parallelizes over disjoint
+//     key partitions (the
 //     Hash_RX discipline: every key lives in exactly one partition, so
 //     partitions merge independently with no locks). Partitions untouched
 //     by a merge cycle are shared structurally with the previous
@@ -85,9 +90,10 @@ type Config struct {
 	// MergeBits is the radix fan-out of the base generation: groups are
 	// partitioned by the top MergeBits of the shared hash finalizer, and
 	// merge cycles rebuild only the partitions that received delta rows.
-	// Shards absorb into deltas partitioned the same way at up to the
-	// default's fan-out (see maxDeltaBits), so at the default a merge folds
-	// delta partition q into base partition q.
+	// Run deltas are scattered at MergeBits itself; table deltas are
+	// partitioned the same way at up to the default's fan-out (see
+	// maxDeltaBits), so at the default a merge folds delta partition q
+	// into base partition q.
 	// Fixed for the stream's lifetime. <= 0 means 6 (64 partitions);
 	// clamped to [1, agg.MaxPartBits]. Continuous-view windows fold their
 	// panes at the same fan-out.
@@ -146,14 +152,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxDeltaBits caps a delta's fan-out at the default MergeBits. A
+// maxDeltaBits caps a table delta's fan-out at the default MergeBits. A
 // SealRows delta spread over more partitions leaves each only a handful
 // of rows (at MergeBits 12 about 8 rows in each of 4,096 tables per
 // 32 Ki-row delta), so past the cap agg.Fold splits each delta partition
-// across the base partitions it covers instead.
+// across the base partitions it covers instead. Run deltas hold no
+// tables, so they need no cap: they are scattered at MergeBits.
 const maxDeltaBits = 6
 
-// deltaBits is the fan-out of the stream's deltas.
+// deltaBits is the fan-out of the stream's table deltas and of
+// continuous-view panes.
 func (c Config) deltaBits() int { return min(c.MergeBits, maxDeltaBits) }
 
 // Stream is a live streaming aggregation: AppendChunk feeds it, Snapshot
@@ -219,8 +227,9 @@ const queueDepth = 8
 
 // batch is one ingest unit: either rows (keys/vals, equal length) or a
 // flush marker (ack non-nil). The columns are the producer's, read in
-// place: a volatile shard drops them once absorbed, a durable one once
-// its delta's WAL record is written.
+// place: a volatile shard drops them once a table delta has absorbed
+// them or a run delta's seal has scattered them, a durable one once its
+// delta's WAL record is written.
 type batch struct {
 	keys, vals []uint64
 	ack        chan<- struct{}
@@ -273,9 +282,10 @@ func (s *Stream) start() {
 // snapshots once their delta seals (see Flush).
 //
 // The stream takes the columns without copying and only reads them: the
-// receiving shard folds them straight into its delta, and a durable
-// stream keeps them until the delta's WAL record is written. The caller
-// must not modify either column again. A short value column zero-extends
+// receiving shard folds them straight into a table delta or keeps them
+// until a run delta's seal scatters them, and a durable stream keeps
+// them until the delta's WAL record is written. The caller must not
+// modify either column again. A short value column zero-extends
 // into a fresh column; the caller's is never grown.
 func (s *Stream) AppendChunk(c agg.Chunk) error {
 	if err := c.Validate(); err != nil {
@@ -426,11 +436,14 @@ type Stats struct {
 	Staleness uint64
 
 	// Batches counts AppendChunk calls that carried rows; Seals counts deltas
-	// frozen and published; Snapshots counts Snapshot calls; BlockedNanos
-	// is the total time AppendChunk spent stalled on full shard queues
-	// (backpressure).
+	// frozen and published, RunSeals those of them that were runs (rows
+	// scattered by partition, no tables: the shard's recent deltas cut
+	// their rows too little to pay for tables); Snapshots counts Snapshot
+	// calls; BlockedNanos is the total time AppendChunk spent stalled on
+	// full shard queues (backpressure).
 	Batches      uint64
 	Seals        uint64
+	RunSeals     uint64
 	Snapshots    uint64
 	BlockedNanos int64
 
@@ -482,6 +495,7 @@ func (s *Stream) Stats() Stats {
 		Watermark:       v.watermark,
 		Batches:         s.m.batches.Value(),
 		Seals:           s.m.seals.Value(),
+		RunSeals:        s.m.runSeals.Value(),
 		Snapshots:       s.m.snapshots.Value(),
 		BlockedNanos:    int64(s.m.blockedNs.Value()),
 		SealedPending:   len(v.sealed),

@@ -227,7 +227,10 @@ func TestHolisticDeltaOneArena(t *testing.T) {
 	}
 	d := sealed[0]
 	touched := 0
-	for q, p := range d.parts {
+	if d.src.Parts == nil {
+		t.Fatal("a shard's first delta is a run, want tables")
+	}
+	for q, p := range d.src.Parts {
 		if p.T == nil {
 			continue
 		}
@@ -240,7 +243,7 @@ func TestHolisticDeltaOneArena(t *testing.T) {
 		t.Fatalf("%d partitions touched, want several", touched)
 	}
 	ref := agg.NewTable(0)
-	agg.AbsorbParts([]agg.Table{ref}, nil, nil, keys, vals, true, 1)
+	agg.AbsorbParts([]agg.Table{ref}, nil, nil, keys, vals, true)
 	if got, want := d.ar.FootprintBytes(), ref.Ar.FootprintBytes(); got > want {
 		t.Fatalf("holistic delta holds %d arena bytes, one table of the same rows %d", got, want)
 	}

@@ -62,10 +62,11 @@ func (s *Stream) ViewResult(name string) (*cview.Result, error) { return s.views
 // foldViews feeds one sealed delta to every registered view. Called under
 // viewMu by publish (after logSeal — same ordering the WAL records) and by
 // recovery's replay loop; d covers watermark rows (prevWM, endWM]. The
-// delta is immutable once sealed, so views queue its partitions and merge
-// them into their panes when they settle.
+// delta is immutable once sealed, so views queue its source — a table
+// delta's partition set or a run — and fold it into their panes when they
+// settle.
 func (s *Stream) foldViews(prevWM, endWM uint64, d *delta) {
-	s.views.OnSeal(prevWM, endWM, d.rows, d.parts)
+	s.views.OnSeal(prevWM, endWM, d.rows, d.src)
 }
 
 // cviewDir is the continuous-view persistence root on a durable stream.

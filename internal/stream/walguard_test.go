@@ -85,9 +85,31 @@ func TestWALOverheadGuard(t *testing.T) {
 	// interrupted.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	// Each durable run gets a fresh MemFS so no run pays replay for the
-	// last.
+	// Every durable run logs to the same MemFS and removes its files
+	// afterwards: no run replays the last, and each writes into buffers
+	// the MemFS recycled from the run before (as a disk filesystem
+	// recycles page cache) rather than faulting in fresh memory.
+	fs := wal.NewMemFS()
 	pairtest.Run(t, 1.15,
-		func() time.Duration { return walIngestOnce(t, keys, vals, wal.NewMemFS(), batchLen) },
+		func() time.Duration {
+			d := walIngestOnce(t, keys, vals, fs, batchLen)
+			removeFiles(t, fs, "guard", "guard/wal", "guard/checkpoint", "guard/cview")
+			return d
+		},
 		func() time.Duration { return walIngestOnce(t, keys, vals, nil, batchLen) })
+}
+
+// removeFiles removes every file directly under each of dirs.
+func removeFiles(tb testing.TB, fs *wal.MemFS, dirs ...string) {
+	for _, dir := range dirs {
+		names, err := fs.ReadDir(dir)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, n := range names {
+			if err := fs.Remove(dir + "/" + n); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
 }

@@ -16,11 +16,20 @@ import (
 // crash a stream through an ErrFS wrapper and reopen the same MemFS to
 // see exactly the bytes that made it out before the fault.
 //
+// A removed file's memory is recycled: Remove puts its buffer on the
+// MemFS's free list and Create hands the largest free buffer to the new
+// file, so a test that writes and removes the same files over and over —
+// the WAL overhead guard — writes into memory it has touched before, as a
+// disk filesystem writes into recycled page cache, instead of paying
+// growth copies and page faults on fresh memory every round. A handle
+// still open on a removed file no longer sees its content.
+//
 // MemFS is safe for concurrent use.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memFile
 	dirs  map[string]bool
+	free  [][]byte // removed files' buffers, emptied, for Create
 }
 
 type memFile struct {
@@ -50,6 +59,17 @@ func (m *MemFS) Create(name string) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f := &memFile{}
+	if len(m.free) > 0 {
+		big := 0
+		for i, b := range m.free {
+			if cap(b) > cap(m.free[big]) {
+				big = i
+			}
+		}
+		f.data = m.free[big]
+		m.free[big] = m.free[len(m.free)-1]
+		m.free = m.free[:len(m.free)-1]
+	}
 	m.files[clean(name)] = f
 	return &memHandle{f: f}, nil
 }
@@ -92,10 +112,17 @@ func (m *MemFS) SyncDir(string) error { return nil }
 func (m *MemFS) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.files[clean(name)]; !ok {
+	f, ok := m.files[clean(name)]
+	if !ok {
 		return fmt.Errorf("memfs: remove %s: %w", name, errNotExist)
 	}
 	delete(m.files, clean(name))
+	f.mu.Lock()
+	if cap(f.data) > 0 {
+		m.free = append(m.free, f.data[:0])
+	}
+	f.data = nil
+	f.mu.Unlock()
 	return nil
 }
 

@@ -96,22 +96,26 @@ fi
 
 # Structural guard — one owner of the partition layout: which partition of
 # a partition set a row or group lands in is decided inside internal/agg
-# (agg.Fold, agg.AbsorbParts, the group-run decoder) on top of
-# internal/radix,
+# (agg.Fold, agg.AbsorbParts, agg.ScatterRows, the group-run decoder) on
+# top of internal/radix,
 # so no other non-test file calls the partitioner or its index.
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/*' ! -path './internal/radix/*' ! -path './.*/*' |
-	xargs grep -lE 'radix\.Partition(Index)?\(' | wc -l)
+	xargs grep -lE 'radix\.Partition(Index|Segments)?\(' | wc -l)
 if [ "$n" -gt 0 ]; then
 	echo "structural guard: $n non-test files outside internal/agg and internal/radix route by radix partition" >&2
 	exit 1
 fi
-# Partition sets route rows by the hash their probe computes, with no
-# scatter pass, so the Hash_RX scatter itself (radix.Partition) serves
-# only the batch engines that are built on it.
+# There is one scatter pass, the Hash_RX one (radix.Partition and its
+# segmented form): the batch engines built on it call it, and so does the
+# run kernel (internal/agg/rows.go, agg.ScatterRows), which scatters the
+# rows of a stream's run deltas and of each replayed WAL record. Table
+# deltas route rows by the hash their probe computes instead, with no
+# scatter pass, so no other file scatters.
 n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/radixeng.go' ! -path './internal/agg/phased.go' \
-	! -path './internal/radix/*' ! -path './.*/*' | xargs grep -lE 'radix\.Partition\(' | wc -l)
+	! -path './internal/agg/rows.go' ! -path './internal/radix/*' ! -path './.*/*' |
+	xargs grep -lE 'radix\.Partition(Segments)?\(' | wc -l)
 if [ "$n" -gt 0 ]; then
-	echo "structural guard: $n non-test files outside the batch radix engines scatter with radix.Partition" >&2
+	echo "structural guard: $n non-test files outside the batch radix engines and the run kernel scatter with radix.Partition" >&2
 	exit 1
 fi
 
@@ -190,13 +194,14 @@ go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./in
 # partition q into q) and coarser (each partition split across the base
 # partitions it covers) — against the same groups as one-table sources
 # (workers 1/2/8, copy-on-write and in place); a copied partition sized
-# for the largest source, not their sum; and agg.AbsorbParts, the one
-# absorb kernel of the stream's deltas and WAL replay, against a
-# row-by-row reference (fan-outs 0/1/6/MaxPartBits, workers 1/2/8 each on
-# its own range of partitions, key 0, values on and off, one shared arena
-# at one worker, existing tables keeping values in their own arenas,
-# seeded sizes).
-pinned -race -run 'TestFold|TestFoldPartitionSets|TestFoldSizesForLargestSource|TestAbsorbParts|TestPartBits' -count=1 -v ./internal/agg
+# for the largest source, not their sum; run sources (raw rows scattered
+# by agg.ScatterRows) at the base's fan-out, finer than it and at 8 and
+# 12, against the same groups, folded in place where owned; and
+# agg.AbsorbParts, the absorb kernel of the stream's table deltas,
+# against a row-by-row reference (fan-outs 0/1/6/MaxPartBits, key 0,
+# values on and off, one shared arena or an arena per partition, existing
+# tables keeping values in their own arenas, seeded sizes).
+pinned -race -run 'TestFold|TestFoldPartitionSets|TestFoldRunsInPlace|TestFoldSizesForLargestSource|TestAbsorbParts|TestPartBits' -count=1 -v ./internal/agg
 # The group-run codec's record fuzzer replays its checked-in corpus, and
 # the run writer/decoder round trip (multi-frame, heads, radix routing,
 # empty runs) is pinned by name; the three containers' own suites

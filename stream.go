@@ -190,10 +190,11 @@ func (s *Stream) AppendChunk(c Chunk) error {
 }
 
 // AppendOwnedChunk is AppendChunk without the copy: the chunk's slices
-// pass to the stream, which folds them straight into a shard's delta
-// table and only reads them — until their delta seals and, on a durable
-// stream, its WAL record is written; then the garbage collector takes
-// them. The caller must not modify either column after a successful
+// pass to the stream, which only reads them — folding them straight
+// into a shard's delta tables, or keeping them for the shard to scatter
+// when a delta that aggregates nothing seals — until their delta seals
+// and, on a durable stream, its WAL record is written; then the garbage
+// collector takes them. The caller must not modify either column after a successful
 // call (ReadChunk's outputs qualify — the servers feed decoded wire
 // chunks through this path).
 func (s *Stream) AppendOwnedChunk(c Chunk) error { return s.s.AppendChunk(c) }
