@@ -49,19 +49,16 @@ type Source struct {
 // set of base's length, plus the number of partitions folded in place. It
 // is the one way rows or groups enter a built partition set: the stream's
 // merges and snapshot folds, continuous-view pane settles and window
-// reads, and WAL replay all go through it.
+// reads, WAL replay and the cluster router's gather all go through it.
 //
-// A partition-set source has a fan-out no larger than base's (a one-table
-// source is the set of fan-out 0; a finer one is a caller bug), so source
-// partition c holds exactly the groups of base partitions c<<d through
-// (c+1)<<d - 1, d the difference in fan-out. One at base's fan-out folds
-// partition q into partition q as it stands, each source partition read
-// in its own slot order; a coarser one is first split, one source
-// partition at a time and partitions in parallel, into its 2^d base
-// partitions (see split). A run source has a fan-out no smaller than
-// base's (a coarser one is a caller bug), so base partition q takes the
-// run's partitions q<<d through (q+1)<<d - 1, one contiguous stretch of
-// rows, observed row by row where a set's groups are merged.
+// Every source is partitioned like base, so partition q of the result
+// takes only its own share of each source. A partition-set source sits
+// at base's fan-out and folds partition q into partition q as it stands,
+// read in its own slot order. A run source has a fan-out no smaller than
+// base's, d bits more, so partition q takes the run's partitions q<<d
+// through (q+1)<<d - 1, one contiguous stretch of rows, observed row by
+// row where a set's groups are merged (see foldRows). A set at any other
+// fan-out, or a coarser run, is a caller bug.
 //
 // srcs are never mutated; base partition q is mutated only when own[q] is
 // set (the caller holds the only reference to it), and nil own means
@@ -79,33 +76,15 @@ type Source struct {
 // at any worker count.
 func Fold(base []Table, srcs []Source, own []bool, withValues bool, workers int) ([]Table, int) {
 	bits := partBits(base)
-	splits := make([]*split, len(srcs)) // nil: a run, or a set at base's fan-out
-	var jobs [][2]int                   // source, source partition
-	for s, src := range srcs {
+	for _, src := range srcs {
 		if src.Rows != nil {
 			if src.Rows.bits() < bits {
 				panic(fmt.Sprintf("agg: fold of a %d-partition run into a %d-partition set", len(src.Rows.Bounds)-1, len(base)))
 			}
-			continue
-		}
-		sb := partBits(src.Parts)
-		if sb > bits {
+		} else if partBits(src.Parts) != bits {
 			panic(fmt.Sprintf("agg: fold of a %d-table source into a %d-partition set", len(src.Parts), len(base)))
 		}
-		if sb == bits {
-			continue
-		}
-		splits[s] = newSplit(src.Parts, bits)
-		for c, tb := range src.Parts {
-			if tb.Len() > 0 {
-				jobs = append(jobs, [2]int{s, c})
-			}
-		}
 	}
-	morsel.Parts(len(jobs), workers, func(_, j int) {
-		s, c := jobs[j][0], jobs[j][1]
-		splits[s].part(srcs[s].Parts[c], c, bits)
-	})
 
 	inPlace := func(q int) bool { return own != nil && own[q] && base[q].T != nil }
 	parts := make([]Table, len(base))
@@ -113,14 +92,11 @@ func Fold(base []Table, srcs []Source, own []bool, withValues bool, workers int)
 	morsel.Parts(len(base), workers, func(_, q int) {
 		parts[q] = base[q] // untouched, or folded in place: the base's table
 		most := 0
-		for s, src := range srcs {
-			switch sp := splits[s]; {
-			case src.Rows != nil:
+		for _, src := range srcs {
+			if src.Rows != nil {
 				lo, hi := src.Rows.span(q, bits)
 				most = max(most, hi-lo)
-			case sp != nil:
-				most = max(most, sp.bounds[q+1]-sp.bounds[q])
-			default:
+			} else {
 				most = max(most, src.Parts[q].Len())
 			}
 		}
@@ -134,14 +110,11 @@ func Fold(base []Table, srcs []Source, own []bool, withValues bool, workers int)
 				MergeTable(parts[q], base[q], withValues)
 			}
 		}
-		for s, src := range srcs {
-			switch sp := splits[s]; {
+		for _, src := range srcs {
+			switch {
 			case src.Rows != nil:
 				lo, hi := src.Rows.span(q, bits)
 				foldRows(parts[q], src.Rows.Keys[lo:hi], src.Rows.Vals[lo:hi], withValues)
-			case sp != nil:
-				lo, hi := sp.bounds[q], sp.bounds[q+1]
-				foldPart(parts[q], sp.keys[lo:hi], sp.ps[lo:hi], src.Parts[q>>sp.d].Ar, withValues)
 			case src.Parts[q].T != nil:
 				MergeTable(parts[q], src.Parts[q], withValues)
 			}
@@ -154,96 +127,6 @@ func Fold(base []Table, srcs []Source, own []bool, withValues bool, workers int)
 		}
 	}
 	return parts, n
-}
-
-// split is a Fold source coarser than the base, its groups listed by base
-// partition: base partition q's groups are keys[bounds[q]:bounds[q+1]]
-// with their partials in ps, all from source partition q>>d. Source
-// partition c's groups occupy the same range of the columns before and
-// after the split, so partitions split independently.
-type split struct {
-	d      uint // fan-out difference
-	keys   []uint64
-	ps     []*Partial
-	bounds []int // len 2^(source bits + d) + 1
-}
-
-// newSplit sizes the columns of src split to fan-out bits; every base
-// partition starts empty at its source partition's offset.
-func newSplit(src []Table, bits int) *split {
-	d := uint(bits - partBits(src))
-	sp := &split{d: d, bounds: make([]int, len(src)<<d+1)}
-	off := 0
-	for c, tb := range src {
-		for q := c << d; q < (c+1)<<d; q++ {
-			sp.bounds[q] = off
-		}
-		off += tb.Len()
-	}
-	sp.bounds[len(sp.bounds)-1] = off
-	sp.keys, sp.ps = make([]uint64, off), make([]*Partial, off)
-	return sp
-}
-
-// maxSub is the largest sub-partition index a split records; it must fit
-// the uint16 the counting pass stores per group.
-const maxSub uint16 = 1<<MaxPartBits - 1
-
-// part splits source partition c (table tb) into its 2^d base partitions
-// at fan-out bits: a counting pass records each group's sub-partition —
-// the next d bits of its hash below the source's — and a placing pass
-// writes key and partial into that sub-partition's range. The table is
-// not mutated in between, so both passes see the same slot order, and
-// within a base partition the groups keep it.
-func (sp *split) part(tb Table, c, bits int) {
-	shift, mask := uint(64-bits), uint64(1)<<sp.d-1
-	sub := make([]uint16, 0, tb.Len()) // see maxSub
-	cur := make([]int, 1<<sp.d)
-	tb.T.Iterate(func(k uint64, _ *Partial) bool {
-		b := uint16(hashtbl.Mix(k) >> shift & mask)
-		sub = append(sub, b)
-		cur[b]++
-		return true
-	})
-	at := sp.bounds[c<<sp.d]
-	for i, n := range cur {
-		sp.bounds[c<<sp.d+i], cur[i] = at, at
-		at += n
-	}
-	i := 0
-	tb.T.Iterate(func(k uint64, p *Partial) bool {
-		b := sub[i]
-		i++
-		sp.keys[cur[b]], sp.ps[cur[b]] = k, p
-		cur[b]++
-		return true
-	})
-}
-
-// foldPart upserts the groups of one base partition's slice of a split
-// (keys pk, partials pp, value lists in ar) into dst. The groups land via
-// the same blocked-hash loop as the batch kernels: pk is a plain column,
-// so the blocks need no staging (a short last block hashes key by key).
-func foldPart(dst Table, pk []uint64, pp []*Partial, ar *arena.Arena, withValues bool) {
-	var h [hashBatch]uint64
-	for j := 0; j < len(pk); j += hashBatch {
-		bk := pk[j:min(j+hashBatch, len(pk))]
-		if len(bk) == hashBatch {
-			mixBatch(&h, bk)
-		} else {
-			for i, k := range bk {
-				h[i] = hashtbl.Mix(k)
-			}
-		}
-		for i, k := range bk {
-			p := pp[j+i]
-			np := dst.T.UpsertH(k, h[i])
-			np.Merge(p)
-			if withValues {
-				np.MergeValues(dst.Ar, p, ar)
-			}
-		}
-	}
 }
 
 // AbsorbParts folds raw rows (vals[i] belongs to keys[i], equal length)

@@ -100,17 +100,6 @@ func randRows(rng *rand.Rand, n int, pick func() uint64) (keys, vals []uint64) {
 	return keys, vals
 }
 
-// oneTableSources wraps each table as a one-table Fold source: a
-// partition set of fan-out 0, which Fold splits across every base
-// partition.
-func oneTableSources(tables []Table) []Source {
-	srcs := make([]Source, len(tables))
-	for i := range tables {
-		srcs[i] = Source{Parts: tables[i : i+1]}
-	}
-	return srcs
-}
-
 // setSources wraps each partition set as a Fold source.
 func setSources(sets ...[]Table) []Source {
 	srcs := make([]Source, len(sets))
@@ -120,12 +109,13 @@ func setSources(sets ...[]Table) []Source {
 	return srcs
 }
 
-// TestFold checks agg.Fold of one-table sources against a single-table
-// MergeTable reference at several fan-outs, with and without value
-// multisets, at several worker counts: the same groups with the same
-// state, every key in its PartitionIndex partition, partitions no source
-// touched shared with the base by pointer, base and sources untouched —
-// and the same tables in the same iteration order at every worker count. With an ownership mask
+// TestFold checks agg.Fold of partition-set sources at the base's fan-out
+// against a single-table MergeTable reference of the same groups at
+// several fan-outs, with and without value multisets, at several worker
+// counts: the same groups with the same state, every key in its
+// PartitionIndex partition, partitions no source touched shared with the
+// base by pointer, base and sources untouched — and the same tables in
+// the same iteration order at every worker count. With an ownership mask
 // the same groups land, owned partitions fold in place, and partitions
 // the caller does not own are left as they were.
 func TestFold(t *testing.T) {
@@ -145,18 +135,22 @@ func TestFold(t *testing.T) {
 					}
 				}
 			}
-			srcs := make([]Table, 4) // srcs[2] stays the zero Table
+			// Each source as one table for the reference and as a partition
+			// set at the base's fan-out for Fold; source 2 stays empty.
+			srcs, sets := make([]Table, 4), make([][]Table, 4)
 			for i := range srcs {
+				sets[i] = make([]Table, 1<<bits)
 				if i == 2 {
 					continue
 				}
 				srcs[i] = NewTable(0)
 				k, v := randRows(rng, 2000, srcKey)
 				AbsorbParts(srcs[i:i+1], nil, nil, k, v, holistic)
+				AbsorbParts(sets[i], nil, nil, k, v, holistic)
 			}
-			baseBefore, srcsBefore := dumpTables(t, base...), make([]map[uint64]groupDump, len(srcs))
-			for i, s := range srcs {
-				srcsBefore[i] = dumpTables(t, s)
+			baseBefore, srcsBefore := dumpTables(t, base...), make([]map[uint64]groupDump, len(sets))
+			for i, set := range sets {
+				srcsBefore[i] = dumpTables(t, set...)
 			}
 
 			ref := NewTable(0)
@@ -177,7 +171,7 @@ func TestFold(t *testing.T) {
 			var firstOrder []uint64
 			for _, workers := range []int{1, 2, 8} {
 				label := fmt.Sprintf("bits=%d holistic=%v workers=%d", bits, holistic, workers)
-				got, n := Fold(base, oneTableSources(srcs), nil, holistic, workers)
+				got, n := Fold(base, setSources(sets...), nil, holistic, workers)
 				if n != 0 {
 					t.Fatalf("%s: copy-on-write fold reports %d partitions in place", label, n)
 				}
@@ -194,8 +188,8 @@ func TestFold(t *testing.T) {
 				if !reflect.DeepEqual(dumpTables(t, base...), baseBefore) {
 					t.Fatalf("%s: base mutated", label)
 				}
-				for i, s := range srcs {
-					if !reflect.DeepEqual(dumpTables(t, s), srcsBefore[i]) {
+				for i, set := range sets {
+					if !reflect.DeepEqual(dumpTables(t, set...), srcsBefore[i]) {
 						t.Fatalf("%s: source %d mutated", label, i)
 					}
 				}
@@ -218,7 +212,7 @@ func TestFold(t *testing.T) {
 					}
 				}
 				sharedBefore := dumpTables(t, shared...)
-				got, n = Fold(ib, oneTableSources(srcs), own, holistic, workers)
+				got, n = Fold(ib, setSources(sets...), own, holistic, workers)
 				checkLayout(t, label+" in place", got, bits)
 				if g := dumpTables(t, got...); !reflect.DeepEqual(g, want) {
 					t.Fatalf("%s: in-place fold differs from the MergeTable reference", label)
@@ -278,16 +272,15 @@ func TestAbsorb(t *testing.T) {
 }
 
 // TestFoldPartitionSets: Fold over partition-set and run sources equals
-// Fold over the same groups given as one-table sources — sets at the
-// base's fan-out (folded partition q into q), sets coarser than the base
-// (each partition split across the base partitions it covers), runs at
-// the base's fan-out, runs finer than the base (several run partitions
-// into one base partition: the pane case), runs at fan-outs 8 and 12
-// (MergeBits past the delta cap), and a mix of all of them — at several
-// fan-outs, with and without value multisets, at workers 1/2/8,
-// copy-on-write (own nil) and in place (own all true). Runs are scattered
-// from two column segments each. A set source finer than the base, or a
-// run coarser than it, is a caller bug.
+// the row-by-row reference over the same rows — sets at the base's
+// fan-out (folded partition q into q), runs at the base's fan-out, runs
+// finer than the base (several run partitions into one base partition:
+// the pane case), runs at fan-outs 8 and 12 (MergeBits past the delta
+// cap), and a mix of sets and runs — at several fan-outs, with and
+// without value multisets, at workers 1/2/8, copy-on-write (own nil) and
+// in place (own all true). Runs are scattered from two column segments
+// each. A set source at any other fan-out than the base's, or a run
+// coarser than it, is a caller bug.
 func TestFoldPartitionSets(t *testing.T) {
 	for _, bits := range []int{0, 1, 4, 6, 9} {
 		for _, holistic := range []bool{false, true} {
@@ -298,14 +291,14 @@ func TestFoldPartitionSets(t *testing.T) {
 				AbsorbParts(base, nil, nil, bk, bv, holistic)
 				return base
 			}
-			coarse := max(bits-3, 0) // a fan-out below the base's where there is one
+			want := map[uint64]groupDump{}
+			rowsDump(want, bk, bv, holistic)
 			runBits := []int{max(bits, 1), min(bits+3, MaxPartBits), MaxPartBits}
 			if bits <= 8 {
 				runBits = append(runBits, 8)
 			}
 			const nsrc = 4
-			sets, coarser := make([][]Table, nsrc), make([][]Table, nsrc)
-			tables := make([]Table, nsrc)
+			sets := make([][]Table, nsrc)
 			runs := make([][]Source, len(runBits)) // runs[j][i]: source i at runBits[j]
 			for j := range runs {
 				runs[j] = make([]Source, nsrc)
@@ -315,25 +308,21 @@ func TestFoldPartitionSets(t *testing.T) {
 				if i == 0 {
 					k[0] = 0
 				}
+				rowsDump(want, k, v, holistic)
 				sets[i] = make([]Table, 1<<bits)
 				AbsorbParts(sets[i], arena.New(), nil, k, v, holistic)
-				coarser[i] = make([]Table, 1<<coarse)
-				AbsorbParts(coarser[i], arena.New(), nil, k, v, holistic)
-				tables[i] = NewTable(0)
-				AbsorbParts(tables[i:i+1], nil, nil, k, v, holistic)
 				cut := 1 + i*300 // the split between the two segments, past a short block
 				for j, rb := range runBits {
 					runs[j][i] = Source{Rows: ScatterRows([][]uint64{k[:cut], k[cut:]}, [][]uint64{v[:cut], v[cut:]}, rb, 1)}
 				}
 			}
-			mixed := oneTableSources(tables)
-			mixed[1], mixed[2], mixed[3] = Source{Parts: sets[1]}, runs[1][2], Source{Parts: coarser[3]}
+			mixed := setSources(sets...)
+			mixed[2], mixed[3] = runs[1][2], runs[0][3]
 			cases := []struct {
 				name string
 				srcs []Source
 			}{
 				{"partition-set sources", setSources(sets...)},
-				{fmt.Sprintf("sources at fan-out %d", coarse), setSources(coarser...)},
 				{"mixed sources", mixed},
 			}
 			for j, rb := range runBits {
@@ -345,7 +334,7 @@ func TestFoldPartitionSets(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				for _, owned := range []bool{false, true} {
 					label := fmt.Sprintf("bits=%d holistic=%v workers=%d owned=%v", bits, holistic, workers, owned)
-					fold := func(srcs []Source) map[uint64]groupDump {
+					for _, c := range cases {
 						base := freshBase()
 						var own []bool
 						if owned {
@@ -354,28 +343,26 @@ func TestFoldPartitionSets(t *testing.T) {
 								own[q] = true
 							}
 						}
-						got, _ := Fold(base, srcs, own, holistic, workers)
+						got, _ := Fold(base, c.srcs, own, holistic, workers)
 						checkLayout(t, label, got, bits)
-						return dumpTables(t, got...)
-					}
-					want := fold(oneTableSources(tables))
-					for _, c := range cases {
-						if got := fold(c.srcs); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: %s fold differently from one-table sources (%d vs %d groups)", label, c.name, len(got), len(want))
+						if g := dumpTables(t, got...); !reflect.DeepEqual(g, want) {
+							t.Fatalf("%s: %s fold differently from the row-by-row reference (%d vs %d groups)", label, c.name, len(g), len(want))
 						}
 					}
 				}
 			}
 		}
 	}
-	for _, bad := range []Source{
-		{Parts: make([]Table, 8)},
-		{Rows: ScatterRows([][]uint64{{1, 2, 3}}, [][]uint64{{1, 2, 3}}, 1, 1)},
+	for i, bad := range []Source{
+		{Parts: make([]Table, 8)}, // a finer set
+		{Parts: make([]Table, 2)}, // a coarser set
+		{Parts: make([]Table, 1)}, // a one-table set
+		{Rows: ScatterRows([][]uint64{{1, 2, 3}}, [][]uint64{{1, 2, 3}}, 1, 1)}, // a coarser run
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Fold of a source at fan-out 3 (set) or 1 (run) into a set at fan-out 2 did not panic")
+					t.Fatalf("Fold of bad source %d into a set at fan-out 2 did not panic", i)
 				}
 			}()
 			Fold(make([]Table, 4), []Source{bad}, nil, false, 1)

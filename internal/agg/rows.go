@@ -40,8 +40,11 @@ func (r *Rows) span(q, bits int) (int, int) {
 }
 
 // foldRows upserts raw rows (vals[i] belongs to keys[i]) into dst with
-// foldPart's blocked-hash loop, observing each value where foldPart
-// merges a partial, and buffering it in dst's arena when withValues.
+// AbsorbParts' blocked-hash loop, observing each value and buffering it
+// in dst's arena when withValues. It is AbsorbParts on one partition
+// minus the per-row routing and table creation, which a run's span does
+// not need: AbsorbParts on parts[q:q+1] read 7–50 % slower per row on
+// the same runs (EXPERIMENTS.md, "One fan-out per fold").
 func foldRows(dst Table, keys, vals []uint64, withValues bool) {
 	var h [hashBatch]uint64
 	for j := 0; j < len(keys); j += hashBatch {

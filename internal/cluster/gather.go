@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"memagg/internal/agg"
-	"memagg/internal/morsel"
 )
 
 // gatherBits is the radix fan-out a gather is partitioned by: every peer's
@@ -43,33 +42,32 @@ type Merged struct {
 	parts []agg.Table
 }
 
-// merge folds the decoded peer sets into one cluster state, partition by
-// partition in parallel. Routing keeps groups node-disjoint, so the fold
-// is normally pure insertion; agg.MergeTable keeps it exact even if a
-// group ever has state on two nodes.
+// merge folds the decoded peer sets into one cluster state with
+// agg.Fold, partition q of every set into partition q, in parallel. The
+// decoded sets are the router's own and all sit at gatherBits, so the
+// first peer's set is folded into in place. Routing keeps groups
+// node-disjoint, so the fold is normally pure insertion; Partial.Merge
+// keeps it exact even if a group ever has state on two nodes.
 func merge(sets []*peerSet) *Merged {
 	m := &Merged{
 		Watermark:    make(Watermark, len(sets)),
 		incarnations: make([]string, len(sets)),
 		Holistic:     true,
-		parts:        sets[0].parts,
 	}
+	srcs := make([]agg.Source, 0, len(sets)-1)
 	for i, set := range sets {
 		m.Watermark[i] = set.hdr.Watermark
 		m.incarnations[i] = set.incarnation
 		m.Holistic = m.Holistic && set.hdr.Holistic
-	}
-	morsel.Parts(len(m.parts), runtime.GOMAXPROCS(0), func(_, q int) {
-		for _, set := range sets[1:] {
-			switch src := set.parts[q]; {
-			case src.T == nil:
-			case m.parts[q].T == nil:
-				m.parts[q] = src
-			default:
-				agg.MergeTable(m.parts[q], src, m.Holistic)
-			}
+		if i > 0 {
+			srcs = append(srcs, agg.Source{Parts: set.parts})
 		}
-	})
+	}
+	own := make([]bool, 1<<gatherBits)
+	for q := range own {
+		own[q] = true
+	}
+	m.parts, _ = agg.Fold(sets[0].parts, srcs, own, m.Holistic, runtime.GOMAXPROCS(0))
 	return m
 }
 

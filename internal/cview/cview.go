@@ -139,7 +139,7 @@ type Metrics struct {
 // watermark Register observes exact).
 type Registry struct {
 	holistic bool
-	bits     int    // window fold fan-out: partition sets of 2^bits tables
+	bits     int    // pane and window fan-out: partition sets of 2^bits tables
 	owned    []bool // a true per pane partition: settles fold in place
 	workers  int    // window fold and scan parallelism
 	m        *Metrics
@@ -154,15 +154,15 @@ type Registry struct {
 }
 
 // NewRegistry builds an empty registry. holistic gates value-multiset
-// queries; panes are partition sets of 2^paneBits tables, the fan-out of
-// the sealed deltas OnSeal delivers; reads fold a window's panes into a
-// partition set of 2^bits tables (0 <= paneBits <= bits <=
-// agg.MaxPartBits) and fold and scan it across workers; m may be nil.
-func NewRegistry(holistic bool, bits, paneBits, workers int, m *Metrics) *Registry {
+// queries; panes, and the window a read folds them into, are partition
+// sets of 2^bits tables (0 <= bits <= agg.MaxPartBits), the fan-out of
+// the table deltas OnSeal delivers; reads fold and scan the window
+// across workers; m may be nil.
+func NewRegistry(holistic bool, bits, workers int, m *Metrics) *Registry {
 	if m == nil {
 		m = &Metrics{}
 	}
-	owned := make([]bool, 1<<paneBits)
+	owned := make([]bool, 1<<bits)
 	for q := range owned {
 		owned[q] = true
 	}
@@ -226,8 +226,8 @@ func (r *Registry) Drop(name string) bool {
 // OnSeal feeds one sealed delta to every view: the delta covers rows
 // (prevWM, endWM] of the publication watermark and carries rows of them;
 // delta is its agg.Fold source, immutable from here on — a partition set
-// at the pane fan-out (carrying value multisets when the registry is
-// holistic) or a run at that fan-out or finer. Callers serialize OnSeal
+// at the registry's fan-out (carrying value multisets when the registry
+// is holistic) or a run at that fan-out or finer. Callers serialize OnSeal
 // calls and deliver them in watermark order (live publication and WAL
 // replay both do).
 func (r *Registry) OnSeal(prevWM, endWM, rows uint64, delta agg.Source) {
@@ -423,7 +423,7 @@ func (p *pane) settle(r *Registry, withValues bool) {
 	}
 	mk := obs.Start()
 	if p.parts == nil {
-		p.parts = newPaneSet(len(r.owned))
+		p.parts = newPaneSet(1 << r.bits)
 	}
 	p.parts, _ = agg.Fold(p.parts, p.pending, r.owned, withValues, 1)
 	r.m.Updates.Add(uint64(len(p.pending)))

@@ -62,7 +62,7 @@ func sortValue(v any) any {
 }
 
 func TestSpecValidation(t *testing.T) {
-	r := NewRegistry(false, 2, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	ok := Spec{Name: "v", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 10, Panes: 2}
 	bad := []Spec{
 		func() Spec { s := ok; s.Name = ""; return s }(),
@@ -127,7 +127,7 @@ func TestRetentionFloor(t *testing.T) {
 }
 
 func TestPaneLifecycleSliding(t *testing.T) {
-	r := NewRegistry(false, 2, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "s", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestPaneLifecycleSliding(t *testing.T) {
 }
 
 func TestPaneLifecycleTumbling(t *testing.T) {
-	r := NewRegistry(false, 2, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "t", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestPaneLifecycleTumbling(t *testing.T) {
 // whose rows started in pane 0 credits the whole delta to pane 1 — deltas
 // are the atomic visibility unit, windows advance delta by delta.
 func TestSealSpansPanes(t *testing.T) {
-	r := NewRegistry(false, 2, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "x", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 4, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestSealSpansPanes(t *testing.T) {
 // the pane fan-out whose tables all buffer their values in one arena, no
 // larger than the arena one table of the same rows fills.
 func TestHolisticPaneOneArena(t *testing.T) {
-	r := NewRegistry(true, 2, 2, 2, nil)
+	r := NewRegistry(true, 2, 2, nil)
 	sp := Spec{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 1 << 20, Panes: 1}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestHolisticPaneOneArena(t *testing.T) {
 }
 
 func TestRegistrationBarrier(t *testing.T) {
-	r := NewRegistry(false, 2, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "late", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 8, Sliding: true}
 	// Registered at watermark 200: the first two seals are history.
 	if err := r.Register(sp, 200); err != nil {
@@ -276,7 +276,7 @@ func TestRegistrationBarrier(t *testing.T) {
 }
 
 func TestGapTruncation(t *testing.T) {
-	r := NewRegistry(false, 2, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "g", Query: agg.Query{ID: agg.QCount}, PaneRows: 100, Panes: 2, Sliding: true}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestGapTruncation(t *testing.T) {
 // and ETags on holds still across reads of an unchanged view and bumps on
 // every fold.
 func TestResultCacheVersioning(t *testing.T) {
-	r := NewRegistry(false, 2, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	sp := Spec{Name: "c", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 1000, Panes: 1}
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestResultCacheVersioning(t *testing.T) {
 }
 
 func TestPersistRoundTrip(t *testing.T) {
-	r := NewRegistry(true, 2, 2, 2, nil)
+	r := NewRegistry(true, 2, 2, nil)
 	specs := []Spec{
 		{Name: "counts", Query: agg.Query{ID: agg.QCountByKey}, PaneRows: 100, Panes: 3, Sliding: true},
 		{Name: "p90", Query: agg.Query{ID: agg.QQuantile, P: 0.9}, PaneRows: 100, Panes: 2},
@@ -369,7 +369,7 @@ func TestPersistRoundTrip(t *testing.T) {
 	if len(saved) != len(specs) {
 		t.Fatalf("Load returned %d views, want %d", len(saved), len(specs))
 	}
-	r2 := NewRegistry(true, 2, 2, 2, nil)
+	r2 := NewRegistry(true, 2, 2, nil)
 	for _, sv := range saved {
 		if err := r2.Restore(sv); err != nil {
 			t.Fatal(err)
@@ -450,7 +450,7 @@ func TestUnsettledPaneRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2 := NewRegistry(false, 2, 2, 2, nil)
+		r2 := NewRegistry(false, 2, 2, nil)
 		for _, sv := range saved {
 			if err := r2.Restore(sv); err != nil {
 				t.Fatal(err)
@@ -460,7 +460,7 @@ func TestUnsettledPaneRoundTrip(t *testing.T) {
 	}
 
 	// Persisted, then read, before any settle.
-	r := NewRegistry(false, 2, 2, 2, nil)
+	r := NewRegistry(false, 2, 2, nil)
 	if err := r.Register(sp, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestUnsettledPaneRoundTrip(t *testing.T) {
 	}
 
 	// A restored pane with no groups: no table, nothing queued.
-	r = NewRegistry(false, 2, 2, 2, nil)
+	r = NewRegistry(false, 2, 2, nil)
 	if err := r.Restore(Saved{Spec: sp, Panes: []SavedPane{{Idx: 0}}}); err != nil {
 		t.Fatal(err)
 	}

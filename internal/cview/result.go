@@ -31,10 +31,11 @@ type Result struct {
 }
 
 // compute evaluates the view's query over its live panes: fold the pane
-// sets into a partition set of 2^r.bits tables (agg.Fold — the fold the
-// stream's merger and snapshots use), then run the query through agg.Run
-// at r.workers, the kernels snapshots use, which is what makes the
-// window-vs-batch equivalence gate a reflect.DeepEqual. Callers hold
+// sets, partition q into q, into a window at the panes' fan-out
+// (agg.Fold — the fold the stream's merger and snapshots use), then run
+// the query through agg.Run at r.workers, the kernels snapshots use,
+// which is what makes the window-vs-batch equivalence gate a
+// reflect.DeepEqual. Callers hold
 // v.mu; the panes are only ever mutated under it, so the window is
 // consistent by construction.
 func (v *View) compute(r *Registry) *Result {
@@ -56,8 +57,8 @@ func (v *View) compute(r *Registry) *Result {
 		}
 	}
 	var window []agg.Table
-	if len(srcs) == 1 && len(srcs[0].Parts) == 1<<r.bits {
-		window = srcs[0].Parts // one pane at the window's fan-out: query it directly, no fold copy
+	if len(srcs) == 1 {
+		window = srcs[0].Parts // one pane: query it directly, no fold copy
 	} else {
 		window, _ = agg.Fold(make([]agg.Table, 1<<r.bits), srcs, nil, v.withValues, r.workers)
 	}

@@ -15,11 +15,10 @@ import (
 // as many producer goroutines as shards. b.N counts ROWS; the rows/s metric
 // is the headline number for EXPERIMENTS.md.
 //
-// bits is the stream's MergeBits. 6 is the default, where table deltas
-// are partitioned at the base's fan-out; 12 is the partitioner's maximum,
-// 4,096 base partitions, where table deltas stay at maxDeltaBits and
-// every merge splits each delta partition across the 64 base partitions
-// it covers, while run deltas are scattered at 12.
+// bits is the stream's MergeBits. 6 is the default and maxDeltaBits, the
+// largest fan-out a table delta is built at; 12 is the partitioner's
+// maximum, 4,096 base partitions, where every delta is a run scattered
+// at 12 and every merge folds run partition q into base partition q.
 //
 // The kind=*/groups=* cells are the sweep that fixes runCutoff (see
 // benchDeltaKinds).
@@ -122,7 +121,7 @@ func BenchmarkSnapshotQuery(b *testing.B) {
 		{"par=8", 8, 0},
 	} {
 		cfg := base
-		cfg.QueryWorkers = bc.workers
+		cfg.queryWorkers = bc.workers
 		agg.SerialQueryCutoff = bc.cutoff
 		b.Run("fold=cold/"+bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

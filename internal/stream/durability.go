@@ -35,16 +35,16 @@ type Durability struct {
 	// SyncPolicy is the WAL fsync discipline (none | interval | always).
 	SyncPolicy wal.SyncPolicy
 
-	// SegmentBytes is the WAL segment rotation size; <= 0 means the wal
-	// package default (16 MiB). A test seam: tests shrink it to force
-	// rotations.
-	SegmentBytes int
-
 	// CheckpointEvery is the checkpoint cadence in rows: a checkpoint is
 	// taken when the base generation has grown this many rows past the last
 	// one. 0 means 1<<20 rows; negative disables checkpointing entirely
 	// (WAL-only durability — recovery replays the whole log).
 	CheckpointEvery int
+
+	// segmentBytes is the WAL segment rotation size; <= 0 means the wal
+	// package default (16 MiB). Test-only: tests shrink it to force
+	// rotations.
+	segmentBytes int
 }
 
 // Enabled reports whether the config asks for durability.
@@ -161,7 +161,7 @@ func Open(cfg Config) (*Stream, error) {
 	// snapshotted panes), then WAL replay below folds the log suffix through
 	// the same per-seal hook live ingest uses — panes the snapshot already
 	// covers are skipped by the views' own watermark barriers.
-	saved, err := cview.Load(fs, s.cviewDir(), cfg.deltaBits())
+	saved, err := cview.Load(fs, s.cviewDir(), cfg.paneBits())
 	if err != nil {
 		return nil, fmt.Errorf("stream: load continuous views: %w", err)
 	}
@@ -209,7 +209,7 @@ func Open(cfg Config) (*Stream, error) {
 	log, err := wal.Open(filepath.Join(dcfg.Dir, "wal"), wal.Options{
 		FS:           fs,
 		SyncPolicy:   dcfg.SyncPolicy,
-		SegmentBytes: dcfg.SegmentBytes,
+		SegmentBytes: dcfg.segmentBytes,
 		SkipBelow:    skipBelow,
 		Metrics:      s.m.walMetrics(),
 	}, replay)

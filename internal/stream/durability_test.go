@@ -34,7 +34,7 @@ func durableConfig(fs wal.FS, checkpointEvery int) Config {
 			Dir:             "data",
 			FS:              fs,
 			SyncPolicy:      wal.SyncAlways,
-			SegmentBytes:    8 << 10, // force rotations
+			segmentBytes:    8 << 10, // force rotations
 			CheckpointEvery: checkpointEvery,
 		},
 	}

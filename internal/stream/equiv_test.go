@@ -205,12 +205,11 @@ func TestStreamMatchesBatchEngines(t *testing.T) {
 }
 
 // TestStreamPastDeltaCapMatchesBatch runs the equivalence gate on a
-// stream whose MergeBits exceeds maxDeltaBits: its table deltas stay at
-// the capped fan-out, and every merge and snapshot fold splits each
-// table delta partition across the base partitions it covers, while its
-// run deltas are scattered at MergeBits itself. The answers must still
-// be the batch engines', and every merged group must sit in its
-// PartitionIndex partition.
+// stream whose MergeBits exceeds maxDeltaBits: every delta it seals is a
+// run scattered at MergeBits, whatever its keys would aggregate to, and
+// every merge and snapshot fold takes the run's partition q into base
+// partition q. The answers must still be the batch engines', and every
+// merged group must sit in its PartitionIndex partition.
 func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
 	for _, spec := range equivSpecs()[1:3] {
 		keys := spec.Keys()
@@ -220,12 +219,10 @@ func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
 			replay(t, s, keys, vals, int64(spec.Seed))
 			label := spec.String() + "/shards=" + string(rune('0'+shards))
 			for _, d := range s.view.Load().sealed {
-				if r := d.src.Rows; r != nil {
-					if len(r.Bounds) != 1<<(maxDeltaBits+3)+1 {
-						t.Fatalf("%s: run delta of %d partitions, want %d", label, len(r.Bounds)-1, 1<<(maxDeltaBits+3))
-					}
-				} else if len(d.src.Parts) != 1<<maxDeltaBits {
-					t.Fatalf("%s: delta of %d partitions, want %d", label, len(d.src.Parts), 1<<maxDeltaBits)
+				if r := d.src.Rows; r == nil || d.src.Parts != nil {
+					t.Fatalf("%s: a table delta past the cap, want only runs", label)
+				} else if len(r.Bounds) != 1<<(maxDeltaBits+3)+1 {
+					t.Fatalf("%s: run delta of %d partitions, want %d", label, len(r.Bounds)-1, 1<<(maxDeltaBits+3))
 				}
 			}
 			checkAgainstBatch(t, label+"/flushed", s.Snapshot(), keys, vals)
@@ -248,11 +245,8 @@ func TestStreamPastDeltaCapMatchesBatch(t *testing.T) {
 				})
 			}
 			checkAgainstBatch(t, label+"/closed", s.Snapshot(), keys, vals)
-			// A shard's first delta is a table, split across the base
-			// partitions; 20 000 groups leave a 4 Ki-row delta well under
-			// runCutoff rows per group, so runs follow.
-			if st := s.Stats(); spec.Cardinality > 1<<12 && st.RunSeals == 0 || st.RunSeals == st.Seals {
-				t.Fatalf("%s: %d run seals of %d over %d groups", label, st.RunSeals, st.Seals, spec.Cardinality)
+			if st := s.Stats(); st.Seals == 0 || st.RunSeals != st.Seals {
+				t.Fatalf("%s: %d run seals of %d, want every seal a run", label, st.RunSeals, st.Seals)
 			}
 		}
 	}

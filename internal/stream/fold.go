@@ -11,12 +11,10 @@ import (
 // in place. own is agg.Fold's ownership mask: nil (the snapshot path, and
 // the merger whenever a reader holds base) folds copy-on-write, and
 // partitions no delta touched are shared with the base either way. With
-// no base yet the deltas fold into an empty set at MergeBits. A table
-// delta is a partition set at deltaBits, so up to maxDeltaBits its
-// partition q folds straight into base partition q, and past it each
-// delta partition is split across the base partitions it covers; a run
-// delta is scattered at MergeBits, so base partition q observes the run's
-// rows for q.
+// no base yet the deltas fold into an empty set at MergeBits. Every
+// delta is partitioned at MergeBits: a table delta's partition q folds
+// straight into base partition q, and base partition q observes a run
+// delta's rows for q.
 func (s *Stream) foldDeltas(base *generation, ds []*delta, own []bool, workers int) ([]agg.Table, int) {
 	var bp []agg.Table
 	if base != nil {
@@ -45,7 +43,7 @@ func (v *view) sources(s *Stream) []agg.Table {
 			return
 		}
 		mk := obs.Start()
-		v.srcs, _ = s.foldDeltas(v.base, v.sealed, nil, s.cfg.QueryWorkers)
+		v.srcs, _ = s.foldDeltas(v.base, v.sealed, nil, s.cfg.queryWorkers)
 		mk.Tick(s.m.queryFoldLat)
 	})
 	return v.srcs

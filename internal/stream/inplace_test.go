@@ -263,7 +263,7 @@ func TestInPlaceReadersRaceMerger(t *testing.T) {
 	for i, k := range keys {
 		prefix[i+1] = prefix[i] + hashtbl.Mix(k)
 	}
-	s := New(Config{Shards: 1, SealRows: 1 << 10, MergeBits: 4, QueryWorkers: 2})
+	s := New(Config{Shards: 1, SealRows: 1 << 10, MergeBits: 4, queryWorkers: 2})
 
 	stop := make(chan struct{})
 	errs := make(chan error, 4)

@@ -25,20 +25,23 @@ func kinds(s *Stream) string {
 	return string(out)
 }
 
-// TestDeltaKind pins the choice of delta kind at the default seal size:
-// uniform keys over 64 Ki groups leave a 32 Ki-row delta about 1.3 rows
-// per group, so after its first delta (a table) a shard seals runs, with
-// every 16th delta a table again; 512 groups cut every delta 64-fold, so
-// every delta is a table. A run is scattered at MergeBits.
+// TestDeltaKind pins the choice of delta kind at the default seal size
+// and fan-out: uniform keys over 64 Ki groups leave a 32 Ki-row delta
+// about 1.3 rows per group, so after its first delta (a table) a shard
+// seals runs, with every 16th delta a table again; 512 groups cut every
+// delta 64-fold, so every delta is a table. Past maxDeltaBits every delta
+// is a run, however much a table would have cut. Either kind is
+// partitioned at MergeBits.
 func TestDeltaKind(t *testing.T) {
 	for _, c := range []struct {
-		groups int
-		want   string
+		groups, bits int
+		want         string
 	}{
-		{1 << 16, "TRRRRRRRRRRRRRRRTRR"},
-		{512, "TTTTTTTTTTTTTTTTTTT"},
+		{1 << 16, maxDeltaBits, "TRRRRRRRRRRRRRRRTRR"},
+		{512, maxDeltaBits, "TTTTTTTTTTTTTTTTTTT"},
+		{512, maxDeltaBits + 1, "RRRRRRRRRRRRRRRRRRR"},
 	} {
-		s := New(Config{Shards: 1, MergeBits: 8, DisableMerger: true})
+		s := New(Config{Shards: 1, MergeBits: c.bits, DisableMerger: true})
 		n := len(c.want) << 15
 		spec := dataset.Spec{Kind: dataset.RseqShf, N: n, Cardinality: c.groups, Seed: 3}
 		keys := spec.Keys()
@@ -50,13 +53,16 @@ func TestDeltaKind(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("groups=%d", c.groups)
+		label := fmt.Sprintf("groups=%d bits=%d", c.groups, c.bits)
 		if got := kinds(s); got != c.want {
 			t.Fatalf("%s: delta kinds %s, want %s", label, got, c.want)
 		}
 		for _, d := range s.view.Load().sealed {
-			if r := d.src.Rows; r != nil && len(r.Bounds) != 1<<8+1 {
-				t.Fatalf("%s: run of %d partitions, want 256", label, len(r.Bounds)-1)
+			if r := d.src.Rows; r != nil && len(r.Bounds) != 1<<c.bits+1 {
+				t.Fatalf("%s: run of %d partitions, want %d", label, len(r.Bounds)-1, 1<<c.bits)
+			}
+			if p := d.src.Parts; p != nil && len(p) != 1<<c.bits {
+				t.Fatalf("%s: table delta of %d partitions, want %d", label, len(p), 1<<c.bits)
 			}
 		}
 		runs := uint64(0)
@@ -85,7 +91,7 @@ func TestDeltaKindFlipMatchesBatch(t *testing.T) {
 	narrow := dataset.Spec{Kind: dataset.Zipf, N: 30 * seal, Cardinality: 128, Seed: 6}.Keys()
 	keys := append(wide, narrow...)
 	vals := dataset.Values(len(keys), 7)
-	s := New(Config{Shards: 1, SealRows: seal, MergeBits: 7, Holistic: true, DisableMerger: true})
+	s := New(Config{Shards: 1, SealRows: seal, MergeBits: maxDeltaBits, Holistic: true, DisableMerger: true})
 	for off := 0; off < len(keys); off += seal / 4 { // four segments per delta
 		end := off + seal/4
 		if err := s.AppendChunk(agg.Chunk{Keys: keys[off:end], Vals: vals[off:end]}); err != nil {

@@ -126,7 +126,7 @@ func TestQueryParallelSerialEquivalence(t *testing.T) {
 		vals := dataset.Values(len(keys), spec.Seed)
 		lo := uint64(0)
 		hi := ^uint64(0) / 2 // roughly half the hashed key domain
-		cfg := Config{SealRows: 1 << 13, MergeBits: 5, Holistic: true, QueryWorkers: 1}
+		cfg := Config{SealRows: 1 << 13, MergeBits: 5, Holistic: true, queryWorkers: 1}
 
 		// Reference: one worker, cutoff above any group count — every
 		// kernel takes the serial path over the same folded sources.
@@ -142,7 +142,7 @@ func TestQueryParallelSerialEquivalence(t *testing.T) {
 
 		for _, workers := range []int{1, 2, 8} {
 			for _, cutoff := range []int{0, 1 << 30} {
-				cfg.QueryWorkers = workers
+				cfg.queryWorkers = workers
 				agg.SerialQueryCutoff = cutoff
 				s := layeredStream(t, cfg, keys, vals, len(keys)/2)
 				got := queryAll(t, s.Snapshot(), lo, hi)
@@ -180,7 +180,7 @@ func TestViewParallelSerialEquivalence(t *testing.T) {
 		agg.SerialQueryCutoff = cutoff
 		cfg := viewConfig()
 		cfg.MergeBits = 5
-		cfg.QueryWorkers = workers
+		cfg.queryWorkers = workers
 		s := New(cfg)
 		defer s.Close()
 		for _, sp := range views {
@@ -251,7 +251,7 @@ func TestQueryConcurrentSnapshots(t *testing.T) {
 	spec := dataset.Spec{Kind: dataset.RseqShf, N: 60_000, Cardinality: 15_000, Seed: 95}
 	keys := spec.Keys()
 	vals := dataset.Values(len(keys), spec.Seed)
-	s := New(Config{Shards: 2, SealRows: 1 << 11, MergeBits: 5, Holistic: true, QueryWorkers: 4})
+	s := New(Config{Shards: 2, SealRows: 1 << 11, MergeBits: 5, Holistic: true, queryWorkers: 4})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

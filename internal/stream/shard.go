@@ -7,10 +7,9 @@ import (
 
 // delta is one shard's in-progress (then sealed) state, of one of two
 // kinds. A table delta aggregates as it absorbs: src.Parts is a partition
-// set at the stream's deltaBits, every partition's value lists in the one
+// set at the stream's MergeBits, every partition's value lists in the one
 // arena ar, each row routed to its partition as it lands, so a merge
-// folds delta partition q straight into base partition q, or, past
-// maxDeltaBits, into the base partitions it covers. A run delta
+// folds delta partition q straight into base partition q. A run delta
 // aggregates nothing: it keeps the columns of every batch it took and at
 // seal scatters them into src.Rows, a run at MergeBits, which a merge
 // folds row by row into the base partitions. Either way src is what
@@ -80,13 +79,16 @@ func (sh *shard) run() {
 }
 
 // newDelta starts the shard's next delta, choosing its kind from what
-// the last table delta measured.
+// the last table delta measured. Past maxDeltaBits every delta is a run.
 func (sh *shard) newDelta() *delta {
-	if sh.runs > 0 {
+	switch {
+	case sh.s.cfg.MergeBits > maxDeltaBits:
+		return &delta{}
+	case sh.runs > 0:
 		sh.runs--
 		return &delta{}
 	}
-	return &delta{src: agg.Source{Parts: make([]agg.Table, 1<<sh.s.cfg.deltaBits())}, ar: arena.New()}
+	return &delta{src: agg.Source{Parts: make([]agg.Table, 1<<sh.s.cfg.MergeBits)}, ar: arena.New()}
 }
 
 // absorb takes one batch into the current delta: a table delta routes its

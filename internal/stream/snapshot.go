@@ -18,7 +18,7 @@ import "memagg/internal/agg"
 // A Snapshot is safe for concurrent use. Query state is shared at the
 // view level, not the snapshot level: the first query over a view that
 // pins unmerged deltas folds them partition-wise into key-disjoint
-// sources (in parallel at Config.QueryWorkers), every snapshot of an
+// sources (in parallel at Config.queryWorkers), every snapshot of an
 // unchanged view shares that fold, and agg.Run's kernels scan those
 // partitions in parallel above its serial group-count cutoff. Results are
 // not memoized: every call scans afresh and returns rows the caller owns.
@@ -64,7 +64,7 @@ func (sn *Snapshot) Run(q agg.Query) (any, error) {
 	v, _ := agg.Run(sn.Parts(), q, agg.RunEnv{
 		Rows:     sn.v.watermark,
 		Holistic: cfg.Holistic,
-		Workers:  cfg.QueryWorkers,
+		Workers:  cfg.queryWorkers,
 		ScanLat:  sn.s.m.queryScanLat,
 		MergeLat: sn.s.m.queryMergeLat,
 	})

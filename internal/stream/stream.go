@@ -6,18 +6,20 @@
 // pieces the repo already has:
 //
 //   - Sharded ingest. N writer shards each own a private delta of one of
-//     two kinds. A table delta is a partition set of
-//     hashtbl.LinearProbe tables over agg.Partial at the base's radix
-//     fan-out, capped at the default's (every group's distributive folds
-//     maintained eagerly, plus value lists in one arena per delta when
-//     holistic queries are enabled), each row routed to its partition by
-//     the hash its probe computes anyway, and each partition sized from
-//     the group count it reached in the shard's previous table delta. A
-//     run delta aggregates nothing: it keeps the batches' columns and at
-//     seal scatters them by partition at the base's fan-out. A shard
-//     takes runs while its last table delta cut its rows by less than
-//     runCutoff — then the tables would buy the merge almost nothing —
-//     with every tableEvery-th delta a table again to keep measuring.
+//     two kinds, both partitioned at the base's radix fan-out. A table
+//     delta is a partition set of hashtbl.LinearProbe tables over
+//     agg.Partial (every group's distributive folds maintained eagerly,
+//     plus value lists in one arena per delta when holistic queries are
+//     enabled), each row routed to its partition by the hash its probe
+//     computes anyway, and each partition sized from the group count it
+//     reached in the shard's previous table delta. A run delta
+//     aggregates nothing: it keeps the batches' columns and at seal
+//     scatters them by partition. A shard takes runs while its last
+//     table delta cut its rows by less than runCutoff — then the tables
+//     would buy the merge almost nothing — with every tableEvery-th
+//     delta a table again to keep measuring. Past the default fan-out
+//     every delta is a run: a stream sized for that many partitions
+//     expects more groups than a delta holds rows.
 //     Appends are batched and flow through a bounded channel per shard:
 //     when a shard falls behind, AppendChunk blocks — the backpressure
 //     contract; rows are never dropped.
@@ -26,17 +28,14 @@
 //     threshold its shard freezes it and publishes it into the queryable
 //     view; a background merger folds batches of sealed deltas into a new
 //     base generation, partition q of every delta into partition q of the
-//     base (past the cap, each table delta partition split across the
-//     base partitions it covers), so the fold parallelizes over disjoint
-//     key partitions (the
+//     base, so the fold parallelizes over disjoint key partitions (the
 //     Hash_RX discipline: every key lives in exactly one partition, so
 //     partitions merge independently with no locks). Partitions untouched
 //     by a merge cycle are shared structurally with the previous
-//     generation. A base no
-//     reader has pinned is folded into in place — the update-in-place
-//     hash build, no copy — and only partitions a snapshot or the
-//     checkpointer can see, directly or through an older generation, are
-//     rebuilt copy-on-write.
+//     generation. A base no reader has pinned is folded into in place —
+//     the update-in-place hash build, no copy — and only partitions a
+//     snapshot or the checkpointer can see, directly or through an older
+//     generation, are rebuilt copy-on-write.
 //
 //   - Snapshot queries. Snapshot pins the current view — one base
 //     generation plus the sealed deltas not yet merged — with an atomic
@@ -73,9 +72,8 @@ import (
 var ErrClosed = errors.New("stream: closed")
 
 // Config sizes a Stream. The zero value is usable; every field has a
-// sensible default. Merge cycles and WAL replay fold at GOMAXPROCS.
-// QueryWorkers is a test seam: the memagg facade leaves it at its
-// default, and tests set it to compare worker counts.
+// sensible default. Merge cycles, WAL replay, snapshot queries and
+// continuous-view reads run at GOMAXPROCS.
 type Config struct {
 	// Shards is the number of writer shards (private deltas fed by
 	// independent queues). <= 0 uses GOMAXPROCS.
@@ -90,23 +88,14 @@ type Config struct {
 	// MergeBits is the radix fan-out of the base generation: groups are
 	// partitioned by the top MergeBits of the shared hash finalizer, and
 	// merge cycles rebuild only the partitions that received delta rows.
-	// Run deltas are scattered at MergeBits itself; table deltas are
-	// partitioned the same way at up to the default's fan-out (see
-	// maxDeltaBits), so at the default a merge folds delta partition q
-	// into base partition q.
-	// Fixed for the stream's lifetime. <= 0 means 6 (64 partitions);
-	// clamped to [1, agg.MaxPartBits]. Continuous-view windows fold their
-	// panes at the same fan-out.
+	// Every delta is partitioned at MergeBits, so a merge folds delta
+	// partition q into base partition q. Up to the default's 6 bits
+	// (maxDeltaBits) a shard picks table or run deltas by what its last
+	// table delta measured; past them every delta is a run. Fixed for
+	// the stream's lifetime. <= 0 means 6 (64 partitions); clamped to
+	// [1, agg.MaxPartBits]. Continuous-view panes and the windows their
+	// reads fold sit at the smaller of MergeBits and 6 (see paneBits).
 	MergeBits int
-
-	// QueryWorkers is the parallelism of snapshot queries and
-	// continuous-view reads: the partition-wise fold of sealed deltas (or a
-	// window's panes) and the partition scans of the query kernels. Reads
-	// whose group count
-	// falls below agg.SerialQueryCutoff scan on the calling goroutine
-	// regardless, so tiny views never pay goroutine overhead. <= 0 uses
-	// GOMAXPROCS.
-	QueryWorkers int
 
 	// Holistic retains every group's value multiset (arena-backed lists),
 	// enabling median/quantile/mode snapshot queries at the memory cost
@@ -131,6 +120,14 @@ type Config struct {
 	// received. Test-only: it lets the backpressure test stall a shard
 	// deterministically.
 	testBatchHook func()
+
+	// queryWorkers is the parallelism of snapshot queries and
+	// continuous-view reads: the partition-wise fold of sealed deltas (or
+	// a window's panes) and the partition scans of the query kernels.
+	// Reads whose group count falls below agg.SerialQueryCutoff scan on
+	// the calling goroutine regardless. <= 0 uses GOMAXPROCS. Test-only:
+	// tests set it to compare worker counts.
+	queryWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -146,23 +143,25 @@ func (c Config) withDefaults() Config {
 	if c.MergeBits > agg.MaxPartBits {
 		c.MergeBits = agg.MaxPartBits
 	}
-	if c.QueryWorkers <= 0 {
-		c.QueryWorkers = runtime.GOMAXPROCS(0)
+	if c.queryWorkers <= 0 {
+		c.queryWorkers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
 
-// maxDeltaBits caps a table delta's fan-out at the default MergeBits. A
-// SealRows delta spread over more partitions leaves each only a handful
-// of rows (at MergeBits 12 about 8 rows in each of 4,096 tables per
-// 32 Ki-row delta), so past the cap agg.Fold splits each delta partition
-// across the base partitions it covers instead. Run deltas hold no
-// tables, so they need no cap: they are scattered at MergeBits.
+// maxDeltaBits is the largest fan-out a table delta is built at, the
+// default MergeBits. A SealRows delta spread over more partitions leaves
+// each only a handful of rows (at MergeBits 12 about 8 rows in each of
+// 4,096 tables per 32 Ki-row delta), and a stream sized for that many
+// partitions expects so many groups that a delta holds under one row per
+// group: its tables would aggregate nothing. Past the cap every delta is
+// therefore a run, which needs no tables.
 const maxDeltaBits = 6
 
-// deltaBits is the fan-out of the stream's table deltas and of
-// continuous-view panes.
-func (c Config) deltaBits() int { return min(c.MergeBits, maxDeltaBits) }
+// paneBits is the fan-out of continuous-view panes and of the windows
+// their reads fold: MergeBits up to maxDeltaBits, so every table delta
+// sits at the pane fan-out and every run at it or finer.
+func (c Config) paneBits() int { return min(c.MergeBits, maxDeltaBits) }
 
 // Stream is a live streaming aggregation: AppendChunk feeds it, Snapshot
 // reads it. AppendChunk is safe for concurrent use by multiple producers;
@@ -253,7 +252,7 @@ func New(cfg Config) *Stream {
 func newStream(cfg Config) *Stream {
 	s := &Stream{cfg: cfg, wake: make(chan struct{}, 1)}
 	s.m = newMetrics(s)
-	s.views = cview.NewRegistry(cfg.Holistic, cfg.MergeBits, cfg.deltaBits(), cfg.QueryWorkers, s.m.cviewMetrics())
+	s.views = cview.NewRegistry(cfg.Holistic, cfg.paneBits(), cfg.queryWorkers, s.m.cviewMetrics())
 	s.view.Store(&view{})
 	return s
 }

@@ -143,8 +143,17 @@ func equivQueries() []agg.Query {
 // maintained result must reflect.DeepEqual the batch recompute over
 // exactly the rows its window covers — holistic quantile and mode
 // included. Batch sizes both cross pane boundaries and land exactly on
-// them.
+// them. It runs at viewConfig's MergeBits and past maxDeltaBits, where
+// every delta is a run finer than the panes it folds into.
 func TestCViewBatchEquivalence(t *testing.T) {
+	for _, bits := range []int{viewConfig().MergeBits, 9} {
+		cfg := viewConfig()
+		cfg.MergeBits = bits
+		testCViewBatchEquivalence(t, cfg)
+	}
+}
+
+func testCViewBatchEquivalence(t *testing.T, cfg Config) {
 	windows := []struct {
 		paneRows uint64
 		panes    int
@@ -159,7 +168,7 @@ func TestCViewBatchEquivalence(t *testing.T) {
 	keys := spec.Keys()
 	vals := dataset.Values(len(keys), spec.Seed)
 
-	s := New(viewConfig())
+	s := New(cfg)
 	defer s.Close()
 	queries := equivQueries()
 	specs := make([]cview.Spec, 0, len(windows)*len(queries))
@@ -209,10 +218,10 @@ func TestCViewBatchEquivalence(t *testing.T) {
 		}
 		feed.seal(t, n)
 		if i == 4 {
-			verify("mid")
+			verify(fmt.Sprintf("MergeBits=%d mid", cfg.MergeBits))
 		}
 	}
-	verify("final")
+	verify(fmt.Sprintf("MergeBits=%d final", cfg.MergeBits))
 }
 
 // TestCViewPaneBoundary pins the boundary rule: a seal ending exactly at

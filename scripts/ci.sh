@@ -190,13 +190,13 @@ go test -race ./internal/agg/... ./internal/radix/... ./internal/morsel/... ./in
 # single-table MergeTable reference (fan-outs 0/1/4/6, values on and off,
 # workers 1/2/8: same groups, PartitionIndex placement, untouched
 # partitions shared by pointer, inputs unmodified, worker-independent
-# order); Fold over partition-set sources — at the base's fan-out (folded
-# partition q into q) and coarser (each partition split across the base
-# partitions it covers) — against the same groups as one-table sources
-# (workers 1/2/8, copy-on-write and in place); a copied partition sized
-# for the largest source, not their sum; run sources (raw rows scattered
-# by agg.ScatterRows) at the base's fan-out, finer than it and at 8 and
-# 12, against the same groups, folded in place where owned; and
+# order); Fold over partition-set sources at the base's fan-out (folded
+# partition q into q) and run sources (raw rows scattered by
+# agg.ScatterRows) at the base's fan-out, finer than it and at 8 and 12,
+# alone and mixed, against a row-by-row reference (workers 1/2/8,
+# copy-on-write and in place), and a set at any other fan-out or a
+# coarser run refused with a panic; a copied partition sized for the
+# largest source, not their sum; runs folded in place where owned; and
 # agg.AbsorbParts, the absorb kernel of the stream's table deltas,
 # against a row-by-row reference (fan-outs 0/1/6/MaxPartBits, key 0,
 # values on and off, one shared arena or an arena per partition, existing
@@ -352,8 +352,11 @@ pinned -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestQueryCanceled
 #     on one CPU every instrument's cost lands in the measured time;
 #   - WAL: SyncPolicy=none durable ingest (record encode from the sealed
 #     delta's batch columns, CRC32C, buffered write) vs volatile, 1.15;
-#   - query: the partition-parallel path at 1 worker vs the plain serial
-#     path, 1.20;
+#   - query: the partition-parallel path at 2 workers vs the plain serial
+#     path, 1.20, on the -cpu 1 line too: at one CPU the second worker's
+#     dispatch and goroutine run but cannot win time back, so the guard
+#     prices the parallel machinery rather than comparing the serial scan
+#     with itself;
 #   - cview: ingest with 4 registered views vs none, 1.10;
 #   - ingest wire: binary chunk ingest time vs JSON for the same rows
 #     through the same server, 1.0 (pins the sign; bench/'s ingest_paced
@@ -361,10 +364,10 @@ pinned -race -run 'TestResultJSON|FuzzResultJSON|TestBodyCache|TestQueryCanceled
 # The tests skip without MEMAGG_GUARDS=1, so plain `go test ./...` stays
 # deterministic; -p 1 keeps the two packages' guards from timing each
 # other. Both guard lines always run and report, so a failing guard on
-# the first line does not hide the obs guard's reading; the gate fails
-# after them if either line failed.
+# the first line does not hide the obs and query guards' readings; the
+# gate fails after them if either line failed.
 export MEMAGG_GUARDS=1
 guards=0
-pinned -p 1 -count=1 -v -run 'Guard$' -skip 'TestObsOverheadGuard' ./internal/stream ./cmd/aggserve || guards=1
-pinned -count=1 -v -cpu 1 -run 'TestObsOverheadGuard$' ./internal/stream || guards=1
+pinned -p 1 -count=1 -v -run 'Guard$' -skip 'TestObsOverheadGuard|TestQueryOverheadGuard' ./internal/stream ./cmd/aggserve || guards=1
+pinned -count=1 -v -cpu 1 -run 'TestObsOverheadGuard$|TestQueryOverheadGuard$' ./internal/stream || guards=1
 test "$guards" -eq 0
