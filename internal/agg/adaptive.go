@@ -71,6 +71,12 @@ func (e *adaptiveEngine) VectorCount(keys []uint64) []GroupCount {
 	return e.choose(keys).VectorCount(keys)
 }
 
+// countQ1 hands c to the engine the sample routes to, so the phases land
+// in that engine's series, as VectorCount records them.
+func (e *adaptiveEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	return e.choose(keys).(q1Body).countQ1(keys, c)
+}
+
 func (e *adaptiveEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 	return e.choose(keys).VectorAvg(keys, vals)
 }

@@ -6,7 +6,6 @@ import (
 
 	"memagg/internal/chash"
 	"memagg/internal/cuckoo"
-	"memagg/internal/obs"
 )
 
 // cuckooEngine implements Engine over the concurrent cuckoo map (Hash_LC).
@@ -63,21 +62,24 @@ func parallelChunks(n, p int, force bool, body func(lo, hi int)) {
 }
 
 func (e *cuckooEngine) VectorCount(keys []uint64) []GroupCount {
-	ph := phasesFor(e.Name())
-	mk := obs.Start()
+	return e.countQ1(keys, &phaseClock{})
+}
+
+func (e *cuckooEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	c.start(e.Name())
 	m := cuckoo.New[uint64](sizeHint(len(keys)))
 	parallelChunks(len(keys), e.workers(), e.forcePar(), func(lo, hi int) {
 		for _, k := range keys[lo:hi] {
 			m.Upsert(k, func(v *uint64, _ bool) { *v++ })
 		}
 	})
-	mk = mk.Tick(ph.build)
+	c.built()
 	out := make([]GroupCount, 0, m.Len())
 	m.Iterate(func(k uint64, v *uint64) bool {
 		out = append(out, GroupCount{Key: k, Count: *v})
 		return true
 	})
-	mk.Tick(ph.iterate)
+	c.iterated()
 	return out
 }
 
@@ -161,21 +163,24 @@ func (e *tbbEngine) workers() int {
 func (e *tbbEngine) forcePar() bool { return e.threads > 1 }
 
 func (e *tbbEngine) VectorCount(keys []uint64) []GroupCount {
-	ph := phasesFor(e.Name())
-	mk := obs.Start()
+	return e.countQ1(keys, &phaseClock{})
+}
+
+func (e *tbbEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	c.start(e.Name())
 	m := chash.New[uint64](sizeHint(len(keys)), 0)
 	parallelChunks(len(keys), e.workers(), e.forcePar(), func(lo, hi int) {
 		for _, k := range keys[lo:hi] {
 			m.Upsert(k, func(v *uint64) { *v++ })
 		}
 	})
-	mk = mk.Tick(ph.build)
+	c.built()
 	out := make([]GroupCount, 0, m.Len())
 	m.Iterate(func(k uint64, v *uint64) bool {
 		out = append(out, GroupCount{Key: k, Count: *v})
 		return true
 	})
-	mk.Tick(ph.iterate)
+	c.iterated()
 	return out
 }
 

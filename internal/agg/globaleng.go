@@ -6,7 +6,6 @@ import (
 	"memagg/internal/arena"
 	"memagg/internal/hashtbl"
 	"memagg/internal/morsel"
-	"memagg/internal/obs"
 )
 
 // globalEngine is the morsel-driven global shared-table parallel
@@ -238,53 +237,56 @@ func (e *globalEngine) serial(n int) bool {
 }
 
 func (e *globalEngine) VectorCount(keys []uint64) []GroupCount {
-	ph := phasesFor(e.Name())
-	m := obs.Start()
+	return e.countQ1(keys, &phaseClock{})
+}
+
+func (e *globalEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	c.start(e.Name())
 	if e.serial(len(keys)) {
 		t := hashtbl.NewLinearProbe[uint64](sizeHint(len(keys)))
 		lpBuildCount(t, keys)
-		m = m.Tick(ph.build)
+		c.built()
 		out := make([]GroupCount, 0, t.Len())
 		t.Iterate(func(k uint64, v *uint64) bool {
 			out = append(out, GroupCount{Key: k, Count: *v})
 			return true
 		})
-		m.Tick(ph.iterate)
+		c.iterated()
 		return out
 	}
 	w := e.workers()
 	t := glbTable(keys, 1, nil, w)
 	glbBuildCount(t, keys, w)
-	m = m.Tick(ph.build)
+	c.built()
 	lanes := t.Vals()
 	out := make([]GroupCount, 0, t.Len())
 	t.Iterate(func(s int, k uint64) bool {
 		out = append(out, GroupCount{Key: k, Count: lanes[s]})
 		return true
 	})
-	m.Tick(ph.iterate)
+	c.iterated()
 	return out
 }
 
 func (e *globalEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
-	ph := phasesFor(e.Name())
-	m := obs.Start()
+	var c phaseClock
+	c.start(e.Name())
 	if e.serial(len(keys)) {
 		t := hashtbl.NewLinearProbe[avgState](sizeHint(len(keys)))
 		lpBuildAvg(t, keys, vals)
-		m = m.Tick(ph.build)
+		c.built()
 		out := make([]GroupFloat, 0, t.Len())
 		t.Iterate(func(k uint64, st *avgState) bool {
 			out = append(out, GroupFloat{Key: k, Value: st.avg()})
 			return true
 		})
-		m.Tick(ph.iterate)
+		c.iterated()
 		return out
 	}
 	w := e.workers()
 	t := glbTable(keys, 2, nil, w)
 	glbBuildAvg(t, keys, vals, w)
-	m = m.Tick(ph.build)
+	c.built()
 	lanes := t.Vals()
 	out := make([]GroupFloat, 0, t.Len())
 	t.Iterate(func(s int, k uint64) bool {
@@ -294,23 +296,23 @@ func (e *globalEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 		out = append(out, GroupFloat{Key: k, Value: st.avg()})
 		return true
 	})
-	m.Tick(ph.iterate)
+	c.iterated()
 	return out
 }
 
 func (e *globalEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
-	ph := phasesFor(e.Name())
-	m := obs.Start()
+	var c phaseClock
+	c.start(e.Name())
 	if e.serial(len(keys)) {
 		t := hashtbl.NewLinearProbe[reduceState](sizeHint(len(keys)))
 		lpBuildReduce(t, keys, vals, op)
-		m = m.Tick(ph.build)
+		c.built()
 		out := make([]GroupUint, 0, t.Len())
 		t.Iterate(func(k uint64, st *reduceState) bool {
 			out = append(out, GroupUint{Key: k, Value: st.val})
 			return true
 		})
-		m.Tick(ph.iterate)
+		c.iterated()
 		return out
 	}
 	w := e.workers()
@@ -329,14 +331,14 @@ func (e *globalEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUin
 		t = glbTable(keys, 1, nil, w)
 		glbBuildMax(t, keys, vals, w)
 	}
-	m = m.Tick(ph.build)
+	c.built()
 	lanes := t.Vals()
 	out := make([]GroupUint, 0, t.Len())
 	t.Iterate(func(s int, k uint64) bool {
 		out = append(out, GroupUint{Key: k, Value: lanes[s]})
 		return true
 	})
-	m.Tick(ph.iterate)
+	c.iterated()
 	return out
 }
 
@@ -350,8 +352,8 @@ func (e *globalEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
 // (striped-locked in parallel under the Go runtime allocator, serially
 // into a pooled arena under AllocArena).
 func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
-	ph := phasesFor(e.Name())
-	m := obs.Start()
+	var c phaseClock
+	c.start(e.Name())
 	if e.serial(len(keys)) {
 		var out []GroupFloat
 		if e.alloc == AllocArena {
@@ -359,15 +361,15 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 			defer arenas.Put(ar)
 			t := hashtbl.NewLinearProbe[arena.List](sizeHint(len(keys)))
 			lpBuildArenaList(t, ar, keys, vals)
-			m = m.Tick(ph.build)
+			c.built()
 			out = emitHolisticArena(t, ar, fn)
 		} else {
 			t := hashtbl.NewLinearProbe[[]uint64](sizeHint(len(keys)))
 			lpBuildList(t, keys, vals)
-			m = m.Tick(ph.build)
+			c.built()
 			out = emitHolistic(t, fn)
 		}
-		m.Tick(ph.iterate)
+		c.iterated()
 		return out
 	}
 	w := e.workers()
@@ -406,7 +408,7 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 			}
 		}
 	})
-	m = m.Tick(ph.build)
+	c.built()
 
 	// Pass 2: replay the buffers into per-slot lists through read-only
 	// GetSlot probes (every key was claimed in pass 1; the table is
@@ -424,7 +426,7 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 				ar.Append(&lists[t.GetSlot(k)], bufs[i].v[j])
 			}
 		}
-		m = m.Tick(ph.merge)
+		c.merged()
 		var scratch []uint64
 		t.Iterate(func(s int, k uint64) bool {
 			scratch = ar.AppendTo(scratch[:0], lists[s])
@@ -442,13 +444,13 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 				})
 			}
 		})
-		m = m.Tick(ph.merge)
+		c.merged()
 		t.Iterate(func(s int, k uint64) bool {
 			out = append(out, GroupFloat{Key: k, Value: fn(lists[s])})
 			return true
 		})
 	}
-	m.Tick(ph.iterate)
+	c.iterated()
 	return out
 }
 

@@ -3,7 +3,6 @@ package agg
 import (
 	"memagg/internal/arena"
 	"memagg/internal/hashtbl"
-	"memagg/internal/obs"
 )
 
 // kvTable is the subset of the hash table surface the operators need. Each
@@ -86,17 +85,26 @@ func (e *hashEngine) Category() Category { return HashBased }
 func sizeHint(n int) int { return n }
 
 func (e *hashEngine) VectorCount(keys []uint64) []GroupCount {
-	ph := phasesFor(e.name)
-	m := obs.Start()
+	return e.countQ1(keys, &phaseClock{})
+}
+
+func (e *hashEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	c.start(e.name)
 	t := e.newCount(sizeHint(len(keys)))
 	buildCount(t, keys)
-	m = m.Tick(ph.build)
+	c.built()
+	out := emitCounts(t)
+	c.iterated()
+	return out
+}
+
+// emitCounts is the iterate phase over any count-valued table.
+func emitCounts(t kvTable[uint64]) []GroupCount {
 	out := make([]GroupCount, 0, t.Len())
 	t.Iterate(func(k uint64, v *uint64) bool {
 		out = append(out, GroupCount{Key: k, Count: *v})
 		return true
 	})
-	m.Tick(ph.iterate)
 	return out
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"memagg/internal/hashtbl"
-	"memagg/internal/obs"
 )
 
 // parallelDo runs f(0)..f(p-1) concurrently and waits for all of them.
@@ -69,17 +68,18 @@ func partitionOf(key uint64, p int) int {
 }
 
 // platRun is the generic two-phase PLAT schedule: build p local tables,
-// then merge partition-parallel. buildLocal aggregates one chunk into a
-// fresh local table; mergePart folds every local table's keys belonging to
-// partition w into the output slice it returns.
+// then merge partition-parallel, marking the phases on c. buildLocal
+// aggregates one chunk into a fresh local table; mergePart folds every
+// local table's keys belonging to partition w into the output slice it
+// returns.
 func platRun[T any, R any](
 	e *platEngine,
 	keys []uint64,
+	c *phaseClock,
 	buildLocal func(lo, hi int) T,
 	mergePart func(w int, locals []T) []R,
 ) []R {
-	ph := phasesFor(e.Name())
-	m := obs.Start()
+	c.start(e.Name())
 	p := e.workers()
 	if p > len(keys) {
 		p = 1
@@ -89,7 +89,7 @@ func platRun[T any, R any](
 		lo, hi := len(keys)*w/p, len(keys)*(w+1)/p
 		locals[w] = buildLocal(lo, hi)
 	})
-	m = m.Tick(ph.build)
+	c.built()
 	parts := make(Result[R], p)
 	parallelDo(p, func(w int) {
 		parts[w] = mergePart(w, locals)
@@ -97,9 +97,9 @@ func platRun[T any, R any](
 	// merge covers the partition-parallel fold of the p local tables
 	// (including each partition's row emission, which mergePart fuses);
 	// iterate is the final concatenation.
-	m = m.Tick(ph.merge)
+	c.merged()
 	out := parts.Merge()
-	m.Tick(ph.iterate)
+	c.iterated()
 	return out
 }
 
@@ -117,8 +117,12 @@ func valSlice(vals []uint64, lo, hi int) []uint64 {
 }
 
 func (e *platEngine) VectorCount(keys []uint64) []GroupCount {
+	return e.countQ1(keys, &phaseClock{})
+}
+
+func (e *platEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
 	p := e.workers()
-	return platRun(e, keys,
+	return platRun(e, keys, c,
 		func(lo, hi int) *hashtbl.LinearProbe[uint64] {
 			t := hashtbl.NewLinearProbe[uint64](hi - lo)
 			lpBuildCount(t, keys[lo:hi])
@@ -161,7 +165,7 @@ func mergeHint[V any](locals []*hashtbl.LinearProbe[V], _ int, p int) int {
 
 func (e *platEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 	p := e.workers()
-	return platRun(e, keys,
+	return platRun(e, keys, &phaseClock{},
 		func(lo, hi int) *hashtbl.LinearProbe[avgState] {
 			t := hashtbl.NewLinearProbe[avgState](hi - lo)
 			lpBuildAvg(t, keys[lo:hi], valSlice(vals, lo, hi))
@@ -194,7 +198,7 @@ func (e *platEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
 
 func (e *platEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
 	p := e.workers()
-	return platRun(e, keys,
+	return platRun(e, keys, &phaseClock{},
 		func(lo, hi int) *hashtbl.LinearProbe[[]uint64] {
 			t := hashtbl.NewLinearProbe[[]uint64](hi - lo)
 			lpBuildList(t, keys[lo:hi], valSlice(vals, lo, hi))
@@ -222,7 +226,7 @@ func (e *platEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Grou
 
 func (e *platEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
 	p := e.workers()
-	return platRun(e, keys,
+	return platRun(e, keys, &phaseClock{},
 		func(lo, hi int) *hashtbl.LinearProbe[reduceState] {
 			t := hashtbl.NewLinearProbe[reduceState](hi - lo)
 			lpBuildReduce(t, keys[lo:hi], valSlice(vals, lo, hi), op)

@@ -2,11 +2,10 @@ package agg
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"memagg/internal/arena"
 	"memagg/internal/hashtbl"
-	"memagg/internal/obs"
+	"memagg/internal/morsel"
 	"memagg/internal/radix"
 )
 
@@ -129,30 +128,30 @@ func chooseBits(n, workers, estGroups int) int {
 	return b
 }
 
-// rxRun is the generic two-phase schedule shared by every query class.
-// buildPart aggregates one partition (whole keys live in exactly one
-// partition, so the results concatenate without a merge). Small inputs and
-// single-thread configurations take the serial fallback: buildPart over
-// the whole input as one partition, which keeps both code paths
-// behaviourally identical.
-func rxRun[R any](e *radixEngine, keys, vals []uint64, buildPart func(pkeys, pvals []uint64) []R) []R {
-	ph := phasesFor(e.Name())
-	m := obs.Start()
+// rxRun is the generic two-phase schedule shared by every query class,
+// marking its phases on c. buildPart aggregates one partition (whole keys
+// live in exactly one partition, so the results concatenate without a
+// merge); partitions are handed to workers from one cursor (morsel.Parts),
+// so a heavy-hitter partition occupies one worker while the rest drain the
+// queue. Small inputs and single-thread configurations take the serial
+// fallback: buildPart over the whole input as one partition, which keeps
+// both code paths behaviourally identical.
+func rxRun[R any](e *radixEngine, keys, vals []uint64, c *phaseClock, buildPart func(pkeys, pvals []uint64) []R) []R {
+	c.start(e.Name())
 	workers := e.workers()
 	if len(keys) < rxSerialCutoff || workers == 1 {
 		// The serial fallback fuses build and emit inside buildPart; the
-		// whole duration is recorded as build (CountPhases reports the
-		// finer split when asked).
+		// whole duration is recorded as build, and CountPhases reports
+		// the run as fused (ok false).
 		out := buildPart(keys, vals)
-		m.Tick(ph.build)
+		c.built()
 		return out
 	}
 	bits := chooseBits(len(keys), workers, estimateGroups(keys))
 	pt := radix.Partition(keys, vals, bits, workers)
-	p := pt.NumPartitions()
 
-	parts := make(Result[R], p)
-	rxEachPartition(workers, p, func(q int) {
+	parts := make(Result[R], pt.NumPartitions())
+	morsel.Parts(len(parts), workers, func(_, q int) {
 		if pk := pt.PartKeys(q); len(pk) > 0 {
 			parts[q] = buildPart(pk, pt.PartVals(q))
 		}
@@ -161,34 +160,18 @@ func rxRun[R any](e *radixEngine, keys, vals []uint64, buildPart func(pkeys, pva
 	// (and their row emission, which buildPart fuses); iterate is the
 	// final partition concatenation. Hash_RX has no merge phase —
 	// partitions are key-disjoint by construction.
-	m = m.Tick(ph.build)
+	c.built()
 	out := parts.Merge()
-	m.Tick(ph.iterate)
+	c.iterated()
 	return out
 }
 
-// rxEachPartition runs f(q) for every partition q in [0, p) across the
-// given workers with dynamic assignment (an atomic cursor): skew is
-// absorbed because a heavy-hitter partition occupies one worker while the
-// rest drain the queue.
-func rxEachPartition(workers, p int, f func(q int)) {
-	if workers > p {
-		workers = p
-	}
-	var next atomic.Int64
-	parallelDo(workers, func(int) {
-		for {
-			q := int(next.Add(1)) - 1
-			if q >= p {
-				return
-			}
-			f(q)
-		}
-	})
+func (e *radixEngine) VectorCount(keys []uint64) []GroupCount {
+	return e.countQ1(keys, &phaseClock{})
 }
 
-func (e *radixEngine) VectorCount(keys []uint64) []GroupCount {
-	return rxRun(e, keys, nil, func(pkeys, _ []uint64) []GroupCount {
+func (e *radixEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	return rxRun(e, keys, nil, c, func(pkeys, _ []uint64) []GroupCount {
 		t := hashtbl.NewLinearProbe[uint64](sizeHint(len(pkeys)))
 		lpBuildCount(t, pkeys)
 		out := make([]GroupCount, 0, t.Len())
@@ -201,7 +184,7 @@ func (e *radixEngine) VectorCount(keys []uint64) []GroupCount {
 }
 
 func (e *radixEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
-	return rxRun(e, keys, vals, func(pkeys, pvals []uint64) []GroupFloat {
+	return rxRun(e, keys, vals, &phaseClock{}, func(pkeys, pvals []uint64) []GroupFloat {
 		t := hashtbl.NewLinearProbe[avgState](sizeHint(len(pkeys)))
 		lpBuildAvg(t, pkeys, pvals)
 		out := make([]GroupFloat, 0, t.Len())
@@ -227,7 +210,7 @@ func (e *radixEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
 // query to query).
 func (e *radixEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
 	if e.alloc == AllocArena {
-		return rxRun(e, keys, vals, func(pkeys, pvals []uint64) []GroupFloat {
+		return rxRun(e, keys, vals, &phaseClock{}, func(pkeys, pvals []uint64) []GroupFloat {
 			ar := arenas.Get()
 			defer arenas.Put(ar)
 			t := hashtbl.NewLinearProbe[arena.List](sizeHint(len(pkeys)))
@@ -235,7 +218,7 @@ func (e *radixEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gro
 			return emitHolisticArena(t, ar, fn)
 		})
 	}
-	return rxRun(e, keys, vals, func(pkeys, pvals []uint64) []GroupFloat {
+	return rxRun(e, keys, vals, &phaseClock{}, func(pkeys, pvals []uint64) []GroupFloat {
 		t := hashtbl.NewLinearProbe[[]uint64](sizeHint(len(pkeys)))
 		lpBuildList(t, pkeys, pvals)
 		return emitHolistic(t, fn)
@@ -243,7 +226,7 @@ func (e *radixEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gro
 }
 
 func (e *radixEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
-	return rxRun(e, keys, vals, func(pkeys, pvals []uint64) []GroupUint {
+	return rxRun(e, keys, vals, &phaseClock{}, func(pkeys, pvals []uint64) []GroupUint {
 		t := hashtbl.NewLinearProbe[reduceState](sizeHint(len(pkeys)))
 		lpBuildReduce(t, pkeys, pvals, op)
 		out := make([]GroupUint, 0, t.Len())

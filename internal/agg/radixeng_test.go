@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memagg/internal/dataset"
+	"memagg/internal/obs"
 	"memagg/internal/radix"
 )
 
@@ -136,16 +137,28 @@ func TestChooseBits(t *testing.T) {
 	}
 }
 
-// TestCountPhases checks the phased Q1 split agrees with each engine's
-// fused VectorCount, at a size that exercises Hash_RX's partitioned path.
+// TestCountPhases checks that every engine's phased Q1, at a size that
+// takes Hash_RX's partitioned path, returns the reference groups, marks
+// an iterate boundary, and returns exactly the readings its phase
+// histograms record over the call; and that Hash_RX's serial fallback
+// reports a fused run.
 func TestCountPhases(t *testing.T) {
+	if obs.Disabled() {
+		t.Fatal("timing instruments are disabled")
+	}
 	n := 2 * rxSerialCutoff
 	keys := dataset.Spec{Kind: dataset.RseqShf, N: n, Cardinality: 5000, Seed: 11}.Keys()
-	want := refVectorCount(keys)
-	es := allEngines()
-	es = append(es, HashPLAT(4), Adaptive())
-	for _, e := range es {
+	check := func(e Engine, keys []uint64, wantOK bool) {
+		t.Helper()
+		// Adaptive's phases land in the series of the engine it routes to.
+		series := e.Name()
+		if a, ok := e.(*adaptiveEngine); ok {
+			series = a.choose(keys).Name()
+		}
+		before := phaseTotals(series)
 		rows, build, iterate, ok := CountPhases(e, keys)
+		after := phaseTotals(series)
+		want := refVectorCount(keys)
 		if len(rows) != len(want) {
 			t.Fatalf("%s: %d groups want %d", e.Name(), len(rows), len(want))
 		}
@@ -154,13 +167,50 @@ func TestCountPhases(t *testing.T) {
 				t.Fatalf("%s: key %d count %d want %d", e.Name(), g.Key, g.Count, want[g.Key])
 			}
 		}
-		if !ok && iterate != 0 {
-			t.Fatalf("%s: fused fallback reported an iterate phase", e.Name())
+		if ok != wantOK {
+			t.Fatalf("%s: ok = %v at %d rows, want %v", e.Name(), ok, len(keys), wantOK)
 		}
-		if build < 0 || iterate < 0 {
-			t.Fatalf("%s: negative phase time", e.Name())
+		if (ok && iterate <= 0) || (!ok && iterate != 0) {
+			t.Fatalf("%s: ok = %v with iterate %v", e.Name(), ok, iterate)
+		}
+		recBuild := after["build"] - before["build"]
+		recIterate := after["merge"] - before["merge"] + after["iterate"] - before["iterate"]
+		if int64(build) != recBuild || int64(iterate) != recIterate {
+			t.Fatalf("%s: returned build %d iterate %d, recorded %d and %d",
+				e.Name(), build, iterate, recBuild, recIterate)
 		}
 	}
+	es := allEngines()
+	es = append(es, HashPLAT(4), Adaptive())
+	for _, e := range es {
+		check(e, keys, true)
+	}
+	check(HashRX(4), keys[:rxSerialCutoff-1], false)
+	check(HashRX(1), keys, false)
+
+	// With the timing instruments off, CountPhases still times, and
+	// records nothing.
+	obs.SetDisabled(true)
+	defer obs.SetDisabled(false)
+	before := phaseTotals("Hash_LP")
+	_, build, iterate, ok := CountPhases(HashLP(), keys)
+	if after := phaseTotals("Hash_LP"); after["build"] != before["build"] || after["iterate"] != before["iterate"] {
+		t.Fatalf("disabled CountPhases recorded: %v -> %v", before, after)
+	}
+	if !ok || build <= 0 || iterate <= 0 {
+		t.Fatalf("disabled CountPhases: build %v iterate %v ok %v", build, iterate, ok)
+	}
+}
+
+// phaseTotals returns the recorded nanoseconds of engine's phase series.
+func phaseTotals(engine string) map[string]int64 {
+	m := map[string]int64{}
+	for _, s := range PhaseStats() {
+		if s.Engine == engine {
+			m[s.Phase] = s.TotalNanos
+		}
+	}
+	return m
 }
 
 func TestCountPhasesEmpty(t *testing.T) {

@@ -3,7 +3,6 @@ package agg
 import (
 	"sort"
 
-	"memagg/internal/obs"
 	"memagg/internal/xsort"
 )
 
@@ -94,22 +93,25 @@ func (e *sortEngine) releaseKV(buf []xsort.KV) {
 }
 
 func (e *sortEngine) VectorCount(keys []uint64) []GroupCount {
-	if len(keys) == 0 {
-		return nil
-	}
-	ph := phasesFor(e.name)
-	m := obs.Start()
+	return e.countQ1(keys, &phaseClock{})
+}
+
+func (e *sortEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	c.start(e.name)
 	buf := e.copyKeys(keys)
 	e.sortU(buf)
-	m = m.Tick(ph.build)
+	c.built()
 	out := countRuns(buf)
-	m.Tick(ph.iterate)
+	c.iterated()
 	e.releaseKeys(buf)
 	return out
 }
 
 // countRuns scans an ascending slice and emits one GroupCount per run.
 func countRuns(sorted []uint64) []GroupCount {
+	if len(sorted) == 0 {
+		return nil
+	}
 	var out []GroupCount
 	cur, n := sorted[0], uint64(0)
 	for _, k := range sorted {

@@ -5,7 +5,6 @@ import (
 	"memagg/internal/art"
 	"memagg/internal/btree"
 	"memagg/internal/judy"
-	"memagg/internal/obs"
 	"memagg/internal/ttree"
 )
 
@@ -83,17 +82,16 @@ func (e *treeEngine) Name() string       { return e.name }
 func (e *treeEngine) Category() Category { return TreeBased }
 
 func (e *treeEngine) VectorCount(keys []uint64) []GroupCount {
-	ph := phasesFor(e.name)
-	m := obs.Start()
+	return e.countQ1(keys, &phaseClock{})
+}
+
+func (e *treeEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	c.start(e.name)
 	t := e.newCount()
 	buildCount(t, keys)
-	m = m.Tick(ph.build)
-	out := make([]GroupCount, 0, t.Len())
-	t.Iterate(func(k uint64, v *uint64) bool {
-		out = append(out, GroupCount{Key: k, Count: *v})
-		return true
-	})
-	m.Tick(ph.iterate)
+	c.built()
+	out := emitCounts(t)
+	c.iterated()
 	return out
 }
 

@@ -7,9 +7,11 @@ import (
 	"memagg/internal/agg"
 )
 
-// JSONRow is one engine's Q1 timing in a RunJSON report. When PhaseSplit
-// is false the engine's operator fuses the phases and TotalMS is the only
-// meaningful number (BuildMS repeats it, IterateMS is zero).
+// JSONRow is one engine's Q1 timing in a RunJSON report: the build and
+// iterate durations the engine's phase histograms record (agg.CountPhases).
+// PhaseSplit is false only when Hash_RX takes its serial fallback (fewer
+// than 32 Ki rows or one worker), which fuses the phases: TotalMS is then
+// the only meaningful number (BuildMS repeats it, IterateMS is zero).
 type JSONRow struct {
 	Algorithm  string  `json:"algorithm"`
 	Threads    int     `json:"threads"`

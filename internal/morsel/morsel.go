@@ -9,9 +9,9 @@
 // worker that stalls — a heavy-hitter key run, a page fault, an unlucky
 // preemption — leaves the rest idle at the barrier. Morsel dispatch keeps
 // the assignment dynamic: every worker returns to the cursor for its next
-// morsel, so skew is absorbed at morsel granularity, exactly like the
-// partition cursor of rxEachPartition but over row ranges instead of radix
-// partitions.
+// morsel, so skew is absorbed at morsel granularity. Parts is the same
+// cursor over radix partitions instead of row ranges (Hash_RX's phase-2
+// builds, the stream merger, the snapshot query kernels).
 //
 // The morsel size trades scheduling overhead against balance: one atomic
 // add per morsel amortizes to nothing at thousands of rows, while morsels
@@ -65,8 +65,9 @@ func (d *Dispatcher) Size() int { return d.size }
 
 // Parts runs body(worker, part) for every partition index in [0, parts)
 // across workers — the partition-granular form of Drive, with one claimed
-// "morsel" per partition. It is the schedule shared by the stream merger's
-// generation builds and the snapshot query kernels: radix partitions are
+// "morsel" per partition. It is the schedule shared by Hash_RX's partition
+// builds, the stream merger's generation builds and the snapshot query
+// kernels: radix partitions are
 // few (2^MergeBits) and key-disjoint, so dynamic whole-partition dispatch
 // absorbs skew (one heavy partition occupies one worker while the rest
 // drain the cursor) without any cross-worker synchronization on results.

@@ -106,16 +106,16 @@ if [ "$n" -gt 0 ]; then
 	exit 1
 fi
 # There is one scatter pass, the Hash_RX one (radix.Partition and its
-# segmented form): the batch engines built on it call it, and so does the
-# run kernel (internal/agg/rows.go, agg.ScatterRows), which scatters the
-# rows of a stream's run deltas and of each replayed WAL record. Table
-# deltas route rows by the hash their probe computes instead, with no
-# scatter pass, so no other file scatters.
-n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/radixeng.go' ! -path './internal/agg/phased.go' \
+# segmented form): the Hash_RX engine calls it, and so does the run kernel
+# (internal/agg/rows.go, agg.ScatterRows), which scatters the rows of a
+# stream's run deltas and of each replayed WAL record. Table deltas route
+# rows by the hash their probe computes instead, with no scatter pass, so
+# no other file scatters.
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/radixeng.go' \
 	! -path './internal/agg/rows.go' ! -path './internal/radix/*' ! -path './.*/*' |
 	xargs grep -lE 'radix\.Partition(Segments)?\(' | wc -l)
 if [ "$n" -gt 0 ]; then
-	echo "structural guard: $n non-test files outside the batch radix engines and the run kernel scatter with radix.Partition" >&2
+	echo "structural guard: $n non-test files outside the Hash_RX engine and the run kernel scatter with radix.Partition" >&2
 	exit 1
 fi
 
@@ -207,6 +207,9 @@ pinned -race -run 'TestFold|TestFoldPartitionSets|TestFoldRunsInPlace|TestFoldSi
 # empty runs) is pinned by name; the three containers' own suites
 # (checkpoint, cview, cluster) run under -race below.
 pinned -race -run 'FuzzPartialWire|TestPartialWire|TestRunWriterRoundTrip' -count=1 -v ./internal/agg
+# CountPhases returns each engine's recorded phase split, aggbench -json's too.
+pinned -race -run 'TestCountPhases$' -count=1 -v ./internal/agg
+pinned -run 'TestRunJSON$' -count=1 -v ./internal/harness
 
 # The global shared-table engine's whole correctness story is concurrent:
 # CAS-claimed slots, atomic lane folds, growth at batch boundaries. The
