@@ -63,11 +63,7 @@ var (
 // concurrent-arena extension).
 func WithAllocator(e Engine, al Allocator) Engine {
 	switch eng := e.(type) {
-	case *hashEngine:
-		c := *eng
-		c.alloc = al
-		return &c
-	case *treeEngine:
+	case *tableEngine:
 		c := *eng
 		c.alloc = al
 		return &c
@@ -77,11 +73,11 @@ func WithAllocator(e Engine, al Allocator) Engine {
 		return &c
 	case *radixEngine:
 		c := *eng
-		c.alloc = al
+		c.lp.alloc = al
 		return &c
 	case *globalEngine:
 		c := *eng
-		c.alloc = al
+		c.lp.alloc = al
 		return &c
 	case *adaptiveEngine:
 		c := *eng
@@ -96,16 +92,14 @@ func WithAllocator(e Engine, al Allocator) Engine {
 // EngineAllocator reports the allocator an engine is configured with.
 func EngineAllocator(e Engine) Allocator {
 	switch eng := e.(type) {
-	case *hashEngine:
-		return eng.alloc
-	case *treeEngine:
+	case *tableEngine:
 		return eng.alloc
 	case *sortEngine:
 		return eng.alloc
 	case *radixEngine:
-		return eng.alloc
+		return eng.lp.alloc
 	case *globalEngine:
-		return eng.alloc
+		return eng.lp.alloc
 	case *adaptiveEngine:
 		return EngineAllocator(eng.hash)
 	default:

@@ -51,6 +51,18 @@ type GroupFloat struct {
 // excludes because hash tables cannot produce keys in lexicographic order.
 var ErrUnsupported = errors.New("agg: query unsupported by this algorithm")
 
+// unordered gives the hash-only engines (Hash_LC, Hash_TBBSC, Hash_PLAT,
+// Hash_RX, Hash_GLB) their ordered queries: a hash table cannot produce
+// keys in order (Section 5.7 excludes hash tables from Q6) and has no
+// native range search (Section 5.6 evaluates Q7 on the trees).
+type unordered struct{}
+
+func (unordered) ScalarMedian([]uint64) (float64, error) { return 0, ErrUnsupported }
+
+func (unordered) VectorCountRange([]uint64, uint64, uint64) ([]GroupCount, error) {
+	return nil, ErrUnsupported
+}
+
 // Engine executes the paper's query set over one algorithm. Vector results
 // are returned in the backend's natural order: sorted by key for sort- and
 // tree-based engines, unspecified for hash-based ones (callers that need

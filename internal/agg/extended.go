@@ -149,124 +149,87 @@ func (e *sortEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Grou
 	return out
 }
 
-// --- hash engine ---------------------------------------------------------------
+// --- table engine --------------------------------------------------------------
 
 // VectorReduce folds with the per-op kernels of kernels.go: the ReduceOp
 // dispatch happens once per query, not once per row.
-func (e *hashEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
-	t := e.newReduce(sizeHint(len(keys)))
-	buildReduce(t, keys, vals, op)
-	out := make([]GroupUint, 0, t.Len())
-	t.Iterate(func(k uint64, st *reduceState) bool {
-		out = append(out, GroupUint{Key: k, Value: st.val})
-		return true
-	})
+func (e *tableEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
+	return e.reduce(keys, vals, op, nil)
+}
+
+func (e *tableEngine) reduce(keys, vals []uint64, op ReduceOp, c *phaseClock) []GroupUint {
+	t := buildReduce(e.newReduce(sizeHint(len(keys))), keys, vals, op)
+	c.built()
+	out := emitReduce(t)
+	c.iterated()
 	return out
 }
 
-func (e *hashEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
+func (e *tableEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
+	return e.holistic(keys, vals, fn, nil)
+}
+
+func (e *tableEngine) holistic(keys, vals []uint64, fn HolisticFunc, c *phaseClock) []GroupFloat {
+	var out []GroupFloat
 	if e.alloc == AllocArena {
 		ar := arenas.Get()
 		defer arenas.Put(ar)
-		t := e.newAList(sizeHint(len(keys)))
-		buildArenaList(t, ar, keys, vals)
-		return emitHolisticArena(t, ar, fn)
+		t := buildArenaList(e.newAList(sizeHint(len(keys))), ar, keys, vals)
+		c.built()
+		out = emitHolisticArena(t, ar, fn)
+	} else {
+		t := buildList(e.newList(sizeHint(len(keys))), keys, vals)
+		c.built()
+		out = emitHolistic(t, fn)
 	}
-	t := e.newList(sizeHint(len(keys)))
-	buildList(t, keys, vals)
-	return emitHolistic(t, fn)
-}
-
-// --- tree engine ---------------------------------------------------------------
-
-func (e *treeEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
-	t := e.newReduce()
-	buildReduce(t, keys, vals, op)
-	out := make([]GroupUint, 0, t.Len())
-	t.Iterate(func(k uint64, st *reduceState) bool {
-		out = append(out, GroupUint{Key: k, Value: st.val})
-		return true
-	})
+	c.iterated()
 	return out
-}
-
-func (e *treeEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
-	if e.alloc == AllocArena {
-		ar := arenas.Get()
-		defer arenas.Put(ar)
-		t := e.newAList()
-		buildArenaList(t, ar, keys, vals)
-		return emitHolisticArena(t, ar, fn)
-	}
-	t := e.newList()
-	buildList(t, keys, vals)
-	return emitHolistic(t, fn)
 }
 
 // --- concurrent engines ----------------------------------------------------------
 
 func (e *cuckooEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
-	m := newCuckooReduce(sizeHint(len(keys)))
+	m := cuckoo.New[reduceState](sizeHint(len(keys)))
 	parallelChunks(len(keys), e.workers(), e.forcePar(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := valueAt(vals, i)
 			m.Upsert(keys[i], func(st *reduceState, _ bool) { st.fold(op, v) })
 		}
 	})
-	out := make([]GroupUint, 0, m.Len())
-	m.Iterate(func(k uint64, st *reduceState) bool {
-		out = append(out, GroupUint{Key: k, Value: st.val})
-		return true
-	})
-	return out
+	return emitReduce(m)
 }
 
 func (e *cuckooEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
-	m := newCuckooList(sizeHint(len(keys)))
+	m := cuckoo.New[[]uint64](sizeHint(len(keys)))
 	parallelChunks(len(keys), e.workers(), e.forcePar(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := valueAt(vals, i)
 			m.Upsert(keys[i], func(lst *[]uint64, _ bool) { *lst = append(*lst, v) })
 		}
 	})
-	out := make([]GroupFloat, 0, m.Len())
-	m.Iterate(func(k uint64, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Value: fn(*lst)})
-		return true
-	})
-	return out
+	return emitHolistic(m, fn)
 }
 
 func (e *tbbEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
-	m := newTBBReduce(sizeHint(len(keys)))
+	m := chash.New[reduceState](sizeHint(len(keys)), 0)
 	parallelChunks(len(keys), e.workers(), e.forcePar(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := valueAt(vals, i)
 			m.Upsert(keys[i], func(st *reduceState) { st.fold(op, v) })
 		}
 	})
-	out := make([]GroupUint, 0, m.Len())
-	m.Iterate(func(k uint64, st *reduceState) bool {
-		out = append(out, GroupUint{Key: k, Value: st.val})
-		return true
-	})
-	return out
+	return emitReduce(m)
 }
 
 func (e *tbbEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
-	m := newTBBList(sizeHint(len(keys)))
+	m := chash.New[[]uint64](sizeHint(len(keys)), 0)
 	parallelChunks(len(keys), e.workers(), e.forcePar(), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := valueAt(vals, i)
 			m.Upsert(keys[i], func(lst *[]uint64) { *lst = append(*lst, v) })
 		}
 	})
-	out := make([]GroupFloat, 0, m.Len())
-	m.Iterate(func(k uint64, lst *[]uint64) bool {
-		out = append(out, GroupFloat{Key: k, Value: fn(*lst)})
-		return true
-	})
-	return out
+	return emitHolistic(m, fn)
 }
 
 // --- scalar generalizations -------------------------------------------------------
@@ -317,8 +280,7 @@ func MedianFunc(values []uint64) float64 { return Median(values) }
 // compile-time checks: every engine implements Reducer.
 var (
 	_ Reducer = (*sortEngine)(nil)
-	_ Reducer = (*hashEngine)(nil)
-	_ Reducer = (*treeEngine)(nil)
+	_ Reducer = (*tableEngine)(nil)
 	_ Reducer = (*cuckooEngine)(nil)
 	_ Reducer = (*tbbEngine)(nil)
 	_ Reducer = (*platEngine)(nil)
@@ -326,8 +288,3 @@ var (
 	_ Reducer = (*globalEngine)(nil)
 	_ Reducer = (*adaptiveEngine)(nil)
 )
-
-func newCuckooReduce(n int) *cuckoo.Map[reduceState] { return cuckoo.New[reduceState](n) }
-func newCuckooList(n int) *cuckoo.Map[[]uint64]      { return cuckoo.New[[]uint64](n) }
-func newTBBReduce(n int) *chash.Map[reduceState]     { return chash.New[reduceState](n, 0) }
-func newTBBList(n int) *chash.Map[[]uint64]          { return chash.New[[]uint64](n, 0) }

@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -40,19 +41,31 @@ func refReduce(keys, vals []uint64, op ReduceOp) map[uint64]uint64 {
 	return out
 }
 
-func TestVectorReduceAllOpsAllEngines(t *testing.T) {
+// reduceDataSets returns testData and a Zipf set three times
+// rxSerialCutoff long, past the cutoff both Hash_RX and Hash_GLB run their
+// parallel paths above (testData takes their serial fallbacks).
+func reduceDataSets(t *testing.T) [][2][]uint64 {
 	keys, vals := testData(t)
-	for _, op := range []ReduceOp{OpCount, OpSum, OpMin, OpMax} {
-		want := refReduce(keys, vals, op)
-		for _, e := range reducerEngines() {
-			got := AsReducer(e).VectorReduce(keys, vals, op)
-			if len(got) != len(want) {
-				t.Fatalf("%s/%s: %d groups want %d", e.Name(), op, len(got), len(want))
-			}
-			for _, g := range got {
-				if want[g.Key] != g.Value {
-					t.Fatalf("%s/%s: key %d = %d want %d",
-						e.Name(), op, g.Key, g.Value, want[g.Key])
+	n := 3 * rxSerialCutoff
+	big := dataset.Spec{Kind: dataset.Zipf, N: n, Cardinality: 20000, Seed: 23}.Keys()
+	return [][2][]uint64{{keys, vals}, {big, dataset.Values(n, 23)}}
+}
+
+func TestVectorReduceAllOpsAllEngines(t *testing.T) {
+	for _, kv := range reduceDataSets(t) {
+		keys, vals := kv[0], kv[1]
+		for _, op := range []ReduceOp{OpCount, OpSum, OpMin, OpMax} {
+			want := refReduce(keys, vals, op)
+			for _, e := range reducerEngines() {
+				got := AsReducer(e).VectorReduce(keys, vals, op)
+				if len(got) != len(want) {
+					t.Fatalf("%d rows %s/%s: %d groups want %d", len(keys), e.Name(), op, len(got), len(want))
+				}
+				for _, g := range got {
+					if want[g.Key] != g.Value {
+						t.Fatalf("%d rows %s/%s: key %d = %d want %d",
+							len(keys), e.Name(), op, g.Key, g.Value, want[g.Key])
+					}
 				}
 			}
 		}
@@ -76,34 +89,41 @@ func TestVectorReduceCountMatchesVectorCount(t *testing.T) {
 }
 
 func TestVectorHolisticQuantileAndMode(t *testing.T) {
-	keys, vals := testData(t)
-	// Reference per-group quantile and mode.
+	for _, kv := range reduceDataSets(t) {
+		keys, vals := kv[0], kv[1]
+		wantQ := refHolistic(keys, vals, QuantileFunc(0.9))
+		wantM := refHolistic(keys, vals, ModeFunc)
+		for _, e := range reducerEngines() {
+			r := AsReducer(e)
+			gotQ := r.VectorHolistic(keys, vals, QuantileFunc(0.9))
+			if len(gotQ) != len(wantQ) {
+				t.Fatalf("%d rows %s: p90 of %d groups want %d", len(keys), e.Name(), len(gotQ), len(wantQ))
+			}
+			for _, g := range gotQ {
+				if g.Value != wantQ[g.Key] {
+					t.Fatalf("%d rows %s: p90 of key %d = %v want %v", len(keys), e.Name(), g.Key, g.Value, wantQ[g.Key])
+				}
+			}
+			for _, g := range r.VectorHolistic(keys, vals, ModeFunc) {
+				if g.Value != wantM[g.Key] {
+					t.Fatalf("%d rows %s: mode of key %d = %v want %v", len(keys), e.Name(), g.Key, g.Value, wantM[g.Key])
+				}
+			}
+		}
+	}
+}
+
+// refHolistic applies fn to a copy of every group's values.
+func refHolistic(keys, vals []uint64, fn HolisticFunc) map[uint64]float64 {
 	groups := map[uint64][]uint64{}
 	for i, k := range keys {
-		groups[k] = append(groups[k], vals[i])
+		groups[k] = append(groups[k], valueAt(vals, i))
 	}
-	wantQ := map[uint64]float64{}
-	wantM := map[uint64]float64{}
+	out := map[uint64]float64{}
 	for k, g := range groups {
-		cp := append([]uint64(nil), g...)
-		wantQ[k] = float64(Quantile(cp, 0.9))
-		cp = append(cp[:0:0], g...)
-		v, _, _ := Mode(cp)
-		wantM[k] = float64(v)
+		out[k] = fn(g)
 	}
-	for _, e := range reducerEngines() {
-		r := AsReducer(e)
-		for _, g := range r.VectorHolistic(keys, vals, QuantileFunc(0.9)) {
-			if g.Value != wantQ[g.Key] {
-				t.Fatalf("%s: p90 of key %d = %v want %v", e.Name(), g.Key, g.Value, wantQ[g.Key])
-			}
-		}
-		for _, g := range r.VectorHolistic(keys, vals, ModeFunc) {
-			if g.Value != wantM[g.Key] {
-				t.Fatalf("%s: mode of key %d = %v want %v", e.Name(), g.Key, g.Value, wantM[g.Key])
-			}
-		}
-	}
+	return out
 }
 
 func TestVectorHolisticMedianMatchesVectorMedian(t *testing.T) {
@@ -216,6 +236,71 @@ func TestPLATMatchesReferenceAcrossThreadCounts(t *testing.T) {
 				t.Fatalf("p=%d: key %d median %v want %v", p, g.Key, g.Value, wantMed[g.Key])
 			}
 		}
+	}
+}
+
+// TestPLATFewerRowsThanWorkers runs Hash_PLAT on fewer rows than workers,
+// where its schedule runs one worker: the merge must then keep every
+// group, not only those of the first of the requested partitions.
+func TestPLATFewerRowsThanWorkers(t *testing.T) {
+	for _, p := range []int{4, 8} {
+		for _, n := range []int{0, 1, 3, p - 1} {
+			keys, vals := make([]uint64, n), make([]uint64, n)
+			for i := range keys {
+				keys[i], vals[i] = uint64(i%3+1), uint64(10*i+5)
+			}
+			e := HashPLAT(p)
+			name := fmt.Sprintf("p=%d n=%d", p, n)
+			wantQ1 := refVectorCount(keys)
+			gotQ1 := e.VectorCount(keys)
+			checkRows(t, name+" Q1", len(gotQ1), len(wantQ1))
+			for _, g := range gotQ1 {
+				if g.Count != wantQ1[g.Key] {
+					t.Fatalf("%s Q1 key %d: %d want %d", name, g.Key, g.Count, wantQ1[g.Key])
+				}
+			}
+			wantQ2 := refVectorAvg(keys, vals)
+			gotQ2 := e.VectorAvg(keys, vals)
+			checkRows(t, name+" Q2", len(gotQ2), len(wantQ2))
+			for _, g := range gotQ2 {
+				if g.Value != wantQ2[g.Key] {
+					t.Fatalf("%s Q2 key %d: %v want %v", name, g.Key, g.Value, wantQ2[g.Key])
+				}
+			}
+			wantQ3 := refVectorMedian(keys, vals)
+			gotQ3 := e.VectorMedian(keys, vals)
+			checkRows(t, name+" Q3", len(gotQ3), len(wantQ3))
+			for _, g := range gotQ3 {
+				if g.Value != wantQ3[g.Key] {
+					t.Fatalf("%s Q3 key %d: %v want %v", name, g.Key, g.Value, wantQ3[g.Key])
+				}
+			}
+			for _, op := range []ReduceOp{OpCount, OpSum, OpMin, OpMax} {
+				want := refReduce(keys, vals, op)
+				got := AsReducer(e).VectorReduce(keys, vals, op)
+				checkRows(t, name+" "+op.String(), len(got), len(want))
+				for _, g := range got {
+					if g.Value != want[g.Key] {
+						t.Fatalf("%s %s key %d: %d want %d", name, op, g.Key, g.Value, want[g.Key])
+					}
+				}
+			}
+			wantH := refHolistic(keys, vals, ModeFunc)
+			gotH := AsReducer(e).VectorHolistic(keys, vals, ModeFunc)
+			checkRows(t, name+" mode", len(gotH), len(wantH))
+			for _, g := range gotH {
+				if g.Value != wantH[g.Key] {
+					t.Fatalf("%s mode key %d: %v want %v", name, g.Key, g.Value, wantH[g.Key])
+				}
+			}
+		}
+	}
+}
+
+func checkRows(t *testing.T, what string, got, want int) {
+	t.Helper()
+	if got != want {
+		t.Fatalf("%s: %d groups want %d", what, got, want)
 	}
 }
 

@@ -66,26 +66,22 @@ import (
 // order-insensitive over the group multiset (Median/Quantile select,
 // Mode sorts first), so the nondeterministic replay order is exact.
 type globalEngine struct {
-	threads int
-	alloc   Allocator
+	pool
+	unordered
+	// lp is the serial fallback's engine, Hash_LP; it carries the
+	// allocator, which the parallel holistic path reads too.
+	lp tableEngine
 }
 
 // HashGLB returns the morsel-driven global shared-table engine
 // ("Hash_GLB") building with the given number of goroutines (<= 0 uses
 // GOMAXPROCS).
 func HashGLB(threads int) Engine {
-	return &globalEngine{threads: threads}
+	return &globalEngine{pool: pool{threads}, lp: *hashLP()}
 }
 
 func (e *globalEngine) Name() string       { return "Hash_GLB" }
 func (e *globalEngine) Category() Category { return HashBased }
-
-func (e *globalEngine) workers() int {
-	if e.threads <= 0 {
-		return defaultWorkers()
-	}
-	return e.threads
-}
 
 const (
 	// glbSerialCutoff is the input size below which goroutine fan-out and
@@ -229,9 +225,10 @@ func glbBuildMax(t *hashtbl.Concurrent, keys, vals []uint64, workers int) {
 
 var glbMinSeed = []uint64{^uint64(0)}
 
-// serial reports whether the query should take the serial LinearProbe
-// fallback — behaviourally identical results, none of the parallel
-// machinery (mirrors rxRun's fallback so the engines' regimes coincide).
+// serial reports whether the query should take the serial fallback —
+// Hash_LP's query body, marking Hash_GLB's own phase series: behaviourally
+// identical results, none of the parallel machinery (mirrors rxRun's
+// fallback so the engines' regimes coincide).
 func (e *globalEngine) serial(n int) bool {
 	return n < glbSerialCutoff || e.workers() == 1
 }
@@ -243,16 +240,7 @@ func (e *globalEngine) VectorCount(keys []uint64) []GroupCount {
 func (e *globalEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
 	c.start(e.Name())
 	if e.serial(len(keys)) {
-		t := hashtbl.NewLinearProbe[uint64](sizeHint(len(keys)))
-		lpBuildCount(t, keys)
-		c.built()
-		out := make([]GroupCount, 0, t.Len())
-		t.Iterate(func(k uint64, v *uint64) bool {
-			out = append(out, GroupCount{Key: k, Count: *v})
-			return true
-		})
-		c.iterated()
-		return out
+		return e.lp.count(keys, c)
 	}
 	w := e.workers()
 	t := glbTable(keys, 1, nil, w)
@@ -272,16 +260,7 @@ func (e *globalEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 	var c phaseClock
 	c.start(e.Name())
 	if e.serial(len(keys)) {
-		t := hashtbl.NewLinearProbe[avgState](sizeHint(len(keys)))
-		lpBuildAvg(t, keys, vals)
-		c.built()
-		out := make([]GroupFloat, 0, t.Len())
-		t.Iterate(func(k uint64, st *avgState) bool {
-			out = append(out, GroupFloat{Key: k, Value: st.avg()})
-			return true
-		})
-		c.iterated()
-		return out
+		return e.lp.avg(keys, vals, &c)
 	}
 	w := e.workers()
 	t := glbTable(keys, 2, nil, w)
@@ -292,8 +271,8 @@ func (e *globalEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
 	t.Iterate(func(s int, k uint64) bool {
 		// Same division as avgState.avg(): exact equivalence to the
 		// serial reference, bit for bit.
-		st := avgState{sum: lanes[s*2], count: lanes[s*2+1]}
-		out = append(out, GroupFloat{Key: k, Value: st.avg()})
+		avg := avgState{sum: lanes[s*2], count: lanes[s*2+1]}.avg()
+		out = append(out, GroupFloat{Key: k, Value: avg})
 		return true
 	})
 	c.iterated()
@@ -304,16 +283,7 @@ func (e *globalEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUin
 	var c phaseClock
 	c.start(e.Name())
 	if e.serial(len(keys)) {
-		t := hashtbl.NewLinearProbe[reduceState](sizeHint(len(keys)))
-		lpBuildReduce(t, keys, vals, op)
-		c.built()
-		out := make([]GroupUint, 0, t.Len())
-		t.Iterate(func(k uint64, st *reduceState) bool {
-			out = append(out, GroupUint{Key: k, Value: st.val})
-			return true
-		})
-		c.iterated()
-		return out
+		return e.lp.reduce(keys, vals, op, &c)
 	}
 	w := e.workers()
 	var t *hashtbl.Concurrent
@@ -355,22 +325,7 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 	var c phaseClock
 	c.start(e.Name())
 	if e.serial(len(keys)) {
-		var out []GroupFloat
-		if e.alloc == AllocArena {
-			ar := arenas.Get()
-			defer arenas.Put(ar)
-			t := hashtbl.NewLinearProbe[arena.List](sizeHint(len(keys)))
-			lpBuildArenaList(t, ar, keys, vals)
-			c.built()
-			out = emitHolisticArena(t, ar, fn)
-		} else {
-			t := hashtbl.NewLinearProbe[[]uint64](sizeHint(len(keys)))
-			lpBuildList(t, keys, vals)
-			c.built()
-			out = emitHolistic(t, fn)
-		}
-		c.iterated()
-		return out
+		return e.lp.holistic(keys, vals, fn, &c)
 	}
 	w := e.workers()
 	t := glbTable(keys, 0, nil, w)
@@ -414,7 +369,7 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 	// GetSlot probes (every key was claimed in pass 1; the table is
 	// quiescent now, so no batches and no atomics are needed for probing).
 	out := make([]GroupFloat, 0, t.Len())
-	if e.alloc == AllocArena {
+	if e.lp.alloc == AllocArena {
 		// A single-owner arena cannot take appends from many workers;
 		// replay serially into one pooled arena (WithAllocator documents
 		// the trade).
@@ -452,15 +407,4 @@ func (e *globalEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []Gr
 	}
 	c.iterated()
 	return out
-}
-
-// ScalarMedian is unsupported, as for the other hash engines: the table
-// cannot produce keys in lexicographic order.
-func (e *globalEngine) ScalarMedian([]uint64) (float64, error) {
-	return 0, ErrUnsupported
-}
-
-// VectorCountRange is unsupported: no native range search.
-func (e *globalEngine) VectorCountRange([]uint64, uint64, uint64) ([]GroupCount, error) {
-	return nil, ErrUnsupported
 }

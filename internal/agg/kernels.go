@@ -17,10 +17,14 @@ import (
 //     is branch-free — the op dispatch happens once per query, not once per
 //     row;
 //   - the kernels type-switch once to the concrete *hashtbl.LinearProbe
-//     table (the reference serial engine and the workhorse inside Hash_RX
-//     and Hash_PLAT) and run a devirtualized loop over it. Other backends
+//     table (the reference serial engine and the workhorse inside Hash_RX,
+//     Hash_PLAT and Hash_GLB's serial fallback) and run a devirtualized
+//     loop over it. Other backends
 //     fall back to the interface loop — for the trees, node traversal
 //     dominates and the dispatch is noise.
+//
+// Each kernel returns the table it filled, so a build reads as one
+// expression over a fresh table: buildCount(e.newCount(n), keys).
 //
 // The LinearProbe loops additionally batch hash computation (the "and
 // batch hash computation" half of the optimization): rows are processed in
@@ -40,14 +44,15 @@ func mixBatch(h *[hashBatch]uint64, b []uint64) {
 
 // --- COUNT ---------------------------------------------------------------------
 
-func buildCount(t kvTable[uint64], keys []uint64) {
+func buildCount(t kvTable[uint64], keys []uint64) kvTable[uint64] {
 	if lp, ok := t.(*hashtbl.LinearProbe[uint64]); ok {
 		lpBuildCount(lp, keys)
-		return
+		return t
 	}
 	for _, k := range keys {
 		*t.Upsert(k)++
 	}
+	return t
 }
 
 func lpBuildCount(t *hashtbl.LinearProbe[uint64], keys []uint64) {
@@ -67,16 +72,17 @@ func lpBuildCount(t *hashtbl.LinearProbe[uint64], keys []uint64) {
 
 // --- AVG (algebraic: sum + count) ----------------------------------------------
 
-func buildAvg(t kvTable[avgState], keys, vals []uint64) {
+func buildAvg(t kvTable[avgState], keys, vals []uint64) kvTable[avgState] {
 	if lp, ok := t.(*hashtbl.LinearProbe[avgState]); ok {
 		lpBuildAvg(lp, keys, vals)
-		return
+		return t
 	}
 	for i, k := range keys {
 		st := t.Upsert(k)
 		st.sum += valueAt(vals, i)
 		st.count++
 	}
+	return t
 }
 
 func lpBuildAvg(t *hashtbl.LinearProbe[avgState], keys, vals []uint64) {
@@ -104,15 +110,16 @@ func lpBuildAvg(t *hashtbl.LinearProbe[avgState], keys, vals []uint64) {
 
 // buildList is the go-runtime holistic build: per-group []uint64 grown by
 // append.
-func buildList(t kvTable[[]uint64], keys, vals []uint64) {
+func buildList(t kvTable[[]uint64], keys, vals []uint64) kvTable[[]uint64] {
 	if lp, ok := t.(*hashtbl.LinearProbe[[]uint64]); ok {
 		lpBuildList(lp, keys, vals)
-		return
+		return t
 	}
 	for i, k := range keys {
 		lst := t.Upsert(k)
 		*lst = append(*lst, valueAt(vals, i))
 	}
+	return t
 }
 
 func lpBuildList(t *hashtbl.LinearProbe[[]uint64], keys, vals []uint64) {
@@ -135,14 +142,15 @@ func lpBuildList(t *hashtbl.LinearProbe[[]uint64], keys, vals []uint64) {
 
 // buildArenaList is the arena holistic build: per-group chunked lists bump-
 // allocated from ar (see internal/arena).
-func buildArenaList(t kvTable[arena.List], ar *arena.Arena, keys, vals []uint64) {
+func buildArenaList(t kvTable[arena.List], ar *arena.Arena, keys, vals []uint64) kvTable[arena.List] {
 	if lp, ok := t.(*hashtbl.LinearProbe[arena.List]); ok {
 		lpBuildArenaList(lp, ar, keys, vals)
-		return
+		return t
 	}
 	for i, k := range keys {
 		ar.Append(t.Upsert(k), valueAt(vals, i))
 	}
+	return t
 }
 
 func lpBuildArenaList(t *hashtbl.LinearProbe[arena.List], ar *arena.Arena, keys, vals []uint64) {
@@ -166,10 +174,10 @@ func lpBuildArenaList(t *hashtbl.LinearProbe[arena.List], ar *arena.Arena, keys,
 // buildReduce dispatches the ReduceOp once and runs the matching
 // specialized loop; reduceState.fold (a per-row switch) stays only as the
 // reference the kernels are tested against.
-func buildReduce(t kvTable[reduceState], keys, vals []uint64, op ReduceOp) {
+func buildReduce(t kvTable[reduceState], keys, vals []uint64, op ReduceOp) kvTable[reduceState] {
 	if lp, ok := t.(*hashtbl.LinearProbe[reduceState]); ok {
 		lpBuildReduce(lp, keys, vals, op)
-		return
+		return t
 	}
 	switch op {
 	case OpCount:
@@ -201,6 +209,7 @@ func buildReduce(t kvTable[reduceState], keys, vals []uint64, op ReduceOp) {
 			st.seen = true
 		}
 	}
+	return t
 }
 
 func lpBuildReduce(t *hashtbl.LinearProbe[reduceState], keys, vals []uint64, op ReduceOp) {
@@ -246,28 +255,94 @@ func lpBuildReduce(t *hashtbl.LinearProbe[reduceState], keys, vals []uint64, op 
 	}
 }
 
-// --- shared iterate helpers ----------------------------------------------------
+// --- emit helpers ----------------------------------------------------------------
+
+// The iterate phase, one helper per aggregate state: each reads any table
+// that can list its groups (groupIter) into a result presized to them,
+// whether the table is a serial engine's, a Hash_RX partition's, Hash_PLAT's
+// merged partition or a concurrent engine's shared map. Only Hash_GLB's lane
+// tables, read by slot index, emit on their own.
+//
+// Like the build kernels, each helper type-switches once to the concrete
+// *hashtbl.LinearProbe: its Iterate then inlines together with the
+// per-group callback, where through the interface every group costs an
+// indirect call (about 0.8 ms more over 262,144 groups).
+
+// emitCounts reads a count table out.
+func emitCounts(t groupIter[uint64]) []GroupCount {
+	out := make([]GroupCount, 0, t.Len())
+	add := func(k uint64, v *uint64) bool {
+		out = append(out, GroupCount{Key: k, Count: *v})
+		return true
+	}
+	if lp, ok := t.(*hashtbl.LinearProbe[uint64]); ok {
+		lp.Iterate(add)
+	} else {
+		t.Iterate(add)
+	}
+	return out
+}
+
+// emitAvg reads an avg table out, dividing each group's sum by its count.
+func emitAvg(t groupIter[avgState]) []GroupFloat {
+	out := make([]GroupFloat, 0, t.Len())
+	add := func(k uint64, st *avgState) bool {
+		out = append(out, GroupFloat{Key: k, Value: st.avg()})
+		return true
+	}
+	if lp, ok := t.(*hashtbl.LinearProbe[avgState]); ok {
+		lp.Iterate(add)
+	} else {
+		t.Iterate(add)
+	}
+	return out
+}
+
+// emitReduce reads a distributive-fold table out.
+func emitReduce(t groupIter[reduceState]) []GroupUint {
+	out := make([]GroupUint, 0, t.Len())
+	add := func(k uint64, st *reduceState) bool {
+		out = append(out, GroupUint{Key: k, Value: st.val})
+		return true
+	}
+	if lp, ok := t.(*hashtbl.LinearProbe[reduceState]); ok {
+		lp.Iterate(add)
+	} else {
+		t.Iterate(add)
+	}
+	return out
+}
 
 // emitHolistic reads a go-runtime list table out: one fn() per group over
 // its buffered values.
-func emitHolistic(t kvTable[[]uint64], fn HolisticFunc) []GroupFloat {
+func emitHolistic(t groupIter[[]uint64], fn HolisticFunc) []GroupFloat {
 	out := make([]GroupFloat, 0, t.Len())
-	t.Iterate(func(k uint64, lst *[]uint64) bool {
+	add := func(k uint64, lst *[]uint64) bool {
 		out = append(out, GroupFloat{Key: k, Value: fn(*lst)})
 		return true
-	})
+	}
+	if lp, ok := t.(*hashtbl.LinearProbe[[]uint64]); ok {
+		lp.Iterate(add)
+	} else {
+		t.Iterate(add)
+	}
 	return out
 }
 
 // emitHolisticArena reads an arena list table out, collecting each group
 // into a reusable contiguous scratch (holistic functions select in place).
-func emitHolisticArena(t kvTable[arena.List], ar *arena.Arena, fn HolisticFunc) []GroupFloat {
+func emitHolisticArena(t groupIter[arena.List], ar *arena.Arena, fn HolisticFunc) []GroupFloat {
 	out := make([]GroupFloat, 0, t.Len())
 	var scratch []uint64
-	t.Iterate(func(k uint64, lst *arena.List) bool {
+	add := func(k uint64, lst *arena.List) bool {
 		scratch = ar.AppendTo(scratch[:0], *lst)
 		out = append(out, GroupFloat{Key: k, Value: fn(scratch)})
 		return true
-	})
+	}
+	if lp, ok := t.(*hashtbl.LinearProbe[arena.List]); ok {
+		lp.Iterate(add)
+	} else {
+		t.Iterate(add)
+	}
 	return out
 }

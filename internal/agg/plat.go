@@ -41,25 +41,18 @@ func parallelDo(p int, f func(w int)) {
 // carry. Like the other hash engines it cannot answer ordered queries
 // (Q6/Q7).
 type platEngine struct {
-	threads int
+	pool
+	unordered
 }
 
 // HashPLAT returns the partitioned parallel engine ("Hash_PLAT") building
 // with the given number of goroutines (<= 0 uses GOMAXPROCS).
 func HashPLAT(threads int) Engine {
-	return &platEngine{threads: threads}
+	return &platEngine{pool: pool{threads}}
 }
 
 func (e *platEngine) Name() string       { return "Hash_PLAT" }
 func (e *platEngine) Category() Category { return HashBased }
-
-func (e *platEngine) workers() int {
-	w := e.threads
-	if w <= 0 {
-		w = defaultWorkers()
-	}
-	return w
-}
 
 // partitionOf assigns a key to a merge partition. It uses high hash bits,
 // independent of the bits the local tables use for slots.
@@ -67,36 +60,51 @@ func partitionOf(key uint64, p int) int {
 	return int((hashtbl.Mix(key) >> 56) % uint64(p))
 }
 
-// platRun is the generic two-phase PLAT schedule: build p local tables,
-// then merge partition-parallel, marking the phases on c. buildLocal
-// aggregates one chunk into a fresh local table; mergePart folds every
-// local table's keys belonging to partition w into the output slice it
-// returns.
-func platRun[T any, R any](
+// platRun is the generic two-phase PLAT schedule over Hash_LP tables of
+// state V, marking the phases on c: p workers each fill a local table
+// over their chunk of the rows with build (one of the table engine's
+// kernels), then worker w merges every local table's keys of partition w
+// into a fresh table with combine and emits it with emit. Every key lands
+// in exactly one partition, so the emitted slices concatenate without
+// duplicates. The tables stay concrete so the merge walk and its upserts
+// inline.
+func platRun[V, R any](
 	e *platEngine,
-	keys []uint64,
+	keys, vals []uint64,
 	c *phaseClock,
-	buildLocal func(lo, hi int) T,
-	mergePart func(w int, locals []T) []R,
+	build func(t kvTable[V], keys, vals []uint64) kvTable[V],
+	combine func(dst, src *V),
+	emit func(t groupIter[V]) []R,
 ) []R {
 	c.start(e.Name())
 	p := e.workers()
 	if p > len(keys) {
 		p = 1
 	}
-	locals := make([]T, p)
+	locals := make([]*hashtbl.LinearProbe[V], p)
 	parallelDo(p, func(w int) {
 		lo, hi := len(keys)*w/p, len(keys)*(w+1)/p
-		locals[w] = buildLocal(lo, hi)
+		locals[w] = hashtbl.NewLinearProbe[V](hi - lo)
+		build(locals[w], keys[lo:hi], valSlice(vals, lo, hi))
 	})
 	c.built()
+	hint := mergeHint(locals, p)
 	parts := make(Result[R], p)
 	parallelDo(p, func(w int) {
-		parts[w] = mergePart(w, locals)
+		merged := hashtbl.NewLinearProbe[V](hint)
+		for _, lt := range locals {
+			lt.Iterate(func(k uint64, v *V) bool {
+				if partitionOf(k, p) == w {
+					combine(merged.Upsert(k), v)
+				}
+				return true
+			})
+		}
+		parts[w] = emit(merged)
 	})
 	// merge covers the partition-parallel fold of the p local tables
-	// (including each partition's row emission, which mergePart fuses);
-	// iterate is the final concatenation.
+	// (including each partition's row emission); iterate is the final
+	// concatenation.
 	c.merged()
 	out := parts.Merge()
 	c.iterated()
@@ -116,40 +124,9 @@ func valSlice(vals []uint64, lo, hi int) []uint64 {
 	return vals[lo:hi]
 }
 
-func (e *platEngine) VectorCount(keys []uint64) []GroupCount {
-	return e.countQ1(keys, &phaseClock{})
-}
-
-func (e *platEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
-	p := e.workers()
-	return platRun(e, keys, c,
-		func(lo, hi int) *hashtbl.LinearProbe[uint64] {
-			t := hashtbl.NewLinearProbe[uint64](hi - lo)
-			lpBuildCount(t, keys[lo:hi])
-			return t
-		},
-		func(w int, locals []*hashtbl.LinearProbe[uint64]) []GroupCount {
-			merged := hashtbl.NewLinearProbe[uint64](mergeHint(locals, w, p))
-			for _, lt := range locals {
-				lt.Iterate(func(k uint64, v *uint64) bool {
-					if partitionOf(k, p) == w {
-						*merged.Upsert(k) += *v
-					}
-					return true
-				})
-			}
-			out := make([]GroupCount, 0, merged.Len())
-			merged.Iterate(func(k uint64, v *uint64) bool {
-				out = append(out, GroupCount{Key: k, Count: *v})
-				return true
-			})
-			return out
-		})
-}
-
 // mergeHint sizes a merge partition's table: the largest local table bounds
 // the distinct keys per partition once divided by p.
-func mergeHint[V any](locals []*hashtbl.LinearProbe[V], _ int, p int) int {
+func mergeHint[V any](locals []*hashtbl.LinearProbe[V], p int) int {
 	max := 0
 	for _, lt := range locals {
 		if lt.Len() > max {
@@ -163,100 +140,45 @@ func mergeHint[V any](locals []*hashtbl.LinearProbe[V], _ int, p int) int {
 	return hint
 }
 
+func (e *platEngine) VectorCount(keys []uint64) []GroupCount {
+	return e.countQ1(keys, &phaseClock{})
+}
+
+func (e *platEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
+	return platRun(e, keys, nil, c,
+		func(t kvTable[uint64], keys, _ []uint64) kvTable[uint64] { return buildCount(t, keys) },
+		func(dst, src *uint64) { *dst += *src },
+		emitCounts)
+}
+
 func (e *platEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
-	p := e.workers()
-	return platRun(e, keys, &phaseClock{},
-		func(lo, hi int) *hashtbl.LinearProbe[avgState] {
-			t := hashtbl.NewLinearProbe[avgState](hi - lo)
-			lpBuildAvg(t, keys[lo:hi], valSlice(vals, lo, hi))
-			return t
+	return platRun(e, keys, vals, &phaseClock{}, buildAvg,
+		func(dst, src *avgState) {
+			dst.sum += src.sum
+			dst.count += src.count
 		},
-		func(w int, locals []*hashtbl.LinearProbe[avgState]) []GroupFloat {
-			merged := hashtbl.NewLinearProbe[avgState](mergeHint(locals, w, p))
-			for _, lt := range locals {
-				lt.Iterate(func(k uint64, st *avgState) bool {
-					if partitionOf(k, p) == w {
-						m := merged.Upsert(k)
-						m.sum += st.sum
-						m.count += st.count
-					}
-					return true
-				})
-			}
-			out := make([]GroupFloat, 0, merged.Len())
-			merged.Iterate(func(k uint64, st *avgState) bool {
-				out = append(out, GroupFloat{Key: k, Value: st.avg()})
-				return true
-			})
-			return out
-		})
+		emitAvg)
 }
 
 func (e *platEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
 	return e.VectorHolistic(keys, vals, MedianFunc)
 }
 
+// VectorHolistic concatenates each group's buffered value lists in the
+// merge, then applies fn to the complete list.
 func (e *platEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
-	p := e.workers()
-	return platRun(e, keys, &phaseClock{},
-		func(lo, hi int) *hashtbl.LinearProbe[[]uint64] {
-			t := hashtbl.NewLinearProbe[[]uint64](hi - lo)
-			lpBuildList(t, keys[lo:hi], valSlice(vals, lo, hi))
-			return t
-		},
-		func(w int, locals []*hashtbl.LinearProbe[[]uint64]) []GroupFloat {
-			merged := hashtbl.NewLinearProbe[[]uint64](mergeHint(locals, w, p))
-			for _, lt := range locals {
-				lt.Iterate(func(k uint64, lst *[]uint64) bool {
-					if partitionOf(k, p) == w {
-						m := merged.Upsert(k)
-						*m = append(*m, *lst...)
-					}
-					return true
-				})
-			}
-			out := make([]GroupFloat, 0, merged.Len())
-			merged.Iterate(func(k uint64, lst *[]uint64) bool {
-				out = append(out, GroupFloat{Key: k, Value: fn(*lst)})
-				return true
-			})
-			return out
-		})
+	return platRun(e, keys, vals, &phaseClock{}, buildList,
+		func(dst, src *[]uint64) { *dst = append(*dst, *src...) },
+		func(t groupIter[[]uint64]) []GroupFloat { return emitHolistic(t, fn) })
 }
 
 func (e *platEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
-	p := e.workers()
-	return platRun(e, keys, &phaseClock{},
-		func(lo, hi int) *hashtbl.LinearProbe[reduceState] {
-			t := hashtbl.NewLinearProbe[reduceState](hi - lo)
-			lpBuildReduce(t, keys[lo:hi], valSlice(vals, lo, hi), op)
-			return t
+	return platRun(e, keys, vals, &phaseClock{},
+		func(t kvTable[reduceState], keys, vals []uint64) kvTable[reduceState] {
+			return buildReduce(t, keys, vals, op)
 		},
-		func(w int, locals []*hashtbl.LinearProbe[reduceState]) []GroupUint {
-			merged := hashtbl.NewLinearProbe[reduceState](mergeHint(locals, w, p))
-			for _, lt := range locals {
-				lt.Iterate(func(k uint64, st *reduceState) bool {
-					if partitionOf(k, p) == w {
-						merged.Upsert(k).combine(op, *st)
-					}
-					return true
-				})
-			}
-			out := make([]GroupUint, 0, merged.Len())
-			merged.Iterate(func(k uint64, st *reduceState) bool {
-				out = append(out, GroupUint{Key: k, Value: st.val})
-				return true
-			})
-			return out
-		})
-}
-
-func (e *platEngine) ScalarMedian([]uint64) (float64, error) {
-	return 0, ErrUnsupported
-}
-
-func (e *platEngine) VectorCountRange([]uint64, uint64, uint64) ([]GroupCount, error) {
-	return nil, ErrUnsupported
+		func(dst, src *reduceState) { dst.combine(op, *src) },
+		emitReduce)
 }
 
 // combine merges another group's partial fold into s — the distributive

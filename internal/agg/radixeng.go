@@ -3,7 +3,6 @@ package agg
 import (
 	"math/bits"
 
-	"memagg/internal/arena"
 	"memagg/internal/hashtbl"
 	"memagg/internal/morsel"
 	"memagg/internal/radix"
@@ -15,10 +14,11 @@ import (
 // scheme (plat.go).
 //
 // Phase 1 partitions the input by hash radix into P = 2^bits partitions
-// (internal/radix: per-worker write-combining buffers keep the scatter
-// sequential-write friendly). Phase 2 hands whole partitions to workers;
-// each builds an independent cache-sized linear-probing table over its
-// partition. Because every occurrence of a key lands in exactly one
+// (ScatterRows over internal/radix: per-worker write-combining buffers
+// keep the scatter sequential-write friendly). Phase 2 hands whole
+// partitions to workers; each runs Hash_LP's build and emit (the table
+// engine, hasheng.go) over its partition, in a cache-sized table.
+// Because every occurrence of a key lands in exactly one
 // partition there is nothing to merge and nothing to lock — which also
 // means holistic queries (Q3) work naturally, unlike the classic
 // partitioned schemes the paper rules out for holistic functions.
@@ -32,25 +32,22 @@ import (
 // disjoint tables — the crossover the radix-aggregation literature
 // predicts, measurable with `aggbench -exp rx`.
 type radixEngine struct {
-	threads int
-	alloc   Allocator
+	pool
+	unordered
+	// lp is the table each partition builds and emits through: Hash_RX is
+	// the radix scatter plus Hash_LP per partition. It carries the
+	// allocator.
+	lp tableEngine
 }
 
 // HashRX returns the radix-partitioned parallel engine ("Hash_RX")
 // building with the given number of goroutines (<= 0 uses GOMAXPROCS).
 func HashRX(threads int) Engine {
-	return &radixEngine{threads: threads}
+	return &radixEngine{pool: pool{threads}, lp: *hashLP()}
 }
 
 func (e *radixEngine) Name() string       { return "Hash_RX" }
 func (e *radixEngine) Category() Category { return HashBased }
-
-func (e *radixEngine) workers() int {
-	if e.threads <= 0 {
-		return defaultWorkers()
-	}
-	return e.threads
-}
 
 const (
 	// rxSerialCutoff is the input size below which the two-pass schedule
@@ -129,13 +126,13 @@ func chooseBits(n, workers, estGroups int) int {
 }
 
 // rxRun is the generic two-phase schedule shared by every query class,
-// marking its phases on c. buildPart aggregates one partition (whole keys
-// live in exactly one partition, so the results concatenate without a
-// merge); partitions are handed to workers from one cursor (morsel.Parts),
-// so a heavy-hitter partition occupies one worker while the rest drain the
-// queue. Small inputs and single-thread configurations take the serial
-// fallback: buildPart over the whole input as one partition, which keeps
-// both code paths behaviourally identical.
+// marking its phases on c. buildPart aggregates one partition with Hash_LP
+// (whole keys live in exactly one partition, so the results concatenate
+// without a merge); partitions are handed to workers from one cursor
+// (morsel.Parts), so a heavy-hitter partition occupies one worker while
+// the rest drain the queue. Small inputs and single-thread configurations
+// take the serial fallback: buildPart over the whole input as one
+// partition, which keeps both code paths behaviourally identical.
 func rxRun[R any](e *radixEngine, keys, vals []uint64, c *phaseClock, buildPart func(pkeys, pvals []uint64) []R) []R {
 	c.start(e.Name())
 	workers := e.workers()
@@ -147,14 +144,23 @@ func rxRun[R any](e *radixEngine, keys, vals []uint64, c *phaseClock, buildPart 
 		c.built()
 		return out
 	}
-	bits := chooseBits(len(keys), workers, estimateGroups(keys))
-	pt := radix.Partition(keys, vals, bits, workers)
-
-	parts := make(Result[R], pt.NumPartitions())
+	var vs [][]uint64
+	if vals != nil {
+		vs = [][]uint64{vals}
+	}
+	rows := ScatterRows([][]uint64{keys}, vs, chooseBits(len(keys), workers, estimateGroups(keys)), workers)
+	bits := rows.bits()
+	parts := make(Result[R], 1<<bits)
 	morsel.Parts(len(parts), workers, func(_, q int) {
-		if pk := pt.PartKeys(q); len(pk) > 0 {
-			parts[q] = buildPart(pk, pt.PartVals(q))
+		lo, hi := rows.span(q, bits)
+		if lo == hi {
+			return
 		}
+		var pv []uint64
+		if rows.Vals != nil {
+			pv = rows.Vals[lo:hi]
+		}
+		parts[q] = buildPart(rows.Keys[lo:hi], pv)
 	})
 	// build covers the radix scatter plus the per-partition table builds
 	// (and their row emission, which buildPart fuses); iterate is the
@@ -172,28 +178,12 @@ func (e *radixEngine) VectorCount(keys []uint64) []GroupCount {
 
 func (e *radixEngine) countQ1(keys []uint64, c *phaseClock) []GroupCount {
 	return rxRun(e, keys, nil, c, func(pkeys, _ []uint64) []GroupCount {
-		t := hashtbl.NewLinearProbe[uint64](sizeHint(len(pkeys)))
-		lpBuildCount(t, pkeys)
-		out := make([]GroupCount, 0, t.Len())
-		t.Iterate(func(k uint64, v *uint64) bool {
-			out = append(out, GroupCount{Key: k, Count: *v})
-			return true
-		})
-		return out
+		return e.lp.count(pkeys, nil)
 	})
 }
 
 func (e *radixEngine) VectorAvg(keys, vals []uint64) []GroupFloat {
-	return rxRun(e, keys, vals, &phaseClock{}, func(pkeys, pvals []uint64) []GroupFloat {
-		t := hashtbl.NewLinearProbe[avgState](sizeHint(len(pkeys)))
-		lpBuildAvg(t, pkeys, pvals)
-		out := make([]GroupFloat, 0, t.Len())
-		t.Iterate(func(k uint64, st *avgState) bool {
-			out = append(out, GroupFloat{Key: k, Value: st.avg()})
-			return true
-		})
-		return out
-	})
+	return rxRun(e, keys, vals, &phaseClock{}, e.lp.VectorAvg)
 }
 
 func (e *radixEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
@@ -209,42 +199,13 @@ func (e *radixEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
 // once, and the pool recycles them from partition to partition and from
 // query to query).
 func (e *radixEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
-	if e.alloc == AllocArena {
-		return rxRun(e, keys, vals, &phaseClock{}, func(pkeys, pvals []uint64) []GroupFloat {
-			ar := arenas.Get()
-			defer arenas.Put(ar)
-			t := hashtbl.NewLinearProbe[arena.List](sizeHint(len(pkeys)))
-			lpBuildArenaList(t, ar, pkeys, pvals)
-			return emitHolisticArena(t, ar, fn)
-		})
-	}
 	return rxRun(e, keys, vals, &phaseClock{}, func(pkeys, pvals []uint64) []GroupFloat {
-		t := hashtbl.NewLinearProbe[[]uint64](sizeHint(len(pkeys)))
-		lpBuildList(t, pkeys, pvals)
-		return emitHolistic(t, fn)
+		return e.lp.holistic(pkeys, pvals, fn, nil)
 	})
 }
 
 func (e *radixEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
 	return rxRun(e, keys, vals, &phaseClock{}, func(pkeys, pvals []uint64) []GroupUint {
-		t := hashtbl.NewLinearProbe[reduceState](sizeHint(len(pkeys)))
-		lpBuildReduce(t, pkeys, pvals, op)
-		out := make([]GroupUint, 0, t.Len())
-		t.Iterate(func(k uint64, st *reduceState) bool {
-			out = append(out, GroupUint{Key: k, Value: st.val})
-			return true
-		})
-		return out
+		return e.lp.reduce(pkeys, pvals, op, nil)
 	})
-}
-
-// ScalarMedian is unsupported, as for the other hash engines: partitions
-// are hash-ordered, not key-ordered.
-func (e *radixEngine) ScalarMedian([]uint64) (float64, error) {
-	return 0, ErrUnsupported
-}
-
-// VectorCountRange is unsupported: no native range search.
-func (e *radixEngine) VectorCountRange([]uint64, uint64, uint64) ([]GroupCount, error) {
-	return nil, ErrUnsupported
 }

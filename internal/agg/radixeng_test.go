@@ -140,8 +140,11 @@ func TestChooseBits(t *testing.T) {
 // TestCountPhases checks that every engine's phased Q1, at a size that
 // takes Hash_RX's partitioned path, returns the reference groups, marks
 // an iterate boundary, and returns exactly the readings its phase
-// histograms record over the call; and that Hash_RX's serial fallback
-// reports a fused run.
+// histograms record over the call; that Hash_RX's serial fallback
+// reports a fused run; and that a call moves no engine's phase series but
+// the called one's (for Adaptive, the routed engine's), so an engine that
+// builds through another's tables — Hash_RX's partitions, Hash_GLB's
+// serial fallback — does not tick that engine's histograms.
 func TestCountPhases(t *testing.T) {
 	if obs.Disabled() {
 		t.Fatal("timing instruments are disabled")
@@ -155,9 +158,15 @@ func TestCountPhases(t *testing.T) {
 		if a, ok := e.(*adaptiveEngine); ok {
 			series = a.choose(keys).Name()
 		}
+		all := PhaseStats()
 		before := phaseTotals(series)
 		rows, build, iterate, ok := CountPhases(e, keys)
 		after := phaseTotals(series)
+		for _, moved := range movedSeries(all, PhaseStats()) {
+			if moved.Engine != series {
+				t.Fatalf("%s: the call moved the %s/%s series, want only %s's", e.Name(), moved.Engine, moved.Phase, series)
+			}
+		}
 		want := refVectorCount(keys)
 		if len(rows) != len(want) {
 			t.Fatalf("%s: %d groups want %d", e.Name(), len(rows), len(want))
@@ -187,6 +196,7 @@ func TestCountPhases(t *testing.T) {
 	}
 	check(HashRX(4), keys[:rxSerialCutoff-1], false)
 	check(HashRX(1), keys, false)
+	check(HashGLB(2), keys[:glbSerialCutoff-1], true)
 
 	// With the timing instruments off, CountPhases still times, and
 	// records nothing.
@@ -211,6 +221,23 @@ func phaseTotals(engine string) map[string]int64 {
 		}
 	}
 	return m
+}
+
+// movedSeries returns the phase series of after whose count or total
+// differs from before (a series absent from before started at zero).
+func movedSeries(before, after []PhaseStat) []PhaseStat {
+	type id struct{ engine, phase string }
+	was := map[id]PhaseStat{}
+	for _, s := range before {
+		was[id{s.Engine, s.Phase}] = s
+	}
+	var moved []PhaseStat
+	for _, s := range after {
+		if w := was[id{s.Engine, s.Phase}]; s.Count != w.Count || s.TotalNanos != w.TotalNanos {
+			moved = append(moved, s)
+		}
+	}
+	return moved
 }
 
 func TestCountPhasesEmpty(t *testing.T) {

@@ -19,10 +19,13 @@ type Rows struct {
 }
 
 // ScatterRows scatters the rows of the column segments keys[i]/vals[i]
-// (each value segment as long as its key segment) into a run at fan-out
-// 2^bits, 1 <= bits <= MaxPartBits, with the Hash_RX partitioner
-// (radix.PartitionSegments) at the given workers. Within a partition the
-// rows keep their input order.
+// into a run at fan-out 2^bits, 1 <= bits <= MaxPartBits, with the radix
+// partitioner (radix.PartitionSegments) at the given workers. A value
+// segment shorter than its key segment, or missing, reads as zeros; a nil
+// vals scatters keys only and leaves the run's Vals nil. Within a
+// partition the rows keep their input order. It is the one scatter pass:
+// Hash_RX partitions a query's input with it, and the stream scatters
+// each run delta and each replayed WAL record with it.
 func ScatterRows(keys, vals [][]uint64, bits, workers int) *Rows {
 	pt := radix.PartitionSegments(keys, vals, bits, workers)
 	return &Rows{Keys: pt.Keys, Vals: pt.Vals, Bounds: pt.Bounds}

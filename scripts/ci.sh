@@ -105,17 +105,31 @@ if [ "$n" -gt 0 ]; then
 	echo "structural guard: $n non-test files outside internal/agg and internal/radix route by radix partition" >&2
 	exit 1
 fi
-# There is one scatter pass, the Hash_RX one (radix.Partition and its
-# segmented form): the Hash_RX engine calls it, and so does the run kernel
-# (internal/agg/rows.go, agg.ScatterRows), which scatters the rows of a
-# stream's run deltas and of each replayed WAL record. Table deltas route
-# rows by the hash their probe computes instead, with no scatter pass, so
-# no other file scatters.
-n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/radixeng.go' \
-	! -path './internal/agg/rows.go' ! -path './internal/radix/*' ! -path './.*/*' |
+# There is one scatter pass (radix.Partition and its segmented form), and
+# one caller of it: the run kernel (internal/agg/rows.go, agg.ScatterRows).
+# The Hash_RX engine partitions a query's input through it, and so does
+# the stream for the rows of its run deltas and of each replayed WAL
+# record. Table deltas route rows by the hash their probe computes
+# instead, with no scatter pass, so no other file scatters.
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/rows.go' \
+	! -path './internal/radix/*' ! -path './.*/*' |
 	xargs grep -lE 'radix\.Partition(Segments)?\(' | wc -l)
 if [ "$n" -gt 0 ]; then
-	echo "structural guard: $n non-test files outside the Hash_RX engine and the run kernel scatter with radix.Partition" >&2
+	echo "structural guard: $n non-test files outside the run kernel scatter with radix.Partition" >&2
+	exit 1
+fi
+
+# Structural guard — one table engine: the serial hash and tree backends
+# are one engine, and it, Hash_RX's partitions, Hash_PLAT's merged
+# partitions, Hash_GLB's serial fallback and the concurrent maps of
+# Hash_LC and Hash_TBBSC all read their tables out through one emit
+# helper per aggregate state, so at most one non-test file in
+# internal/agg walks an avg, reduce or value-list table group by group.
+# Hash_GLB's lane tables are read by slot index and do not match.
+n=$(find ./internal/agg -name '*.go' ! -name '*_test.go' |
+	xargs grep -lE 'func\(k uint64, [a-z]+ \*(avgState|reduceState|\[\]uint64|arena\.List)\) bool' | wc -l)
+if [ "$n" -gt 1 ]; then
+	echo "structural guard: $n non-test files in internal/agg emit an avg, reduce or value-list table, want at most 1" >&2
 	exit 1
 fi
 
@@ -207,8 +221,10 @@ pinned -race -run 'TestFold|TestFoldPartitionSets|TestFoldRunsInPlace|TestFoldSi
 # empty runs) is pinned by name; the three containers' own suites
 # (checkpoint, cview, cluster) run under -race below.
 pinned -race -run 'FuzzPartialWire|TestPartialWire|TestRunWriterRoundTrip' -count=1 -v ./internal/agg
-# CountPhases returns each engine's recorded phase split, aggbench -json's too.
-pinned -race -run 'TestCountPhases$' -count=1 -v ./internal/agg
+# CountPhases returns each engine's recorded phase split, aggbench -json's
+# too, and a query moves only its own engine's phase series; Hash_PLAT
+# answers every group when it has fewer rows than workers.
+pinned -race -run 'TestCountPhases$|TestPLATFewerRowsThanWorkers$' -count=1 -v ./internal/agg
 pinned -run 'TestRunJSON$' -count=1 -v ./internal/harness
 
 # The global shared-table engine's whole correctness story is concurrent:
