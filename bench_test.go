@@ -552,7 +552,7 @@ func BenchmarkHolisticAlloc(b *testing.B) {
 	for _, card := range []int{1 << 10, 1 << 14, 1 << 17} {
 		keys := dataset.Spec{Kind: dataset.RseqShf, N: benchQueryN, Cardinality: card, Seed: benchSeed}.Keys()
 		for _, al := range agg.Allocators() {
-			e := agg.AsReducer(agg.WithAllocator(agg.HashLP(), al))
+			e := agg.WithAllocator(agg.HashLP(), al)
 			b.Run(fmt.Sprintf("card%d/%s", card, al), func(b *testing.B) {
 				b.ReportAllocs()
 				e.VectorHolistic(keys, vals, agg.MedianFunc)

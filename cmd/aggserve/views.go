@@ -12,7 +12,7 @@ import (
 // Continuous-view CRUD and reads:
 //
 //	GET    /v1/views               list registered views
-//	POST   /v1/views               register a view (JSON spec below)
+//	POST   /v1/views               register a view (a memagg.ViewSpec in JSON)
 //	GET    /v1/views/{name}        one view's description
 //	DELETE /v1/views/{name}        drop a view
 //	GET    /v1/views/{name}/result evaluate the view's standing query
@@ -22,49 +22,28 @@ import (
 // absorbed a seal since its last read gets a 304 without any merge work,
 // and the server answers a repeated read from its body cache.
 
-// viewRequest is the POST /v1/views body: the ViewSpec fields in the
-// /v1/query parameter spellings.
-type viewRequest struct {
-	Name     string  `json:"name"`
-	Query    string  `json:"query"`
-	P        float64 `json:"p,omitempty"`
-	Lo       uint64  `json:"lo,omitempty"`
-	Hi       uint64  `json:"hi,omitempty"`
-	PaneRows uint64  `json:"pane_rows"`
-	Panes    int     `json:"panes"`
-	Sliding  bool    `json:"sliding,omitempty"`
-}
-
 func (srv *server) handleViews(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		writeJSON(w, map[string]any{"views": srv.stream.Views()})
 	case http.MethodPost:
-		var req viewRequest
-		if !decodeJSON(w, r, &req) {
+		var spec memagg.ViewSpec
+		if !decodeJSON(w, r, &spec) {
 			return
 		}
-		err := srv.stream.RegisterView(memagg.ViewSpec{
-			Name:     req.Name,
-			Query:    req.Query,
-			P:        req.P,
-			Lo:       req.Lo,
-			Hi:       req.Hi,
-			PaneRows: req.PaneRows,
-			Panes:    req.Panes,
-			Sliding:  req.Sliding,
-		})
-		if err != nil {
+		if err := srv.stream.RegisterView(spec); err != nil {
 			httpError(w, viewStatus(err), err.Error())
 			return
 		}
-		info, err := srv.stream.ViewStatus(req.Name)
+		info, err := srv.stream.ViewStatus(spec.Name)
 		if err != nil {
 			// Registered but dropped by a concurrent DELETE before the
 			// readback — report what the register call achieved.
 			httpError(w, http.StatusConflict, err.Error())
 			return
 		}
+		// Headers set after WriteHeader are not sent: set the type first.
+		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusCreated)
 		writeJSON(w, info)
 	default:

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"memagg"
@@ -78,6 +80,109 @@ func TestViewCRUD(t *testing.T) {
 	}
 	if w = do(t, srv, http.MethodGet, "/v1/views/top/result", ""); w.Code != http.StatusNotFound {
 		t.Fatalf("result after delete = %d, want 404: %s", w.Code, w.Body)
+	}
+}
+
+// TestViewRegisterContentType: the 201 answering POST /v1/views carries
+// Content-Type application/json. The header is read from the response as
+// sent (Result), not from the recorder's live header map, which also
+// shows headers set after WriteHeader that never reach the client.
+func TestViewRegisterContentType(t *testing.T) {
+	srv, _ := newTestServer(t)
+	w := do(t, srv, http.MethodPost, "/v1/views", `{"name":"c","query":"q1","pane_rows":8,"panes":1}`)
+	if w.Code != http.StatusCreated {
+		t.Fatalf("register = %d: %s", w.Code, w.Body)
+	}
+	if ct := w.Result().Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("register Content-Type = %q, want application/json", ct)
+	}
+}
+
+// objectKeys returns the keys of the JSON object dec reads next, in wire
+// order.
+func objectKeys(t *testing.T, dec *json.Decoder) []string {
+	t.Helper()
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := dec.Token(); err != nil { // }
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// TestViewKeysPinned: a view description's keys and their order are wire
+// format, the same in the POST /v1/views answer, the GET /v1/views list
+// and GET /v1/views/{name}, and the registration identity stays off the
+// wire. The quantile's p and the range's lo/hi reach the registered query
+// through the POST body's spellings.
+func TestViewKeysPinned(t *testing.T) {
+	srv, _ := newTestServer(t)
+	want := []string{
+		"name", "query", "pane_rows", "panes", "sliding",
+		"start_watermark", "watermark", "panes_live", "panes_evicted",
+		"version", "truncated",
+	}
+	queries := map[string]string{"p90": "quantile(0.9)", "span": "q7[2,5]"}
+	for _, body := range []string{
+		`{"name":"p90","query":"quantile","p":0.9,"pane_rows":8,"panes":2,"sliding":true}`,
+		`{"name":"span","query":"q7","lo":2,"hi":5,"pane_rows":8,"panes":2}`,
+	} {
+		w := do(t, srv, http.MethodPost, "/v1/views", body)
+		if w.Code != http.StatusCreated {
+			t.Fatalf("register %s = %d: %s", body, w.Code, w.Body)
+		}
+		if keys := objectKeys(t, json.NewDecoder(w.Body)); !reflect.DeepEqual(keys, want) {
+			t.Fatalf("POST /v1/views keys =\n%v\nwant\n%v", keys, want)
+		}
+	}
+
+	list := do(t, srv, http.MethodGet, "/v1/views", "").Body.Bytes()
+	var views struct {
+		Views []json.RawMessage `json:"views"`
+	}
+	if err := json.Unmarshal(list, &views); err != nil {
+		t.Fatal(err)
+	}
+	if len(views.Views) != len(queries) {
+		t.Fatalf("GET /v1/views lists %d views, want %d: %s", len(views.Views), len(queries), list)
+	}
+	for _, raw := range views.Views {
+		if keys := objectKeys(t, json.NewDecoder(bytes.NewReader(raw))); !reflect.DeepEqual(keys, want) {
+			t.Fatalf("GET /v1/views keys =\n%v\nwant\n%v", keys, want)
+		}
+	}
+
+	for name, query := range queries {
+		w := do(t, srv, http.MethodGet, "/v1/views/"+name, "")
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET /v1/views/%s = %d: %s", name, w.Code, w.Body)
+		}
+		body := w.Body.Bytes()
+		if keys := objectKeys(t, json.NewDecoder(bytes.NewReader(body))); !reflect.DeepEqual(keys, want) {
+			t.Fatalf("GET /v1/views/%s keys =\n%v\nwant\n%v", name, keys, want)
+		}
+		var info struct {
+			Query string `json:"query"`
+		}
+		if err := json.Unmarshal(body, &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Query != query {
+			t.Fatalf("view %s query = %q, want %q", name, info.Query, query)
+		}
 	}
 }
 

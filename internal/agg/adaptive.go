@@ -86,11 +86,11 @@ func (e *adaptiveEngine) VectorMedian(keys, vals []uint64) []GroupFloat {
 }
 
 func (e *adaptiveEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
-	return AsReducer(e.choose(keys)).VectorReduce(keys, vals, op)
+	return e.choose(keys).VectorReduce(keys, vals, op)
 }
 
 func (e *adaptiveEngine) VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat {
-	return AsReducer(e.sort).VectorHolistic(keys, vals, fn)
+	return e.sort.VectorHolistic(keys, vals, fn)
 }
 
 func (e *adaptiveEngine) ScalarMedian(keys []uint64) (float64, error) {

@@ -32,8 +32,8 @@ func TestQ3AllocBudget(t *testing.T) {
 	keys := dataset.Spec{Kind: dataset.RseqShf, N: n, Cardinality: card, Seed: 7}.Keys()
 	vals := dataset.Values(n, 7)
 
-	arenaEng := AsReducer(WithAllocator(HashLP(), AllocArena))
-	goEng := AsReducer(HashLP())
+	arenaEng := WithAllocator(HashLP(), AllocArena)
+	goEng := HashLP()
 	arenaEng.VectorHolistic(keys, vals, MedianFunc) // warm the pools
 
 	arenaAllocs := testing.AllocsPerRun(3, func() {

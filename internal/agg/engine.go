@@ -84,6 +84,13 @@ type Engine interface {
 	ScalarMedian(keys []uint64) (float64, error)
 	// VectorCountRange executes Q7: Q1 restricted to lo <= key <= hi.
 	VectorCountRange(keys []uint64, lo, hi uint64) ([]GroupCount, error)
+
+	// VectorReduce executes SELECT key, op(val) ... GROUP BY key for a
+	// distributive op.
+	VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint
+	// VectorHolistic executes SELECT key, fn(vals of group) ... GROUP BY
+	// key for a holistic fn; VectorMedian is its Q3 instance.
+	VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat
 }
 
 // ScalarCount executes Q4: SELECT COUNT(col) FROM input. The paper notes it

@@ -72,16 +72,16 @@ func TestHolisticEquivalentAcrossAllocators(t *testing.T) {
 		keys := spec.Keys()
 		vals := dataset.Values(len(keys), spec.Seed)
 		ref := HashLP()
-		wantMed := sortedQF(AsReducer(ref).VectorHolistic(keys, vals, MedianFunc))
-		wantQ90 := sortedQF(AsReducer(ref).VectorHolistic(keys, vals, q90))
+		wantMed := sortedQF(ref.VectorHolistic(keys, vals, MedianFunc))
+		wantQ90 := sortedQF(ref.VectorHolistic(keys, vals, q90))
 		for _, base := range []Engine{HashLP(), HashSC(), HashSparse(), HashDense(),
 			ART(), Judy(), Btree(), Introsort(), Spreadsort(), HashRX(4), HashGLB(4), Adaptive()} {
 			for _, al := range Allocators() {
 				e := WithAllocator(base, al)
 				for round := 0; round < 2; round++ { // twice: exercise pool reuse
-					gotMed := sortedQF(AsReducer(e).VectorHolistic(keys, vals, MedianFunc))
+					gotMed := sortedQF(e.VectorHolistic(keys, vals, MedianFunc))
 					checkQF(t, e.Name()+"/"+al.String()+"/median", spec, gotMed, wantMed)
-					gotQ90 := sortedQF(AsReducer(e).VectorHolistic(keys, vals, q90))
+					gotQ90 := sortedQF(e.VectorHolistic(keys, vals, q90))
 					checkQF(t, e.Name()+"/"+al.String()+"/q90", spec, gotQ90, wantQ90)
 				}
 			}

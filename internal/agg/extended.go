@@ -87,22 +87,6 @@ func valueAt(vals []uint64, i int) uint64 {
 	return 0
 }
 
-// Reducer is implemented by every Engine in this package; it is split from
-// Engine so the original paper surface stays recognizable. Use
-// AsReducer to access it.
-type Reducer interface {
-	// VectorReduce executes SELECT key, op(val) ... GROUP BY key for a
-	// distributive op.
-	VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint
-	// VectorHolistic executes SELECT key, fn(vals of group) ... GROUP BY
-	// key for a holistic fn.
-	VectorHolistic(keys, vals []uint64, fn HolisticFunc) []GroupFloat
-}
-
-// AsReducer exposes the generalized operators of an engine created by this
-// package.
-func AsReducer(e Engine) Reducer { return e.(Reducer) }
-
 // --- sort engine ---------------------------------------------------------------
 
 func (e *sortEngine) VectorReduce(keys, vals []uint64, op ReduceOp) []GroupUint {
@@ -276,15 +260,3 @@ func ModeFunc(values []uint64) float64 {
 // MedianFunc is the HolisticFunc computing each group's median; it matches
 // VectorMedian exactly.
 func MedianFunc(values []uint64) float64 { return Median(values) }
-
-// compile-time checks: every engine implements Reducer.
-var (
-	_ Reducer = (*sortEngine)(nil)
-	_ Reducer = (*tableEngine)(nil)
-	_ Reducer = (*cuckooEngine)(nil)
-	_ Reducer = (*tbbEngine)(nil)
-	_ Reducer = (*platEngine)(nil)
-	_ Reducer = (*radixEngine)(nil)
-	_ Reducer = (*globalEngine)(nil)
-	_ Reducer = (*adaptiveEngine)(nil)
-)

@@ -9,8 +9,7 @@ import (
 	"memagg/internal/dataset"
 )
 
-// reducerEngines is every engine that implements the generalized surface,
-// including the two extension engines.
+// reducerEngines is every engine, including the two extension engines.
 func reducerEngines() []Engine {
 	es := allEngines()
 	es = append(es, HashPLAT(4), Adaptive())
@@ -57,7 +56,7 @@ func TestVectorReduceAllOpsAllEngines(t *testing.T) {
 		for _, op := range []ReduceOp{OpCount, OpSum, OpMin, OpMax} {
 			want := refReduce(keys, vals, op)
 			for _, e := range reducerEngines() {
-				got := AsReducer(e).VectorReduce(keys, vals, op)
+				got := e.VectorReduce(keys, vals, op)
 				if len(got) != len(want) {
 					t.Fatalf("%d rows %s/%s: %d groups want %d", len(keys), e.Name(), op, len(got), len(want))
 				}
@@ -79,7 +78,7 @@ func TestVectorReduceCountMatchesVectorCount(t *testing.T) {
 		for _, g := range e.VectorCount(keys) {
 			counts[g.Key] = g.Count
 		}
-		for _, g := range AsReducer(e).VectorReduce(keys, nil, OpCount) {
+		for _, g := range e.VectorReduce(keys, nil, OpCount) {
 			if counts[g.Key] != g.Value {
 				t.Fatalf("%s: VectorReduce(COUNT) disagrees with VectorCount at key %d",
 					e.Name(), g.Key)
@@ -94,8 +93,7 @@ func TestVectorHolisticQuantileAndMode(t *testing.T) {
 		wantQ := refHolistic(keys, vals, QuantileFunc(0.9))
 		wantM := refHolistic(keys, vals, ModeFunc)
 		for _, e := range reducerEngines() {
-			r := AsReducer(e)
-			gotQ := r.VectorHolistic(keys, vals, QuantileFunc(0.9))
+			gotQ := e.VectorHolistic(keys, vals, QuantileFunc(0.9))
 			if len(gotQ) != len(wantQ) {
 				t.Fatalf("%d rows %s: p90 of %d groups want %d", len(keys), e.Name(), len(gotQ), len(wantQ))
 			}
@@ -104,7 +102,7 @@ func TestVectorHolisticQuantileAndMode(t *testing.T) {
 					t.Fatalf("%d rows %s: p90 of key %d = %v want %v", len(keys), e.Name(), g.Key, g.Value, wantQ[g.Key])
 				}
 			}
-			for _, g := range r.VectorHolistic(keys, vals, ModeFunc) {
+			for _, g := range e.VectorHolistic(keys, vals, ModeFunc) {
 				if g.Value != wantM[g.Key] {
 					t.Fatalf("%d rows %s: mode of key %d = %v want %v", len(keys), e.Name(), g.Key, g.Value, wantM[g.Key])
 				}
@@ -133,7 +131,7 @@ func TestVectorHolisticMedianMatchesVectorMedian(t *testing.T) {
 		for _, g := range e.VectorMedian(keys, vals) {
 			want[g.Key] = g.Value
 		}
-		for _, g := range AsReducer(e).VectorHolistic(keys, vals, MedianFunc) {
+		for _, g := range e.VectorHolistic(keys, vals, MedianFunc) {
 			if want[g.Key] != g.Value {
 				t.Fatalf("%s: holistic median disagrees at key %d", e.Name(), g.Key)
 			}
@@ -143,10 +141,10 @@ func TestVectorHolisticMedianMatchesVectorMedian(t *testing.T) {
 
 func TestReduceEmptyInput(t *testing.T) {
 	for _, e := range reducerEngines() {
-		if got := AsReducer(e).VectorReduce(nil, nil, OpSum); len(got) != 0 {
+		if got := e.VectorReduce(nil, nil, OpSum); len(got) != 0 {
 			t.Fatalf("%s: reduce on empty = %v", e.Name(), got)
 		}
-		if got := AsReducer(e).VectorHolistic(nil, nil, MedianFunc); len(got) != 0 {
+		if got := e.VectorHolistic(nil, nil, MedianFunc); len(got) != 0 {
 			t.Fatalf("%s: holistic on empty = %v", e.Name(), got)
 		}
 	}
@@ -277,7 +275,7 @@ func TestPLATFewerRowsThanWorkers(t *testing.T) {
 			}
 			for _, op := range []ReduceOp{OpCount, OpSum, OpMin, OpMax} {
 				want := refReduce(keys, vals, op)
-				got := AsReducer(e).VectorReduce(keys, vals, op)
+				got := e.VectorReduce(keys, vals, op)
 				checkRows(t, name+" "+op.String(), len(got), len(want))
 				for _, g := range got {
 					if g.Value != want[g.Key] {
@@ -286,7 +284,7 @@ func TestPLATFewerRowsThanWorkers(t *testing.T) {
 				}
 			}
 			wantH := refHolistic(keys, vals, ModeFunc)
-			gotH := AsReducer(e).VectorHolistic(keys, vals, ModeFunc)
+			gotH := e.VectorHolistic(keys, vals, ModeFunc)
 			checkRows(t, name+" mode", len(gotH), len(wantH))
 			for _, g := range gotH {
 				if g.Value != wantH[g.Key] {

@@ -33,8 +33,8 @@ func TestGLBAllocBudget(t *testing.T) {
 	keys := dataset.Spec{Kind: dataset.RseqShf, N: n, Cardinality: card, Seed: 7}.Keys()
 	vals := dataset.Values(n, 7)
 
-	arenaEng := AsReducer(WithAllocator(HashGLB(4), AllocArena))
-	goEng := AsReducer(HashGLB(4))
+	arenaEng := WithAllocator(HashGLB(4), AllocArena)
+	goEng := HashGLB(4)
 	arenaEng.VectorHolistic(keys, vals, MedianFunc) // warm the pools
 
 	arenaAllocs := testing.AllocsPerRun(3, func() {

@@ -29,8 +29,8 @@ func TestGLBParallelReduceMatchesSerial(t *testing.T) {
 	for _, spec := range glbParallelSpecs() {
 		keys := spec.Keys()
 		vals := dataset.Values(len(keys), spec.Seed)
-		par := AsReducer(HashGLB(8))
-		ser := AsReducer(HashGLB(1)) // workers()==1 forces the serial fallback
+		par := HashGLB(8)
+		ser := HashGLB(1) // workers()==1 forces the serial fallback
 		for _, op := range []ReduceOp{OpCount, OpSum, OpMin, OpMax} {
 			want := refReduce(keys, vals, op)
 			got := par.VectorReduce(keys, vals, op)
@@ -68,7 +68,7 @@ func TestGLBParallelShortValsAndZeroKey(t *testing.T) {
 		keys[i] = uint64(i % 97) // includes key 0
 	}
 	vals := dataset.Values(n/2, 11) // half the column missing
-	par := AsReducer(HashGLB(8))
+	par := HashGLB(8)
 	for _, op := range []ReduceOp{OpSum, OpMin, OpMax} {
 		want := refReduce(keys, vals, op)
 		got := par.VectorReduce(keys, vals, op)

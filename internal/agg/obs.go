@@ -152,9 +152,9 @@ type PhaseStat struct {
 
 // PhaseStats returns every recorded engine×phase series, in first-use
 // order. Phases that never ran (e.g. merge on a serial engine) report a
-// zero Count.
+// zero Count. The slice is non-nil even before any engine has run.
 func PhaseStats() []PhaseStat {
-	var out []PhaseStat
+	out := []PhaseStat{}
 	enginePhaseSeconds.Each(func(labels []string, h *obs.Histogram) {
 		out = append(out, PhaseStat{
 			Engine:     labels[0],

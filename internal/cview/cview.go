@@ -315,16 +315,39 @@ func (r *Registry) Staleness(ingested uint64) uint64 {
 	return max
 }
 
-// Info is a point-in-time description of one view.
+// Info is a point-in-time description of one view: its spec, with the
+// query in its canonical spelling (parameters included), and its window
+// state. Its JSON encoding is the /v1/views description body, so field
+// names, tags and order are wire format.
 type Info struct {
-	Spec           Spec
-	Registration   uint64 // identity of this Register call: a re-registered name gets a new one
-	StartWatermark uint64 // registration watermark: rows at or below stay out
-	Watermark      uint64 // last absorbed seal watermark
-	PanesLive      int
-	PanesEvicted   uint64
-	Version        uint64 // bumps on every fold and eviction
-	Truncated      bool   // window currently overlaps a replay gap
+	Name     string `json:"name"`
+	Query    string `json:"query"`
+	PaneRows uint64 `json:"pane_rows"`
+	Panes    int    `json:"panes"`
+	Sliding  bool   `json:"sliding"`
+
+	// StartWatermark is the registration watermark: rows sealed at or
+	// below it stay out of every window. Watermark is the last seal the
+	// view absorbed.
+	StartWatermark uint64 `json:"start_watermark"`
+	Watermark      uint64 `json:"watermark"`
+
+	PanesLive    int    `json:"panes_live"`
+	PanesEvicted uint64 `json:"panes_evicted"`
+
+	// Version bumps on every pane fold and eviction; with Watermark it
+	// keys HTTP ETags.
+	Version uint64 `json:"version"`
+
+	// Registration identifies this registration of the name: a view
+	// dropped and registered again gets a new one, also across restarts.
+	// It keys HTTP ETags beside Version and Watermark.
+	Registration uint64 `json:"-"`
+
+	// Truncated reports the window currently overlaps rows a restart
+	// could not replay (the WAL was truncated past the view's saved
+	// panes); it clears once the window slides past the gap.
+	Truncated bool `json:"truncated"`
 }
 
 // Info returns one view's description.
@@ -350,7 +373,7 @@ func (r *Registry) Infos() []Info {
 	for i, v := range views {
 		out[i] = v.info()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -532,7 +555,11 @@ func (v *View) info() Info {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return Info{
-		Spec:           v.spec,
+		Name:           v.spec.Name,
+		Query:          v.spec.Query.String(),
+		PaneRows:       v.spec.PaneRows,
+		Panes:          v.spec.Panes,
+		Sliding:        v.spec.Sliding,
 		Registration:   v.reg,
 		StartWatermark: v.startWM,
 		Watermark:      v.lastWM,

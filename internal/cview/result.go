@@ -3,31 +3,33 @@ package cview
 import "memagg/internal/agg"
 
 // Result is one evaluation of a view's standing query over its current
-// window. Every read builds a fresh Result; the caller owns it.
+// window. Every read builds a fresh Result; the caller owns it. Its JSON
+// encoding is the /v1/views/{name}/result body, so field names, tags and
+// order are wire format.
 type Result struct {
-	Name  string
-	Query agg.Query
+	Name  string `json:"name"`
+	Query string `json:"query"` // canonical spelling, parameters included
 
-	// WindowStart is the window's exclusive lower watermark bound and
-	// WindowEnd its inclusive upper one: the result covers exactly the
-	// rows whose visibility watermark lies in (WindowStart, WindowEnd].
-	WindowStart uint64
-	WindowEnd   uint64
+	// The result covers exactly the rows whose visibility watermark lies
+	// in (WindowStart, WindowEnd]: WindowStart is the window's exclusive
+	// lower bound, WindowEnd its inclusive upper one.
+	WindowStart uint64 `json:"window_start"`
+	WindowEnd   uint64 `json:"window_end"`
 
-	PanesLive int
-	Rows      uint64
-	Groups    int
-	Version   uint64
+	PanesLive int    `json:"panes_live"`
+	Rows      uint64 `json:"rows"`
+	Groups    int    `json:"groups"`
+	Version   uint64 `json:"version"`
 
 	// Truncated reports the window overlaps a stretch of rows recovery
 	// could not replay (see View gap tracking): the result is exact over
 	// the rows that survived, but short of the full window.
-	Truncated bool
+	Truncated bool `json:"truncated"`
 
 	// Value is the query result: []agg.GroupCount (q1, q7),
 	// []agg.GroupFloat (q2, q3, quantile, mode), []agg.GroupUint
 	// (sum/min/max), uint64 (q4), or float64 (q5, q6).
-	Value any
+	Value any `json:"value"`
 }
 
 // compute evaluates the view's query over its live panes: fold the pane
@@ -42,7 +44,7 @@ func (v *View) compute(r *Registry) *Result {
 	v.settleAll(r)
 	res := &Result{
 		Name:        v.spec.Name,
-		Query:       v.spec.Query,
+		Query:       v.spec.Query.String(),
 		WindowStart: v.windowStart(),
 		WindowEnd:   v.lastWM,
 		PanesLive:   len(v.panes),

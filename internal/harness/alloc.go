@@ -63,7 +63,7 @@ func ExtAlloc(cfg Config) error {
 		for _, me := range engines {
 			for _, al := range agg.Allocators() {
 				e := agg.WithAllocator(me.mk(), al)
-				cell("Q3", card, keys, e, func() { agg.AsReducer(e).VectorHolistic(keys, vals, agg.MedianFunc) })
+				cell("Q3", card, keys, e, func() { e.VectorHolistic(keys, vals, agg.MedianFunc) })
 			}
 		}
 	}

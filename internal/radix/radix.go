@@ -40,25 +40,8 @@ const MaxBits = 12
 type Partitioned struct {
 	Keys   []uint64
 	Vals   []uint64 // nil when no value column was supplied
-	Bounds []int    // len NumPartitions()+1, ascending, Bounds[0] == 0
+	Bounds []int    // len 2^Bits+1, ascending, Bounds[0] == 0
 	Bits   int
-}
-
-// NumPartitions returns the fan-out P = 2^Bits.
-func (pt *Partitioned) NumPartitions() int { return len(pt.Bounds) - 1 }
-
-// PartKeys returns partition p's key column.
-func (pt *Partitioned) PartKeys(p int) []uint64 {
-	return pt.Keys[pt.Bounds[p]:pt.Bounds[p+1]]
-}
-
-// PartVals returns partition p's value column, or nil when the input had
-// no value column.
-func (pt *Partitioned) PartVals(p int) []uint64 {
-	if pt.Vals == nil {
-		return nil
-	}
-	return pt.Vals[pt.Bounds[p]:pt.Bounds[p+1]]
 }
 
 // PartitionIndex returns the partition a key belongs to under the given
@@ -69,30 +52,19 @@ func PartitionIndex(key uint64, bits int) int {
 	return int(hashtbl.Mix(key) >> (64 - uint(bits)))
 }
 
-// Partition scatters keys (and, when vals is non-nil, the paired values)
-// into 2^bits partitions using the given number of workers. vals may be
-// shorter than keys; missing values are treated as zero, matching the
-// aggregation operators. bits is clamped to [1, MaxBits]; workers <= 1
-// runs the scatter serially (still through the write-combining buffers, so
-// the memory behaviour is identical).
+// PartitionSegments scatters the concatenation of the key segments
+// keys[0], keys[1], ... (and, when vals is non-nil, the paired values)
+// into 2^bits partitions using the given number of workers: a column that
+// arrived in pieces is scattered without first being copied into one.
+// When vals is non-nil it holds one value segment per key segment; a
+// short or missing value segment reads as zeros, matching the aggregation
+// operators. bits is clamped to [1, MaxBits]; workers <= 1 runs the
+// scatter serially (still through the write-combining buffers, so the
+// memory behaviour is identical).
 //
 // The pass is deterministic for fixed inputs and worker count: worker w
-// scatters the w-th contiguous input chunk, and within a partition tuples
-// appear in chunk order.
-func Partition(keys, vals []uint64, bits, workers int) *Partitioned {
-	var vs [][]uint64
-	if vals != nil {
-		vs = [][]uint64{vals}
-	}
-	return PartitionSegments([][]uint64{keys}, vs, bits, workers)
-}
-
-// PartitionSegments is Partition over the concatenation of the key
-// segments keys[0], keys[1], ...: a column that arrived in pieces is
-// scattered without first being copied into one. When vals is non-nil it
-// holds one value segment per key segment, each paired with its key
-// segment like Partition's vals (a short or missing segment reads as
-// zeros).
+// scatters the w-th contiguous chunk of the concatenated input, and
+// within a partition tuples appear in chunk order.
 func PartitionSegments(keys, vals [][]uint64, bits, workers int) *Partitioned {
 	if bits < 1 {
 		bits = 1
@@ -204,7 +176,7 @@ type combiner struct {
 }
 
 func newCombiner(pt *Partitioned, cur []int) *combiner {
-	p := pt.NumPartitions()
+	p := len(pt.Bounds) - 1
 	c := &combiner{pt: pt, bufK: make([]uint64, p*wcEntries), fill: make([]uint8, p), cur: cur}
 	if pt.Vals != nil {
 		c.bufV = make([]uint64, p*wcEntries)

@@ -14,9 +14,9 @@ import (
 func checkPartitioned(t *testing.T, pt *Partitioned, keys, vals []uint64) {
 	t.Helper()
 	n := len(keys)
-	p := pt.NumPartitions()
+	p := len(pt.Bounds) - 1
 	if p != 1<<uint(pt.Bits) {
-		t.Fatalf("NumPartitions = %d want %d", p, 1<<uint(pt.Bits))
+		t.Fatalf("%d partitions want %d", p, 1<<uint(pt.Bits))
 	}
 	if pt.Bounds[0] != 0 || pt.Bounds[p] != n {
 		t.Fatalf("bounds cover [%d, %d) want [0, %d)", pt.Bounds[0], pt.Bounds[p], n)
@@ -25,11 +25,10 @@ func checkPartitioned(t *testing.T, pt *Partitioned, keys, vals []uint64) {
 		if pt.Bounds[q] > pt.Bounds[q+1] {
 			t.Fatalf("bounds not monotone at %d: %d > %d", q, pt.Bounds[q], pt.Bounds[q+1])
 		}
-		for i, k := range pt.PartKeys(q) {
+		for _, k := range partKeys(pt, q) {
 			if got := PartitionIndex(k, pt.Bits); got != q {
 				t.Fatalf("key %d in partition %d, hashes to %d", k, q, got)
 			}
-			_ = i
 		}
 	}
 
@@ -46,7 +45,7 @@ func checkPartitioned(t *testing.T, pt *Partitioned, keys, vals []uint64) {
 	}
 	got := map[kv]int{}
 	for q := 0; q < p; q++ {
-		pk, pv := pt.PartKeys(q), pt.PartVals(q)
+		pk, pv := partKeys(pt, q), partVals(pt, q)
 		for i, k := range pk {
 			var v uint64
 			if pv != nil {
@@ -65,12 +64,34 @@ func checkPartitioned(t *testing.T, pt *Partitioned, keys, vals []uint64) {
 	}
 }
 
+// partition scatters one unsegmented column: a one-segment
+// PartitionSegments call, with a nil vals kept nil (keys only).
+func partition(keys, vals []uint64, bits, workers int) *Partitioned {
+	var vs [][]uint64
+	if vals != nil {
+		vs = [][]uint64{vals}
+	}
+	return PartitionSegments([][]uint64{keys}, vs, bits, workers)
+}
+
+// partKeys returns partition q's key column.
+func partKeys(pt *Partitioned, q int) []uint64 { return pt.Keys[pt.Bounds[q]:pt.Bounds[q+1]] }
+
+// partVals returns partition q's value column, or nil when the pass had
+// no value column.
+func partVals(pt *Partitioned, q int) []uint64 {
+	if pt.Vals == nil {
+		return nil
+	}
+	return pt.Vals[pt.Bounds[q]:pt.Bounds[q+1]]
+}
+
 func TestPartitionKeysAndValues(t *testing.T) {
 	keys := dataset.Spec{Kind: dataset.Zipf, N: 50000, Cardinality: 3000, Seed: 11}.Keys()
 	vals := dataset.Values(len(keys), 11)
 	for _, bits := range []int{1, 4, 7, MaxBits} {
 		for _, workers := range []int{1, 2, 3, 8} {
-			pt := Partition(keys, vals, bits, workers)
+			pt := partition(keys, vals, bits, workers)
 			if pt.Bits != bits {
 				t.Fatalf("bits=%d workers=%d: got Bits=%d", bits, workers, pt.Bits)
 			}
@@ -81,13 +102,13 @@ func TestPartitionKeysAndValues(t *testing.T) {
 
 func TestPartitionKeysOnly(t *testing.T) {
 	keys := dataset.Spec{Kind: dataset.RseqShf, N: 20000, Cardinality: 5000, Seed: 3}.Keys()
-	pt := Partition(keys, nil, 6, 4)
+	pt := partition(keys, nil, 6, 4)
 	if pt.Vals != nil {
 		t.Fatal("keys-only partitioning allocated a value column")
 	}
 	checkPartitioned(t, pt, keys, nil)
-	for q := 0; q < pt.NumPartitions(); q++ {
-		if pt.PartVals(q) != nil {
+	for q := 0; q < len(pt.Bounds)-1; q++ {
+		if partVals(pt, q) != nil {
 			t.Fatalf("partition %d has non-nil vals", q)
 		}
 	}
@@ -96,7 +117,7 @@ func TestPartitionKeysOnly(t *testing.T) {
 func TestPartitionShortValueColumn(t *testing.T) {
 	keys := dataset.Random(10000, 1, 500, 7)
 	vals := dataset.Values(4000, 7) // shorter than keys: rest aggregate as 0
-	pt := Partition(keys, vals, 5, 3)
+	pt := partition(keys, vals, 5, 3)
 	checkPartitioned(t, pt, keys, vals)
 }
 
@@ -112,7 +133,7 @@ func TestPartitionWriteCombiningEdges(t *testing.T) {
 			vals[i] = uint64(i)
 		}
 		for _, workers := range []int{1, 4} {
-			pt := Partition(keys, vals, 4, workers)
+			pt := partition(keys, vals, 4, workers)
 			checkPartitioned(t, pt, keys, vals)
 		}
 	}
@@ -123,8 +144,8 @@ func TestPartitionWriteCombiningEdges(t *testing.T) {
 func TestPartitionDeterministic(t *testing.T) {
 	keys := dataset.Spec{Kind: dataset.Hhit, N: 30000, Cardinality: 1000, Seed: 5}.Keys()
 	vals := dataset.Values(len(keys), 5)
-	a := Partition(keys, vals, 8, 4)
-	b := Partition(keys, vals, 8, 4)
+	a := partition(keys, vals, 8, 4)
+	b := partition(keys, vals, 8, 4)
 	for i := range a.Keys {
 		if a.Keys[i] != b.Keys[i] || a.Vals[i] != b.Vals[i] {
 			t.Fatalf("non-deterministic scatter at %d", i)
@@ -134,10 +155,10 @@ func TestPartitionDeterministic(t *testing.T) {
 
 func TestPartitionBitsClamped(t *testing.T) {
 	keys := dataset.Random(1000, 1, 100, 1)
-	if pt := Partition(keys, nil, 0, 2); pt.Bits != 1 {
+	if pt := partition(keys, nil, 0, 2); pt.Bits != 1 {
 		t.Fatalf("bits=0 clamped to %d want 1", pt.Bits)
 	}
-	if pt := Partition(keys, nil, 40, 2); pt.Bits != MaxBits {
+	if pt := partition(keys, nil, 40, 2); pt.Bits != MaxBits {
 		t.Fatalf("bits=40 clamped to %d want %d", pt.Bits, MaxBits)
 	}
 }
@@ -147,10 +168,10 @@ func TestPartitionInputNotMutated(t *testing.T) {
 	vals := dataset.Values(len(keys), 9)
 	kcopy := append([]uint64(nil), keys...)
 	vcopy := append([]uint64(nil), vals...)
-	Partition(keys, vals, 6, 4)
+	partition(keys, vals, 6, 4)
 	for i := range keys {
 		if keys[i] != kcopy[i] || vals[i] != vcopy[i] {
-			t.Fatal("Partition mutated its input")
+			t.Fatal("PartitionSegments mutated its input")
 		}
 	}
 }
@@ -172,7 +193,7 @@ func TestPartitionSegments(t *testing.T) {
 	vs[4] = vs[4][:700] // short: the rest reads as zeros
 	clear(flat[1000+700 : 2500])
 	for _, workers := range []int{1, 3, 8} {
-		want := Partition(keys, flat, 6, workers)
+		want := partition(keys, flat, 6, workers)
 		got := PartitionSegments(ks, vs, 6, workers)
 		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Vals, want.Vals) || !slices.Equal(got.Bounds, want.Bounds) {
 			t.Fatalf("workers=%d: segmented scatter differs from the scatter of the concatenation", workers)

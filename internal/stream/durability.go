@@ -195,7 +195,7 @@ func Open(cfg Config) (*Stream, error) {
 		}
 		run := agg.Source{Rows: agg.ScatterRows([][]uint64{r.Keys}, [][]uint64{r.Vals}, cfg.MergeBits, workers)}
 		if view {
-			s.foldViews(end-rows, end, &delta{src: run, rows: rows})
+			s.views.OnSeal(end-rows, end, rows, run)
 		}
 		if end > ckptWM {
 			if base == nil {

@@ -160,7 +160,7 @@ func checkAgainstBatch(t *testing.T, label string, sn *Snapshot, keys, vals []ui
 		}
 	}
 	for _, op := range []agg.ReduceOp{agg.OpSum, agg.OpMin, agg.OpMax} {
-		want := sortedQU(agg.AsReducer(ref).VectorReduce(keys, vals, op))
+		want := sortedQU(ref.VectorReduce(keys, vals, op))
 		got := sortedQU(sn.Reduce(op))
 		for i := range got {
 			if got[i] != want[i] {

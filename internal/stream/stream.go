@@ -410,7 +410,7 @@ func (s *Stream) publish(d *delta) {
 	// assignment follows publication (= WAL) order exactly, and a view
 	// registered at watermark w sees precisely the seals past w.
 	if s.views.Active() {
-		s.foldViews(v.watermark, endWM, d)
+		s.views.OnSeal(v.watermark, endWM, d.rows, d.src)
 	}
 	s.viewMu.Unlock()
 	select {

@@ -8,13 +8,15 @@ import (
 )
 
 // Continuous views (internal/cview) hang off the stream's seal-publication
-// path: publish calls foldViews under viewMu, right after the WAL append,
-// so every view absorbs sealed deltas in exactly watermark order — live
-// ingest and WAL replay drive the same hook. On durable streams the view
-// definitions persist under Dir/cview on every Register/Drop, and the
-// checkpointer snapshots pane state there before each WAL truncation (plus
-// once more at Close), so a restart recovers views from the snapshot and
-// the replayed log suffix.
+// path: publish calls cview.Registry.OnSeal under viewMu, right after the
+// WAL append, so every view absorbs sealed deltas in exactly watermark
+// order — live ingest and WAL replay drive the same hook. A sealed delta
+// is immutable, so views queue its source (a table delta's partition set
+// or a run) and fold it into their panes when they settle. On durable
+// streams the view definitions persist under Dir/cview on every
+// Register/Drop, and the checkpointer snapshots pane state there before
+// each WAL truncation (plus once more at Close), so a restart recovers
+// views from the snapshot and the replayed log suffix.
 
 // RegisterView registers a continuous view starting at the current
 // watermark: rows already sealed stay out of every window, rows sealed
@@ -58,16 +60,6 @@ func (s *Stream) ViewInfo(name string) (cview.Info, error) { return s.views.Info
 // ViewResult evaluates one continuous view's standing query over its
 // current window.
 func (s *Stream) ViewResult(name string) (*cview.Result, error) { return s.views.Result(name) }
-
-// foldViews feeds one sealed delta to every registered view. Called under
-// viewMu by publish (after logSeal — same ordering the WAL records) and by
-// recovery's replay loop; d covers watermark rows (prevWM, endWM]. The
-// delta is immutable once sealed, so views queue its source — a table
-// delta's partition set or a run — and fold it into their panes when they
-// settle.
-func (s *Stream) foldViews(prevWM, endWM uint64, d *delta) {
-	s.views.OnSeal(prevWM, endWM, d.rows, d.src)
-}
 
 // cviewDir is the continuous-view persistence root on a durable stream.
 func (s *Stream) cviewDir() string { return filepath.Join(s.cfg.Durability.Dir, "cview") }

@@ -505,7 +505,7 @@ func TestCViewDefinitionsPersist(t *testing.T) {
 	}
 	defer s2.Close()
 	views := s2.Views()
-	if len(views) != 1 || views[0].Spec.Name != "keep" {
+	if len(views) != 1 || views[0].Name != "keep" {
 		t.Fatalf("recovered views %+v, want exactly [keep]", views)
 	}
 }

@@ -227,30 +227,30 @@ func (a *Aggregator) CountRange(keys []uint64, lo, hi uint64) ([]GroupCount, err
 
 // SumByKey returns one (key, SUM(values)) row per distinct key.
 func (a *Aggregator) SumByKey(keys, values []uint64) []GroupStat {
-	return nonNil(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpSum))
+	return nonNil(a.engine.VectorReduce(keys, values, agg.OpSum))
 }
 
 // MinByKey returns one (key, MIN(values)) row per distinct key.
 func (a *Aggregator) MinByKey(keys, values []uint64) []GroupStat {
-	return nonNil(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpMin))
+	return nonNil(a.engine.VectorReduce(keys, values, agg.OpMin))
 }
 
 // MaxByKey returns one (key, MAX(values)) row per distinct key.
 func (a *Aggregator) MaxByKey(keys, values []uint64) []GroupStat {
-	return nonNil(agg.AsReducer(a.engine).VectorReduce(keys, values, agg.OpMax))
+	return nonNil(a.engine.VectorReduce(keys, values, agg.OpMax))
 }
 
 // QuantileByKey returns one (key, q-quantile of values) row per distinct
 // key, by the nearest-rank method. Holistic: each group's full value set
 // is buffered during the build.
 func (a *Aggregator) QuantileByKey(keys, values []uint64, q float64) []GroupValue {
-	return nonNil(agg.AsReducer(a.engine).VectorHolistic(keys, values, agg.QuantileFunc(q)))
+	return nonNil(a.engine.VectorHolistic(keys, values, agg.QuantileFunc(q)))
 }
 
 // ModeByKey returns one (key, most frequent value) row per distinct key.
 // Holistic.
 func (a *Aggregator) ModeByKey(keys, values []uint64) []GroupValue {
-	return nonNil(agg.AsReducer(a.engine).VectorHolistic(keys, values, agg.ModeFunc))
+	return nonNil(a.engine.VectorHolistic(keys, values, agg.ModeFunc))
 }
 
 // nonNil returns rows, or an empty slice where the engine answered nil:

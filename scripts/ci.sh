@@ -105,8 +105,9 @@ if [ "$n" -gt 0 ]; then
 	echo "structural guard: $n non-test files outside internal/agg and internal/radix route by radix partition" >&2
 	exit 1
 fi
-# There is one scatter pass (radix.Partition and its segmented form), and
-# one caller of it: the run kernel (internal/agg/rows.go, agg.ScatterRows).
+# There is one scatter pass (radix.PartitionSegments, over one column or
+# a column that arrived in segments), and one caller of it: the run
+# kernel (internal/agg/rows.go, agg.ScatterRows).
 # The Hash_RX engine partitions a query's input through it, and so does
 # the stream for the rows of its run deltas and of each replayed WAL
 # record. Table deltas route rows by the hash their probe computes
@@ -196,6 +197,19 @@ n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/agg/*' ! -path '
 	xargs grep -nE '^type (String)?Group[A-Z][A-Za-z]* struct|^(func|var) (convertRows|ResultRows)[[( =]' | wc -l)
 if [ "$n" -gt 0 ]; then
 	echo "structural guard: $n non-test row structs or row converters outside internal/agg and internal/stragg" >&2
+	exit 1
+fi
+
+# Structural guard — one type per serving-layer value: the facade's view
+# descriptions and results are internal/cview's Info and Result, its stats
+# rows are internal/agg's PhaseStat and internal/arena's Stats, all
+# aliased, and POST /v1/views decodes straight into memagg.ViewSpec, so no
+# non-test file outside internal/ declares a copy of one of them or a
+# toView* converter between the two.
+n=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/*' ! -path './.*/*' |
+	xargs grep -nE '^type (ViewInfo|ViewResult|PhaseStat|ArenaStats|viewRequest) struct|^func toView[A-Z]' | wc -l)
+if [ "$n" -gt 0 ]; then
+	echo "structural guard: $n non-test view, stats-row or view-request copies or converters outside internal/" >&2
 	exit 1
 fi
 
@@ -344,10 +358,11 @@ pinned -race -run 'TestQuantileNaNRejected|TestRouterValidatesBeforeGather' -cou
 # landing exactly on a pane boundary, sliding reads racing evictions,
 # mid-ingest registration without double-counting, and restart recovery
 # in both death modes (hard kill -> WAL-suffix replay, graceful close ->
-# PANES snapshot), plus the HTTP CRUD/ETag surface.
+# PANES snapshot), plus the HTTP CRUD/ETag surface, the 201's JSON
+# Content-Type and the view description's keys and their order.
 go test -race ./internal/cview/...
 pinned -race -run 'TestCViewBatchEquivalence|TestCViewPaneBoundary|TestCViewEvictionRace|TestCViewRegisterMidIngest|TestCViewRestartReplay|TestCViewDefinitionsPersist' -count=1 -v ./internal/stream
-pinned -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate|TestViewReregisterETag' -count=1 -v ./cmd/aggserve
+pinned -race -run 'TestViewCRUD|TestViewResultETag|TestViewHolisticGate|TestViewReregisterETag|TestViewRegisterContentType|TestViewKeysPinned' -count=1 -v ./cmd/aggserve
 # Result bodies: the append encoder is byte-identical to encoding/json over
 # the reflected envelopes it replaced (a table of every result shape, every
 # query of the vocabulary through a stream and its views, and the fuzz

@@ -11,21 +11,12 @@ import (
 // Section 3 conventions — build (folding records into the structure),
 // merge (combining per-worker state, where the design has any), iterate
 // (reading the result out).
-type PhaseStat struct {
-	Engine     string
-	Phase      string
-	Count      uint64
-	TotalNanos int64
-}
+type PhaseStat = agg.PhaseStat
 
 // ArenaStats reports the allocation layer (Dimension 6): how much chunk
 // memory the arenas pulled from the heap versus how often a reset recycled
 // it for free.
-type ArenaStats struct {
-	Chunks     uint64
-	ChunkBytes uint64
-	Resets     uint64
-}
+type ArenaStats = arena.Stats
 
 // ProcessStats is the process-wide observability report: every engine
 // phase series recorded so far plus the arena accounting. The same numbers
@@ -40,16 +31,10 @@ type ProcessStats struct {
 
 // Stats returns the process-wide observability report.
 func Stats() ProcessStats {
-	phases := agg.PhaseStats()
-	out := make([]PhaseStat, len(phases))
-	for i, p := range phases {
-		out[i] = PhaseStat{Engine: p.Engine, Phase: p.Phase, Count: p.Count, TotalNanos: p.TotalNanos}
-	}
-	ar := arena.ReadStats()
 	return ProcessStats{
 		TimingDisabled: obs.Disabled(),
-		EnginePhases:   out,
-		Arena:          ArenaStats{Chunks: ar.Chunks, ChunkBytes: ar.ChunkBytes, Resets: ar.Resets},
+		EnginePhases:   agg.PhaseStats(),
+		Arena:          arena.ReadStats(),
 	}
 }
 
@@ -67,7 +52,7 @@ func (a *Aggregator) Stats() BackendStats {
 	st := BackendStats{Backend: a.backend}
 	for _, p := range agg.PhaseStats() {
 		if p.Engine == name {
-			st.Phases = append(st.Phases, PhaseStat(p))
+			st.Phases = append(st.Phases, p)
 		}
 	}
 	return st

@@ -13,87 +13,46 @@ import (
 // a fresh result instead of recomputing over the window's rows.
 type ViewSpec struct {
 	// Name identifies the view; non-empty, no '/', at most 128 bytes.
-	Name string
+	Name string `json:"name"`
 
 	// Query is the standing query by its /v1/query spelling: q1..q7 (or
 	// count_by_key, avg_by_key, median_by_key, count, avg, median, range),
 	// sum, min, max, quantile, mode. Holistic spellings (q3, quantile,
 	// mode) require a holistic stream.
-	Query string
+	Query string `json:"query"`
 
 	// P is the quantile parameter for Query == "quantile", in [0, 1].
-	P float64
+	P float64 `json:"p,omitempty"`
 
 	// Lo and Hi bound Query == "q7"/"range" (inclusive).
-	Lo, Hi uint64
+	Lo uint64 `json:"lo,omitempty"`
+	Hi uint64 `json:"hi,omitempty"`
 
 	// PaneRows is the pane width in watermark rows: pane p covers rows
 	// whose visibility watermark lies in (p*PaneRows, (p+1)*PaneRows].
-	PaneRows uint64
+	PaneRows uint64 `json:"pane_rows"`
 
 	// Panes is the window length in panes, in [1, 65536].
-	Panes int
+	Panes int `json:"panes"`
 
 	// Sliding selects the window kind: a sliding window always covers the
 	// last Panes panes; a tumbling window accumulates the current
 	// Panes-pane bucket and drops it whole when the next bucket opens.
-	Sliding bool
+	Sliding bool `json:"sliding,omitempty"`
 }
 
-// ViewInfo is a point-in-time description of one continuous view.
-type ViewInfo struct {
-	Name     string `json:"name"`
-	Query    string `json:"query"` // canonical spelling, parameters included
-	PaneRows uint64 `json:"pane_rows"`
-	Panes    int    `json:"panes"`
-	Sliding  bool   `json:"sliding"`
-
-	// StartWatermark is the registration watermark: rows sealed at or
-	// below it stay out of every window. Watermark is the last seal the
-	// view absorbed.
-	StartWatermark uint64 `json:"start_watermark"`
-	Watermark      uint64 `json:"watermark"`
-
-	PanesLive    int    `json:"panes_live"`
-	PanesEvicted uint64 `json:"panes_evicted"`
-
-	// Version bumps on every pane fold and eviction; with Watermark it
-	// keys HTTP ETags.
-	Version uint64 `json:"version"`
-
-	// Registration identifies this registration of the name: a view
-	// dropped and registered again gets a new one, also across restarts.
-	// It keys HTTP ETags beside Version and Watermark.
-	Registration uint64 `json:"-"`
-
-	// Truncated reports the window currently overlaps rows a restart
-	// could not replay (the WAL was truncated past the view's saved
-	// panes); it clears once the window slides past the gap.
-	Truncated bool `json:"truncated"`
-}
+// ViewInfo is a point-in-time description of one continuous view: its
+// spec, with the query in canonical spelling, and its window state
+// (watermarks, live and evicted panes, version, truncation). Its JSON
+// encoding is the /v1/views description body.
+type ViewInfo = cview.Info
 
 // ViewResult is one evaluation of a view's standing query over its
-// current window. Every read returns a fresh result the caller owns.
-type ViewResult struct {
-	Name  string `json:"name"`
-	Query string `json:"query"`
-
-	// The result covers exactly the rows whose visibility watermark lies
-	// in (WindowStart, WindowEnd].
-	WindowStart uint64 `json:"window_start"`
-	WindowEnd   uint64 `json:"window_end"`
-
-	PanesLive int    `json:"panes_live"`
-	Rows      uint64 `json:"rows"`
-	Groups    int    `json:"groups"`
-	Version   uint64 `json:"version"`
-	Truncated bool   `json:"truncated"`
-
-	// Value is the query result, by query family: []GroupCount (q1, q7),
-	// []GroupValue (q2, q3, quantile, mode), []GroupStat (sum/min/max),
-	// uint64 (q4), or float64 (q5, q6).
-	Value any `json:"value"`
-}
+// current window; every read returns a fresh result the caller owns.
+// Value holds the query result by query family: []GroupCount (q1, q7),
+// []GroupValue (q2, q3, quantile, mode), []GroupStat (sum/min/max),
+// uint64 (q4), or float64 (q5, q6).
+type ViewResult = cview.Result
 
 // RegisterView registers a continuous view starting at the current
 // watermark: rows already sealed stay out of every window, rows sealed
@@ -120,64 +79,13 @@ func (s *Stream) RegisterView(v ViewSpec) error {
 // View evaluates one continuous view's standing query over its current
 // window. The result is identical to the matching snapshot query over
 // exactly the window's rows.
-func (s *Stream) View(name string) (*ViewResult, error) {
-	res, err := s.s.ViewResult(name)
-	if err != nil {
-		return nil, err
-	}
-	return toViewResult(res), nil
-}
+func (s *Stream) View(name string) (*ViewResult, error) { return s.s.ViewResult(name) }
 
 // DropView removes a continuous view, reporting whether it existed.
 func (s *Stream) DropView(name string) bool { return s.s.DropView(name) }
 
 // Views describes every registered continuous view, sorted by name.
-func (s *Stream) Views() []ViewInfo {
-	infos := s.s.Views()
-	out := make([]ViewInfo, len(infos))
-	for i, in := range infos {
-		out[i] = toViewInfo(in)
-	}
-	return out
-}
+func (s *Stream) Views() []ViewInfo { return s.s.Views() }
 
 // ViewStatus describes one continuous view without evaluating it.
-func (s *Stream) ViewStatus(name string) (ViewInfo, error) {
-	in, err := s.s.ViewInfo(name)
-	if err != nil {
-		return ViewInfo{}, err
-	}
-	return toViewInfo(in), nil
-}
-
-func toViewInfo(in cview.Info) ViewInfo {
-	return ViewInfo{
-		Name:           in.Spec.Name,
-		Query:          in.Spec.Query.String(),
-		PaneRows:       in.Spec.PaneRows,
-		Panes:          in.Spec.Panes,
-		Sliding:        in.Spec.Sliding,
-		StartWatermark: in.StartWatermark,
-		Watermark:      in.Watermark,
-		PanesLive:      in.PanesLive,
-		PanesEvicted:   in.PanesEvicted,
-		Version:        in.Version,
-		Registration:   in.Registration,
-		Truncated:      in.Truncated,
-	}
-}
-
-func toViewResult(res *cview.Result) *ViewResult {
-	return &ViewResult{
-		Name:        res.Name,
-		Query:       res.Query.String(),
-		WindowStart: res.WindowStart,
-		WindowEnd:   res.WindowEnd,
-		PanesLive:   res.PanesLive,
-		Rows:        res.Rows,
-		Groups:      res.Groups,
-		Version:     res.Version,
-		Truncated:   res.Truncated,
-		Value:       res.Value,
-	}
-}
+func (s *Stream) ViewStatus(name string) (ViewInfo, error) { return s.s.ViewInfo(name) }
